@@ -24,6 +24,8 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import product
 from math import comb
 
 from .lattice import (
@@ -62,12 +64,17 @@ class CatalogEntry:
     glue_surface: str
     note: str = ""
 
+    @cached_property
+    def _surface_map(self) -> dict[str, MarkedSurface]:
+        # reversed, so that the first of two equal labels wins
+        return dict(reversed(self.surfaces))
+
     def surface(self, label: str | None = None) -> MarkedSurface:
         label = label or self.glue_surface
-        for lab, s in self.surfaces:
-            if lab == label:
-                return s
-        raise KeyError(f"{self.name}: no marked surface {label!r}")
+        s = self._surface_map.get(label)
+        if s is None:
+            raise KeyError(f"{self.name}: no marked surface {label!r}")
+        return s
 
     def w_class(self, label: str | None = None) -> HClass:
         label = label or self.w_labels[0]
@@ -286,7 +293,7 @@ def build_dia2(g_prime: int, g: int) -> CatalogEntry:
         named=tuple(named),
     )
     pairs = []
-    for signs in _sign_patterns(blowups):
+    for signs in product((1, -1), repeat=blowups):
         coords = [Fraction(0), Fraction(0)] + [Fraction(s) for s in signs]
         pairs.append((HClass(lattice, tuple(coords)), Fraction(1, 2**blowups)))
     series = DonaldsonSeries.on(lattice, pairs)
@@ -315,15 +322,6 @@ def build_dia2(g_prime: int, g: int) -> CatalogEntry:
     )
     out.validate()
     return out
-
-
-def _sign_patterns(m: int):
-    if m == 0:
-        yield ()
-        return
-    for rest in _sign_patterns(m - 1):
-        yield (1,) + rest
-        yield (-1,) + rest
 
 
 def closed_form_cg(g: int) -> CatalogEntry:

@@ -262,7 +262,3 @@ def _mul_marker(a: ExpPolynomial, b: ExpPolynomial) -> tuple[str, Fraction | Non
         return a.marker, None
     # e^{sQ1/2} e^{sQ2/2} = e^{sQ/2} with D^2 = D1^2 + D2^2
     return a.marker, a.q_square + b.q_square
-
-
-def zero_poly(marker: str = "none", q_square=None) -> ExpPolynomial:
-    return ExpPolynomial(marker, (), q_square)

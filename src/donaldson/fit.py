@@ -26,7 +26,7 @@ from fractions import Fraction
 from .exppoly import ExpPolynomial
 from .gaussian import GaussianRational
 from .lattice import HClass, MarkedSurface
-from .series import DonaldsonSeries, split_series
+from .series import DonaldsonSeries, _split_table
 
 
 class FitError(ValueError):
@@ -86,29 +86,23 @@ def basis_coordinates(
     if d.dot(s.cls) != 1:
         raise FitError("coordinates are computed against a probe with D.S = 1")
     g = s.genus
-    ss = split_series(series, w, s)
+    d0, rows = _split_table(series, w, s, d)
     bound = 2 * g - 2
     by_level: dict[int, list] = {}
-    for k, c in ss.p_entries + ss.n_entries:
-        lvl = k.dot(s.cls)
+    for k, _, lvl, lam, c in rows:
         if abs(lvl) > bound:
             raise FitError(
                 f"class {k} pairs {lvl} with the surface, beyond the "
                 f"adjunction bound {bound}"
             )
-        by_level.setdefault(int(lvl), []).append((k, c))
-    coords = []
+        by_level.setdefault(lvl, []).append((lam, c))
     q = d.square
-    for alpha in range(1, 2 * g):
-        p = p_of_alpha(alpha, g)
-        entries = by_level.get(2 * p, [])
-        if p % 2 == 1:
-            terms = tuple((GaussianRational(k.dot(d)), c) for k, c in entries)
-            coords.append(ExpPolynomial("+Q/2", terms, q))
-        else:
-            terms = tuple((GaussianRational(0, k.dot(d)), c) for k, c in entries)
-            coords.append(ExpPolynomial("-Q/2", terms, q))
-    return BasisCoordinates(g, ss.d0, q, tuple(coords))
+    # odd levels p are the P-sector (K.S = 2p = 2 mod 4), even ones the N-sector
+    coords = tuple(
+        ExpPolynomial("+Q/2" if p % 2 else "-Q/2", tuple(by_level.get(2 * p, ())), q)
+        for p in (p_of_alpha(alpha, g) for alpha in range(1, 2 * g))
+    )
+    return BasisCoordinates(g, d0, q, coords)
 
 
 def zero_coordinates(genus: int, d0: int, d_square=0) -> BasisCoordinates:

@@ -98,6 +98,9 @@ class GaussianRational:
         o = self._other(x)
         if o is None:
             return NotImplemented
+        if not o.im:
+            # a real factor: half the Fraction products
+            return GaussianRational(self.re * o.re, self.im * o.re)
         return GaussianRational(
             self.re * o.re - self.im * o.im,
             self.re * o.im + self.im * o.re,

@@ -21,13 +21,15 @@ pairing shape with coefficients -+2^{-3g+5} and no surface shift.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .constructions import CatalogEntry
 from .exppoly import ExpPolynomial
 from .gaussian import GaussianRational, frac_token
-from .lattice import HClass, LatticeMismatch, ParityError, d_zero_value, is_allowable
+from .lattice import HClass, LatticeMismatch, d_zero_value, is_allowable, same_lattice
 from .series import twist
 
 
@@ -111,19 +113,15 @@ class GluingSpec:
     def glued_d_zero(self) -> int:
         return d_zero_value(self.glued_w_square, 0, self.glued_b_plus)
 
+    @cached_property
+    def _twisted(self) -> tuple[list, list]:
+        return twist(self.left.series, self.w1), twist(self.right.series, self.w2)
+
     def twisted_left(self) -> list[tuple[HClass, Fraction]]:
-        cached = self.__dict__.get("_twisted_left")
-        if cached is None:
-            cached = twist(self.left.series, self.w1)
-            object.__setattr__(self, "_twisted_left", cached)
-        return cached
+        return self._twisted[0]
 
     def twisted_right(self) -> list[tuple[HClass, Fraction]]:
-        cached = self.__dict__.get("_twisted_right")
-        if cached is None:
-            cached = twist(self.right.series, self.w2)
-            object.__setattr__(self, "_twisted_right", cached)
-        return cached
+        return self._twisted[1]
 
     def split_class(self, d1: HClass, d2: HClass) -> "SplitClass":
         return SplitClass(d1, d2, d1.dot(self.surface1.cls))
@@ -161,7 +159,9 @@ class SplitClass:
 
 
 def _validate_split_class(spec: GluingSpec, d: SplitClass) -> None:
-    if d.d1.lattice != spec.left.lattice or d.d2.lattice != spec.right.lattice:
+    if not same_lattice(d.d1.lattice, spec.left.lattice) or not same_lattice(
+        d.d2.lattice, spec.right.lattice
+    ):
         raise LatticeMismatch("split class halves on the wrong lattices")
     if d.d1.dot(spec.surface1.cls) != d.sigma_pairing:
         raise GluingError(
@@ -180,14 +180,12 @@ class GluedSeries:
     """Output of a gluing: (left index, right index, sector, coefficient).
 
     Sectors are +1 / -1 (exponent shift +-2 S.D) and 0 for the torus rule's
-    unshifted sector.  ``simple_type`` records the standing hypothesis on
-    the glued manifold; it is an input assumption, never inferred.
+    unshifted sector.
     """
 
     spec: GluingSpec
     kind: str  # "standard" | "torus" | "stabilized"
     entries: tuple[tuple[int, int, int, Fraction], ...]
-    simple_type: bool = True
 
     def __post_init__(self):
         if self.kind not in ("standard", "torus", "stabilized"):
@@ -207,23 +205,46 @@ class GluedSeries:
     def right_class(self, k: int) -> HClass:
         return self.spec.right.series.entries[k][0]
 
+    @cached_property
+    def _pair_sums(self) -> dict[tuple[int, int], Fraction]:
+        """(left index, right index) -> the sum of its entries' coefficients."""
+        sums: dict[tuple[int, int], Fraction] = defaultdict(Fraction)
+        for j, k, _, coeff in self.entries:
+            sums[j, k] += coeff
+        return sums
 
-def _top_level_pairs(spec: GluingSpec, plus: Fraction, minus: Fraction):
+    @cached_property
+    def _restriction_tables(self) -> tuple[dict, dict]:
+        """Per side: integer class coords -> (index, level, untwist sign, coefficient)."""
+        spec = self.spec
+        tables = []
+        for entry, s, twisted in (
+            (spec.left, spec.surface1, spec.twisted_left()),
+            (spec.right, spec.surface2, spec.twisted_right()),
+        ):
+            # twisting multiplies c by the sign; a zero c adds nothing either way
+            tables.append({
+                k.int_coords: (idx, k.dot(s.cls), 1 if a == c else -1, c)
+                for idx, ((k, c), (_, a)) in enumerate(zip(entry.series.entries, twisted))
+            })
+        return tables[0], tables[1]
+
+
+def _top_level_pairs(spec: GluingSpec, scale: Fraction):
     """Entries (j, k, sector, c) over pairs at the extreme levels +-(2g-2)."""
-    top = 2 * spec.genus - 2
+    g, eps = spec.genus, spec.epsilon
+    plus, minus = -eps * scale, eps * (-1) ** g * scale
+    top = 2 * g - 2
     s1, s2 = spec.surface1.cls, spec.surface2.cls
+    # right-hand classes bucketed by level: each class meets its surface once
+    rights = {top: [], -top: []}
+    for k, (l_cls, b) in enumerate(spec.twisted_right()):
+        rights.get(l_cls.dot(s2), []).append((k, b))
     entries = []
     for j, (k_cls, a) in enumerate(spec.twisted_left()):
         lvl = k_cls.dot(s1)
-        if lvl != top and lvl != -top:
-            continue
-        for k, (l_cls, b) in enumerate(spec.twisted_right()):
-            if l_cls.dot(s2) != lvl:
-                continue
-            if lvl == top:
-                entries.append((j, k, +1, plus * a * b))
-            else:
-                entries.append((j, k, -1, minus * a * b))
+        sector, coeff = (+1, plus) if lvl == top else (-1, minus)
+        entries.extend((j, k, sector, coeff * a * b) for k, b in rights.get(lvl, ()))
     return tuple(entries)
 
 
@@ -232,9 +253,7 @@ def glue(spec: GluingSpec) -> GluedSeries:
     g = spec.genus
     if g == 1:
         raise GluingError("genus-1 gluing uses the torus rule: call glue_torus")
-    eps = spec.epsilon
-    scale = Fraction(2 ** (7 * g - 9))
-    entries = _top_level_pairs(spec, -eps * scale, eps * Fraction((-1) ** g) * scale)
+    entries = _top_level_pairs(spec, Fraction(2 ** (7 * g - 9)))
     return GluedSeries(spec, "standard", entries)
 
 
@@ -277,9 +296,7 @@ def glue_conjectural(spec: GluingSpec) -> GluedSeries:
     g = spec.genus
     if g < 2:
         raise GluingError("stabilized gluing needs genus >= 2")
-    eps = spec.epsilon
-    scale = Fraction(1, 2 ** (3 * g - 5))
-    entries = _top_level_pairs(spec, -eps * scale, eps * Fraction((-1) ** g) * scale)
+    entries = _top_level_pairs(spec, Fraction(1, 2 ** (3 * g - 5)))
     return GluedSeries(spec, "stabilized", entries)
 
 
@@ -288,14 +305,17 @@ def eval_glued(gs: GluedSeries, d: SplitClass) -> ExpPolynomial:
 
     One term per entry, exponent K.D1 + L.D2 plus the sector shift
     +-2 S.D (no shift for the torus 0-sector and for stabilized output).
+    K.D1 and L.D2 are paired once per parent class that has an entry.
     """
     _validate_split_class(gs.spec, d)
     lefts = gs.spec.twisted_left()
     rights = gs.spec.twisted_right()
+    k_d1 = {j: lefts[j][0].dot(d.d1) for j in {e[0] for e in gs.entries}}
+    l_d2 = {k: rights[k][0].dot(d.d2) for k in {e[1] for e in gs.entries}}
     shift_scale = Fraction(0) if gs.kind == "stabilized" else 2 * d.sigma_pairing
     terms = []
     for j, k, sector, coeff in gs.entries:
-        lam = lefts[j][0].dot(d.d1) + rights[k][0].dot(d.d2) + sector * shift_scale
+        lam = k_d1[j] + l_d2[k] + sector * shift_scale
         terms.append((GaussianRational(lam), GaussianRational(coeff)))
     return ExpPolynomial("+Q/2", tuple(terms), d.square)
 
@@ -325,22 +345,15 @@ def coefficient_match(
         raise GluingError("coefficient matching is defined for standard gluings")
     spec = gs.spec
     g = spec.genus
-    left_table, right_table = _restriction_tables(gs)
-    k_info = left_table.get(_ikey(k_restrict))
-    l_info = right_table.get(_ikey(l_restrict))
+    left_table, right_table = gs._restriction_tables
+    k_info = left_table.get(k_restrict.int_coords)
+    l_info = right_table.get(l_restrict.int_coords)
     if k_info is None or l_info is None:
         # no parent classes restrict there: both sums are empty
         return Fraction(0), Fraction(0)
     (j_idx, lvl_k, sign_k, sum_a) = k_info
     (k_idx, lvl_l, sign_l, sum_b) = l_info
-    grouped = sum(
-        (
-            sign_k * sign_l * coeff
-            for j, k, _, coeff in gs.entries
-            if j == j_idx and k == k_idx
-        ),
-        Fraction(0),
-    )
+    grouped = sign_k * sign_l * gs._pair_sums.get((j_idx, k_idx), Fraction(0))
     top = 2 * g - 2
     if not (lvl_k == lvl_l and abs(lvl_k) == top):
         return grouped, Fraction(0)
@@ -349,35 +362,6 @@ def coefficient_match(
         -spec.epsilon * sector_sign * Fraction(2 ** (7 * g - 9)) * sum_a * sum_b
     )
     return grouped, predicted
-
-
-def _ikey(cls: HClass) -> tuple:
-    return tuple(int(c) if c.denominator == 1 else c for c in cls.coords)
-
-
-def _restriction_tables(gs: GluedSeries):
-    """Per-side lookup: class coords -> (index, level, untwist sign, coefficient)."""
-    cached = gs.__dict__.get("_restriction_tables")
-    if cached is not None:
-        return cached
-    spec = gs.spec
-    tables = []
-    for entry, s, w in (
-        (spec.left, spec.surface1, spec.w1),
-        (spec.right, spec.surface2, spec.w2),
-    ):
-        w_sq = w.square
-        table = {}
-        for idx, (k, c) in enumerate(entry.series.entries):
-            m = k.dot(w) + w_sq
-            if m % 2 != 0:
-                raise ParityError("restriction class is not characteristic against w")
-            sign = -1 if (int(m) // 2) % 2 else 1
-            table[_ikey(k)] = (idx, k.dot(s.cls), sign, c)
-        tables.append(table)
-    cached = (tables[0], tables[1])
-    object.__setattr__(gs, "_restriction_tables", cached)
-    return cached
 
 
 # -- JSON -----------------------------------------------------------------------------

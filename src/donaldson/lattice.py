@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 
 
 class LatticeError(ValueError):
@@ -90,11 +92,16 @@ class Lattice:
     def rank(self) -> int:
         return len(self.gram)
 
+    @cached_property
+    def _named_coords(self) -> dict[str, tuple[Fraction, ...]]:
+        # reversed, so that the first of two equal labels wins
+        return dict(reversed(self.named))
+
     def cls(self, label: str) -> "HClass":
-        for lab, coords in self.named:
-            if lab == label:
-                return HClass(self, coords)
-        raise KeyError(f"{self.name}: no named class {label!r}")
+        coords = self._named_coords.get(label)
+        if coords is None:
+            raise KeyError(f"{self.name}: no named class {label!r}")
+        return HClass(self, coords)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(lab for lab, _ in self.named)
@@ -125,33 +132,36 @@ class HClass:
         if len(coords) != self.lattice.rank:
             raise LatticeError("coordinate length does not match lattice rank")
 
+    @cached_property
+    def int_coords(self) -> tuple[int, ...] | None:
+        """The coordinates as ints, or None for a class with a non-integral one."""
+        if any(c.denominator != 1 for c in self.coords):
+            return None
+        return tuple(c.numerator for c in self.coords)
+
     @property
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coords)
+        return self.int_coords is not None
 
     @property
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
-    def dot(self, other: "HClass") -> Fraction:
+    def dot(self, other: "HClass") -> int | Fraction:
         return pairing(self, other)
 
-    @property
-    def square(self) -> Fraction:
-        cached = self.__dict__.get("_square")
-        if cached is None:
-            cached = pairing(self, self)
-            object.__setattr__(self, "_square", cached)
-        return cached
+    @cached_property
+    def square(self) -> int | Fraction:
+        return pairing(self, self)
 
     def is_odd(self) -> bool:
         """Nonzero reduction mod 2 (meaningful for integral classes)."""
         if not self.is_integral:
             raise LatticeError("mod-2 reduction needs an integral class")
-        return any(c % 2 for c in self.coords)
+        return any(c % 2 for c in self.int_coords)
 
     def __add__(self, other: "HClass") -> "HClass":
-        if self.lattice != other.lattice:
+        if not same_lattice(self.lattice, other.lattice):
             raise LatticeMismatch("cannot add classes on different lattices")
         return HClass(self.lattice, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
@@ -201,50 +211,43 @@ class MarkedSurface:
 # -- bilinear form and predicates ---------------------------------------------
 
 
-def pairing(u: HClass, v: HClass) -> Fraction:
-    """Evaluate the intersection form: u^T . gram . v."""
-    if u.lattice is not v.lattice and u.lattice != v.lattice:
+def same_lattice(a: Lattice, b: Lattice) -> bool:
+    """Lattice equality, with identity deciding the common case first."""
+    return a is b or a == b
+
+
+def pairing(u: HClass, v: HClass) -> int | Fraction:
+    """Evaluate the intersection form u^T . gram . v: an int on integral classes."""
+    if not same_lattice(u.lattice, v.lattice):
         raise LatticeMismatch(
             f"pairing of classes on {u.lattice.name} and {v.lattice.name}"
         )
     gram = u.lattice.gram
-    if u.is_integral and v.is_integral:
-        # integer fast path: the bulk of all pairings in catalog sweeps
-        uc = [int(c) for c in u.coords]
-        vc = [int(c) for c in v.coords]
-        total = 0
-        for i, a in enumerate(uc):
-            if a:
-                row = gram[i]
-                total += a * sum(row[j] * b for j, b in enumerate(vc) if b)
-        return Fraction(total)
+    uc, vc = u.int_coords, v.int_coords
+    if uc is not None and vc is not None:
+        return sum(a * sum(map(mul, row, vc)) for a, row in zip(uc, gram) if a)
     total = Fraction(0)
-    for i, a in enumerate(u.coords):
-        if a == 0:
-            continue
-        row = gram[i]
-        total += a * sum(row[j] * b for j, b in enumerate(v.coords) if b != 0)
+    for a, row in zip(u.coords, gram):
+        if a:
+            total += a * sum(row[j] * b for j, b in enumerate(v.coords) if b)
     return total
 
 
 def is_characteristic(k: HClass) -> bool:
     """k . v == v . v (mod 2) for every basis vector of the modeled lattice."""
-    if not k.is_integral:
+    kc = k.int_coords
+    if kc is None:
         raise LatticeError("characteristic test needs an integral class")
+    # the Gram matrix is symmetric, so row i pairs k with the i-th basis vector
     gram = k.lattice.gram
-    n = k.lattice.rank
-    for i in range(n):
-        kv = sum(k.coords[j] * gram[j][i] for j in range(n))
-        if (kv - gram[i][i]) % 2 != 0:
-            return False
-    return True
+    return all((sum(map(mul, row, kc)) - row[i]) % 2 == 0 for i, row in enumerate(gram))
 
 
 def is_allowable(w: HClass, s: MarkedSurface) -> bool:
     """w . [S] odd and [S]^2 = 0: the pair (w, S) admits the two-sector split."""
     if not w.is_integral:
         raise LatticeError("w must be integral")
-    if w.lattice != s.lattice:
+    if not same_lattice(w.lattice, s.lattice):
         raise LatticeMismatch("w and surface live on different lattices")
     return s.cls.square == 0 and pairing(w, s.cls) % 2 == 1
 
@@ -326,10 +329,6 @@ def _coord_out(c: Fraction):
     return int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
-def _coord_in(x) -> Fraction:
-    return Fraction(x)
-
-
 def lattice_to_json(lat: Lattice) -> dict:
     return {
         "name": lat.name,
@@ -347,7 +346,7 @@ def lattice_from_json(data: dict) -> Lattice:
     if len(gram) != data["rank"]:
         raise LatticeError("rank field does not match Gram matrix size")
     named = tuple(
-        (label, tuple(_coord_in(x) for x in coords))
+        (label, tuple(map(Fraction, coords)))
         for label, coords in data["classes"].items()
     )
     return Lattice(

@@ -28,6 +28,7 @@ from .lattice import (
     d_zero_value,
     is_allowable,
     is_characteristic,
+    same_lattice,
 )
 
 
@@ -58,7 +59,7 @@ class DonaldsonSeries:
         object.__setattr__(self, "entries", entries)
         seen = set()
         for k, c in entries:
-            if k.lattice != self.lattice:
+            if not same_lattice(k.lattice, self.lattice):
                 raise LatticeMismatch("entry class on a foreign lattice")
             if not k.is_integral:
                 raise SeriesError(f"basic class {k} is not integral")
@@ -100,7 +101,7 @@ class DonaldsonSeries:
 
 def twist(series: DonaldsonSeries, w: HClass) -> list[tuple[HClass, Fraction]]:
     """Coefficients for the w-twisted series: c -> (-1)^{(K.w + w^2)/2} c."""
-    if w.lattice != series.lattice:
+    if not same_lattice(w.lattice, series.lattice):
         raise LatticeMismatch("twist class on a foreign lattice")
     if not w.is_integral:
         raise SeriesError("twist class must be integral")
@@ -147,8 +148,9 @@ class SplitSeries:
                 raise SeriesError(f"{k} does not belong to the N-sector")
 
 
-def _check_split_preconditions(series: DonaldsonSeries, w: HClass, s: MarkedSurface):
-    if s.lattice != series.lattice:
+def split_series(series: DonaldsonSeries, w: HClass, s: MarkedSurface) -> SplitSeries:
+    """Split the w-twisted series into its two sectors against (w, S)."""
+    if not same_lattice(s.lattice, series.lattice):
         raise LatticeMismatch("surface on a foreign lattice")
     if not is_allowable(w, s):
         raise SeriesError("(w, S) is not an allowable pair: need w.S odd, S^2 = 0")
@@ -156,11 +158,6 @@ def _check_split_preconditions(series: DonaldsonSeries, w: HClass, s: MarkedSurf
         raise SeriesError("two-sector split needs a simple-type series")
     if series.b_one != 0 or series.b_plus <= 1 or series.b_plus % 2 == 0:
         raise SeriesError("two-sector split needs b1 = 0 and b+ > 1 odd")
-
-
-def split_series(series: DonaldsonSeries, w: HClass, s: MarkedSurface) -> SplitSeries:
-    """Split the w-twisted series into its two sectors against (w, S)."""
-    _check_split_preconditions(series, w, s)
     d0 = series.d0(w)
     i_pow = GaussianRational.i_power(-d0)
     p_entries, n_entries = [], []
@@ -193,6 +190,51 @@ def unsplit_series(ss: SplitSeries) -> DonaldsonSeries:
     return DonaldsonSeries.on(lattice, pairs)
 
 
+def _split_table(series: DonaldsonSeries, w: HClass, s: MarkedSurface, d: HClass):
+    """Split the series once against (w, S) and pair every class with S and D.
+
+    Returns (d0, rows), one row (K, sector, K.S, lam, c) per basic class K:
+    sector +1 (P) or -1 (N), lam the exponent K.D (P) or i K.D (N), and c
+    the split coefficient (twisted, and times i^{-d0} in the N-sector).
+    """
+    if not same_lattice(d.lattice, series.lattice):
+        raise LatticeMismatch("evaluation class on a foreign lattice")
+    ss = split_series(series, w, s)
+    sigma = s.cls
+    rows = [(k, 1, k.dot(sigma), GaussianRational(k.dot(d)), c) for k, c in ss.p_entries]
+    rows += [
+        (k, -1, k.dot(sigma), GaussianRational(0, k.dot(d)), c) for k, c in ss.n_entries
+    ]
+    return ss.d0, rows
+
+
+def _evaluate(rows, d_square, d_sigma, z_terms) -> tuple[ExpPolynomial, ExpPolynomial]:
+    """(P, N) of a split table on z e^{tD}, z given by (S-power, x-power, c) terms.
+
+    On a class, x acts by 2 * sector and S by the weight (D+K).S (P-sector)
+    or (-D+iK).S (N-sector), so z acts by one scalar per level K.S (which
+    fixes the sector); each level's scalar is computed once and every class
+    contributes one term.
+    """
+    scalars = {}
+    parts = {1: [], -1: []}
+    for _, sector, ks, lam, c in rows:
+        if ks not in scalars:
+            if sector > 0:
+                weight = GaussianRational(d_sigma + ks)
+            else:
+                weight = GaussianRational(-d_sigma, ks)
+            scalars[ks] = sum(
+                (weight**sp * (cz * (2 * sector) ** xp) for sp, xp, cz in z_terms),
+                GaussianRational(0),
+            )
+        parts[sector].append((lam, c * scalars[ks]))
+    return (
+        ExpPolynomial("+Q/2", tuple(parts[1]), d_square),
+        ExpPolynomial("-Q/2", tuple(parts[-1]), d_square),
+    )
+
+
 def eval_insertion(
     series: DonaldsonSeries,
     w: HClass,
@@ -206,30 +248,12 @@ def eval_insertion(
     Returns (P, N):
       P = e^{+Q/2} sum_{K.S==2(4)} c_{K,w} 2^a ((D+K).S)^b e^{(K.D)t}
       N = e^{-Q/2} sum_{K.S==0(4)} i^{-d0} c_{K,w} (-2)^a ((-D+iK).S)^b e^{i(K.D)t}
+    The series is split once, and K.S and K.D are paired once per class.
     """
     if x_power < 0 or sigma_power < 0:
         raise SeriesError("insertion powers must be >= 0")
-    if d.lattice != series.lattice:
-        raise LatticeMismatch("evaluation class on a foreign lattice")
-    _check_split_preconditions(series, w, s)
-    ss = split_series(series, w, s)
-    sigma = s.cls
-    d_sigma = d.dot(sigma)
-    q = d.square
-    x_p = Fraction(2) ** x_power
-    x_n = Fraction(-2) ** x_power
-    p_terms = []
-    for k, c in ss.p_entries:
-        weight = (d_sigma + k.dot(sigma)) ** sigma_power
-        p_terms.append((GaussianRational(k.dot(d)), c * (x_p * weight)))
-    n_terms = []
-    for k, c in ss.n_entries:
-        weight = GaussianRational(-d_sigma, k.dot(sigma)) ** sigma_power
-        n_terms.append((GaussianRational(0, k.dot(d)), c * x_n * weight))
-    return (
-        ExpPolynomial("+Q/2", tuple(p_terms), q),
-        ExpPolynomial("-Q/2", tuple(n_terms), q),
-    )
+    _, rows = _split_table(series, w, s, d)
+    return _evaluate(rows, d.square, d.dot(s.cls), ((sigma_power, x_power, 1),))
 
 
 # -- relation polynomials -----------------------------------------------------------
@@ -310,21 +334,23 @@ def apply_relation(
     z: RelationPoly,
     d: HClass,
 ) -> tuple[ExpPolynomial, ExpPolynomial]:
-    """Evaluate the split series on z e^{tD} as a combination of insertions."""
-    if d.dot(s.cls) != 1:
+    """Evaluate the split series on z e^{tD}: the sum of its insertions.
+
+    The series is split once.  z takes one value per sector and surface
+    level K.S, at most 2(2g-1) scalars, and each class then contributes one
+    term: its split coefficient times the scalar of its level.
+    """
+    d_sigma = d.dot(s.cls)
+    if d_sigma != 1:
         warnings.warn(
             "relation evaluated at D with D.S != 1; the vanishing guarantee "
             "is withdrawn",
             stacklevel=2,
         )
-    q = d.square
-    p_total = ExpPolynomial("+Q/2", (), q)
-    n_total = ExpPolynomial("-Q/2", (), q)
-    for sp, xp, c in z.terms:
-        p_part, n_part = eval_insertion(series, w, s, d, x_power=xp, sigma_power=sp)
-        p_total = p_total + p_part.scale(c)
-        n_total = n_total + n_part.scale(c)
-    return p_total, n_total
+    if any(sp < 0 or xp < 0 for sp, xp, _ in z.terms):
+        raise SeriesError("insertion powers must be >= 0")
+    _, rows = _split_table(series, w, s, d)
+    return _evaluate(rows, d.square, d_sigma, z.terms)
 
 
 # -- finite type, adjunction, involution ---------------------------------------------
@@ -332,11 +358,7 @@ def apply_relation(
 
 def default_probes(lattice: Lattice, s: MarkedSurface) -> list[HClass]:
     """All named classes D with D.S = 1, plus their S-shifts."""
-    probes = [
-        lattice.cls(label)
-        for label in lattice.labels()
-        if lattice.cls(label).dot(s.cls) == 1
-    ]
+    probes = [d for d in map(lattice.cls, lattice.labels()) if d.dot(s.cls) == 1]
     return probes + [d + s.cls for d in probes]
 
 
@@ -359,10 +381,12 @@ def finite_type_order(
         raise SeriesError("no probe classes with D.S = 1 are available")
     some_nonzero = False
     for d in probes:
-        p0, n0 = eval_insertion(series, w, s, d)
+        _, rows = _split_table(series, w, s, d)
+        q, d_sigma = d.square, d.dot(s.cls)
+        p0, n0 = _evaluate(rows, q, d_sigma, ((0, 0, 1),))
         if not (p0.is_zero and n0.is_zero):
             some_nonzero = True
-        p2, n2 = eval_insertion(series, w, s, d, x_power=2)
+        p2, n2 = _evaluate(rows, q, d_sigma, ((0, 2, 1),))
         if not (p2 - p0.scale(4)).is_zero or not (n2 - n0.scale(4)).is_zero:
             raise SeriesError("(x^2 - 4) insertion failed to annihilate")
     return 1 if some_nonzero else 0

@@ -1,0 +1,329 @@
+"""Differential and work-count tests for the split table and integer pairings.
+
+The references here are written from the docstring formulas alone: every
+pairing is a Fraction sum over the Gram matrix, the twist sign comes from
+those pairings, and a relation is the sum of one insertion polynomial per
+monomial.  The package must agree with them exactly.
+"""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import donaldson.lattice as lattice_mod
+import donaldson.series as series_mod
+from donaldson.constructions import catalog
+from donaldson.exppoly import ExpPolynomial
+from donaldson.gaussian import GaussianRational
+from donaldson.gluing import (
+    GluingError,
+    GluingSpec,
+    coefficient_match,
+    eval_glued,
+    glue,
+    glue_torus,
+    rshift,
+)
+from donaldson.lattice import HClass, Lattice, LatticeError, is_characteristic
+from donaldson.series import (
+    RelationPoly,
+    apply_relation,
+    default_probes,
+    eval_insertion,
+    relation_poly,
+)
+
+ENTRIES = ("B3", "B4", "S4", "dia2:1:3")
+
+
+# -- references ---------------------------------------------------------------------
+
+
+def ref_dot(u: HClass, v: HClass) -> Fraction:
+    gram = u.lattice.gram
+    return sum(
+        (
+            Fraction(a) * gram[i][j] * Fraction(b)
+            for i, a in enumerate(u.coords)
+            for j, b in enumerate(v.coords)
+        ),
+        Fraction(0),
+    )
+
+
+def ref_sign(k, w) -> int:
+    """(-1)^{(K.w + w^2)/2}, the twist sign of a class."""
+    m = ref_dot(k, w) + ref_dot(w, w)
+    assert m.denominator == 1 and m.numerator % 2 == 0
+    return (-1) ** (m.numerator // 2 % 2)
+
+
+def ref_twisted(series, w):
+    return [(k, ref_sign(k, w) * c) for k, c in series.entries]
+
+
+def ref_table(series, w, s, d):
+    """i^{-d0}, D.S, D^2 and (K.S, K.D, twisted c) per class, all from ref_dot."""
+    m = 1 - series.b_one + series.b_plus
+    d0 = -ref_dot(w, w) - Fraction(3, 2) * m
+    assert d0.denominator == 1
+    rows = [(ref_dot(k, s.cls), ref_dot(k, d), c) for k, c in ref_twisted(series, w)]
+    return GaussianRational.i_power(-d0.numerator), ref_dot(d, s.cls), ref_dot(d, d), rows
+
+
+def ref_insertion(table, a, b):
+    """The (P, N) formulas of the eval_insertion docstring, term by term."""
+    i_pow, d_sigma, q, rows = table
+    p_terms, n_terms = [], []
+    for k_sigma, k_d, c in rows:
+        if k_sigma % 4 == 2:
+            weight = GaussianRational(d_sigma + k_sigma) ** b
+            p_terms.append((GaussianRational(k_d), weight * (Fraction(2) ** a * c)))
+        else:
+            assert k_sigma % 4 == 0
+            weight = GaussianRational(-d_sigma, k_sigma) ** b
+            coeff = i_pow * weight * (Fraction(-2) ** a * c)
+            n_terms.append((GaussianRational(0, k_d), coeff))
+    return (
+        ExpPolynomial("+Q/2", tuple(p_terms), q),
+        ExpPolynomial("-Q/2", tuple(n_terms), q),
+    )
+
+
+def ref_relation(table, z):
+    """One insertion per monomial of z, scaled and summed."""
+    q = table[2]
+    p_total, n_total = ExpPolynomial("+Q/2", (), q), ExpPolynomial("-Q/2", (), q)
+    for sp, xp, c in z.terms:
+        p, n = ref_insertion(table, xp, sp)
+        p_total, n_total = p_total + p.scale(c), n_total + n.scale(c)
+    return p_total, n_total
+
+
+def probe_cases(entry):
+    """A class of distinct K.D over the basic classes, its S-shift, a rational class."""
+    lat, s = entry.lattice, entry.surface()
+    spread = sum(((2 * i + 3) * lat.basis_vector(i) for i in range(lat.rank)), lat.zero())
+    unit = default_probes(lat, s)[0]
+    return [spread, spread + s.cls, Fraction(1, 2) * spread + Fraction(1, 3) * unit]
+
+
+def twists(entry):
+    w, s = entry.w_class(), entry.surface()
+    return [w, w + s.cls]
+
+
+def relations_for(entry):
+    """The entry's own relation and the one of the other x-factor sign."""
+    g = max(entry.surface().genus, 2)
+    return [relation_poly(g), relation_poly(g + 1)]
+
+
+# -- series against the references ------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ENTRIES)
+def test_eval_insertion_matches_reference(name):
+    entry = catalog(name)
+    s = entry.surface()
+    for d in probe_cases(entry):
+        for w in twists(entry):
+            table = ref_table(entry.series, w, s, d)
+            for a, b in itertools.product(range(4), repeat=2):
+                got = eval_insertion(entry.series, w, s, d, x_power=a, sigma_power=b)
+                assert not (got[0].is_zero and got[1].is_zero)
+                assert got == ref_insertion(table, a, b)
+
+
+@pytest.mark.parametrize("name", ENTRIES)
+def test_apply_relation_matches_reference(name):
+    entry = catalog(name)
+    s = entry.surface()
+    checked = 0
+    for d in probe_cases(entry):
+        assert ref_dot(d, s.cls) != 1
+        for w in twists(entry):
+            table = ref_table(entry.series, w, s, d)
+            nonzero = False
+            for z in relations_for(entry):
+                with pytest.warns(UserWarning, match="D.S != 1"):
+                    got = apply_relation(entry.series, w, s, z, d)
+                assert got == ref_relation(table, z)
+                nonzero |= not (got[0].is_zero and got[1].is_zero)
+            assert nonzero
+            checked += 1
+    assert checked == 6
+
+
+def test_apply_relation_rejects_negative_powers():
+    entry = catalog("B3")
+    s = entry.surface()
+    d = default_probes(entry.lattice, s)[0]
+    z = RelationPoly.of([(0, -1, Fraction(1))])
+    with pytest.raises(series_mod.SeriesError):
+        apply_relation(entry.series, entry.w_class(), s, z, d)
+
+
+# -- the characteristic test ------------------------------------------------------------
+
+
+@st.composite
+def gram_and_class(draw):
+    n = draw(st.integers(1, 4))
+    entries = st.integers(-3, 3)
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = draw(entries)
+    coords = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    return gram, coords
+
+
+def brute_characteristic(lat, coords) -> bool:
+    """k.v == v.v (mod 2) for every v in {0,1}^n, in Fractions."""
+    k = [Fraction(c) for c in coords]
+    n = lat.rank
+
+    def form(x, y):
+        cells = itertools.product(range(n), repeat=2)
+        return sum((x[i] * lat.gram[i][j] * y[j] for i, j in cells), Fraction(0))
+
+    for v in itertools.product((Fraction(0), Fraction(1)), repeat=n):
+        if (form(k, v) - form(v, v)) % 2 != 0:
+            return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(gram_and_class())
+def test_is_characteristic_matches_fraction_brute_force(case):
+    gram, coords = case
+    lat = Lattice(
+        name="h", gram=tuple(map(tuple, gram)), b_plus=len(gram), carries_series=False
+    )
+    k = HClass(lat, tuple(Fraction(c) for c in coords))
+    assert is_characteristic(k) == brute_characteristic(lat, coords)
+    half = HClass(lat, (Fraction(1, 2),) + k.coords[1:])
+    with pytest.raises(LatticeError):
+        is_characteristic(half)
+
+
+# -- gluing against per-entry sums ------------------------------------------------------
+
+
+def ref_eval_glued(gs, d):
+    spec = gs.spec
+    lefts = ref_twisted(spec.left.series, spec.w1)
+    rights = ref_twisted(spec.right.series, spec.w2)
+    shift = 2 * ref_dot(d.d1, spec.surface1.cls)
+    terms = []
+    for j, k, sector, coeff in gs.entries:
+        lam = ref_dot(lefts[j][0], d.d1) + ref_dot(rights[k][0], d.d2) + sector * shift
+        terms.append((GaussianRational(lam), GaussianRational(coeff)))
+    return ExpPolynomial("+Q/2", tuple(terms), ref_dot(d.d1, d.d1) + ref_dot(d.d2, d.d2))
+
+
+def split_probes(spec, probe):
+    left, right = spec.left.lattice.cls(probe), spec.right.lattice.cls(probe)
+    d = spec.split_class(left, right)
+    return [d, rshift(spec, d, Fraction(1, 3)), rshift(spec, d, -2)]
+
+
+def test_eval_glued_matches_reference_on_b3_double():
+    bg = catalog("B3")
+    gs = glue(GluingSpec(left=bg, right=bg))
+    for d in split_probes(gs.spec, "T1"):
+        got = eval_glued(gs, d)
+        assert not got.is_zero
+        assert got == ref_eval_glued(gs, d)
+
+
+@pytest.mark.parametrize("name", ["K3", "S4"])
+def test_eval_glued_matches_reference_on_torus_gluing(name):
+    side = catalog(name)
+    gs = glue_torus(GluingSpec(left=side, right=side))
+    for d in split_probes(gs.spec, "sigma"):
+        got = eval_glued(gs, d)
+        assert not got.is_zero
+        assert got == ref_eval_glued(gs, d)
+    with pytest.raises(GluingError):
+        coefficient_match(gs, gs.left_class(0), gs.right_class(0))
+
+
+@pytest.mark.parametrize("right_w", [None, "E1"])
+def test_coefficient_match_matches_per_entry_sums_on_b3_double(right_w):
+    bg = catalog("B3")
+    spec = GluingSpec(left=bg, right=bg, right_w=right_w)
+    gs = glue(spec)
+    g = spec.genus
+    top = 2 * g - 2
+    s1, s2 = spec.surface1.cls, spec.surface2.cls
+    hits = 0
+    for j, (k_cls, a) in enumerate(bg.series.entries):
+        for k, (l_cls, b) in enumerate(bg.series.entries):
+            sign = ref_sign(k_cls, spec.w1) * ref_sign(l_cls, spec.w2)
+            grouped = sum(
+                (sign * coeff for jj, kk, _, coeff in gs.entries if (jj, kk) == (j, k)),
+                Fraction(0),
+            )
+            lvl_k, lvl_l = ref_dot(k_cls, s1), ref_dot(l_cls, s2)
+            if lvl_k == lvl_l and abs(lvl_k) == top:
+                sector_sign = 1 if lvl_k == top else (-1) ** (g - 1)
+                scale = Fraction(2 ** (7 * g - 9))
+                predicted = -spec.epsilon * sector_sign * scale * a * b
+                hits += 1
+            else:
+                predicted = Fraction(0)
+            assert coefficient_match(gs, k_cls, l_cls) == (grouped, predicted)
+    assert hits == 2
+    # a class that is no parent's restriction, integral or rational
+    some_class = bg.series.entries[0][0]
+    assert coefficient_match(gs, bg.lattice.zero(), some_class) == (0, 0)
+    half_t1 = Fraction(1, 2) * bg.lattice.cls("T1")
+    assert coefficient_match(gs, half_t1, some_class) == (0, 0)
+
+
+# -- work counts ------------------------------------------------------------------------
+
+
+def test_apply_relation_splits_once(monkeypatch):
+    calls = []
+    real = series_mod.split_series
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(series_mod, "split_series", counting)
+    entry = catalog("B4")
+    s = entry.surface()
+    z = relation_poly(s.genus)
+    for d in default_probes(entry.lattice, s):
+        for w in twists(entry):
+            calls.clear()
+            p, n = apply_relation(entry.series, w, s, z, d)
+            assert p.is_zero and n.is_zero
+            assert len(calls) == 1
+
+
+def test_glue_pairs_each_class_with_its_surface_once(monkeypatch):
+    bg = catalog("B4")
+    spec = GluingSpec(left=bg, right=bg)
+    surfaces = (spec.surface1.cls, spec.surface2.cls)
+    spec.twisted_left()  # the twist pairs with w, not with the surfaces
+    count = 0
+    real = lattice_mod.pairing
+
+    def counting(u, v):
+        nonlocal count
+        if any(x is s for x in (u, v) for s in surfaces):
+            count += 1
+        return real(u, v)
+
+    monkeypatch.setattr(lattice_mod, "pairing", counting)
+    gs = glue(spec)
+    n1, n2 = len(bg.series.entries), len(bg.series.entries)
+    assert len(gs.entries) == 2
+    assert count <= n1 + n2 + 4
