@@ -212,7 +212,7 @@ def _cmd_glue(args) -> int:
 
 def _parse_class(lattice, token: str) -> HClass:
     if "," in token:
-        return HClass(lattice, tuple(Fraction(x) for x in token.split(",")))
+        return HClass(lattice, token.split(","))
     return lattice.cls(token)
 
 

@@ -115,8 +115,8 @@ def elliptic_surface(n: int) -> CatalogEntry:
         b_plus=2 * n - 1,
         b_one=0,
         named=(
-            ("F", (Fraction(1), Fraction(0))),
-            ("sigma", (Fraction(0), Fraction(1))),
+            ("F", (1, 0)),
+            ("sigma", (0, 1)),
         ),
     )
     f = lattice.cls("F")
@@ -124,7 +124,7 @@ def elliptic_surface(n: int) -> CatalogEntry:
     for k in range(-(n - 2), n - 1, 2):
         j = (n - 2 - k) // 2
         coeff = Fraction((-1) ** j * comb(n - 2, j), 2 ** (n - 2))
-        pairs.append((Fraction(k) * f, coeff))
+        pairs.append((k * f, coeff))
     series = DonaldsonSeries.on(lattice, pairs)
     entry = CatalogEntry(
         name=name,
@@ -154,8 +154,8 @@ def blow_up(entry: CatalogEntry, name: str | None = None) -> CatalogEntry:
     gram = tuple(tuple(row) + (0,) for row in old.gram) + (
         tuple([0] * n) + (-1,),
     )
-    named = tuple((lab, coords + (Fraction(0),)) for lab, coords in old.named) + (
-        (e_label, tuple([Fraction(0)] * n + [Fraction(1)])),
+    named = tuple((lab, coords + (0,)) for lab, coords in old.named) + (
+        (e_label, (0,) * n + (1,)),
     )
     new_name = name or f"{entry.name}.bl{e_count + 1}"
     lattice = Lattice(
@@ -168,12 +168,12 @@ def blow_up(entry: CatalogEntry, name: str | None = None) -> CatalogEntry:
     e = lattice.cls(e_label)
     pairs = []
     for k, c in entry.series.entries:
-        lifted = HClass(lattice, k.coords + (Fraction(0),))
+        lifted = HClass(lattice, k.coords + (0,))
         pairs.append((lifted + e, c / 2))
         pairs.append((lifted - e, c / 2))
     series = DonaldsonSeries.on(lattice, pairs, entry.series.simple_type)
     surfaces = tuple(
-        (lab, MarkedSurface(HClass(lattice, s.cls.coords + (Fraction(0),)), s.genus))
+        (lab, MarkedSurface(HClass(lattice, s.cls.coords + (0,)), s.genus))
         for lab, s in entry.surfaces
     )
     return CatalogEntry(
@@ -197,7 +197,7 @@ def build_bg(g: int) -> CatalogEntry:
     old = entry.lattice
     sigma_coords = list(old.cls("sigma").coords)
     f_coords = list(old.cls("F").coords)
-    e_sum = [Fraction(0)] * old.rank
+    e_sum = [0] * old.rank
     for i in range(g):
         for j, x in enumerate(old.cls(f"E{i + 1}").coords):
             e_sum[j] += x
@@ -275,15 +275,14 @@ def build_dia2(g_prime: int, g: int) -> CatalogEntry:
     for i in range(blowups):
         gram[2 + i][2 + i] = -1
     named = [
-        ("S", tuple([Fraction(1), Fraction(0)] + [Fraction(0)] * blowups)),
-        ("T", tuple([Fraction(0), Fraction(1)] + [Fraction(0)] * blowups)),
+        ("S", (1, 0) + (0,) * blowups),
+        ("T", (0, 1) + (0,) * blowups),
     ]
     for i in range(blowups):
-        coords = [Fraction(0)] * n
-        coords[2 + i] = Fraction(1)
+        coords = [0] * n
+        coords[2 + i] = 1
         named.append((f"E{i + 1}", tuple(coords)))
-    surf = [Fraction(1), Fraction(g_prime)] + [Fraction(1)] * blowups
-    named.append(("Sigma1", tuple(surf)))
+    named.append(("Sigma1", (1, g_prime) + (1,) * blowups))
     name = f"dia2:{g_prime}:{g}"
     lattice = Lattice(
         name=name,
@@ -294,14 +293,13 @@ def build_dia2(g_prime: int, g: int) -> CatalogEntry:
     )
     pairs = []
     for signs in product((1, -1), repeat=blowups):
-        coords = [Fraction(0), Fraction(0)] + [Fraction(s) for s in signs]
-        pairs.append((HClass(lattice, tuple(coords)), Fraction(1, 2**blowups)))
+        pairs.append((HClass(lattice, (0, 0) + signs), Fraction(1, 2**blowups)))
     series = DonaldsonSeries.on(lattice, pairs)
     surface = MarkedSurface(lattice.cls("Sigma1"), genus=g)
     if surface.cls.square != 0:
         raise ConstructionError(f"{name}: surface square is not zero")
     max_pair = max(
-        (abs(k.dot(surface.cls)) for k, _ in series.entries), default=Fraction(0)
+        (abs(k.dot(surface.cls)) for k, _ in series.entries), default=0
     )
     if max_pair != 2 * g_prime - 2:
         raise ConstructionError(f"{name}: max |K.S| = {max_pair} != {2 * g_prime - 2}")
@@ -348,17 +346,17 @@ def closed_form_cg(g: int) -> CatalogEntry:
         b_plus=6 * g - 3,
         b_one=0,
         named=(
-            ("K", (Fraction(1), Fraction(0), Fraction(0))),
-            ("Shat2", (Fraction(0), Fraction(1), Fraction(0))),
-            ("Sigma_g", (Fraction(0), Fraction(0), Fraction(1))),
+            ("K", (1, 0, 0)),
+            ("Shat2", (0, 1, 0)),
+            ("Sigma_g", (0, 0, 1)),
         ),
     )
     k = lattice.cls("K")
-    top = Fraction(2 ** (3 * g - 5))
+    top = 2 ** (3 * g - 5)
     # untwisting the Shat2-twist flips both signs: K.Shat2 = +-2, Shat2^2 = 0
     series = DonaldsonSeries.on(
         lattice,
-        [(k, top), (-k, -Fraction((-1) ** g) * top)],
+        [(k, top), (-k, -((-1) ** g) * top)],
     )
     out = CatalogEntry(
         name=name,
@@ -474,9 +472,7 @@ def entry_from_json(data: dict) -> CatalogEntry:
     surfaces = tuple(
         (
             s["label"],
-            MarkedSurface(
-                HClass(lattice, tuple(Fraction(x) for x in s["class"])), s["genus"]
-            ),
+            MarkedSurface(HClass(lattice, s["class"]), s["genus"]),
         )
         for s in data["surfaces"]
     )
@@ -487,7 +483,7 @@ def entry_from_json(data: dict) -> CatalogEntry:
         surfaces=surfaces,
         w_labels=tuple(data["w_labels"]),
         glue_surface=data["glue_surface"],
-        note=data.get("note", ""),
+        note=data["note"],
     )
 
 
@@ -501,7 +497,7 @@ def export_catalog(directory: str, names=None) -> list[str]:
     """Write catalog entries as JSON files; returns the paths written."""
     os.makedirs(directory, exist_ok=True)
     written = []
-    for ref in names or catalog_names():
+    for ref in catalog_names() if names is None else names:
         entry = parse_recipe(_NAMED.get(ref, ref))
         path = os.path.join(directory, ref.replace(":", "_") + ".json")
         with open(path, "wb") as fh:

@@ -215,7 +215,7 @@ class GluedSeries:
 
     @cached_property
     def _restriction_tables(self) -> tuple[dict, dict]:
-        """Per side: integer class coords -> (index, level, untwist sign, coefficient)."""
+        """Per side: class coords -> (index, level, untwist sign, coefficient)."""
         spec = self.spec
         tables = []
         for entry, s, twisted in (
@@ -224,7 +224,7 @@ class GluedSeries:
         ):
             # twisting multiplies c by the sign; a zero c adds nothing either way
             tables.append({
-                k.int_coords: (idx, k.dot(s.cls), 1 if a == c else -1, c)
+                k.coords: (idx, k.dot(s.cls), 1 if a == c else -1, c)
                 for idx, ((k, c), (_, a)) in enumerate(zip(entry.series.entries, twisted))
             })
         return tables[0], tables[1]
@@ -322,7 +322,6 @@ def eval_glued(gs: GluedSeries, d: SplitClass) -> ExpPolynomial:
 
 def rshift(spec: GluingSpec, d: SplitClass, r) -> SplitClass:
     """Move the split by (D1 + rS, D2 - rS); evaluation is invariant."""
-    r = Fraction(r)
     return SplitClass(
         d.d1 + r * spec.surface1.cls,
         d.d2 - r * spec.surface2.cls,
@@ -346,8 +345,9 @@ def coefficient_match(
     spec = gs.spec
     g = spec.genus
     left_table, right_table = gs._restriction_tables
-    k_info = left_table.get(k_restrict.int_coords)
-    l_info = right_table.get(l_restrict.int_coords)
+    # a rational class misses: no tuple of int coords equals it
+    k_info = left_table.get(k_restrict.coords)
+    l_info = right_table.get(l_restrict.coords)
     if k_info is None or l_info is None:
         # no parent classes restrict there: both sums are empty
         return Fraction(0), Fraction(0)
@@ -396,4 +396,4 @@ def glued_from_json(data: dict) -> GluedSeries:
     entries = tuple(
         (j, k, sector_in[s], Fraction(c)) for j, k, s, c in data["pairs"]
     )
-    return GluedSeries(spec, data.get("kind", "standard"), entries)
+    return GluedSeries(spec, data["kind"], entries)

@@ -28,8 +28,12 @@ class ParityError(LatticeError):
     """An integer quantity required by the theory fails a parity condition."""
 
 
-def _fractions(coords) -> tuple[Fraction, ...]:
-    return tuple(Fraction(c) for c in coords)
+def _exact(x) -> int | Fraction:
+    """The one coordinate normalizer: an int when x is integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    f = Fraction(x)
+    return f.numerator if f.denominator == 1 else f
 
 
 @dataclass(frozen=True)
@@ -47,12 +51,14 @@ class Lattice:
     gram: tuple[tuple[int, ...], ...]
     b_plus: int
     b_one: int = 0
-    named: tuple[tuple[str, tuple[Fraction, ...]], ...] = ()
+    named: tuple[tuple[str, tuple[int | Fraction, ...]], ...] = ()
     model: str = "partial"
     carries_series: bool = True
 
     def __post_init__(self):
-        gram = tuple(tuple(int(x) for x in row) for row in self.gram)
+        gram = tuple(tuple(map(_exact, row)) for row in self.gram)
+        if any(type(x) is not int for row in gram for x in row):
+            raise LatticeError(f"{self.name}: Gram matrix has a non-integral entry")
         object.__setattr__(self, "gram", gram)
         n = len(gram)
         if any(len(row) != n for row in gram):
@@ -70,7 +76,7 @@ class Lattice:
                 f"{self.name}: a series-carrying manifold needs b+ - b1 odd, "
                 f"got b+={self.b_plus}, b1={self.b_one}"
             )
-        named = tuple((label, _fractions(coords)) for label, coords in self.named)
+        named = tuple((label, tuple(map(_exact, coords))) for label, coords in self.named)
         object.__setattr__(self, "named", named)
         for label, coords in named:
             if len(coords) != n:
@@ -93,7 +99,7 @@ class Lattice:
         return len(self.gram)
 
     @cached_property
-    def _named_coords(self) -> dict[str, tuple[Fraction, ...]]:
+    def _named_coords(self) -> dict[str, tuple[int | Fraction, ...]]:
         # reversed, so that the first of two equal labels wins
         return dict(reversed(self.named))
 
@@ -107,11 +113,11 @@ class Lattice:
         return tuple(lab for lab, _ in self.named)
 
     def zero(self) -> "HClass":
-        return HClass(self, (Fraction(0),) * self.rank)
+        return HClass(self, (0,) * self.rank)
 
     def basis_vector(self, i: int) -> "HClass":
-        coords = [Fraction(0)] * self.rank
-        coords[i] = Fraction(1)
+        coords = [0] * self.rank
+        coords[i] = 1
         return HClass(self, tuple(coords))
 
 
@@ -120,28 +126,22 @@ class HClass:
     """A (co)homology class on a lattice, given by coordinates in the basis.
 
     Basic classes and w-classes are integral; probe classes D may be rational
-    (the theory rescales D freely).
+    (the theory rescales D freely).  Each coordinate is stored as an int when
+    it is integral and as a Fraction otherwise.
     """
 
     lattice: Lattice
-    coords: tuple[Fraction, ...]
+    coords: tuple[int | Fraction, ...]
 
     def __post_init__(self):
-        coords = _fractions(self.coords)
+        coords = tuple(map(_exact, self.coords))
         object.__setattr__(self, "coords", coords)
         if len(coords) != self.lattice.rank:
             raise LatticeError("coordinate length does not match lattice rank")
 
-    @cached_property
-    def int_coords(self) -> tuple[int, ...] | None:
-        """The coordinates as ints, or None for a class with a non-integral one."""
-        if any(c.denominator != 1 for c in self.coords):
-            return None
-        return tuple(c.numerator for c in self.coords)
-
     @property
     def is_integral(self) -> bool:
-        return self.int_coords is not None
+        return all(type(c) is int for c in self.coords)
 
     @property
     def is_zero(self) -> bool:
@@ -158,7 +158,7 @@ class HClass:
         """Nonzero reduction mod 2 (meaningful for integral classes)."""
         if not self.is_integral:
             raise LatticeError("mod-2 reduction needs an integral class")
-        return any(c % 2 for c in self.int_coords)
+        return any(c % 2 for c in self.coords)
 
     def __add__(self, other: "HClass") -> "HClass":
         if not same_lattice(self.lattice, other.lattice):
@@ -172,7 +172,7 @@ class HClass:
         return HClass(self.lattice, tuple(-c for c in self.coords))
 
     def __rmul__(self, scalar) -> "HClass":
-        s = Fraction(scalar)
+        s = _exact(scalar)
         return HClass(self.lattice, tuple(s * c for c in self.coords))
 
     def __repr__(self):
@@ -222,24 +222,16 @@ def pairing(u: HClass, v: HClass) -> int | Fraction:
         raise LatticeMismatch(
             f"pairing of classes on {u.lattice.name} and {v.lattice.name}"
         )
-    gram = u.lattice.gram
-    uc, vc = u.int_coords, v.int_coords
-    if uc is not None and vc is not None:
-        return sum(a * sum(map(mul, row, vc)) for a, row in zip(uc, gram) if a)
-    total = Fraction(0)
-    for a, row in zip(u.coords, gram):
-        if a:
-            total += a * sum(row[j] * b for j, b in enumerate(v.coords) if b)
-    return total
+    gram, vc = u.lattice.gram, v.coords
+    return sum(a * sum(map(mul, row, vc)) for a, row in zip(u.coords, gram) if a)
 
 
 def is_characteristic(k: HClass) -> bool:
     """k . v == v . v (mod 2) for every basis vector of the modeled lattice."""
-    kc = k.int_coords
-    if kc is None:
+    if not k.is_integral:
         raise LatticeError("characteristic test needs an integral class")
     # the Gram matrix is symmetric, so row i pairs k with the i-th basis vector
-    gram = k.lattice.gram
+    kc, gram = k.coords, k.lattice.gram
     return all((sum(map(mul, row, kc)) - row[i]) % 2 == 0 for i, row in enumerate(gram))
 
 
@@ -325,8 +317,8 @@ def _add_basis(a, i, j):
 # -- JSON descriptors -------------------------------------------------------------
 
 
-def _coord_out(c: Fraction):
-    return int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+def _coord_out(c: int | Fraction):
+    return c if type(c) is int else str(c)
 
 
 def lattice_to_json(lat: Lattice) -> dict:
@@ -342,18 +334,13 @@ def lattice_to_json(lat: Lattice) -> dict:
 
 
 def lattice_from_json(data: dict) -> Lattice:
-    gram = tuple(tuple(row) for row in data["gram"])
-    if len(gram) != data["rank"]:
+    if len(data["gram"]) != data["rank"]:
         raise LatticeError("rank field does not match Gram matrix size")
-    named = tuple(
-        (label, tuple(map(Fraction, coords)))
-        for label, coords in data["classes"].items()
-    )
     return Lattice(
         name=data["name"],
-        gram=gram,
+        gram=data["gram"],
         b_plus=data["b_plus"],
         b_one=data["b_one"],
-        named=named,
+        named=tuple(data["classes"].items()),
         model=data["model"],
     )

@@ -75,7 +75,7 @@ class DonaldsonSeries:
             lattice,
             lattice.b_plus,
             lattice.b_one,
-            tuple((k, Fraction(c)) for k, c in pairs),
+            tuple(pairs),
             simple_type,
         )
 
@@ -436,8 +436,5 @@ def series_from_json(data: dict, lattice: Lattice) -> DonaldsonSeries:
         raise SeriesError(
             f"series references lattice {data['lattice']!r}, got {lattice.name!r}"
         )
-    pairs = [
-        (HClass(lattice, tuple(Fraction(x) for x in e["k"])), Fraction(e["a"]))
-        for e in data["entries"]
-    ]
-    return DonaldsonSeries.on(lattice, pairs, data.get("simple_type", True))
+    pairs = [(HClass(lattice, e["k"]), e["a"]) for e in data["entries"]]
+    return DonaldsonSeries.on(lattice, pairs, data["simple_type"])

@@ -1,8 +1,10 @@
+import hashlib
 import itertools
 import json
 import os
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -272,6 +274,37 @@ def test_entry_json_round_trip():
     assert rebuilt.lattice == entry.lattice
     assert rebuilt.series == entry.series
     assert entry_to_json(rebuilt) == entry_to_json(entry)
+
+
+def test_entry_from_json_requires_note():
+    data = json.loads(entry_json_bytes(catalog("K3")).decode())
+    del data["note"]
+    with pytest.raises(KeyError, match="note"):
+        entry_from_json(data)
+
+
+def test_entry_bytes_match_bench_digests():
+    """Every entry digest the benchmark records is reproduced byte for byte."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "digests.json"
+    recorded = {
+        key.removeprefix("entry/"): digest
+        for key, digest in json.loads(path.read_text()).items()
+        if key.startswith("entry/")
+    }
+    assert {"K3", "B8", "dia2:2:3", "K3.bl1", "S4.bl1"} <= set(recorded)
+    for name, digest in recorded.items():
+        base, sep, _ = name.partition(".bl")
+        entry = blow_up(catalog(base)) if sep else catalog(name)
+        assert entry.name == name
+        actual = hashlib.sha256(entry_json_bytes(entry)).hexdigest()
+        assert actual == digest, name
+
+
+def test_export_catalog_writes_only_the_named_entries(tmp_path):
+    assert export_catalog(str(tmp_path / "none"), []) == []
+    assert os.listdir(tmp_path / "none") == []
+    written = export_catalog(str(tmp_path / "one"), ["K3"])
+    assert [os.path.basename(p) for p in written] == ["K3.json"]
 
 
 def test_catalog_store_byte_match(tmp_path, monkeypatch):

@@ -456,6 +456,13 @@ def test_glued_json_round_trip():
     assert rebuilt.entries == gs.entries
 
 
+def test_glued_from_json_requires_kind():
+    payload = glued_to_json(glue(bg_double(3)))
+    del payload["kind"]
+    with pytest.raises(KeyError, match="kind"):
+        glued_from_json(payload)
+
+
 def test_glued_json_fields():
     payload = glued_to_json(glue(bg_double(3)))
     assert payload["g"] == 3

@@ -133,6 +133,24 @@ def test_gram_must_be_symmetric():
         Lattice("asym", ((0, 1), (2, 0)), b_plus=1)
 
 
+def test_gram_entries_must_be_integral():
+    with pytest.raises(LatticeError, match="non-integral"):
+        Lattice("half", ((Fraction(1, 2), 1), (1, -3)), b_plus=1)
+    with pytest.raises(LatticeError, match="non-integral"):
+        Lattice("float", ((0, 1), (1, -3.7)), b_plus=1)
+    # integral values of any exact type are accepted and stored as ints
+    lat = Lattice("exact", ((Fraction(0), 1.0), (1, -3)), b_plus=1)
+    assert lat.gram == ((0, 1), (1, -3))
+    assert all(type(x) is int for row in lat.gram for x in row)
+
+
+def test_lattice_from_json_rejects_non_integral_gram(b2):
+    data = lattice_to_json(b2.lattice)
+    data["gram"][0][0] = 1.5
+    with pytest.raises(LatticeError, match="non-integral"):
+        lattice_from_json(data)
+
+
 def test_lattice_json_round_trip(b2):
     data = lattice_to_json(b2.lattice)
     assert lattice_from_json(data) == b2.lattice
@@ -160,7 +178,9 @@ def test_hclass_arithmetic(b2):
         HClass(lat, (Fraction(1),))  # wrong length
 
 
-coords3 = st.tuples(*[st.integers(-4, 4)] * 3)
+coords3 = st.tuples(
+    *[st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=3))] * 3
+)
 
 
 @given(u=coords3, v=coords3, w=coords3, a=st.integers(-3, 3))
@@ -169,9 +189,12 @@ def test_pairing_bilinear_symmetric(u, v, w, a):
         "hyp_plus_minus", ((0, 1, 0), (1, -2, 0), (0, 0, -1)),
         b_plus=3, carries_series=True,
     )
-    cu = HClass(lat, tuple(map(Fraction, u)))
-    cv = HClass(lat, tuple(map(Fraction, v)))
-    cw = HClass(lat, tuple(map(Fraction, w)))
+    cu, cv, cw = (HClass(lat, c) for c in (u, v, w))
+    assert (cu.coords, cv.coords, cw.coords) == (u, v, w)
+    # storage invariant: an integral coordinate is an int, any other a Fraction
+    for cls in (cu, cv, cw, cu + cv, a * cu):
+        for c in cls.coords:
+            assert type(c) is (int if c.denominator == 1 else Fraction)
     assert pairing(cu, cv) == pairing(cv, cu)
     assert pairing(cu + cv, cw) == pairing(cu, cw) + pairing(cv, cw)
     assert pairing(a * cu, cw) == a * pairing(cu, cw)

@@ -341,3 +341,10 @@ def test_series_json_round_trip(b2):
     data = series_to_json(b2.series)
     assert series_from_json(data, b2.lattice) == b2.series
     assert all(isinstance(e["a"], str) for e in data["entries"])
+
+
+def test_series_from_json_requires_simple_type(b2):
+    data = series_to_json(b2.series)
+    del data["simple_type"]
+    with pytest.raises(KeyError, match="simple_type"):
+        series_from_json(data, b2.lattice)
