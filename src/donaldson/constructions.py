@@ -6,8 +6,7 @@ The builders here produce value-level catalog entries:
   multiple fibers, series e^{Q/2} (sinh F)^{n-2} on the {fiber, section}
   block;
 * ``blow_up(entry)`` -- adds an exceptional (-1)-class E and doubles the
-  entry list by K -> K +- E with half the coefficient (even in t, matching
-  the unchanged parity data of the manifold);
+  entry list by K -> K +- E with half the coefficient;
 * ``build_bg(g)`` -- E(g) blown up g times, carrying the genus-g square-zero
   surface S_g = section + g*fiber - sum E_i, which meets the fiber torus once;
 * ``build_dia2(g', g)`` -- K3 blown up 2g'-2 times with a genus-g square-zero
@@ -16,6 +15,12 @@ The builders here produce value-level catalog entries:
 * ``closed_form_cg(g)`` -- the two-class closed form for the double of B_g
   along its genus-g surface, used as the comparison target by the
   pairing-fit module.
+
+The three blow-up builders share one rule, ``_blown_up``: m blow-ups at once
+turn each (K, c) into the 2^m classes K +- E_1 +- ... +- E_m with c / 2^m
+(the simple-type blow-up formula), so B(g) is built in one step from E(g).
+Every recipe builder refuses, before it starts, an entry of more than
+``MAX_CLASSES`` basic classes.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 from math import comb
 
@@ -95,6 +100,20 @@ class CatalogEntry:
                 )
 
 
+MAX_CLASSES = 2**16
+"""The most basic classes a recipe may build; ``elliptic_surface``,
+``build_bg`` and ``build_dia2`` refuse a larger entry before building it."""
+
+
+def _check_size(name: str, classes: int, blowups: int = 0) -> None:
+    """Refuse an entry of classes * 2^blowups basic classes over MAX_CLASSES."""
+    if classes > MAX_CLASSES >> blowups:
+        size = f"{classes} x 2^{blowups}" if blowups else str(classes)
+        raise ConstructionError(
+            f"{name}: {size} basic classes is over the limit of {MAX_CLASSES}"
+        )
+
+
 # -- elliptic surfaces and blow-ups ------------------------------------------------
 
 
@@ -109,6 +128,7 @@ def elliptic_surface(n: int) -> CatalogEntry:
             "n = 1 has b+ = 1 and chamber-dependent invariants; need n >= 2"
         )
     name = "K3" if n == 2 else f"S{n}"
+    _check_size(name, n - 1)
     lattice = Lattice(
         name=name,
         gram=((0, 1), (1, -n)),
@@ -140,89 +160,72 @@ def elliptic_surface(n: int) -> CatalogEntry:
     return entry
 
 
-def blow_up(entry: CatalogEntry, name: str | None = None) -> CatalogEntry:
-    """Add an exceptional (-1)-class E; entries become (K+E, c/2), (K-E, c/2).
-
-    Both signs keep the coefficient: the blow-up changes neither b+ nor b1,
-    so the parity of the series in t must be preserved, which forces the
-    even combination of e^{+-E}.
-    """
+def blow_up(entry: CatalogEntry) -> CatalogEntry:
+    """Add an exceptional (-1)-class E; entries become (K+E, c/2), (K-E, c/2)."""
     old = entry.lattice
-    n = old.rank
-    e_count = sum(1 for lab in old.labels() if lab.startswith("E"))
-    e_label = f"E{e_count + 1}"
-    gram = tuple(tuple(row) + (0,) for row in old.gram) + (
-        tuple([0] * n) + (-1,),
-    )
-    named = tuple((lab, coords + (0,)) for lab, coords in old.named) + (
-        (e_label, (0,) * n + (1,)),
-    )
-    new_name = name or f"{entry.name}.bl{e_count + 1}"
-    lattice = Lattice(
-        name=new_name,
-        gram=gram,
-        b_plus=old.b_plus,
-        b_one=old.b_one,
-        named=named,
-    )
-    e = lattice.cls(e_label)
-    pairs = []
-    for k, c in entry.series.entries:
-        lifted = HClass(lattice, k.coords + (0,))
-        pairs.append((lifted + e, c / 2))
-        pairs.append((lifted - e, c / 2))
-    series = DonaldsonSeries.on(lattice, pairs, entry.series.simple_type)
+    k = 1 + sum(lab.startswith("E") for lab in old.labels())
+    name = f"{entry.name}.bl{k}"
+    series = _blown_up(name, old, entry.series.entries, 1, (), entry.series.simple_type)
+    lattice = series.lattice
     surfaces = tuple(
         (lab, MarkedSurface(HClass(lattice, s.cls.coords + (0,)), s.genus))
         for lab, s in entry.surfaces
     )
     return CatalogEntry(
-        name=new_name,
+        name=name,
         lattice=lattice,
         series=series,
         surfaces=surfaces,
         w_labels=entry.w_labels,
         glue_surface=entry.glue_surface,
-        note=entry.note + f"; blown up at {e_label}",
+        note=entry.note + f"; blown up at E{k}",
     )
+
+
+def _blown_up(name, base, pairs, m, extra=(), simple_type=True) -> DonaldsonSeries:
+    """The series of base blown up m times, on base + <-1>^m named ``name``.
+
+    The new E labels are numbered after the base's, then the extra named
+    classes (in the new basis) follow.  Each (K, c) becomes the 2^m classes
+    K +- E_1 +- ... +- E_m with c / 2^m: a blow-up keeps b+ and b1, so the
+    series keeps its parity in t, which forces the even combination of e^{+-E_i}.
+    """
+    n = base.rank
+    first = 1 + sum(lab.startswith("E") for lab in base.labels())
+    pad = (0,) * m
+    units = [(0,) * (n + i) + (1,) + pad[i + 1 :] for i in range(m)]
+    lattice = Lattice(
+        name=name,
+        gram=tuple(row + pad for row in base.gram)
+        + tuple(tuple(-x for x in e) for e in units),
+        b_plus=base.b_plus,
+        b_one=base.b_one,
+        named=tuple((lab, coords + pad) for lab, coords in base.named)
+        + tuple((f"E{first + i}", e) for i, e in enumerate(units))
+        + tuple(extra),
+    )
+    signs = list(product((1, -1), repeat=m))
+    out = []
+    for k, c in pairs:
+        c = Fraction(c, 2**m)
+        out += [(HClass(lattice, k.coords + s), c) for s in signs]
+    return DonaldsonSeries.on(lattice, out, simple_type)
 
 
 def build_bg(g: int) -> CatalogEntry:
     """E(g) blown up g times with its genus-g square-zero surface S_g."""
     if g < 2:
         raise ConstructionError("B(g) needs g >= 2")
-    entry = elliptic_surface(g)
-    for _ in range(g):
-        entry = blow_up(entry)
-    old = entry.lattice
-    sigma_coords = list(old.cls("sigma").coords)
-    f_coords = list(old.cls("F").coords)
-    e_sum = [0] * old.rank
-    for i in range(g):
-        for j, x in enumerate(old.cls(f"E{i + 1}").coords):
-            e_sum[j] += x
-    surf_coords = tuple(
-        s + g * f - e for s, f, e in zip(sigma_coords, f_coords, e_sum)
+    _check_size(f"B{g}", g - 1, g)
+    base = elliptic_surface(g)
+    # in the coordinates (F, sigma, E_1, ..., E_g)
+    named = (
+        ("T1", (1, 0) + (0,) * g),
+        ("Sigma_g", (g, 1) + (-1,) * g),
+        ("K", (g - 2, 0) + (1,) * g),
     )
-    canonical = tuple(
-        (g - 2) * f + e for f, e in zip(f_coords, e_sum)
-    )
-    named = old.named + (
-        ("T1", tuple(f_coords)),
-        ("Sigma_g", surf_coords),
-        ("K", canonical),
-    )
-    lattice = Lattice(
-        name=f"B{g}",
-        gram=old.gram,
-        b_plus=old.b_plus,
-        b_one=old.b_one,
-        named=named,
-    )
-    series = DonaldsonSeries.on(
-        lattice,
-        [(HClass(lattice, k.coords), c) for k, c in entry.series.entries],
-    )
+    series = _blown_up(f"B{g}", base.lattice, base.series.entries, g, named)
+    lattice = series.lattice
     surface = MarkedSurface(lattice.cls("Sigma_g"), genus=g)
     torus = MarkedSurface(lattice.cls("T1"), genus=1)
     out = CatalogEntry(
@@ -268,33 +271,13 @@ def build_dia2(g_prime: int, g: int) -> CatalogEntry:
     if g_prime < 1 or g <= g_prime:
         raise ConstructionError("need 1 <= g' < g")
     blowups = 2 * g_prime - 2
-    n = 2 + blowups
-    gram = [[0] * n for _ in range(n)]
-    gram[0][0] = -2
-    gram[0][1] = gram[1][0] = 1
-    for i in range(blowups):
-        gram[2 + i][2 + i] = -1
-    named = [
-        ("S", (1, 0) + (0,) * blowups),
-        ("T", (0, 1) + (0,) * blowups),
-    ]
-    for i in range(blowups):
-        coords = [0] * n
-        coords[2 + i] = 1
-        named.append((f"E{i + 1}", tuple(coords)))
-    named.append(("Sigma1", (1, g_prime) + (1,) * blowups))
     name = f"dia2:{g_prime}:{g}"
-    lattice = Lattice(
-        name=name,
-        gram=tuple(tuple(r) for r in gram),
-        b_plus=3,
-        b_one=0,
-        named=tuple(named),
-    )
-    pairs = []
-    for signs in product((1, -1), repeat=blowups):
-        pairs.append((HClass(lattice, (0, 0) + signs), Fraction(1, 2**blowups)))
-    series = DonaldsonSeries.on(lattice, pairs)
+    _check_size(name, 1, blowups)
+    # the K3 block in the (S, T) basis; its one basic class is 0, coefficient 1
+    k3 = Lattice("K3", ((-2, 1), (1, 0)), b_plus=3, named=(("S", (1, 0)), ("T", (0, 1))))
+    sigma1 = ("Sigma1", (1, g_prime) + (1,) * blowups)
+    series = _blown_up(name, k3, [(k3.zero(), 1)], blowups, [sigma1])
+    lattice = series.lattice
     surface = MarkedSurface(lattice.cls("Sigma1"), genus=g)
     if surface.cls.square != 0:
         raise ConstructionError(f"{name}: surface square is not zero")
@@ -378,23 +361,12 @@ def closed_form_cg(g: int) -> CatalogEntry:
 # -- catalog lookup and persistence ---------------------------------------------------
 
 
+@cache
 def parse_recipe(ref: str) -> CatalogEntry:
     """Resolve a recipe string: elliptic:n | bg:g | dia2:g':g | cg:g | name.
 
     Entries are immutable, so repeated lookups share one derivation.
     """
-    cached = _RECIPE_CACHE.get(ref)
-    if cached is not None:
-        return cached
-    entry = _parse_recipe(ref)
-    _RECIPE_CACHE[ref] = entry
-    return entry
-
-
-_RECIPE_CACHE: dict[str, CatalogEntry] = {}
-
-
-def _parse_recipe(ref: str) -> CatalogEntry:
     parts = ref.split(":")
     head = parts[0].lower()
     try:

@@ -29,7 +29,7 @@ from functools import cached_property
 from .constructions import CatalogEntry
 from .exppoly import ExpPolynomial
 from .gaussian import GaussianRational, frac_token
-from .lattice import HClass, LatticeMismatch, d_zero_value, is_allowable, same_lattice
+from .lattice import HClass, LatticeMismatch, _exact, d_zero_value, is_allowable, same_lattice
 from .series import twist
 
 
@@ -394,6 +394,6 @@ def glued_from_json(data: dict) -> GluedSeries:
     )
     sector_in = {"+": 1, "-": -1, "0": 0}
     entries = tuple(
-        (j, k, sector_in[s], Fraction(c)) for j, k, s, c in data["pairs"]
+        (j, k, sector_in[s], Fraction(_exact(c))) for j, k, s, c in data["pairs"]
     )
     return GluedSeries(spec, data["kind"], entries)

@@ -29,9 +29,15 @@ class ParityError(LatticeError):
 
 
 def _exact(x) -> int | Fraction:
-    """The one coordinate normalizer: an int when x is integral, else a Fraction."""
+    """The one number normalizer: an int when x is integral, else a Fraction.
+
+    A float is refused unless it is integral: its binary value is not the
+    number that was written (0.1 would become 3602879701896397/2^55).
+    """
     if type(x) is int:
         return x
+    if isinstance(x, float) and not x.is_integer():
+        raise LatticeError(f"non-integral float {x!r}; give an int or a 'p/q' string")
     f = Fraction(x)
     return f.numerator if f.denominator == 1 else f
 

@@ -24,6 +24,7 @@ from .lattice import (
     MarkedSurface,
     LatticeMismatch,
     ParityError,
+    _exact,
     d_zero,
     d_zero_value,
     is_allowable,
@@ -53,9 +54,8 @@ class DonaldsonSeries:
     def __post_init__(self):
         if self.b_plus != self.lattice.b_plus or self.b_one != self.lattice.b_one:
             raise SeriesError("series Betti data must copy the lattice's")
-        entries = tuple(
-            sorted(((k, Fraction(c)) for k, c in self.entries), key=lambda e: e[0].coords)
-        )
+        pairs = ((k, Fraction(_exact(c))) for k, c in self.entries)
+        entries = tuple(sorted(pairs, key=lambda e: e[0].coords))
         object.__setattr__(self, "entries", entries)
         seen = set()
         for k, c in entries:

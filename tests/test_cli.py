@@ -100,6 +100,17 @@ def test_eval_glued_file_missing_kind(tmp_path, capsys):
     assert "kind" in capsys.readouterr().err
 
 
+def test_eval_glued_file_with_float_coefficient(tmp_path, capsys):
+    out_file = tmp_path / "glued.json"
+    run(["glue", "--left", "bg:2", "--right", "bg:2", "--g", "2", "--out", str(out_file)])
+    payload = json.loads(out_file.read_text())
+    payload["pairs"][0][3] = 0.1
+    out_file.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run(["eval", "--glued", str(out_file), "--d1", "T1", "--d2", "T1"]) == 2
+    assert "non-integral float" in capsys.readouterr().err
+
+
 def test_eval_coordinate_classes(tmp_path, capsys):
     out_file = tmp_path / "glued.json"
     run(["glue", "--left", "bg:2", "--right", "bg:2", "--g", "2", "--out", str(out_file)])

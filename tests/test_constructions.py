@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from donaldson import constructions, series
+from donaldson.cli import run
 from donaldson.constructions import (
     CatalogMismatch,
     ConstructionError,
@@ -22,6 +24,7 @@ from donaldson.constructions import (
     entry_json_bytes,
     entry_to_json,
     export_catalog,
+    parse_recipe,
 )
 from donaldson.series import check_involution, twist
 
@@ -161,6 +164,38 @@ def test_bg_adjunction_equality_only_at_canonical():
 def test_bg_rejects_small_genus():
     with pytest.raises(ConstructionError):
         build_bg(1)
+
+
+def test_bg_tests_each_class_once(monkeypatch):
+    """B(g) is built in one step: E(g)'s and B(g)'s classes are tested once each."""
+    calls = []
+    real = series.is_characteristic
+    monkeypatch.setattr(series, "is_characteristic", lambda k: calls.append(k) or real(k))
+    build_bg(4)
+    assert len(calls) == 3 + 2**4 * 3
+
+
+def test_recipes_over_the_class_limit_are_refused(monkeypatch, capsys):
+    # each estimate (n-1, 2^g (g-1), 2^(2g'-2)) against a lowered limit: an
+    # entry of exactly the limit is built, the next one is refused
+    monkeypatch.setattr(constructions, "MAX_CLASSES", 48)
+    assert len(build_bg(4).series.entries) == 48
+    assert len(elliptic_surface(49).series.entries) == 48
+    with pytest.raises(ConstructionError, match="limit of 48"):
+        build_bg(5)
+    with pytest.raises(ConstructionError, match="limit of 48"):
+        elliptic_surface(50)
+    monkeypatch.setattr(constructions, "MAX_CLASSES", 16)
+    assert len(build_dia2(3, 4).series.entries) == 16
+    with pytest.raises(ConstructionError, match="limit of 16"):
+        build_dia2(4, 5)
+    monkeypatch.undo()
+    # the real limit; dia2:10^9 would exhaust memory if refused after building
+    for recipe in ("bg:13", "bg:30", "dia2:10:11", "dia2:1000000000:1000000001"):
+        with pytest.raises(ConstructionError, match="over the limit"):
+            parse_recipe(recipe)
+    assert run(["build", "bg:30"]) == 2
+    assert "over the limit" in capsys.readouterr().err
 
 
 # -- the blown-up K3 vanishing references ----------------------------------------------

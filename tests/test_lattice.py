@@ -151,6 +151,21 @@ def test_lattice_from_json_rejects_non_integral_gram(b2):
         lattice_from_json(data)
 
 
+def test_float_coordinate_is_refused(k3):
+    with pytest.raises(LatticeError, match="non-integral float"):
+        HClass(k3.lattice, (0.1, 0))
+    # an integral float is exact, and is stored as an int
+    assert HClass(k3.lattice, (1.0, 0)).coords == (1, 0)
+    assert type(HClass(k3.lattice, (1.0, 0)).coords[0]) is int
+
+
+def test_lattice_from_json_rejects_float_class_coordinate(b2):
+    data = lattice_to_json(b2.lattice)
+    data["classes"]["F"][0] = 0.5
+    with pytest.raises(LatticeError, match="non-integral float"):
+        lattice_from_json(data)
+
+
 def test_lattice_json_round_trip(b2):
     data = lattice_to_json(b2.lattice)
     assert lattice_from_json(data) == b2.lattice

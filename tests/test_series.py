@@ -6,7 +6,7 @@ import pytest
 from donaldson.constructions import catalog
 from donaldson.exppoly import ExpPolynomial
 from donaldson.gaussian import GaussianRational
-from donaldson.lattice import Lattice
+from donaldson.lattice import Lattice, LatticeError
 from donaldson.series import (
     DonaldsonSeries,
     RelationPoly,
@@ -341,6 +341,17 @@ def test_series_json_round_trip(b2):
     data = series_to_json(b2.series)
     assert series_from_json(data, b2.lattice) == b2.series
     assert all(isinstance(e["a"], str) for e in data["entries"])
+
+
+def test_series_from_json_rejects_float_coefficient(b2):
+    data = series_to_json(b2.series)
+    data["entries"][0]["a"] = -0.1
+    with pytest.raises(LatticeError, match="non-integral float"):
+        series_from_json(data, b2.lattice)
+    # coefficients stay Fractions, also when given as an integral float
+    data["entries"][0]["a"] = 1.0
+    c = series_from_json(data, b2.lattice).entries[0][1]
+    assert type(c) is Fraction and c == 1
 
 
 def test_series_from_json_requires_simple_type(b2):
