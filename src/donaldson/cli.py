@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .constructions import (
     CatalogMismatch,
@@ -31,7 +30,7 @@ from .gluing import (
     glued_from_json,
     glued_to_json,
 )
-from .lattice import HClass, LatticeError
+from .lattice import HClass, LatticeError, _exact
 from .series import (
     SeriesError,
     apply_relation,
@@ -222,7 +221,7 @@ def _cmd_eval(args) -> int:
     d1 = _parse_class(gs.spec.left.lattice, args.d1)
     d2 = _parse_class(gs.spec.right.lattice, args.d2)
     d = gs.spec.split_class(d1, d2)
-    if args.sigma_d is not None and Fraction(args.sigma_d) != d.sigma_pairing:
+    if args.sigma_d is not None and _exact(args.sigma_d) != d.sigma_pairing:
         raise VerificationError(
             f"declared S.D = {args.sigma_d} disagrees with the computed "
             f"value {d.sigma_pairing}"
@@ -273,8 +272,7 @@ def _cmd_check(args) -> int:
 
     if s.genus >= 2:
         z = relation_poly(s.genus)
-        probes = [d for d in default_probes(entry.lattice, s) if d.dot(s.cls) == 1]
-        for d in probes:
+        for d in default_probes(entry.lattice, s):
             for w_used in (w, w + s.cls):
                 p_part, n_part = apply_relation(entry.series, w_used, s, z, d)
                 if not (p_part.is_zero and n_part.is_zero):

@@ -5,6 +5,7 @@ Gaussian rationals, and a symbolic marker records an undeveloped Gaussian
 prefactor e^{+Q(tD)/2} or e^{-Q(tD)/2}.  The markers are never expanded when
 identities are compared (all identities in the theory compare like-marked
 parts); a truncated power-series expansion exists for display only.
+Scalar parts and ``q_square`` are ints when integral (``lattice._exact``).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gaussian import GaussianRational
+from .lattice import _exact
 
 MARKERS = ("+Q/2", "-Q/2", "none")
 
@@ -27,10 +29,6 @@ class InexactDivision(ExpPolynomialError):
     """Division in the exponential-polynomial ring left a remainder."""
 
 
-def _g(x) -> GaussianRational:
-    return GaussianRational.coerce(x)
-
-
 @dataclass(frozen=True)
 class ExpPolynomial:
     """Canonical form: terms sorted by exponent, like exponents merged, zeros pruned.
@@ -41,15 +39,15 @@ class ExpPolynomial:
 
     marker: str = "none"
     terms: tuple[tuple[GaussianRational, GaussianRational], ...] = ()
-    q_square: Fraction | None = None
+    q_square: int | Fraction | None = None
 
     def __post_init__(self):
         if self.marker not in MARKERS:
             raise ExpPolynomialError(f"unknown marker {self.marker!r}")
         merged: dict[tuple, list] = {}
         for lam, c in self.terms:
-            lam = _g(lam)
-            c = _g(c)
+            lam = GaussianRational.coerce(lam)
+            c = GaussianRational.coerce(c)
             key = lam.sort_key()
             if key in merged:
                 merged[key][1] = merged[key][1] + c
@@ -62,7 +60,7 @@ class ExpPolynomial:
         )
         object.__setattr__(self, "terms", canon)
         if self.q_square is not None:
-            object.__setattr__(self, "q_square", Fraction(self.q_square))
+            object.__setattr__(self, "q_square", _exact(self.q_square))
 
     # -- queries -----------------------------------------------------------------
 
@@ -71,7 +69,7 @@ class ExpPolynomial:
         return not self.terms
 
     def coefficient(self, lam) -> GaussianRational:
-        lam = _g(lam)
+        lam = GaussianRational.coerce(lam)
         for l, c in self.terms:
             if l == lam:
                 return c
@@ -82,7 +80,7 @@ class ExpPolynomial:
 
     # -- ring operations ------------------------------------------------------------
 
-    def _join_marker(self, other: "ExpPolynomial") -> tuple[str, Fraction | None]:
+    def _join_marker(self, other: "ExpPolynomial") -> tuple[str, int | Fraction | None]:
         if self.marker == other.marker:
             if self.q_square is not None and other.q_square is not None:
                 if self.q_square != other.q_square:
@@ -112,7 +110,7 @@ class ExpPolynomial:
         return self.scale(-1)
 
     def scale(self, scalar) -> "ExpPolynomial":
-        s = _g(scalar)
+        s = GaussianRational.coerce(scalar)
         return ExpPolynomial(
             self.marker, tuple((l, c * s) for l, c in self.terms), self.q_square
         )
@@ -134,7 +132,7 @@ class ExpPolynomial:
         A marked prefactor scales by factor^2 and therefore requires a real
         factor; unmarked polynomials accept any Gaussian rational factor.
         """
-        f = _g(factor)
+        f = GaussianRational.coerce(factor)
         q = self.q_square
         if self.marker != "none":
             if not f.is_real:
@@ -251,7 +249,7 @@ class ExpPolynomial:
         return f"e^{{{self.marker[0]}Q(tD)/2}} * [{body}]"
 
 
-def _mul_marker(a: ExpPolynomial, b: ExpPolynomial) -> tuple[str, Fraction | None]:
+def _mul_marker(a: ExpPolynomial, b: ExpPolynomial) -> tuple[str, int | Fraction | None]:
     if a.marker == "none":
         return b.marker, b.q_square
     if b.marker == "none":

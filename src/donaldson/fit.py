@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .exppoly import ExpPolynomial
 from .gaussian import GaussianRational
-from .lattice import HClass, MarkedSurface
+from .lattice import HClass, MarkedSurface, _exact
 from .series import DonaldsonSeries, _split_table
 
 
@@ -52,7 +52,7 @@ class BasisCoordinates:
 
     genus: int
     d0: int
-    d_square: Fraction
+    d_square: int | Fraction
     coords: tuple[ExpPolynomial, ...]
 
     def __post_init__(self):
@@ -107,7 +107,7 @@ def basis_coordinates(
 
 def zero_coordinates(genus: int, d0: int, d_square=0) -> BasisCoordinates:
     """The coordinate vector of a manifold with vanishing invariants."""
-    q = Fraction(d_square)
+    q = _exact(d_square)
     coords = tuple(
         ExpPolynomial("+Q/2" if p_of_alpha(a, genus) % 2 else "-Q/2", (), q)
         for a in range(1, 2 * genus)
@@ -157,7 +157,7 @@ def predict_glued(
     left: BasisCoordinates,
     right: BasisCoordinates,
     m_map: dict[int, ExpPolynomial],
-    sigma_d=Fraction(1),
+    sigma_d=1,
 ) -> ExpPolynomial:
     """sum_alpha c_X1,alpha(t) M_alpha(t (D.S)) c_X2,alpha(t), as e^{+Q/2} data.
 
@@ -166,7 +166,7 @@ def predict_glued(
     """
     if left.genus != right.genus:
         raise FitError("coordinate vectors have mismatched index sets")
-    sigma_d = Fraction(sigma_d)
+    sigma_d = _exact(sigma_d)
     total = ExpPolynomial("none")
     for alpha in range(1, 2 * left.genus):
         m = m_map.get(alpha)

@@ -3,22 +3,15 @@
 Scalars of the form a + b*i with a, b rational are the value type of
 every evaluation in this package: sector splitting introduces powers
 of i and purely imaginary exponents, and all identities are checked
-by exact equality.
+by exact equality.  Each part is stored through ``lattice._exact``: an
+int when it is integral and a Fraction otherwise.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
+from .lattice import _exact
 
 
 class GaussianRational:
@@ -27,8 +20,8 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+        object.__setattr__(self, "re", _exact(re))
+        object.__setattr__(self, "im", _exact(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -42,9 +35,7 @@ class GaussianRational:
 
     @classmethod
     def coerce(cls, x) -> "GaussianRational":
-        if isinstance(x, GaussianRational):
-            return x
-        return cls(_as_fraction(x))
+        return x if isinstance(x, GaussianRational) else cls(x)
 
     # -- predicates ------------------------------------------------------------
 
@@ -56,8 +47,8 @@ class GaussianRational:
     def is_real(self) -> bool:
         return self.im == 0
 
-    def rational(self) -> Fraction:
-        """The value as a Fraction; raises if it has a nonzero imaginary part."""
+    def rational(self) -> int | Fraction:
+        """The real value (an int when integral); raises if it is not real."""
         if self.im != 0:
             raise ValueError(f"{self} is not real")
         return self.re
@@ -99,7 +90,7 @@ class GaussianRational:
         if o is None:
             return NotImplemented
         if not o.im:
-            # a real factor: half the Fraction products
+            # a real factor: half the products
             return GaussianRational(self.re * o.re, self.im * o.re)
         return GaussianRational(
             self.re * o.re - self.im * o.im,
@@ -111,7 +102,7 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 
-    def norm(self) -> Fraction:
+    def norm(self) -> int | Fraction:
         return self.re * self.re + self.im * self.im
 
     def __truediv__(self, x):
@@ -122,7 +113,8 @@ class GaussianRational:
         if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
         num = self * o.conjugate()
-        return GaussianRational(num.re / n, num.im / n)
+        # int / int would be a float, which the normalizer refuses
+        return GaussianRational(Fraction(num.re, n), Fraction(num.im, n))
 
     def __rtruediv__(self, x):
         o = self._other(x)
@@ -184,7 +176,7 @@ class GaussianRational:
         if not t:
             raise ValueError("empty Gaussian rational token")
         if not t.endswith("i"):
-            return cls(Fraction(t))
+            return cls(t)
         body = t[:-1]
         # split real and imaginary on the last sign that is not a leading sign
         for pos in range(len(body) - 1, 0, -1):
@@ -192,13 +184,13 @@ class GaussianRational:
                 re_part, im_part = body[:pos], body[pos:]
                 if im_part in ("+", "-"):
                     im_part += "1"
-                return cls(Fraction(re_part), Fraction(im_part))
+                return cls(re_part, im_part)
         if body in ("", "+", "-"):
             body += "1"
-        return cls(0, Fraction(body))
+        return cls(0, body)
 
 
-def frac_token(f: Fraction) -> str:
+def frac_token(f: int | Fraction) -> str:
     """Exact token for a rational: 'p' or 'p/q'."""
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 

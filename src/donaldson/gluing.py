@@ -28,7 +28,7 @@ from functools import cached_property
 
 from .constructions import CatalogEntry
 from .exppoly import ExpPolynomial
-from .gaussian import GaussianRational, frac_token
+from .gaussian import frac_token
 from .lattice import HClass, LatticeMismatch, _exact, d_zero_value, is_allowable, same_lattice
 from .series import twist
 
@@ -75,19 +75,19 @@ class GluingSpec:
         if (self.glued_w_square - self.w1.square - self.w2.square) % 2 != 0:
             raise GluingError("w^2 - w1^2 - w2^2 must be even")
 
-    @property
+    @cached_property
     def surface1(self):
         return self.left.surface(self.left_surface)
 
-    @property
+    @cached_property
     def surface2(self):
         return self.right.surface(self.right_surface)
 
-    @property
+    @cached_property
     def w1(self) -> HClass:
         return self.left.w_class(self.left_w)
 
-    @property
+    @cached_property
     def w2(self) -> HClass:
         return self.right.w_class(self.right_w)
 
@@ -96,15 +96,15 @@ class GluingSpec:
         return self.surface1.genus
 
     @property
-    def glued_w_square(self) -> Fraction:
+    def glued_w_square(self) -> int | Fraction:
         if self.w_square is not None:
-            return Fraction(self.w_square)
+            return _exact(self.w_square)
         return self.w1.square + self.w2.square
 
     @property
     def epsilon(self) -> int:
         delta = self.glued_w_square - self.w1.square - self.w2.square
-        return -1 if ((self.genus - 1) * (int(delta) // 2)) % 2 else 1
+        return -1 if ((self.genus - 1) * (delta // 2)) % 2 else 1
 
     @property
     def glued_b_plus(self) -> int:
@@ -148,13 +148,13 @@ class SplitClass:
 
     d1: HClass
     d2: HClass
-    sigma_pairing: Fraction
+    sigma_pairing: int | Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma_pairing", Fraction(self.sigma_pairing))
+        object.__setattr__(self, "sigma_pairing", _exact(self.sigma_pairing))
 
     @property
-    def square(self) -> Fraction:
+    def square(self) -> int | Fraction:
         return self.d1.square + self.d2.square
 
 
@@ -312,12 +312,12 @@ def eval_glued(gs: GluedSeries, d: SplitClass) -> ExpPolynomial:
     rights = gs.spec.twisted_right()
     k_d1 = {j: lefts[j][0].dot(d.d1) for j in {e[0] for e in gs.entries}}
     l_d2 = {k: rights[k][0].dot(d.d2) for k in {e[1] for e in gs.entries}}
-    shift_scale = Fraction(0) if gs.kind == "stabilized" else 2 * d.sigma_pairing
-    terms = []
-    for j, k, sector, coeff in gs.entries:
-        lam = k_d1[j] + l_d2[k] + sector * shift_scale
-        terms.append((GaussianRational(lam), GaussianRational(coeff)))
-    return ExpPolynomial("+Q/2", tuple(terms), d.square)
+    shift_scale = 0 if gs.kind == "stabilized" else 2 * d.sigma_pairing
+    terms = tuple(
+        (k_d1[j] + l_d2[k] + sector * shift_scale, coeff)
+        for j, k, sector, coeff in gs.entries
+    )
+    return ExpPolynomial("+Q/2", terms, d.square)
 
 
 def rshift(spec: GluingSpec, d: SplitClass, r) -> SplitClass:
@@ -374,9 +374,9 @@ def glued_to_json(gs: GluedSeries) -> dict:
         "right": spec.right.name,
         "g": spec.genus,
         "kind": gs.kind,
-        "w1_sq": int(spec.w1.square),
-        "w2_sq": int(spec.w2.square),
-        "w_sq": int(spec.glued_w_square),
+        "w1_sq": spec.w1.square,
+        "w2_sq": spec.w2.square,
+        "w_sq": spec.glued_w_square,
         "pairs": [
             [j, k, {1: "+", -1: "-", 0: "0"}[sector], frac_token(c)]
             for j, k, sector, c in gs.entries
@@ -393,7 +393,14 @@ def glued_from_json(data: dict) -> GluedSeries:
         w_square=data["w_sq"],
     )
     sector_in = {"+": 1, "-": -1, "0": 0}
-    entries = tuple(
-        (j, k, sector_in[s], Fraction(_exact(c))) for j, k, s, c in data["pairs"]
-    )
-    return GluedSeries(spec, data["kind"], entries)
+    sizes = (len(spec.left.series.entries), len(spec.right.series.entries))
+    entries = []
+    for row in data["pairs"]:
+        j, k, s, c = row
+        for side, idx, n in zip(("left", "right"), (j, k), sizes):
+            if type(idx) is not int or not 0 <= idx < n:
+                raise GluingError(f"pair {row!r}: the {side} index must be an int in [0, {n})")
+        if s not in ("+", "-", "0"):
+            raise GluingError(f"pair {row!r}: the sector must be '+', '-' or '0'")
+        entries.append((j, k, sector_in[s], Fraction(_exact(c))))
+    return GluedSeries(spec, data["kind"], tuple(entries))

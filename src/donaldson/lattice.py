@@ -31,11 +31,14 @@ class ParityError(LatticeError):
 def _exact(x) -> int | Fraction:
     """The one number normalizer: an int when x is integral, else a Fraction.
 
-    A float is refused unless it is integral: its binary value is not the
-    number that was written (0.1 would become 3602879701896397/2^55).
+    Every exact number the package stores passes through here.  A float is
+    refused unless it is integral: its binary value is not the number that
+    was written (0.1 would become 3602879701896397/2^55).
     """
     if type(x) is int:
         return x
+    if type(x) is Fraction:
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, float) and not x.is_integer():
         raise LatticeError(f"non-integral float {x!r}; give an int or a 'p/q' string")
     f = Fraction(x)
@@ -258,10 +261,10 @@ def d_zero_value(w_square, b_one: int, b_plus: int) -> int:
             f"1 - b1 + b+ = {m} is odd; d0 is not an integer "
             "(manifold outside the simple-type structure hypotheses)"
         )
-    w_sq = Fraction(w_square)
-    if w_sq.denominator != 1:
+    w_sq = _exact(w_square)
+    if type(w_sq) is not int:
         raise ParityError("w^2 must be an integer")
-    return -int(w_sq) - 3 * (m // 2)
+    return -w_sq - 3 * (m // 2)
 
 
 def d_zero(w: HClass, b_one: int, b_plus: int) -> int:

@@ -266,14 +266,14 @@ class RelationPoly:
     Stored as (S-power, x-power, coefficient) triples.
     """
 
-    terms: tuple[tuple[int, int, Fraction], ...]
+    terms: tuple[tuple[int, int, int | Fraction], ...]
 
     def __post_init__(self):
-        merged: dict[tuple[int, int], Fraction] = {}
+        merged: dict[tuple[int, int], int | Fraction] = {}
         for sp, xp, c in self.terms:
-            merged[(sp, xp)] = merged.get((sp, xp), Fraction(0)) + Fraction(c)
+            merged[(sp, xp)] = merged.get((sp, xp), 0) + _exact(c)
         canon = tuple(
-            (sp, xp, c) for (sp, xp), c in sorted(merged.items()) if c != 0
+            (sp, xp, _exact(c)) for (sp, xp), c in sorted(merged.items()) if c != 0
         )
         object.__setattr__(self, "terms", canon)
 
@@ -307,20 +307,20 @@ def relation_poly(g: int) -> RelationPoly:
     """
     if g < 2:
         raise SeriesError("relation polynomial needs genus >= 2")
-    one = RelationPoly.of([(0, 0, Fraction(1))])
-    sigma = RelationPoly.of([(1, 0, Fraction(1))])
+    one = RelationPoly.of([(0, 0, 1)])
+    sigma = RelationPoly.of([(1, 0, 1)])
     if g % 2 == 0:
-        x_part = RelationPoly.of([(0, 0, Fraction(1)), (0, 1, Fraction(-1, 2))])
+        x_part = RelationPoly.of([(0, 0, 1), (0, 1, Fraction(-1, 2))])
         p = sigma + one
         shifted_sq = (sigma + one) * (sigma + one)
         for k in range(1, (g - 2) // 2 + 1):
-            p = p * (shifted_sq + RelationPoly.of([(0, 0, Fraction((4 * k) ** 2))]))
+            p = p * (shifted_sq + RelationPoly.of([(0, 0, (4 * k) ** 2)]))
     else:
-        x_part = RelationPoly.of([(0, 0, Fraction(1)), (0, 1, Fraction(1, 2))])
+        x_part = RelationPoly.of([(0, 0, 1), (0, 1, Fraction(1, 2))])
         p = one
         for k in range(1, g):
             root = (-1) ** k * (2 * k - 1)
-            p = p * (sigma + RelationPoly.of([(0, 0, Fraction(-root))]))
+            p = p * (sigma + RelationPoly.of([(0, 0, -root)]))
     z = x_part * p
     if z.sigma_degree != g - 1:
         raise SeriesError("relation polynomial has wrong surface degree")

@@ -1,6 +1,9 @@
+import hashlib
 import json
 import os
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -111,6 +114,17 @@ def test_eval_glued_file_with_float_coefficient(tmp_path, capsys):
     assert "non-integral float" in capsys.readouterr().err
 
 
+def test_eval_glued_file_with_bad_index(tmp_path, capsys):
+    out_file = tmp_path / "glued.json"
+    run(["glue", "--left", "bg:2", "--right", "bg:2", "--g", "2", "--out", str(out_file)])
+    payload = json.loads(out_file.read_text())
+    payload["pairs"][0][0] = 99
+    out_file.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run(["eval", "--glued", str(out_file), "--d1", "T1", "--d2", "T1"]) == 2
+    assert "left index must be an int in [0, 4)" in capsys.readouterr().err
+
+
 def test_eval_coordinate_classes(tmp_path, capsys):
     out_file = tmp_path / "glued.json"
     run(["glue", "--left", "bg:2", "--right", "bg:2", "--g", "2", "--out", str(out_file)])
@@ -211,3 +225,25 @@ def test_table_output(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.startswith("entries:")
+
+
+def test_stdout_matches_bench_digests(tmp_path, monkeypatch, capsys):
+    """Every g <= 4 CLI digest the benchmark records is reproduced in process."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "digests.json"
+    recorded = {
+        key.removeprefix("cli/"): digest
+        for key, digest in json.loads(path.read_text()).items()
+        if key.startswith("cli/")
+        and all(int(g) <= 4 for g in re.findall(r"(?:bg:?|--g )(\d+)", key))
+    }
+    assert len(recorded) == 10
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("DONALDSON_CATALOG_DIR", raising=False)
+    # the r = 0 split of the shifted probe (T1 + rS, T1 - rS) the benchmark passes
+    t1 = ",".join(map(str, catalog("bg:4").lattice.cls("T1").coords))
+    # glue writes the file that eval reads
+    for key in sorted(recorded, key=lambda k: not k.startswith("glue")):
+        extra = [f"--d1={t1}", f"--d2={t1}"] if key.startswith("eval") else []
+        assert run(key.split() + extra) == 0, key
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == recorded[key], key

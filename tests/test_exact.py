@@ -1,0 +1,66 @@
+"""Every number entry point stores through one rule: an int when integral, a
+Fraction otherwise, and a non-integral float is refused."""
+
+from fractions import Fraction
+
+import pytest
+
+from donaldson.constructions import catalog
+from donaldson.exppoly import ExpPolynomial
+from donaldson.fit import BasisCoordinates, predict_glued, zero_coordinates
+from donaldson.gaussian import GaussianRational
+from donaldson.gluing import SplitClass
+from donaldson.lattice import LatticeError, d_zero_value
+
+
+def _gaussian_real_part(x):
+    return GaussianRational(x).re
+
+
+def _q_square(x):
+    return ExpPolynomial("+Q/2", (), x).q_square
+
+
+def _sigma_pairing(x):
+    d = catalog("B2").lattice.cls("T1")
+    return SplitClass(d, d, x).sigma_pairing
+
+
+def _d_square(x):
+    bc = zero_coordinates(3, 0, x)
+    assert {c.q_square for c in bc.coords} == {bc.d_square}
+    return bc.d_square
+
+
+def _sigma_d(x):
+    # one level-1 coordinate e^{0 t} against M_1 = e^{t}: the product is e^{(S.D) t}
+    c = (
+        ExpPolynomial("+Q/2", ((0, 1),), 0),
+        ExpPolynomial("+Q/2", (), 0),
+        ExpPolynomial("-Q/2", (), 0),
+    )
+    side = BasisCoordinates(2, 0, 0, c)
+    m_map = {1: ExpPolynomial("none", ((1, 1),)), 2: ExpPolynomial(), 3: ExpPolynomial()}
+    ((lam, _),) = predict_glued(side, side, m_map, x).terms
+    return lam.re
+
+
+def _minus_d_zero(x):
+    # d0 = -w^2 - 3 (1 - b1 + b+)/2, here with b1 = 0 and b+ = 3
+    return -d_zero_value(x, 0, 3) - 6
+
+
+ENTRY_POINTS = [_gaussian_real_part, _q_square, _sigma_pairing, _d_square, _sigma_d, _minus_d_zero]
+
+
+@pytest.mark.parametrize("read", ENTRY_POINTS)
+def test_non_integral_float_is_refused(read):
+    with pytest.raises(LatticeError, match="non-integral float"):
+        read(0.5)
+
+
+@pytest.mark.parametrize("read", ENTRY_POINTS)
+def test_integral_float_and_fraction_are_read_as_ints(read):
+    for x in (2.0, Fraction(2), 2):
+        value = read(x)
+        assert type(value) is int and value == 2

@@ -107,3 +107,22 @@ def test_division_inverts_multiplication(a, b):
 @given(a=gaussians)
 def test_token_round_trip_property(a):
     assert GaussianRational.from_token(a.to_token()) == a
+
+
+def _stored_exactly(z):
+    return all(type(p) is (int if p.denominator == 1 else Fraction) for p in (z.re, z.im))
+
+
+parts = st.one_of(st.integers(-8, 8), rationals)
+
+
+@given(a=parts, b=parts, c=parts, d=parts, k=st.integers(-3, 3))
+def test_parts_are_ints_exactly_when_integral(a, b, c, d, k):
+    z, w = GaussianRational(a, b), GaussianRational(c, d)
+    values = [z, w, GaussianRational.from_token(z.to_token()), z + w, z - w, z * w]
+    if not w.is_zero:
+        values.append(z / w)
+    if k >= 0 or not z.is_zero:
+        values.append(z**k)
+    for v in values:
+        assert _stored_exactly(v), repr(v)

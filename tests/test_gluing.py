@@ -463,6 +463,31 @@ def test_glued_from_json_requires_kind():
         glued_from_json(payload)
 
 
+@pytest.mark.parametrize(
+    "column, value",
+    [
+        (0, 4), (0, 99), (0, -1), (0, 0.0), (0, True),
+        (1, 4), (1, -1), (1, "0"),
+        (2, "x"), (2, 1),
+    ],
+)
+def test_glued_from_json_rejects_bad_pair_rows(column, value):
+    # B2 has 4 classes a side, so 4 is the first index out of range
+    payload = json.loads(json.dumps(glued_to_json(glue(bg_double(2)))))
+    glued_from_json(payload)
+    payload["pairs"][0][column] = value
+    with pytest.raises(GluingError, match="index must be|sector must be"):
+        glued_from_json(payload)
+
+
+def test_spec_resolves_each_side_once():
+    spec = bg_double(3)
+    for name in ("surface1", "surface2", "w1", "w2"):
+        assert getattr(spec, name) is getattr(spec, name), name
+    spec.glued_w_square
+    assert "square" in spec.w1.__dict__ and "square" in spec.w2.__dict__
+
+
 def test_glued_json_fields():
     payload = glued_to_json(glue(bg_double(3)))
     assert payload["g"] == 3
