@@ -228,7 +228,6 @@ def _cmd_eval(args) -> int:
         )
     poly = eval_glued(gs, d)
     payload = poly.to_json()
-    payload["q"] = str(d.square)
     if args.expand_order is not None:
         payload["expansion"] = [
             c.to_token() for c in poly.expand(args.expand_order)

@@ -69,10 +69,13 @@ class CatalogEntry:
     glue_surface: str
     note: str = ""
 
+    def __post_init__(self):
+        if len(self._surface_map) != len(self.surfaces):
+            raise ConstructionError(f"{self.name}: a surface label is repeated")
+
     @cached_property
     def _surface_map(self) -> dict[str, MarkedSurface]:
-        # reversed, so that the first of two equal labels wins
-        return dict(reversed(self.surfaces))
+        return dict(self.surfaces)
 
     def surface(self, label: str | None = None) -> MarkedSurface:
         label = label or self.glue_surface

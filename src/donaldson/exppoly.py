@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gaussian import GaussianRational
+from .gaussian import GaussianRational, frac_token
 from .lattice import _exact
 
 MARKERS = ("+Q/2", "-Q/2", "none")
@@ -224,11 +224,13 @@ class ExpPolynomial:
     # -- serialization --------------------------------------------------------------
 
     def to_json(self) -> dict:
+        q = {} if self.q_square is None else {"q": frac_token(self.q_square)}
         return {
             "marker": self.marker,
             "terms": [
                 {"lambda": l.to_token(), "c": c.to_token()} for l, c in self.terms
             ],
+            **q,
         }
 
     @classmethod
@@ -237,7 +239,7 @@ class ExpPolynomial:
             (GaussianRational.from_token(t["lambda"]), GaussianRational.from_token(t["c"]))
             for t in data["terms"]
         )
-        return cls(data["marker"], terms)
+        return cls(data["marker"], terms, data.get("q"))
 
     def __str__(self):
         if self.is_zero:

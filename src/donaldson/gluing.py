@@ -14,9 +14,10 @@ materialized as lattice vectors: an output entry is a parent pair plus a
 sector sign, and evaluation against a split class (D1, D2) uses the exponent
 K.D1 + L.D2 +- 2 (S.D) t.
 
-The genus-1 variant produces three sectors per pair with coefficients
--1/4, -1/4, -1/2, and the experimental stabilized variant applies the same
-pairing shape with coefficients -+2^{-3g+5} and no surface shift.
+Each rule is a table of rows (sector, scale, level) run by one builder.  The
+genus-1 rule has three rows at level 0 with scales -1/4, -1/4, -1/2; the
+experimental stabilized rule keeps the +-(2g-2) levels with scales
+-+2^{-3g+5} and no surface shift.
 """
 
 from __future__ import annotations
@@ -62,10 +63,7 @@ class GluingSpec:
                 f"genus mismatch: {s1.genus} on {self.left.name}, "
                 f"{s2.genus} on {self.right.name}"
             )
-        for entry, s, w in (
-            (self.left, s1, self.w1),
-            (self.right, s2, self.w2),
-        ):
+        for entry, s, w in self._side_inputs:
             if not entry.series.simple_type:
                 raise GluingError(f"{entry.name}: gluing needs simple-type input")
             if entry.series.b_one != 0 or entry.series.b_plus <= 1:
@@ -74,6 +72,10 @@ class GluingSpec:
                 raise GluingError(f"{entry.name}: (w, S) is not allowable")
         if (self.glued_w_square - self.w1.square - self.w2.square) % 2 != 0:
             raise GluingError("w^2 - w1^2 - w2^2 must be even")
+
+    @property
+    def _side_inputs(self) -> tuple[tuple, tuple]:
+        return (self.left, self.surface1, self.w1), (self.right, self.surface2, self.w2)
 
     @cached_property
     def surface1(self):
@@ -117,6 +119,20 @@ class GluingSpec:
     def _twisted(self) -> tuple[list, list]:
         return twist(self.left.series, self.w1), twist(self.right.series, self.w2)
 
+    @cached_property
+    def _levels(self) -> tuple[dict, dict]:
+        """Per side: class coords -> (index, twisted coefficient, level K.S,
+        twist sign).  This is the one place a gluing pairs its basic classes
+        with the surfaces; evaluation needs only ``_twisted``."""
+        tables = []
+        for (entry, s, _), twisted in zip(self._side_inputs, self._twisted):
+            # twisting multiplies c by the sign; a zero c adds nothing either way
+            tables.append({
+                k.coords: (idx, a, k.dot(s.cls), 1 if a == c else -1)
+                for idx, ((k, a), (_, c)) in enumerate(zip(twisted, entry.series.entries))
+            })
+        return tables[0], tables[1]
+
     def twisted_left(self) -> list[tuple[HClass, Fraction]]:
         return self._twisted[0]
 
@@ -159,20 +175,14 @@ class SplitClass:
 
 
 def _validate_split_class(spec: GluingSpec, d: SplitClass) -> None:
-    if not same_lattice(d.d1.lattice, spec.left.lattice) or not same_lattice(
-        d.d2.lattice, spec.right.lattice
-    ):
-        raise LatticeMismatch("split class halves on the wrong lattices")
-    if d.d1.dot(spec.surface1.cls) != d.sigma_pairing:
-        raise GluingError(
-            f"D1.S = {d.d1.dot(spec.surface1.cls)} disagrees with the declared "
-            f"S.D = {d.sigma_pairing}"
-        )
-    if d.d2.dot(spec.surface2.cls) != d.sigma_pairing:
-        raise GluingError(
-            f"D2.S = {d.d2.dot(spec.surface2.cls)} disagrees with the declared "
-            f"S.D = {d.sigma_pairing}"
-        )
+    for name, half, (entry, s, _) in zip(("D1", "D2"), (d.d1, d.d2), spec._side_inputs):
+        if not same_lattice(half.lattice, entry.lattice):
+            raise LatticeMismatch("split class halves on the wrong lattices")
+        level = half.dot(s.cls)
+        if level != d.sigma_pairing:
+            raise GluingError(
+                f"{name}.S = {level} disagrees with the declared S.D = {d.sigma_pairing}"
+            )
 
 
 @dataclass(frozen=True)
@@ -213,39 +223,28 @@ class GluedSeries:
             sums[j, k] += coeff
         return sums
 
-    @cached_property
-    def _restriction_tables(self) -> tuple[dict, dict]:
-        """Per side: class coords -> (index, level, untwist sign, coefficient)."""
-        spec = self.spec
-        tables = []
-        for entry, s, twisted in (
-            (spec.left, spec.surface1, spec.twisted_left()),
-            (spec.right, spec.surface2, spec.twisted_right()),
-        ):
-            # twisting multiplies c by the sign; a zero c adds nothing either way
-            tables.append({
-                k.coords: (idx, k.dot(s.cls), 1 if a == c else -1, c)
-                for idx, ((k, c), (_, a)) in enumerate(zip(entry.series.entries, twisted))
-            })
-        return tables[0], tables[1]
 
-
-def _top_level_pairs(spec: GluingSpec, scale: Fraction):
-    """Entries (j, k, sector, c) over pairs at the extreme levels +-(2g-2)."""
-    g, eps = spec.genus, spec.epsilon
-    plus, minus = -eps * scale, eps * (-1) ** g * scale
-    top = 2 * g - 2
-    s1, s2 = spec.surface1.cls, spec.surface2.cls
-    # right-hand classes bucketed by level: each class meets its surface once
-    rights = {top: [], -top: []}
-    for k, (l_cls, b) in enumerate(spec.twisted_right()):
-        rights.get(l_cls.dot(s2), []).append((k, b))
+def _glued(spec: GluingSpec, kind: str, rows) -> GluedSeries:
+    """Run a gluing rule given as rows (sector, scale, level): each row keeps
+    every left/right pair of classes at that surface level, with coefficient
+    scale * a_j * b_k on the twisted coefficients."""
+    left, right = spec._levels
     entries = []
-    for j, (k_cls, a) in enumerate(spec.twisted_left()):
-        lvl = k_cls.dot(s1)
-        sector, coeff = (+1, plus) if lvl == top else (-1, minus)
-        entries.extend((j, k, sector, coeff * a * b) for k, b in rights.get(lvl, ()))
-    return tuple(entries)
+    for sector, scale, level in rows:
+        rights = [(k, b) for k, b, lvl, _ in right.values() if lvl == level]
+        entries.extend(
+            (j, k, sector, scale * a * b)
+            for j, a, lvl, _ in left.values() if lvl == level
+            for k, b in rights
+        )
+    return GluedSeries(spec, kind, tuple(entries))
+
+
+def _top_level_rows(spec: GluingSpec, scale: Fraction):
+    """The rows of the genus >= 2 rules: sectors at the levels +-(2g-2)."""
+    g, eps = spec.genus, spec.epsilon
+    top = 2 * g - 2
+    return ((+1, -eps * scale, top), (-1, eps * (-1) ** g * scale, -top))
 
 
 def glue(spec: GluingSpec) -> GluedSeries:
@@ -253,8 +252,7 @@ def glue(spec: GluingSpec) -> GluedSeries:
     g = spec.genus
     if g == 1:
         raise GluingError("genus-1 gluing uses the torus rule: call glue_torus")
-    entries = _top_level_pairs(spec, Fraction(2 ** (7 * g - 9)))
-    return GluedSeries(spec, "standard", entries)
+    return _glued(spec, "standard", _top_level_rows(spec, Fraction(2 ** (7 * g - 9))))
 
 
 def glue_torus(spec: GluingSpec) -> GluedSeries:
@@ -265,23 +263,12 @@ def glue_torus(spec: GluingSpec) -> GluedSeries:
     """
     if spec.genus != 1:
         raise GluingError("torus rule needs genus-1 surfaces")
-    eps = spec.epsilon
-    s1, s2 = spec.surface1.cls, spec.surface2.cls
-    for side, s in ((spec.twisted_left(), s1), (spec.twisted_right(), s2)):
-        for k_cls, _ in side:
-            if k_cls.dot(s) != 0:
-                raise GluingError(
-                    f"torus rule needs K.S = 0 for all classes, got {k_cls.dot(s)}"
-                )
-    quarter = Fraction(-1, 4) * eps
-    half = Fraction(-1, 2) * eps
-    entries = []
-    for j, (_, a) in enumerate(spec.twisted_left()):
-        for k, (_, b) in enumerate(spec.twisted_right()):
-            entries.append((j, k, +1, quarter * a * b))
-            entries.append((j, k, -1, quarter * a * b))
-            entries.append((j, k, 0, half * a * b))
-    return GluedSeries(spec, "torus", tuple(entries))
+    bad = [lvl for table in spec._levels for _, _, lvl, _ in table.values() if lvl]
+    if bad:
+        raise GluingError(f"torus rule needs K.S = 0 for all classes, got {bad[0]}")
+    quarter = Fraction(-1, 4) * spec.epsilon
+    half = Fraction(-1, 2) * spec.epsilon
+    return _glued(spec, "torus", ((+1, quarter, 0), (-1, quarter, 0), (0, half, 0)))
 
 
 def glue_conjectural(spec: GluingSpec) -> GluedSeries:
@@ -296,8 +283,7 @@ def glue_conjectural(spec: GluingSpec) -> GluedSeries:
     g = spec.genus
     if g < 2:
         raise GluingError("stabilized gluing needs genus >= 2")
-    entries = _top_level_pairs(spec, Fraction(1, 2 ** (3 * g - 5)))
-    return GluedSeries(spec, "stabilized", entries)
+    return _glued(spec, "stabilized", _top_level_rows(spec, Fraction(1, 2 ** (3 * g - 5))))
 
 
 def eval_glued(gs: GluedSeries, d: SplitClass) -> ExpPolynomial:
@@ -344,22 +330,21 @@ def coefficient_match(
         raise GluingError("coefficient matching is defined for standard gluings")
     spec = gs.spec
     g = spec.genus
-    left_table, right_table = gs._restriction_tables
+    left_table, right_table = spec._levels
     # a rational class misses: no tuple of int coords equals it
     k_info = left_table.get(k_restrict.coords)
     l_info = right_table.get(l_restrict.coords)
     if k_info is None or l_info is None:
         # no parent classes restrict there: both sums are empty
         return Fraction(0), Fraction(0)
-    (j_idx, lvl_k, sign_k, sum_a) = k_info
-    (k_idx, lvl_l, sign_l, sum_b) = l_info
+    (j_idx, a, lvl_k, sign_k), (k_idx, b, lvl_l, sign_l) = k_info, l_info
     grouped = sign_k * sign_l * gs._pair_sums.get((j_idx, k_idx), Fraction(0))
     top = 2 * g - 2
     if not (lvl_k == lvl_l and abs(lvl_k) == top):
         return grouped, Fraction(0)
     sector_sign = 1 if lvl_k == top else (-1) ** (g - 1)
     predicted = (
-        -spec.epsilon * sector_sign * Fraction(2 ** (7 * g - 9)) * sum_a * sum_b
+        -spec.epsilon * sector_sign * Fraction(2 ** (7 * g - 9)) * (sign_k * a) * (sign_l * b)
     )
     return grouped, predicted
 

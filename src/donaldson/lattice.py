@@ -87,6 +87,8 @@ class Lattice:
             )
         named = tuple((label, tuple(map(_exact, coords))) for label, coords in self.named)
         object.__setattr__(self, "named", named)
+        if len(self._named_coords) != len(named):
+            raise LatticeError(f"{self.name}: a class label is repeated")
         for label, coords in named:
             if len(coords) != n:
                 raise LatticeError(f"{self.name}: class {label!r} has wrong length")
@@ -109,8 +111,7 @@ class Lattice:
 
     @cached_property
     def _named_coords(self) -> dict[str, tuple[int | Fraction, ...]]:
-        # reversed, so that the first of two equal labels wins
-        return dict(reversed(self.named))
+        return dict(self.named)
 
     def cls(self, label: str) -> "HClass":
         coords = self._named_coords.get(label)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -357,3 +358,10 @@ def test_catalog_store_byte_match(tmp_path, monkeypatch):
 def test_catalog_entries_validate():
     for name in catalog_names():
         catalog(name).validate()
+
+
+def test_repeated_surface_label_is_refused():
+    b3 = catalog("B3")
+    (label, sigma), (_, torus) = b3.surfaces
+    with pytest.raises(ConstructionError, match="repeated"):
+        dataclasses.replace(b3, surfaces=((label, sigma), (label, torus)))

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from math import factorial
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from donaldson.exppoly import ExpPolynomial, ExpPolynomialError, InexactDivision
 from donaldson.gaussian import GaussianRational, I
+from donaldson.lattice import LatticeError
 
 
 def gr(re, im=0):
@@ -140,6 +142,18 @@ def test_json_round_trip():
         ((GaussianRational(0, 2), GaussianRational(Fraction(1, 2), -1)),),
     )
     assert ExpPolynomial.from_json(p.to_json()) == ExpPolynomial("-Q/2", p.terms)
+
+
+def test_json_round_trip_keeps_q_square():
+    p = poly([(2, Fraction(1, 4)), (-2, 3)], marker="+Q/2", q=Fraction(3, 2))
+    data = json.loads(json.dumps(p.to_json()))
+    assert data["q"] == "3/2"
+    back = ExpPolynomial.from_json(data)
+    assert back == p
+    assert back.expand(4) == p.expand(4)
+    data["q"] = 1.5
+    with pytest.raises(LatticeError, match="non-integral float"):
+        ExpPolynomial.from_json(data)
 
 
 small_gauss = st.builds(

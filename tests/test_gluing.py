@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from donaldson.constructions import catalog
 from donaldson.gaussian import GaussianRational
 from donaldson.gluing import (
     GluingError,
+    GluedSeries,
     GluingSpec,
     SplitClass,
     coefficient_match,
@@ -162,6 +164,17 @@ def test_split_class_square():
     lat = spec.left.lattice
     d = spec.split_class(lat.cls("E1"), lat.cls("T1"))
     assert d.square == -1
+
+
+def test_glued_series_sorts_and_evaluates_the_entries_it_is_given():
+    spec = bg_double(3)
+    gs = glue(spec)
+    assert GluedSeries(spec, gs.kind, tuple(reversed(gs.entries))).entries == gs.entries
+    lat = spec.left.lattice
+    d = spec.split_class(lat.cls("T1"), lat.cls("T1"))
+    (j, k, sector, c), rest = gs.entries[0], gs.entries[1:]
+    changed = dataclasses.replace(gs, entries=((j, k, sector, c + 1),) + rest)
+    assert eval_glued(changed, d) != eval_glued(gs, d)
 
 
 # -- rshift ------------------------------------------------------------------------------

@@ -171,6 +171,12 @@ def test_lattice_json_round_trip(b2):
     assert lattice_from_json(data) == b2.lattice
 
 
+def test_repeated_class_label_is_refused(k3):
+    # a JSON object keeps one of two equal keys, so a reload could not keep both
+    with pytest.raises(LatticeError, match="repeated"):
+        Lattice("dup", k3.lattice.gram, b_plus=3, named=(("A", (1, 0)), ("A", (0, 1))))
+
+
 def test_rational_coords_serialize(k3):
     lat = Lattice(
         "with_rational",

@@ -23,6 +23,7 @@ from donaldson.gluing import (
     coefficient_match,
     eval_glued,
     glue,
+    glue_conjectural,
     glue_torus,
     rshift,
 )
@@ -327,3 +328,30 @@ def test_glue_pairs_each_class_with_its_surface_once(monkeypatch):
     n1, n2 = len(bg.series.entries), len(bg.series.entries)
     assert len(gs.entries) == 2
     assert count <= n1 + n2 + 4
+
+
+@pytest.mark.parametrize(
+    "name, surface, w, rules",
+    [("B4", None, None, (glue, glue_conjectural)), ("B3", "T1", "sigma", (glue_torus,))],
+)
+def test_spec_pairs_each_class_with_its_surface_once(monkeypatch, name, surface, w, rules):
+    entry = catalog(name)
+    s = entry.surface(surface).cls
+    count = 0
+    real = lattice_mod.pairing
+
+    def counting(u, v):
+        nonlocal count
+        if u is s or v is s:
+            count += 1
+        return real(u, v)
+
+    monkeypatch.setattr(lattice_mod, "pairing", counting)
+    spec = GluingSpec(entry, entry, surface, surface, w, w)
+    glued = [rule(spec) for rule in rules]
+    if glued[0].kind == "standard":
+        k = entry.lattice.cls("K")
+        coefficient_match(glued[0], k, k)
+    n = len(entry.series.entries)
+    assert all(not gs.is_empty for gs in glued)
+    assert count <= n + n + 4
