@@ -215,9 +215,19 @@ def _parse_class(lattice, token: str) -> HClass:
     return lattice.cls(token)
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object that refuses a repeated key instead of keeping the last."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"repeated key {key!r} in a JSON object")
+        out[key] = value
+    return out
+
+
 def _cmd_eval(args) -> int:
     with open(args.glued) as fh:
-        gs = glued_from_json(json.load(fh))
+        gs = glued_from_json(json.load(fh, object_pairs_hook=_unique_keys))
     d1 = _parse_class(gs.spec.left.lattice, args.d1)
     d2 = _parse_class(gs.spec.right.lattice, args.d2)
     d = gs.spec.split_class(d1, d2)

@@ -403,8 +403,8 @@ def catalog(ref: str) -> CatalogEntry:
     JSON exists in the catalog directory, requires a byte-for-byte match."""
     recipe = _NAMED.get(ref, ref)
     entry = parse_recipe(recipe)
-    path = _stored_path(ref)
-    if path is not None and os.path.exists(path):
+    base = catalog_dir()
+    if base is not None and os.path.exists(path := _entry_path(base, ref)):
         with open(path, "rb") as fh:
             stored = fh.read()
         if stored != entry_json_bytes(entry):
@@ -419,11 +419,9 @@ def catalog_dir() -> str | None:
     return os.environ.get("DONALDSON_CATALOG_DIR")
 
 
-def _stored_path(ref: str) -> str | None:
-    base = catalog_dir()
-    if base is None:
-        return None
-    return os.path.join(base, ref.replace(":", "_") + ".json")
+def _entry_path(directory: str, ref: str) -> str:
+    """The file an entry is stored in: its name with ':' read as '_'."""
+    return os.path.join(directory, ref.replace(":", "_") + ".json")
 
 
 def entry_to_json(entry: CatalogEntry) -> dict:
@@ -474,7 +472,7 @@ def export_catalog(directory: str, names=None) -> list[str]:
     written = []
     for ref in catalog_names() if names is None else names:
         entry = parse_recipe(_NAMED.get(ref, ref))
-        path = os.path.join(directory, ref.replace(":", "_") + ".json")
+        path = _entry_path(directory, ref)
         with open(path, "wb") as fh:
             fh.write(entry_json_bytes(entry))
         written.append(path)

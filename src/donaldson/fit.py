@@ -15,7 +15,8 @@ after the sector normalization (the i-factors of the even-p coordinates are
 absorbed into M).  This module fits the M_p entries by exact division from
 reference gluings whose outputs are known, instead of assuming the closed
 forms the gluing module hard-codes; agreement of the two routes is the
-self-consistency oracle for the whole calculator.
+self-consistency oracle for the whole calculator.  A level's coordinate is
+the evaluation (z = 1) of that level's rows of ``series._split_table``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fractions import Fraction
 from .exppoly import ExpPolynomial
 from .gaussian import GaussianRational
 from .lattice import HClass, MarkedSurface, _exact
-from .series import DonaldsonSeries, _split_table
+from .series import DonaldsonSeries, _evaluate, _split_table
 
 
 class FitError(ValueError):
@@ -86,23 +87,20 @@ def basis_coordinates(
     if d.dot(s.cls) != 1:
         raise FitError("coordinates are computed against a probe with D.S = 1")
     g = s.genus
-    d0, rows = _split_table(series, w, s, d)
+    d0, rows = _split_table(series, w, s)
     bound = 2 * g - 2
-    by_level: dict[int, list] = {}
-    for k, _, lvl, lam, c in rows:
+    for k, lvl, _ in rows:
         if abs(lvl) > bound:
             raise FitError(
                 f"class {k} pairs {lvl} with the surface, beyond the "
                 f"adjunction bound {bound}"
             )
-        by_level.setdefault(lvl, []).append((lam, c))
-    q = d.square
     # odd levels p are the P-sector (K.S = 2p = 2 mod 4), even ones the N-sector
     coords = tuple(
-        ExpPolynomial("+Q/2" if p % 2 else "-Q/2", tuple(by_level.get(2 * p, ())), q)
+        _evaluate(d0, [r for r in rows if r[1] == 2 * p], s, d, ((0, 0, 1),))[p % 2 == 0]
         for p in (p_of_alpha(alpha, g) for alpha in range(1, 2 * g))
     )
-    return BasisCoordinates(g, d0, q, coords)
+    return BasisCoordinates(g, d0, d.square, coords)
 
 
 def zero_coordinates(genus: int, d0: int, d_square=0) -> BasisCoordinates:

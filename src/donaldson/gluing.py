@@ -17,7 +17,8 @@ K.D1 + L.D2 +- 2 (S.D) t.
 Each rule is a table of rows (sector, scale, level) run by one builder.  The
 genus-1 rule has three rows at level 0 with scales -1/4, -1/4, -1/2; the
 experimental stabilized rule keeps the +-(2g-2) levels with scales
--+2^{-3g+5} and no surface shift.
+-+2^{-3g+5} and no surface shift.  The twisted coefficients and levels come
+from each side's split table, ``series._split_table``.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .constructions import CatalogEntry
+from .constructions import CatalogEntry, catalog
 from .exppoly import ExpPolynomial
 from .gaussian import frac_token
 from .lattice import HClass, LatticeMismatch, _exact, d_zero_value, is_allowable, same_lattice
-from .series import twist
+from .series import _split_table, twist
 
 
 class GluingError(ValueError):
@@ -116,28 +117,25 @@ class GluingSpec:
         return d_zero_value(self.glued_w_square, 0, self.glued_b_plus)
 
     @cached_property
-    def _twisted(self) -> tuple[list, list]:
-        return twist(self.left.series, self.w1), twist(self.right.series, self.w2)
-
-    @cached_property
     def _levels(self) -> tuple[dict, dict]:
         """Per side: class coords -> (index, twisted coefficient, level K.S,
-        twist sign).  This is the one place a gluing pairs its basic classes
-        with the surfaces; evaluation needs only ``_twisted``."""
+        twist sign), read from the side's split table against (w, S).
+        Evaluation reads the classes alone and never builds it."""
         tables = []
-        for (entry, s, _), twisted in zip(self._side_inputs, self._twisted):
+        for entry, s, w in self._side_inputs:
+            _, rows = _split_table(entry.series, w, s)
             # twisting multiplies c by the sign; a zero c adds nothing either way
             tables.append({
-                k.coords: (idx, a, k.dot(s.cls), 1 if a == c else -1)
-                for idx, ((k, a), (_, c)) in enumerate(zip(twisted, entry.series.entries))
+                k.coords: (idx, a, lvl, 1 if a == c else -1)
+                for idx, ((k, lvl, a), (_, c)) in enumerate(zip(rows, entry.series.entries))
             })
         return tables[0], tables[1]
 
     def twisted_left(self) -> list[tuple[HClass, Fraction]]:
-        return self._twisted[0]
+        return twist(self.left.series, self.w1)
 
     def twisted_right(self) -> list[tuple[HClass, Fraction]]:
-        return self._twisted[1]
+        return twist(self.right.series, self.w2)
 
     def split_class(self, d1: HClass, d2: HClass) -> "SplitClass":
         return SplitClass(d1, d2, d1.dot(self.surface1.cls))
@@ -294,10 +292,8 @@ def eval_glued(gs: GluedSeries, d: SplitClass) -> ExpPolynomial:
     K.D1 and L.D2 are paired once per parent class that has an entry.
     """
     _validate_split_class(gs.spec, d)
-    lefts = gs.spec.twisted_left()
-    rights = gs.spec.twisted_right()
-    k_d1 = {j: lefts[j][0].dot(d.d1) for j in {e[0] for e in gs.entries}}
-    l_d2 = {k: rights[k][0].dot(d.d2) for k in {e[1] for e in gs.entries}}
+    k_d1 = {j: gs.left_class(j).dot(d.d1) for j in {e[0] for e in gs.entries}}
+    l_d2 = {k: gs.right_class(k).dot(d.d2) for k in {e[1] for e in gs.entries}}
     shift_scale = 0 if gs.kind == "stabilized" else 2 * d.sigma_pairing
     terms = tuple(
         (k_d1[j] + l_d2[k] + sector * shift_scale, coeff)
@@ -370,8 +366,6 @@ def glued_to_json(gs: GluedSeries) -> dict:
 
 
 def glued_from_json(data: dict) -> GluedSeries:
-    from .constructions import catalog
-
     spec = GluingSpec(
         left=catalog(data["left"]),
         right=catalog(data["right"]),

@@ -7,7 +7,8 @@ e^{+Q/2} prefactor, the N-sector acquires e^{-Q/2}, a global i^{-d0} and
 imaginary exponents.  Point-class and surface-class insertions act on the
 sectors by the scalars 2 / -2 and by the polynomial weights ((D+K).S)^b and
 ((-D + iK).S)^b respectively, which is everything the finite-type and
-relation-polynomial machinery needs.
+relation-polynomial machinery needs.  ``_split_table`` is the only code
+that splits a series; evaluation, fitting and gluing all read its rows.
 """
 
 from __future__ import annotations
@@ -17,13 +18,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exppoly import ExpPolynomial
-from .gaussian import GaussianRational
+from .gaussian import GaussianRational, frac_token
 from .lattice import (
     HClass,
     Lattice,
     MarkedSurface,
     LatticeMismatch,
     ParityError,
+    _coord_out,
     _exact,
     d_zero,
     d_zero_value,
@@ -148,8 +150,14 @@ class SplitSeries:
                 raise SeriesError(f"{k} does not belong to the N-sector")
 
 
-def split_series(series: DonaldsonSeries, w: HClass, s: MarkedSurface) -> SplitSeries:
-    """Split the w-twisted series into its two sectors against (w, S)."""
+def _split_table(series: DonaldsonSeries, w: HClass, s: MarkedSurface):
+    """The one split of a series against an allowable pair (w, S).
+
+    Returns (d0, rows), one row (K, level K.S, twisted coefficient) per basic
+    class, in entry order: the series is twisted once and each class is
+    paired with S once.  The level fixes the sector: K.S = 2 mod 4 is the
+    P-sector, K.S = 0 mod 4 the N-sector.
+    """
     if not same_lattice(s.lattice, series.lattice):
         raise LatticeMismatch("surface on a foreign lattice")
     if not is_allowable(w, s):
@@ -158,19 +166,23 @@ def split_series(series: DonaldsonSeries, w: HClass, s: MarkedSurface) -> SplitS
         raise SeriesError("two-sector split needs a simple-type series")
     if series.b_one != 0 or series.b_plus <= 1 or series.b_plus % 2 == 0:
         raise SeriesError("two-sector split needs b1 = 0 and b+ > 1 odd")
-    d0 = series.d0(w)
-    i_pow = GaussianRational.i_power(-d0)
-    p_entries, n_entries = [], []
-    for k, c in twist(series, w):
-        r = k.dot(s.cls) % 4
-        if r == 2:
-            p_entries.append((k, GaussianRational(c)))
-        elif r == 0:
-            n_entries.append((k, i_pow * c))
-        else:
+    rows = []
+    for k, a in twist(series, w):
+        ks = k.dot(s.cls)
+        if ks % 2 != 0:
             # impossible for a characteristic class against an even surface
-            raise SeriesError(f"K.S = {k.dot(s.cls)} is odd for {k}")
-    return SplitSeries(tuple(p_entries), tuple(n_entries), w, s, d0)
+            raise SeriesError(f"K.S = {ks} is odd for {k}")
+        rows.append((k, ks, a))
+    return series.d0(w), rows
+
+
+def split_series(series: DonaldsonSeries, w: HClass, s: MarkedSurface) -> SplitSeries:
+    """Split the w-twisted series into its two sectors against (w, S)."""
+    d0, rows = _split_table(series, w, s)
+    i_pow = GaussianRational.i_power(-d0)
+    p_entries = tuple((k, GaussianRational(a)) for k, ks, a in rows if ks % 4 == 2)
+    n_entries = tuple((k, i_pow * a) for k, ks, a in rows if ks % 4 == 0)
+    return SplitSeries(p_entries, n_entries, w, s, d0)
 
 
 def unsplit_series(ss: SplitSeries) -> DonaldsonSeries:
@@ -190,48 +202,33 @@ def unsplit_series(ss: SplitSeries) -> DonaldsonSeries:
     return DonaldsonSeries.on(lattice, pairs)
 
 
-def _split_table(series: DonaldsonSeries, w: HClass, s: MarkedSurface, d: HClass):
-    """Split the series once against (w, S) and pair every class with S and D.
+def _evaluate(d0, rows, s, d, z_terms) -> tuple[ExpPolynomial, ExpPolynomial]:
+    """(P, N) of split rows on z e^{tD}, z given by (S-power, x-power, c) terms.
 
-    Returns (d0, rows), one row (K, sector, K.S, lam, c) per basic class K:
-    sector +1 (P) or -1 (N), lam the exponent K.D (P) or i K.D (N), and c
-    the split coefficient (twisted, and times i^{-d0} in the N-sector).
+    On a class, x acts by 2 (P-sector) or -2 (N-sector) and S by the weight
+    (D+K).S (P) or (-D+iK).S (N), so z acts by one scalar per level K.S;
+    the N-sector scalars also carry i^{-d0}.  Each level's scalar is
+    computed once, and each class is paired with D once and contributes one
+    term, with exponent K.D (P) or i K.D (N).
     """
-    if not same_lattice(d.lattice, series.lattice):
-        raise LatticeMismatch("evaluation class on a foreign lattice")
-    ss = split_series(series, w, s)
-    sigma = s.cls
-    rows = [(k, 1, k.dot(sigma), GaussianRational(k.dot(d)), c) for k, c in ss.p_entries]
-    rows += [
-        (k, -1, k.dot(sigma), GaussianRational(0, k.dot(d)), c) for k, c in ss.n_entries
-    ]
-    return ss.d0, rows
-
-
-def _evaluate(rows, d_square, d_sigma, z_terms) -> tuple[ExpPolynomial, ExpPolynomial]:
-    """(P, N) of a split table on z e^{tD}, z given by (S-power, x-power, c) terms.
-
-    On a class, x acts by 2 * sector and S by the weight (D+K).S (P-sector)
-    or (-D+iK).S (N-sector), so z acts by one scalar per level K.S (which
-    fixes the sector); each level's scalar is computed once and every class
-    contributes one term.
-    """
-    scalars = {}
-    parts = {1: [], -1: []}
-    for _, sector, ks, lam, c in rows:
+    d_sigma = d.dot(s.cls)  # a foreign D raises LatticeMismatch here
+    i_pow = GaussianRational.i_power(-d0)
+    scalars, parts = {}, {2: [], 0: []}
+    for k, ks, a in rows:
+        r = ks % 4
         if ks not in scalars:
-            if sector > 0:
-                weight = GaussianRational(d_sigma + ks)
+            if r == 2:
+                weight, x, base = GaussianRational(d_sigma + ks), 2, 1
             else:
-                weight = GaussianRational(-d_sigma, ks)
-            scalars[ks] = sum(
-                (weight**sp * (cz * (2 * sector) ** xp) for sp, xp, cz in z_terms),
-                GaussianRational(0),
-            )
-        parts[sector].append((lam, c * scalars[ks]))
+                weight, x, base = GaussianRational(-d_sigma, ks), -2, i_pow
+            terms = (weight**sp * (cz * x**xp) for sp, xp, cz in z_terms)
+            scalars[ks] = base * sum(terms, GaussianRational(0))
+        kd = k.dot(d)
+        lam = GaussianRational(kd) if r == 2 else GaussianRational(0, kd)
+        parts[r].append((lam, scalars[ks] * a))
     return (
-        ExpPolynomial("+Q/2", tuple(parts[1]), d_square),
-        ExpPolynomial("-Q/2", tuple(parts[-1]), d_square),
+        ExpPolynomial("+Q/2", tuple(parts[2]), d.square),
+        ExpPolynomial("-Q/2", tuple(parts[0]), d.square),
     )
 
 
@@ -252,8 +249,8 @@ def eval_insertion(
     """
     if x_power < 0 or sigma_power < 0:
         raise SeriesError("insertion powers must be >= 0")
-    _, rows = _split_table(series, w, s, d)
-    return _evaluate(rows, d.square, d.dot(s.cls), ((sigma_power, x_power, 1),))
+    d0, rows = _split_table(series, w, s)
+    return _evaluate(d0, rows, s, d, ((sigma_power, x_power, 1),))
 
 
 # -- relation polynomials -----------------------------------------------------------
@@ -340,8 +337,7 @@ def apply_relation(
     level K.S, at most 2(2g-1) scalars, and each class then contributes one
     term: its split coefficient times the scalar of its level.
     """
-    d_sigma = d.dot(s.cls)
-    if d_sigma != 1:
+    if d.dot(s.cls) != 1:
         warnings.warn(
             "relation evaluated at D with D.S != 1; the vanishing guarantee "
             "is withdrawn",
@@ -349,8 +345,8 @@ def apply_relation(
         )
     if any(sp < 0 or xp < 0 for sp, xp, _ in z.terms):
         raise SeriesError("insertion powers must be >= 0")
-    _, rows = _split_table(series, w, s, d)
-    return _evaluate(rows, d.square, d_sigma, z.terms)
+    d0, rows = _split_table(series, w, s)
+    return _evaluate(d0, rows, s, d, z.terms)
 
 
 # -- finite type, adjunction, involution ---------------------------------------------
@@ -379,14 +375,13 @@ def finite_type_order(
         probes = default_probes(series.lattice, s)
     if not probes:
         raise SeriesError("no probe classes with D.S = 1 are available")
+    d0, rows = _split_table(series, w, s)
     some_nonzero = False
     for d in probes:
-        _, rows = _split_table(series, w, s, d)
-        q, d_sigma = d.square, d.dot(s.cls)
-        p0, n0 = _evaluate(rows, q, d_sigma, ((0, 0, 1),))
+        p0, n0 = _evaluate(d0, rows, s, d, ((0, 0, 1),))
         if not (p0.is_zero and n0.is_zero):
             some_nonzero = True
-        p2, n2 = _evaluate(rows, q, d_sigma, ((0, 2, 1),))
+        p2, n2 = _evaluate(d0, rows, s, d, ((0, 2, 1),))
         if not (p2 - p0.scale(4)).is_zero or not (n2 - n0.scale(4)).is_zero:
             raise SeriesError("(x^2 - 4) insertion failed to annihilate")
     return 1 if some_nonzero else 0
@@ -418,9 +413,6 @@ def check_involution(series: DonaldsonSeries) -> tuple[bool, list[HClass]]:
 
 
 def series_to_json(series: DonaldsonSeries) -> dict:
-    from .gaussian import frac_token
-    from .lattice import _coord_out
-
     return {
         "lattice": series.lattice.name,
         "entries": [

@@ -125,6 +125,17 @@ def test_eval_glued_file_with_bad_index(tmp_path, capsys):
     assert "left index must be an int in [0, 4)" in capsys.readouterr().err
 
 
+def test_eval_glued_file_with_repeated_key(tmp_path, capsys):
+    out_file = tmp_path / "glued.json"
+    run(["glue", "--left", "bg:2", "--right", "bg:2", "--g", "2", "--out", str(out_file)])
+    text = out_file.read_text()
+    assert text.count('"w_sq"') == 1
+    out_file.write_text(text.replace('"w_sq"', '"w_sq": 2,\n  "w_sq"'))
+    capsys.readouterr()
+    assert run(["eval", "--glued", str(out_file), "--d1", "T1", "--d2", "T1"]) == 2
+    assert "repeated key 'w_sq'" in capsys.readouterr().err
+
+
 def test_eval_coordinate_classes(tmp_path, capsys):
     out_file = tmp_path / "glued.json"
     run(["glue", "--left", "bg:2", "--right", "bg:2", "--g", "2", "--out", str(out_file)])

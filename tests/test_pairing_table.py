@@ -12,10 +12,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import donaldson.gluing as gluing_mod
 import donaldson.lattice as lattice_mod
 import donaldson.series as series_mod
 from donaldson.constructions import catalog
 from donaldson.exppoly import ExpPolynomial
+from donaldson.fit import basis_coordinates
 from donaldson.gaussian import GaussianRational
 from donaldson.gluing import (
     GluingError,
@@ -25,6 +27,8 @@ from donaldson.gluing import (
     glue,
     glue_conjectural,
     glue_torus,
+    glued_from_json,
+    glued_to_json,
     rshift,
 )
 from donaldson.lattice import HClass, Lattice, LatticeError, is_characteristic
@@ -33,6 +37,7 @@ from donaldson.series import (
     apply_relation,
     default_probes,
     eval_insertion,
+    finite_type_order,
     relation_poly,
 )
 
@@ -156,6 +161,50 @@ def test_apply_relation_matches_reference(name):
             assert nonzero
             checked += 1
     assert checked == 6
+
+
+def ref_coordinates(series, w, s, d):
+    """The fit docstring's coordinates, level p = g-1, -(g-1), ..., 1, -1, 0.
+
+    Each is the bare sum of a_{j,w} e^{(K_j.D)t} over K_j.S = 2p; its split
+    form carries e^{+Q/2} at odd p, and at even p e^{-Q/2}, i^{-d0} and the
+    exponents times i.  Returns (bare sums, split forms).
+    """
+    i_pow, _, q, rows = ref_table(series, w, s, d)
+    g = s.genus
+    levels = [p for m in range(g - 1, 0, -1) for p in (m, -m)] + [0]
+    bare, split = [], []
+    for p in levels:
+        level = [(k_d, c) for k_sigma, k_d, c in rows if k_sigma == 2 * p]
+        terms = tuple((GaussianRational(k_d), GaussianRational(c)) for k_d, c in level)
+        bare.append(ExpPolynomial("none", terms))
+        if p % 2:
+            split.append(ExpPolynomial("+Q/2", terms, q))
+        else:
+            rotated = tuple((GaussianRational(0, k_d), i_pow * c) for k_d, c in level)
+            split.append(ExpPolynomial("-Q/2", rotated, q))
+    return bare, split
+
+
+@pytest.mark.parametrize("name", ["B3", "B4", "dia2:1:3", "dia2:2:4"])
+def test_basis_coordinates_match_reference(name):
+    entry = catalog(name)
+    lat, s = entry.lattice, entry.surface()
+    unit = default_probes(lat, s)[0]
+    spread = probe_cases(entry)[0]
+    probes = [unit, unit + s.cls]
+    for scale in (1, Fraction(1, 2)):
+        # scale * spread, moved along the unit probe to D.S = 1
+        probes.append(scale * spread + (1 - scale * ref_dot(spread, s.cls)) * unit)
+    for d in probes:
+        assert ref_dot(d, s.cls) == 1
+        for w in twists(entry):
+            got = basis_coordinates(entry.series, w, s, d)
+            bare, split = ref_coordinates(entry.series, w, s, d)
+            assert any(not c.is_zero for c in split)
+            assert got.coords == tuple(split)
+            assert [got.plain(a) for a in range(1, 2 * s.genus)] == bare
+            assert got.d_square == ref_dot(d, d)
 
 
 def test_apply_relation_rejects_negative_powers():
@@ -289,15 +338,19 @@ def test_coefficient_match_matches_per_entry_sums_on_b3_double(right_w):
 # -- work counts ------------------------------------------------------------------------
 
 
-def test_apply_relation_splits_once(monkeypatch):
-    calls = []
-    real = series_mod.split_series
+def count_calls(monkeypatch, module, name, calls):
+    real = getattr(module, name)
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(series_mod, "split_series", counting)
+    monkeypatch.setattr(module, name, counting)
+
+
+def test_apply_relation_splits_once(monkeypatch):
+    calls = []
+    count_calls(monkeypatch, series_mod, "_split_table", calls)
     entry = catalog("B4")
     s = entry.surface()
     z = relation_poly(s.genus)
@@ -307,6 +360,32 @@ def test_apply_relation_splits_once(monkeypatch):
             p, n = apply_relation(entry.series, w, s, z, d)
             assert p.is_zero and n.is_zero
             assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["B4", "dia2:2:4"])
+def test_finite_type_order_splits_once(monkeypatch, name):
+    calls = []
+    count_calls(monkeypatch, series_mod, "_split_table", calls)
+    entry = catalog(name)
+    s = entry.surface()
+    assert len(default_probes(entry.lattice, s)) > 1
+    for w in twists(entry):
+        calls.clear()
+        assert finite_type_order(entry.series, w, s) == 1
+        assert len(calls) == 1
+
+
+def test_eval_glued_on_a_reload_neither_twists_nor_splits(monkeypatch):
+    bg = catalog("B3")
+    data = glued_to_json(glue(GluingSpec(left=bg, right=bg)))
+    calls = []
+    for module in (series_mod, gluing_mod):
+        for name in ("twist", "_split_table"):
+            count_calls(monkeypatch, module, name, calls)
+    gs = glued_from_json(data)
+    for d in split_probes(gs.spec, "T1"):
+        assert not eval_glued(gs, d).is_zero
+    assert calls == []
 
 
 def test_glue_pairs_each_class_with_its_surface_once(monkeypatch):
