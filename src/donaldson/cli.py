@@ -11,13 +11,7 @@ import argparse
 import json
 import sys
 
-from .constructions import (
-    CatalogMismatch,
-    ConstructionError,
-    catalog,
-    catalog_names,
-    entry_to_json,
-)
+from .constructions import CatalogMismatch, catalog, catalog_names, entry_to_json
 from .exppoly import ExpPolynomial
 from .fit import basis_coordinates, fit_diagonal, zero_coordinates
 from .gluing import (
@@ -30,9 +24,8 @@ from .gluing import (
     glued_from_json,
     glued_to_json,
 )
-from .lattice import HClass, LatticeError, _exact
+from .lattice import HClass, _exact
 from .series import (
-    SeriesError,
     apply_relation,
     check_adjunction,
     check_involution,
@@ -58,20 +51,10 @@ def run(argv) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except VerificationError as exc:
+    except (VerificationError, CatalogMismatch) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except CatalogMismatch as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 1
-    except (
-        ConstructionError,
-        GluingError,
-        SeriesError,
-        LatticeError,
-        KeyError,
-        ValueError,
-    ) as exc:
+    except (KeyError, ValueError) as exc:  # every package error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

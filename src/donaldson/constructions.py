@@ -251,8 +251,6 @@ def _check_bg(entry: CatalogEntry, g: int) -> None:
     sigma_g = lat.cls("Sigma_g")
     t1 = lat.cls("T1")
     k_top = lat.cls("K")
-    if sigma_g.square != 0:
-        raise ConstructionError(f"B{g}: surface square {sigma_g.square} != 0")
     if t1.dot(sigma_g) != 1:
         raise ConstructionError(f"B{g}: fiber pairs {t1.dot(sigma_g)} with surface")
     top = [(k, c) for k, c in entry.series.entries if k.dot(sigma_g) == 2 * g - 2]
@@ -282,8 +280,6 @@ def build_dia2(g_prime: int, g: int) -> CatalogEntry:
     series = _blown_up(name, k3, [(k3.zero(), 1)], blowups, [sigma1])
     lattice = series.lattice
     surface = MarkedSurface(lattice.cls("Sigma1"), genus=g)
-    if surface.cls.square != 0:
-        raise ConstructionError(f"{name}: surface square is not zero")
     max_pair = max(
         (abs(k.dot(surface.cls)) for k, _ in series.entries), default=0
     )

@@ -31,8 +31,8 @@ from functools import cached_property
 from .constructions import CatalogEntry, catalog
 from .exppoly import ExpPolynomial
 from .gaussian import frac_token
-from .lattice import HClass, LatticeMismatch, _exact, d_zero_value, is_allowable, same_lattice
-from .series import _split_table, twist
+from .lattice import HClass, LatticeMismatch, _exact, d_zero_value, same_lattice
+from .series import SeriesError, _check_split, _split_table, twist
 
 
 class GluingError(ValueError):
@@ -65,12 +65,10 @@ class GluingSpec:
                 f"{s2.genus} on {self.right.name}"
             )
         for entry, s, w in self._side_inputs:
-            if not entry.series.simple_type:
-                raise GluingError(f"{entry.name}: gluing needs simple-type input")
-            if entry.series.b_one != 0 or entry.series.b_plus <= 1:
-                raise GluingError(f"{entry.name}: gluing needs b1 = 0 and b+ > 1")
-            if not is_allowable(w, s):
-                raise GluingError(f"{entry.name}: (w, S) is not allowable")
+            try:
+                _check_split(entry.series, w, s)
+            except SeriesError as exc:
+                raise GluingError(f"{entry.name}: {exc}") from exc
         if (self.glued_w_square - self.w1.square - self.w2.square) % 2 != 0:
             raise GluingError("w^2 - w1^2 - w2^2 must be even")
 

@@ -246,12 +246,13 @@ def is_characteristic(k: HClass) -> bool:
 
 
 def is_allowable(w: HClass, s: MarkedSurface) -> bool:
-    """w . [S] odd and [S]^2 = 0: the pair (w, S) admits the two-sector split."""
+    """w . [S] odd ([S]^2 = 0 holds for every MarkedSurface): the pair (w, S)
+    admits the two-sector split."""
     if not w.is_integral:
         raise LatticeError("w must be integral")
     if not same_lattice(w.lattice, s.lattice):
         raise LatticeMismatch("w and surface live on different lattices")
-    return s.cls.square == 0 and pairing(w, s.cls) % 2 == 1
+    return pairing(w, s.cls) % 2 == 1
 
 
 def d_zero_value(w_square, b_one: int, b_plus: int) -> int:

@@ -7,9 +7,20 @@ from pathlib import Path
 
 import pytest
 
-from donaldson.cli import run
-from donaldson.constructions import catalog, entry_to_json, export_catalog
-from donaldson.exppoly import ExpPolynomial
+import donaldson.cli as cli
+from donaldson.cli import VerificationError, run
+from donaldson.constructions import (
+    CatalogMismatch,
+    ConstructionError,
+    catalog,
+    entry_to_json,
+    export_catalog,
+)
+from donaldson.exppoly import ExpPolynomial, ExpPolynomialError
+from donaldson.fit import FitError
+from donaldson.gluing import GluingError
+from donaldson.lattice import LatticeError
+from donaldson.series import SeriesError
 
 
 def run_json(capsys, argv):
@@ -219,6 +230,30 @@ def test_conjecture_command(capsys):
 def test_usage_error_exit_code():
     assert run(["glue", "--left", "bg:2"]) == 2
     assert run(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (ConstructionError, 2),
+        (GluingError, 2),
+        (SeriesError, 2),
+        (LatticeError, 2),
+        (FitError, 2),
+        (ExpPolynomialError, 2),
+        (KeyError, 2),
+        (VerificationError, 1),
+        (CatalogMismatch, 1),
+    ],
+)
+def test_error_exit_codes(monkeypatch, capsys, error, code):
+    def failing():
+        raise error("raised inside a command")
+
+    monkeypatch.setattr(cli, "catalog_names", failing)
+    assert run(["catalog", "list"]) == code
+    prefix = "verification failure: " if code == 1 else "error: "
+    assert capsys.readouterr().err.startswith(prefix)
 
 
 def test_catalog_dir_mismatch_detected(tmp_path, monkeypatch, capsys):

@@ -70,6 +70,41 @@ def test_genus_mismatch_rejected():
         GluingSpec(left=catalog("B2"), right=catalog("B3"))
 
 
+@pytest.mark.parametrize(
+    "b_plus, simple_type, message",
+    [
+        (2, True, r"b1 = 0 and b\+ > 1 odd"),
+        (3, False, "needs a simple-type series"),
+        (1, True, r"b1 = 0 and b\+ > 1 odd"),
+    ],
+    ids=["even-b-plus", "not-simple-type", "b-plus-one"],
+)
+def test_spec_refuses_a_side_the_split_refuses(b_plus, simple_type, message):
+    # the split's own preconditions, checked when the spec is built
+    from donaldson.constructions import CatalogEntry
+    from donaldson.lattice import Lattice, MarkedSurface
+    from donaldson.series import DonaldsonSeries
+
+    lat = Lattice(
+        "side",
+        ((0, 1), (1, 0)),
+        b_plus=b_plus,
+        named=(("T", (1, 0)), ("S", (0, 1))),
+        carries_series=False,
+    )
+    series = DonaldsonSeries.on(lat, [(lat.zero(), 1)], simple_type)
+    entry = CatalogEntry(
+        name="side",
+        lattice=lat,
+        series=series,
+        surfaces=(("T", MarkedSurface(lat.cls("T"), genus=2)),),
+        w_labels=("S",),
+        glue_surface="T",
+    )
+    with pytest.raises(GluingError, match="^side: .*" + message):
+        GluingSpec(left=catalog("B2"), right=entry)
+
+
 def test_glue_redirects_torus():
     k3 = catalog("K3")
     with pytest.raises(GluingError):

@@ -7,6 +7,7 @@ monomial.  The package must agree with them exactly.
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import donaldson.gluing as gluing_mod
 import donaldson.lattice as lattice_mod
 import donaldson.series as series_mod
-from donaldson.constructions import catalog
+from donaldson.constructions import catalog, catalog_names
 from donaldson.exppoly import ExpPolynomial
 from donaldson.fit import basis_coordinates
 from donaldson.gaussian import GaussianRational
@@ -39,6 +40,9 @@ from donaldson.series import (
     eval_insertion,
     finite_type_order,
     relation_poly,
+    split_series,
+    twisted,
+    unsplit_series,
 )
 
 ENTRIES = ("B3", "B4", "S4", "dia2:1:3")
@@ -70,13 +74,18 @@ def ref_twisted(series, w):
     return [(k, ref_sign(k, w) * c) for k, c in series.entries]
 
 
-def ref_table(series, w, s, d):
-    """i^{-d0}, D.S, D^2 and (K.S, K.D, twisted c) per class, all from ref_dot."""
+def ref_i_pow(series, w):
+    """i^{-d0}, with d0 = -w^2 - (3/2)(1 - b1 + b+)."""
     m = 1 - series.b_one + series.b_plus
     d0 = -ref_dot(w, w) - Fraction(3, 2) * m
     assert d0.denominator == 1
+    return GaussianRational.i_power(-d0.numerator)
+
+
+def ref_table(series, w, s, d):
+    """i^{-d0}, D.S, D^2 and (K.S, K.D, twisted c) per class, all from ref_dot."""
     rows = [(ref_dot(k, s.cls), ref_dot(k, d), c) for k, c in ref_twisted(series, w)]
-    return GaussianRational.i_power(-d0.numerator), ref_dot(d, s.cls), ref_dot(d, d), rows
+    return ref_i_pow(series, w), ref_dot(d, s.cls), ref_dot(d, d), rows
 
 
 def ref_insertion(table, a, b):
@@ -128,6 +137,27 @@ def relations_for(entry):
 
 
 # -- series against the references ------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["B2", "B3", "B4", "K3", "dia2:2:4", "C3"])
+def test_split_entries_match_reference(name):
+    entry = catalog(name)
+    s = entry.surface()
+    for w in twists(entry):
+        rows = [(k, ref_dot(k, s.cls) % 4, c) for k, c in ref_twisted(entry.series, w)]
+        assert {level for _, level, _ in rows} <= {0, 2}
+        i_pow = ref_i_pow(entry.series, w)
+        ss = split_series(entry.series, w, s)
+        assert list(ss.p_entries) == [(k, GaussianRational(c)) for k, lvl, c in rows if lvl == 2]
+        assert list(ss.n_entries) == [(k, i_pow * c) for k, lvl, c in rows if lvl == 0]
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_unsplit_inverts_split(name):
+    entry = catalog(name)
+    for w in twists(entry):
+        ss = split_series(entry.series, w, entry.surface())
+        assert unsplit_series(ss) == twisted(entry.series, w)
 
 
 @pytest.mark.parametrize("name", ENTRIES)
@@ -346,6 +376,72 @@ def count_calls(monkeypatch, module, name, calls):
         return real(*args)
 
     monkeypatch.setattr(module, name, counting)
+
+
+def record_pairings(monkeypatch):
+    """Every (u, v) that ``lattice.pairing`` is called with, in call order."""
+    pairs = []
+    real = lattice_mod.pairing
+
+    def recording(u, v):
+        pairs.append((u, v))
+        return real(u, v)
+
+    monkeypatch.setattr(lattice_mod, "pairing", recording)
+    return pairs
+
+
+def fresh_probes(entry):
+    """The default probes as new objects: a named probe such as T1 is also
+    the object w, so only a copy tells a pairing with D from one with w."""
+    return [HClass(d.lattice, d.coords) for d in default_probes(entry.lattice, entry.surface())]
+
+
+def test_split_series_pairs_each_class_with_the_surface_once(monkeypatch):
+    entry = catalog("B4")
+    s = entry.surface()
+    pairs = record_pairings(monkeypatch)
+    ss = split_series(entry.series, entry.w_class(), s)
+    n = len(entry.series.entries)
+    assert len(ss.p_entries) + len(ss.n_entries) == n
+    assert sum(1 for u, v in pairs if u is s.cls or v is s.cls) <= n + 2
+
+
+@pytest.mark.parametrize("name", ["B4", "dia2:2:4"])
+def test_finite_type_order_pairs_each_class_with_each_probe_at_most_once(monkeypatch, name):
+    entry = catalog(name)
+    s = entry.surface()
+    classes = {k.coords for k in entry.series.classes()}
+    probes = fresh_probes(entry)
+    pairs = record_pairings(monkeypatch)
+    for w in twists(entry):
+        pairs.clear()
+        assert finite_type_order(entry.series, w, s, probes) == 1
+        seen = Counter(
+            (id(d), k.coords)
+            for u, v in pairs
+            for d, k in ((u, v), (v, u))
+            if any(d is p for p in probes) and k.coords in classes
+        )
+        assert max(seen.values(), default=0) <= 1
+
+
+@pytest.mark.parametrize("name", ["B3", "B4", "B5"])
+def test_relation_pairs_no_class_with_the_probe(monkeypatch, name):
+    entry = catalog(name)
+    s = entry.surface()
+    z = relation_poly(s.genus)
+    classes = {k.coords for k in entry.series.classes()}
+    pairs = record_pairings(monkeypatch)
+    for d in fresh_probes(entry):
+        for w in twists(entry):
+            pairs.clear()
+            p, n = apply_relation(entry.series, w, s, z, d)
+            assert p.is_zero and n.is_zero
+            paired_with_d = [
+                (u, v) for u, v in pairs if (u is d or v is d) and {u.coords, v.coords} & classes
+            ]
+            assert paired_with_d == []
 
 
 def test_apply_relation_splits_once(monkeypatch):
