@@ -26,7 +26,7 @@ from .gluing import (
 )
 from .lattice import HClass, _exact
 from .series import (
-    apply_relation,
+    SplitSeries,
     check_adjunction,
     check_involution,
     default_probes,
@@ -264,9 +264,10 @@ def _cmd_check(args) -> int:
 
     if s.genus >= 2:
         z = relation_poly(s.genus)
+        splits = [SplitSeries(entry.series, w_used, s) for w_used in (w, w + s.cls)]
         for d in default_probes(entry.lattice, s):
-            for w_used in (w, w + s.cls):
-                p_part, n_part = apply_relation(entry.series, w_used, s, z, d)
+            for split in splits:
+                p_part, n_part = split.evaluate(d, z.terms)
                 if not (p_part.is_zero and n_part.is_zero):
                     raise VerificationError(
                         f"{entry.name}: genus-{s.genus} relation polynomial "

@@ -16,7 +16,7 @@ absorbed into M).  This module fits the M_p entries by exact division from
 reference gluings whose outputs are known, instead of assuming the closed
 forms the gluing module hard-codes; agreement of the two routes is the
 self-consistency oracle for the whole calculator.  A level's coordinate is
-the evaluation (z = 1) of that level's rows of ``series._split_table``.
+the evaluation (z = 1) of that level's rows of a ``series.SplitSeries``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from fractions import Fraction
 from .exppoly import ExpPolynomial
 from .gaussian import GaussianRational
 from .lattice import HClass, MarkedSurface, _exact
-from .series import DonaldsonSeries, _evaluate, _split_table
+from .series import DonaldsonSeries, SplitSeries, _evaluate
 
 
 class FitError(ValueError):
@@ -87,20 +87,22 @@ def basis_coordinates(
     if d.dot(s.cls) != 1:
         raise FitError("coordinates are computed against a probe with D.S = 1")
     g = s.genus
-    d0, rows = _split_table(series, w, s)
-    bound = 2 * g - 2
-    for k, lvl, _ in rows:
-        if abs(lvl) > bound:
+    split = SplitSeries(series, w, s)
+    levels = [p_of_alpha(alpha, g) for alpha in range(1, 2 * g)]
+    by_level = {2 * p: [] for p in levels}
+    for row in split.rows:
+        k, lvl, _ = row
+        if lvl not in by_level:  # K.S is even, so this is |K.S| > 2g - 2
             raise FitError(
                 f"class {k} pairs {lvl} with the surface, beyond the "
-                f"adjunction bound {bound}"
+                f"adjunction bound {2 * g - 2}"
             )
+        by_level[lvl].append(row)
     # odd levels p are the P-sector (K.S = 2p = 2 mod 4), even ones the N-sector
     coords = tuple(
-        _evaluate(d0, [r for r in rows if r[1] == 2 * p], s, d, ((0, 0, 1),))[p % 2 == 0]
-        for p in (p_of_alpha(alpha, g) for alpha in range(1, 2 * g))
+        _evaluate(split.d0, by_level[2 * p], s, d, ((0, 0, 1),))[p % 2 == 0] for p in levels
     )
-    return BasisCoordinates(g, d0, d.square, coords)
+    return BasisCoordinates(g, split.d0, d.square, coords)
 
 
 def zero_coordinates(genus: int, d0: int, d_square=0) -> BasisCoordinates:

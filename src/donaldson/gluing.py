@@ -18,7 +18,8 @@ Each rule is a table of rows (sector, scale, level) run by one builder.  The
 genus-1 rule has three rows at level 0 with scales -1/4, -1/4, -1/2; the
 experimental stabilized rule keeps the +-(2g-2) levels with scales
 -+2^{-3g+5} and no surface shift.  The twisted coefficients and levels come
-from each side's split table, ``series._split_table``.
+from each side's ``SplitSeries``, built once per spec; row j of a split is
+series entry j, so a glued entry's indices address both.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .constructions import CatalogEntry, catalog
 from .exppoly import ExpPolynomial
 from .gaussian import frac_token
 from .lattice import HClass, LatticeMismatch, _exact, d_zero_value, same_lattice
-from .series import SeriesError, _check_split, _split_table, twist
+from .series import SeriesError, SplitSeries, _check_split
 
 
 class GluingError(ValueError):
@@ -115,25 +116,16 @@ class GluingSpec:
         return d_zero_value(self.glued_w_square, 0, self.glued_b_plus)
 
     @cached_property
-    def _levels(self) -> tuple[dict, dict]:
-        """Per side: class coords -> (index, twisted coefficient, level K.S,
-        twist sign), read from the side's split table against (w, S).
-        Evaluation reads the classes alone and never builds it."""
-        tables = []
-        for entry, s, w in self._side_inputs:
-            _, rows = _split_table(entry.series, w, s)
-            # twisting multiplies c by the sign; a zero c adds nothing either way
-            tables.append({
-                k.coords: (idx, a, lvl, 1 if a == c else -1)
-                for idx, ((k, lvl, a), (_, c)) in enumerate(zip(rows, entry.series.entries))
-            })
-        return tables[0], tables[1]
+    def _splits(self) -> tuple[SplitSeries, SplitSeries]:
+        """Each side's split against its (w, S).  The rules and
+        ``coefficient_match`` read it; evaluation never builds it."""
+        return tuple(SplitSeries(entry.series, w, s) for entry, s, w in self._side_inputs)
 
     def twisted_left(self) -> list[tuple[HClass, Fraction]]:
-        return twist(self.left.series, self.w1)
+        return [(k, a) for k, _, a in self._splits[0].rows]
 
     def twisted_right(self) -> list[tuple[HClass, Fraction]]:
-        return twist(self.right.series, self.w2)
+        return [(k, a) for k, _, a in self._splits[1].rows]
 
     def split_class(self, d1: HClass, d2: HClass) -> "SplitClass":
         return SplitClass(d1, d2, d1.dot(self.surface1.cls))
@@ -224,13 +216,13 @@ def _glued(spec: GluingSpec, kind: str, rows) -> GluedSeries:
     """Run a gluing rule given as rows (sector, scale, level): each row keeps
     every left/right pair of classes at that surface level, with coefficient
     scale * a_j * b_k on the twisted coefficients."""
-    left, right = spec._levels
+    left, right = spec._splits
     entries = []
     for sector, scale, level in rows:
-        rights = [(k, b) for k, b, lvl, _ in right.values() if lvl == level]
+        rights = [(k, b) for k, (_, lvl, b) in enumerate(right.rows) if lvl == level]
         entries.extend(
             (j, k, sector, scale * a * b)
-            for j, a, lvl, _ in left.values() if lvl == level
+            for j, (_, lvl, a) in enumerate(left.rows) if lvl == level
             for k, b in rights
         )
     return GluedSeries(spec, kind, tuple(entries))
@@ -259,7 +251,7 @@ def glue_torus(spec: GluingSpec) -> GluedSeries:
     """
     if spec.genus != 1:
         raise GluingError("torus rule needs genus-1 surfaces")
-    bad = [lvl for table in spec._levels for _, _, lvl, _ in table.values() if lvl]
+    bad = [lvl for split in spec._splits for _, lvl, _ in split.rows if lvl]
     if bad:
         raise GluingError(f"torus rule needs K.S = 0 for all classes, got {bad[0]}")
     quarter = Fraction(-1, 4) * spec.epsilon
@@ -324,22 +316,23 @@ def coefficient_match(
         raise GluingError("coefficient matching is defined for standard gluings")
     spec = gs.spec
     g = spec.genus
-    left_table, right_table = spec._levels
+    left, right = spec._splits
     # a rational class misses: no tuple of int coords equals it
-    k_info = left_table.get(k_restrict.coords)
-    l_info = right_table.get(l_restrict.coords)
-    if k_info is None or l_info is None:
+    j = left.position.get(k_restrict.coords)
+    k = right.position.get(l_restrict.coords)
+    if j is None or k is None:
         # no parent classes restrict there: both sums are empty
         return Fraction(0), Fraction(0)
-    (j_idx, a, lvl_k, sign_k), (k_idx, b, lvl_l, sign_l) = k_info, l_info
-    grouped = sign_k * sign_l * gs._pair_sums.get((j_idx, k_idx), Fraction(0))
+    (_, lvl_k, a), (_, lvl_l, b) = left.rows[j], right.rows[k]
+    c, d = spec.left.series.entries[j][1], spec.right.series.entries[k][1]
+    grouped = gs._pair_sums.get((j, k), Fraction(0))
+    if grouped and (a == c) != (b == d):
+        grouped = -grouped  # untwist: the twist multiplied a_j and b_k by +-1
     top = 2 * g - 2
     if not (lvl_k == lvl_l and abs(lvl_k) == top):
         return grouped, Fraction(0)
     sector_sign = 1 if lvl_k == top else (-1) ** (g - 1)
-    predicted = (
-        -spec.epsilon * sector_sign * Fraction(2 ** (7 * g - 9)) * (sign_k * a) * (sign_l * b)
-    )
+    predicted = -spec.epsilon * sector_sign * Fraction(2 ** (7 * g - 9)) * c * d
     return grouped, predicted
 
 

@@ -333,7 +333,7 @@ def _coord_out(c: int | Fraction):
 
 
 def lattice_to_json(lat: Lattice) -> dict:
-    return {
+    data = {
         "name": lat.name,
         "rank": lat.rank,
         "gram": [list(row) for row in lat.gram],
@@ -342,11 +342,17 @@ def lattice_to_json(lat: Lattice) -> dict:
         "classes": {label: [_coord_out(c) for c in coords] for label, coords in lat.named},
         "model": lat.model,
     }
+    if not lat.carries_series:  # written only when off: True is the default
+        data["carries_series"] = False
+    return data
 
 
 def lattice_from_json(data: dict) -> Lattice:
     if len(data["gram"]) != data["rank"]:
         raise LatticeError("rank field does not match Gram matrix size")
+    carries_series = data.get("carries_series", True)
+    if type(carries_series) is not bool:
+        raise LatticeError(f"carries_series must be true or false, got {carries_series!r}")
     return Lattice(
         name=data["name"],
         gram=data["gram"],
@@ -354,4 +360,5 @@ def lattice_from_json(data: dict) -> Lattice:
         b_one=data["b_one"],
         named=tuple(data["classes"].items()),
         model=data["model"],
+        carries_series=carries_series,
     )

@@ -7,9 +7,10 @@ e^{+Q/2} prefactor, the N-sector acquires e^{-Q/2}, a global i^{-d0} and
 imaginary exponents.  Point-class and surface-class insertions act on the
 sectors by the scalars 2 / -2 and by the polynomial weights ((D+K).S)^b and
 ((-D + iK).S)^b respectively, which is everything the finite-type and
-relation-polynomial machinery needs.  ``_split_table`` is the only code
-that splits a series; ``SplitSeries``, evaluation, fitting and gluing all
-read its rows.  A surface level whose z scalar is zero adds no terms, so
+relation-polynomial machinery needs.  ``SplitSeries(series, w, surface)``
+is the only way to split a series (it runs ``_split_table`` once); every
+evaluation, fit and gluing holds one and reads its rows, row j being
+series entry j.  A surface level whose z scalar is zero adds no terms, so
 its classes are never paired with D.
 """
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .exppoly import ExpPolynomial
 from .gaussian import GaussianRational, frac_token
@@ -49,14 +51,10 @@ class DonaldsonSeries:
     """
 
     lattice: Lattice
-    b_plus: int
-    b_one: int
     entries: tuple[tuple[HClass, Fraction], ...]
     simple_type: bool = True
 
     def __post_init__(self):
-        if self.b_plus != self.lattice.b_plus or self.b_one != self.lattice.b_one:
-            raise SeriesError("series Betti data must copy the lattice's")
         pairs = ((k, Fraction(_exact(c))) for k, c in self.entries)
         entries = tuple(sorted(pairs, key=lambda e: e[0].coords))
         object.__setattr__(self, "entries", entries)
@@ -74,13 +72,15 @@ class DonaldsonSeries:
 
     @classmethod
     def on(cls, lattice: Lattice, pairs, simple_type: bool = True) -> "DonaldsonSeries":
-        return cls(
-            lattice,
-            lattice.b_plus,
-            lattice.b_one,
-            tuple(pairs),
-            simple_type,
-        )
+        return cls(lattice, tuple(pairs), simple_type)
+
+    @property
+    def b_plus(self) -> int:
+        return self.lattice.b_plus
+
+    @property
+    def b_one(self) -> int:
+        return self.lattice.b_one
 
     @property
     def is_zero(self) -> bool:
@@ -130,14 +130,8 @@ def _check_split(series: DonaldsonSeries, w: HClass, s: MarkedSurface) -> None:
 
 
 def _split_table(series: DonaldsonSeries, w: HClass, s: MarkedSurface):
-    """The one split of a series against an allowable pair (w, S).
-
-    Returns (d0, rows), one row (K, level K.S, twisted coefficient) per basic
-    class, in entry order: the series is twisted once and each class is
-    paired with S once.  The level fixes the sector: K.S = 2 mod 4 is the
-    P-sector, K.S = 0 mod 4 the N-sector (K.S = S^2 = 0 mod 2 for a
-    characteristic K).
-    """
+    """(d0, rows) of the split against (w, S), for ``SplitSeries`` alone:
+    the series is twisted once and each class is paired with S once."""
     _check_split(series, w, s)
     rows = [(k, k.dot(s.cls), a) for k, a in twist(series, w)]
     return series.d0(w), rows
@@ -148,10 +142,11 @@ class SplitSeries:
     """The two-sector form of a series against an allowable pair (w, S).
 
     Holds the split table: d0 and one row (K, level K.S, twisted coefficient)
-    per basic class, built once by ``SplitSeries(series, w, surface)``.  The
-    P-sector entries (K.S == 2 mod 4) are the twisted coefficients with the
-    e^{+Q/2} marker; the N-sector entries (K.S == 0 mod 4) absorb the i^{-d0}
-    factor and are evaluated with exponents rotated by i.
+    per basic class, row j for series entry j.  The level fixes the sector
+    (K.S = S^2 = 0 mod 2 for a characteristic K).  The P-sector entries
+    (K.S == 2 mod 4) are the twisted coefficients with the e^{+Q/2} marker;
+    the N-sector entries (K.S == 0 mod 4) absorb the i^{-d0} factor and are
+    evaluated with exponents rotated by i.
     """
 
     series: InitVar[DonaldsonSeries]
@@ -164,6 +159,15 @@ class SplitSeries:
         d0, rows = _split_table(series, self.w, self.surface)
         object.__setattr__(self, "d0", d0)
         object.__setattr__(self, "rows", tuple(rows))
+
+    @cached_property
+    def position(self) -> dict[tuple, int]:
+        """Class coords -> row index (the class's series entry index)."""
+        return {k.coords: j for j, (k, _, _) in enumerate(self.rows)}
+
+    def evaluate(self, d: HClass, z_terms) -> tuple[ExpPolynomial, ExpPolynomial]:
+        """(P, N) of the split on z e^{tD}, z given by (S-power, x-power, c) terms."""
+        return _evaluate(self.d0, self.rows, self.surface, d, z_terms)
 
     @property
     def p_entries(self) -> tuple[tuple[HClass, GaussianRational], ...]:
@@ -235,8 +239,7 @@ def eval_insertion(
     """
     if x_power < 0 or sigma_power < 0:
         raise SeriesError("insertion powers must be >= 0")
-    d0, rows = _split_table(series, w, s)
-    return _evaluate(d0, rows, s, d, ((sigma_power, x_power, 1),))
+    return SplitSeries(series, w, s).evaluate(d, ((sigma_power, x_power, 1),))
 
 
 # -- relation polynomials -----------------------------------------------------------
@@ -331,8 +334,7 @@ def apply_relation(
         )
     if any(sp < 0 or xp < 0 for sp, xp, _ in z.terms):
         raise SeriesError("insertion powers must be >= 0")
-    d0, rows = _split_table(series, w, s)
-    return _evaluate(d0, rows, s, d, z.terms)
+    return SplitSeries(series, w, s).evaluate(d, z.terms)
 
 
 # -- finite type, adjunction, involution ---------------------------------------------
@@ -353,10 +355,11 @@ def finite_type_order(
     """Smallest n >= 0 such that the (x^2-4)^n insertion kills all probes.
 
     The point class acts by 2 on the P-sector and -2 on the N-sector, so
-    (x^2-4) annihilates sector-wise and every nonzero series has order 1.
-    Each probe takes one evaluation at z = x^2 - 4, whose scalar is zero at
-    every level; the plain evaluation (z = 1) that decides between orders 0
-    and 1 runs only until one probe sees a nonzero value.
+    z = x^2 - 4 takes the exact value 0 at every surface level and kills
+    every series: evaluating it would only compare the code with itself.
+    The order is therefore 1 if some probe's plain evaluation (z = 1) is
+    nonzero and 0 otherwise; the probes are evaluated on one split, until
+    the first nonzero value.
     """
     if series.is_zero:
         return 0
@@ -364,17 +367,9 @@ def finite_type_order(
         probes = default_probes(series.lattice, s)
     if not probes:
         raise SeriesError("no probe classes with D.S = 1 are available")
-    d0, rows = _split_table(series, w, s)
-
-    def vanishes(d, z_terms) -> bool:
-        return all(part.is_zero for part in _evaluate(d0, rows, s, d, z_terms))
-
-    some_nonzero = False
-    for d in probes:
-        if not vanishes(d, ((0, 2, 1), (0, 0, -4))):
-            raise SeriesError("(x^2 - 4) insertion failed to annihilate")
-        some_nonzero = some_nonzero or not vanishes(d, ((0, 0, 1),))
-    return 1 if some_nonzero else 0
+    split = SplitSeries(series, w, s)
+    plain = (part for d in probes for part in split.evaluate(d, ((0, 0, 1),)))
+    return int(any(not part.is_zero for part in plain))
 
 
 def check_adjunction(

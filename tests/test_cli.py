@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import donaldson.cli as cli
+import donaldson.series as series_mod
 from donaldson.cli import VerificationError, run
 from donaldson.constructions import (
     CatalogMismatch,
@@ -20,7 +21,7 @@ from donaldson.exppoly import ExpPolynomial, ExpPolynomialError
 from donaldson.fit import FitError
 from donaldson.gluing import GluingError
 from donaldson.lattice import LatticeError
-from donaldson.series import SeriesError
+from donaldson.series import RelationPoly, SeriesError
 
 
 def run_json(capsys, argv):
@@ -189,6 +190,49 @@ def test_check_passes_on_catalog(capsys, name):
     code, payload = run_json(capsys, ["check", "--entry", name])
     assert code == 0
     assert all("FAIL" not in str(v) for v in payload["checks"].values())
+
+
+def test_check_splits_once_per_w(monkeypatch, capsys):
+    calls = []
+    real = series_mod._split_table
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(series_mod, "_split_table", counting)
+    assert run(["check", "--entry", "bg:4"]) == 0
+    # finite_type_order's split of w, then one split of w and one of w + S
+    assert len(calls) <= 3
+
+
+@pytest.mark.parametrize(
+    "name, fake, message",
+    [
+        (
+            "check_involution",
+            lambda series: (False, ["K"]),
+            "the sign rule for the class map K -> -K fails at ['K']",
+        ),
+        (
+            "check_adjunction",
+            lambda series, s: (False, []),
+            "adjunction bound violated against Sigma_g",
+        ),
+        ("finite_type_order", lambda series, w, s: 2, "point-class order 2, expected 1"),
+        (
+            "relation_poly",
+            lambda g: RelationPoly.of([(0, 0, 1)]),
+            "genus-4 relation polynomial failed to annihilate the series",
+        ),
+    ],
+)
+def test_check_failure_exits_one_with_its_message(monkeypatch, capsys, name, fake, message):
+    monkeypatch.setattr(cli, name, fake)
+    assert run(["check", "--entry", "bg:4"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"verification failure: B4: {message}\n"
 
 
 def test_check_unknown_entry(capsys):

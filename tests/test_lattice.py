@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from donaldson.constructions import build_bg, catalog
+from donaldson.constructions import build_bg, catalog, catalog_names
 from donaldson.lattice import (
     HClass,
     Lattice,
@@ -169,6 +169,28 @@ def test_lattice_from_json_rejects_float_class_coordinate(b2):
 def test_lattice_json_round_trip(b2):
     data = lattice_to_json(b2.lattice)
     assert lattice_from_json(data) == b2.lattice
+
+
+def test_lattice_json_round_trips_carries_series():
+    block = Lattice("minus_one", ((-1,),), b_plus=0, carries_series=False)
+    data = lattice_to_json(block)
+    assert data["carries_series"] is False
+    assert lattice_from_json(data) == block
+
+
+def test_lattice_json_writes_carries_series_only_when_off(b2):
+    data = lattice_to_json(b2.lattice)
+    assert "carries_series" not in data
+    assert lattice_from_json(data).carries_series is True
+    for name in catalog_names():
+        assert "carries_series" not in lattice_to_json(catalog(name).lattice)
+
+
+@pytest.mark.parametrize("value", [0, 1, "false", None])
+def test_lattice_from_json_refuses_a_non_bool_carries_series(b2, value):
+    data = dict(lattice_to_json(b2.lattice), carries_series=value)
+    with pytest.raises(LatticeError, match="carries_series"):
+        lattice_from_json(data)
 
 
 def test_repeated_class_label_is_refused(k3):

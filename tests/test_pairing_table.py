@@ -13,7 +13,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import donaldson.gluing as gluing_mod
 import donaldson.lattice as lattice_mod
 import donaldson.series as series_mod
 from donaldson.constructions import catalog, catalog_names
@@ -475,9 +474,8 @@ def test_eval_glued_on_a_reload_neither_twists_nor_splits(monkeypatch):
     bg = catalog("B3")
     data = glued_to_json(glue(GluingSpec(left=bg, right=bg)))
     calls = []
-    for module in (series_mod, gluing_mod):
-        for name in ("twist", "_split_table"):
-            count_calls(monkeypatch, module, name, calls)
+    for name in ("twist", "_split_table"):
+        count_calls(monkeypatch, series_mod, name, calls)
     gs = glued_from_json(data)
     for d in split_probes(gs.spec, "T1"):
         assert not eval_glued(gs, d).is_zero

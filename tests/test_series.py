@@ -190,14 +190,16 @@ def test_top_insertion_weight_matches_adjunction_level():
         ) == top_weight
 
 
-def test_x_squared_minus_four_annihilates(b2):
-    w = b2.lattice.cls("T1")
-    s = b2.surface("Sigma_g")
-    for d in default_probes(b2.lattice, s):
-        p0, n0 = eval_insertion(b2.series, w, s, d)
-        p2, n2 = eval_insertion(b2.series, w, s, d, x_power=2)
-        assert (p2 - p0.scale(4)).is_zero
-        assert (n2 - n0.scale(4)).is_zero
+def test_x_squared_minus_four_annihilates():
+    for name in ("B2", "B4", "S4", "dia2:2:4"):
+        entry = catalog(name)
+        s = entry.surface()
+        for w in (entry.w_class(), shifted_w(entry)):
+            for d in default_probes(entry.lattice, s):
+                p0, n0 = eval_insertion(entry.series, w, s, d)
+                p2, n2 = eval_insertion(entry.series, w, s, d, x_power=2)
+                assert (p2 - p0.scale(4)).is_zero
+                assert (n2 - n0.scale(4)).is_zero
 
 
 def test_eval_insertion_parity(b2, k3):
