@@ -166,7 +166,12 @@ class SplitSeries:
         return {k.coords: j for j, (k, _, _) in enumerate(self.rows)}
 
     def evaluate(self, d: HClass, z_terms) -> tuple[ExpPolynomial, ExpPolynomial]:
-        """(P, N) of the split on z e^{tD}, z given by (S-power, x-power, c) terms."""
+        """(P, N) of the split on z e^{tD}, z given by (S-power, x-power, c) terms.
+
+        Every power must be >= 0: z is a polynomial in S and x.
+        """
+        if any(sp < 0 or xp < 0 for sp, xp, _ in z_terms):
+            raise SeriesError("insertion powers must be >= 0")
         return _evaluate(self.d0, self.rows, self.surface, d, z_terms)
 
     @property
@@ -237,8 +242,6 @@ def eval_insertion(
       N = e^{-Q/2} sum_{K.S==0(4)} i^{-d0} c_{K,w} (-2)^a ((-D+iK).S)^b e^{i(K.D)t}
     The series is split once, and K.S and K.D are paired once per class.
     """
-    if x_power < 0 or sigma_power < 0:
-        raise SeriesError("insertion powers must be >= 0")
     return SplitSeries(series, w, s).evaluate(d, ((sigma_power, x_power, 1),))
 
 
@@ -271,43 +274,35 @@ class RelationPoly:
     def sigma_degree(self) -> int:
         return max((sp for sp, _, _ in self.terms), default=0)
 
-    def __mul__(self, other: "RelationPoly") -> "RelationPoly":
-        return RelationPoly(
-            tuple(
-                (s1 + s2, x1 + x2, c1 * c2)
-                for s1, x1, c1 in self.terms
-                for s2, x2, c2 in other.terms
-            )
-        )
-
-    def __add__(self, other: "RelationPoly") -> "RelationPoly":
-        return RelationPoly(self.terms + other.terms)
-
 
 def relation_poly(g: int) -> RelationPoly:
     """The degree-(g-1) relation annihilated by every genus-g split series.
 
-    Shape (1 -+ x/2) p(S): for g even the x-factor is (1 - x/2) and p has
-    roots -1, -1 +- 4i, ..., -1 +- (2g-4)i; for g odd it is (1 + x/2) and p
-    has the real roots (-1)^k (2k-1) for k = 1..g-1, i.e. -1, 3, -5, ...
+    Shape (1 -+ x/2) p(S), p the product of (S - r) over its roots r.  For
+    g even the x-factor is (1 - x/2) and the roots are -1 and the pairs
+    -1 +- 4ki for k = 1..(g-2)/2, each pair giving the real quadratic
+    S^2 + 2S + 1 + 16k^2; for g odd it is (1 + x/2) and the roots are the
+    reals (-1)^k (2k-1) for k = 1..g-1, i.e. -1, 3, -5, ...
     """
     if g < 2:
         raise SeriesError("relation polynomial needs genus >= 2")
-    one = RelationPoly.of([(0, 0, 1)])
-    sigma = RelationPoly.of([(1, 0, 1)])
+    # monic factors of p(S), constant term first: S + 1, one quadratic per
+    # conjugate pair, or S - r per real root r
     if g % 2 == 0:
-        x_part = RelationPoly.of([(0, 0, 1), (0, 1, Fraction(-1, 2))])
-        p = sigma + one
-        shifted_sq = (sigma + one) * (sigma + one)
-        for k in range(1, (g - 2) // 2 + 1):
-            p = p * (shifted_sq + RelationPoly.of([(0, 0, (4 * k) ** 2)]))
+        x_coeff = Fraction(-1, 2)
+        factors = [[1, 1]] + [[1 + 16 * k * k, 2, 1] for k in range(1, g // 2)]
     else:
-        x_part = RelationPoly.of([(0, 0, 1), (0, 1, Fraction(1, 2))])
-        p = one
-        for k in range(1, g):
-            root = (-1) ** k * (2 * k - 1)
-            p = p * (sigma + RelationPoly.of([(0, 0, -root)]))
-    z = x_part * p
+        x_coeff = Fraction(1, 2)
+        factors = [[-((-1) ** k) * (2 * k - 1), 1] for k in range(1, g)]
+    p = [1]
+    for f in factors:
+        prod = [0] * (len(p) + len(f) - 1)
+        for i, a in enumerate(p):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        p = prod
+    x_part = ((0, 1), (1, x_coeff))
+    z = RelationPoly.of((sp, xp, c * xc) for sp, c in enumerate(p) for xp, xc in x_part)
     if z.sigma_degree != g - 1:
         raise SeriesError("relation polynomial has wrong surface degree")
     return z
@@ -332,8 +327,6 @@ def apply_relation(
             "is withdrawn",
             stacklevel=2,
         )
-    if any(sp < 0 or xp < 0 for sp, xp, _ in z.terms):
-        raise SeriesError("insertion powers must be >= 0")
     return SplitSeries(series, w, s).evaluate(d, z.terms)
 
 

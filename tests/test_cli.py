@@ -42,6 +42,13 @@ def test_catalog_show_round_trips(capsys):
     assert payload == entry_to_json(catalog("B2"))
 
 
+def test_catalog_show_without_a_name(capsys):
+    assert run(["catalog", "show"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: catalog show needs a name\n"
+
+
 def test_build_recipe(capsys):
     code, payload = run_json(capsys, ["build", "dia2:2:3"])
     assert code == 0
@@ -135,6 +142,36 @@ def test_eval_glued_file_with_bad_index(tmp_path, capsys):
     capsys.readouterr()
     assert run(["eval", "--glued", str(out_file), "--d1", "T1", "--d2", "T1"]) == 2
     assert "left index must be an int in [0, 4)" in capsys.readouterr().err
+
+
+def test_eval_float_appends_one_rendering_per_term(tmp_path, capsys):
+    out_file = tmp_path / "glued.json"
+    run(["glue", "--left", "bg:2", "--right", "bg:2", "--g", "2", "--out", str(out_file)])
+    capsys.readouterr()
+    argv = ["eval", "--glued", str(out_file), "--d1", "T1", "--d2", "T1"]
+    _, plain = run_json(capsys, argv)
+    code, payload = run_json(capsys, argv + ["--float"])
+    assert code == 0
+    floats = payload.pop("float_terms")
+    assert len(floats) == len(plain["terms"]) > 0
+    assert all(isinstance(f, str) and " exp(" in f for f in floats)
+    assert payload == plain
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--glued", "{missing}/glued.json", "--d1", "T1", "--d2", "T1"],
+        ["glue", "--left", "bg:2", "--right", "bg:2", "--g", "2", "--out", "{missing}/x.json"],
+    ],
+    ids=["eval-missing-file", "glue-out-missing-dir"],
+)
+def test_file_error_exits_two(tmp_path, capsys, argv):
+    missing = tmp_path / "no_such_dir"
+    assert run([a.format(missing=missing) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "no_such_dir" in err
 
 
 def test_eval_glued_file_with_repeated_key(tmp_path, capsys):
@@ -286,6 +323,7 @@ def test_usage_error_exit_code():
         (FitError, 2),
         (ExpPolynomialError, 2),
         (KeyError, 2),
+        (OSError, 2),
         (VerificationError, 1),
         (CatalogMismatch, 1),
     ],

@@ -486,7 +486,6 @@ def test_glue_pairs_each_class_with_its_surface_once(monkeypatch):
     bg = catalog("B4")
     spec = GluingSpec(left=bg, right=bg)
     surfaces = (spec.surface1.cls, spec.surface2.cls)
-    spec.twisted_left()  # the twist pairs with w, not with the surfaces
     count = 0
     real = lattice_mod.pairing
 

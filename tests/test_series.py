@@ -250,6 +250,30 @@ def test_relation_poly_g4_against_sympy():
     assert sympy.simplify(ref - built) == 0
 
 
+def stated_roots(g):
+    """The roots of p(S) that the relation_poly docstring lists."""
+    if g % 2 == 0:
+        pairs = [gr(-1, sign * 4 * k) for k in range(1, g // 2) for sign in (1, -1)]
+        return [gr(-1)] + pairs
+    return [gr((-1) ** k * (2 * k - 1)) for k in range(1, g)]
+
+
+@pytest.mark.parametrize("g", range(2, 13))
+def test_relation_poly_is_x_part_times_the_stated_roots(g):
+    z = relation_poly(g)
+    p = {sp: c for sp, xp, c in z.terms if xp == 0}
+    x_coeff = Fraction(-1, 2) if g % 2 == 0 else Fraction(1, 2)
+    assert {(sp, c * x_coeff) for sp, c in p.items()} == {
+        (sp, c) for sp, xp, c in z.terms if xp == 1
+    }
+    assert {xp for _, xp, _ in z.terms} == {0, 1}
+    assert max(p) == g - 1 and p[g - 1] == 1
+    roots = stated_roots(g)
+    assert len(set(roots)) == g - 1
+    for r in roots:
+        assert sum((c * r**sp for sp, c in p.items()), gr(0)).is_zero
+
+
 @pytest.mark.parametrize("g", range(2, 9))
 def test_relation_poly_degree(g):
     assert relation_poly(g).sigma_degree == g - 1
