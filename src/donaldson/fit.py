@@ -16,7 +16,8 @@ absorbed into M).  This module fits the M_p entries by exact division from
 reference gluings whose outputs are known, instead of assuming the closed
 forms the gluing module hard-codes; agreement of the two routes is the
 self-consistency oracle for the whole calculator.  A level's coordinate is
-the evaluation (z = 1) of that level's rows of a ``series.SplitSeries``.
+``SplitSeries.evaluate`` at z = 1 restricted to that level; the split's
+``levels`` index also gives the adjunction-bound check its classes.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction
 from .exppoly import ExpPolynomial
 from .gaussian import GaussianRational
 from .lattice import HClass, MarkedSurface, _exact
-from .series import DonaldsonSeries, SplitSeries, _evaluate
+from .series import DonaldsonSeries, SplitSeries
 
 
 class FitError(ValueError):
@@ -88,20 +89,15 @@ def basis_coordinates(
         raise FitError("coordinates are computed against a probe with D.S = 1")
     g = s.genus
     split = SplitSeries(series, w, s)
-    levels = [p_of_alpha(alpha, g) for alpha in range(1, 2 * g)]
-    by_level = {2 * p: [] for p in levels}
-    for row in split.rows:
-        k, lvl, _ = row
-        if lvl not in by_level:  # K.S is even, so this is |K.S| > 2g - 2
+    for lvl, (j, *_) in split.levels.items():
+        if abs(lvl) > 2 * g - 2:
             raise FitError(
-                f"class {k} pairs {lvl} with the surface, beyond the "
+                f"class {split.rows[j][0]} pairs {lvl} with the surface, beyond the "
                 f"adjunction bound {2 * g - 2}"
             )
-        by_level[lvl].append(row)
     # odd levels p are the P-sector (K.S = 2p = 2 mod 4), even ones the N-sector
-    coords = tuple(
-        _evaluate(split.d0, by_level[2 * p], s, d, ((0, 0, 1),))[p % 2 == 0] for p in levels
-    )
+    levels = [p_of_alpha(alpha, g) for alpha in range(1, 2 * g)]
+    coords = tuple(split.evaluate(d, ((0, 0, 1),), [2 * p])[p % 2 == 0] for p in levels)
     return BasisCoordinates(g, split.d0, d.square, coords)
 
 

@@ -17,9 +17,9 @@ K.D1 + L.D2 +- 2 (S.D) t.
 Each rule is a table of rows (sector, scale, level) run by one builder.  The
 genus-1 rule has three rows at level 0 with scales -1/4, -1/4, -1/2; the
 experimental stabilized rule keeps the +-(2g-2) levels with scales
--+2^{-3g+5} and no surface shift.  The twisted coefficients and levels come
-from each side's ``SplitSeries``, built once per spec; row j of a split is
-series entry j, so a glued entry's indices address both.
+-+2^{-3g+5} and no surface shift.  Each side's ``SplitSeries``, built once
+per spec, gives the twisted coefficients and, through ``levels``, the rows at
+a level; row j of a split is series entry j, so glued indices address both.
 """
 
 from __future__ import annotations
@@ -214,16 +214,15 @@ class GluedSeries:
 
 def _glued(spec: GluingSpec, kind: str, rows) -> GluedSeries:
     """Run a gluing rule given as rows (sector, scale, level): each row keeps
-    every left/right pair of classes at that surface level, with coefficient
-    scale * a_j * b_k on the twisted coefficients."""
+    every left/right pair of classes at that surface level (from ``levels``),
+    with coefficient scale * a_j * b_k on the twisted coefficients."""
     left, right = spec._splits
     entries = []
     for sector, scale, level in rows:
-        rights = [(k, b) for k, (_, lvl, b) in enumerate(right.rows) if lvl == level]
+        rights = right.levels.get(level, ())
         entries.extend(
-            (j, k, sector, scale * a * b)
-            for j, (_, lvl, a) in enumerate(left.rows) if lvl == level
-            for k, b in rights
+            (j, k, sector, scale * left.rows[j][2] * right.rows[k][2])
+            for j in left.levels.get(level, ()) for k in rights
         )
     return GluedSeries(spec, kind, tuple(entries))
 
@@ -251,7 +250,7 @@ def glue_torus(spec: GluingSpec) -> GluedSeries:
     """
     if spec.genus != 1:
         raise GluingError("torus rule needs genus-1 surfaces")
-    bad = [lvl for split in spec._splits for _, lvl, _ in split.rows if lvl]
+    bad = [lvl for split in spec._splits for lvl in split.levels if lvl]
     if bad:
         raise GluingError(f"torus rule needs K.S = 0 for all classes, got {bad[0]}")
     quarter = Fraction(-1, 4) * spec.epsilon
@@ -356,7 +355,17 @@ def glued_to_json(gs: GluedSeries) -> dict:
     }
 
 
+_FIELDS = (("left", str), ("right", str), ("kind", str), ("w_sq", int), ("pairs", list))
+
+
 def glued_from_json(data: dict) -> GluedSeries:
+    """Rebuild a gluing from ``glued_to_json`` output; a field of the wrong
+    JSON shape raises ``GluingError`` naming it, and none is defaulted."""
+    if type(data) is not dict:
+        raise GluingError("a glued file must hold a JSON object")
+    for name, typ in _FIELDS:
+        if type(data[name]) is not typ:
+            raise GluingError(f"field {name!r} must be of type {typ.__name__}, got {data[name]!r}")
     spec = GluingSpec(
         left=catalog(data["left"]),
         right=catalog(data["right"]),
@@ -366,11 +375,15 @@ def glued_from_json(data: dict) -> GluedSeries:
     sizes = (len(spec.left.series.entries), len(spec.right.series.entries))
     entries = []
     for row in data["pairs"]:
+        if type(row) is not list or len(row) != 4:
+            raise GluingError(f"pair {row!r}: must be a list [left, right, sector, coefficient]")
         j, k, s, c = row
         for side, idx, n in zip(("left", "right"), (j, k), sizes):
             if type(idx) is not int or not 0 <= idx < n:
                 raise GluingError(f"pair {row!r}: the {side} index must be an int in [0, {n})")
         if s not in ("+", "-", "0"):
             raise GluingError(f"pair {row!r}: the sector must be '+', '-' or '0'")
+        if type(c) not in (int, float, str):
+            raise GluingError(f"pair {row!r}: the coefficient must be an int or a 'p/q' string")
         entries.append((j, k, sector_in[s], Fraction(_exact(c))))
     return GluedSeries(spec, data["kind"], tuple(entries))

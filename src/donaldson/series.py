@@ -10,8 +10,8 @@ sectors by the scalars 2 / -2 and by the polynomial weights ((D+K).S)^b and
 relation-polynomial machinery needs.  ``SplitSeries(series, w, surface)``
 is the only way to split a series (it runs ``_split_table`` once); every
 evaluation, fit and gluing holds one and reads its rows, row j being
-series entry j.  A surface level whose z scalar is zero adds no terms, so
-its classes are never paired with D.
+series entry j, grouped by level only in its ``levels`` index.  A level whose z
+scalar is zero adds no terms, so its classes are never paired with D.
 """
 
 from __future__ import annotations
@@ -165,14 +165,46 @@ class SplitSeries:
         """Class coords -> row index (the class's series entry index)."""
         return {k.coords: j for j, (k, _, _) in enumerate(self.rows)}
 
-    def evaluate(self, d: HClass, z_terms) -> tuple[ExpPolynomial, ExpPolynomial]:
+    @cached_property
+    def levels(self) -> dict[int, tuple[int, ...]]:
+        """Surface level K.S -> its row indices, levels in first-seen row order."""
+        groups: dict[int, list[int]] = {}
+        for j, (_, ks, _) in enumerate(self.rows):
+            groups.setdefault(ks, []).append(j)
+        return {ks: tuple(js) for ks, js in groups.items()}
+
+    def evaluate(self, d: HClass, z_terms, levels=None) -> tuple[ExpPolynomial, ExpPolynomial]:
         """(P, N) of the split on z e^{tD}, z given by (S-power, x-power, c) terms.
 
-        Every power must be >= 0: z is a polynomial in S and x.
+        Sums over ``levels`` (default: every level K.S).  Every power must be
+        >= 0.  x acts by 2 (P) or -2 (N) and S by (D+K).S (P) or (-D+iK).S (N),
+        so z is one scalar per level, times i^{-d0} in N.  A level whose scalar
+        is zero adds no terms; else each class adds one, exponent K.D or i K.D.
         """
         if any(sp < 0 or xp < 0 for sp, xp, _ in z_terms):
             raise SeriesError("insertion powers must be >= 0")
-        return _evaluate(self.d0, self.rows, self.surface, d, z_terms)
+        d_sigma = d.dot(self.surface.cls)  # a foreign D raises LatticeMismatch here
+        i_pow = GaussianRational.i_power(-self.d0)
+        parts = {2: [], 0: []}
+        for ks in self.levels if levels is None else levels:
+            r = ks % 4
+            if r == 2:
+                weight, x, base = GaussianRational(d_sigma + ks), 2, 1
+            else:
+                weight, x, base = GaussianRational(-d_sigma, ks), -2, i_pow
+            terms = (weight**sp * (cz * x**xp) for sp, xp, cz in z_terms)
+            scalar = base * sum(terms, GaussianRational(0))
+            if scalar.is_zero:
+                continue
+            for j in self.levels.get(ks, ()):
+                k, _, a = self.rows[j]
+                kd = k.dot(d)
+                lam = GaussianRational(kd) if r == 2 else GaussianRational(0, kd)
+                parts[r].append((lam, scalar * a))
+        return (
+            ExpPolynomial("+Q/2", tuple(parts[2]), d.square),
+            ExpPolynomial("-Q/2", tuple(parts[0]), d.square),
+        )
 
     @property
     def p_entries(self) -> tuple[tuple[HClass, GaussianRational], ...]:
@@ -192,39 +224,6 @@ def split_series(series: DonaldsonSeries, w: HClass, s: MarkedSurface) -> SplitS
 def unsplit_series(ss: SplitSeries) -> DonaldsonSeries:
     """Invert the split; recovers the w-twisted series exactly."""
     return DonaldsonSeries.on(ss.surface.lattice, [(k, a) for k, _, a in ss.rows])
-
-
-def _evaluate(d0, rows, s, d, z_terms) -> tuple[ExpPolynomial, ExpPolynomial]:
-    """(P, N) of split rows on z e^{tD}, z given by (S-power, x-power, c) terms.
-
-    On a class, x acts by 2 (P-sector) or -2 (N-sector) and S by the weight
-    (D+K).S (P) or (-D+iK).S (N), so z acts by one scalar per level K.S;
-    the N-sector scalars also carry i^{-d0}.  Each level's scalar is
-    computed once, and each class is paired with D once and contributes one
-    term, with exponent K.D (P) or i K.D (N).  A level whose scalar is zero
-    adds no terms, so its classes are not paired with D.
-    """
-    d_sigma = d.dot(s.cls)  # a foreign D raises LatticeMismatch here
-    i_pow = GaussianRational.i_power(-d0)
-    scalars, parts = {}, {2: [], 0: []}
-    for k, ks, a in rows:
-        r = ks % 4
-        if ks not in scalars:
-            if r == 2:
-                weight, x, base = GaussianRational(d_sigma + ks), 2, 1
-            else:
-                weight, x, base = GaussianRational(-d_sigma, ks), -2, i_pow
-            terms = (weight**sp * (cz * x**xp) for sp, xp, cz in z_terms)
-            scalars[ks] = base * sum(terms, GaussianRational(0))
-        if scalars[ks].is_zero:
-            continue
-        kd = k.dot(d)
-        lam = GaussianRational(kd) if r == 2 else GaussianRational(0, kd)
-        parts[r].append((lam, scalars[ks] * a))
-    return (
-        ExpPolynomial("+Q/2", tuple(parts[2]), d.square),
-        ExpPolynomial("-Q/2", tuple(parts[0]), d.square),
-    )
 
 
 def eval_insertion(
@@ -381,7 +380,7 @@ def check_involution(series: DonaldsonSeries) -> tuple[bool, list[HClass]]:
     table = {k.coords: c for k, c in series.entries}
     bad = []
     for k, c in series.entries:
-        mirror = table.get((-k).coords)
+        mirror = table.get(tuple(-x for x in k.coords))
         if mirror is None or mirror != sign * c:
             bad.append(k)
     return (not bad, bad)

@@ -277,7 +277,8 @@ def test_criterion_7_torus_variant():
         }
         # documented difference against the catalog expansion of the fiber
         # double: the +-2 sectors differ in sign, magnitudes agree, and the
-        # 0 sector agrees on the nose
+        # 0 sector agrees on the nose.  The sign is the twist convention:
+        # tests/test_fiber_sum.py shows the gluing equals twist(S4, sigma)
         s4 = catalog("S4")
         f = s4.lattice.cls("F")
         assert s4.series.coefficient(2 * f) == -by_sector[1]

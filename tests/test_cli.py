@@ -144,6 +144,29 @@ def test_eval_glued_file_with_bad_index(tmp_path, capsys):
     assert "left index must be an int in [0, 4)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda p: {**p, "pairs": 5}, "'pairs'"),
+        (lambda p: {**p, "pairs": [5]}, "pair 5"),
+        (lambda p: {**p, "left": 5}, "'left'"),
+        (lambda p: {**p, "pairs": [p["pairs"][0][:3] + [[1]]]}, "coefficient"),
+        (lambda p: [p], "JSON object"),
+        (lambda p: {**p, "w_sq": None}, "'w_sq'"),
+    ],
+    ids=["pairs-int", "pair-int", "left-int", "coefficient-list", "top-level-list", "w_sq-null"],
+)
+def test_eval_malformed_glued_file_exits_two(tmp_path, capsys, edit, field):
+    out_file = tmp_path / "glued.json"
+    run(["glue", "--left", "bg:2", "--right", "bg:2", "--g", "2", "--out", str(out_file)])
+    out_file.write_text(json.dumps(edit(json.loads(out_file.read_text()))))
+    capsys.readouterr()
+    assert run(["eval", "--glued", str(out_file), "--d1", "T1", "--d2", "T1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and field in err
+
+
 def test_eval_float_appends_one_rendering_per_term(tmp_path, capsys):
     out_file = tmp_path / "glued.json"
     run(["glue", "--left", "bg:2", "--right", "bg:2", "--g", "2", "--out", str(out_file)])

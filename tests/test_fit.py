@@ -16,6 +16,7 @@ from donaldson.fit import (
 )
 from donaldson.gaussian import GaussianRational
 from donaldson.gluing import GluingSpec, eval_glued, glue
+from donaldson.lattice import MarkedSurface
 from donaldson.series import DonaldsonSeries
 
 
@@ -135,6 +136,17 @@ def test_coordinates_reject_adjunction_violators():
     bad = DonaldsonSeries.on(bg.lattice, [(bad_class, Fraction(1)), (-bad_class, Fraction(1))])
     with pytest.raises(FitError):
         basis_coordinates(bad, bg.w_class("T1"), bg.surface("Sigma_g"), bg.lattice.cls("T1"))
+
+
+def test_coordinates_refuse_a_class_beyond_the_adjunction_bound_of_the_surface():
+    # B3's genus-3 surface class, declared as a genus-2 surface: K.S = -4 is out of range
+    bg = catalog("B3")
+    s = MarkedSurface(bg.lattice.cls("Sigma_g"), genus=2)
+    with pytest.raises(FitError) as exc:
+        basis_coordinates(bg.series, bg.w_class("T1"), s, bg.lattice.cls("T1"))
+    assert str(exc.value) == (
+        "class <-1,0,-1,-1,-1>@B3 pairs -4 with the surface, beyond the adjunction bound 2"
+    )
 
 
 # -- fitting ----------------------------------------------------------------------------------

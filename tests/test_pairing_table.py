@@ -236,6 +236,24 @@ def test_basis_coordinates_match_reference(name):
             assert got.d_square == ref_dot(d, d)
 
 
+@pytest.mark.parametrize("name", ENTRIES)
+def test_split_levels_partition_the_rows_and_the_evaluation(name):
+    entry = catalog(name)
+    s = entry.surface()
+    for w in twists(entry):
+        split = split_series(entry.series, w, s)
+        indices = [j for js in split.levels.values() for j in js]
+        assert sorted(indices) == list(range(len(split.rows)))
+        assert all(split.rows[j][1] == ks for ks, js in split.levels.items() for j in js)
+        for d in probe_cases(entry):
+            for z in (((0, 0, 1),), relations_for(entry)[0].terms):
+                whole = split.evaluate(d, z)
+                parts = [split.evaluate(d, z, [ks]) for ks in split.levels]
+                for sector in (0, 1):
+                    by_level = [part[sector] for part in parts]
+                    assert sum(by_level[1:], by_level[0]) == whole[sector]
+
+
 def test_apply_relation_rejects_negative_powers():
     entry = catalog("B3")
     s = entry.surface()
