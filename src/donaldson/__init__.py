@@ -6,115 +6,55 @@ scalars, glues series pairwise along genus-g square-zero odd surfaces, and
 re-derives the universal diagonal pairing matrix from reference gluings as a
 self-consistency check.  All arithmetic is exact; there is no floating point
 outside of display helpers.
+
+Each public name is written once, in ``_EXPORTS`` under the module that
+defines it; that module is imported the first time the name is read
+(PEP 562), so ``import donaldson`` alone imports no submodule.  The
+modules themselves still resolve as attributes (``donaldson.gluing``).
 """
 
-from .constructions import (
-    CatalogEntry,
-    blow_up,
-    build_bg,
-    build_dia2,
-    catalog,
-    catalog_names,
-    closed_form_cg,
-    elliptic_surface,
-    export_catalog,
-)
-from .exppoly import ExpPolynomial, InexactDivision
-from .fit import (
-    BasisCoordinates,
-    basis_coordinates,
-    fit_diagonal,
-    predict_glued,
-    zero_coordinates,
-)
-from .gaussian import GaussianRational
-from .gluing import (
-    GluedSeries,
-    GluingSpec,
-    SplitClass,
-    coefficient_match,
-    eval_glued,
-    glue,
-    glue_conjectural,
-    glue_torus,
-    rshift,
-)
-from .lattice import (
-    HClass,
-    Lattice,
-    MarkedSurface,
-    d_zero,
-    d_zero_value,
-    is_allowable,
-    is_characteristic,
-    pairing,
-    signature,
-)
-from .series import (
-    DonaldsonSeries,
-    RelationPoly,
-    SplitSeries,
-    apply_relation,
-    check_adjunction,
-    check_involution,
-    eval_insertion,
-    finite_type_order,
-    relation_poly,
-    split_series,
-    twist,
-    twisted,
-    unsplit_series,
-)
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BasisCoordinates",
-    "CatalogEntry",
-    "DonaldsonSeries",
-    "ExpPolynomial",
-    "GaussianRational",
-    "GluedSeries",
-    "GluingSpec",
-    "HClass",
-    "InexactDivision",
-    "Lattice",
-    "MarkedSurface",
-    "RelationPoly",
-    "SplitClass",
-    "SplitSeries",
-    "apply_relation",
-    "basis_coordinates",
-    "blow_up",
-    "build_bg",
-    "build_dia2",
-    "catalog",
-    "catalog_names",
-    "check_adjunction",
-    "check_involution",
-    "closed_form_cg",
-    "coefficient_match",
-    "d_zero",
-    "d_zero_value",
-    "elliptic_surface",
-    "eval_glued",
-    "eval_insertion",
-    "export_catalog",
-    "finite_type_order",
-    "fit_diagonal",
-    "glue",
-    "glue_conjectural",
-    "glue_torus",
-    "is_allowable",
-    "is_characteristic",
-    "pairing",
-    "predict_glued",
-    "relation_poly",
-    "rshift",
-    "signature",
-    "split_series",
-    "twist",
-    "twisted",
-    "unsplit_series",
-    "zero_coordinates",
-]
+_EXPORTS = {
+    "constructions": (
+        "CatalogEntry", "blow_up", "build_bg", "build_dia2", "catalog",
+        "catalog_names", "closed_form_cg", "elliptic_surface", "export_catalog",
+    ),
+    "exppoly": ("ExpPolynomial", "InexactDivision"),
+    "fit": (
+        "BasisCoordinates", "basis_coordinates", "fit_diagonal", "predict_glued",
+        "zero_coordinates",
+    ),
+    "gaussian": ("GaussianRational",),
+    "gluing": (
+        "GluedSeries", "GluingSpec", "SplitClass", "coefficient_match", "eval_glued",
+        "glue", "glue_conjectural", "glue_torus", "rshift",
+    ),
+    "lattice": (
+        "HClass", "Lattice", "MarkedSurface", "d_zero", "d_zero_value",
+        "is_allowable", "is_characteristic", "pairing", "signature",
+    ),
+    "series": (
+        "DonaldsonSeries", "RelationPoly", "SplitSeries", "apply_relation",
+        "check_adjunction", "check_involution", "eval_insertion",
+        "finite_type_order", "relation_poly", "split_series", "twist", "twisted",
+        "unsplit_series",
+    ),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name: str):
+    if name in _OWNER:
+        return getattr(_import_module(f".{_OWNER[name]}", __name__), name)
+    if name in _EXPORTS:
+        return _import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_OWNER, *_EXPORTS})

@@ -355,7 +355,7 @@ def glued_to_json(gs: GluedSeries) -> dict:
     }
 
 
-_FIELDS = (("left", str), ("right", str), ("kind", str), ("w_sq", int), ("pairs", list))
+_FIELDS = (("left", str), ("right", str), ("w_sq", int), ("pairs", list))
 
 
 def glued_from_json(data: dict) -> GluedSeries:

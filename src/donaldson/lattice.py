@@ -78,8 +78,15 @@ class Lattice:
                     raise LatticeError(f"{self.name}: Gram matrix is not symmetric")
         if self.model not in ("full", "partial"):
             raise LatticeError(f"{self.name}: unknown model {self.model!r}")
+        for field, value in (("b_plus", self.b_plus), ("b_one", self.b_one)):
+            if type(value) is not int:
+                raise LatticeError(f"{self.name}: {field} must be an int, got {value!r}")
         if self.b_plus < 0 or self.b_one < 0:
             raise LatticeError(f"{self.name}: negative Betti data")
+        if type(self.carries_series) is not bool:
+            raise LatticeError(
+                f"{self.name}: carries_series must be a bool, got {self.carries_series!r}"
+            )
         if self.carries_series and (self.b_plus - self.b_one) % 2 == 0:
             raise ParityError(
                 f"{self.name}: a series-carrying manifold needs b+ - b1 odd, "
@@ -202,6 +209,8 @@ class MarkedSurface:
     genus: int
 
     def __post_init__(self):
+        if type(self.genus) is not int:
+            raise LatticeError(f"surface genus must be an int, got {self.genus!r}")
         if self.genus < 1:
             raise LatticeError("surface genus must be >= 1")
         if not self.cls.is_integral:
@@ -350,9 +359,6 @@ def lattice_to_json(lat: Lattice) -> dict:
 def lattice_from_json(data: dict) -> Lattice:
     if len(data["gram"]) != data["rank"]:
         raise LatticeError("rank field does not match Gram matrix size")
-    carries_series = data.get("carries_series", True)
-    if type(carries_series) is not bool:
-        raise LatticeError(f"carries_series must be true or false, got {carries_series!r}")
     return Lattice(
         name=data["name"],
         gram=data["gram"],
@@ -360,5 +366,5 @@ def lattice_from_json(data: dict) -> Lattice:
         b_one=data["b_one"],
         named=tuple(data["classes"].items()),
         model=data["model"],
-        carries_series=carries_series,
+        carries_series=data.get("carries_series", True),
     )

@@ -55,6 +55,8 @@ class DonaldsonSeries:
     simple_type: bool = True
 
     def __post_init__(self):
+        if type(self.simple_type) is not bool:
+            raise SeriesError(f"simple_type must be a bool, got {self.simple_type!r}")
         pairs = ((k, Fraction(_exact(c))) for k, c in self.entries)
         entries = tuple(sorted(pairs, key=lambda e: e[0].coords))
         object.__setattr__(self, "entries", entries)
@@ -64,6 +66,8 @@ class DonaldsonSeries:
                 raise LatticeMismatch("entry class on a foreign lattice")
             if not k.is_integral:
                 raise SeriesError(f"basic class {k} is not integral")
+            if not c:
+                raise SeriesError(f"DonaldsonSeries: basic class {k} has coefficient 0")
             if k.coords in seen:
                 raise SeriesError(f"duplicate basic class {k}")
             seen.add(k.coords)

@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from donaldson.constructions import (
     CatalogMismatch,
     ConstructionError,
     catalog,
+    catalog_names,
     entry_to_json,
     export_catalog,
 )
@@ -22,6 +25,16 @@ from donaldson.fit import FitError
 from donaldson.gluing import GluingError
 from donaldson.lattice import LatticeError
 from donaldson.series import RelationPoly, SeriesError
+
+
+def python_m_cli(*argv):
+    """Run ``python -m donaldson.cli`` in a fresh interpreter, as a user would."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run(
+        [sys.executable, "-m", "donaldson.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
 
 
 def run_json(capsys, argv):
@@ -34,6 +47,18 @@ def test_catalog_list(capsys):
     code, payload = run_json(capsys, ["catalog", "list"])
     assert code == 0
     assert "K3" in payload["entries"] and "B2" in payload["entries"]
+
+
+def test_module_entry_point_lists_the_catalog():
+    done = python_m_cli("catalog", "list")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["entries"] == list(catalog_names())
+
+
+def test_module_entry_point_exits_2_on_an_unknown_entry():
+    done = python_m_cli("check", "--entry", "nonsense")
+    assert done.returncode == 2
+    assert "nonsense" in done.stderr
 
 
 def test_catalog_show_round_trips(capsys):

@@ -193,6 +193,35 @@ def test_lattice_from_json_refuses_a_non_bool_carries_series(b2, value):
         lattice_from_json(data)
 
 
+@pytest.mark.parametrize(
+    "field, kwargs",
+    [
+        ("b_plus", {"b_plus": 3.0}),
+        ("b_plus", {"b_plus": True, "b_one": 0}),
+        ("b_one", {"b_plus": 3, "b_one": False}),
+        ("b_one", {"b_plus": 3, "b_one": 0.0}),
+        # a falsy 0 must not skip the b+ - b1 parity test
+        ("carries_series", {"b_plus": 2, "carries_series": 0}),
+        ("carries_series", {"b_plus": 3, "carries_series": "false"}),
+    ],
+)
+def test_lattice_refuses_a_scalar_field_of_the_wrong_type(field, kwargs):
+    with pytest.raises(LatticeError, match=field):
+        Lattice("typed", ((-1,),), **kwargs)
+
+
+def test_lattice_from_json_refuses_a_float_b_plus(k3):
+    data = dict(lattice_to_json(k3.lattice), b_plus=3.0)
+    with pytest.raises(LatticeError, match="b_plus"):
+        lattice_from_json(data)
+
+
+@pytest.mark.parametrize("genus", [3.0, True, "2", None])
+def test_marked_surface_refuses_a_genus_that_is_not_an_int(b2, genus):
+    with pytest.raises(LatticeError, match="genus"):
+        MarkedSurface(b2.lattice.cls("F"), genus)
+
+
 def test_repeated_class_label_is_refused(k3):
     # a JSON object keeps one of two equal keys, so a reload could not keep both
     with pytest.raises(LatticeError, match="repeated"):

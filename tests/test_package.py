@@ -1,0 +1,70 @@
+"""The package's export table: every public name, resolved on first use."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import donaldson
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+PUBLIC_NAMES = [
+    "BasisCoordinates", "CatalogEntry", "DonaldsonSeries", "ExpPolynomial",
+    "GaussianRational", "GluedSeries", "GluingSpec", "HClass", "InexactDivision",
+    "Lattice", "MarkedSurface", "RelationPoly", "SplitClass", "SplitSeries",
+    "apply_relation", "basis_coordinates", "blow_up", "build_bg", "build_dia2",
+    "catalog", "catalog_names", "check_adjunction", "check_involution",
+    "closed_form_cg", "coefficient_match", "d_zero", "d_zero_value",
+    "elliptic_surface", "eval_glued", "eval_insertion", "export_catalog",
+    "finite_type_order", "fit_diagonal", "glue", "glue_conjectural", "glue_torus",
+    "is_allowable", "is_characteristic", "pairing", "predict_glued",
+    "relation_poly", "rshift", "signature", "split_series", "twist", "twisted",
+    "unsplit_series", "zero_coordinates",
+]
+
+MODULES = ["constructions", "exppoly", "fit", "gaussian", "gluing", "lattice", "series"]
+
+
+def test_all_lists_the_public_names():
+    assert len(PUBLIC_NAMES) == 48
+    assert sorted(donaldson.__all__) == sorted(PUBLIC_NAMES)
+
+
+@pytest.mark.parametrize("name", PUBLIC_NAMES)
+def test_name_is_the_object_of_its_defining_module(name):
+    obj = getattr(donaldson, name)
+    assert obj.__module__.startswith("donaldson.")
+    assert getattr(importlib.import_module(obj.__module__), name) is obj
+
+
+def test_dir_lists_every_public_name_and_module():
+    listed = set(dir(donaldson))
+    assert set(PUBLIC_NAMES) <= listed
+    assert set(MODULES) <= listed
+
+
+def test_unknown_name_is_refused():
+    with pytest.raises(AttributeError, match="nope"):
+        donaldson.nope
+    with pytest.raises(ImportError):
+        from donaldson import nope  # noqa: F401
+
+
+def test_import_loads_no_submodule_and_modules_still_resolve():
+    script = (
+        "import sys, donaldson\n"
+        "print(sorted(m for m in sys.modules if m.startswith('donaldson.')))\n"
+        f"for m in {MODULES!r}:\n"
+        "    assert getattr(donaldson, m) is sys.modules['donaldson.' + m], m\n"
+        "print('ok')\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["[]", "ok"]

@@ -68,6 +68,28 @@ def test_zero_series(b2):
     assert check_involution(zero)[0]
 
 
+@pytest.mark.parametrize("simple_type", ["false", 0, 1, None])
+def test_series_refuses_a_simple_type_that_is_not_a_bool(k3, simple_type):
+    with pytest.raises(SeriesError, match="simple_type"):
+        DonaldsonSeries.on(k3.lattice, k3.series.entries, simple_type)
+
+
+def test_series_from_json_refuses_a_string_simple_type(b2):
+    data = dict(series_to_json(b2.series), simple_type="false")
+    with pytest.raises(SeriesError, match="simple_type"):
+        series_from_json(data, b2.lattice)
+
+
+def test_series_refuses_a_zero_coefficient(k3):
+    # finite_type_order would give 0 for a series that is not is_zero
+    with pytest.raises(SeriesError, match="DonaldsonSeries"):
+        DonaldsonSeries.on(k3.lattice, [(k3.lattice.zero(), 0)])
+    data = series_to_json(k3.series)
+    data["entries"][0]["a"] = "0"
+    with pytest.raises(SeriesError, match="coefficient 0"):
+        series_from_json(data, k3.lattice)
+
+
 # -- twisting ---------------------------------------------------------------------
 
 
