@@ -72,6 +72,11 @@ class CatalogEntry:
     def __post_init__(self):
         if len(self._surface_map) != len(self.surfaces):
             raise ConstructionError(f"{self.name}: a surface label is repeated")
+        if self.glue_surface not in self._surface_map:
+            raise ConstructionError(f"{self.name}: no surface {self.glue_surface!r} to glue along")
+        for label in self.w_labels:
+            if label not in self.lattice.labels():
+                raise ConstructionError(f"{self.name}: w label {label!r} is not a class label")
 
     @cached_property
     def _surface_map(self) -> dict[str, MarkedSurface]:
@@ -445,13 +450,18 @@ def entry_from_json(data: dict) -> CatalogEntry:
         )
         for s in data["surfaces"]
     )
+    w_labels, glue_surface = data["w_labels"], data["glue_surface"]
+    if type(w_labels) is not list or any(type(lab) is not str for lab in w_labels):
+        raise ConstructionError(f"w_labels must be a list of str, got {w_labels!r}")
+    if type(glue_surface) is not str:
+        raise ConstructionError(f"glue_surface must be a str, got {glue_surface!r}")
     return CatalogEntry(
         name=data["name"],
         lattice=lattice,
         series=series,
         surfaces=surfaces,
-        w_labels=tuple(data["w_labels"]),
-        glue_surface=data["glue_surface"],
+        w_labels=tuple(w_labels),
+        glue_surface=glue_surface,
         note=data["note"],
     )
 

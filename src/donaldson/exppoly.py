@@ -6,6 +6,7 @@ prefactor e^{+Q(tD)/2} or e^{-Q(tD)/2}.  The markers are never expanded when
 identities are compared (all identities in the theory compare like-marked
 parts); a truncated power-series expansion exists for display only.
 Scalar parts and ``q_square`` are ints when integral (``lattice._exact``).
+The constructor is the one merge of like exponents and pruning of zero terms.
 """
 
 from __future__ import annotations
@@ -80,28 +81,19 @@ class ExpPolynomial:
 
     # -- ring operations ------------------------------------------------------------
 
-    def _join_marker(self, other: "ExpPolynomial") -> tuple[str, int | Fraction | None]:
-        if self.marker == other.marker:
-            if self.q_square is not None and other.q_square is not None:
-                if self.q_square != other.q_square:
-                    raise ExpPolynomialError(
-                        "cannot combine like-marked parts over different D^2"
-                    )
-            q = self.q_square if self.q_square is not None else other.q_square
-            return self.marker, q
-        raise ExpPolynomialError(
-            f"cannot combine parts marked {self.marker!r} and {other.marker!r}"
-        )
-
     def __add__(self, other: "ExpPolynomial") -> "ExpPolynomial":
         if not isinstance(other, ExpPolynomial):
             return NotImplemented
-        if self.is_zero and self.q_square is None and self.marker == other.marker:
-            return other
-        if other.is_zero and other.q_square is None and other.marker == self.marker:
-            return self
-        marker, q = self._join_marker(other)
-        return ExpPolynomial(marker, self.terms + other.terms, q)
+        if self.marker != other.marker:
+            raise ExpPolynomialError(
+                f"cannot combine parts marked {self.marker!r} and {other.marker!r}"
+            )
+        q, q_other = self.q_square, other.q_square
+        if q is None:
+            q = q_other
+        elif q_other is not None and q != q_other:
+            raise ExpPolynomialError("cannot combine like-marked parts over different D^2")
+        return ExpPolynomial(self.marker, self.terms + other.terms, q)
 
     def __sub__(self, other: "ExpPolynomial") -> "ExpPolynomial":
         return self + (-other)
@@ -150,6 +142,7 @@ class ExpPolynomial:
         (real, imaginary) parts of the exponents; since that order respects
         addition, an exact quotient has all its exponents between
         min(self)-min(divisor) and max(self)-max(divisor), which bounds the run.
+        Each step subtracts the shifted divisor through the constructor, the one merge.
         """
         if not isinstance(divisor, ExpPolynomial):
             raise TypeError("divisor must be an ExpPolynomial")
@@ -161,25 +154,18 @@ class ExpPolynomial:
             return ExpPolynomial()
         lead_l, lead_c = divisor.terms[-1]
         low_bound = (self.terms[0][0] - divisor.terms[0][0]).sort_key()
-        rem = {l.sort_key(): (l, c) for l, c in self.terms}
-        out = []
+        rem, out = self, []
         for _ in range(_DIVISION_STEP_CAP):
-            if not rem:
+            if rem.is_zero:
                 return ExpPolynomial("none", tuple(out))
-            r_l, r_c = rem[max(rem)]
+            r_l, r_c = rem.terms[-1]
             q_l = r_l - lead_l
             if q_l.sort_key() < low_bound:
                 raise InexactDivision("no exact quotient in the exponential ring")
             q_c = r_c / lead_c
             out.append((q_l, q_c))
-            for l, c in divisor.terms:
-                key = (l + q_l).sort_key()
-                cur = rem.get(key)
-                new = (cur[1] if cur else GaussianRational(0)) - c * q_c
-                if new.is_zero:
-                    rem.pop(key, None)
-                else:
-                    rem[key] = (l + q_l, new)
+            shifted = tuple((l + q_l, c * -q_c) for l, c in divisor.terms)
+            rem = ExpPolynomial("none", rem.terms + shifted)
         raise InexactDivision("division did not terminate")
 
     # -- display expansion ---------------------------------------------------------

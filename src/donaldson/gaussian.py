@@ -99,22 +99,16 @@ class GaussianRational:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def norm(self) -> int | Fraction:
-        return self.re * self.re + self.im * self.im
-
     def __truediv__(self, x):
         o = self._other(x)
         if o is None:
             return NotImplemented
-        n = o.norm()
+        a, b, c, d = self.re, self.im, o.re, o.im
+        n = c * c + d * d
         if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        num = self * o.conjugate()
-        # int / int would be a float, which the normalizer refuses
-        return GaussianRational(Fraction(num.re, n), Fraction(num.im, n))
+        # (a + bi)(c - di) / (c^2 + d^2); int / int would be a float
+        return GaussianRational(Fraction(a * c + b * d, n), Fraction(b * c - a * d, n))
 
     def __rtruediv__(self, x):
         o = self._other(x)

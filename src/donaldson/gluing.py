@@ -212,19 +212,25 @@ class GluedSeries:
         return sums
 
 
+MAX_GLUED_ENTRIES = 2**20
+"""The most entries a gluing may have; ``_glued`` refuses more before building any."""
+
+
 def _glued(spec: GluingSpec, kind: str, rows) -> GluedSeries:
     """Run a gluing rule given as rows (sector, scale, level): each row keeps
     every left/right pair of classes at that surface level (from ``levels``),
     with coefficient scale * a_j * b_k on the twisted coefficients."""
     left, right = spec._splits
-    entries = []
-    for sector, scale, level in rows:
-        rights = right.levels.get(level, ())
-        entries.extend(
-            (j, k, sector, scale * left.rows[j][2] * right.rows[k][2])
-            for j in left.levels.get(level, ()) for k in rights
-        )
-    return GluedSeries(spec, kind, tuple(entries))
+    blocks = [(sector, scale, left.levels.get(lvl, ()), right.levels.get(lvl, ()))
+              for sector, scale, lvl in rows]
+    size = sum(len(js) * len(ks) for _, _, js, ks in blocks)
+    if size > MAX_GLUED_ENTRIES:
+        raise GluingError(f"{size} glued entries is over the limit of {MAX_GLUED_ENTRIES}")
+    entries = tuple(
+        (j, k, sector, scale * left.rows[j][2] * right.rows[k][2])
+        for sector, scale, js, ks in blocks for j in js for k in ks
+    )
+    return GluedSeries(spec, kind, entries)
 
 
 def _top_level_rows(spec: GluingSpec, scale: Fraction):
@@ -338,6 +344,10 @@ def coefficient_match(
 # -- JSON -----------------------------------------------------------------------------
 
 
+_SECTOR_CODE = {1: "+", -1: "-", 0: "0"}
+_SECTOR_OF_CODE = {code: sector for sector, code in _SECTOR_CODE.items()}
+
+
 def glued_to_json(gs: GluedSeries) -> dict:
     spec = gs.spec
     return {
@@ -349,7 +359,7 @@ def glued_to_json(gs: GluedSeries) -> dict:
         "w2_sq": spec.w2.square,
         "w_sq": spec.glued_w_square,
         "pairs": [
-            [j, k, {1: "+", -1: "-", 0: "0"}[sector], frac_token(c)]
+            [j, k, _SECTOR_CODE[sector], frac_token(c)]
             for j, k, sector, c in gs.entries
         ],
     }
@@ -371,7 +381,6 @@ def glued_from_json(data: dict) -> GluedSeries:
         right=catalog(data["right"]),
         w_square=data["w_sq"],
     )
-    sector_in = {"+": 1, "-": -1, "0": 0}
     sizes = (len(spec.left.series.entries), len(spec.right.series.entries))
     entries = []
     for row in data["pairs"]:
@@ -381,9 +390,9 @@ def glued_from_json(data: dict) -> GluedSeries:
         for side, idx, n in zip(("left", "right"), (j, k), sizes):
             if type(idx) is not int or not 0 <= idx < n:
                 raise GluingError(f"pair {row!r}: the {side} index must be an int in [0, {n})")
-        if s not in ("+", "-", "0"):
+        if type(s) is not str or s not in _SECTOR_OF_CODE:
             raise GluingError(f"pair {row!r}: the sector must be '+', '-' or '0'")
         if type(c) not in (int, float, str):
             raise GluingError(f"pair {row!r}: the coefficient must be an int or a 'p/q' string")
-        entries.append((j, k, sector_in[s], Fraction(_exact(c))))
+        entries.append((j, k, _SECTOR_OF_CODE[s], Fraction(_exact(c))))
     return GluedSeries(spec, data["kind"], tuple(entries))

@@ -356,6 +356,14 @@ def test_conjecture_command(capsys):
     assert sorted(p[3] for p in payload["pairs"]) == ["-2", "2"]
 
 
+def test_oversized_glue_exits_two_with_empty_stdout(capsys):
+    argv = ["glue", "--left", "elliptic:600", "--right", "elliptic:600", "--g", "1", "--torus"]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "over the limit" in err
+
+
 def test_usage_error_exit_code():
     assert run(["glue", "--left", "bg:2"]) == 2
     assert run(["frobnicate"]) == 2

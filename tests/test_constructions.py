@@ -319,6 +319,25 @@ def test_entry_from_json_requires_note():
         entry_from_json(data)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("w_labels", ["nope"], "w label 'nope' is not a class label"),
+        ("w_labels", ["T1", "nope"], "w label 'nope' is not a class label"),
+        ("w_labels", "T1", "w_labels must be a list of str"),
+        ("w_labels", ["T1", 1], "w_labels must be a list of str"),
+        ("glue_surface", "nowhere", "no surface 'nowhere' to glue along"),
+        ("glue_surface", ["Sigma_g"], "glue_surface must be a str"),
+    ],
+)
+def test_entry_from_json_refuses_unknown_w_and_glue_labels(field, value, message):
+    data = json.loads(entry_json_bytes(catalog("B2")).decode())
+    entry_from_json(data)
+    data[field] = value
+    with pytest.raises(ConstructionError, match=message):
+        entry_from_json(data)
+
+
 def test_entry_bytes_match_bench_digests():
     """Every entry digest the benchmark records is reproduced byte for byte."""
     path = Path(__file__).resolve().parent.parent / "bench" / "digests.json"

@@ -5,6 +5,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from donaldson import exppoly
 from donaldson.exppoly import ExpPolynomial, ExpPolynomialError, InexactDivision
 from donaldson.gaussian import GaussianRational, I
 from donaldson.lattice import LatticeError
@@ -78,10 +79,19 @@ def test_division_with_imaginary_exponents():
 
 
 def test_division_failure():
+    # (e^t + 1) / (e^t - 1) leaves the remainder 2, whose quotient term e^{-t}
+    # lies below min(num) - min(den) = 0
     num = poly([(1, 1), (0, 1)])
     den = poly([(1, 1), (0, -1)])
-    with pytest.raises(InexactDivision):
+    with pytest.raises(InexactDivision, match="^no exact quotient in the exponential ring$"):
         num.divide_exact(den)
+
+
+def test_division_stops_at_the_step_cap(monkeypatch):
+    sinh = poly([(1, Fraction(1, 2)), (-1, Fraction(-1, 2))])
+    monkeypatch.setattr(exppoly, "_DIVISION_STEP_CAP", 1)
+    with pytest.raises(InexactDivision, match="^division did not terminate$"):
+        (sinh * sinh).divide_exact(sinh)
 
 
 def test_zero_division_cases():

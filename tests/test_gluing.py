@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from donaldson import gluing
 from donaldson.constructions import catalog
-from donaldson.gaussian import GaussianRational
+from donaldson.gaussian import GaussianRational, frac_token
 from donaldson.gluing import (
     GluingError,
     GluedSeries,
@@ -354,6 +355,23 @@ def test_torus_rule_rejects_nonzero_levels():
         glue_torus(spec)
 
 
+def test_oversized_gluing_is_refused_before_it_is_built():
+    # S600 has 599 classes, all at level 0: 3 * 599^2 = 1076403 > 2^20 entries
+    s600 = catalog("elliptic:600")
+    with pytest.raises(GluingError, match="1076403 glued entries is over the limit of 1048576"):
+        glue_torus(GluingSpec(left=s600, right=s600))
+
+
+def test_gluing_limit_counts_every_entry(monkeypatch):
+    spec = bg_double(3)
+    size = len(glue(spec).entries)
+    monkeypatch.setattr(gluing, "MAX_GLUED_ENTRIES", size)
+    assert len(glue(spec).entries) == size
+    monkeypatch.setattr(gluing, "MAX_GLUED_ENTRIES", size - 1)
+    with pytest.raises(GluingError, match="over the limit"):
+        glue(spec)
+
+
 def test_torus_rule_rejects_higher_genus():
     with pytest.raises(GluingError):
         glue_torus(bg_double(2))
@@ -401,6 +419,22 @@ def test_coefficient_match_with_nontrivial_twist():
         for L in bg.series.classes():
             got, predicted = coefficient_match(gs, K, L)
             assert got == predicted
+
+
+def test_coefficient_match_sums_rows_that_share_a_pair():
+    # a reloaded gluing may hold one (j, k) in several rows: the grouped
+    # coefficient is their sum
+    g = 3
+    payload = json.loads(json.dumps(glued_to_json(glue(bg_double(g)))))
+    j, k, sector, coeff = payload["pairs"][0]
+    half = frac_token(Fraction(coeff) / 2)
+    payload["pairs"][0:1] = [[j, k, sector, half], [j, k, sector, half]]
+    gs = glued_from_json(payload)
+    assert [e[:2] for e in gs.entries].count((j, k)) == 2
+    K, L = gs.left_class(j), gs.right_class(k)
+    grouped, predicted = coefficient_match(gs, K, L)
+    assert grouped == predicted != 0
+    assert (grouped, predicted) == coefficient_match(glue(bg_double(g)), K, L)
 
 
 def test_coefficient_match_rejects_torus():
@@ -516,7 +550,7 @@ def test_glued_from_json_requires_kind():
     [
         (0, 4), (0, 99), (0, -1), (0, 0.0), (0, True),
         (1, 4), (1, -1), (1, "0"),
-        (2, "x"), (2, 1),
+        (2, "x"), (2, 1), (2, ["+"]),
     ],
 )
 def test_glued_from_json_rejects_bad_pair_rows(column, value):
