@@ -254,7 +254,8 @@ def _cmd_check(args) -> int:
 
     w = entry.w_class()
     s = entry.surface()
-    order = finite_type_order(entry.series, w, s)
+    split = SplitSeries(entry.series, w, s)  # shared with the relation check below
+    order = finite_type_order(entry.series, w, s, split=split)
     expected = 0 if entry.series.is_zero else 1
     if order != expected:
         raise VerificationError(
@@ -264,10 +265,10 @@ def _cmd_check(args) -> int:
 
     if s.genus >= 2:
         z = relation_poly(s.genus)
-        splits = [SplitSeries(entry.series, w_used, s) for w_used in (w, w + s.cls)]
+        splits = [split, SplitSeries(entry.series, w + s.cls, s)]
         for d in default_probes(entry.lattice, s):
-            for split in splits:
-                p_part, n_part = split.evaluate(d, z.terms)
+            for ss in splits:
+                p_part, n_part = ss.evaluate(d, z.terms)
                 if not (p_part.is_zero and n_part.is_zero):
                     raise VerificationError(
                         f"{entry.name}: genus-{s.genus} relation polynomial "

@@ -74,6 +74,8 @@ class CatalogEntry:
             raise ConstructionError(f"{self.name}: a surface label is repeated")
         if self.glue_surface not in self._surface_map:
             raise ConstructionError(f"{self.name}: no surface {self.glue_surface!r} to glue along")
+        if not self.w_labels:
+            raise ConstructionError(f"{self.name}: no w label; w_class() needs at least one")
         for label in self.w_labels:
             if label not in self.lattice.labels():
                 raise ConstructionError(f"{self.name}: w label {label!r} is not a class label")

@@ -282,19 +282,19 @@ def glue_conjectural(spec: GluingSpec) -> GluedSeries:
 def eval_glued(gs: GluedSeries, d: SplitClass) -> ExpPolynomial:
     """Evaluate a glued series on e^{tD} for a split class D.
 
-    One term per entry, exponent K.D1 + L.D2 plus the sector shift
-    +-2 S.D (no shift for the torus 0-sector and for stabilized output).
+    Each entry's exponent is K.D1 + L.D2 plus the sector shift +-2 S.D (no
+    shift for the torus 0-sector and for stabilized output).  Coefficients
+    are summed per exponent, so there is one term per distinct exponent.
     K.D1 and L.D2 are paired once per parent class that has an entry.
     """
     _validate_split_class(gs.spec, d)
     k_d1 = {j: gs.left_class(j).dot(d.d1) for j in {e[0] for e in gs.entries}}
     l_d2 = {k: gs.right_class(k).dot(d.d2) for k in {e[1] for e in gs.entries}}
     shift_scale = 0 if gs.kind == "stabilized" else 2 * d.sigma_pairing
-    terms = tuple(
-        (k_d1[j] + l_d2[k] + sector * shift_scale, coeff)
-        for j, k, sector, coeff in gs.entries
-    )
-    return ExpPolynomial("+Q/2", terms, d.square)
+    sums: dict[int | Fraction, Fraction] = defaultdict(Fraction)
+    for j, k, sector, coeff in gs.entries:
+        sums[k_d1[j] + l_d2[k] + sector * shift_scale] += coeff
+    return ExpPolynomial("+Q/2", tuple(sums.items()), d.square)
 
 
 def rshift(spec: GluingSpec, d: SplitClass, r) -> SplitClass:

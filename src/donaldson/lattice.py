@@ -171,6 +171,11 @@ class HClass:
     def square(self) -> int | Fraction:
         return pairing(self, self)
 
+    @cached_property
+    def covector(self) -> tuple[int | Fraction, ...]:
+        """gram . coords, built once: pairing with this class is one dot product."""
+        return tuple(sum(map(mul, row, self.coords)) for row in self.lattice.gram)
+
     def is_odd(self) -> bool:
         """Nonzero reduction mod 2 (meaningful for integral classes)."""
         if not self.is_integral:
@@ -236,13 +241,12 @@ def same_lattice(a: Lattice, b: Lattice) -> bool:
 
 
 def pairing(u: HClass, v: HClass) -> int | Fraction:
-    """Evaluate the intersection form u^T . gram . v: an int on integral classes."""
+    """u^T . gram . v as u . (v's cached covector): an int on integral classes."""
     if not same_lattice(u.lattice, v.lattice):
         raise LatticeMismatch(
             f"pairing of classes on {u.lattice.name} and {v.lattice.name}"
         )
-    gram, vc = u.lattice.gram, v.coords
-    return sum(a * sum(map(mul, row, vc)) for a, row in zip(u.coords, gram) if a)
+    return sum(map(mul, u.coords, v.covector))
 
 
 def is_characteristic(k: HClass) -> bool:

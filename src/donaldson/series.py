@@ -183,12 +183,14 @@ class SplitSeries:
         Sums over ``levels`` (default: every level K.S).  Every power must be
         >= 0.  x acts by 2 (P) or -2 (N) and S by (D+K).S (P) or (-D+iK).S (N),
         so z is one scalar per level, times i^{-d0} in N.  A level whose scalar
-        is zero adds no terms; else each class adds one, exponent K.D or i K.D.
+        is zero adds no terms; else its coefficients are summed per K.D and
+        each distinct K.D adds one term, exponent K.D or i K.D.
         """
         if any(sp < 0 or xp < 0 for sp, xp, _ in z_terms):
             raise SeriesError("insertion powers must be >= 0")
         d_sigma = d.dot(self.surface.cls)  # a foreign D raises LatticeMismatch here
         i_pow = GaussianRational.i_power(-self.d0)
+        top = max((sp for sp, _, _ in z_terms), default=0)
         parts = {2: [], 0: []}
         for ks in self.levels if levels is None else levels:
             r = ks % 4
@@ -196,13 +198,19 @@ class SplitSeries:
                 weight, x, base = GaussianRational(d_sigma + ks), 2, 1
             else:
                 weight, x, base = GaussianRational(-d_sigma, ks), -2, i_pow
-            terms = (weight**sp * (cz * x**xp) for sp, xp, cz in z_terms)
+            powers = [GaussianRational(1)]
+            for _ in range(top):
+                powers.append(powers[-1] * weight)
+            terms = (powers[sp] * (cz * x**xp) for sp, xp, cz in z_terms)
             scalar = base * sum(terms, GaussianRational(0))
             if scalar.is_zero:
                 continue
+            sums: dict[int | Fraction, int | Fraction] = {}  # K.D -> summed coefficient
             for j in self.levels.get(ks, ()):
                 k, _, a = self.rows[j]
                 kd = k.dot(d)
+                sums[kd] = sums.get(kd, 0) + a
+            for kd, a in sums.items():
                 lam = GaussianRational(kd) if r == 2 else GaussianRational(0, kd)
                 parts[r].append((lam, scalar * a))
         return (
@@ -243,7 +251,8 @@ def eval_insertion(
     Returns (P, N):
       P = e^{+Q/2} sum_{K.S==2(4)} c_{K,w} 2^a ((D+K).S)^b e^{(K.D)t}
       N = e^{-Q/2} sum_{K.S==0(4)} i^{-d0} c_{K,w} (-2)^a ((-D+iK).S)^b e^{i(K.D)t}
-    The series is split once, and K.S and K.D are paired once per class.
+    The series is split once, K.S and K.D are paired once per class, and
+    coefficients are summed per (level K.S, K.D) before any term is made.
     """
     return SplitSeries(series, w, s).evaluate(d, ((sigma_power, x_power, 1),))
 
@@ -321,8 +330,9 @@ def apply_relation(
     """Evaluate the split series on z e^{tD}: the sum of its insertions.
 
     The series is split once.  z takes one value per sector and surface
-    level K.S, at most 2(2g-1) scalars, and each class then contributes one
-    term: its split coefficient times the scalar of its level.
+    level K.S, at most 2(2g-1) scalars.  Each level then contributes one
+    term per distinct K.D: the sum of its classes' split coefficients at
+    that K.D, times the scalar of the level.
     """
     if d.dot(s.cls) != 1:
         warnings.warn(
@@ -347,6 +357,7 @@ def finite_type_order(
     w: HClass,
     s: MarkedSurface,
     probes=None,
+    split: SplitSeries | None = None,
 ) -> int:
     """Smallest n >= 0 such that the (x^2-4)^n insertion kills all probes.
 
@@ -355,7 +366,8 @@ def finite_type_order(
     every series: evaluating it would only compare the code with itself.
     The order is therefore 1 if some probe's plain evaluation (z = 1) is
     nonzero and 0 otherwise; the probes are evaluated on one split, until
-    the first nonzero value.
+    the first nonzero value.  ``split``, when given, is that split: the
+    caller's own split of the series against (w, s).
     """
     if series.is_zero:
         return 0
@@ -363,7 +375,10 @@ def finite_type_order(
         probes = default_probes(series.lattice, s)
     if not probes:
         raise SeriesError("no probe classes with D.S = 1 are available")
-    split = SplitSeries(series, w, s)
+    if split is None:
+        split = SplitSeries(series, w, s)
+    elif (split.w, split.surface) != (w, s):
+        raise SeriesError("the given split is not against (w, s)")
     plain = (part for d in probes for part in split.evaluate(d, ((0, 0, 1),)))
     return int(any(not part.is_zero for part in plain))
 

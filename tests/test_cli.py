@@ -287,8 +287,9 @@ def test_check_splits_once_per_w(monkeypatch, capsys):
 
     monkeypatch.setattr(series_mod, "_split_table", counting)
     assert run(["check", "--entry", "bg:4"]) == 0
-    # finite_type_order's split of w, then one split of w and one of w + S
-    assert len(calls) <= 3
+    # one split of w, shared by finite_type_order and the relation check,
+    # and one split of w + S
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize(
@@ -304,7 +305,7 @@ def test_check_splits_once_per_w(monkeypatch, capsys):
             lambda series, s: (False, []),
             "adjunction bound violated against Sigma_g",
         ),
-        ("finite_type_order", lambda series, w, s: 2, "point-class order 2, expected 1"),
+        ("finite_type_order", lambda series, w, s, split: 2, "point-class order 2, expected 1"),
         (
             "relation_poly",
             lambda g: RelationPoly.of([(0, 0, 1)]),
@@ -402,6 +403,19 @@ def test_catalog_dir_mismatch_detected(tmp_path, monkeypatch, capsys):
     with open(os.path.join(str(tmp_path), "K3.json"), "a") as fh:
         fh.write(" ")
     assert run(["catalog", "show", "K3"]) == 1
+
+
+def test_catalog_dir_entry_without_w_label_is_refused(tmp_path, monkeypatch, capsys):
+    # a stored entry is byte-compared with its re-derivation, never parsed,
+    # so an entry file with no w label fails as a mismatch before any w is read
+    data = entry_to_json(catalog("B2"))
+    data["w_labels"] = []
+    (tmp_path / "B2.json").write_text(json.dumps(data, indent=2) + "\n")
+    monkeypatch.setenv("DONALDSON_CATALOG_DIR", str(tmp_path))
+    assert run(["check", "--entry", "B2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("verification failure: stored catalog file")
 
 
 def test_table_output(capsys):

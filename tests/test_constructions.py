@@ -328,6 +328,7 @@ def test_entry_from_json_requires_note():
         ("w_labels", ["T1", 1], "w_labels must be a list of str"),
         ("glue_surface", "nowhere", "no surface 'nowhere' to glue along"),
         ("glue_surface", ["Sigma_g"], "glue_surface must be a str"),
+        ("w_labels", [], "no w label"),
     ],
 )
 def test_entry_from_json_refuses_unknown_w_and_glue_labels(field, value, message):
@@ -336,6 +337,12 @@ def test_entry_from_json_refuses_unknown_w_and_glue_labels(field, value, message
     data[field] = value
     with pytest.raises(ConstructionError, match=message):
         entry_from_json(data)
+
+
+def test_entry_refuses_empty_w_labels():
+    entry = catalog("B2")
+    with pytest.raises(ConstructionError, match="no w label"):
+        dataclasses.replace(entry, w_labels=())
 
 
 def test_entry_bytes_match_bench_digests():

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from donaldson.constructions import build_bg, catalog, catalog_names
 from donaldson.lattice import (
@@ -270,3 +270,58 @@ def test_pairing_bilinear_symmetric(u, v, w, a):
     assert pairing(cu, cv) == pairing(cv, cu)
     assert pairing(cu + cv, cw) == pairing(cu, cw) + pairing(cv, cw)
     assert pairing(a * cu, cw) == a * pairing(cu, cw)
+
+
+# -- the pairing on catalog lattices ----------------------------------------------------
+
+CATALOG_LATTICES = {name: catalog(name).lattice for name in ("B3", "B4", "dia2:2:4", "K3")}
+coordinate = st.one_of(st.integers(-5, 5), st.fractions(-5, 5, max_denominator=4))
+
+
+@st.composite
+def class_pair(draw, integral=False):
+    """Two new classes on one catalog lattice, neither with a cached covector."""
+    lat = CATALOG_LATTICES[draw(st.sampled_from(sorted(CATALOG_LATTICES)))]
+    entry = st.integers(-5, 5) if integral else coordinate
+    coords = st.lists(entry, min_size=lat.rank, max_size=lat.rank)
+    return HClass(lat, draw(coords)), HClass(lat, draw(coords))
+
+
+def double_sum(u, v):
+    """u^T G v written out over every cell of the Gram matrix, in Fractions."""
+    gram = u.lattice.gram
+    cells = ((i, j) for i in range(u.lattice.rank) for j in range(u.lattice.rank))
+    return sum((Fraction(u.coords[i]) * gram[i][j] * v.coords[j] for i, j in cells), Fraction(0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(class_pair())
+def test_pairing_is_the_double_sum_and_symmetric(pair):
+    u, v = pair
+    value = pairing(u, v)
+    assert type(value) in (int, Fraction)
+    assert value == double_sum(u, v)
+    assert pairing(v, u) == value
+    gram = u.lattice.gram
+    assert u.covector == tuple(sum(g * c for g, c in zip(row, u.coords)) for row in gram)
+
+
+@settings(max_examples=40, deadline=None)
+@given(class_pair(integral=True))
+def test_pairing_of_integral_classes_is_an_int(pair):
+    u, v = pair
+    assert type(pairing(u, v)) is int
+    assert type(pairing(v, u)) is int
+    assert pairing(u, v) == double_sum(u, v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(class_pair())
+def test_covector_leaves_equality_and_hash_alone(pair):
+    u, _ = pair
+    fresh = HClass(u.lattice, u.coords)
+    u.covector  # cached on u only
+    assert "covector" in vars(u) and "covector" not in vars(fresh)
+    assert u == fresh and fresh == u
+    assert hash(u) == hash(fresh)
+    assert len({u, fresh}) == 1

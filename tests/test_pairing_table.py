@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import donaldson.gluing as gluing_mod
 import donaldson.lattice as lattice_mod
 import donaldson.series as series_mod
 from donaldson.constructions import catalog, catalog_names
@@ -254,6 +255,40 @@ def test_split_levels_partition_the_rows_and_the_evaluation(name):
                     assert sum(by_level[1:], by_level[0]) == whole[sector]
 
 
+def test_evaluate_on_no_z_terms_is_two_zero_parts():
+    entry = catalog("B3")
+    s = entry.surface()
+    split = split_series(entry.series, entry.w_class(), s)
+    for d in probe_cases(entry):
+        p, n = split.evaluate(d, ())
+        assert p == ExpPolynomial("+Q/2", (), ref_dot(d, d))
+        assert n == ExpPolynomial("-Q/2", (), ref_dot(d, d))
+
+
+@pytest.mark.parametrize("z", [((-1, 0, 1),), ((0, -1, 1),), ((2, 0, 1), (0, -2, 3))])
+def test_evaluate_rejects_negative_powers(z):
+    entry = catalog("B3")
+    s = entry.surface()
+    split = split_series(entry.series, entry.w_class(), s)
+    with pytest.raises(series_mod.SeriesError, match="insertion powers must be >= 0"):
+        split.evaluate(default_probes(entry.lattice, s)[0], z)
+
+
+@pytest.mark.parametrize("name", ["B3", "B4", "dia2:2:4"])
+def test_evaluate_on_one_level_is_that_levels_share(name):
+    entry = catalog(name)
+    s = entry.surface()
+    for w in twists(entry):
+        split = split_series(entry.series, w, s)
+        for d in probe_cases(entry):
+            i_pow, d_sigma, q, rows = ref_table(entry.series, w, s, d)
+            for z in (RelationPoly.of([(0, 0, 1)]), relations_for(entry)[0]):
+                for ks in split.levels:
+                    share = [row for row in rows if row[0] == ks]
+                    expected = ref_relation((i_pow, d_sigma, q, share), z)
+                    assert split.evaluate(d, z.terms, [ks]) == expected
+
+
 def test_apply_relation_rejects_negative_powers():
     entry = catalog("B3")
     s = entry.surface()
@@ -488,6 +523,19 @@ def test_finite_type_order_splits_once(monkeypatch, name):
         assert len(calls) == 1
 
 
+def test_finite_type_order_reads_a_given_split(monkeypatch):
+    entry = catalog("B4")
+    s = entry.surface()
+    w, w_shifted = twists(entry)
+    split = split_series(entry.series, w, s)
+    calls = []
+    count_calls(monkeypatch, series_mod, "_split_table", calls)
+    assert finite_type_order(entry.series, w, s, split=split) == 1
+    assert calls == []
+    with pytest.raises(series_mod.SeriesError, match="not against"):
+        finite_type_order(entry.series, w_shifted, s, split=split)
+
+
 def test_eval_glued_on_a_reload_neither_twists_nor_splits(monkeypatch):
     bg = catalog("B3")
     data = glued_to_json(glue(GluingSpec(left=bg, right=bg)))
@@ -498,6 +546,48 @@ def test_eval_glued_on_a_reload_neither_twists_nor_splits(monkeypatch):
     for d in split_probes(gs.spec, "T1"):
         assert not eval_glued(gs, d).is_zero
     assert calls == []
+
+
+def record_term_counts(monkeypatch, module):
+    """len(terms) of every ExpPolynomial that ``module`` builds, in call order."""
+    counts = []
+
+    def recording(marker="none", terms=(), q_square=None):
+        counts.append(len(terms))
+        return ExpPolynomial(marker, terms, q_square)
+
+    monkeypatch.setattr(module, "ExpPolynomial", recording)
+    return counts
+
+
+def test_evaluate_passes_one_term_per_level_and_exponent(monkeypatch):
+    entry = catalog("B5")
+    s = entry.surface()
+    split = split_series(entry.series, entry.w_class(), s)
+    counts = record_term_counts(monkeypatch, series_mod)
+    for d in default_probes(entry.lattice, s):
+        counts.clear()
+        split.evaluate(d, ((0, 0, 1),))
+        keys = {(ks, ref_dot(k, d)) for k, ks, _ in split.rows}
+        assert len(counts) == 2
+        assert sum(counts) <= len(keys)
+        assert sum(counts) < len(split.rows)
+
+
+def test_eval_glued_passes_one_term_per_exponent(monkeypatch):
+    entry = catalog("B4")
+    gs = glue_torus(GluingSpec(entry, entry, "T1", "T1", "sigma", "sigma"))
+    assert len(gs.entries) == 6912
+    counts = record_term_counts(monkeypatch, gluing_mod)
+    for d in split_probes(gs.spec, "sigma"):
+        counts.clear()
+        got = eval_glued(gs, d)
+        shift = 2 * ref_dot(d.d1, gs.spec.surface1.cls)
+        k_d1 = {j: ref_dot(gs.left_class(j), d.d1) for j in {e[0] for e in gs.entries}}
+        l_d2 = {k: ref_dot(gs.right_class(k), d.d2) for k in {e[1] for e in gs.entries}}
+        exponents = {k_d1[j] + l_d2[k] + sector * shift for j, k, sector, _ in gs.entries}
+        assert counts == [len(exponents)]
+        assert len(got.terms) <= len(exponents)
 
 
 def test_glue_pairs_each_class_with_its_surface_once(monkeypatch):
