@@ -4,6 +4,9 @@ Exit codes: 0 success, 1 a stated identity broke during verification,
 2 usage error, which includes a file that cannot be read or written.  All
 rationals in the JSON output are exact strings; pass --float to append
 floating-point renderings for display.
+
+The gluing and fit modules are imported inside the commands that use them
+(glue, eval, fit, conjecture), so catalog, build and check never load them.
 """
 
 from __future__ import annotations
@@ -12,19 +15,14 @@ import argparse
 import json
 import sys
 
-from .constructions import CatalogMismatch, catalog, catalog_names, entry_to_json
-from .exppoly import ExpPolynomial
-from .fit import basis_coordinates, fit_diagonal, zero_coordinates
-from .gluing import (
-    GluingError,
-    GluingSpec,
-    eval_glued,
-    glue,
-    glue_conjectural,
-    glue_torus,
-    glued_from_json,
-    glued_to_json,
+from .constructions import (
+    CatalogMismatch,
+    catalog,
+    catalog_names,
+    entry_json_bytes,
+    entry_to_json,
 )
+from .exppoly import ExpPolynomial
 from .lattice import HClass, _exact
 from .series import (
     SplitSeries,
@@ -156,6 +154,15 @@ def _floats(poly: ExpPolynomial) -> list[str]:
     ]
 
 
+def _emit_entry(args, ref: str) -> None:
+    """An entry's JSON is its cached catalog bytes, the ones a lookup checks."""
+    entry = catalog(ref)
+    if getattr(args, "table", False):
+        _emit(args, entry_to_json(entry))
+    else:
+        print(entry_json_bytes(entry).decode(), end="")
+
+
 def _cmd_catalog(args) -> int:
     if args.action == "list":
         _emit(args, {"entries": catalog_names()})
@@ -163,16 +170,18 @@ def _cmd_catalog(args) -> int:
     if not args.name:
         print("error: catalog show needs a name", file=sys.stderr)
         return 2
-    _emit(args, entry_to_json(catalog(args.name)))
+    _emit_entry(args, args.name)
     return 0
 
 
 def _cmd_build(args) -> int:
-    _emit(args, entry_to_json(catalog(args.recipe)))
+    _emit_entry(args, args.recipe)
     return 0
 
 
-def _make_spec(left_ref: str, right_ref: str, g: int, w_sq) -> GluingSpec:
+def _make_spec(left_ref: str, right_ref: str, g: int, w_sq):
+    from .gluing import GluingError, GluingSpec
+
     spec = GluingSpec(left=catalog(left_ref), right=catalog(right_ref), w_square=w_sq)
     if spec.genus != g:
         raise GluingError(
@@ -182,14 +191,21 @@ def _make_spec(left_ref: str, right_ref: str, g: int, w_sq) -> GluingSpec:
 
 
 def _cmd_glue(args) -> int:
+    from .gluing import glue, glue_torus, glued_to_json
+
     spec = _make_spec(args.left, args.right, args.g, args.w_sq)
     gs = glue_torus(spec) if args.torus else glue(spec)
     payload = glued_to_json(gs)
+    text = json.dumps(payload, indent=2)
+    # the file is written before anything is printed, so a bad --out
+    # leaves stdout empty
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-    _emit(args, payload)
+            fh.write(text + "\n")
+    if getattr(args, "table", False):
+        _emit(args, payload)
+    else:
+        print(text)
     return 0
 
 
@@ -210,6 +226,8 @@ def _unique_keys(pairs) -> dict:
 
 
 def _cmd_eval(args) -> int:
+    from .gluing import eval_glued, glued_from_json
+
     with open(args.glued) as fh:
         gs = glued_from_json(json.load(fh, object_pairs_hook=_unique_keys))
     d1 = _parse_class(gs.spec.left.lattice, args.d1)
@@ -283,6 +301,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    from .fit import basis_coordinates, fit_diagonal, zero_coordinates
+    from .gluing import GluingError, GluingSpec
+
     g = args.g
     bg = catalog(f"bg:{g}")
     cg = catalog(f"cg:{g}")
@@ -318,6 +339,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
+    from .gluing import glue_conjectural, glued_to_json
+
     spec = _make_spec(args.left, args.right, args.g, args.w_sq)
     gs = glue_conjectural(spec)
     payload = glued_to_json(gs)

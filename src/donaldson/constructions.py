@@ -95,6 +95,13 @@ class CatalogEntry:
         label = label or self.w_labels[0]
         return self.lattice.cls(label)
 
+    @cached_property
+    def json_bytes(self) -> bytes:
+        """The entry's catalog file, encoded on first use; the entry is immutable."""
+        # construction order is deterministic; sorting keys would scramble the
+        # class table
+        return (json.dumps(entry_to_json(self), indent=2) + "\n").encode()
+
     def validate(self) -> None:
         ok, bad = check_involution(self.series)
         if not ok:
@@ -403,7 +410,11 @@ def catalog_names() -> list[str]:
 
 def catalog(ref: str) -> CatalogEntry:
     """Name-keyed retrieval; re-derives from the recipe and, when a stored
-    JSON exists in the catalog directory, requires a byte-for-byte match."""
+    JSON exists in the catalog directory, requires a byte-for-byte match.
+
+    The stored file is read on every lookup; only the derived side's bytes
+    are cached, on the entry.
+    """
     recipe = _NAMED.get(ref, ref)
     entry = parse_recipe(recipe)
     base = catalog_dir()
@@ -469,9 +480,7 @@ def entry_from_json(data: dict) -> CatalogEntry:
 
 
 def entry_json_bytes(entry: CatalogEntry) -> bytes:
-    # construction order is deterministic; sorting keys would scramble the
-    # class table
-    return (json.dumps(entry_to_json(entry), indent=2) + "\n").encode()
+    return entry.json_bytes
 
 
 def export_catalog(directory: str, names=None) -> list[str]:

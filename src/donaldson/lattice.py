@@ -120,6 +120,14 @@ class Lattice:
     def _named_coords(self) -> dict[str, tuple[int | Fraction, ...]]:
         return dict(self.named)
 
+    @cached_property
+    def _parity_rows(self) -> tuple[tuple[int, int], ...]:
+        """Per basis vector i: (Gram row i mod 2 as a bit mask, G_ii mod 2)."""
+        return tuple(
+            (sum(1 << j for j, x in enumerate(row) if x & 1), row[i] & 1)
+            for i, row in enumerate(self.gram)
+        )
+
     def cls(self, label: str) -> "HClass":
         coords = self._named_coords.get(label)
         if coords is None:
@@ -253,9 +261,10 @@ def is_characteristic(k: HClass) -> bool:
     """k . v == v . v (mod 2) for every basis vector of the modeled lattice."""
     if not k.is_integral:
         raise LatticeError("characteristic test needs an integral class")
-    # the Gram matrix is symmetric, so row i pairs k with the i-th basis vector
-    kc, gram = k.coords, k.lattice.gram
-    return all((sum(map(mul, row, kc)) - row[i]) % 2 == 0 for i, row in enumerate(gram))
+    # over F2: k . e_i is the parity of the bits k shares with Gram row i
+    # (the Gram matrix is symmetric), and e_i . e_i is G_ii mod 2
+    mask = sum(1 << j for j, c in enumerate(k.coords) if c & 1)
+    return all((m & mask).bit_count() & 1 == d for m, d in k.lattice._parity_rows)
 
 
 def is_allowable(w: HClass, s: MarkedSurface) -> bool:

@@ -17,6 +17,7 @@ from donaldson.constructions import (
     ConstructionError,
     catalog,
     catalog_names,
+    entry_json_bytes,
     entry_to_json,
     export_catalog,
 )
@@ -416,6 +417,31 @@ def test_catalog_dir_entry_without_w_label_is_refused(tmp_path, monkeypatch, cap
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("verification failure: stored catalog file")
+
+
+@pytest.mark.parametrize(
+    "argv, ref", [(["build", "bg:3"], "bg:3"), (["catalog", "show", "B3"], "B3")]
+)
+@pytest.mark.parametrize("stored", [False, True], ids=["derived", "catalog-dir"])
+def test_entry_output_is_the_cached_entry_bytes(
+    tmp_path, monkeypatch, capsys, argv, ref, stored
+):
+    if stored:
+        export_catalog(str(tmp_path), [ref])
+        monkeypatch.setenv("DONALDSON_CATALOG_DIR", str(tmp_path))
+    else:
+        monkeypatch.delenv("DONALDSON_CATALOG_DIR", raising=False)
+    assert run(argv) == 0
+    assert capsys.readouterr().out == entry_json_bytes(catalog(ref)).decode()
+    assert run(["--table", *argv]) == 0
+    lines = [f"{key}: {value}" for key, value in entry_to_json(catalog(ref)).items()]
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+
+def test_glue_out_file_holds_the_printed_bytes(tmp_path, capsys):
+    out = tmp_path / "glued.json"
+    assert run(["glue", "--left", "bg:3", "--right", "bg:3", "--g", "3", "--out", str(out)]) == 0
+    assert out.read_bytes() == capsys.readouterr().out.encode()
 
 
 def test_table_output(capsys):

@@ -381,6 +381,37 @@ def test_catalog_store_byte_match(tmp_path, monkeypatch):
         catalog("B2")
 
 
+def test_entry_json_bytes_are_encoded_once_per_entry():
+    entry = catalog("B3")
+    assert entry_json_bytes(entry) is entry_json_bytes(entry)
+    assert entry_json_bytes(entry) is entry.json_bytes
+
+
+def test_export_and_lookups_share_one_encoding(tmp_path, monkeypatch):
+    parse_recipe.cache_clear()  # a fresh B3, not yet encoded
+    calls = []
+    real = constructions.json.dumps
+    monkeypatch.setattr(
+        constructions.json, "dumps", lambda *a, **kw: calls.append(a) or real(*a, **kw)
+    )
+    export_catalog(str(tmp_path), ["B3"])
+    monkeypatch.setenv("DONALDSON_CATALOG_DIR", str(tmp_path))
+    assert catalog("B3") is catalog("B3")
+    assert len(calls) == 1
+
+
+def test_cached_bytes_never_hide_a_changed_file(tmp_path, monkeypatch):
+    export_catalog(str(tmp_path), ["B3"])
+    monkeypatch.setenv("DONALDSON_CATALOG_DIR", str(tmp_path))
+    entry = catalog("B3")
+    path = tmp_path / "B3.json"
+    path.write_bytes(path.read_bytes().replace(b'"B3"', b'"B4"', 1))
+    with pytest.raises(CatalogMismatch):
+        catalog("B3")
+    path.unlink()
+    assert catalog("B3") is entry
+
+
 def test_catalog_entries_validate():
     for name in catalog_names():
         catalog(name).validate()

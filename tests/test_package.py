@@ -55,9 +55,14 @@ def test_unknown_name_is_refused():
 
 
 def test_import_loads_no_submodule_and_modules_still_resolve():
+    # `catalog list` runs without the gluing and fit modules
     script = (
-        "import sys, donaldson\n"
+        "import contextlib, io, sys, donaldson\n"
         "print(sorted(m for m in sys.modules if m.startswith('donaldson.')))\n"
+        "from donaldson.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert run(['catalog', 'list']) == 0\n"
+        "print(sorted({'donaldson.gluing', 'donaldson.fit'} & set(sys.modules)))\n"
         f"for m in {MODULES!r}:\n"
         "    assert getattr(donaldson, m) is sys.modules['donaldson.' + m], m\n"
         "print('ok')\n"
@@ -67,4 +72,4 @@ def test_import_loads_no_submodule_and_modules_still_resolve():
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["[]", "ok"]
+    assert done.stdout.split() == ["[]", "[]", "ok"]
