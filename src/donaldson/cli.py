@@ -17,6 +17,7 @@ import sys
 
 from .constructions import (
     CatalogMismatch,
+    MalformedCatalogFile,
     catalog,
     catalog_names,
     entry_json_bytes,
@@ -50,6 +51,9 @@ def run(argv) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except MalformedCatalogFile as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (VerificationError, CatalogMismatch) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1

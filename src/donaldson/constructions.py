@@ -57,6 +57,10 @@ class CatalogMismatch(ConstructionError):
     """A stored catalog file does not byte-match its re-derived entry."""
 
 
+class MalformedCatalogFile(CatalogMismatch):
+    """A mismatching stored catalog file does not even parse as an entry."""
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
     """A lattice, its series, marked surfaces, and distinguished w choices."""
@@ -413,7 +417,9 @@ def catalog(ref: str) -> CatalogEntry:
     JSON exists in the catalog directory, requires a byte-for-byte match.
 
     The stored file is read on every lookup; only the derived side's bytes
-    are cached, on the entry.
+    are cached, on the entry.  A file that matches is never parsed; one that
+    does not is parsed to tell a malformed file (``MalformedCatalogFile``)
+    from a changed entry (``CatalogMismatch``).
     """
     recipe = _NAMED.get(ref, ref)
     entry = parse_recipe(recipe)
@@ -422,6 +428,12 @@ def catalog(ref: str) -> CatalogEntry:
         with open(path, "rb") as fh:
             stored = fh.read()
         if stored != entry_json_bytes(entry):
+            try:
+                entry_from_json(json.loads(stored))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise MalformedCatalogFile(
+                    f"stored catalog file {path} is not a valid catalog entry: {exc}"
+                ) from exc
             raise CatalogMismatch(
                 f"stored catalog file {path} does not match the re-derived "
                 f"entry for {ref!r}"

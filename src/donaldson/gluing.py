@@ -315,21 +315,27 @@ def coefficient_match(
     untwisted sum of glued coefficients over parents restricting to (K, L)
     must equal -eps (+-1)^{g-1} 2^{7g-9} (sum of a_j over K_j = K) (sum of
     b_k over L_k = L); everything else gives (0, 0).  Both values are
-    returned so callers can assert the equality independently.
+    returned so callers can assert the equality independently.  K and L are
+    found through each side's series index, ``DonaldsonSeries.position``;
+    a class on another lattice raises ``LatticeMismatch``.
     """
     if gs.kind != "standard":
         raise GluingError("coefficient matching is defined for standard gluings")
     spec = gs.spec
     g = spec.genus
-    left, right = spec._splits
+    left, right = spec.left.series, spec.right.series
+    if not same_lattice(k_restrict.lattice, left.lattice):
+        raise LatticeMismatch("K restriction on a lattice other than the left side's")
+    if not same_lattice(l_restrict.lattice, right.lattice):
+        raise LatticeMismatch("L restriction on a lattice other than the right side's")
     # a rational class misses: no tuple of int coords equals it
     j = left.position.get(k_restrict.coords)
     k = right.position.get(l_restrict.coords)
     if j is None or k is None:
         # no parent classes restrict there: both sums are empty
         return Fraction(0), Fraction(0)
-    (_, lvl_k, a), (_, lvl_l, b) = left.rows[j], right.rows[k]
-    c, d = spec.left.series.entries[j][1], spec.right.series.entries[k][1]
+    (_, lvl_k, a), (_, lvl_l, b) = spec._splits[0].rows[j], spec._splits[1].rows[k]
+    c, d = left.entries[j][1], right.entries[k][1]
     grouped = gs._pair_sums.get((j, k), Fraction(0))
     if grouped and (a == c) != (b == d):
         grouped = -grouped  # untwist: the twist multiplied a_j and b_k by +-1

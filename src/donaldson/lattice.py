@@ -372,6 +372,8 @@ def lattice_to_json(lat: Lattice) -> dict:
 def lattice_from_json(data: dict) -> Lattice:
     if len(data["gram"]) != data["rank"]:
         raise LatticeError("rank field does not match Gram matrix size")
+    if not isinstance(data["classes"], dict):
+        raise LatticeError("classes field must map labels to coordinates")
     return Lattice(
         name=data["name"],
         gram=data["gram"],

@@ -1,7 +1,8 @@
 """Donaldson series of simple-type manifolds and the two-sector surface calculus.
 
 A series is the finite datum  D_X(e^a) = e^{Q(a)/2} sum_j c_j e^{K_j . a}
-of basic classes K_j with rational coefficients.  Against an allowable pair
+of basic classes K_j with rational coefficients; its ``position`` map (class
+coords -> entry index) is the one lookup by class.  Against an allowable pair
 (w, S) it splits into two sectors by K_j . S mod 4: the P-sector keeps the
 e^{+Q/2} prefactor, the N-sector acquires e^{-Q/2}, a global i^{-d0} and
 imaginary exponents.  Point-class and surface-class insertions act on the
@@ -48,11 +49,14 @@ class DonaldsonSeries:
 
     Entries are kept sorted by class coordinates, classes are pairwise
     distinct, integral, and characteristic on the modeled lattice.
+    ``position`` (class coords -> entry index) is the one lookup by class;
+    the duplicate check builds it.
     """
 
     lattice: Lattice
     entries: tuple[tuple[HClass, Fraction], ...]
     simple_type: bool = True
+    position: dict[tuple, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if type(self.simple_type) is not bool:
@@ -60,17 +64,17 @@ class DonaldsonSeries:
         pairs = ((k, Fraction(_exact(c))) for k, c in self.entries)
         entries = tuple(sorted(pairs, key=lambda e: e[0].coords))
         object.__setattr__(self, "entries", entries)
-        seen = set()
-        for k, c in entries:
+        position = {}
+        object.__setattr__(self, "position", position)
+        for j, (k, c) in enumerate(entries):
             if not same_lattice(k.lattice, self.lattice):
                 raise LatticeMismatch("entry class on a foreign lattice")
             if not k.is_integral:
                 raise SeriesError(f"basic class {k} is not integral")
             if not c:
                 raise SeriesError(f"DonaldsonSeries: basic class {k} has coefficient 0")
-            if k.coords in seen:
+            if position.setdefault(k.coords, j) != j:
                 raise SeriesError(f"duplicate basic class {k}")
-            seen.add(k.coords)
             if not is_characteristic(k):
                 raise SeriesError(f"basic class {k} is not characteristic")
 
@@ -91,10 +95,10 @@ class DonaldsonSeries:
         return not self.entries
 
     def coefficient(self, k: HClass) -> Fraction:
-        for kk, c in self.entries:
-            if kk.coords == k.coords:
-                return c
-        return Fraction(0)
+        if not same_lattice(k.lattice, self.lattice):
+            raise LatticeMismatch("coefficient of a class on a foreign lattice")
+        j = self.position.get(k.coords)
+        return Fraction(0) if j is None else self.entries[j][1]
 
     def classes(self) -> tuple[HClass, ...]:
         return tuple(k for k, _ in self.entries)
@@ -163,11 +167,6 @@ class SplitSeries:
         d0, rows = _split_table(series, self.w, self.surface)
         object.__setattr__(self, "d0", d0)
         object.__setattr__(self, "rows", tuple(rows))
-
-    @cached_property
-    def position(self) -> dict[tuple, int]:
-        """Class coords -> row index (the class's series entry index)."""
-        return {k.coords: j for j, (k, _, _) in enumerate(self.rows)}
 
     @cached_property
     def levels(self) -> dict[int, tuple[int, ...]]:
@@ -396,11 +395,10 @@ def check_involution(series: DonaldsonSeries) -> tuple[bool, list[HClass]]:
     """The map K -> -K carries coefficients by the sign (-1)^{d0(X, w=0)}."""
     d0 = series.d0()
     sign = -1 if d0 % 2 else 1
-    table = {k.coords: c for k, c in series.entries}
     bad = []
     for k, c in series.entries:
-        mirror = table.get(tuple(-x for x in k.coords))
-        if mirror is None or mirror != sign * c:
+        j = series.position.get(tuple(-x for x in k.coords))
+        if j is None or series.entries[j][1] != sign * c:
             bad.append(k)
     return (not bad, bad)
 

@@ -15,6 +15,7 @@ from donaldson.cli import VerificationError, run
 from donaldson.constructions import (
     CatalogMismatch,
     ConstructionError,
+    MalformedCatalogFile,
     catalog,
     catalog_names,
     entry_json_bytes,
@@ -384,6 +385,7 @@ def test_usage_error_exit_code():
         (OSError, 2),
         (VerificationError, 1),
         (CatalogMismatch, 1),
+        (MalformedCatalogFile, 2),
     ],
 )
 def test_error_exit_codes(monkeypatch, capsys, error, code):
@@ -407,16 +409,50 @@ def test_catalog_dir_mismatch_detected(tmp_path, monkeypatch, capsys):
 
 
 def test_catalog_dir_entry_without_w_label_is_refused(tmp_path, monkeypatch, capsys):
-    # a stored entry is byte-compared with its re-derivation, never parsed,
-    # so an entry file with no w label fails as a mismatch before any w is read
+    # a stored entry that differs from its re-derivation is parsed before the
+    # mismatch is reported; an entry with no w label does not load, so it is
+    # refused as a malformed input (exit 2), not as a failed identity
     data = entry_to_json(catalog("B2"))
     data["w_labels"] = []
     (tmp_path / "B2.json").write_text(json.dumps(data, indent=2) + "\n")
     monkeypatch.setenv("DONALDSON_CATALOG_DIR", str(tmp_path))
-    assert run(["check", "--entry", "B2"]) == 1
+    assert run(["check", "--entry", "B2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: stored catalog file")
+
+
+def _b2_without_class_labels() -> str:
+    data = entry_to_json(catalog("B2"))
+    data["lattice"]["classes"] = None
+    return json.dumps(data, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "stored", [lambda: "not json\n", _b2_without_class_labels], ids=["not-json", "classes-null"]
+)
+def test_catalog_dir_malformed_file_exits_2(tmp_path, monkeypatch, capsys, stored):
+    (tmp_path / "B2.json").write_text(stored())
+    monkeypatch.setenv("DONALDSON_CATALOG_DIR", str(tmp_path))
+    assert run(["check", "--entry", "B2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: stored catalog file")
+    assert "is not a valid catalog entry" in err
+
+
+def test_catalog_dir_entry_with_a_changed_coefficient_exits_1(tmp_path, monkeypatch, capsys):
+    # a valid entry that is not the re-derived one fails as a mismatch
+    data = entry_to_json(catalog("B2"))
+    first = data["series"]["entries"][0]
+    first["a"] = str(-Fraction(first["a"]))
+    (tmp_path / "B2.json").write_text(json.dumps(data, indent=2) + "\n")
+    monkeypatch.setenv("DONALDSON_CATALOG_DIR", str(tmp_path))
+    assert run(["catalog", "show", "B2"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("verification failure: stored catalog file")
+    assert "does not match the re-derived entry" in err
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from donaldson.cli import run
 from donaldson.constructions import (
     CatalogMismatch,
     ConstructionError,
+    MalformedCatalogFile,
     blow_up,
     build_bg,
     build_dia2,
@@ -379,6 +380,29 @@ def test_catalog_store_byte_match(tmp_path, monkeypatch):
         fh.write("\n")
     with pytest.raises(CatalogMismatch):
         catalog("B2")
+
+
+def test_stored_file_is_parsed_only_when_it_mismatches(tmp_path, monkeypatch):
+    export_catalog(str(tmp_path), ["B2"])
+    monkeypatch.setenv("DONALDSON_CATALOG_DIR", str(tmp_path))
+    parsed = []
+    real = constructions.entry_from_json
+    monkeypatch.setattr(
+        constructions, "entry_from_json", lambda data: parsed.append(data) or real(data)
+    )
+    catalog("B2")
+    assert parsed == []
+    path = tmp_path / "B2.json"
+    # not a Fraction: the file does not load, so it is malformed
+    path.write_bytes(path.read_bytes().replace(b'"a": "', b'"a": "--', 1))
+    with pytest.raises(MalformedCatalogFile, match="is not a valid catalog entry"):
+        catalog("B2")
+    # a valid entry that differs from the derivation is a plain mismatch
+    path.write_bytes(path.read_bytes().replace(b'"a": "--', b'"a": "-', 1))
+    with pytest.raises(CatalogMismatch) as info:
+        catalog("B2")
+    assert type(info.value) is CatalogMismatch
+    assert len(parsed) == 2
 
 
 def test_entry_json_bytes_are_encoded_once_per_entry():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from donaldson import gluing
-from donaldson.constructions import catalog
+from donaldson.constructions import blow_up, catalog
 from donaldson.gaussian import GaussianRational, frac_token
 from donaldson.gluing import (
     GluingError,
@@ -22,7 +22,7 @@ from donaldson.gluing import (
     glued_to_json,
     rshift,
 )
-from donaldson.lattice import d_zero
+from donaldson.lattice import HClass, LatticeMismatch, d_zero
 from donaldson.series import twist
 
 
@@ -435,6 +435,22 @@ def test_coefficient_match_sums_rows_that_share_a_pair():
     grouped, predicted = coefficient_match(gs, K, L)
     assert grouped == predicted != 0
     assert (grouped, predicted) == coefficient_match(glue(bg_double(g)), K, L)
+
+
+def test_coefficient_match_refuses_classes_on_another_lattice():
+    # K3 blown up three times has B3's rank, so K's coordinates name a class
+    # there too; it must not be read as B3's K
+    spec = bg_double(3)
+    gs = glue(spec)
+    k_top = spec.left.lattice.cls("K")
+    other = blow_up(blow_up(blow_up(catalog("K3")))).lattice
+    k_other = HClass(other, k_top.coords)
+    assert coefficient_match(gs, k_top, k_top) != (0, 0)
+    for k, l in ((k_other, k_other), (k_other, k_top), (k_top, k_other)):
+        with pytest.raises(LatticeMismatch):
+            coefficient_match(gs, k, l)
+    # a rational class on the right lattice is no parent's restriction
+    assert coefficient_match(gs, Fraction(1, 2) * k_top, k_top) == (0, 0)
 
 
 def test_coefficient_match_rejects_torus():

@@ -1,12 +1,13 @@
+import dataclasses
 import warnings
 from fractions import Fraction
 
 import pytest
 
-from donaldson.constructions import catalog
+from donaldson.constructions import blow_up, catalog
 from donaldson.exppoly import ExpPolynomial
 from donaldson.gaussian import GaussianRational
-from donaldson.lattice import Lattice, LatticeError
+from donaldson.lattice import HClass, Lattice, LatticeError, LatticeMismatch
 from donaldson.series import (
     DonaldsonSeries,
     RelationPoly,
@@ -55,11 +56,57 @@ def test_entries_sorted_distinct_characteristic(b2):
     series = b2.series
     coords = [k.coords for k, _ in series.entries]
     assert coords == sorted(coords)
-    with pytest.raises(SeriesError):
+    with pytest.raises(SeriesError, match="duplicate basic class"):
         DonaldsonSeries.on(b2.lattice, list(series.entries) + [series.entries[0]])
     # a non-characteristic class is rejected
     with pytest.raises(SeriesError):
         DonaldsonSeries.on(b2.lattice, [(b2.lattice.cls("F"), Fraction(1))])
+
+
+@pytest.mark.parametrize("name", ("B3", "B4", "S4", "K3", "C3", "dia2:2:4"))
+def test_position_indexes_every_entry(name):
+    series = catalog(name).series
+    assert len(series.position) == len(series.entries)
+    for j, (k, _) in enumerate(series.entries):
+        assert series.position[k.coords] == j
+
+
+@pytest.mark.parametrize("name", ("B3", "S4", "C3"))
+def test_coefficient_agrees_with_a_linear_scan(name):
+    series = catalog(name).series
+    lattice = series.lattice
+
+    def scanned(k):
+        return next((c for kk, c in series.entries if kk.coords == k.coords), Fraction(0))
+
+    first = series.entries[0][0]  # the least coords: not the zero class
+    absent, rational = 3 * first, Fraction(1, 2) * first
+    assert absent not in series.classes()
+    probes = [*series.classes(), *(2 * k for k in series.classes()), lattice.zero()]
+    for k in probes + [absent, rational]:
+        assert series.coefficient(k) == scanned(k)
+    assert series.coefficient(absent) == series.coefficient(rational) == 0
+
+
+def test_coefficient_refuses_a_class_on_another_lattice():
+    # K3 blown up three times has B3's rank: same coordinates, other lattice
+    b3 = catalog("B3")
+    other = blow_up(blow_up(blow_up(catalog("K3"))))
+    k = b3.series.entries[0][0]
+    assert other.lattice.rank == b3.lattice.rank and other.lattice != b3.lattice
+    with pytest.raises(LatticeMismatch):
+        b3.series.coefficient(HClass(other.lattice, k.coords))
+    assert b3.series.coefficient(k) == b3.series.entries[0][1]
+
+
+def test_series_from_permuted_pairs_are_equal_and_hash_equal(b2):
+    pairs = list(b2.series.entries)
+    permuted = DonaldsonSeries.on(b2.lattice, reversed(pairs))
+    assert permuted == b2.series
+    assert hash(permuted) == hash(b2.series)
+    assert permuted.position == b2.series.position
+    halved = dataclasses.replace(b2.series, entries=tuple(pairs[: len(pairs) // 2]))
+    assert halved.position == {k.coords: j for j, (k, _) in enumerate(halved.entries)}
 
 
 def test_zero_series(b2):
@@ -380,6 +427,17 @@ def test_involution_detects_violation(b2):
     lopsided = DonaldsonSeries.on(b2.lattice, [(e1e2, Fraction(1))])
     ok, bad = check_involution(lopsided)
     assert not ok and bad
+
+
+def test_involution_reports_both_classes_of_a_wrongly_signed_pair(b2):
+    # every class of B2 keeps its mirror; flipping one coefficient breaks
+    # the sign rule for that class and for its mirror, and for no other
+    pairs = list(b2.series.entries)
+    k, c = pairs[0]
+    pairs[0] = (k, -c)
+    ok, bad = check_involution(DonaldsonSeries.on(b2.lattice, pairs))
+    assert not ok
+    assert sorted(x.coords for x in bad) == sorted([k.coords, (-k).coords])
 
 
 # -- JSON --------------------------------------------------------------------------------
