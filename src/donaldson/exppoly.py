@@ -21,6 +21,9 @@ MARKERS = ("+Q/2", "-Q/2", "none")
 
 _DIVISION_STEP_CAP = 10_000
 
+MAX_EXPAND_ORDER = 200
+"""The highest order ``expand`` accepts: its cost grows faster than order^2."""
+
 
 class ExpPolynomialError(ValueError):
     pass
@@ -178,6 +181,10 @@ class ExpPolynomial:
         """
         if order < 0:
             raise ExpPolynomialError("expansion order must be >= 0")
+        if order > MAX_EXPAND_ORDER:
+            raise ExpPolynomialError(
+                f"expansion order {order} is over the limit of {MAX_EXPAND_ORDER}"
+            )
         body = [GaussianRational(0)] * (order + 1)
         for lam, c in self.terms:
             power = GaussianRational(1)

@@ -17,15 +17,15 @@ K.D1 + L.D2 +- 2 (S.D) t.
 Each rule is a table of rows (sector, scale, level) run by one builder.  The
 genus-1 rule has three rows at level 0 with scales -1/4, -1/4, -1/2; the
 experimental stabilized rule keeps the +-(2g-2) levels with scales
--+2^{-3g+5} and no surface shift.  Each side's ``SplitSeries``, built once
-per spec, gives the twisted coefficients and, through ``levels``, the rows at
-a level; row j of a split is series entry j, so glued indices address both.
+-+2^{-3g+5} and no surface shift.  Each side's ``SplitSeries``, made with the
+spec, gives the twisted coefficients and, through ``levels``, the rows at a
+level; row j of a split is series entry j, so glued indices address both.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -33,7 +33,7 @@ from .constructions import CatalogEntry, catalog
 from .exppoly import ExpPolynomial
 from .gaussian import frac_token
 from .lattice import HClass, LatticeMismatch, _exact, d_zero_value, same_lattice
-from .series import SeriesError, SplitSeries, _check_split
+from .series import SeriesError, SplitSeries
 
 
 class GluingError(ValueError):
@@ -47,7 +47,7 @@ class GluingSpec:
     ``w_square`` is the self-intersection of the glued w; it enters only
     through w^2 - w1^2 - w2^2, which must be even and contributes the
     epsilon sign when it is 2 mod 4.  Default: the normalized value
-    w1^2 + w2^2.
+    w1^2 + w2^2.  The spec builds each side's split when it is made.
     """
 
     left: CatalogEntry
@@ -57,6 +57,7 @@ class GluingSpec:
     left_w: str | None = None
     right_w: str | None = None
     w_square: int | None = None
+    _splits: tuple[SplitSeries, SplitSeries] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s1, s2 = self.surface1, self.surface2
@@ -65,17 +66,15 @@ class GluingSpec:
                 f"genus mismatch: {s1.genus} on {self.left.name}, "
                 f"{s2.genus} on {self.right.name}"
             )
-        for entry, s, w in self._side_inputs:
+        splits = []
+        for entry, s, w in ((self.left, s1, self.w1), (self.right, s2, self.w2)):
             try:
-                _check_split(entry.series, w, s)
+                splits.append(SplitSeries(entry.series, w, s))
             except SeriesError as exc:
                 raise GluingError(f"{entry.name}: {exc}") from exc
+        object.__setattr__(self, "_splits", tuple(splits))
         if (self.glued_w_square - self.w1.square - self.w2.square) % 2 != 0:
             raise GluingError("w^2 - w1^2 - w2^2 must be even")
-
-    @property
-    def _side_inputs(self) -> tuple[tuple, tuple]:
-        return (self.left, self.surface1, self.w1), (self.right, self.surface2, self.w2)
 
     @cached_property
     def surface1(self):
@@ -114,12 +113,6 @@ class GluingSpec:
 
     def glued_d_zero(self) -> int:
         return d_zero_value(self.glued_w_square, 0, self.glued_b_plus)
-
-    @cached_property
-    def _splits(self) -> tuple[SplitSeries, SplitSeries]:
-        """Each side's split against its (w, S).  The rules and
-        ``coefficient_match`` read it; evaluation never builds it."""
-        return tuple(SplitSeries(entry.series, w, s) for entry, s, w in self._side_inputs)
 
     def twisted_left(self) -> list[tuple[HClass, Fraction]]:
         return [(k, a) for k, _, a in self._splits[0].rows]
@@ -163,10 +156,10 @@ class SplitClass:
 
 
 def _validate_split_class(spec: GluingSpec, d: SplitClass) -> None:
-    for name, half, (entry, s, _) in zip(("D1", "D2"), (d.d1, d.d2), spec._side_inputs):
-        if not same_lattice(half.lattice, entry.lattice):
+    for name, half, split in zip(("D1", "D2"), (d.d1, d.d2), spec._splits):
+        if not same_lattice(half.lattice, split.series.lattice):
             raise LatticeMismatch("split class halves on the wrong lattices")
-        level = half.dot(s.cls)
+        level = half.dot(split.surface.cls)
         if level != d.sigma_pairing:
             raise GluingError(
                 f"{name}.S = {level} disagrees with the declared S.D = {d.sigma_pairing}"

@@ -9,18 +9,20 @@ imaginary exponents.  Point-class and surface-class insertions act on the
 sectors by the scalars 2 / -2 and by the polynomial weights ((D+K).S)^b and
 ((-D + iK).S)^b respectively, which is everything the finite-type and
 relation-polynomial machinery needs.  ``SplitSeries(series, w, surface)``
-is the only way to split a series (it runs ``_split_table`` once); every
-evaluation, fit and gluing holds one and reads its rows, row j being
-series entry j, grouped by level only in its ``levels`` index.  A level whose z
+is the only way to split a series (it checks them when it is made and runs
+``_split_table`` on the first read of ``rows``); every evaluation, fit and
+gluing holds one and reads its rows, row j being series entry j, grouped by
+level only in its ``levels`` index.  A level whose z
 scalar is zero adds no terms, so its classes are never paired with D.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
 
 from .exppoly import ExpPolynomial
 from .gaussian import GaussianRational, frac_token
@@ -50,13 +52,13 @@ class DonaldsonSeries:
     Entries are kept sorted by class coordinates, classes are pairwise
     distinct, integral, and characteristic on the modeled lattice.
     ``position`` (class coords -> entry index) is the one lookup by class;
-    the duplicate check builds it.
+    the duplicate check builds it, and it is a read-only view.
     """
 
     lattice: Lattice
     entries: tuple[tuple[HClass, Fraction], ...]
     simple_type: bool = True
-    position: dict[tuple, int] = field(init=False, repr=False, compare=False)
+    _position: dict[tuple, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if type(self.simple_type) is not bool:
@@ -65,7 +67,7 @@ class DonaldsonSeries:
         entries = tuple(sorted(pairs, key=lambda e: e[0].coords))
         object.__setattr__(self, "entries", entries)
         position = {}
-        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "_position", position)
         for j, (k, c) in enumerate(entries):
             if not same_lattice(k.lattice, self.lattice):
                 raise LatticeMismatch("entry class on a foreign lattice")
@@ -83,6 +85,10 @@ class DonaldsonSeries:
         return cls(lattice, tuple(pairs), simple_type)
 
     @property
+    def position(self) -> MappingProxyType:
+        return MappingProxyType(self._position)
+
+    @property
     def b_plus(self) -> int:
         return self.lattice.b_plus
 
@@ -97,7 +103,7 @@ class DonaldsonSeries:
     def coefficient(self, k: HClass) -> Fraction:
         if not same_lattice(k.lattice, self.lattice):
             raise LatticeMismatch("coefficient of a class on a foreign lattice")
-        j = self.position.get(k.coords)
+        j = self._position.get(k.coords)
         return Fraction(0) if j is None else self.entries[j][1]
 
     def classes(self) -> tuple[HClass, ...]:
@@ -125,48 +131,44 @@ def twisted(series: DonaldsonSeries, w: HClass) -> DonaldsonSeries:
     return DonaldsonSeries.on(series.lattice, twist(series, w), series.simple_type)
 
 
-def _check_split(series: DonaldsonSeries, w: HClass, s: MarkedSurface) -> None:
-    """The preconditions of the two-sector split against (w, S)."""
-    if not same_lattice(s.lattice, series.lattice):
-        raise LatticeMismatch("surface on a foreign lattice")
-    if not is_allowable(w, s):
-        raise SeriesError("(w, S) is not an allowable pair: need w.S odd, S^2 = 0")
-    if not series.simple_type:
-        raise SeriesError("two-sector split needs a simple-type series")
-    if series.b_one != 0 or series.b_plus <= 1 or series.b_plus % 2 == 0:
-        raise SeriesError("two-sector split needs b1 = 0 and b+ > 1 odd")
-
-
 def _split_table(series: DonaldsonSeries, w: HClass, s: MarkedSurface):
-    """(d0, rows) of the split against (w, S), for ``SplitSeries`` alone:
+    """The rows of the split against (w, S), for ``SplitSeries.rows`` alone:
     the series is twisted once and each class is paired with S once."""
-    _check_split(series, w, s)
-    rows = [(k, k.dot(s.cls), a) for k, a in twist(series, w)]
-    return series.d0(w), rows
+    return tuple((k, k.dot(s.cls), a) for k, a in twist(series, w))
 
 
 @dataclass(frozen=True)
 class SplitSeries:
     """The two-sector form of a series against an allowable pair (w, S).
 
-    Holds the split table: d0 and one row (K, level K.S, twisted coefficient)
-    per basic class, row j for series entry j.  The level fixes the sector
-    (K.S = S^2 = 0 mod 2 for a characteristic K).  The P-sector entries
-    (K.S == 2 mod 4) are the twisted coefficients with the e^{+Q/2} marker;
-    the N-sector entries (K.S == 0 mod 4) absorb the i^{-d0} factor and are
-    evaluated with exponents rotated by i.
+    Checked when made; ``rows``, tabled on first read, holds one row (K,
+    level K.S, twisted coefficient) per basic class, row j for series entry
+    j.  The level fixes the sector (K.S = S^2 = 0 mod 2 for a characteristic
+    K).  The P-sector entries (K.S == 2 mod 4) are the twisted coefficients
+    with the e^{+Q/2} marker; the N-sector entries (K.S == 0 mod 4) absorb
+    the i^{-d0} factor and are evaluated with exponents rotated by i.
     """
 
-    series: InitVar[DonaldsonSeries]
+    series: DonaldsonSeries = field(repr=False)
     w: HClass
     surface: MarkedSurface
     d0: int = field(init=False)
-    rows: tuple[tuple[HClass, int, Fraction], ...] = field(init=False)
 
-    def __post_init__(self, series):
-        d0, rows = _split_table(series, self.w, self.surface)
-        object.__setattr__(self, "d0", d0)
-        object.__setattr__(self, "rows", tuple(rows))
+    def __post_init__(self):
+        series, w, s = self.series, self.w, self.surface
+        if not same_lattice(s.lattice, series.lattice):
+            raise LatticeMismatch("surface on a foreign lattice")
+        if not is_allowable(w, s):
+            raise SeriesError("(w, S) is not an allowable pair: need w.S odd, S^2 = 0")
+        if not series.simple_type:
+            raise SeriesError("two-sector split needs a simple-type series")
+        if series.b_one != 0 or series.b_plus <= 1 or series.b_plus % 2 == 0:
+            raise SeriesError("two-sector split needs b1 = 0 and b+ > 1 odd")
+        object.__setattr__(self, "d0", series.d0(w))
+
+    @cached_property
+    def rows(self) -> tuple[tuple[HClass, int, Fraction], ...]:
+        return _split_table(self.series, self.w, self.surface)
 
     @cached_property
     def levels(self) -> dict[int, tuple[int, ...]]:
@@ -366,7 +368,7 @@ def finite_type_order(
     The order is therefore 1 if some probe's plain evaluation (z = 1) is
     nonzero and 0 otherwise; the probes are evaluated on one split, until
     the first nonzero value.  ``split``, when given, is that split: the
-    caller's own split of the series against (w, s).
+    caller's own split of this series against (w, s).
     """
     if series.is_zero:
         return 0
@@ -376,8 +378,8 @@ def finite_type_order(
         raise SeriesError("no probe classes with D.S = 1 are available")
     if split is None:
         split = SplitSeries(series, w, s)
-    elif (split.w, split.surface) != (w, s):
-        raise SeriesError("the given split is not against (w, s)")
+    elif (split.series, split.w, split.surface) != (series, w, s):
+        raise SeriesError("the given split is not against (w, s) of this series")
     plain = (part for d in probes for part in split.evaluate(d, ((0, 0, 1),)))
     return int(any(not part.is_zero for part in plain))
 
@@ -397,7 +399,7 @@ def check_involution(series: DonaldsonSeries) -> tuple[bool, list[HClass]]:
     sign = -1 if d0 % 2 else 1
     bad = []
     for k, c in series.entries:
-        j = series.position.get(tuple(-x for x in k.coords))
+        j = series._position.get(tuple(-x for x in k.coords))
         if j is None or series.entries[j][1] != sign * c:
             bad.append(k)
     return (not bad, bad)

@@ -272,6 +272,17 @@ def test_eval_expansion_agrees_with_symbolic(tmp_path, capsys):
     assert not GaussianRational.from_token(payload["expansion"][1]).is_zero
 
 
+def test_eval_refuses_an_expansion_order_over_the_limit(tmp_path, capsys):
+    out_file = tmp_path / "glued.json"
+    run(["glue", "--left", "bg:2", "--right", "bg:2", "--g", "2", "--out", str(out_file)])
+    capsys.readouterr()
+    argv = ["eval", "--glued", str(out_file), "--d1", "T1", "--d2", "T1"]
+    assert run(argv + ["--expand-order", "201"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "over the limit" in captured.err
+
+
 @pytest.mark.parametrize("name", ["bg:4", "K3", "dia2:2:3", "cg:3"])
 def test_check_passes_on_catalog(capsys, name):
     code, payload = run_json(capsys, ["check", "--entry", name])

@@ -146,6 +146,14 @@ def test_expand_marked_needs_q():
         poly([(1, 1)], marker="+Q/2").expand(3)
 
 
+def test_expand_refuses_an_order_over_the_limit():
+    limit = exppoly.MAX_EXPAND_ORDER
+    assert len(poly([(1, 1), (2, 3)]).expand(limit)) == limit + 1
+    # refused before any work: the missing D^2 is never reached
+    with pytest.raises(ExpPolynomialError, match="over the limit"):
+        poly([(1, 1)], marker="+Q/2").expand(limit + 1)
+
+
 def test_json_round_trip():
     p = ExpPolynomial(
         "-Q/2",

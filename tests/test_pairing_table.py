@@ -528,12 +528,61 @@ def test_finite_type_order_reads_a_given_split(monkeypatch):
     s = entry.surface()
     w, w_shifted = twists(entry)
     split = split_series(entry.series, w, s)
+    split.rows  # the given split is already tabled
     calls = []
     count_calls(monkeypatch, series_mod, "_split_table", calls)
     assert finite_type_order(entry.series, w, s, split=split) == 1
     assert calls == []
     with pytest.raises(series_mod.SeriesError, match="not against"):
         finite_type_order(entry.series, w_shifted, s, split=split)
+
+
+def test_finite_type_order_refuses_a_split_of_another_series():
+    entry = catalog("B3")
+    s, w = entry.surface(), entry.w_class()
+    zero = series_mod.DonaldsonSeries.on(entry.lattice, [])
+    with pytest.raises(series_mod.SeriesError, match="not against"):
+        finite_type_order(entry.series, w, s, split=split_series(zero, w, s))
+    assert finite_type_order(entry.series, w, s) == 1
+
+
+def test_gluing_spec_tests_each_side_once_for_allowability(monkeypatch):
+    entry = catalog("B4")
+    calls = []
+    count_calls(monkeypatch, series_mod, "is_allowable", calls)
+    spec = GluingSpec(left=entry, right=entry)
+    assert len(calls) == 2
+    gs = glue(spec)
+    glue_conjectural(spec)
+    k = entry.series.entries[0][0]
+    coefficient_match(gs, k, k)
+    assert len(calls) == 2
+
+
+def test_a_split_tables_its_rows_on_first_read(monkeypatch):
+    entry = catalog("B4")
+    calls = []
+    count_calls(monkeypatch, series_mod, "_split_table", calls)
+    split = series_mod.SplitSeries(entry.series, entry.w_class(), entry.surface())
+    GluingSpec(left=entry, right=entry)
+    assert calls == []
+    assert split.rows is split.rows
+    assert len(calls) == 1
+
+
+def test_splits_are_equal_when_their_series_w_and_surface_are():
+    entry = catalog("B3")
+    s, w = entry.surface(), entry.w_class()
+    pairs = entry.series.entries
+    split = split_series(entry.series, w, s)
+    same = split_series(series_mod.DonaldsonSeries.on(entry.lattice, reversed(pairs)), w, s)
+    assert same == split and hash(same) == hash(split)
+    negated = series_mod.DonaldsonSeries.on(entry.lattice, [(k, -c) for k, c in pairs])
+    other = split_series(negated, w, s)
+    # the same w, S, d0 and levels: only the series tells the two splits apart
+    assert (other.w, other.surface, other.d0) == (split.w, split.surface, split.d0)
+    assert [row[:2] for row in other.rows] == [row[:2] for row in split.rows]
+    assert other != split
 
 
 def test_eval_glued_on_a_reload_neither_twists_nor_splits(monkeypatch):

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import warnings
 from fractions import Fraction
 
@@ -69,6 +71,30 @@ def test_position_indexes_every_entry(name):
     assert len(series.position) == len(series.entries)
     for j, (k, _) in enumerate(series.entries):
         assert series.position[k.coords] == j
+
+
+def test_position_is_read_only():
+    series = catalog("B2").series
+    k, c = series.entries[0]
+    with pytest.raises(TypeError):
+        series.position[k.coords] = 1
+    with pytest.raises(AttributeError):
+        series.position.clear()
+    assert series.coefficient(k) == c
+    assert check_involution(series)[0]
+
+
+@pytest.mark.parametrize(
+    "copy_of", [copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))], ids=["deepcopy", "pickle"]
+)
+def test_series_copies_compare_equal_and_look_classes_up(copy_of):
+    series = catalog("B3").series
+    other = copy_of(series)
+    assert other == series and hash(other) == hash(series)
+    assert other.position == series.position
+    for k, c in other.entries:
+        assert other.coefficient(k) == series.coefficient(k) == c
+    assert check_involution(other) == check_involution(series)
 
 
 @pytest.mark.parametrize("name", ("B3", "S4", "C3"))
