@@ -20,13 +20,16 @@ The three blow-up builders share one rule, ``_blown_up``: m blow-ups at once
 turn each (K, c) into the 2^m classes K +- E_1 +- ... +- E_m with c / 2^m
 (the simple-type blow-up formula), so B(g) is built in one step from E(g).
 Every recipe builder refuses, before it starts, an entry of more than
-``MAX_CLASSES`` basic classes.
+``MAX_CLASSES`` basic classes, and ``elliptic_surface`` and
+``closed_form_cg`` one whose coefficients have more digits than Python
+lets an int be written with (``sys.get_int_max_str_digits()``).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -135,6 +138,19 @@ def _check_size(name: str, classes: int, blowups: int = 0) -> None:
         )
 
 
+def _check_digits(name: str, power: int) -> None:
+    """Refuse an entry whose coefficients hold 2^power when 2^power has more
+    decimal digits than ``sys.get_int_max_str_digits()`` allows (0: no limit)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # 2^power has more than limit digits iff power * log10(2) >= limit;
+    # 0.30103 > log10(2), so the test may refuse one digit early, never late
+    if limit and 30103 * power >= 100000 * limit:
+        raise ConstructionError(
+            f"{name}: a coefficient holds 2^{power}, over the {limit} digits "
+            "an int may be written with (sys.get_int_max_str_digits())"
+        )
+
+
 # -- elliptic surfaces and blow-ups ------------------------------------------------
 
 
@@ -150,6 +166,7 @@ def elliptic_surface(n: int) -> CatalogEntry:
         )
     name = "K3" if n == 2 else f"S{n}"
     _check_size(name, n - 1)
+    _check_digits(name, n - 2)
     lattice = Lattice(
         name=name,
         gram=((0, 1), (1, -n)),
@@ -334,6 +351,7 @@ def closed_form_cg(g: int) -> CatalogEntry:
     if g < 2:
         raise ConstructionError("C(g) needs g >= 2")
     name = f"C{g}"
+    _check_digits(name, 3 * g - 5)
     # modeled block spanned by (K, Shat2, Sigma_g); K^2 is not constrained by
     # any declared pairing and is set to 0
     lattice = Lattice(
@@ -412,19 +430,39 @@ def catalog_names() -> list[str]:
     return sorted(_NAMED)
 
 
+_FAMILIES = {"S": "elliptic", "B": "bg", "C": "cg"}
+
+
+def _lookup(ref: str) -> CatalogEntry:
+    """The entry a catalog name or recipe stands for.
+
+    S<n>, B<g> and C<g> name every entry their builders make, not only those
+    ``_NAMED`` lists; a name the entry does not carry (S2 builds K3) is unknown.
+    """
+    family = _FAMILIES.get(ref[:1])
+    if family and ref[1:].isdecimal():
+        recipe = f"{family}:{ref[1:]}"
+    else:
+        recipe = _NAMED.get(ref, ref)
+    entry = parse_recipe(recipe)
+    if recipe != ref and entry.name != ref:
+        raise KeyError(f"unknown catalog name or recipe {ref!r}")
+    return entry
+
+
 def catalog(ref: str) -> CatalogEntry:
     """Name-keyed retrieval; re-derives from the recipe and, when a stored
     JSON exists in the catalog directory, requires a byte-for-byte match.
 
-    The stored file is read on every lookup; only the derived side's bytes
-    are cached, on the entry.  A file that matches is never parsed; one that
-    does not is parsed to tell a malformed file (``MalformedCatalogFile``)
-    from a changed entry (``CatalogMismatch``).
+    The stored file is named after the entry, whatever spelling looked it
+    up, and read on every lookup; only the derived side's bytes are cached,
+    on the entry.  A file that matches is never parsed; one that does not is
+    parsed to tell a malformed file (``MalformedCatalogFile``) from a changed
+    entry (``CatalogMismatch``).
     """
-    recipe = _NAMED.get(ref, ref)
-    entry = parse_recipe(recipe)
+    entry = _lookup(ref)
     base = catalog_dir()
-    if base is not None and os.path.exists(path := _entry_path(base, ref)):
+    if base is not None and os.path.exists(path := _entry_path(base, entry.name)):
         with open(path, "rb") as fh:
             stored = fh.read()
         if stored != entry_json_bytes(entry):
@@ -445,9 +483,9 @@ def catalog_dir() -> str | None:
     return os.environ.get("DONALDSON_CATALOG_DIR")
 
 
-def _entry_path(directory: str, ref: str) -> str:
+def _entry_path(directory: str, name: str) -> str:
     """The file an entry is stored in: its name with ':' read as '_'."""
-    return os.path.join(directory, ref.replace(":", "_") + ".json")
+    return os.path.join(directory, name.replace(":", "_") + ".json")
 
 
 def entry_to_json(entry: CatalogEntry) -> dict:
@@ -496,12 +534,13 @@ def entry_json_bytes(entry: CatalogEntry) -> bytes:
 
 
 def export_catalog(directory: str, names=None) -> list[str]:
-    """Write catalog entries as JSON files; returns the paths written."""
+    """Write catalog entries as JSON files, each named after its entry;
+    returns the paths written."""
     os.makedirs(directory, exist_ok=True)
     written = []
     for ref in catalog_names() if names is None else names:
-        entry = parse_recipe(_NAMED.get(ref, ref))
-        path = _entry_path(directory, ref)
+        entry = _lookup(ref)
+        path = _entry_path(directory, entry.name)
         with open(path, "wb") as fh:
             fh.write(entry_json_bytes(entry))
         written.append(path)

@@ -12,8 +12,8 @@ relation-polynomial machinery needs.  ``SplitSeries(series, w, surface)``
 is the only way to split a series (it checks them when it is made and runs
 ``_split_table`` on the first read of ``rows``); every evaluation, fit and
 gluing holds one and reads its rows, row j being series entry j, grouped by
-level only in its ``levels`` index.  A level whose z
-scalar is zero adds no terms, so its classes are never paired with D.
+level only in its ``levels`` index.  ``z_value`` is z's scalar at a level,
+which ``check`` reads alone; a zero one adds no terms, so no D pairing.
 """
 
 from __future__ import annotations
@@ -137,6 +137,21 @@ def _split_table(series: DonaldsonSeries, w: HClass, s: MarkedSurface):
     return tuple((k, k.dot(s.cls), a) for k, a in twist(series, w))
 
 
+def z_value(z_terms, ks: int, d_sigma) -> GaussianRational:
+    """z, given by (S-power, x-power, c) terms, at surface level ``ks`` for
+    D.S = ``d_sigma``, without the N-sector unit i^{-d0}: x acts by 2 when
+    ks == 2 mod 4 (P) and by -2 otherwise (N), S by d_sigma + ks (P) or by
+    -d_sigma + i ks (N)."""
+    if ks % 4 == 2:
+        weight, x = GaussianRational(d_sigma + ks), 2
+    else:
+        weight, x = GaussianRational(-d_sigma, ks), -2
+    powers = [GaussianRational(1)]
+    for _ in range(max((sp for sp, _, _ in z_terms), default=0)):
+        powers.append(powers[-1] * weight)
+    return sum((powers[sp] * (cz * x**xp) for sp, xp, cz in z_terms), GaussianRational(0))
+
+
 @dataclass(frozen=True)
 class SplitSeries:
     """The two-sector form of a series against an allowable pair (w, S).
@@ -182,30 +197,22 @@ class SplitSeries:
         """(P, N) of the split on z e^{tD}, z given by (S-power, x-power, c) terms.
 
         Sums over ``levels`` (default: every level K.S).  Every power must be
-        >= 0.  x acts by 2 (P) or -2 (N) and S by (D+K).S (P) or (-D+iK).S (N),
-        so z is one scalar per level, times i^{-d0} in N.  A level whose scalar
-        is zero adds no terms; else its coefficients are summed per K.D and
-        each distinct K.D adds one term, exponent K.D or i K.D.
+        >= 0.  z is one scalar per level, ``z_value``, times i^{-d0} in N; a
+        zero one adds no terms, else the level's coefficients are summed per
+        K.D and each distinct K.D adds one term, exponent K.D or i K.D.
         """
         if any(sp < 0 or xp < 0 for sp, xp, _ in z_terms):
             raise SeriesError("insertion powers must be >= 0")
         d_sigma = d.dot(self.surface.cls)  # a foreign D raises LatticeMismatch here
         i_pow = GaussianRational.i_power(-self.d0)
-        top = max((sp for sp, _, _ in z_terms), default=0)
         parts = {2: [], 0: []}
         for ks in self.levels if levels is None else levels:
-            r = ks % 4
-            if r == 2:
-                weight, x, base = GaussianRational(d_sigma + ks), 2, 1
-            else:
-                weight, x, base = GaussianRational(-d_sigma, ks), -2, i_pow
-            powers = [GaussianRational(1)]
-            for _ in range(top):
-                powers.append(powers[-1] * weight)
-            terms = (powers[sp] * (cz * x**xp) for sp, xp, cz in z_terms)
-            scalar = base * sum(terms, GaussianRational(0))
+            scalar = z_value(z_terms, ks, d_sigma)
             if scalar.is_zero:
                 continue
+            r = ks % 4
+            if r == 0:
+                scalar = i_pow * scalar
             sums: dict[int | Fraction, int | Fraction] = {}  # K.D -> summed coefficient
             for j in self.levels.get(ks, ()):
                 k, _, a = self.rows[j]
@@ -358,7 +365,6 @@ def finite_type_order(
     w: HClass,
     s: MarkedSurface,
     probes=None,
-    split: SplitSeries | None = None,
 ) -> int:
     """Smallest n >= 0 such that the (x^2-4)^n insertion kills all probes.
 
@@ -367,8 +373,7 @@ def finite_type_order(
     every series: evaluating it would only compare the code with itself.
     The order is therefore 1 if some probe's plain evaluation (z = 1) is
     nonzero and 0 otherwise; the probes are evaluated on one split, until
-    the first nonzero value.  ``split``, when given, is that split: the
-    caller's own split of this series against (w, s).
+    the first nonzero value.
     """
     if series.is_zero:
         return 0
@@ -376,10 +381,7 @@ def finite_type_order(
         probes = default_probes(series.lattice, s)
     if not probes:
         raise SeriesError("no probe classes with D.S = 1 are available")
-    if split is None:
-        split = SplitSeries(series, w, s)
-    elif (split.series, split.w, split.surface) != (series, w, s):
-        raise SeriesError("the given split is not against (w, s) of this series")
+    split = SplitSeries(series, w, s)
     plain = (part for d in probes for part in split.evaluate(d, ((0, 0, 1),)))
     return int(any(not part.is_zero for part in plain))
 

@@ -26,7 +26,7 @@ from donaldson.exppoly import ExpPolynomial, ExpPolynomialError
 from donaldson.fit import FitError
 from donaldson.gluing import GluingError
 from donaldson.lattice import LatticeError
-from donaldson.series import RelationPoly, SeriesError
+from donaldson.series import RelationPoly, SeriesError, relation_poly
 
 
 def python_m_cli(*argv):
@@ -300,9 +300,9 @@ def test_check_splits_once_per_w(monkeypatch, capsys):
 
     monkeypatch.setattr(series_mod, "_split_table", counting)
     assert run(["check", "--entry", "bg:4"]) == 0
-    # one split of w, shared by finite_type_order and the relation check,
-    # and one split of w + S
-    assert len(calls) == 2
+    # one split of w, for finite_type_order; the relation check reads z's
+    # value at each surface level, which no twist changes, so it splits nothing
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
@@ -318,7 +318,7 @@ def test_check_splits_once_per_w(monkeypatch, capsys):
             lambda series, s: (False, []),
             "adjunction bound violated against Sigma_g",
         ),
-        ("finite_type_order", lambda series, w, s, split: 2, "point-class order 2, expected 1"),
+        ("finite_type_order", lambda series, w, s: 2, "point-class order 2, expected 1"),
         (
             "relation_poly",
             lambda g: RelationPoly.of([(0, 0, 1)]),
@@ -332,6 +332,18 @@ def test_check_failure_exits_one_with_its_message(monkeypatch, capsys, name, fak
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"verification failure: B4: {message}\n"
+
+
+def test_check_fails_when_a_level_value_is_nonzero(monkeypatch, capsys):
+    # the genus-3 relation is nonzero at some surface level of B4
+    monkeypatch.setattr(cli, "relation_poly", lambda g: relation_poly(3))
+    assert run(["check", "--entry", "bg:4"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "verification failure: B4: genus-4 relation polynomial failed to "
+        "annihilate the series\n"
+    )
 
 
 def test_check_unknown_entry(capsys):
@@ -483,6 +495,33 @@ def test_entry_output_is_the_cached_entry_bytes(
     assert run(["--table", *argv]) == 0
     lines = [f"{key}: {value}" for key, value in entry_to_json(catalog(ref)).items()]
     assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "recipe, glue_args, label",
+    [("bg:9", ["--g", "9"], "T1"), ("elliptic:9", ["--g", "1", "--torus"], "sigma")],
+)
+def test_glued_file_of_an_unlisted_entry_evaluates(tmp_path, capsys, recipe, glue_args, label):
+    # the file names its sides B9 and S9, which catalog_names() does not list
+    out = tmp_path / "glued.json"
+    argv = ["glue", "--left", recipe, "--right", recipe, *glue_args, "--out", str(out)]
+    assert run(argv) == 0
+    assert json.loads(out.read_text())["left"] == catalog(recipe).name
+    capsys.readouterr()
+    assert run(["eval", "--glued", str(out), "--d1", label, "--d2", label]) == 0
+
+
+@pytest.mark.parametrize("ref", ["B3", "bg:3", "BG:3"])
+def test_catalog_dir_file_is_found_by_the_entry_name(tmp_path, monkeypatch, capsys, ref):
+    [path] = export_catalog(str(tmp_path), ["bg:3"])
+    assert os.path.basename(path) == "B3.json"
+    stored = Path(path)
+    stored.write_bytes(stored.read_bytes().replace(b'"a": "', b'"a": "-', 1))
+    monkeypatch.setenv("DONALDSON_CATALOG_DIR", str(tmp_path))
+    with pytest.raises(MalformedCatalogFile):
+        catalog(ref)
+    assert run(["check", "--entry", ref]) == 2
+    assert capsys.readouterr().err.startswith(f"error: stored catalog file {path}")
 
 
 def test_glue_out_file_holds_the_printed_bytes(tmp_path, capsys):

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import os
+import sys
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -200,6 +201,28 @@ def test_recipes_over_the_class_limit_are_refused(monkeypatch, capsys):
     assert "over the limit" in capsys.readouterr().err
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit in this Python"
+)
+def test_recipes_whose_coefficients_cannot_be_written_are_refused(monkeypatch, capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        # 2^2126 has 640 digits and 2^2127 has 641: the top power of
+        # elliptic:n is 2^(n-2), of cg:g 2^(3g-5)
+        for build, top in ((elliptic_surface, 2128), (closed_form_cg, 710)):
+            assert entry_json_bytes(build(top))
+            with monkeypatch.context() as m:
+                m.setattr(constructions, "Lattice", None)  # building would raise TypeError
+                with pytest.raises(ConstructionError, match="over the 640 digits"):
+                    build(top + 1)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    monkeypatch.setattr(constructions, "Lattice", None)
+    assert run(["build", "elliptic:15000"]) == 2
+    assert "S15000: a coefficient holds 2^14998" in capsys.readouterr().err
+
+
 # -- the blown-up K3 vanishing references ----------------------------------------------
 
 
@@ -292,6 +315,18 @@ def test_catalog_lookup_aliases():
     assert "K3" in catalog_names()
 
 
+def test_every_built_name_resolves():
+    # past the names catalog_names() lists, S<n>, B<g> and C<g> still resolve
+    assert "B9" not in catalog_names()
+    assert catalog("B9") is catalog("bg:9")
+    assert catalog("S9") is catalog("elliptic:9")
+    assert catalog("C7").name == "C7"
+    # a name the entry does not carry is unknown: S2 builds K3, B03 builds B3
+    for ref in ("S2", "B03"):
+        with pytest.raises(KeyError, match=f"unknown catalog name or recipe '{ref}'"):
+            catalog(ref)
+
+
 def test_catalog_unknown_name():
     with pytest.raises(KeyError):
         catalog("E8")
@@ -368,6 +403,9 @@ def test_export_catalog_writes_only_the_named_entries(tmp_path):
     assert os.listdir(tmp_path / "none") == []
     written = export_catalog(str(tmp_path / "one"), ["K3"])
     assert [os.path.basename(p) for p in written] == ["K3.json"]
+    # a file is named after its entry, not after the spelling that named it
+    written = export_catalog(str(tmp_path / "recipe"), ["bg:3"])
+    assert [os.path.basename(p) for p in written] == ["B3.json"]
 
 
 def test_catalog_store_byte_match(tmp_path, monkeypatch):

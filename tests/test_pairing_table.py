@@ -523,29 +523,6 @@ def test_finite_type_order_splits_once(monkeypatch, name):
         assert len(calls) == 1
 
 
-def test_finite_type_order_reads_a_given_split(monkeypatch):
-    entry = catalog("B4")
-    s = entry.surface()
-    w, w_shifted = twists(entry)
-    split = split_series(entry.series, w, s)
-    split.rows  # the given split is already tabled
-    calls = []
-    count_calls(monkeypatch, series_mod, "_split_table", calls)
-    assert finite_type_order(entry.series, w, s, split=split) == 1
-    assert calls == []
-    with pytest.raises(series_mod.SeriesError, match="not against"):
-        finite_type_order(entry.series, w_shifted, s, split=split)
-
-
-def test_finite_type_order_refuses_a_split_of_another_series():
-    entry = catalog("B3")
-    s, w = entry.surface(), entry.w_class()
-    zero = series_mod.DonaldsonSeries.on(entry.lattice, [])
-    with pytest.raises(series_mod.SeriesError, match="not against"):
-        finite_type_order(entry.series, w, s, split=split_series(zero, w, s))
-    assert finite_type_order(entry.series, w, s) == 1
-
-
 def test_gluing_spec_tests_each_side_once_for_allowability(monkeypatch):
     entry = catalog("B4")
     calls = []

@@ -27,6 +27,7 @@ from donaldson.series import (
     twist,
     twisted,
     unsplit_series,
+    z_value,
 )
 
 
@@ -390,6 +391,32 @@ def test_relation_annihilates_bg_for_both_twists(g):
             assert p.is_zero and n.is_zero
 
 
+@pytest.mark.parametrize("name", ("B3", "B4", "B5", "dia2:2:4", "C3"))
+def test_relation_level_verdict_equals_probe_verdict(name):
+    """z is zero at each surface level of the series exactly when it kills
+    the series at every default probe, for both twists w and w + S."""
+    entry = catalog(name)
+    s = entry.surface()
+    g = s.genus
+    levels = {k.dot(s.cls) for k in entry.series.classes()}
+    probes = default_probes(entry.lattice, s)
+    verdicts = {}
+    for genus in range(max(g - 1, 2), g + 2):
+        z = relation_poly(genus)
+        by_level = all(z_value(z.terms, ks, 1).is_zero for ks in levels)
+        by_probe = all(
+            part.is_zero
+            for w in (entry.w_class(), shifted_w(entry))
+            for d in probes
+            for part in apply_relation(entry.series, w, s, z, d)
+        )
+        assert by_level == by_probe, genus
+        verdicts[genus] = by_level
+    assert verdicts[g]
+    if name[0] in "BC":  # the top levels +-(2g - 2) escape the genus-(g-1) relation
+        assert not verdicts[g - 1]
+
+
 def test_apply_relation_identity_and_x2(b2):
     w = b2.lattice.cls("T1")
     s = b2.surface("Sigma_g")
@@ -420,6 +447,8 @@ def test_finite_type_orders(b2, k3):
     w = b2.lattice.cls("T1")
     assert finite_type_order(zero, w, s) == 0
     assert finite_type_order(b2.series, w, s) == 1
+    b3 = catalog("B3")
+    assert finite_type_order(b3.series, b3.w_class(), b3.surface()) == 1
     assert finite_type_order(k3.series, k3.lattice.cls("sigma"), k3.surface("F")) == 1
 
 
