@@ -1,18 +1,22 @@
 """Command-line front end: catalog access, gluing, evaluation, verification.
 
 Exit codes: 0 success, 1 a stated identity broke during verification,
-2 usage error, which includes a file that cannot be read or written.  All
-rationals in the JSON output are exact strings; pass --float to append
-floating-point renderings for display.
+2 usage error, which includes a file that cannot be read or written.  A
+stdout closed by its reader ends a command with 0, since a command prints
+only after its work and its checks succeeded.  All rationals in the JSON
+output are exact strings; pass --float to append floating-point renderings
+for display.
 
-The gluing and fit modules are imported inside the commands that use them
-(glue, eval, fit, conjecture), so catalog, build and check never load them.
+The gluing and fit modules are imported inside the commands that use them:
+glue, eval and conjecture load gluing, fit loads fit alone, and catalog,
+build and check load neither.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .constructions import (
@@ -50,6 +54,11 @@ def run(argv) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except _StdoutClosed:
+        # every command prints only after its work and its checks succeeded;
+        # fd 1 goes to devnull so the exit flush of stdout cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except MalformedCatalogFile as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -142,12 +151,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _StdoutClosed(Exception):
+    """The reader of stdout went away while a command was printing."""
+
+
+def _print(text: str, end: str = "\n") -> None:
+    """Every write to stdout, flushed, so that a closed stdout shows here."""
+    try:
+        print(text, end=end, flush=True)
+    except BrokenPipeError as exc:
+        raise _StdoutClosed from exc
+
+
 def _emit(args, payload: dict) -> None:
     if getattr(args, "table", False):
         for key, value in payload.items():
-            print(f"{key}: {value}")
+            _print(f"{key}: {value}")
     else:
-        print(json.dumps(payload, indent=2))
+        _print(json.dumps(payload, indent=2))
 
 
 def _floats(poly: ExpPolynomial) -> list[str]:
@@ -163,7 +184,7 @@ def _emit_entry(args, ref: str) -> None:
     if getattr(args, "table", False):
         _emit(args, entry_to_json(entry))
     else:
-        print(entry_json_bytes(entry).decode(), end="")
+        _print(entry_json_bytes(entry).decode(), end="")
 
 
 def _cmd_catalog(args) -> int:
@@ -208,7 +229,7 @@ def _cmd_glue(args) -> int:
     if getattr(args, "table", False):
         _emit(args, payload)
     else:
-        print(text)
+        _print(text)
     return 0
 
 
@@ -302,8 +323,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    from .fit import basis_coordinates, fit_diagonal, zero_coordinates
-    from .gluing import GluingError, GluingSpec
+    from .fit import FitError, basis_coordinates, fit_diagonal, zero_coordinates
 
     g = args.g
     bg = catalog(f"bg:{g}")
@@ -323,10 +343,9 @@ def _cmd_fit(args) -> int:
         side = catalog(ref)
         s_ref = side.surface()
         if s_ref.genus != g:
-            raise GluingError(f"reference {ref} has genus {s_ref.genus}, not {g}")
-        spec = GluingSpec(left=side, right=side)
+            raise FitError(f"reference {ref} has genus {s_ref.genus}, not {g}")
         bc = basis_coordinates(side.series, side.w_class(), s_ref, side.lattice.cls("T"))
-        triples.append((bc, bc, zero_coordinates(g, spec.glued_d_zero())))
+        triples.append((bc, bc, zero_coordinates(g)))
     fitted = fit_diagonal(triples)
     payload = {
         "g": g,

@@ -437,14 +437,18 @@ def _lookup(ref: str) -> CatalogEntry:
     """The entry a catalog name or recipe stands for.
 
     S<n>, B<g> and C<g> name every entry their builders make, not only those
-    ``_NAMED`` lists; a name the entry does not carry (S2 builds K3) is unknown.
+    ``_NAMED`` lists; a name the entry does not carry (S2 builds K3) is unknown,
+    and one its builder refuses (B1) is named in the ``ConstructionError``.
     """
     family = _FAMILIES.get(ref[:1])
     if family and ref[1:].isdecimal():
         recipe = f"{family}:{ref[1:]}"
     else:
         recipe = _NAMED.get(ref, ref)
-    entry = parse_recipe(recipe)
+    try:
+        entry = parse_recipe(recipe)
+    except ConstructionError as exc:  # name the ref typed, not the recipe read
+        raise ConstructionError(f"bad recipe {ref!r}: {exc.__cause__}") from exc.__cause__
     if recipe != ref and entry.name != ref:
         raise KeyError(f"unknown catalog name or recipe {ref!r}")
     return entry

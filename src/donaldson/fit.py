@@ -2,22 +2,19 @@
 
 Every simple-type series against a genus-g surface is captured by 2g-1
 coordinates indexed by the pairing level p (K.S = 2p), ordered
-p = g-1, -(g-1), g-2, -(g-2), ..., 0.  Coordinates at odd p carry the
-e^{+Q/2} marker; coordinates at even p carry e^{-Q/2}, the i^{-d0} factor
-and exponents rotated by i.
+p = g-1, -(g-1), g-2, -(g-2), ..., 0.  The coordinate at level p is the
+bare sum  sum_j a_j e^{(K_j . D) t}  of the twisted coefficients of the
+classes at that level, ``SplitSeries.level_sums``, with no marker.
 
 A gluing pairs the coordinate vectors of the two sides through a diagonal
 universal matrix: coordinate-wise,
 
-    c_X,p(t) = c_X1,p(t) * M_p(t * (D.S)) * c_X2,p(t)
+    c_X,p(t) = c_X1,p(t) * M_p(t * (D.S)) * c_X2,p(t).
 
-after the sector normalization (the i-factors of the even-p coordinates are
-absorbed into M).  This module fits the M_p entries by exact division from
-reference gluings whose outputs are known, instead of assuming the closed
-forms the gluing module hard-codes; agreement of the two routes is the
-self-consistency oracle for the whole calculator.  A level's coordinate is
-``SplitSeries.evaluate`` at z = 1 restricted to that level; the split's
-``levels`` index also gives the adjunction-bound check its classes.
+This module fits the M_p entries by exact division from reference gluings
+whose outputs are known, instead of assuming the closed forms the gluing
+module hard-codes; agreement of the two routes is the self-consistency
+oracle for the whole calculator.
 """
 
 from __future__ import annotations
@@ -26,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exppoly import ExpPolynomial
-from .gaussian import GaussianRational
 from .lattice import HClass, MarkedSurface, _exact
 from .series import DonaldsonSeries, SplitSeries
 
@@ -50,35 +46,24 @@ def p_of_alpha(alpha: int, genus: int) -> int:
 
 @dataclass(frozen=True)
 class BasisCoordinates:
-    """The 2g-1 coordinate series of one side of a gluing, in split form."""
+    """The 2g-1 unmarked level sums of one side of a gluing."""
 
     genus: int
-    d0: int
     d_square: int | Fraction
     coords: tuple[ExpPolynomial, ...]
 
     def __post_init__(self):
         if len(self.coords) != 2 * self.genus - 1:
             raise FitError("coordinate vector has the wrong length")
-
-    def coordinate(self, alpha: int) -> ExpPolynomial:
-        return self.coords[alpha - 1]
+        if any(c.marker != "none" for c in self.coords):
+            raise FitError("a coordinate is a bare level sum and carries no marker")
+        object.__setattr__(self, "d_square", _exact(self.d_square))
 
     def plain(self, alpha: int) -> ExpPolynomial:
-        """The coordinate with sector normalization undone.
-
-        Odd-p coordinates lose their marker; even-p coordinates are also
-        multiplied by i^{d0} and their exponents rotated back to the real
-        axis (lambda = i mu -> mu).  The result is the bare sum
-        sum a_{j,w} e^{(K_j . D) t} over the level.
-        """
-        c = self.coordinate(alpha)
-        p = p_of_alpha(alpha, self.genus)
-        bare = ExpPolynomial("none", c.terms)
-        if p % 2 == 0:
-            bare = bare.scale(GaussianRational.i_power(self.d0))
-            bare = bare.scale_exponents(GaussianRational(0, -1))
-        return bare
+        """sum a_{j,w} e^{(K_j . D) t} over level K.S = 2 p_of_alpha(alpha)."""
+        if not 1 <= alpha <= 2 * self.genus - 1:
+            raise FitError(f"alpha={alpha} out of range for genus {self.genus}")
+        return self.coords[alpha - 1]
 
 
 def basis_coordinates(
@@ -95,20 +80,16 @@ def basis_coordinates(
                 f"class {split.rows[j][0]} pairs {lvl} with the surface, beyond the "
                 f"adjunction bound {2 * g - 2}"
             )
-    # odd levels p are the P-sector (K.S = 2p = 2 mod 4), even ones the N-sector
-    levels = [p_of_alpha(alpha, g) for alpha in range(1, 2 * g)]
-    coords = tuple(split.evaluate(d, ((0, 0, 1),), [2 * p])[p % 2 == 0] for p in levels)
-    return BasisCoordinates(g, split.d0, d.square, coords)
-
-
-def zero_coordinates(genus: int, d0: int, d_square=0) -> BasisCoordinates:
-    """The coordinate vector of a manifold with vanishing invariants."""
-    q = _exact(d_square)
     coords = tuple(
-        ExpPolynomial("+Q/2" if p_of_alpha(a, genus) % 2 else "-Q/2", (), q)
-        for a in range(1, 2 * genus)
+        ExpPolynomial("none", split.level_sums(2 * p_of_alpha(alpha, g), d).items())
+        for alpha in range(1, 2 * g)
     )
-    return BasisCoordinates(genus, d0, q, coords)
+    return BasisCoordinates(g, d.square, coords)
+
+
+def zero_coordinates(genus: int, *, d_square=0) -> BasisCoordinates:
+    """The coordinate vector of a manifold with vanishing invariants."""
+    return BasisCoordinates(genus, d_square, (ExpPolynomial(),) * (2 * genus - 1))
 
 
 def fit_diagonal(

@@ -33,7 +33,8 @@ def _exact(x) -> int | Fraction:
 
     Every exact number the package stores passes through here.  A float is
     refused unless it is integral: its binary value is not the number that
-    was written (0.1 would become 3602879701896397/2^55).
+    was written (0.1 would become 3602879701896397/2^55).  A zero
+    denominator ('1/0') is a ``LatticeError`` naming the token.
     """
     if type(x) is int:
         return x
@@ -41,7 +42,10 @@ def _exact(x) -> int | Fraction:
         return x.numerator if x.denominator == 1 else x
     if isinstance(x, float) and not x.is_integer():
         raise LatticeError(f"non-integral float {x!r}; give an int or a 'p/q' string")
-    f = Fraction(x)
+    try:
+        f = Fraction(x)
+    except ZeroDivisionError:
+        raise LatticeError(f"zero denominator in {x!r}") from None
     return f.numerator if f.denominator == 1 else f
 
 

@@ -12,8 +12,10 @@ relation-polynomial machinery needs.  ``SplitSeries(series, w, surface)``
 is the only way to split a series (it checks them when it is made and runs
 ``_split_table`` on the first read of ``rows``); every evaluation, fit and
 gluing holds one and reads its rows, row j being series entry j, grouped by
-level only in its ``levels`` index.  ``z_value`` is z's scalar at a level,
-which ``check`` reads alone; a zero one adds no terms, so no D pairing.
+level only in its ``levels`` index.  ``level_sums`` is a level's bare sum of
+twisted coefficients per K.D, which a fit coordinate is; ``evaluate`` alone
+puts it in sector form.  ``z_value`` is z's scalar at a level, which
+``check`` reads alone; a zero one adds no terms, so no D pairing.
 """
 
 from __future__ import annotations
@@ -159,9 +161,9 @@ class SplitSeries:
     Checked when made; ``rows``, tabled on first read, holds one row (K,
     level K.S, twisted coefficient) per basic class, row j for series entry
     j.  The level fixes the sector (K.S = S^2 = 0 mod 2 for a characteristic
-    K).  The P-sector entries (K.S == 2 mod 4) are the twisted coefficients
-    with the e^{+Q/2} marker; the N-sector entries (K.S == 0 mod 4) absorb
-    the i^{-d0} factor and are evaluated with exponents rotated by i.
+    K).  ``evaluate`` gives the P-sector levels (K.S == 2 mod 4) the e^{+Q/2}
+    marker; the N-sector levels (K.S == 0 mod 4) get e^{-Q/2}, the i^{-d0}
+    factor and exponents rotated by i.
     """
 
     series: DonaldsonSeries = field(repr=False)
@@ -193,47 +195,42 @@ class SplitSeries:
             groups.setdefault(ks, []).append(j)
         return {ks: tuple(js) for ks, js in groups.items()}
 
-    def evaluate(self, d: HClass, z_terms, levels=None) -> tuple[ExpPolynomial, ExpPolynomial]:
+    def level_sums(self, ks: int, d: HClass) -> dict[int | Fraction, int | Fraction]:
+        """{K.D: summed twisted coefficient} over the rows at level K.S = ``ks``
+        ({} at a level the split does not have); only those classes meet D."""
+        sums: dict[int | Fraction, int | Fraction] = {}
+        for j in self.levels.get(ks, ()):
+            k, _, a = self.rows[j]
+            kd = k.dot(d)
+            sums[kd] = sums.get(kd, 0) + a
+        return sums
+
+    def evaluate(self, d: HClass, z_terms) -> tuple[ExpPolynomial, ExpPolynomial]:
         """(P, N) of the split on z e^{tD}, z given by (S-power, x-power, c) terms.
 
-        Sums over ``levels`` (default: every level K.S).  Every power must be
-        >= 0.  z is one scalar per level, ``z_value``, times i^{-d0} in N; a
-        zero one adds no terms, else the level's coefficients are summed per
-        K.D and each distinct K.D adds one term, exponent K.D or i K.D.
+        Every power must be >= 0.  z is one scalar per level K.S, ``z_value``,
+        times i^{-d0} in N; a zero one adds no terms, else each K.D of the
+        level's ``level_sums`` adds one term, exponent K.D in P or i K.D in N.
         """
         if any(sp < 0 or xp < 0 for sp, xp, _ in z_terms):
             raise SeriesError("insertion powers must be >= 0")
         d_sigma = d.dot(self.surface.cls)  # a foreign D raises LatticeMismatch here
         i_pow = GaussianRational.i_power(-self.d0)
         parts = {2: [], 0: []}
-        for ks in self.levels if levels is None else levels:
+        for ks in self.levels:
             scalar = z_value(z_terms, ks, d_sigma)
             if scalar.is_zero:
                 continue
             r = ks % 4
             if r == 0:
                 scalar = i_pow * scalar
-            sums: dict[int | Fraction, int | Fraction] = {}  # K.D -> summed coefficient
-            for j in self.levels.get(ks, ()):
-                k, _, a = self.rows[j]
-                kd = k.dot(d)
-                sums[kd] = sums.get(kd, 0) + a
-            for kd, a in sums.items():
+            for kd, a in self.level_sums(ks, d).items():
                 lam = GaussianRational(kd) if r == 2 else GaussianRational(0, kd)
                 parts[r].append((lam, scalar * a))
         return (
             ExpPolynomial("+Q/2", tuple(parts[2]), d.square),
             ExpPolynomial("-Q/2", tuple(parts[0]), d.square),
         )
-
-    @property
-    def p_entries(self) -> tuple[tuple[HClass, GaussianRational], ...]:
-        return tuple((k, GaussianRational(a)) for k, ks, a in self.rows if ks % 4 == 2)
-
-    @property
-    def n_entries(self) -> tuple[tuple[HClass, GaussianRational], ...]:
-        i_pow = GaussianRational.i_power(-self.d0)
-        return tuple((k, i_pow * a) for k, ks, a in self.rows if ks % 4 == 0)
 
 
 def split_series(series: DonaldsonSeries, w: HClass, s: MarkedSurface) -> SplitSeries:

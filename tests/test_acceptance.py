@@ -161,7 +161,7 @@ def test_criterion_3_vanishing_doubles():
                     side.series, side.w_class("T"), side.surface("Sigma1"),
                     side.lattice.cls("T"),
                 )
-                triples.append((bc, bc, zero_coordinates(g, spec.glued_d_zero())))
+                triples.append((bc, bc, zero_coordinates(g)))
             fitted = fit_diagonal(triples, alphas=list(range(3, 2 * g)))
             assert all(m.is_zero for m in fitted.values())
 

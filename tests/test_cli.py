@@ -371,6 +371,24 @@ def test_fit_command_with_explicit_references(capsys):
 
 def test_fit_command_rejects_wrong_genus_reference(capsys):
     assert run(["fit", "--g", "3", "--references", "dia2:1:2"]) == 2
+    assert capsys.readouterr().err == "error: reference dia2:1:2 has genus 2, not 3\n"
+
+
+def test_fit_command_does_not_load_the_gluing_module():
+    script = (
+        "import contextlib, io, sys\n"
+        "from donaldson.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert run(['fit', '--g', '3']) == 0\n"
+        "print('donaldson.fit' in sys.modules, 'donaldson.gluing' in sys.modules)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True", "False"]
 
 
 def test_conjecture_command(capsys):
@@ -419,6 +437,68 @@ def test_error_exit_codes(monkeypatch, capsys, error, code):
     assert run(["catalog", "list"]) == code
     prefix = "verification failure: " if code == 1 else "error: "
     assert capsys.readouterr().err.startswith(prefix)
+
+
+@pytest.mark.parametrize(
+    "argv", [["catalog", "list"], ["catalog", "show", "B3"], ["check", "--entry", "bg:3"]]
+)
+def test_closed_stdout_ends_the_command_with_exit_zero(argv):
+    # the reader of stdout is gone before the command prints
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = Path(__file__).resolve().parent.parent / "src"
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "donaldson.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)), timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (0, "")
+
+
+@pytest.mark.parametrize(
+    "eval_args",
+    [
+        ["--d1", "T1", "--d2", "T1", "--sigma-d", "1/0"],
+        ["--d1", "1/0,0,0,0,0,0", "--d2", "T1"],
+    ],
+    ids=["sigma-d", "d1"],
+)
+def test_eval_zero_denominator_argument_exits_two(tmp_path, capsys, eval_args):
+    out_file = tmp_path / "g3.json"
+    assert run(["glue", "--left", "bg:3", "--right", "bg:3", "--g", "3", "--out", str(out_file)]) == 0
+    capsys.readouterr()
+    assert run(["eval", "--glued", str(out_file), *eval_args]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: zero denominator in '1/0'\n"
+
+
+def test_eval_glued_file_with_zero_denominator_exits_two(tmp_path, capsys):
+    out_file = tmp_path / "g3.json"
+    assert run(["glue", "--left", "bg:3", "--right", "bg:3", "--g", "3", "--out", str(out_file)]) == 0
+    capsys.readouterr()
+    data = json.loads(out_file.read_text())
+    data["pairs"][0][3] = "1/0"
+    out_file.write_text(json.dumps(data))
+    assert run(["eval", "--glued", str(out_file), "--d1", "T1", "--d2", "T1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "zero denominator in '1/0'" in err
+
+
+def test_catalog_dir_file_with_zero_denominator_exits_2(tmp_path, monkeypatch, capsys):
+    data = entry_to_json(catalog("B3"))
+    data["series"]["entries"][0]["a"] = "1/0"
+    (tmp_path / "B3.json").write_text(json.dumps(data, indent=2) + "\n")
+    monkeypatch.setenv("DONALDSON_CATALOG_DIR", str(tmp_path))
+    assert run(["check", "--entry", "B3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: stored catalog file")
+    assert "zero denominator in '1/0'" in err
 
 
 def test_catalog_dir_mismatch_detected(tmp_path, monkeypatch, capsys):

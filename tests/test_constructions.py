@@ -221,6 +221,20 @@ def test_recipes_whose_coefficients_cannot_be_written_are_refused(monkeypatch, c
     monkeypatch.setattr(constructions, "Lattice", None)
     assert run(["build", "elliptic:15000"]) == 2
     assert "S15000: a coefficient holds 2^14998" in capsys.readouterr().err
+    assert run(["build", "S15000"]) == 2
+    assert "bad recipe 'S15000': S15000: a coefficient" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, recipe", [("B1", "bg:1"), ("S1", "elliptic:1"), ("C1", "cg:1")]
+)
+def test_a_refused_family_name_is_named_in_its_error(name, recipe):
+    with pytest.raises(ConstructionError, match=f"^bad recipe '{name}': ") as by_name:
+        catalog(name)
+    with pytest.raises(ConstructionError, match=f"^bad recipe '{recipe}': ") as by_recipe:
+        catalog(recipe)
+    # the builder's reason is the same either way
+    assert str(by_name.value).split(": ", 1)[1] == str(by_recipe.value).split(": ", 1)[1]
 
 
 # -- the blown-up K3 vanishing references ----------------------------------------------

@@ -27,19 +27,13 @@ def _sigma_pairing(x):
 
 
 def _d_square(x):
-    bc = zero_coordinates(3, 0, x)
-    assert {c.q_square for c in bc.coords} == {bc.d_square}
-    return bc.d_square
+    return zero_coordinates(3, d_square=x).d_square
 
 
 def _sigma_d(x):
     # one level-1 coordinate e^{0 t} against M_1 = e^{t}: the product is e^{(S.D) t}
-    c = (
-        ExpPolynomial("+Q/2", ((0, 1),), 0),
-        ExpPolynomial("+Q/2", (), 0),
-        ExpPolynomial("-Q/2", (), 0),
-    )
-    side = BasisCoordinates(2, 0, 0, c)
+    c = (ExpPolynomial("none", ((0, 1),)), ExpPolynomial(), ExpPolynomial())
+    side = BasisCoordinates(2, 0, c)
     m_map = {1: ExpPolynomial("none", ((1, 1),)), 2: ExpPolynomial(), 3: ExpPolynomial()}
     ((lam, _),) = predict_glued(side, side, m_map, x).terms
     return lam.re
@@ -57,6 +51,12 @@ ENTRY_POINTS = [_gaussian_real_part, _q_square, _sigma_pairing, _d_square, _sigm
 def test_non_integral_float_is_refused(read):
     with pytest.raises(LatticeError, match="non-integral float"):
         read(0.5)
+
+
+@pytest.mark.parametrize("read", ENTRY_POINTS)
+def test_zero_denominator_is_refused(read):
+    with pytest.raises(LatticeError, match="zero denominator in '1/0'"):
+        read("1/0")
 
 
 @pytest.mark.parametrize("read", ENTRY_POINTS)

@@ -46,10 +46,8 @@ def dia2_coords(gp, g):
 
 
 def dia2_triple(gp, g):
-    side = catalog(f"dia2:{gp}:{g}")
-    spec = GluingSpec(left=side, right=side)
     bc = dia2_coords(gp, g)
-    return (bc, bc, zero_coordinates(g, spec.glued_d_zero()))
+    return (bc, bc, zero_coordinates(g))
 
 
 def full_m_map(g):
@@ -73,31 +71,18 @@ def test_p_of_alpha_ordering():
 
 @pytest.mark.parametrize("g", (2, 3, 4))
 def test_bg_top_coordinate_is_single_term(g):
-    bc = bg_coords(g)
-    top = bc.coordinate(1)
-    assert len(top.terms) == 1
-    lam, c = top.terms[0]
-    # the probe pairs to zero with every basic class
-    assert lam == gr(0) or lam == gr(0, 0)
-    d0 = catalog(f"B{g}").series.d0(catalog(f"B{g}").w_class("T1"))
+    # the probe pairs to zero with every basic class: one bare term at exponent 0
     coeff = Fraction(1, 2 ** (2 * g - 2))
-    if (g - 1) % 2 == 1:
-        assert top.marker == "+Q/2"
-        assert c == gr(coeff)
-    else:
-        assert top.marker == "-Q/2"
-        assert c == GaussianRational.i_power(-d0) * coeff
-    # the normalized form is the bare twisted coefficient either way
-    assert bc.plain(1) == ExpPolynomial("none", ((gr(0), gr(coeff)),))
+    assert bg_coords(g).plain(1) == ExpPolynomial("none", ((gr(0), gr(coeff)),))
 
 
 def test_k3_with_genus_g_surface_has_only_level_zero():
     bc = dia2_coords(1, 3)
     for alpha in range(1, 6):
         if p_of_alpha(alpha, 3) == 0:
-            assert not bc.coordinate(alpha).is_zero
+            assert not bc.plain(alpha).is_zero
         else:
-            assert bc.coordinate(alpha).is_zero
+            assert bc.plain(alpha).is_zero
 
 
 def test_dia2_high_levels_vanish():
@@ -105,20 +90,23 @@ def test_dia2_high_levels_vanish():
     for alpha in range(1, 8):
         p = p_of_alpha(alpha, 4)
         if abs(p) > 1:
-            assert bc.coordinate(alpha).is_zero
+            assert bc.plain(alpha).is_zero
         else:
-            assert not bc.coordinate(alpha).is_zero
+            assert not bc.plain(alpha).is_zero
 
 
-def test_marker_parity_of_coordinates():
-    bc = bg_coords(3)
-    for alpha in range(1, 6):
-        p = p_of_alpha(alpha, 3)
-        expected = "+Q/2" if p % 2 else "-Q/2"
-        assert bc.coordinate(alpha).marker == expected
-        # even-p coordinates have purely imaginary exponents
-        if p % 2 == 0:
-            assert all(l.re == 0 for l, _ in bc.coordinate(alpha).terms)
+@pytest.mark.parametrize("g", (2, 3))
+def test_plain_refuses_alpha_out_of_range(g):
+    bc = bg_coords(g)
+    for alpha in (0, 2 * g):
+        with pytest.raises(FitError, match="out of range"):
+            bc.plain(alpha)
+
+
+def test_marked_coordinate_is_refused():
+    coords = (ExpPolynomial("+Q/2", ((0, 1),), 0), ExpPolynomial(), ExpPolynomial())
+    with pytest.raises(FitError, match="no marker"):
+        BasisCoordinates(2, 0, coords)
 
 
 def test_coordinates_need_unit_pairing_probe():
@@ -176,7 +164,7 @@ def test_fit_insufficient_data():
 
 def test_fit_degenerate_reference():
     g = 3
-    zc = zero_coordinates(g, 0)
+    zc = zero_coordinates(g)
     with pytest.raises(InsufficientData):
         fit_diagonal([(zc, zc, zc)], alphas=[1])
 
@@ -194,7 +182,7 @@ def test_fit_detects_inconsistent_references():
     good = cg_coords(g)
     # scale the glued side: same denominators, different quotient
     bad = BasisCoordinates(
-        good.genus, good.d0, good.d_square,
+        good.genus, good.d_square,
         tuple(c.scale(3) for c in good.coords),
     )
     with pytest.raises(FitError):

@@ -74,12 +74,17 @@ def ref_twisted(series, w):
     return [(k, ref_sign(k, w) * c) for k, c in series.entries]
 
 
-def ref_i_pow(series, w):
-    """i^{-d0}, with d0 = -w^2 - (3/2)(1 - b1 + b+)."""
+def ref_d0(series, w) -> int:
+    """d0 = -w^2 - (3/2)(1 - b1 + b+)."""
     m = 1 - series.b_one + series.b_plus
     d0 = -ref_dot(w, w) - Fraction(3, 2) * m
     assert d0.denominator == 1
-    return GaussianRational.i_power(-d0.numerator)
+    return d0.numerator
+
+
+def ref_i_pow(series, w):
+    """i^{-d0}."""
+    return GaussianRational.i_power(-ref_d0(series, w))
 
 
 def ref_table(series, w, s, d):
@@ -105,6 +110,15 @@ def ref_insertion(table, a, b):
         ExpPolynomial("+Q/2", tuple(p_terms), q),
         ExpPolynomial("-Q/2", tuple(n_terms), q),
     )
+
+
+def ref_level_sums(table):
+    """{K.S: {K.D: summed twisted c}}, from the rows of ``ref_table``."""
+    sums = {}
+    for k_sigma, k_d, c in table[3]:
+        level = sums.setdefault(k_sigma, {})
+        level[k_d] = level.get(k_d, 0) + c
+    return sums
 
 
 def ref_relation(table, z):
@@ -144,12 +158,11 @@ def test_split_entries_match_reference(name):
     entry = catalog(name)
     s = entry.surface()
     for w in twists(entry):
-        rows = [(k, ref_dot(k, s.cls) % 4, c) for k, c in ref_twisted(entry.series, w)]
-        assert {level for _, level, _ in rows} <= {0, 2}
-        i_pow = ref_i_pow(entry.series, w)
+        rows = [(k, ref_dot(k, s.cls), c) for k, c in ref_twisted(entry.series, w)]
+        assert {level % 4 for _, level, _ in rows} <= {0, 2}
         ss = split_series(entry.series, w, s)
-        assert list(ss.p_entries) == [(k, GaussianRational(c)) for k, lvl, c in rows if lvl == 2]
-        assert list(ss.n_entries) == [(k, i_pow * c) for k, lvl, c in rows if lvl == 0]
+        assert list(ss.rows) == rows
+        assert ss.d0 == ref_d0(entry.series, w)
 
 
 @pytest.mark.parametrize("name", catalog_names())
@@ -194,26 +207,15 @@ def test_apply_relation_matches_reference(name):
 
 
 def ref_coordinates(series, w, s, d):
-    """The fit docstring's coordinates, level p = g-1, -(g-1), ..., 1, -1, 0.
-
-    Each is the bare sum of a_{j,w} e^{(K_j.D)t} over K_j.S = 2p; its split
-    form carries e^{+Q/2} at odd p, and at even p e^{-Q/2}, i^{-d0} and the
-    exponents times i.  Returns (bare sums, split forms).
-    """
-    i_pow, _, q, rows = ref_table(series, w, s, d)
+    """The fit docstring's coordinates, level p = g-1, -(g-1), ..., 1, -1, 0:
+    each is the bare sum of a_{j,w} e^{(K_j.D)t} over K_j.S = 2p."""
+    rows = ref_table(series, w, s, d)[3]
     g = s.genus
     levels = [p for m in range(g - 1, 0, -1) for p in (m, -m)] + [0]
-    bare, split = [], []
-    for p in levels:
-        level = [(k_d, c) for k_sigma, k_d, c in rows if k_sigma == 2 * p]
-        terms = tuple((GaussianRational(k_d), GaussianRational(c)) for k_d, c in level)
-        bare.append(ExpPolynomial("none", terms))
-        if p % 2:
-            split.append(ExpPolynomial("+Q/2", terms, q))
-        else:
-            rotated = tuple((GaussianRational(0, k_d), i_pow * c) for k_d, c in level)
-            split.append(ExpPolynomial("-Q/2", rotated, q))
-    return bare, split
+    return [
+        ExpPolynomial("none", tuple((k_d, c) for k_sigma, k_d, c in rows if k_sigma == 2 * p))
+        for p in levels
+    ]
 
 
 @pytest.mark.parametrize("name", ["B3", "B4", "dia2:1:3", "dia2:2:4"])
@@ -230,11 +232,22 @@ def test_basis_coordinates_match_reference(name):
         assert ref_dot(d, s.cls) == 1
         for w in twists(entry):
             got = basis_coordinates(entry.series, w, s, d)
-            bare, split = ref_coordinates(entry.series, w, s, d)
-            assert any(not c.is_zero for c in split)
-            assert got.coords == tuple(split)
+            bare = ref_coordinates(entry.series, w, s, d)
+            assert any(not c.is_zero for c in bare)
             assert [got.plain(a) for a in range(1, 2 * s.genus)] == bare
             assert got.d_square == ref_dot(d, d)
+
+
+@pytest.mark.parametrize("name", ENTRIES)
+def test_level_sums_match_reference(name):
+    entry = catalog(name)
+    s = entry.surface()
+    for w in twists(entry):
+        split = split_series(entry.series, w, s)
+        for d in probe_cases(entry):
+            expected = ref_level_sums(ref_table(entry.series, w, s, d))
+            assert {ks: split.level_sums(ks, d) for ks in split.levels} == expected
+            assert split.level_sums(max(expected) + 4, d) == {}
 
 
 @pytest.mark.parametrize("name", ENTRIES)
@@ -247,12 +260,14 @@ def test_split_levels_partition_the_rows_and_the_evaluation(name):
         assert sorted(indices) == list(range(len(split.rows)))
         assert all(split.rows[j][1] == ks for ks, js in split.levels.items() for j in js)
         for d in probe_cases(entry):
-            for z in (((0, 0, 1),), relations_for(entry)[0].terms):
-                whole = split.evaluate(d, z)
-                parts = [split.evaluate(d, z, [ks]) for ks in split.levels]
-                for sector in (0, 1):
-                    by_level = [part[sector] for part in parts]
-                    assert sum(by_level[1:], by_level[0]) == whole[sector]
+            # the levels' sums add up, per K.D, to the sums over all rows
+            per_kd = Counter()
+            for k, _, a in split.rows:
+                per_kd[k.dot(d)] += a
+            by_level = Counter()
+            for ks in split.levels:
+                by_level.update(split.level_sums(ks, d))
+            assert by_level == per_kd
 
 
 def test_evaluate_on_no_z_terms_is_two_zero_parts():
@@ -272,21 +287,6 @@ def test_evaluate_rejects_negative_powers(z):
     split = split_series(entry.series, entry.w_class(), s)
     with pytest.raises(series_mod.SeriesError, match="insertion powers must be >= 0"):
         split.evaluate(default_probes(entry.lattice, s)[0], z)
-
-
-@pytest.mark.parametrize("name", ["B3", "B4", "dia2:2:4"])
-def test_evaluate_on_one_level_is_that_levels_share(name):
-    entry = catalog(name)
-    s = entry.surface()
-    for w in twists(entry):
-        split = split_series(entry.series, w, s)
-        for d in probe_cases(entry):
-            i_pow, d_sigma, q, rows = ref_table(entry.series, w, s, d)
-            for z in (RelationPoly.of([(0, 0, 1)]), relations_for(entry)[0]):
-                for ks in split.levels:
-                    share = [row for row in rows if row[0] == ks]
-                    expected = ref_relation((i_pow, d_sigma, q, share), z)
-                    assert split.evaluate(d, z.terms, [ks]) == expected
 
 
 def test_apply_relation_rejects_negative_powers():
@@ -455,7 +455,7 @@ def test_split_series_pairs_each_class_with_the_surface_once(monkeypatch):
     pairs = record_pairings(monkeypatch)
     ss = split_series(entry.series, entry.w_class(), s)
     n = len(entry.series.entries)
-    assert len(ss.p_entries) + len(ss.n_entries) == n
+    assert len(ss.rows) == n
     assert sum(1 for u, v in pairs if u is s.cls or v is s.cls) <= n + 2
 
 

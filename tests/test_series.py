@@ -202,22 +202,20 @@ def test_split_k3_single_class(k3):
     w = k3.lattice.cls("sigma")
     s = k3.surface("F")
     ss = split_series(k3.series, w, s)
-    assert ss.p_entries == ()
-    # d0(K3, sigma) = -4, i^4 = 1; the sigma-twist of the coefficient is -1
+    # d0(K3, sigma) = -4; the sigma-twist of the coefficient is -1, at level 0 (N)
     assert ss.d0 == -4
-    [(k, c)] = ss.n_entries
-    assert k.is_zero and c == gr(-1)
+    [(k, ks, c)] = ss.rows
+    assert k.is_zero and ks == 0 and c == -1
 
 
 def test_split_b2_sectors(b2):
     w = b2.lattice.cls("T1")
     s = b2.surface("Sigma_g")
     ss = split_series(b2.series, w, s)
-    p_levels = {int(k.dot(s.cls)) for k, _ in ss.p_entries}
-    n_levels = {int(k.dot(s.cls)) for k, _ in ss.n_entries}
-    assert p_levels == {2, -2}
-    assert n_levels == {0}
-    assert len(ss.p_entries) == 2 and len(ss.n_entries) == 2
+    levels = [ks for _, ks, _ in ss.rows]
+    assert sorted(ks for ks in levels if ks % 4 == 2) == [-2, 2]
+    assert [ks for ks in levels if ks % 4 == 0] == [0, 0]
+    assert all(k.dot(s.cls) == ks for k, ks, _ in ss.rows)
 
 
 def test_split_requires_allowable_pair(b2):
