@@ -16,9 +16,11 @@ The builders here produce value-level catalog entries:
   along its genus-g surface, used as the comparison target by the
   pairing-fit module.
 
-The three blow-up builders share one rule, ``_blown_up``: m blow-ups at once
-turn each (K, c) into the 2^m classes K +- E_1 +- ... +- E_m with c / 2^m
-(the simple-type blow-up formula), so B(g) is built in one step from E(g).
+An entry's lattice is its series' lattice, and one table, ``_RECIPES``, maps
+each recipe head to its builder.  The three blow-up builders share one rule,
+``_blown_up``, which takes the series it blows up: m blow-ups at once turn
+each (K, c) into the 2^m classes K +- E_1 +- ... +- E_m with c / 2^m (the
+simple-type blow-up formula), so B(g) is built in one step from E(g).
 Every recipe builder refuses, before it starts, an entry of more than
 ``MAX_CLASSES`` basic classes, and ``elliptic_surface`` and
 ``closed_form_cg`` one whose coefficients have more digits than Python
@@ -42,6 +44,7 @@ from .lattice import (
     MarkedSurface,
     lattice_from_json,
     lattice_to_json,
+    same_lattice,
 )
 from .series import (
     DonaldsonSeries,
@@ -66,10 +69,9 @@ class MalformedCatalogFile(CatalogMismatch):
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """A lattice, its series, marked surfaces, and distinguished w choices."""
+    """A series, marked surfaces on its lattice, and distinguished w choices."""
 
     name: str
-    lattice: Lattice
     series: DonaldsonSeries
     surfaces: tuple[tuple[str, MarkedSurface], ...]
     w_labels: tuple[str, ...]
@@ -81,11 +83,18 @@ class CatalogEntry:
             raise ConstructionError(f"{self.name}: a surface label is repeated")
         if self.glue_surface not in self._surface_map:
             raise ConstructionError(f"{self.name}: no surface {self.glue_surface!r} to glue along")
+        for label, s in self.surfaces:
+            if not same_lattice(s.lattice, self.lattice):
+                raise ConstructionError(f"{self.name}: surface {label!r} is on another lattice")
         if not self.w_labels:
             raise ConstructionError(f"{self.name}: no w label; w_class() needs at least one")
         for label in self.w_labels:
             if label not in self.lattice.labels():
                 raise ConstructionError(f"{self.name}: w label {label!r} is not a class label")
+
+    @property
+    def lattice(self) -> Lattice:
+        return self.series.lattice
 
     @cached_property
     def _surface_map(self) -> dict[str, MarkedSurface]:
@@ -186,7 +195,6 @@ def elliptic_surface(n: int) -> CatalogEntry:
     series = DonaldsonSeries.on(lattice, pairs)
     entry = CatalogEntry(
         name=name,
-        lattice=lattice,
         series=series,
         surfaces=(("F", MarkedSurface(f, genus=1)),),
         w_labels=("sigma",),
@@ -200,10 +208,9 @@ def elliptic_surface(n: int) -> CatalogEntry:
 
 def blow_up(entry: CatalogEntry) -> CatalogEntry:
     """Add an exceptional (-1)-class E; entries become (K+E, c/2), (K-E, c/2)."""
-    old = entry.lattice
-    k = 1 + sum(lab.startswith("E") for lab in old.labels())
+    k = 1 + sum(lab.startswith("E") for lab in entry.lattice.labels())
     name = f"{entry.name}.bl{k}"
-    series = _blown_up(name, old, entry.series.entries, 1, (), entry.series.simple_type)
+    series = _blown_up(name, entry.series, 1)
     lattice = series.lattice
     surfaces = tuple(
         (lab, MarkedSurface(HClass(lattice, s.cls.coords + (0,)), s.genus))
@@ -211,7 +218,6 @@ def blow_up(entry: CatalogEntry) -> CatalogEntry:
     )
     return CatalogEntry(
         name=name,
-        lattice=lattice,
         series=series,
         surfaces=surfaces,
         w_labels=entry.w_labels,
@@ -220,14 +226,15 @@ def blow_up(entry: CatalogEntry) -> CatalogEntry:
     )
 
 
-def _blown_up(name, base, pairs, m, extra=(), simple_type=True) -> DonaldsonSeries:
-    """The series of base blown up m times, on base + <-1>^m named ``name``.
+def _blown_up(name, series, m, extra=()) -> DonaldsonSeries:
+    """``series`` blown up m times, on its lattice + <-1>^m named ``name``.
 
     The new E labels are numbered after the base's, then the extra named
     classes (in the new basis) follow.  Each (K, c) becomes the 2^m classes
     K +- E_1 +- ... +- E_m with c / 2^m: a blow-up keeps b+ and b1, so the
     series keeps its parity in t, which forces the even combination of e^{+-E_i}.
     """
+    base = series.lattice
     n = base.rank
     first = 1 + sum(lab.startswith("E") for lab in base.labels())
     pad = (0,) * m
@@ -244,10 +251,10 @@ def _blown_up(name, base, pairs, m, extra=(), simple_type=True) -> DonaldsonSeri
     )
     signs = list(product((1, -1), repeat=m))
     out = []
-    for k, c in pairs:
+    for k, c in series.entries:
         c = Fraction(c, 2**m)
         out += [(HClass(lattice, k.coords + s), c) for s in signs]
-    return DonaldsonSeries.on(lattice, out, simple_type)
+    return DonaldsonSeries.on(lattice, out, series.simple_type)
 
 
 def build_bg(g: int) -> CatalogEntry:
@@ -255,20 +262,18 @@ def build_bg(g: int) -> CatalogEntry:
     if g < 2:
         raise ConstructionError("B(g) needs g >= 2")
     _check_size(f"B{g}", g - 1, g)
-    base = elliptic_surface(g)
     # in the coordinates (F, sigma, E_1, ..., E_g)
     named = (
         ("T1", (1, 0) + (0,) * g),
         ("Sigma_g", (g, 1) + (-1,) * g),
         ("K", (g - 2, 0) + (1,) * g),
     )
-    series = _blown_up(f"B{g}", base.lattice, base.series.entries, g, named)
+    series = _blown_up(f"B{g}", elliptic_surface(g).series, g, named)
     lattice = series.lattice
     surface = MarkedSurface(lattice.cls("Sigma_g"), genus=g)
     torus = MarkedSurface(lattice.cls("T1"), genus=1)
     out = CatalogEntry(
         name=f"B{g}",
-        lattice=lattice,
         series=series,
         surfaces=(("Sigma_g", surface), ("T1", torus)),
         w_labels=("T1", "sigma"),
@@ -312,7 +317,7 @@ def build_dia2(g_prime: int, g: int) -> CatalogEntry:
     # the K3 block in the (S, T) basis; its one basic class is 0, coefficient 1
     k3 = Lattice("K3", ((-2, 1), (1, 0)), b_plus=3, named=(("S", (1, 0)), ("T", (0, 1))))
     sigma1 = ("Sigma1", (1, g_prime) + (1,) * blowups)
-    series = _blown_up(name, k3, [(k3.zero(), 1)], blowups, [sigma1])
+    series = _blown_up(name, DonaldsonSeries.on(k3, [(k3.zero(), 1)]), blowups, [sigma1])
     lattice = series.lattice
     surface = MarkedSurface(lattice.cls("Sigma1"), genus=g)
     max_pair = max(
@@ -327,7 +332,6 @@ def build_dia2(g_prime: int, g: int) -> CatalogEntry:
         raise ConstructionError(f"{name}: equality class is not unique")
     out = CatalogEntry(
         name=name,
-        lattice=lattice,
         series=series,
         surfaces=(("Sigma1", surface),),
         w_labels=("T",),
@@ -378,7 +382,6 @@ def closed_form_cg(g: int) -> CatalogEntry:
     )
     out = CatalogEntry(
         name=name,
-        lattice=lattice,
         series=series,
         surfaces=(
             ("Sigma_g", MarkedSurface(lattice.cls("Sigma_g"), genus=g)),
@@ -396,38 +399,33 @@ def closed_form_cg(g: int) -> CatalogEntry:
 # -- catalog lookup and persistence ---------------------------------------------------
 
 
-@cache
-def parse_recipe(ref: str) -> CatalogEntry:
-    """Resolve a recipe string: elliptic:n | bg:g | dia2:g':g | cg:g | name.
-
-    Entries are immutable, so repeated lookups share one derivation.
-    """
-    parts = ref.split(":")
-    head = parts[0].lower()
-    try:
-        if head == "elliptic" and len(parts) == 2:
-            return elliptic_surface(int(parts[1]))
-        if head == "bg" and len(parts) == 2:
-            return build_bg(int(parts[1]))
-        if head == "dia2" and len(parts) == 3:
-            return build_dia2(int(parts[1]), int(parts[2]))
-        if head == "cg" and len(parts) == 2:
-            return closed_form_cg(int(parts[1]))
-    except ValueError as exc:
-        raise ConstructionError(f"bad recipe {ref!r}: {exc}") from exc
-    raise KeyError(f"unknown catalog name or recipe {ref!r}")
-
-
-_NAMED = {
-    "K3": "elliptic:2",
-    **{f"S{n}": f"elliptic:{n}" for n in range(3, 9)},
-    **{f"B{g}": f"bg:{g}" for g in range(2, 9)},
-    **{f"C{g}": f"cg:{g}" for g in range(2, 7)},
+_RECIPES = {
+    "elliptic": (elliptic_surface, 1),
+    "bg": (build_bg, 1),
+    "dia2": (build_dia2, 2),
+    "cg": (closed_form_cg, 1),
 }
 
 
+@cache
+def parse_recipe(ref: str) -> CatalogEntry:
+    """Resolve a recipe string: elliptic:n | bg:g | dia2:g':g | cg:g.
+
+    Entries are immutable, so repeated lookups share one derivation.
+    """
+    head, *args = ref.split(":")
+    builder, arity = _RECIPES.get(head.lower(), (None, None))
+    if len(args) != arity:
+        raise KeyError(f"unknown catalog name or recipe {ref!r}")
+    try:
+        return builder(*map(int, args))
+    except ValueError as exc:
+        raise ConstructionError(f"bad recipe {ref!r}: {exc}") from exc
+
+
 def catalog_names() -> list[str]:
-    return sorted(_NAMED)
+    names = ["K3"] + [f"S{n}" for n in range(3, 9)] + [f"B{g}" for g in range(2, 9)]
+    return sorted(names + [f"C{g}" for g in range(2, 7)])
 
 
 _FAMILIES = {"S": "elliptic", "B": "bg", "C": "cg"}
@@ -436,15 +434,15 @@ _FAMILIES = {"S": "elliptic", "B": "bg", "C": "cg"}
 def _lookup(ref: str) -> CatalogEntry:
     """The entry a catalog name or recipe stands for.
 
-    S<n>, B<g> and C<g> name every entry their builders make, not only those
-    ``_NAMED`` lists; a name the entry does not carry (S2 builds K3) is unknown,
-    and one its builder refuses (B1) is named in the ``ConstructionError``.
+    K3, S<n>, B<g> and C<g> name every entry their builders make; a name the
+    entry does not carry (S2 builds K3) is unknown, and one its builder
+    refuses (B1) is named in the ``ConstructionError``.
     """
     family = _FAMILIES.get(ref[:1])
     if family and ref[1:].isdecimal():
         recipe = f"{family}:{ref[1:]}"
     else:
-        recipe = _NAMED.get(ref, ref)
+        recipe = "elliptic:2" if ref == "K3" else ref
     try:
         entry = parse_recipe(recipe)
     except ConstructionError as exc:  # name the ref typed, not the recipe read
@@ -524,7 +522,6 @@ def entry_from_json(data: dict) -> CatalogEntry:
         raise ConstructionError(f"glue_surface must be a str, got {glue_surface!r}")
     return CatalogEntry(
         name=data["name"],
-        lattice=lattice,
         series=series,
         surfaces=surfaces,
         w_labels=tuple(w_labels),

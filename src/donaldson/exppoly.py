@@ -234,15 +234,6 @@ class ExpPolynomial:
         )
         return cls(data["marker"], terms, data.get("q"))
 
-    def __str__(self):
-        if self.is_zero:
-            body = "0"
-        else:
-            body = " + ".join(f"({c})e^({l})t" for l, c in self.terms)
-        if self.marker == "none":
-            return body
-        return f"e^{{{self.marker[0]}Q(tD)/2}} * [{body}]"
-
 
 def _mul_marker(a: ExpPolynomial, b: ExpPolynomial) -> tuple[str, int | Fraction | None]:
     if a.marker == "none":

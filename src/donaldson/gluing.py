@@ -393,5 +393,9 @@ def glued_from_json(data: dict) -> GluedSeries:
             raise GluingError(f"pair {row!r}: the sector must be '+', '-' or '0'")
         if type(c) not in (int, float, str):
             raise GluingError(f"pair {row!r}: the coefficient must be an int or a 'p/q' string")
-        entries.append((j, k, _SECTOR_OF_CODE[s], Fraction(_exact(c))))
+        try:
+            c = Fraction(_exact(c))
+        except ValueError as exc:
+            raise GluingError(f"pair {row!r}: bad coefficient: {exc}") from exc
+        entries.append((j, k, _SECTOR_OF_CODE[s], c))
     return GluedSeries(spec, data["kind"], tuple(entries))

@@ -13,6 +13,7 @@ import pytest
 from donaldson import constructions, series
 from donaldson.cli import run
 from donaldson.constructions import (
+    CatalogEntry,
     CatalogMismatch,
     ConstructionError,
     MalformedCatalogFile,
@@ -342,8 +343,19 @@ def test_every_built_name_resolves():
 
 
 def test_catalog_unknown_name():
-    with pytest.raises(KeyError):
-        catalog("E8")
+    # an unknown name or head, or a known head with the wrong number of arguments
+    for ref in ("E8", "elliptic:2:3", "dia2:2", "cg", "foo:3"):
+        with pytest.raises(KeyError, match=f"unknown catalog name or recipe '{ref}'"):
+            catalog(ref)
+
+
+def test_catalog_names_are_pinned():
+    assert catalog_names() == [
+        "B2", "B3", "B4", "B5", "B6", "B7", "B8",
+        "C2", "C3", "C4", "C5", "C6",
+        "K3",
+        "S3", "S4", "S5", "S6", "S7", "S8",
+    ]
 
 
 def test_catalog_rederivation_deterministic():
@@ -491,6 +503,34 @@ def test_cached_bytes_never_hide_a_changed_file(tmp_path, monkeypatch):
 def test_catalog_entries_validate():
     for name in catalog_names():
         catalog(name).validate()
+
+
+def test_entry_lattice_is_its_series_lattice():
+    dia2 = [f"dia2:{gp}:{g}" for g in range(2, 7) for gp in range(1, g)]
+    entries = [catalog(ref) for ref in catalog_names() + dia2]
+    entries += [blow_up(catalog("K3")), blow_up(catalog("S4"))]
+    for entry in entries:
+        assert entry.lattice is entry.series.lattice, entry.name
+
+
+def test_entry_takes_no_lattice_of_its_own():
+    b3 = catalog("B3")
+    with pytest.raises(TypeError, match="lattice"):
+        CatalogEntry(
+            name="mix",
+            lattice=catalog("B4").lattice,
+            series=b3.series,
+            surfaces=b3.surfaces,
+            w_labels=b3.w_labels,
+            glue_surface=b3.glue_surface,
+        )
+
+
+def test_surface_on_another_lattice_is_refused():
+    b3 = catalog("B3")
+    surfaces = b3.surfaces + (("S", catalog("B4").surface()),)
+    with pytest.raises(ConstructionError, match="^B3: surface 'S' is on another lattice"):
+        dataclasses.replace(b3, surfaces=surfaces)
 
 
 def test_repeated_surface_label_is_refused():

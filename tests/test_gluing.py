@@ -96,7 +96,6 @@ def test_spec_refuses_a_side_the_split_refuses(b_plus, simple_type, message):
     series = DonaldsonSeries.on(lat, [(lat.zero(), 1)], simple_type)
     entry = CatalogEntry(
         name="side",
-        lattice=lat,
         series=series,
         surfaces=(("T", MarkedSurface(lat.cls("T"), genus=2)),),
         w_labels=("S",),
@@ -344,7 +343,6 @@ def test_torus_rule_rejects_nonzero_levels():
     series = DonaldsonSeries.on(lat, [(two_s, Fraction(1)), (-two_s, Fraction(1))])
     entry = CatalogEntry(
         name="torus_with_level",
-        lattice=lat,
         series=series,
         surfaces=(("T", MarkedSurface(lat.cls("T"), genus=1)),),
         w_labels=("S",),
@@ -567,6 +565,7 @@ def test_glued_from_json_requires_kind():
         (0, 4), (0, 99), (0, -1), (0, 0.0), (0, True),
         (1, 4), (1, -1), (1, "0"),
         (2, "x"), (2, 1), (2, ["+"]),
+        (3, "1/0"), (3, "abc"), (3, 0.5),
     ],
 )
 def test_glued_from_json_rejects_bad_pair_rows(column, value):
@@ -574,7 +573,7 @@ def test_glued_from_json_rejects_bad_pair_rows(column, value):
     payload = json.loads(json.dumps(glued_to_json(glue(bg_double(2)))))
     glued_from_json(payload)
     payload["pairs"][0][column] = value
-    with pytest.raises(GluingError, match="index must be|sector must be"):
+    with pytest.raises(GluingError, match=r"^pair \[.*(index must be|sector must be|bad coefficient)"):
         glued_from_json(payload)
 
 
