@@ -81,9 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
     for flags in (parser, common):
         defaults = {} if flags is parser else {"default": argparse.SUPPRESS}
         flags.add_argument(
-            "--json", action="store_true", help="JSON output (default)", **defaults
-        )
-        flags.add_argument(
             "--table", action="store_true", help="plain table output", **defaults
         )
         flags.add_argument(
@@ -270,6 +267,8 @@ def _cmd_eval(args) -> int:
         ]
     if args.float:
         payload["float_terms"] = _floats(poly)
+    if gs.experimental:
+        payload["experimental"] = True
     _emit(args, payload)
     return 0
 
@@ -326,6 +325,8 @@ def _cmd_fit(args) -> int:
     from .fit import FitError, basis_coordinates, fit_diagonal, zero_coordinates
 
     g = args.g
+    if g < 2:
+        raise FitError("fit needs --g >= 2")
     bg = catalog(f"bg:{g}")
     cg = catalog(f"cg:{g}")
     w = bg.w_class("T1")
@@ -362,10 +363,7 @@ def _cmd_conjecture(args) -> int:
     from .gluing import glue_conjectural, glued_to_json
 
     spec = _make_spec(args.left, args.right, args.g, args.w_sq)
-    gs = glue_conjectural(spec)
-    payload = glued_to_json(gs)
-    payload["experimental"] = True
-    _emit(args, payload)
+    _emit(args, glued_to_json(glue_conjectural(spec)))
     return 0
 
 

@@ -254,7 +254,7 @@ def _blown_up(name, series, m, extra=()) -> DonaldsonSeries:
     for k, c in series.entries:
         c = Fraction(c, 2**m)
         out += [(HClass(lattice, k.coords + s), c) for s in signs]
-    return DonaldsonSeries.on(lattice, out, series.simple_type)
+    return DonaldsonSeries.on(lattice, out)
 
 
 def build_bg(g: int) -> CatalogEntry:

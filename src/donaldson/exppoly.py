@@ -121,23 +121,6 @@ class ExpPolynomial:
         ]
         return ExpPolynomial(marker, tuple(terms), q)
 
-    def scale_exponents(self, factor) -> "ExpPolynomial":
-        """Substitute t -> factor * t in the exponentials.
-
-        A marked prefactor scales by factor^2 and therefore requires a real
-        factor; unmarked polynomials accept any Gaussian rational factor.
-        """
-        f = GaussianRational.coerce(factor)
-        q = self.q_square
-        if self.marker != "none":
-            if not f.is_real:
-                raise ExpPolynomialError("marked polynomial needs a real scaling factor")
-            if q is not None:
-                q = q * f.re * f.re
-        return ExpPolynomial(
-            self.marker, tuple((l * f, c) for l, c in self.terms), q
-        )
-
     def divide_exact(self, divisor: "ExpPolynomial") -> "ExpPolynomial":
         """Exact division; raises InexactDivision if no finite quotient exists.
 

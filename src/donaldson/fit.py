@@ -7,9 +7,10 @@ bare sum  sum_j a_j e^{(K_j . D) t}  of the twisted coefficients of the
 classes at that level, ``SplitSeries.level_sums``, with no marker.
 
 A gluing pairs the coordinate vectors of the two sides through a diagonal
-universal matrix: coordinate-wise,
+universal matrix: coordinate-wise, at a probe with D.S = 1 (the only probes
+``basis_coordinates`` accepts),
 
-    c_X,p(t) = c_X1,p(t) * M_p(t * (D.S)) * c_X2,p(t).
+    c_X,p(t) = c_X1,p(t) * M_p(t) * c_X2,p(t).
 
 This module fits the M_p entries by exact division from reference gluings
 whose outputs are known, instead of assuming the closed forms the gluing
@@ -87,9 +88,9 @@ def basis_coordinates(
     return BasisCoordinates(g, d.square, coords)
 
 
-def zero_coordinates(genus: int, *, d_square=0) -> BasisCoordinates:
+def zero_coordinates(genus: int) -> BasisCoordinates:
     """The coordinate vector of a manifold with vanishing invariants."""
-    return BasisCoordinates(genus, d_square, (ExpPolynomial(),) * (2 * genus - 1))
+    return BasisCoordinates(genus, 0, (ExpPolynomial(),) * (2 * genus - 1))
 
 
 def fit_diagonal(
@@ -134,16 +135,14 @@ def predict_glued(
     left: BasisCoordinates,
     right: BasisCoordinates,
     m_map: dict[int, ExpPolynomial],
-    sigma_d=1,
 ) -> ExpPolynomial:
-    """sum_alpha c_X1,alpha(t) M_alpha(t (D.S)) c_X2,alpha(t), as e^{+Q/2} data.
+    """sum_alpha c_X1,alpha(t) M_alpha(t) c_X2,alpha(t), as e^{+Q/2} data.
 
     Must reproduce the direct pairwise gluing on every shared input; the
-    diagonal argument is scaled by the supplied S.D.
+    coordinates are taken at D.S = 1, so M's argument is t.
     """
     if left.genus != right.genus:
         raise FitError("coordinate vectors have mismatched index sets")
-    sigma_d = _exact(sigma_d)
     total = ExpPolynomial("none")
     for alpha in range(1, 2 * left.genus):
         m = m_map.get(alpha)
@@ -151,6 +150,5 @@ def predict_glued(
             raise FitError(f"missing diagonal entry for alpha={alpha}")
         if m.is_zero:
             continue
-        term = left.plain(alpha) * m.scale_exponents(sigma_d) * right.plain(alpha)
-        total = total + term
+        total = total + left.plain(alpha) * m * right.plain(alpha)
     return ExpPolynomial("+Q/2", total.terms, left.d_square + right.d_square)

@@ -43,10 +43,6 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def rational(self) -> int | Fraction:
         """The real value (an int when integral); raises if it is not real."""
         if self.im != 0:
@@ -109,12 +105,6 @@ class GaussianRational:
             raise ZeroDivisionError("division by zero Gaussian rational")
         # (a + bi)(c - di) / (c^2 + d^2); int / int would be a float
         return GaussianRational(Fraction(a * c + b * d, n), Fraction(b * c - a * d, n))
-
-    def __rtruediv__(self, x):
-        o = self._other(x)
-        if o is None:
-            return NotImplemented
-        return o / self
 
     def __pow__(self, k: int):
         if not isinstance(k, int):

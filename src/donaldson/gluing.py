@@ -190,6 +190,11 @@ class GluedSeries:
     def is_empty(self) -> bool:
         return not self.entries
 
+    @property
+    def experimental(self) -> bool:
+        """Output of the conjectural rule, flagged in every file and evaluation."""
+        return self.kind == "stabilized"
+
     def left_class(self, j: int) -> HClass:
         return self.spec.left.series.entries[j][0]
 
@@ -349,7 +354,7 @@ _SECTOR_OF_CODE = {code: sector for sector, code in _SECTOR_CODE.items()}
 
 def glued_to_json(gs: GluedSeries) -> dict:
     spec = gs.spec
-    return {
+    data = {
         "left": spec.left.name,
         "right": spec.right.name,
         "g": spec.genus,
@@ -362,16 +367,25 @@ def glued_to_json(gs: GluedSeries) -> dict:
             for j, k, sector, c in gs.entries
         ],
     }
+    if gs.experimental:
+        data["experimental"] = True
+    return data
 
 
 _FIELDS = (("left", str), ("right", str), ("w_sq", int), ("pairs", list))
+_KEYS = ("left", "right", "g", "kind", "w1_sq", "w2_sq", "w_sq", "pairs", "experimental")
 
 
 def glued_from_json(data: dict) -> GluedSeries:
-    """Rebuild a gluing from ``glued_to_json`` output; a field of the wrong
-    JSON shape raises ``GluingError`` naming it, and none is defaulted."""
+    """Rebuild a gluing from ``glued_to_json`` output; a key it does not
+    write, a field of the wrong JSON shape or an ``experimental`` flag that
+    disagrees with the kind raises ``GluingError`` naming it, and none is
+    defaulted."""
     if type(data) is not dict:
         raise GluingError("a glued file must hold a JSON object")
+    unknown = [key for key in data if key not in _KEYS]
+    if unknown:
+        raise GluingError(f"unknown field {unknown[0]!r} in a glued file")
     for name, typ in _FIELDS:
         if type(data[name]) is not typ:
             raise GluingError(f"field {name!r} must be of type {typ.__name__}, got {data[name]!r}")
@@ -398,4 +412,8 @@ def glued_from_json(data: dict) -> GluedSeries:
         except ValueError as exc:
             raise GluingError(f"pair {row!r}: bad coefficient: {exc}") from exc
         entries.append((j, k, _SECTOR_OF_CODE[s], c))
-    return GluedSeries(spec, data["kind"], tuple(entries))
+    gs = GluedSeries(spec, data["kind"], tuple(entries))
+    if ("experimental" in data) != gs.experimental or data.get("experimental", True) is not True:
+        flag = '"experimental": true' if gs.experimental else 'no "experimental" field'
+        raise GluingError(f"field 'experimental': a {gs.kind} gluing has {flag}")
+    return gs

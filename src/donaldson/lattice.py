@@ -2,7 +2,8 @@
 
 A ``Lattice`` models the piece of H^2 of a 4-manifold that the calculator
 actually consumes: a symmetric integer Gram matrix for the intersection
-form together with b^+ / b_1 metadata.  Catalog manifolds are "partial"
+form together with b^+ / b_1 metadata, b^+ - b_1 odd as on every manifold
+that carries a Donaldson series.  Catalog manifolds are "partial"
 models spanned only by the classes the formulas touch (fibers, sections,
 exceptional classes, surfaces); the declared b^+ then exceeds the rank of
 the modeled block and only sign-count consistency is enforced.
@@ -56,8 +57,8 @@ class Lattice:
     ``model`` is "full" when the Gram matrix is the whole of H^2 (then the
     signature must reproduce ``b_plus`` exactly) and "partial" when it is a
     modeled sublattice (then positives of the block may not exceed it).
-    ``carries_series`` marks lattices of manifolds carrying a Donaldson
-    series, which forces b^+ - b_1 odd.
+    Every lattice carries a Donaldson series, so b^+ - b_1 must be odd: the
+    parity that makes d0 an integer.
     """
 
     name: str
@@ -66,7 +67,6 @@ class Lattice:
     b_one: int = 0
     named: tuple[tuple[str, tuple[int | Fraction, ...]], ...] = ()
     model: str = "partial"
-    carries_series: bool = True
 
     def __post_init__(self):
         gram = tuple(tuple(map(_exact, row)) for row in self.gram)
@@ -87,11 +87,7 @@ class Lattice:
                 raise LatticeError(f"{self.name}: {field} must be an int, got {value!r}")
         if self.b_plus < 0 or self.b_one < 0:
             raise LatticeError(f"{self.name}: negative Betti data")
-        if type(self.carries_series) is not bool:
-            raise LatticeError(
-                f"{self.name}: carries_series must be a bool, got {self.carries_series!r}"
-            )
-        if self.carries_series and (self.b_plus - self.b_one) % 2 == 0:
+        if (self.b_plus - self.b_one) % 2 == 0:
             raise ParityError(
                 f"{self.name}: a series-carrying manifold needs b+ - b1 odd, "
                 f"got b+={self.b_plus}, b1={self.b_one}"
@@ -359,7 +355,7 @@ def _coord_out(c: int | Fraction):
 
 
 def lattice_to_json(lat: Lattice) -> dict:
-    data = {
+    return {
         "name": lat.name,
         "rank": lat.rank,
         "gram": [list(row) for row in lat.gram],
@@ -368,12 +364,16 @@ def lattice_to_json(lat: Lattice) -> dict:
         "classes": {label: [_coord_out(c) for c in coords] for label, coords in lat.named},
         "model": lat.model,
     }
-    if not lat.carries_series:  # written only when off: True is the default
-        data["carries_series"] = False
-    return data
+
+
+_KEYS = ("name", "rank", "gram", "b_plus", "b_one", "classes", "model")
 
 
 def lattice_from_json(data: dict) -> Lattice:
+    """The lattice ``lattice_to_json`` wrote; a key it does not write is refused."""
+    unknown = [key for key in data if key not in _KEYS]
+    if unknown:
+        raise LatticeError(f"unknown field {unknown[0]!r} in a lattice")
     if len(data["gram"]) != data["rank"]:
         raise LatticeError("rank field does not match Gram matrix size")
     if not isinstance(data["classes"], dict):
@@ -385,5 +385,4 @@ def lattice_from_json(data: dict) -> Lattice:
         b_one=data["b_one"],
         named=tuple(data["classes"].items()),
         model=data["model"],
-        carries_series=data.get("carries_series", True),
     )

@@ -51,20 +51,19 @@ class SeriesError(ValueError):
 class DonaldsonSeries:
     """Finite list of (basic class, rational coefficient) on a lattice.
 
-    Entries are kept sorted by class coordinates, classes are pairwise
-    distinct, integral, and characteristic on the modeled lattice.
+    The series is of simple type, the hypothesis of every formula here, on a
+    lattice with b+ - b1 odd.  Entries are kept sorted by class coordinates,
+    classes are pairwise distinct, integral, and characteristic on the
+    modeled lattice.
     ``position`` (class coords -> entry index) is the one lookup by class;
     the duplicate check builds it, and it is a read-only view.
     """
 
     lattice: Lattice
     entries: tuple[tuple[HClass, Fraction], ...]
-    simple_type: bool = True
     _position: dict[tuple, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if type(self.simple_type) is not bool:
-            raise SeriesError(f"simple_type must be a bool, got {self.simple_type!r}")
         pairs = ((k, Fraction(_exact(c))) for k, c in self.entries)
         entries = tuple(sorted(pairs, key=lambda e: e[0].coords))
         object.__setattr__(self, "entries", entries)
@@ -83,8 +82,8 @@ class DonaldsonSeries:
                 raise SeriesError(f"basic class {k} is not characteristic")
 
     @classmethod
-    def on(cls, lattice: Lattice, pairs, simple_type: bool = True) -> "DonaldsonSeries":
-        return cls(lattice, tuple(pairs), simple_type)
+    def on(cls, lattice: Lattice, pairs) -> "DonaldsonSeries":
+        return cls(lattice, tuple(pairs))
 
     @property
     def position(self) -> MappingProxyType:
@@ -130,7 +129,7 @@ def twist(series: DonaldsonSeries, w: HClass) -> list[tuple[HClass, Fraction]]:
 
 
 def twisted(series: DonaldsonSeries, w: HClass) -> DonaldsonSeries:
-    return DonaldsonSeries.on(series.lattice, twist(series, w), series.simple_type)
+    return DonaldsonSeries.on(series.lattice, twist(series, w))
 
 
 def _split_table(series: DonaldsonSeries, w: HClass, s: MarkedSurface):
@@ -177,9 +176,7 @@ class SplitSeries:
             raise LatticeMismatch("surface on a foreign lattice")
         if not is_allowable(w, s):
             raise SeriesError("(w, S) is not an allowable pair: need w.S odd, S^2 = 0")
-        if not series.simple_type:
-            raise SeriesError("two-sector split needs a simple-type series")
-        if series.b_one != 0 or series.b_plus <= 1 or series.b_plus % 2 == 0:
+        if series.b_one != 0 or series.b_plus <= 1:
             raise SeriesError("two-sector split needs b1 = 0 and b+ > 1 odd")
         object.__setattr__(self, "d0", series.d0(w))
 
@@ -414,7 +411,7 @@ def series_to_json(series: DonaldsonSeries) -> dict:
             {"k": [_coord_out(c) for c in k.coords], "a": frac_token(c)}
             for k, c in series.entries
         ],
-        "simple_type": series.simple_type,
+        "simple_type": True,  # every series is; the key keeps the file format
     }
 
 
@@ -423,5 +420,7 @@ def series_from_json(data: dict, lattice: Lattice) -> DonaldsonSeries:
         raise SeriesError(
             f"series references lattice {data['lattice']!r}, got {lattice.name!r}"
         )
+    if data["simple_type"] is not True:
+        raise SeriesError(f"simple_type must be true, got {data['simple_type']!r}")
     pairs = [(HClass(lattice, e["k"]), e["a"]) for e in data["entries"]]
-    return DonaldsonSeries.on(lattice, pairs, data["simple_type"])
+    return DonaldsonSeries.on(lattice, pairs)

@@ -374,6 +374,13 @@ def test_fit_command_rejects_wrong_genus_reference(capsys):
     assert capsys.readouterr().err == "error: reference dia2:1:2 has genus 2, not 3\n"
 
 
+@pytest.mark.parametrize("g", ["1", "0"])
+def test_fit_refuses_a_genus_below_two_naming_the_flag(capsys, g):
+    # the message names what the user typed, not the bg:g recipe fit builds
+    assert run(["fit", "--g", g]) == 2
+    assert capsys.readouterr() == ("", "error: fit needs --g >= 2\n")
+
+
 def test_fit_command_does_not_load_the_gluing_module():
     script = (
         "import contextlib, io, sys\n"
@@ -398,6 +405,46 @@ def test_conjecture_command(capsys):
     assert code == 0
     assert payload["experimental"] is True
     assert sorted(p[3] for p in payload["pairs"]) == ["-2", "2"]
+
+
+def _glued_file(tmp_path, capsys, command):
+    """The stdout of ``command`` on two B(3) sides, saved as a glued file."""
+    out_file = tmp_path / f"{command}.json"
+    assert run([command, "--left", "bg:3", "--right", "bg:3", "--g", "3"]) == 0
+    out_file.write_text(capsys.readouterr().out)
+    return out_file
+
+
+@pytest.mark.parametrize("command, flagged", [("conjecture", True), ("glue", False)])
+def test_eval_flags_the_conjectural_rule_experimental(tmp_path, capsys, command, flagged):
+    out_file = _glued_file(tmp_path, capsys, command)
+    code, payload = run_json(capsys, ["eval", "--glued", str(out_file), "--d1", "T1", "--d2", "T1"])
+    assert code == 0
+    assert ("experimental" in payload) is flagged
+    if flagged:
+        assert list(payload)[-1] == "experimental" and payload["experimental"] is True
+
+
+@pytest.mark.parametrize(
+    "command, edit, message",
+    [
+        ("conjecture", lambda p: {**p, "bogus": 1}, "unknown field 'bogus'"),
+        ("glue", lambda p: {**p, "bogus": 1}, "unknown field 'bogus'"),
+        ("conjecture", lambda p: {**p, "experimental": False}, "a stabilized gluing has"),
+        ("conjecture", lambda p: {k: v for k, v in p.items() if k != "experimental"},
+         "a stabilized gluing has"),
+        ("glue", lambda p: {**p, "experimental": True}, "a standard gluing has no"),
+    ],
+    ids=["conjecture-unknown-key", "glue-unknown-key", "conjecture-flag-false",
+         "conjecture-flag-missing", "glue-flag-true"],
+)
+def test_eval_refuses_a_glued_file_it_did_not_write(tmp_path, capsys, command, edit, message):
+    out_file = _glued_file(tmp_path, capsys, command)
+    out_file.write_text(json.dumps(edit(json.loads(out_file.read_text()))))
+    assert run(["eval", "--glued", str(out_file), "--d1", "T1", "--d2", "T1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and message in err
 
 
 def test_oversized_glue_exits_two_with_empty_stdout(capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from donaldson.constructions import catalog
 from donaldson.exppoly import ExpPolynomial
-from donaldson.fit import BasisCoordinates, predict_glued, zero_coordinates
+from donaldson.fit import BasisCoordinates
 from donaldson.gaussian import GaussianRational
 from donaldson.gluing import SplitClass
 from donaldson.lattice import LatticeError, d_zero_value
@@ -27,16 +27,7 @@ def _sigma_pairing(x):
 
 
 def _d_square(x):
-    return zero_coordinates(3, d_square=x).d_square
-
-
-def _sigma_d(x):
-    # one level-1 coordinate e^{0 t} against M_1 = e^{t}: the product is e^{(S.D) t}
-    c = (ExpPolynomial("none", ((0, 1),)), ExpPolynomial(), ExpPolynomial())
-    side = BasisCoordinates(2, 0, c)
-    m_map = {1: ExpPolynomial("none", ((1, 1),)), 2: ExpPolynomial(), 3: ExpPolynomial()}
-    ((lam, _),) = predict_glued(side, side, m_map, x).terms
-    return lam.re
+    return BasisCoordinates(3, x, (ExpPolynomial(),) * 5).d_square
 
 
 def _minus_d_zero(x):
@@ -44,7 +35,7 @@ def _minus_d_zero(x):
     return -d_zero_value(x, 0, 3) - 6
 
 
-ENTRY_POINTS = [_gaussian_real_part, _q_square, _sigma_pairing, _d_square, _sigma_d, _minus_d_zero]
+ENTRY_POINTS = [_gaussian_real_part, _q_square, _sigma_pairing, _d_square, _minus_d_zero]
 
 
 @pytest.mark.parametrize("read", ENTRY_POINTS)

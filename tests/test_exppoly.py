@@ -102,17 +102,6 @@ def test_zero_division_cases():
         one.divide_exact(zero)
 
 
-def test_scale_exponents_rotation():
-    p = poly([((0, 2), 5)])
-    rotated = p.scale_exponents(GaussianRational(0, -1))
-    assert rotated == poly([(2, 5)])
-    marked = poly([(1, 1)], marker="+Q/2", q=Fraction(3))
-    scaled = marked.scale_exponents(Fraction(2))
-    assert scaled.q_square == 12
-    with pytest.raises(ExpPolynomialError):
-        marked.scale_exponents(I)
-
-
 def _taylor_oracle(p: ExpPolynomial, order: int):
     """Independent expansion: coefficient_n = sum_j c_j sum_m (s q/2)^m/m! lam^(n-2m)/(n-2m)!."""
     s = {"+Q/2": 1, "-Q/2": -1, "none": 0}[p.marker]

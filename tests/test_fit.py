@@ -264,14 +264,3 @@ def test_predict_and_eval_expansions_agree(order):
     predicted = predict_glued(bg_coords(g, "E1"), bg_coords(g, "T1"), m)
     assert direct.expand(order) == predicted.expand(order)
 
-
-def test_predict_scales_diagonal_argument():
-    # M entries enter through M(t * (S.D)): doubling S.D doubles the
-    # exponent contributed by the diagonal, here checked coefficient-wise
-    g = 2
-    m = full_m_map(g)
-    left = bg_coords(g)
-    pred1 = predict_glued(left, left, m, sigma_d=Fraction(1))
-    pred2 = predict_glued(left, left, m, sigma_d=Fraction(2))
-    assert {str(l) for l, _ in pred1.terms} == {"-2", "2"}
-    assert {str(l) for l, _ in pred2.terms} == {"-4", "4"}

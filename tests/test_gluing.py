@@ -22,7 +22,7 @@ from donaldson.gluing import (
     glued_to_json,
     rshift,
 )
-from donaldson.lattice import HClass, LatticeMismatch, d_zero
+from donaldson.lattice import HClass, LatticeMismatch, ParityError, d_zero
 from donaldson.series import twist
 
 
@@ -72,36 +72,34 @@ def test_genus_mismatch_rejected():
 
 
 @pytest.mark.parametrize(
-    "b_plus, simple_type, message",
+    "b_plus, error, message",
     [
-        (2, True, r"b1 = 0 and b\+ > 1 odd"),
-        (3, False, "needs a simple-type series"),
-        (1, True, r"b1 = 0 and b\+ > 1 odd"),
+        (2, ParityError, r"a series-carrying manifold needs b\+ - b1 odd"),
+        (1, GluingError, r"b1 = 0 and b\+ > 1 odd"),
     ],
-    ids=["even-b-plus", "not-simple-type", "b-plus-one"],
+    ids=["even-b-plus", "b-plus-one"],
 )
-def test_spec_refuses_a_side_the_split_refuses(b_plus, simple_type, message):
-    # the split's own preconditions, checked when the spec is built
+def test_spec_refuses_a_side_the_split_refuses(b_plus, error, message):
+    # an even b+ is refused when the lattice is made; b+ = 1 by the split,
+    # checked when the spec is built
     from donaldson.constructions import CatalogEntry
     from donaldson.lattice import Lattice, MarkedSurface
     from donaldson.series import DonaldsonSeries
 
-    lat = Lattice(
-        "side",
-        ((0, 1), (1, 0)),
-        b_plus=b_plus,
-        named=(("T", (1, 0)), ("S", (0, 1))),
-        carries_series=False,
-    )
-    series = DonaldsonSeries.on(lat, [(lat.zero(), 1)], simple_type)
-    entry = CatalogEntry(
-        name="side",
-        series=series,
-        surfaces=(("T", MarkedSurface(lat.cls("T"), genus=2)),),
-        w_labels=("S",),
-        glue_surface="T",
-    )
-    with pytest.raises(GluingError, match="^side: .*" + message):
+    with pytest.raises(error, match="^side: .*" + message):
+        lat = Lattice(
+            "side",
+            ((0, 1), (1, 0)),
+            b_plus=b_plus,
+            named=(("T", (1, 0)), ("S", (0, 1))),
+        )
+        entry = CatalogEntry(
+            name="side",
+            series=DonaldsonSeries.on(lat, [(lat.zero(), 1)]),
+            surfaces=(("T", MarkedSurface(lat.cls("T"), genus=2)),),
+            w_labels=("S",),
+            glue_surface="T",
+        )
         GluingSpec(left=catalog("B2"), right=entry)
 
 

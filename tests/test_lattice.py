@@ -64,7 +64,7 @@ def test_characteristic_examples(b2, k3):
     # the even K3 block makes 0 characteristic
     assert is_characteristic(k3.lattice.zero())
     # a single (-1)-generator is characteristic
-    block = Lattice("minus_one", ((-1,),), b_plus=0, carries_series=False)
+    block = Lattice("minus_one", ((-1,),), b_plus=1)
     assert is_characteristic(block.basis_vector(0))
     # the fiber is not: F.sigma = 1 but sigma^2 = -2
     assert not is_characteristic(b2.lattice.cls("F"))
@@ -109,23 +109,21 @@ def test_signature_examples():
 
 def test_signature_bounds_enforced():
     with pytest.raises(LatticeError):
-        Lattice("too_positive", ((1, 0), (0, 1)), b_plus=1, carries_series=True)
+        Lattice("too_positive", ((1, 0), (0, 1)), b_plus=1)
 
 
 def test_full_rank_model_checks_signature():
     Lattice("full_ok", ((1, 0), (0, -1)), b_plus=1, model="full")
     with pytest.raises(LatticeError):
-        Lattice("full_bad", ((1, 0), (0, 1)), b_plus=1, model="full",
-                carries_series=False)
+        Lattice("full_bad", ((1, 0), (0, 1)), b_plus=1, model="full")
     with pytest.raises(LatticeError):
         # degenerate form cannot be a full-rank model
-        Lattice("full_degenerate", ((0, 0), (0, 1)), b_plus=1, model="full",
-                carries_series=False)
+        Lattice("full_degenerate", ((0, 0), (0, 1)), b_plus=1, model="full")
 
 
 def test_series_carrier_needs_odd_b_plus_minus_b_one():
     with pytest.raises(ParityError):
-        Lattice("even_carrier", ((-1,),), b_plus=2, b_one=0, carries_series=True)
+        Lattice("even_carrier", ((-1,),), b_plus=2, b_one=0)
 
 
 def test_gram_must_be_symmetric():
@@ -171,25 +169,17 @@ def test_lattice_json_round_trip(b2):
     assert lattice_from_json(data) == b2.lattice
 
 
-def test_lattice_json_round_trips_carries_series():
-    block = Lattice("minus_one", ((-1,),), b_plus=0, carries_series=False)
-    data = lattice_to_json(block)
-    assert data["carries_series"] is False
-    assert lattice_from_json(data) == block
-
-
-def test_lattice_json_writes_carries_series_only_when_off(b2):
-    data = lattice_to_json(b2.lattice)
-    assert "carries_series" not in data
-    assert lattice_from_json(data).carries_series is True
+def test_no_lattice_json_has_a_carries_series_key():
+    # every lattice carries a series: the parity is structure, not a stored flag
     for name in catalog_names():
         assert "carries_series" not in lattice_to_json(catalog(name).lattice)
 
 
 @pytest.mark.parametrize("value", [0, 1, "false", None])
 def test_lattice_from_json_refuses_a_non_bool_carries_series(b2, value):
+    # no value of the old flag loads: the key is not one lattice_to_json writes
     data = dict(lattice_to_json(b2.lattice), carries_series=value)
-    with pytest.raises(LatticeError, match="carries_series"):
+    with pytest.raises(LatticeError, match="unknown field 'carries_series'"):
         lattice_from_json(data)
 
 
@@ -200,9 +190,6 @@ def test_lattice_from_json_refuses_a_non_bool_carries_series(b2, value):
         ("b_plus", {"b_plus": True, "b_one": 0}),
         ("b_one", {"b_plus": 3, "b_one": False}),
         ("b_one", {"b_plus": 3, "b_one": 0.0}),
-        # a falsy 0 must not skip the b+ - b1 parity test
-        ("carries_series", {"b_plus": 2, "carries_series": 0}),
-        ("carries_series", {"b_plus": 3, "carries_series": "false"}),
     ],
 )
 def test_lattice_refuses_a_scalar_field_of_the_wrong_type(field, kwargs):
@@ -259,7 +246,7 @@ coords3 = st.tuples(
 def test_pairing_bilinear_symmetric(u, v, w, a):
     lat = Lattice(
         "hyp_plus_minus", ((0, 1, 0), (1, -2, 0), (0, 0, -1)),
-        b_plus=3, carries_series=True,
+        b_plus=3,
     )
     cu, cv, cw = (HClass(lat, c) for c in (u, v, w))
     assert (cu.coords, cv.coords, cw.coords) == (u, v, w)

@@ -1,6 +1,9 @@
 """The package's export table: every public name, resolved on first use."""
 
+import argparse
+import dataclasses
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -9,6 +12,10 @@ from pathlib import Path
 import pytest
 
 import donaldson
+from donaldson import cli
+from donaldson.fit import predict_glued, zero_coordinates
+from donaldson.lattice import Lattice
+from donaldson.series import DonaldsonSeries
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -73,3 +80,40 @@ def test_import_loads_no_submodule_and_modules_still_resolve():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["[]", "[]", "ok"]
+
+
+_DISPLAY = ["--float", "--help", "--table", "-h"]
+OPTIONS = {
+    None: _DISPLAY,
+    "catalog": _DISPLAY,
+    "build": _DISPLAY,
+    "glue": sorted(_DISPLAY + ["--g", "--left", "--out", "--right", "--torus", "--w-sq"]),
+    "eval": sorted(_DISPLAY + ["--d1", "--d2", "--expand-order", "--glued", "--sigma-d"]),
+    "check": sorted(_DISPLAY + ["--entry"]),
+    "fit": sorted(_DISPLAY + ["--g", "--references"]),
+    "conjecture": sorted(_DISPLAY + ["--g", "--left", "--right", "--w-sq"]),
+}
+
+
+def test_the_settable_surface_is_pinned():
+    # the paper's hypotheses (b+ - b1 odd, simple type, D.S = 1) are structure:
+    # no field, parameter or flag lets a caller step outside them
+    def init_fields(cls):
+        return [f.name for f in dataclasses.fields(cls) if f.init]
+
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert init_fields(Lattice) == ["name", "gram", "b_plus", "b_one", "named", "model"]
+    assert init_fields(DonaldsonSeries) == ["lattice", "entries"]
+    assert params(predict_glued) == ["left", "right", "m_map"]
+    assert params(zero_coordinates) == ["genus"]
+    assert params(DonaldsonSeries.on) == ["lattice", "pairs"]
+
+    def options(parser):
+        return sorted(o for action in parser._actions for o in action.option_strings)
+
+    parser = cli._build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    found = {None: options(parser)} | {name: options(p) for name, p in sub.choices.items()}
+    assert found == OPTIONS

@@ -333,7 +333,7 @@ def brute_characteristic(lat, coords) -> bool:
 def test_is_characteristic_matches_fraction_brute_force(case):
     gram, coords = case
     lat = Lattice(
-        name="h", gram=tuple(map(tuple, gram)), b_plus=len(gram), carries_series=False
+        name="h", gram=tuple(map(tuple, gram)), b_plus=len(gram) | 1
     )
     k = HClass(lat, tuple(Fraction(c) for c in coords))
     assert is_characteristic(k) == brute_characteristic(lat, coords)

@@ -142,10 +142,12 @@ def test_zero_series(b2):
     assert check_involution(zero)[0]
 
 
-@pytest.mark.parametrize("simple_type", ["false", 0, 1, None])
+@pytest.mark.parametrize("simple_type", [False, "false", 0, 1, None])
 def test_series_refuses_a_simple_type_that_is_not_a_bool(k3, simple_type):
+    # every series is of simple type: a stored value other than true is refused
+    data = dict(series_to_json(k3.series), simple_type=simple_type)
     with pytest.raises(SeriesError, match="simple_type"):
-        DonaldsonSeries.on(k3.lattice, k3.series.entries, simple_type)
+        series_from_json(data, k3.lattice)
 
 
 def test_series_from_json_refuses_a_string_simple_type(b2):
@@ -179,7 +181,7 @@ def test_twist_by_fiber_is_identity_on_bg():
 
 
 def test_twist_single_exceptional_entry():
-    block = Lattice("one_blowup", ((-1,),), b_plus=3, carries_series=True)
+    block = Lattice("one_blowup", ((-1,),), b_plus=3)
     e = block.basis_vector(0)
     series = DonaldsonSeries.on(block, [(e, Fraction(1))])
     assert twist(series, e) == [(e, Fraction(-1))]
