@@ -28,7 +28,7 @@ from .constructions import (
     entry_to_json,
 )
 from .exppoly import ExpPolynomial
-from .lattice import HClass, _exact
+from .lattice import HClass
 from .series import (
     check_adjunction,
     check_involution,
@@ -118,7 +118,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--glued", required=True, help="JSON file from the glue command")
     p.add_argument("--d1", required=True, help="left class label or coords a,b,...")
     p.add_argument("--d2", required=True, help="right class label or coords")
-    p.add_argument("--sigma-d", default=None, help="S.D as a rational (checked)")
     p.add_argument("--expand-order", type=int, default=None)
     p.set_defaults(func=_cmd_eval)
 
@@ -254,11 +253,6 @@ def _cmd_eval(args) -> int:
     d1 = _parse_class(gs.spec.left.lattice, args.d1)
     d2 = _parse_class(gs.spec.right.lattice, args.d2)
     d = gs.spec.split_class(d1, d2)
-    if args.sigma_d is not None and _exact(args.sigma_d) != d.sigma_pairing:
-        raise VerificationError(
-            f"declared S.D = {args.sigma_d} disagrees with the computed "
-            f"value {d.sigma_pairing}"
-        )
     poly = eval_glued(gs, d)
     payload = poly.to_json()
     if args.expand_order is not None:

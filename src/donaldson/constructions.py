@@ -42,6 +42,7 @@ from .lattice import (
     HClass,
     Lattice,
     MarkedSurface,
+    _only_keys,
     lattice_from_json,
     lattice_to_json,
     same_lattice,
@@ -180,7 +181,6 @@ def elliptic_surface(n: int) -> CatalogEntry:
         name=name,
         gram=((0, 1), (1, -n)),
         b_plus=2 * n - 1,
-        b_one=0,
         named=(
             ("F", (1, 0)),
             ("sigma", (0, 1)),
@@ -231,7 +231,7 @@ def _blown_up(name, series, m, extra=()) -> DonaldsonSeries:
 
     The new E labels are numbered after the base's, then the extra named
     classes (in the new basis) follow.  Each (K, c) becomes the 2^m classes
-    K +- E_1 +- ... +- E_m with c / 2^m: a blow-up keeps b+ and b1, so the
+    K +- E_1 +- ... +- E_m with c / 2^m: a blow-up keeps b+ and b1 = 0, so the
     series keeps its parity in t, which forces the even combination of e^{+-E_i}.
     """
     base = series.lattice
@@ -244,7 +244,6 @@ def _blown_up(name, series, m, extra=()) -> DonaldsonSeries:
         gram=tuple(row + pad for row in base.gram)
         + tuple(tuple(-x for x in e) for e in units),
         b_plus=base.b_plus,
-        b_one=base.b_one,
         named=tuple((lab, coords + pad) for lab, coords in base.named)
         + tuple((f"E{first + i}", e) for i, e in enumerate(units))
         + tuple(extra),
@@ -366,7 +365,6 @@ def closed_form_cg(g: int) -> CatalogEntry:
             (2 * g - 2, 1, 0),
         ),
         b_plus=6 * g - 3,
-        b_one=0,
         named=(
             ("K", (1, 0, 0)),
             ("Shat2", (0, 1, 0)),
@@ -505,27 +503,30 @@ def entry_to_json(entry: CatalogEntry) -> dict:
     }
 
 
+_ENTRY_KEYS = ("name", "lattice", "series", "surfaces", "w_labels", "glue_surface", "note")
+
+
 def entry_from_json(data: dict) -> CatalogEntry:
+    """The entry ``entry_to_json`` wrote; a key it does not write is refused."""
+    _only_keys(data, _ENTRY_KEYS, "a catalog entry", ConstructionError)
     lattice = lattice_from_json(data["lattice"])
     series = series_from_json(data["series"], lattice)
-    surfaces = tuple(
-        (
-            s["label"],
-            MarkedSurface(HClass(lattice, s["class"]), s["genus"]),
-        )
-        for s in data["surfaces"]
-    )
-    w_labels, glue_surface = data["w_labels"], data["glue_surface"]
+    surfaces = []
+    for s in data["surfaces"]:
+        _only_keys(s, ("label", "class", "genus"), "a surface", ConstructionError)
+        surfaces.append((s["label"], MarkedSurface(HClass(lattice, s["class"]), s["genus"])))
+    w_labels = data["w_labels"]
     if type(w_labels) is not list or any(type(lab) is not str for lab in w_labels):
         raise ConstructionError(f"w_labels must be a list of str, got {w_labels!r}")
-    if type(glue_surface) is not str:
-        raise ConstructionError(f"glue_surface must be a str, got {glue_surface!r}")
+    for key in ("name", "glue_surface", "note"):
+        if type(data[key]) is not str:
+            raise ConstructionError(f"{key} must be a str, got {data[key]!r}")
     return CatalogEntry(
         name=data["name"],
         series=series,
-        surfaces=surfaces,
+        surfaces=tuple(surfaces),
         w_labels=tuple(w_labels),
-        glue_surface=glue_surface,
+        glue_surface=data["glue_surface"],
         note=data["note"],
     )
 

@@ -32,7 +32,7 @@ from functools import cached_property
 from .constructions import CatalogEntry, catalog
 from .exppoly import ExpPolynomial
 from .gaussian import frac_token
-from .lattice import HClass, LatticeMismatch, _exact, d_zero_value, same_lattice
+from .lattice import HClass, LatticeMismatch, _exact, _only_keys, d_zero_value, same_lattice
 from .series import SeriesError, SplitSeries
 
 
@@ -112,7 +112,7 @@ class GluingSpec:
         return self.left.series.b_plus + self.right.series.b_plus + 2 * self.genus - 1
 
     def glued_d_zero(self) -> int:
-        return d_zero_value(self.glued_w_square, 0, self.glued_b_plus)
+        return d_zero_value(self.glued_w_square, self.glued_b_plus)
 
     def twisted_left(self) -> list[tuple[HClass, Fraction]]:
         return [(k, a) for k, _, a in self._splits[0].rows]
@@ -381,11 +381,7 @@ def glued_from_json(data: dict) -> GluedSeries:
     write, a field of the wrong JSON shape or an ``experimental`` flag that
     disagrees with the kind raises ``GluingError`` naming it, and none is
     defaulted."""
-    if type(data) is not dict:
-        raise GluingError("a glued file must hold a JSON object")
-    unknown = [key for key in data if key not in _KEYS]
-    if unknown:
-        raise GluingError(f"unknown field {unknown[0]!r} in a glued file")
+    _only_keys(data, _KEYS, "a glued file", GluingError)
     for name, typ in _FIELDS:
         if type(data[name]) is not typ:
             raise GluingError(f"field {name!r} must be of type {typ.__name__}, got {data[name]!r}")

@@ -2,11 +2,12 @@
 
 A ``Lattice`` models the piece of H^2 of a 4-manifold that the calculator
 actually consumes: a symmetric integer Gram matrix for the intersection
-form together with b^+ / b_1 metadata, b^+ - b_1 odd as on every manifold
-that carries a Donaldson series.  Catalog manifolds are "partial"
-models spanned only by the classes the formulas touch (fibers, sections,
-exceptional classes, surfaces); the declared b^+ then exceeds the rank of
-the modeled block and only sign-count consistency is enforced.
+form together with the declared b^+.  Every formula here is stated for
+b_1 = 0 and a series-carrying manifold, so b_1 is not stored and b^+ must
+be odd.  A lattice is a partial model spanned only by the classes the
+formulas touch (fibers, sections, exceptional classes, surfaces); the
+declared b^+ may exceed the rank of the modeled block, and only the count
+of positive directions is checked against it.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ def _exact(x) -> int | Fraction:
         return x
     if type(x) is Fraction:
         return x.numerator if x.denominator == 1 else x
+    if type(x) is bool:
+        raise LatticeError(f"a bool is not a number: {x!r}")
     if isinstance(x, float) and not x.is_integer():
         raise LatticeError(f"non-integral float {x!r}; give an int or a 'p/q' string")
     try:
@@ -52,21 +55,14 @@ def _exact(x) -> int | Fraction:
 
 @dataclass(frozen=True)
 class Lattice:
-    """A symmetric integer bilinear form plus 4-manifold metadata.
-
-    ``model`` is "full" when the Gram matrix is the whole of H^2 (then the
-    signature must reproduce ``b_plus`` exactly) and "partial" when it is a
-    modeled sublattice (then positives of the block may not exceed it).
-    Every lattice carries a Donaldson series, so b^+ - b_1 must be odd: the
-    parity that makes d0 an integer.
-    """
+    """A symmetric integer Gram matrix, the modeled block of H^2, and b^+:
+    odd, the parity that makes d0 an integer, and at least the block's
+    count of positive directions."""
 
     name: str
     gram: tuple[tuple[int, ...], ...]
     b_plus: int
-    b_one: int = 0
     named: tuple[tuple[str, tuple[int | Fraction, ...]], ...] = ()
-    model: str = "partial"
 
     def __post_init__(self):
         gram = tuple(tuple(map(_exact, row)) for row in self.gram)
@@ -80,17 +76,11 @@ class Lattice:
             for j in range(i):
                 if gram[i][j] != gram[j][i]:
                     raise LatticeError(f"{self.name}: Gram matrix is not symmetric")
-        if self.model not in ("full", "partial"):
-            raise LatticeError(f"{self.name}: unknown model {self.model!r}")
-        for field, value in (("b_plus", self.b_plus), ("b_one", self.b_one)):
-            if type(value) is not int:
-                raise LatticeError(f"{self.name}: {field} must be an int, got {value!r}")
-        if self.b_plus < 0 or self.b_one < 0:
-            raise LatticeError(f"{self.name}: negative Betti data")
-        if (self.b_plus - self.b_one) % 2 == 0:
+        if type(self.b_plus) is not int:
+            raise LatticeError(f"{self.name}: b_plus must be an int, got {self.b_plus!r}")
+        if self.b_plus % 2 == 0:
             raise ParityError(
-                f"{self.name}: a series-carrying manifold needs b+ - b1 odd, "
-                f"got b+={self.b_plus}, b1={self.b_one}"
+                f"{self.name}: a series-carrying manifold needs b+ odd, got b+={self.b_plus}"
             )
         named = tuple((label, tuple(map(_exact, coords))) for label, coords in self.named)
         object.__setattr__(self, "named", named)
@@ -99,14 +89,8 @@ class Lattice:
         for label, coords in named:
             if len(coords) != n:
                 raise LatticeError(f"{self.name}: class {label!r} has wrong length")
-        pos, neg, zero = signature(gram)
-        if self.model == "full":
-            if pos != self.b_plus or zero != 0:
-                raise LatticeError(
-                    f"{self.name}: full-rank model signature ({pos},{neg},{zero}) "
-                    f"does not reproduce b+={self.b_plus}"
-                )
-        elif pos > self.b_plus:
+        pos = signature(gram)[0]
+        if pos > self.b_plus:
             raise LatticeError(
                 f"{self.name}: modeled block has {pos} positive directions, "
                 f"more than the declared b+={self.b_plus}"
@@ -277,25 +261,24 @@ def is_allowable(w: HClass, s: MarkedSurface) -> bool:
     return pairing(w, s.cls) % 2 == 1
 
 
-def d_zero_value(w_square, b_one: int, b_plus: int) -> int:
-    """d0 = -w^2 - (3/2)(1 - b1 + b+); requires 1 - b1 + b+ even."""
-    m = 1 - b_one + b_plus
-    if m % 2 != 0:
+def d_zero_value(w_square, b_plus: int) -> int:
+    """d0 = -w^2 - (3/2)(1 + b+), b1 = 0; requires b+ odd."""
+    if b_plus % 2 == 0:
         raise ParityError(
-            f"1 - b1 + b+ = {m} is odd; d0 is not an integer "
+            f"b+ = {b_plus} is even; d0 is not an integer "
             "(manifold outside the simple-type structure hypotheses)"
         )
     w_sq = _exact(w_square)
     if type(w_sq) is not int:
         raise ParityError("w^2 must be an integer")
-    return -w_sq - 3 * (m // 2)
+    return -w_sq - 3 * ((1 + b_plus) // 2)
 
 
-def d_zero(w: HClass, b_one: int, b_plus: int) -> int:
+def d_zero(w: HClass, b_plus: int) -> int:
     """d0 of (X, w) computed from the class w on its lattice."""
     if not w.is_integral:
         raise LatticeError("w must be integral")
-    return d_zero_value(w.square, b_one, b_plus)
+    return d_zero_value(w.square, b_plus)
 
 
 def signature(gram) -> tuple[int, int, int]:
@@ -354,15 +337,29 @@ def _coord_out(c: int | Fraction):
     return c if type(c) is int else str(c)
 
 
+def _only_keys(data, keys, where: str, error=LatticeError) -> None:
+    """The shape check of every JSON loader: ``data`` is an object holding no
+    key its writer does not write; ``where`` names what it is read as."""
+    if type(data) is not dict:
+        raise error(f"{where} must hold a JSON object, got a {type(data).__name__}")
+    unknown = [key for key in data if key not in keys]
+    if unknown:
+        raise error(f"unknown field {unknown[0]!r} in {where}")
+
+
+# b1 = 0 and the partial model are structure; the file keeps their keys
+_FIXED = {"b_one": 0, "model": "partial"}
+
+
 def lattice_to_json(lat: Lattice) -> dict:
     return {
         "name": lat.name,
         "rank": lat.rank,
         "gram": [list(row) for row in lat.gram],
         "b_plus": lat.b_plus,
-        "b_one": lat.b_one,
+        "b_one": _FIXED["b_one"],
         "classes": {label: [_coord_out(c) for c in coords] for label, coords in lat.named},
-        "model": lat.model,
+        "model": _FIXED["model"],
     }
 
 
@@ -370,10 +367,12 @@ _KEYS = ("name", "rank", "gram", "b_plus", "b_one", "classes", "model")
 
 
 def lattice_from_json(data: dict) -> Lattice:
-    """The lattice ``lattice_to_json`` wrote; a key it does not write is refused."""
-    unknown = [key for key in data if key not in _KEYS]
-    if unknown:
-        raise LatticeError(f"unknown field {unknown[0]!r} in a lattice")
+    """The lattice ``lattice_to_json`` wrote; a key it does not write, or a
+    ``b_one`` or ``model`` other than the one it writes, is refused."""
+    _only_keys(data, _KEYS, "a lattice")
+    for key, value in _FIXED.items():
+        if type(data[key]) is not type(value) or data[key] != value:
+            raise LatticeError(f"field {key!r} must be {value!r}, got {data[key]!r}")
     if len(data["gram"]) != data["rank"]:
         raise LatticeError("rank field does not match Gram matrix size")
     if not isinstance(data["classes"], dict):
@@ -382,7 +381,5 @@ def lattice_from_json(data: dict) -> Lattice:
         name=data["name"],
         gram=data["gram"],
         b_plus=data["b_plus"],
-        b_one=data["b_one"],
         named=tuple(data["classes"].items()),
-        model=data["model"],
     )

@@ -5,10 +5,11 @@ of basic classes K_j with rational coefficients; its ``position`` map (class
 coords -> entry index) is the one lookup by class.  Against an allowable pair
 (w, S) it splits into two sectors by K_j . S mod 4: the P-sector keeps the
 e^{+Q/2} prefactor, the N-sector acquires e^{-Q/2}, a global i^{-d0} and
-imaginary exponents.  Point-class and surface-class insertions act on the
-sectors by the scalars 2 / -2 and by the polynomial weights ((D+K).S)^b and
-((-D + iK).S)^b respectively, which is everything the finite-type and
-relation-polynomial machinery needs.  ``SplitSeries(series, w, surface)``
+imaginary exponents; it is stated for b1 = 0, which every lattice has, and
+b+ > 1, so a series with b+ = 1 is refused.  Point-class and surface-class
+insertions act on the sectors by the scalars 2 / -2 and by the polynomial
+weights ((D+K).S)^b and ((-D + iK).S)^b respectively, which is everything
+the finite-type and relation-polynomial machinery needs.  ``SplitSeries(series, w, surface)``
 is the only way to split a series (it checks them when it is made and runs
 ``_split_table`` on the first read of ``rows``); every evaluation, fit and
 gluing holds one and reads its rows, row j being series entry j, grouped by
@@ -35,6 +36,7 @@ from .lattice import (
     LatticeMismatch,
     _coord_out,
     _exact,
+    _only_keys,
     d_zero,
     d_zero_value,
     is_allowable,
@@ -52,9 +54,9 @@ class DonaldsonSeries:
     """Finite list of (basic class, rational coefficient) on a lattice.
 
     The series is of simple type, the hypothesis of every formula here, on a
-    lattice with b+ - b1 odd.  Entries are kept sorted by class coordinates,
-    classes are pairwise distinct, integral, and characteristic on the
-    modeled lattice.
+    lattice with b1 = 0 and b+ odd.  Entries are kept sorted by class
+    coordinates, classes are pairwise distinct, integral, and characteristic
+    on the modeled lattice.
     ``position`` (class coords -> entry index) is the one lookup by class;
     the duplicate check builds it, and it is a read-only view.
     """
@@ -94,10 +96,6 @@ class DonaldsonSeries:
         return self.lattice.b_plus
 
     @property
-    def b_one(self) -> int:
-        return self.lattice.b_one
-
-    @property
     def is_zero(self) -> bool:
         return not self.entries
 
@@ -113,8 +111,8 @@ class DonaldsonSeries:
     def d0(self, w: HClass | None = None) -> int:
         """d0(X, w); w = None means the untwisted value (w^2 = 0)."""
         if w is None:
-            return d_zero_value(0, self.b_one, self.b_plus)
-        return d_zero(w, self.b_one, self.b_plus)
+            return d_zero_value(0, self.b_plus)
+        return d_zero(w, self.b_plus)
 
 
 def twist(series: DonaldsonSeries, w: HClass) -> list[tuple[HClass, Fraction]]:
@@ -176,7 +174,7 @@ class SplitSeries:
             raise LatticeMismatch("surface on a foreign lattice")
         if not is_allowable(w, s):
             raise SeriesError("(w, S) is not an allowable pair: need w.S odd, S^2 = 0")
-        if series.b_one != 0 or series.b_plus <= 1:
+        if series.b_plus <= 1:
             raise SeriesError("two-sector split needs b1 = 0 and b+ > 1 odd")
         object.__setattr__(self, "d0", series.d0(w))
 
@@ -416,11 +414,15 @@ def series_to_json(series: DonaldsonSeries) -> dict:
 
 
 def series_from_json(data: dict, lattice: Lattice) -> DonaldsonSeries:
+    """The series ``series_to_json`` wrote; a key it does not write is refused."""
+    _only_keys(data, ("lattice", "entries", "simple_type"), "a series", SeriesError)
     if data["lattice"] != lattice.name:
         raise SeriesError(
             f"series references lattice {data['lattice']!r}, got {lattice.name!r}"
         )
     if data["simple_type"] is not True:
         raise SeriesError(f"simple_type must be true, got {data['simple_type']!r}")
+    for e in data["entries"]:
+        _only_keys(e, ("k", "a"), "a series entry", SeriesError)
     pairs = [(HClass(lattice, e["k"]), e["a"]) for e in data["entries"]]
     return DonaldsonSeries.on(lattice, pairs)

@@ -119,23 +119,13 @@ def test_eval_glued_file(tmp_path, capsys):
     capsys.readouterr()
     code, payload = run_json(
         capsys,
-        ["eval", "--glued", str(out_file), "--d1", "T1", "--d2", "T1", "--sigma-d", "1"],
+        ["eval", "--glued", str(out_file), "--d1", "T1", "--d2", "T1"],
     )
     assert code == 0
     assert payload["marker"] == "+Q/2"
     assert {t["lambda"] for t in payload["terms"]} == {"2", "-2"}
     poly = ExpPolynomial.from_json(payload)
     assert ExpPolynomial.from_json(poly.to_json()) == poly
-
-
-def test_eval_sigma_d_mismatch(tmp_path, capsys):
-    out_file = tmp_path / "glued.json"
-    run(["glue", "--left", "bg:2", "--right", "bg:2", "--g", "2", "--out", str(out_file)])
-    capsys.readouterr()
-    code = run(
-        ["eval", "--glued", str(out_file), "--d1", "T1", "--d2", "T1", "--sigma-d", "3"]
-    )
-    assert code == 1
 
 
 def test_eval_glued_file_missing_kind(tmp_path, capsys):
@@ -505,14 +495,7 @@ def test_closed_stdout_ends_the_command_with_exit_zero(argv):
     assert (done.returncode, done.stderr) == (0, "")
 
 
-@pytest.mark.parametrize(
-    "eval_args",
-    [
-        ["--d1", "T1", "--d2", "T1", "--sigma-d", "1/0"],
-        ["--d1", "1/0,0,0,0,0,0", "--d2", "T1"],
-    ],
-    ids=["sigma-d", "d1"],
-)
+@pytest.mark.parametrize("eval_args", [["--d1", "1/0,0,0,0,0,0", "--d2", "T1"]], ids=["d1"])
 def test_eval_zero_denominator_argument_exits_two(tmp_path, capsys, eval_args):
     out_file = tmp_path / "g3.json"
     assert run(["glue", "--left", "bg:3", "--right", "bg:3", "--g", "3", "--out", str(out_file)]) == 0

@@ -391,6 +391,10 @@ def test_entry_from_json_requires_note():
         ("glue_surface", "nowhere", "no surface 'nowhere' to glue along"),
         ("glue_surface", ["Sigma_g"], "glue_surface must be a str"),
         ("w_labels", [], "no w label"),
+        ("name", 5, "name must be a str"),
+        ("name", None, "name must be a str"),
+        ("note", 5, "note must be a str"),
+        ("note", ["B2"], "note must be a str"),
     ],
 )
 def test_entry_from_json_refuses_unknown_w_and_glue_labels(field, value, message):
@@ -398,6 +402,15 @@ def test_entry_from_json_refuses_unknown_w_and_glue_labels(field, value, message
     entry_from_json(data)
     data[field] = value
     with pytest.raises(ConstructionError, match=message):
+        entry_from_json(data)
+
+
+@pytest.mark.parametrize("where", ["entry", "surface"])
+def test_entry_from_json_refuses_a_key_it_does_not_write(where):
+    data = json.loads(entry_json_bytes(catalog("B2")).decode())
+    (data if where == "entry" else data["surfaces"][0])["bogus"] = 1
+    what = "a catalog entry" if where == "entry" else "a surface"
+    with pytest.raises(ConstructionError, match=f"unknown field 'bogus' in {what}$"):
         entry_from_json(data)
 
 

@@ -31,8 +31,8 @@ def _d_square(x):
 
 
 def _minus_d_zero(x):
-    # d0 = -w^2 - 3 (1 - b1 + b+)/2, here with b1 = 0 and b+ = 3
-    return -d_zero_value(x, 0, 3) - 6
+    # d0 = -w^2 - 3 (1 + b+)/2, here with b+ = 3
+    return -d_zero_value(x, 3) - 6
 
 
 ENTRY_POINTS = [_gaussian_real_part, _q_square, _sigma_pairing, _d_square, _minus_d_zero]

@@ -74,7 +74,7 @@ def test_genus_mismatch_rejected():
 @pytest.mark.parametrize(
     "b_plus, error, message",
     [
-        (2, ParityError, r"a series-carrying manifold needs b\+ - b1 odd"),
+        (2, ParityError, r"a series-carrying manifold needs b\+ odd"),
         (1, GluingError, r"b1 = 0 and b\+ > 1 odd"),
     ],
     ids=["even-b-plus", "b-plus-one"],
@@ -272,8 +272,8 @@ def test_epsilon_scaling(g):
 def test_d_zero_congruence(maker, args):
     spec = maker(*args)
     g = spec.genus
-    d0_left = d_zero(spec.w1, 0, spec.left.series.b_plus)
-    d0_right = d_zero(spec.w2, 0, spec.right.series.b_plus)
+    d0_left = d_zero(spec.w1, spec.left.series.b_plus)
+    d0_right = d_zero(spec.w2, spec.right.series.b_plus)
     assert (spec.glued_w_square - spec.w1.square - spec.w2.square) % 4 == 0
     assert (spec.glued_d_zero() - d0_left - d0_right - (g - 1)) % 2 == 0
 

@@ -79,15 +79,15 @@ def test_allowable_examples(b2):
 
 
 def test_d_zero_examples():
-    assert d_zero_value(0, 0, 3) == -6
-    assert d_zero_value(-2, 0, 3) == -4
+    assert d_zero_value(0, 3) == -6
+    assert d_zero_value(-2, 3) == -4
     with pytest.raises(ParityError):
-        d_zero_value(0, 0, 2)
+        d_zero_value(0, 2)
 
 
 def test_d_zero_from_class(k3):
     sigma = k3.lattice.cls("sigma")
-    assert d_zero(sigma, 0, 3) == -4  # sigma^2 = -2 on K3
+    assert d_zero(sigma, 3) == -4  # sigma^2 = -2 on K3
 
 
 def test_marked_surface_invariants(b2):
@@ -112,18 +112,9 @@ def test_signature_bounds_enforced():
         Lattice("too_positive", ((1, 0), (0, 1)), b_plus=1)
 
 
-def test_full_rank_model_checks_signature():
-    Lattice("full_ok", ((1, 0), (0, -1)), b_plus=1, model="full")
-    with pytest.raises(LatticeError):
-        Lattice("full_bad", ((1, 0), (0, 1)), b_plus=1, model="full")
-    with pytest.raises(LatticeError):
-        # degenerate form cannot be a full-rank model
-        Lattice("full_degenerate", ((0, 0), (0, 1)), b_plus=1, model="full")
-
-
 def test_series_carrier_needs_odd_b_plus_minus_b_one():
     with pytest.raises(ParityError):
-        Lattice("even_carrier", ((-1,),), b_plus=2, b_one=0)
+        Lattice("even_carrier", ((-1,),), b_plus=2)
 
 
 def test_gram_must_be_symmetric():
@@ -187,14 +178,46 @@ def test_lattice_from_json_refuses_a_non_bool_carries_series(b2, value):
     "field, kwargs",
     [
         ("b_plus", {"b_plus": 3.0}),
-        ("b_plus", {"b_plus": True, "b_one": 0}),
-        ("b_one", {"b_plus": 3, "b_one": False}),
-        ("b_one", {"b_plus": 3, "b_one": 0.0}),
+        ("b_plus", {"b_plus": True}),
     ],
 )
 def test_lattice_refuses_a_scalar_field_of_the_wrong_type(field, kwargs):
     with pytest.raises(LatticeError, match=field):
         Lattice("typed", ((-1,),), **kwargs)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("b_one", 1), ("b_one", 2), ("b_one", False), ("b_one", 0.0), ("b_one", "0"),
+     ("model", "full"), ("model", "Partial"), ("model", None)],
+)
+def test_lattice_from_json_refuses_a_b_one_or_model_it_does_not_write(b2, key, value):
+    data = dict(lattice_to_json(b2.lattice), **{key: value})
+    with pytest.raises(LatticeError, match=f"field '{key}' must be"):
+        lattice_from_json(data)
+
+
+def test_lattice_from_json_refuses_a_missing_b_one_or_model(b2):
+    for key in ("b_one", "model"):
+        data = lattice_to_json(b2.lattice)
+        del data[key]
+        with pytest.raises(KeyError, match=key):
+            lattice_from_json(data)
+
+
+def test_lattice_from_json_refuses_a_bool_gram_entry(b2):
+    # true == 1 in Python, so a bool would load as the Gram entry it equals
+    data = lattice_to_json(b2.lattice)
+    assert data["gram"][0][1] == 1
+    data["gram"][0][1] = data["gram"][1][0] = True
+    with pytest.raises(LatticeError, match="a bool is not a number"):
+        lattice_from_json(data)
+
+
+@pytest.mark.parametrize("data", [[], "lattice", None])
+def test_lattice_from_json_refuses_a_value_that_is_not_an_object(data):
+    with pytest.raises(LatticeError, match="a lattice must hold a JSON object"):
+        lattice_from_json(data)
 
 
 def test_lattice_from_json_refuses_a_float_b_plus(k3):

@@ -14,7 +14,7 @@ import pytest
 import donaldson
 from donaldson import cli
 from donaldson.fit import predict_glued, zero_coordinates
-from donaldson.lattice import Lattice
+from donaldson.lattice import Lattice, d_zero, d_zero_value
 from donaldson.series import DonaldsonSeries
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -88,7 +88,7 @@ OPTIONS = {
     "catalog": _DISPLAY,
     "build": _DISPLAY,
     "glue": sorted(_DISPLAY + ["--g", "--left", "--out", "--right", "--torus", "--w-sq"]),
-    "eval": sorted(_DISPLAY + ["--d1", "--d2", "--expand-order", "--glued", "--sigma-d"]),
+    "eval": sorted(_DISPLAY + ["--d1", "--d2", "--expand-order", "--glued"]),
     "check": sorted(_DISPLAY + ["--entry"]),
     "fit": sorted(_DISPLAY + ["--g", "--references"]),
     "conjecture": sorted(_DISPLAY + ["--g", "--left", "--right", "--w-sq"]),
@@ -96,19 +96,22 @@ OPTIONS = {
 
 
 def test_the_settable_surface_is_pinned():
-    # the paper's hypotheses (b+ - b1 odd, simple type, D.S = 1) are structure:
-    # no field, parameter or flag lets a caller step outside them
+    # the paper's hypotheses (b1 = 0 and b+ odd, a partial model of H^2, simple
+    # type, D.S = 1) are structure: no field, parameter or flag lets a caller
+    # step outside them, and eval works out S.D from --d1
     def init_fields(cls):
         return [f.name for f in dataclasses.fields(cls) if f.init]
 
     def params(fn):
         return list(inspect.signature(fn).parameters)
 
-    assert init_fields(Lattice) == ["name", "gram", "b_plus", "b_one", "named", "model"]
+    assert init_fields(Lattice) == ["name", "gram", "b_plus", "named"]
     assert init_fields(DonaldsonSeries) == ["lattice", "entries"]
     assert params(predict_glued) == ["left", "right", "m_map"]
     assert params(zero_coordinates) == ["genus"]
     assert params(DonaldsonSeries.on) == ["lattice", "pairs"]
+    assert params(d_zero) == ["w", "b_plus"]
+    assert params(d_zero_value) == ["w_square", "b_plus"]
 
     def options(parser):
         return sorted(o for action in parser._actions for o in action.option_strings)

@@ -75,8 +75,8 @@ def ref_twisted(series, w):
 
 
 def ref_d0(series, w) -> int:
-    """d0 = -w^2 - (3/2)(1 - b1 + b+)."""
-    m = 1 - series.b_one + series.b_plus
+    """d0 = -w^2 - (3/2)(1 + b+), b1 = 0."""
+    m = 1 + series.b_plus
     d0 = -ref_dot(w, w) - Fraction(3, 2) * m
     assert d0.denominator == 1
     return d0.numerator

@@ -1,20 +1,27 @@
-"""Random series on random lattices: the relation's level test and level sums.
+"""Random series on random lattices, each checked against a brute per-class
+reference: the relation's level test, level sums, the two sectors of an
+evaluation, the point-class order and the fit coordinates.
 
 The lattice is the hyperbolic plane (e, f) plus <-1>^m with b+ = 3; the
 surface is S = e and w = f.  A class a e + b f + sum c_i E_i is
 characteristic when a and b are even and every c_i is odd, and its surface
 level K.S is b.  Levels stay within the adjunction bound of a drawn genus g.
+The named classes are e, f, the E_i and f + E1, so the default probes are
+f, f + E1 and their S-shifts.
 """
 
 from fractions import Fraction
+from functools import cache
 
 from hypothesis import given, settings, strategies as st
 
+from donaldson.fit import basis_coordinates
 from donaldson.lattice import HClass, Lattice, MarkedSurface
 from donaldson.series import (
     DonaldsonSeries,
     SplitSeries,
     apply_relation,
+    finite_type_order,
     relation_poly,
     z_value,
 )
@@ -32,29 +39,43 @@ def hyperbolic_plus_minus_ones(m: int) -> Lattice:
     gram[0][1] = gram[1][0] = 1
     for i in range(2, n):
         gram[i][i] = -1
-    return Lattice(f"H+{m}<-1>", gram, b_plus=3)
+    labels = ["e", "f"] + [f"E{i}" for i in range(1, m + 1)]
+    named = [(label, tuple(int(i == j) for j in range(n))) for i, label in enumerate(labels)]
+    named.append(("f+E1", (0, 1, 1) + (0,) * (m - 1)))
+    return Lattice(f"H+{m}<-1>", gram, b_plus=3, named=named)
+
+
+EVEN = st.integers(-2, 2).map(lambda x: 2 * x)
+ODD = st.sampled_from((-3, -1, 1, 3))
+COEFF = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.sampled_from((1, 2, 3, 5, 9)))
+
+
+@cache
+def shaped(m, g):
+    """The entries and probes strategies for m exceptional classes and genus
+    g, built once each: a new strategy is validated on every draw."""
+    level = st.integers(1 - g, g - 1).map(lambda x: 2 * x)
+    entries = st.dictionaries(st.tuples(EVEN, level, *[ODD] * m), COEFF, min_size=1, max_size=6)
+    probe = st.tuples(
+        st.fractions(-3, 3, max_denominator=3), st.just(1), *[st.integers(-2, 2)] * m
+    )
+    return entries, st.lists(probe, max_size=2)
 
 
 @st.composite
 def cases(draw):
     m = draw(st.integers(1, 3))
     g = draw(st.integers(2, 5))
-    even = st.integers(-2, 2).map(lambda x: 2 * x)
-    level = st.integers(1 - g, g - 1).map(lambda x: 2 * x)
-    odd = st.sampled_from((-3, -1, 1, 3))
-    coeff = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.sampled_from((1, 2, 3, 5, 9)))
-    entries = draw(st.dictionaries(st.tuples(even, level, *[odd] * m), coeff, min_size=1, max_size=6))
-    probe = st.tuples(
-        st.fractions(-3, 3, max_denominator=3), st.just(1), *[st.integers(-2, 2)] * m
-    )
-    probes = draw(st.lists(probe, max_size=2)) + [SEPARATING[: 2 + m]]
+    entries, probes = shaped(m, g)
+    entries = draw(entries)
+    probes = draw(probes) + [SEPARATING[: 2 + m]]
     z_genus = draw(st.integers(2, 5))
     return m, g, entries, probes, z_genus
 
 
 def brute_dot(lat, u, v):
-    n = lat.rank
-    return sum(Fraction(u[i]) * lat.gram[i][j] * v[j] for i in range(n) for j in range(n))
+    """u^T G v over the nonzero cells of the Gram matrix."""
+    return sum(u[i] * x * v[j] for i, row in enumerate(lat.gram) for j, x in enumerate(row) if x)
 
 
 @PROFILE
@@ -100,3 +121,145 @@ def test_level_sums_are_the_per_class_sums(case):
                 sums[kd] = sums.get(kd, 0) + sign * c
             for ks, sums in brute.items():
                 assert split.level_sums(ks, HClass(lat, d)) == sums
+
+
+# -- brute references: one class at a time, Gaussian numbers as (re, im) pairs ------
+
+
+def brute_rows(lat, entries, w, d):
+    """(K.S, K.D, twisted coefficient) per class, each pairing taken alone."""
+    s_coords = (1, 0) + (0,) * (lat.rank - 2)
+    w_sq = brute_dot(lat, w, w)
+    return [
+        (brute_dot(lat, k, s_coords), brute_dot(lat, k, d),
+         (-1) ** ((brute_dot(lat, k, w) + w_sq) // 2 % 2) * c)
+        for k, c in entries.items()
+    ]
+
+
+def gmul(u, v):
+    return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
+
+
+def gadd_term(terms, lam, c):
+    old = terms.get(lam, (0, 0))
+    terms[lam] = (old[0] + c[0], old[1] + c[1])
+
+
+def nonzero(terms):
+    return {lam: c for lam, c in terms.items() if c != (0, 0)}
+
+
+def as_pairs(poly):
+    return {(lam.re, lam.im): (c.re, c.im) for lam, c in poly.terms}
+
+
+def brute_evaluate(rows, d0, d_sigma, z_terms):
+    """(P, N) of z e^{tD} from the brute rows, class by class: P takes the
+    classes with K.S == 2 (mod 4), each adding z(2, (D+K).S) c_K e^{(K.D) t};
+    N the others, each adding i^{-d0} z(-2, (-D+iK).S) c_K e^{i(K.D) t}."""
+    unit = ((1, 0), (0, 1), (-1, 0), (0, -1))[-d0 % 4]
+    p_terms, n_terms = {}, {}
+    for ks, kd, a in rows:
+        if ks % 4 == 2:
+            weight, x, lam, out = (d_sigma + ks, 0), 2, (kd, 0), p_terms
+        else:
+            weight, x, lam, out = (-d_sigma, ks), -2, (0, kd), n_terms
+        z = (0, 0)
+        for sp, xp, cz in z_terms:
+            zt = (cz * x**xp, 0)
+            for _ in range(sp):
+                zt = gmul(zt, weight)
+            z = (z[0] + zt[0], z[1] + zt[1])
+        if out is n_terms:
+            z = gmul(unit, z)
+        gadd_term(out, lam, gmul(z, (a, 0)))
+    return nonzero(p_terms), nonzero(n_terms)
+
+
+def brute_level_sum(rows, ks):
+    sums = {}
+    for level, kd, a in rows:
+        if level == ks:
+            gadd_term(sums, (kd, 0), (a, 0))
+    return nonzero(sums)
+
+
+def series_of(lat, entries):
+    return DonaldsonSeries.on(lat, [(HClass(lat, k), c) for k, c in entries.items()])
+
+
+def default_probes(m):
+    """f and f + E1, the named classes D with D.S = 1, then their S-shifts."""
+    pad = (0,) * (m - 1)
+    return [(0, 1, 0) + pad, (0, 1, 1) + pad, (1, 1, 0) + pad, (1, 1, 1) + pad]
+
+
+def twists(m):
+    """w = f and w = f + E1, both allowable against S = e; d0 = -w^2 - 6 is
+    even for the one and odd for the other, so i^{-d0} is real or imaginary."""
+    return (0, 1) + (0,) * m, (0, 1, 1) + (0,) * (m - 1)
+
+
+def paired(entries, j):
+    """Each class with its partner, whose j-th coordinate (odd, |c| <= 3) is
+    moved by 4 to the other odd value, at the opposite coefficient.  The two
+    share K.S and K.w mod 4 for both twists, and K.D at every default probe
+    that does not meet coordinate j: at all of them for an E_2 (j = 3), only
+    at f and f + e for E_1 (j = 2)."""
+    out = {}
+    for k, c in entries.items():
+        partner = k[:j] + (k[j] + 4 if k[j] < 0 else k[j] - 4,) + k[j + 1 :]
+        if k not in out and partner not in out:
+            out[k], out[partner] = c, -c
+    return out
+
+
+Z_TERMS = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 2), st.fractions(-3, 3, max_denominator=2)),
+    min_size=1,
+    max_size=3,
+)
+
+
+@PROFILE
+@given(cases(), Z_TERMS)
+def test_evaluate_order_and_coordinates_are_the_per_class_references(case, z_terms):
+    # one draw serves three functions: SplitSeries.evaluate (its P and N
+    # parts), finite_type_order (1 exactly when the plain evaluation of a
+    # default probe is nonzero) and basis_coordinates (each coordinate the
+    # level sum at its level, alpha = 1, 2, ... reading p = g-1, -(g-1), ..., 0)
+    m, g, entries, probes, _ = case
+    lat = hyperbolic_plus_minus_ones(m)
+    s = MarkedSurface(lat.basis_vector(0), genus=g)
+    order = [q for p in range(g - 1, 0, -1) for q in (p, -p)] + [0]
+    # paired at E1, a series cancels at the first probe but mostly not at
+    # f + E1; paired at E2, at every probe
+    variants = [entries, paired(entries, 2)] + ([paired(entries, 3)] if m > 1 else [])
+    for series_entries in variants:
+        series = series_of(lat, series_entries)
+        for w in twists(m):
+            w_cls = HClass(lat, w)
+            d0 = -brute_dot(lat, w, w) - 3 * (1 + lat.b_plus) // 2
+            plain = any(
+                part
+                for d in default_probes(m)
+                for part in brute_evaluate(brute_rows(lat, series_entries, w, d), d0, 1, [(0, 0, 1)])
+            )
+            assert finite_type_order(series, w_cls, s) == int(plain)
+            if series_entries is not entries:
+                assert not plain or series_entries is variants[1]
+                continue
+            split = SplitSeries(series, w_cls, s)
+            for d in probes:
+                rows, d_cls = brute_rows(lat, entries, w, d), HClass(lat, d)
+                p, n = split.evaluate(d_cls, z_terms)
+                assert (p.marker, n.marker) == ("+Q/2", "-Q/2")
+                assert p.q_square == n.q_square == brute_dot(lat, d, d)
+                # D.S = D.e is D's f-coordinate
+                assert (as_pairs(p), as_pairs(n)) == brute_evaluate(rows, d0, d[1], z_terms)
+                bc = basis_coordinates(series, w_cls, s, d_cls)
+                assert bc.d_square == brute_dot(lat, d, d)
+                for alpha, level in enumerate(order, start=1):
+                    assert bc.plain(alpha).marker == "none"
+                    assert as_pairs(bc.plain(alpha)) == brute_level_sum(rows, 2 * level)

@@ -520,3 +520,29 @@ def test_series_from_json_requires_simple_type(b2):
     del data["simple_type"]
     with pytest.raises(KeyError, match="simple_type"):
         series_from_json(data, b2.lattice)
+
+
+@pytest.mark.parametrize("where", ["top", "entry"])
+def test_series_from_json_refuses_a_key_it_does_not_write(b2, where):
+    data = series_to_json(b2.series)
+    (data if where == "top" else data["entries"][0])["bogus"] = 1
+    what = "a series" if where == "top" else "a series entry"
+    with pytest.raises(SeriesError, match=f"unknown field 'bogus' in {what}$"):
+        series_from_json(data, b2.lattice)
+
+
+def test_series_from_json_refuses_an_entry_that_is_not_an_object(b2):
+    data = series_to_json(b2.series)
+    data["entries"][0] = list(data["entries"][0].values())
+    with pytest.raises(SeriesError, match="a series entry must hold a JSON object"):
+        series_from_json(data, b2.lattice)
+
+
+@pytest.mark.parametrize("field", ["k", "a"])
+def test_series_from_json_refuses_a_bool_number(b2, field):
+    # true == 1 in Python, so a bool would load as the number it equals
+    data = series_to_json(b2.series)
+    entry = next(e for e in data["entries"] if 1 in e["k"])
+    entry[field] = [True if c == 1 else c for c in entry["k"]] if field == "k" else True
+    with pytest.raises(LatticeError, match="a bool is not a number"):
+        series_from_json(data, b2.lattice)
