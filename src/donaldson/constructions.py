@@ -514,6 +514,8 @@ def entry_from_json(data: dict) -> CatalogEntry:
     surfaces = []
     for s in data["surfaces"]:
         _only_keys(s, ("label", "class", "genus"), "a surface", ConstructionError)
+        if type(s["label"]) is not str:
+            raise ConstructionError(f"surface label must be a str, got {s['label']!r}")
         surfaces.append((s["label"], MarkedSurface(HClass(lattice, s["class"]), s["genus"])))
     w_labels = data["w_labels"]
     if type(w_labels) is not list or any(type(lab) is not str for lab in w_labels):

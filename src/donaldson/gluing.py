@@ -20,6 +20,12 @@ experimental stabilized rule keeps the +-(2g-2) levels with scales
 -+2^{-3g+5} and no surface shift.  Each side's ``SplitSeries``, made with the
 spec, gives the twisted coefficients and, through ``levels``, the rows at a
 level; row j of a split is series entry j, so glued indices address both.
+
+A rule's coefficients are products scale * a_j * b_k of a few distinct
+values, repeated over many entries, so neither gluing nor evaluation does
+rational arithmetic per entry: ``_glued`` forms one product per distinct
+value, and ``eval_glued`` sums the entries as ints over one common
+denominator, per group of equal (sector, K.D1, L.D2).
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .constructions import CatalogEntry, catalog
 from .exppoly import ExpPolynomial
@@ -171,7 +178,7 @@ class GluedSeries:
     """Output of a gluing: (left index, right index, sector, coefficient).
 
     Sectors are +1 / -1 (exponent shift +-2 S.D) and 0 for the torus rule's
-    unshifted sector.
+    unshifted sector.  Each (left, right, sector) occurs at most once.
     """
 
     spec: GluingSpec
@@ -184,6 +191,12 @@ class GluedSeries:
         entries = tuple(
             sorted(self.entries, key=lambda e: (-e[2], e[0], e[1]))
         )
+        # sorted by (sector, left, right), a repeated triple is adjacent
+        for (j, k, sector, _), nxt in zip(entries, entries[1:]):
+            if nxt[0] == j and nxt[1] == k and nxt[2] == sector:
+                raise GluingError(
+                    f"pair [{j}, {k}, {_SECTOR_CODE[sector]!r}] is repeated"
+                )
         object.__setattr__(self, "entries", entries)
 
     @property
@@ -202,6 +215,19 @@ class GluedSeries:
         return self.spec.right.series.entries[k][0]
 
     @cached_property
+    def _int_form(self) -> tuple[int, tuple[tuple[int, int, int, int], ...], set, set]:
+        """(L, entries, left indices, right indices): L is the lcm of the
+        coefficients' denominators and each coefficient c is stored as the int
+        c * L.  Derived from ``entries``, so a ``dataclasses.replace`` copy
+        derives its own."""
+        den = lcm(*{c.denominator for _, _, _, c in self.entries})
+        scaled = tuple(
+            (j, k, sector, c.numerator * (den // c.denominator))
+            for j, k, sector, c in self.entries
+        )
+        return den, scaled, {e[0] for e in scaled}, {e[1] for e in scaled}
+
+    @cached_property
     def _pair_sums(self) -> dict[tuple[int, int], Fraction]:
         """(left index, right index) -> the sum of its entries' coefficients."""
         sums: dict[tuple[int, int], Fraction] = defaultdict(Fraction)
@@ -217,18 +243,24 @@ MAX_GLUED_ENTRIES = 2**20
 def _glued(spec: GluingSpec, kind: str, rows) -> GluedSeries:
     """Run a gluing rule given as rows (sector, scale, level): each row keeps
     every left/right pair of classes at that surface level (from ``levels``),
-    with coefficient scale * a_j * b_k on the twisted coefficients."""
+    with coefficient scale * a_j * b_k on the twisted coefficients.  Per
+    left row, scale * a_j is formed once and multiplied by each distinct b
+    of the level once; an entry reads its product by the index of its b."""
     left, right = spec._splits
     blocks = [(sector, scale, left.levels.get(lvl, ()), right.levels.get(lvl, ()))
               for sector, scale, lvl in rows]
     size = sum(len(js) * len(ks) for _, _, js, ks in blocks)
     if size > MAX_GLUED_ENTRIES:
         raise GluingError(f"{size} glued entries is over the limit of {MAX_GLUED_ENTRIES}")
-    entries = tuple(
-        (j, k, sector, scale * left.rows[j][2] * right.rows[k][2])
-        for sector, scale, js, ks in blocks for j in js for k in ks
-    )
-    return GluedSeries(spec, kind, entries)
+    entries = []
+    for sector, scale, js, ks in blocks:
+        distinct: dict[Fraction, int] = {}
+        k_index = [(k, distinct.setdefault(right.rows[k][2], len(distinct))) for k in ks]
+        for j in js:
+            scaled = scale * left.rows[j][2]
+            products = [scaled * b for b in distinct]
+            entries.extend((j, k, sector, products[i]) for k, i in k_index)
+    return GluedSeries(spec, kind, tuple(entries))
 
 
 def _top_level_rows(spec: GluingSpec, scale: Fraction):
@@ -281,18 +313,34 @@ def eval_glued(gs: GluedSeries, d: SplitClass) -> ExpPolynomial:
     """Evaluate a glued series on e^{tD} for a split class D.
 
     Each entry's exponent is K.D1 + L.D2 plus the sector shift +-2 S.D (no
-    shift for the torus 0-sector and for stabilized output).  Coefficients
-    are summed per exponent, so there is one term per distinct exponent.
-    K.D1 and L.D2 are paired once per parent class that has an entry.
+    shift for the torus 0-sector and for stabilized output).  K.D1 and L.D2
+    are paired once per parent class that has an entry, and each distinct
+    value gets a small id.  The entries' coefficients, as ints over their
+    common denominator (``_int_form``), are summed per (sector, K.D1 id, L.D2
+    id); each group's exponent is formed once, and the groups are merged per
+    exponent, so there is one term per distinct exponent.
     """
     _validate_split_class(gs.spec, d)
-    k_d1 = {j: gs.left_class(j).dot(d.d1) for j in {e[0] for e in gs.entries}}
-    l_d2 = {k: gs.right_class(k).dot(d.d2) for k in {e[1] for e in gs.entries}}
+    den, scaled, lefts, rights = gs._int_form
+    u_id, u_value = _value_ids((j, gs.left_class(j).dot(d.d1)) for j in lefts)
+    v_id, v_value = _value_ids((k, gs.right_class(k).dot(d.d2)) for k in rights)
+    groups: dict[tuple[int, int, int], int] = defaultdict(int)
+    for j, k, sector, c in scaled:
+        groups[sector, u_id[j], v_id[k]] += c
     shift_scale = 0 if gs.kind == "stabilized" else 2 * d.sigma_pairing
-    sums: dict[int | Fraction, Fraction] = defaultdict(Fraction)
-    for j, k, sector, coeff in gs.entries:
-        sums[k_d1[j] + l_d2[k] + sector * shift_scale] += coeff
-    return ExpPolynomial("+Q/2", tuple(sums.items()), d.square)
+    sums: dict[int | Fraction, int] = defaultdict(int)
+    for (sector, u, v), c in groups.items():
+        sums[u_value[u] + v_value[v] + sector * shift_scale] += c
+    return ExpPolynomial(
+        "+Q/2", tuple((lam, Fraction(c, den)) for lam, c in sums.items()), d.square
+    )
+
+
+def _value_ids(pairs) -> tuple[dict[int, int], list]:
+    """(parent index -> the id of its value, the values by id) for (index,
+    value) pairs: parents that share a value share an id."""
+    ids: dict = {}
+    return {i: ids.setdefault(v, len(ids)) for i, v in pairs}, list(ids)
 
 
 def rshift(spec: GluingSpec, d: SplitClass, r) -> SplitClass:
@@ -302,6 +350,9 @@ def rshift(spec: GluingSpec, d: SplitClass, r) -> SplitClass:
         d.d2 - r * spec.surface2.cls,
         d.sigma_pairing,
     )
+
+
+_ZERO = Fraction(0)
 
 
 def coefficient_match(
@@ -327,21 +378,21 @@ def coefficient_match(
     if not same_lattice(l_restrict.lattice, right.lattice):
         raise LatticeMismatch("L restriction on a lattice other than the right side's")
     # a rational class misses: no tuple of int coords equals it
-    j = left.position.get(k_restrict.coords)
-    k = right.position.get(l_restrict.coords)
+    j = left._position.get(k_restrict.coords)
+    k = right._position.get(l_restrict.coords)
     if j is None or k is None:
         # no parent classes restrict there: both sums are empty
-        return Fraction(0), Fraction(0)
+        return _ZERO, _ZERO
     (_, lvl_k, a), (_, lvl_l, b) = spec._splits[0].rows[j], spec._splits[1].rows[k]
     c, d = left.entries[j][1], right.entries[k][1]
-    grouped = gs._pair_sums.get((j, k), Fraction(0))
+    grouped = gs._pair_sums.get((j, k), _ZERO)
     if grouped and (a == c) != (b == d):
         grouped = -grouped  # untwist: the twist multiplied a_j and b_k by +-1
     top = 2 * g - 2
     if not (lvl_k == lvl_l and abs(lvl_k) == top):
-        return grouped, Fraction(0)
+        return grouped, _ZERO
     sector_sign = 1 if lvl_k == top else (-1) ** (g - 1)
-    predicted = -spec.epsilon * sector_sign * Fraction(2 ** (7 * g - 9)) * c * d
+    predicted = -spec.epsilon * sector_sign * 2 ** (7 * g - 9) * c * d
     return grouped, predicted
 
 
@@ -392,6 +443,7 @@ def glued_from_json(data: dict) -> GluedSeries:
     )
     sizes = (len(spec.left.series.entries), len(spec.right.series.entries))
     entries = []
+    parsed: dict[tuple[type, int | float | str], Fraction] = {}  # each token once
     for row in data["pairs"]:
         if type(row) is not list or len(row) != 4:
             raise GluingError(f"pair {row!r}: must be a list [left, right, sector, coefficient]")
@@ -403,11 +455,14 @@ def glued_from_json(data: dict) -> GluedSeries:
             raise GluingError(f"pair {row!r}: the sector must be '+', '-' or '0'")
         if type(c) not in (int, float, str):
             raise GluingError(f"pair {row!r}: the coefficient must be an int or a 'p/q' string")
-        try:
-            c = Fraction(_exact(c))
-        except ValueError as exc:
-            raise GluingError(f"pair {row!r}: bad coefficient: {exc}") from exc
-        entries.append((j, k, _SECTOR_OF_CODE[s], c))
+        # keyed by type too: 1, 1.0 and "1" are distinct tokens
+        value = parsed.get((type(c), c))
+        if value is None:
+            try:
+                value = parsed[type(c), c] = Fraction(_exact(c))
+            except ValueError as exc:
+                raise GluingError(f"pair {row!r}: bad coefficient: {exc}") from exc
+        entries.append((j, k, _SECTOR_OF_CODE[s], value))
     gs = GluedSeries(spec, data["kind"], tuple(entries))
     if ("experimental" in data) != gs.experimental or data.get("experimental", True) is not True:
         flag = '"experimental": true' if gs.experimental else 'no "experimental" field'

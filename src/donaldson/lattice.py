@@ -367,12 +367,16 @@ _KEYS = ("name", "rank", "gram", "b_plus", "b_one", "classes", "model")
 
 
 def lattice_from_json(data: dict) -> Lattice:
-    """The lattice ``lattice_to_json`` wrote; a key it does not write, or a
-    ``b_one`` or ``model`` other than the one it writes, is refused."""
+    """The lattice ``lattice_to_json`` wrote; a key it does not write, a
+    ``name`` that is not a str, a ``rank`` that is not an int, or a ``b_one``
+    or ``model`` other than the one it writes, is refused."""
     _only_keys(data, _KEYS, "a lattice")
     for key, value in _FIXED.items():
         if type(data[key]) is not type(value) or data[key] != value:
             raise LatticeError(f"field {key!r} must be {value!r}, got {data[key]!r}")
+    for key, typ in (("name", str), ("rank", int)):
+        if type(data[key]) is not typ:
+            raise LatticeError(f"field {key!r} must be of type {typ.__name__}, got {data[key]!r}")
     if len(data["gram"]) != data["rank"]:
         raise LatticeError("rank field does not match Gram matrix size")
     if not isinstance(data["classes"], dict):

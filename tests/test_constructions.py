@@ -414,6 +414,14 @@ def test_entry_from_json_refuses_a_key_it_does_not_write(where):
         entry_from_json(data)
 
 
+@pytest.mark.parametrize("label", [7, None, True, ["T1"]])
+def test_entry_from_json_refuses_a_surface_label_that_is_not_a_str(label):
+    data = json.loads(entry_json_bytes(catalog("B2")).decode())
+    data["surfaces"][1]["label"] = label
+    with pytest.raises(ConstructionError, match="surface label must be a str"):
+        entry_from_json(data)
+
+
 def test_entry_refuses_empty_w_labels():
     entry = catalog("B2")
     with pytest.raises(ConstructionError, match="no w label"):

@@ -1,12 +1,15 @@
 import dataclasses
 import json
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from donaldson import gluing
+from donaldson.cli import run
 from donaldson.constructions import blow_up, catalog
+from donaldson.exppoly import ExpPolynomial
 from donaldson.gaussian import GaussianRational, frac_token
 from donaldson.gluing import (
     GluingError,
@@ -205,9 +208,31 @@ def test_glued_series_sorts_and_evaluates_the_entries_it_is_given():
     assert GluedSeries(spec, gs.kind, tuple(reversed(gs.entries))).entries == gs.entries
     lat = spec.left.lattice
     d = spec.split_class(lat.cls("T1"), lat.cls("T1"))
+    # evaluated first, the original caches its integer form before any copy
+    # is made; a copy must evaluate its own entries
+    before = eval_glued(gs, d)
     (j, k, sector, c), rest = gs.entries[0], gs.entries[1:]
-    changed = dataclasses.replace(gs, entries=((j, k, sector, c + 1),) + rest)
-    assert eval_glued(changed, d) != eval_glued(gs, d)
+    lam = gs.left_class(j).dot(d.d1) + gs.right_class(k).dot(d.d2) + 2 * sector * d.sigma_pairing
+    for delta in (1, Fraction(1, 3)):
+        changed = dataclasses.replace(gs, entries=((j, k, sector, c + delta),) + rest)
+        after = eval_glued(changed, d)
+        assert after.coefficient(lam) == before.coefficient(lam) + delta
+        assert after.exponents() == before.exponents()
+    assert eval_glued(gs, d) == before
+
+
+def test_entries_over_denominators_3_and_4_evaluate_exactly():
+    spec = bg_double(3)
+    lat = spec.left.lattice
+    # S.D = 0: the two sectors of the pair (0, 0) share an exponent
+    d = spec.split_class(lat.cls("sigma"), lat.cls("sigma"))
+    entries = ((0, 0, 1, Fraction(1, 3)), (0, 0, -1, Fraction(-3, 4)), (15, 15, 1, Fraction(1, 4)))
+    gs = GluedSeries(spec, "standard", entries)
+    assert gs._int_form[0] == 12
+    lam0, lam15 = (gs.left_class(j).dot(d.d1) + gs.right_class(j).dot(d.d2) for j in (0, 15))
+    assert lam0 != lam15
+    expected = ExpPolynomial("+Q/2", ((lam0, Fraction(-5, 12)), (lam15, Fraction(1, 4))), d.square)
+    assert eval_glued(gs, d) == expected
 
 
 # -- rshift ------------------------------------------------------------------------------
@@ -418,13 +443,14 @@ def test_coefficient_match_with_nontrivial_twist():
 
 
 def test_coefficient_match_sums_rows_that_share_a_pair():
-    # a reloaded gluing may hold one (j, k) in several rows: the grouped
-    # coefficient is their sum
+    # a reloaded gluing may hold one (j, k) in several rows, one per sector:
+    # the grouped coefficient is their sum
     g = 3
     payload = json.loads(json.dumps(glued_to_json(glue(bg_double(g)))))
     j, k, sector, coeff = payload["pairs"][0]
     half = frac_token(Fraction(coeff) / 2)
-    payload["pairs"][0:1] = [[j, k, sector, half], [j, k, sector, half]]
+    other = "-" if sector == "+" else "+"
+    payload["pairs"][0:1] = [[j, k, sector, half], [j, k, other, half]]
     gs = glued_from_json(payload)
     assert [e[:2] for e in gs.entries].count((j, k)) == 2
     K, L = gs.left_class(j), gs.right_class(k)
@@ -573,6 +599,44 @@ def test_glued_from_json_rejects_bad_pair_rows(column, value):
     payload["pairs"][0][column] = value
     with pytest.raises(GluingError, match=r"^pair \[.*(index must be|sector must be|bad coefficient)"):
         glued_from_json(payload)
+
+
+def test_a_repeated_pair_is_refused(tmp_path, capsys):
+    # appended again, B3's first pair would double its coefficient on e^{2t}:
+    # -32 instead of -16
+    gs = glue(bg_double(3))
+    payload = json.loads(json.dumps(glued_to_json(gs)))
+    first = payload["pairs"][0]
+    j, k, code, _ = first
+    named = re.escape(f"pair [{j}, {k}, '{code}'] is repeated")
+    for again in (first, [j, k, code, "1/3"]):
+        repeated = dict(payload, pairs=payload["pairs"] + [list(again)])
+        with pytest.raises(GluingError, match=named):
+            glued_from_json(repeated)
+    with pytest.raises(GluingError, match=named):
+        GluedSeries(gs.spec, gs.kind, gs.entries * 2)
+    path = tmp_path / "glued.json"
+    path.write_text(json.dumps(dict(payload, pairs=payload["pairs"] + [first])))
+    capsys.readouterr()
+    assert run(["eval", "--glued", str(path), "--d1", "T1", "--d2", "T1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "is repeated" in err
+
+
+def test_glued_from_json_parses_each_token_by_its_type():
+    # "3/2" parses, and the float 1.5 of equal value is still refused, at
+    # the first row that carries it
+    payload = json.loads(json.dumps(glued_to_json(glue(bg_double(3)))))
+    j, k, _, _ = payload["pairs"][0]
+    payload["pairs"][0][3] = "3/2"
+    payload["pairs"] += [[j, k, "-", 1.5], [1, 1, "+", 1.5]]
+    with pytest.raises(GluingError, match=re.escape(f"pair {[j, k, '-', 1.5]!r}: bad coefficient")):
+        glued_from_json(payload)
+    # 1, 1.0 and "1" are three tokens of one value
+    payload["pairs"][2:] = [[j, k, "-", 1], [1, 1, "+", 1.0], [2, 2, "+", "1"]]
+    gs = glued_from_json(payload)
+    assert [c for _, _, _, c in gs.entries].count(Fraction(1)) == 3
+    assert Fraction(3, 2) in [c for _, _, _, c in gs.entries]
 
 
 def test_spec_resolves_each_side_once():

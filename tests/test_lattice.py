@@ -197,6 +197,17 @@ def test_lattice_from_json_refuses_a_b_one_or_model_it_does_not_write(b2, key, v
         lattice_from_json(data)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("name", 5), ("name", None), ("name", True), ("rank", 4.0), ("rank", "4"), ("rank", True)],
+)
+def test_lattice_from_json_refuses_a_name_or_rank_of_the_wrong_type(b2, key, value):
+    # a bool is refused too: True == 1 would pass an equality test
+    data = dict(lattice_to_json(b2.lattice), **{key: value})
+    with pytest.raises(LatticeError, match=f"field '{key}' must be of type"):
+        lattice_from_json(data)
+
+
 def test_lattice_from_json_refuses_a_missing_b_one_or_model(b2):
     for key in ("b_one", "model"):
         data = lattice_to_json(b2.lattice)

@@ -1,0 +1,105 @@
+"""Gluings of two random series, each checked against a brute reference: the
+glued entries against scale * a_j * b_k per pair of classes, and
+``eval_glued`` against a per-entry ``Fraction`` sum at an integral D and at D
+moved by an odd multiple of 1/6 of the surface.
+
+Each side is a random series of ``test_random_series`` (the lattice H +
+<-1>^m, S = e, w = f), with coefficients whose denominators include 3, 5 and 6, so the
+glued entries need a common denominator that none of them has alone.
+Genus g >= 2 glues by the standard rule; genus 1, where every level is 0, by
+the torus rule.
+"""
+
+from collections import defaultdict
+from fractions import Fraction
+
+from hypothesis import given, strategies as st
+
+from donaldson.constructions import CatalogEntry
+from donaldson.exppoly import ExpPolynomial
+from donaldson.gluing import GluingSpec, eval_glued, glue, glue_torus, rshift
+from donaldson.lattice import HClass, MarkedSurface
+from test_random_series import PROFILE, brute_dot, hyperbolic_plus_minus_ones, series_of, shaped
+
+# 1/3, -5/6 and the like: the glued coefficients are not dyadic
+COEFF = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.sampled_from((1, 2, 3, 5, 6)))
+
+
+@st.composite
+def sides(draw):
+    g = draw(st.integers(1, 3))
+    out = []
+    for _ in range(2):
+        m = draw(st.integers(1, 3))
+        entries = draw(shaped(m, g, COEFF)[0])
+        d = (draw(st.integers(-3, 3)), None) + tuple(draw(st.integers(-2, 2)) for _ in range(m))
+        out.append((m, entries, d))
+    d_sigma = draw(st.integers(-2, 2))
+    # w^2 - w1^2 - w2^2 is 0 or 2: epsilon is -1 for the second at even g
+    w_square = draw(st.sampled_from((0, 2)))
+    r = Fraction(draw(st.integers(-9, 9)) * 2 + 1, 6)
+    return g, out, d_sigma, w_square, r
+
+
+def entry_of(name, m, entries, g):
+    lat = hyperbolic_plus_minus_ones(m)
+    surface = MarkedSurface(lat.basis_vector(0), genus=g)
+    return CatalogEntry(name, series_of(lat, entries), (("S", surface),), ("f",), "S")
+
+
+def brute_twisted(entry):
+    """(K.S, twisted coefficient) per series entry, in the series' order, for
+    w = f (w^2 = 0): the sign is (-1)^{(K.w)/2}."""
+    lat = entry.lattice
+    f, e = (0, 1) + (0,) * (lat.rank - 2), (1, 0) + (0,) * (lat.rank - 2)
+    return [
+        (brute_dot(lat, k.coords, e), (-1) ** (brute_dot(lat, k.coords, f) // 2 % 2) * c)
+        for k, c in entry.series.entries
+    ]
+
+
+def brute_glue(spec, g, epsilon):
+    """{(j, k, sector): coefficient} from the rule's table, one pair at a time."""
+    if g == 1:
+        rows = ((+1, Fraction(-1, 4), 0), (-1, Fraction(-1, 4), 0), (0, Fraction(-1, 2), 0))
+    else:
+        top, scale = 2 * g - 2, 2 ** (7 * g - 9)
+        rows = ((+1, -scale, top), (-1, (-1) ** g * scale, -top))
+    out = {}
+    for sector, scale, level in rows:
+        for j, (lvl_a, a) in enumerate(brute_twisted(spec.left)):
+            for k, (lvl_b, b) in enumerate(brute_twisted(spec.right)):
+                if lvl_a == lvl_b == level:
+                    out[j, k, sector] = epsilon * scale * a * b
+    return out
+
+
+def per_entry_eval(gs, d):
+    """One Fraction add per entry into a dict keyed by the exponent."""
+    k_d1 = {j: gs.left_class(j).dot(d.d1) for j in {e[0] for e in gs.entries}}
+    l_d2 = {k: gs.right_class(k).dot(d.d2) for k in {e[1] for e in gs.entries}}
+    shift = 0 if gs.kind == "stabilized" else 2 * d.sigma_pairing
+    sums = defaultdict(Fraction)
+    for j, k, sector, coeff in gs.entries:
+        sums[k_d1[j] + l_d2[k] + sector * shift] += coeff
+    return ExpPolynomial("+Q/2", tuple(sums.items()), d.square)
+
+
+@PROFILE
+@given(sides())
+def test_random_gluings_match_the_per_pair_and_per_entry_references(case):
+    g, ((m1, left, d1), (m2, right, d2)), d_sigma, w_square, r = case
+    spec = GluingSpec(entry_of("X1", m1, left, g), entry_of("X2", m2, right, g), w_square=w_square)
+    epsilon = -1 if (g - 1) * (w_square // 2) % 2 else 1
+    assert spec.epsilon == epsilon
+    gs = (glue_torus if g == 1 else glue)(spec)
+    brute = brute_glue(spec, g, epsilon)
+    assert len(gs.entries) == len(brute)
+    assert {(j, k, s): c for j, k, s, c in gs.entries} == brute
+    # D.S is D's f-coordinate on each side
+    d = spec.split_class(
+        HClass(spec.left.lattice, (d1[0], d_sigma) + d1[2:]),
+        HClass(spec.right.lattice, (d2[0], d_sigma) + d2[2:]),
+    )
+    for probe in (d, rshift(spec, d, r)):
+        assert eval_glued(gs, probe) == per_entry_eval(gs, probe)

@@ -51,11 +51,11 @@ COEFF = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.sampled_from((1,
 
 
 @cache
-def shaped(m, g):
+def shaped(m, g, coeff=COEFF):
     """The entries and probes strategies for m exceptional classes and genus
     g, built once each: a new strategy is validated on every draw."""
     level = st.integers(1 - g, g - 1).map(lambda x: 2 * x)
-    entries = st.dictionaries(st.tuples(EVEN, level, *[ODD] * m), COEFF, min_size=1, max_size=6)
+    entries = st.dictionaries(st.tuples(EVEN, level, *[ODD] * m), coeff, min_size=1, max_size=6)
     probe = st.tuples(
         st.fractions(-3, 3, max_denominator=3), st.just(1), *[st.integers(-2, 2)] * m
     )
