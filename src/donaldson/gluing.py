@@ -24,8 +24,8 @@ level; row j of a split is series entry j, so glued indices address both.
 A rule's coefficients are products scale * a_j * b_k of a few distinct
 values, repeated over many entries, so neither gluing nor evaluation does
 rational arithmetic per entry: ``_glued`` forms one product per distinct
-value, and ``eval_glued`` sums the entries as ints over one common
-denominator, per group of equal (sector, K.D1, L.D2).
+value, and ``eval_glued`` scales D by the common denominator m of its
+coordinates, so it adds int coefficients per int exponent m * lambda.
 """
 
 from __future__ import annotations
@@ -121,12 +121,6 @@ class GluingSpec:
     def glued_d_zero(self) -> int:
         return d_zero_value(self.glued_w_square, self.glued_b_plus)
 
-    def twisted_left(self) -> list[tuple[HClass, Fraction]]:
-        return [(k, a) for k, _, a in self._splits[0].rows]
-
-    def twisted_right(self) -> list[tuple[HClass, Fraction]]:
-        return [(k, a) for k, _, a in self._splits[1].rows]
-
     def split_class(self, d1: HClass, d2: HClass) -> "SplitClass":
         return SplitClass(d1, d2, d1.dot(self.surface1.cls))
 
@@ -173,30 +167,46 @@ def _validate_split_class(spec: GluingSpec, d: SplitClass) -> None:
             )
 
 
+_SECTORS_OF_KIND = {"standard": (1, -1), "torus": (1, -1, 0), "stabilized": (1, -1)}
+
+
 @dataclass(frozen=True)
 class GluedSeries:
     """Output of a gluing: (left index, right index, sector, coefficient).
 
     Sectors are +1 / -1 (exponent shift +-2 S.D) and 0 for the torus rule's
-    unshifted sector.  Each (left, right, sector) occurs at most once.
+    unshifted sector.  Indices are ints in [0, n) of their side, coefficients
+    ints or Fractions, and each (left, right, sector) occurs at most once.
     """
 
     spec: GluingSpec
-    kind: str  # "standard" | "torus" | "stabilized"
+    kind: str  # a key of _SECTORS_OF_KIND
     entries: tuple[tuple[int, int, int, Fraction], ...]
 
     def __post_init__(self):
-        if self.kind not in ("standard", "torus", "stabilized"):
+        if type(self.kind) is not str or self.kind not in _SECTORS_OF_KIND:
             raise GluingError(f"unknown gluing kind {self.kind!r}")
-        entries = tuple(
-            sorted(self.entries, key=lambda e: (-e[2], e[0], e[1]))
-        )
+        sectors = _SECTORS_OF_KIND[self.kind]
+        n1, n2 = len(self.spec.left.series.entries), len(self.spec.right.series.entries)
+        if not all(
+            type(j) is int and 0 <= j < n1 and type(k) is int and 0 <= k < n2
+            and s in sectors and (type(c) is Fraction or type(c) is int)
+            for j, k, s, c in self.entries
+        ):
+            for j, k, s, c in self.entries:  # name the first entry that fails
+                name = f"pair [{j!r}, {k!r}, {_SECTOR_CODE[s] if s in sectors else s!r}]"
+                for side, idx, n in (("left", j, n1), ("right", k, n2)):
+                    if type(idx) is not int or not 0 <= idx < n:
+                        raise GluingError(f"{name}: the {side} index must be an int in [0, {n})")
+                if s not in sectors:
+                    raise GluingError(f"{name}: a {self.kind} gluing has no sector {s!r}")
+                if type(c) is not Fraction and type(c) is not int:
+                    raise GluingError(f"{name}: the coefficient must be an int or a Fraction")
+        entries = tuple(sorted(self.entries, key=lambda e: (-e[2], e[0], e[1])))
         # sorted by (sector, left, right), a repeated triple is adjacent
         for (j, k, sector, _), nxt in zip(entries, entries[1:]):
             if nxt[0] == j and nxt[1] == k and nxt[2] == sector:
-                raise GluingError(
-                    f"pair [{j}, {k}, {_SECTOR_CODE[sector]!r}] is repeated"
-                )
+                raise GluingError(f"pair [{j}, {k}, {_SECTOR_CODE[sector]!r}] is repeated")
         object.__setattr__(self, "entries", entries)
 
     @property
@@ -313,34 +323,23 @@ def eval_glued(gs: GluedSeries, d: SplitClass) -> ExpPolynomial:
     """Evaluate a glued series on e^{tD} for a split class D.
 
     Each entry's exponent is K.D1 + L.D2 plus the sector shift +-2 S.D (no
-    shift for the torus 0-sector and for stabilized output).  K.D1 and L.D2
-    are paired once per parent class that has an entry, and each distinct
-    value gets a small id.  The entries' coefficients, as ints over their
-    common denominator (``_int_form``), are summed per (sector, K.D1 id, L.D2
-    id); each group's exponent is formed once, and the groups are merged per
-    exponent, so there is one term per distinct exponent.
+    shift for the torus 0-sector and for stabilized output).  With m the
+    common denominator of D's coordinates, m times it is the int K.(m D1) +
+    L.(m D2) + sector 2 (m D1).S.  One pass adds each entry's int coefficient
+    (``_int_form``) into its int exponent: one term per distinct exponent.
     """
     _validate_split_class(gs.spec, d)
     den, scaled, lefts, rights = gs._int_form
-    u_id, u_value = _value_ids((j, gs.left_class(j).dot(d.d1)) for j in lefts)
-    v_id, v_value = _value_ids((k, gs.right_class(k).dot(d.d2)) for k in rights)
-    groups: dict[tuple[int, int, int], int] = defaultdict(int)
+    m = lcm(*(c.denominator for c in d.d1.coords + d.d2.coords))
+    md1, md2 = m * d.d1, m * d.d2
+    u = {j: gs.left_class(j).dot(md1) for j in lefts}
+    v = {k: gs.right_class(k).dot(md2) for k in rights}
+    shift = 0 if gs.kind == "stabilized" else _exact(2 * m * d.sigma_pairing)
+    sums: dict[int, int] = defaultdict(int)
     for j, k, sector, c in scaled:
-        groups[sector, u_id[j], v_id[k]] += c
-    shift_scale = 0 if gs.kind == "stabilized" else 2 * d.sigma_pairing
-    sums: dict[int | Fraction, int] = defaultdict(int)
-    for (sector, u, v), c in groups.items():
-        sums[u_value[u] + v_value[v] + sector * shift_scale] += c
-    return ExpPolynomial(
-        "+Q/2", tuple((lam, Fraction(c, den)) for lam, c in sums.items()), d.square
-    )
-
-
-def _value_ids(pairs) -> tuple[dict[int, int], list]:
-    """(parent index -> the id of its value, the values by id) for (index,
-    value) pairs: parents that share a value share an id."""
-    ids: dict = {}
-    return {i: ids.setdefault(v, len(ids)) for i, v in pairs}, list(ids)
+        sums[u[j] + v[k] + sector * shift] += c
+    terms = tuple((Fraction(e, m), Fraction(c, den)) for e, c in sums.items())
+    return ExpPolynomial("+Q/2", terms, d.square)
 
 
 def rshift(spec: GluingSpec, d: SplitClass, r) -> SplitClass:
@@ -441,16 +440,12 @@ def glued_from_json(data: dict) -> GluedSeries:
         right=catalog(data["right"]),
         w_square=data["w_sq"],
     )
-    sizes = (len(spec.left.series.entries), len(spec.right.series.entries))
     entries = []
     parsed: dict[tuple[type, int | float | str], Fraction] = {}  # each token once
     for row in data["pairs"]:
         if type(row) is not list or len(row) != 4:
             raise GluingError(f"pair {row!r}: must be a list [left, right, sector, coefficient]")
         j, k, s, c = row
-        for side, idx, n in zip(("left", "right"), (j, k), sizes):
-            if type(idx) is not int or not 0 <= idx < n:
-                raise GluingError(f"pair {row!r}: the {side} index must be an int in [0, {n})")
         if type(s) is not str or s not in _SECTOR_OF_CODE:
             raise GluingError(f"pair {row!r}: the sector must be '+', '-' or '0'")
         if type(c) not in (int, float, str):

@@ -53,6 +53,13 @@ def _exact(x) -> int | Fraction:
     return f.numerator if f.denominator == 1 else f
 
 
+def _numbers(values, what: str) -> tuple[int | Fraction, ...]:
+    """``values`` through ``_exact``; a str is refused, not read digit by digit."""
+    if isinstance(values, str):
+        raise LatticeError(f"{what} must be a list of numbers, got the string {values!r}")
+    return tuple(map(_exact, values))
+
+
 @dataclass(frozen=True)
 class Lattice:
     """A symmetric integer Gram matrix, the modeled block of H^2, and b^+:
@@ -65,24 +72,22 @@ class Lattice:
     named: tuple[tuple[str, tuple[int | Fraction, ...]], ...] = ()
 
     def __post_init__(self):
-        gram = tuple(tuple(map(_exact, row)) for row in self.gram)
+        gram = tuple(_numbers(r, f"{self.name}: Gram row {i}") for i, r in enumerate(self.gram))
         if any(type(x) is not int for row in gram for x in row):
             raise LatticeError(f"{self.name}: Gram matrix has a non-integral entry")
         object.__setattr__(self, "gram", gram)
         n = len(gram)
         if any(len(row) != n for row in gram):
             raise LatticeError(f"{self.name}: Gram matrix is not square")
-        for i in range(n):
-            for j in range(i):
-                if gram[i][j] != gram[j][i]:
-                    raise LatticeError(f"{self.name}: Gram matrix is not symmetric")
+        if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(i)):
+            raise LatticeError(f"{self.name}: Gram matrix is not symmetric")
         if type(self.b_plus) is not int:
             raise LatticeError(f"{self.name}: b_plus must be an int, got {self.b_plus!r}")
         if self.b_plus % 2 == 0:
             raise ParityError(
                 f"{self.name}: a series-carrying manifold needs b+ odd, got b+={self.b_plus}"
             )
-        named = tuple((label, tuple(map(_exact, coords))) for label, coords in self.named)
+        named = tuple((lab, _numbers(c, f"{self.name}: class {lab!r}")) for lab, c in self.named)
         object.__setattr__(self, "named", named)
         if len(self._named_coords) != len(named):
             raise LatticeError(f"{self.name}: a class label is repeated")
@@ -143,7 +148,7 @@ class HClass:
     coords: tuple[int | Fraction, ...]
 
     def __post_init__(self):
-        coords = tuple(map(_exact, self.coords))
+        coords = _numbers(self.coords, "class coordinates")
         object.__setattr__(self, "coords", coords)
         if len(coords) != self.lattice.rank:
             raise LatticeError("coordinate length does not match lattice rank")

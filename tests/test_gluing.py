@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from donaldson import gluing
+from donaldson import gluing, lattice
 from donaldson.cli import run
 from donaldson.constructions import blow_up, catalog
 from donaldson.exppoly import ExpPolynomial
@@ -141,7 +141,7 @@ def test_eval_against_surface_class_gives_top_levels(g):
     gs = glue(spec)
     lat = spec.left.lattice
     d = SplitClass(lat.cls("Sigma_g"), lat.zero(), Fraction(0))
-    lefts = spec.twisted_left()
+    lefts = twist(spec.left.series, spec.w1)
     for j, k, sector, _ in gs.entries:
         lam = lefts[j][0].dot(d.d1)
         assert lam == sector * (2 * g - 2)
@@ -494,8 +494,8 @@ def test_quarter_turn_substitution_device(g):
     gs = glue(spec)
     lat = spec.left.lattice
     d = spec.split_class(lat.cls("T1"), lat.cls("T1"))
-    lefts = spec.twisted_left()
-    rights = spec.twisted_right()
+    lefts = twist(spec.left.series, spec.w1)
+    rights = twist(spec.right.series, spec.w2)
     for j, k, sector, coeff in gs.entries:
         lam = lefts[j][0].dot(d.d1) + rights[k][0].dot(d.d2) + sector * 2 * d.sigma_pairing
         lhs = gr(coeff) * GaussianRational.i_power(int(lam))
@@ -621,6 +621,68 @@ def test_a_repeated_pair_is_refused(tmp_path, capsys):
     assert run(["eval", "--glued", str(path), "--d1", "T1", "--d2", "T1"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "is repeated" in err
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ((-1, 0, 1, Fraction(1)), "pair [-1, 0, '+']: the left index must be an int in [0, 4)"),
+        ((0, 999, 1, Fraction(1)), "pair [0, 999, '+']: the right index must be an int in [0, 4)"),
+        ((0, 0, 2, Fraction(1)), "pair [0, 0, 2]: a standard gluing has no sector 2"),
+        ((0, 0, 1, 0.5), "pair [0, 0, '+']: the coefficient must be an int or a Fraction"),
+    ],
+    ids=["index-negative", "index-999", "sector-2", "float-coefficient"],
+)
+def test_a_glued_series_refuses_an_entry_it_cannot_hold(entry, message):
+    # each of these once got through: -1 read the last class, 999 raised
+    # IndexError in eval_glued, sector 2 doubled the shift and a float
+    # raised AttributeError
+    spec = bg_double(2)
+    with pytest.raises(GluingError, match=re.escape(message)):
+        GluedSeries(spec, "standard", (entry,))
+
+
+def test_a_zero_sector_pair_in_a_standard_glued_file_exits_two(tmp_path, capsys):
+    payload = glued_to_json(glue(bg_double(2)))
+    payload["pairs"][0][2] = "0"
+    path = tmp_path / "glued.json"
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run(["eval", "--glued", str(path), "--d1", "T1", "--d2", "T1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "a standard gluing has no sector 0" in err
+
+
+def test_eval_glued_with_halves_of_different_denominators(monkeypatch):
+    # D = (sigma + E1/4, sigma + E1/9): the common denominator m is 36, and
+    # each parent class pairs with 36 D1 or 36 D2 to an int
+    b3 = catalog("B3")
+    gs = glue_torus(GluingSpec(b3, b3, "T1", "T1", "sigma", "sigma"))
+    lat = b3.lattice
+    e1 = lat.cls("E1")
+    d = gs.spec.split_class(
+        lat.cls("sigma") + Fraction(1, 4) * e1, lat.cls("sigma") + Fraction(1, 9) * e1
+    )
+    shift = 2 * d.sigma_pairing
+    sums = {}
+    for j, k, sector, c in gs.entries:
+        lam = gs.left_class(j).dot(d.d1) + gs.right_class(k).dot(d.d2) + sector * shift
+        sums[lam] = sums.get(lam, Fraction(0)) + c
+    parents = {k for k, _ in b3.series.entries}
+    parent_pairings = []
+    real = lattice.pairing
+
+    def recording(u, v):
+        value = real(u, v)
+        if u in parents:
+            parent_pairings.append(value)
+        return value
+
+    monkeypatch.setattr(lattice, "pairing", recording)
+    got = eval_glued(gs, d)
+    assert parent_pairings and all(type(x) is int for x in parent_pairings)
+    assert got == ExpPolynomial("+Q/2", tuple(sums.items()), d.square)
+    assert 36 in {Fraction(lam.re).denominator for lam in got.exponents()}
 
 
 def test_glued_from_json_parses_each_token_by_its_type():

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -223,6 +224,25 @@ def test_lattice_from_json_refuses_a_bool_gram_entry(b2):
     data["gram"][0][1] = data["gram"][1][0] = True
     with pytest.raises(LatticeError, match="a bool is not a number"):
         lattice_from_json(data)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: {**d, "classes": {**d["classes"], "F": "1000"}}, "B2: class 'F'"),
+        (lambda d: {**d, "gram": ["0100"] + d["gram"][1:]}, "B2: Gram row 0"),
+    ],
+    ids=["class-coordinates", "gram-row"],
+)
+def test_lattice_from_json_refuses_a_string_of_digits(b2, edit, message):
+    # a str is a sequence: "1000" once loaded as (1, 0, 0, 0), equal to B2's F
+    with pytest.raises(LatticeError, match=re.escape(f"{message} must be a list of numbers")):
+        lattice_from_json(edit(lattice_to_json(b2.lattice)))
+
+
+def test_hclass_refuses_a_string_of_coordinates(b2):
+    with pytest.raises(LatticeError, match="the string '10-10'"):
+        HClass(b2.lattice, "10-10")
 
 
 @pytest.mark.parametrize("data", [[], "lattice", None])

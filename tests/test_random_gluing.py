@@ -1,23 +1,26 @@
 """Gluings of two random series, each checked against a brute reference: the
 glued entries against scale * a_j * b_k per pair of classes, and
-``eval_glued`` against a per-entry ``Fraction`` sum at an integral D and at D
-moved by an odd multiple of 1/6 of the surface.
+``eval_glued`` against a per-entry ``Fraction`` sum at D and at D moved by an
+odd multiple of 1/6 of the surface.  Each half of D has its own denominator
+from 1 to 5 on its coordinates other than f, so the common denominator of D
+reaches 60.
 
 Each side is a random series of ``test_random_series`` (the lattice H +
 <-1>^m, S = e, w = f), with coefficients whose denominators include 3, 5 and 6, so the
 glued entries need a common denominator that none of them has alone.
-Genus g >= 2 glues by the standard rule; genus 1, where every level is 0, by
-the torus rule.
+Genus g >= 2 glues by the standard rule and by the conjectural one, whose
+evaluation has no surface shift; genus 1, where every level is 0, by the
+torus rule.
 """
 
 from collections import defaultdict
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from donaldson.constructions import CatalogEntry
 from donaldson.exppoly import ExpPolynomial
-from donaldson.gluing import GluingSpec, eval_glued, glue, glue_torus, rshift
+from donaldson.gluing import GluingSpec, eval_glued, glue, glue_conjectural, glue_torus, rshift
 from donaldson.lattice import HClass, MarkedSurface
 from test_random_series import PROFILE, brute_dot, hyperbolic_plus_minus_ones, series_of, shaped
 
@@ -32,7 +35,9 @@ def sides(draw):
     for _ in range(2):
         m = draw(st.integers(1, 3))
         entries = draw(shaped(m, g, COEFF)[0])
-        d = (draw(st.integers(-3, 3)), None) + tuple(draw(st.integers(-2, 2)) for _ in range(m))
+        q = draw(st.integers(1, 5))
+        d = (Fraction(draw(st.integers(-3, 3)), q), None)
+        d += tuple(Fraction(draw(st.integers(-2, 2)), q) for _ in range(m))
         out.append((m, entries, d))
     d_sigma = draw(st.integers(-2, 2))
     # w^2 - w1^2 - w2^2 is 0 or 2: epsilon is -1 for the second at even g
@@ -58,13 +63,14 @@ def brute_twisted(entry):
     ]
 
 
-def brute_glue(spec, g, epsilon):
-    """{(j, k, sector): coefficient} from the rule's table, one pair at a time."""
+def brute_glue(spec, g, epsilon, top_scale):
+    """{(j, k, sector): coefficient} from the rule's table, one pair at a time;
+    ``top_scale`` is the genus >= 2 rule's 2^{7g-9} or 2^{-3g+5}."""
     if g == 1:
         rows = ((+1, Fraction(-1, 4), 0), (-1, Fraction(-1, 4), 0), (0, Fraction(-1, 2), 0))
     else:
-        top, scale = 2 * g - 2, 2 ** (7 * g - 9)
-        rows = ((+1, -scale, top), (-1, (-1) ** g * scale, -top))
+        top = 2 * g - 2
+        rows = ((+1, -top_scale, top), (-1, (-1) ** g * top_scale, -top))
     out = {}
     for sector, scale, level in rows:
         for j, (lvl_a, a) in enumerate(brute_twisted(spec.left)):
@@ -85,21 +91,42 @@ def per_entry_eval(gs, d):
     return ExpPolynomial("+Q/2", tuple(sums.items()), d.square)
 
 
+# halves over 4 and 5, moved by 1/6: D's common denominator is 60
+HALVES_OVER_4_AND_5 = (
+    2,
+    [
+        (1, {(0, 2, 1): Fraction(1, 3), (2, 2, -1): Fraction(-5, 6), (0, -2, 1): Fraction(1, 2)},
+         (Fraction(1, 4), None, Fraction(-1, 4))),
+        (2, {(0, 2, 1, -1): Fraction(2, 5), (0, -2, 3, 1): Fraction(1)},
+         (Fraction(2, 5), None, Fraction(1, 5), Fraction(-2, 5))),
+    ],
+    1,
+    0,
+    Fraction(1, 6),
+)
+
+
 @PROFILE
 @given(sides())
+@example(HALVES_OVER_4_AND_5)
 def test_random_gluings_match_the_per_pair_and_per_entry_references(case):
     g, ((m1, left, d1), (m2, right, d2)), d_sigma, w_square, r = case
     spec = GluingSpec(entry_of("X1", m1, left, g), entry_of("X2", m2, right, g), w_square=w_square)
     epsilon = -1 if (g - 1) * (w_square // 2) % 2 else 1
     assert spec.epsilon == epsilon
-    gs = (glue_torus if g == 1 else glue)(spec)
-    brute = brute_glue(spec, g, epsilon)
-    assert len(gs.entries) == len(brute)
-    assert {(j, k, s): c for j, k, s, c in gs.entries} == brute
+    if g == 1:
+        rules = ((glue_torus, None),)
+    else:
+        rules = ((glue, 2 ** (7 * g - 9)), (glue_conjectural, Fraction(1, 2 ** (3 * g - 5))))
     # D.S is D's f-coordinate on each side
     d = spec.split_class(
         HClass(spec.left.lattice, (d1[0], d_sigma) + d1[2:]),
         HClass(spec.right.lattice, (d2[0], d_sigma) + d2[2:]),
     )
-    for probe in (d, rshift(spec, d, r)):
-        assert eval_glued(gs, probe) == per_entry_eval(gs, probe)
+    for rule, scale in rules:
+        gs = rule(spec)
+        brute = brute_glue(spec, g, epsilon, scale)
+        assert len(gs.entries) == len(brute)
+        assert {(j, k, s): c for j, k, s, c in gs.entries} == brute
+        for probe in (d, rshift(spec, d, r)):
+            assert eval_glued(gs, probe) == per_entry_eval(gs, probe)
