@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gaussian import GaussianRational, frac_token
-from .lattice import _exact
+from .lattice import _exact, _only_keys
 
 MARKERS = ("+Q/2", "-Q/2", "none")
 
@@ -211,6 +211,10 @@ class ExpPolynomial:
 
     @classmethod
     def from_json(cls, data: dict) -> "ExpPolynomial":
+        """Read ``to_json`` output; a key it does not write raises."""
+        _only_keys(data, ("marker", "terms", "q"), "an exponential polynomial", ExpPolynomialError)
+        for t in data["terms"]:
+            _only_keys(t, ("lambda", "c"), "a term", ExpPolynomialError)
         terms = tuple(
             (GaussianRational.from_token(t["lambda"]), GaussianRational.from_token(t["c"]))
             for t in data["terms"]

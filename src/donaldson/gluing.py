@@ -24,8 +24,8 @@ level; row j of a split is series entry j, so glued indices address both.
 A rule's coefficients are products scale * a_j * b_k of a few distinct
 values, repeated over many entries, so neither gluing nor evaluation does
 rational arithmetic per entry: ``_glued`` forms one product per distinct
-value, and ``eval_glued`` scales D by the common denominator m of its
-coordinates, so it adds int coefficients per int exponent m * lambda.
+value, and ``_int_form``, the one int view of the entries, groups them by
+parent pair for ``eval_glued`` and ``coefficient_match``.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ class GluingSpec:
     ``w_square`` is the self-intersection of the glued w; it enters only
     through w^2 - w1^2 - w2^2, which must be even and contributes the
     epsilon sign when it is 2 mod 4.  Default: the normalized value
-    w1^2 + w2^2.  The spec builds each side's split when it is made.
+    w1^2 + w2^2.  The spec resolves each side's labels once, into its split.
     """
 
     left: CatalogEntry
@@ -67,14 +67,15 @@ class GluingSpec:
     _splits: tuple[SplitSeries, SplitSeries] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        s1, s2 = self.surface1, self.surface2
+        s1, s2 = self.left.surface(self.left_surface), self.right.surface(self.right_surface)
         if s1.genus != s2.genus:
             raise GluingError(
                 f"genus mismatch: {s1.genus} on {self.left.name}, "
                 f"{s2.genus} on {self.right.name}"
             )
+        w1, w2 = self.left.w_class(self.left_w), self.right.w_class(self.right_w)
         splits = []
-        for entry, s, w in ((self.left, s1, self.w1), (self.right, s2, self.w2)):
+        for entry, s, w in ((self.left, s1, w1), (self.right, s2, w2)):
             try:
                 splits.append(SplitSeries(entry.series, w, s))
             except SeriesError as exc:
@@ -83,21 +84,21 @@ class GluingSpec:
         if (self.glued_w_square - self.w1.square - self.w2.square) % 2 != 0:
             raise GluingError("w^2 - w1^2 - w2^2 must be even")
 
-    @cached_property
+    @property
     def surface1(self):
-        return self.left.surface(self.left_surface)
+        return self._splits[0].surface
 
-    @cached_property
+    @property
     def surface2(self):
-        return self.right.surface(self.right_surface)
+        return self._splits[1].surface
 
-    @cached_property
+    @property
     def w1(self) -> HClass:
-        return self.left.w_class(self.left_w)
+        return self._splits[0].w
 
-    @cached_property
+    @property
     def w2(self) -> HClass:
-        return self.right.w_class(self.right_w)
+        return self._splits[1].w
 
     @property
     def genus(self) -> int:
@@ -188,20 +189,18 @@ class GluedSeries:
             raise GluingError(f"unknown gluing kind {self.kind!r}")
         sectors = _SECTORS_OF_KIND[self.kind]
         n1, n2 = len(self.spec.left.series.entries), len(self.spec.right.series.entries)
-        if not all(
-            type(j) is int and 0 <= j < n1 and type(k) is int and 0 <= k < n2
-            and s in sectors and (type(c) is Fraction or type(c) is int)
-            for j, k, s, c in self.entries
-        ):
-            for j, k, s, c in self.entries:  # name the first entry that fails
+        for j, k, s, c in self.entries:
+            if not (
+                type(j) is int and 0 <= j < n1 and type(k) is int and 0 <= k < n2
+                and s in sectors and (type(c) is Fraction or type(c) is int)
+            ):  # name the first entry that fails, and what it fails
                 name = f"pair [{j!r}, {k!r}, {_SECTOR_CODE[s] if s in sectors else s!r}]"
                 for side, idx, n in (("left", j, n1), ("right", k, n2)):
                     if type(idx) is not int or not 0 <= idx < n:
                         raise GluingError(f"{name}: the {side} index must be an int in [0, {n})")
                 if s not in sectors:
                     raise GluingError(f"{name}: a {self.kind} gluing has no sector {s!r}")
-                if type(c) is not Fraction and type(c) is not int:
-                    raise GluingError(f"{name}: the coefficient must be an int or a Fraction")
+                raise GluingError(f"{name}: the coefficient must be an int or a Fraction")
         entries = tuple(sorted(self.entries, key=lambda e: (-e[2], e[0], e[1])))
         # sorted by (sector, left, right), a repeated triple is adjacent
         for (j, k, sector, _), nxt in zip(entries, entries[1:]):
@@ -225,25 +224,16 @@ class GluedSeries:
         return self.spec.right.series.entries[k][0]
 
     @cached_property
-    def _int_form(self) -> tuple[int, tuple[tuple[int, int, int, int], ...], set, set]:
-        """(L, entries, left indices, right indices): L is the lcm of the
-        coefficients' denominators and each coefficient c is stored as the int
-        c * L.  Derived from ``entries``, so a ``dataclasses.replace`` copy
-        derives its own."""
+    def _int_form(self) -> tuple[int, dict[tuple[int, int], list[tuple[int, int]]]]:
+        """(L, {(j, k): [(sector, c * L), ...]}): L is the lcm of the
+        coefficients' denominators, and each parent pair lists its entries'
+        sectors and coefficients c as the ints c * L.  The one derived form
+        of ``entries``, so a ``dataclasses.replace`` copy derives its own."""
         den = lcm(*{c.denominator for _, _, _, c in self.entries})
-        scaled = tuple(
-            (j, k, sector, c.numerator * (den // c.denominator))
-            for j, k, sector, c in self.entries
-        )
-        return den, scaled, {e[0] for e in scaled}, {e[1] for e in scaled}
-
-    @cached_property
-    def _pair_sums(self) -> dict[tuple[int, int], Fraction]:
-        """(left index, right index) -> the sum of its entries' coefficients."""
-        sums: dict[tuple[int, int], Fraction] = defaultdict(Fraction)
-        for j, k, _, coeff in self.entries:
-            sums[j, k] += coeff
-        return sums
+        pairs: dict[tuple[int, int], list[tuple[int, int]]] = defaultdict(list)
+        for j, k, sector, c in self.entries:
+            pairs[j, k].append((sector, c.numerator * (den // c.denominator)))
+        return den, dict(pairs)
 
 
 MAX_GLUED_ENTRIES = 2**20
@@ -273,8 +263,8 @@ def _glued(spec: GluingSpec, kind: str, rows) -> GluedSeries:
     return GluedSeries(spec, kind, tuple(entries))
 
 
-def _top_level_rows(spec: GluingSpec, scale: Fraction):
-    """The rows of the genus >= 2 rules: sectors at the levels +-(2g-2)."""
+def _top_level_rows(spec: GluingSpec, scale: int | Fraction):
+    """The rows of the genus >= 2 rules: sectors at the levels 2g-2, -(2g-2)."""
     g, eps = spec.genus, spec.epsilon
     top = 2 * g - 2
     return ((+1, -eps * scale, top), (-1, eps * (-1) ** g * scale, -top))
@@ -325,19 +315,21 @@ def eval_glued(gs: GluedSeries, d: SplitClass) -> ExpPolynomial:
     Each entry's exponent is K.D1 + L.D2 plus the sector shift +-2 S.D (no
     shift for the torus 0-sector and for stabilized output).  With m the
     common denominator of D's coordinates, m times it is the int K.(m D1) +
-    L.(m D2) + sector 2 (m D1).S.  One pass adds each entry's int coefficient
-    (``_int_form``) into its int exponent: one term per distinct exponent.
+    L.(m D2) + sector 2 (m D1).S.  One pass over the pairs of ``_int_form``
+    adds their int coefficients into int exponents: one term per exponent.
     """
     _validate_split_class(gs.spec, d)
-    den, scaled, lefts, rights = gs._int_form
+    den, pairs = gs._int_form
     m = lcm(*(c.denominator for c in d.d1.coords + d.d2.coords))
     md1, md2 = m * d.d1, m * d.d2
-    u = {j: gs.left_class(j).dot(md1) for j in lefts}
-    v = {k: gs.right_class(k).dot(md2) for k in rights}
+    u = {j: gs.left_class(j).dot(md1) for j in {j for j, _ in pairs}}
+    v = {k: gs.right_class(k).dot(md2) for k in {k for _, k in pairs}}
     shift = 0 if gs.kind == "stabilized" else _exact(2 * m * d.sigma_pairing)
     sums: dict[int, int] = defaultdict(int)
-    for j, k, sector, c in scaled:
-        sums[u[j] + v[k] + sector * shift] += c
+    for (j, k), row in pairs.items():
+        lam = u[j] + v[k]
+        for sector, c in row:
+            sums[lam + sector * shift] += c
     terms = tuple((Fraction(e, m), Fraction(c, den)) for e, c in sums.items())
     return ExpPolynomial("+Q/2", terms, d.square)
 
@@ -361,16 +353,15 @@ def coefficient_match(
 
     For a pair (K, L) of parent classes attaining K.S = L.S = +-(2g-2), the
     untwisted sum of glued coefficients over parents restricting to (K, L)
-    must equal -eps (+-1)^{g-1} 2^{7g-9} (sum of a_j over K_j = K) (sum of
-    b_k over L_k = L); everything else gives (0, 0).  Both values are
-    returned so callers can assert the equality independently.  K and L are
-    found through each side's series index, ``DonaldsonSeries.position``;
-    a class on another lattice raises ``LatticeMismatch``.
+    must equal the scale of ``glue``'s row at that level times (sum of a_j
+    over K_j = K) (sum of b_k over L_k = L); everything else gives (0, 0).
+    Both values are returned, for the caller to compare.  K and L are found
+    through each side's series index, ``position``; a class on another
+    lattice raises ``LatticeMismatch``.
     """
     if gs.kind != "standard":
         raise GluingError("coefficient matching is defined for standard gluings")
     spec = gs.spec
-    g = spec.genus
     left, right = spec.left.series, spec.right.series
     if not same_lattice(k_restrict.lattice, left.lattice):
         raise LatticeMismatch("K restriction on a lattice other than the left side's")
@@ -384,15 +375,15 @@ def coefficient_match(
         return _ZERO, _ZERO
     (_, lvl_k, a), (_, lvl_l, b) = spec._splits[0].rows[j], spec._splits[1].rows[k]
     c, d = left.entries[j][1], right.entries[k][1]
-    grouped = gs._pair_sums.get((j, k), _ZERO)
+    den, pairs = gs._int_form
+    grouped = Fraction(sum(n for _, n in pairs[j, k]), den) if (j, k) in pairs else _ZERO
     if grouped and (a == c) != (b == d):
         grouped = -grouped  # untwist: the twist multiplied a_j and b_k by +-1
-    top = 2 * g - 2
-    if not (lvl_k == lvl_l and abs(lvl_k) == top):
+    # most pairs miss on their levels, and only the others read the genus
+    if lvl_k != lvl_l or abs(lvl_k) != 2 * spec.genus - 2:
         return grouped, _ZERO
-    sector_sign = 1 if lvl_k == top else (-1) ** (g - 1)
-    predicted = -spec.epsilon * sector_sign * 2 ** (7 * g - 9) * c * d
-    return grouped, predicted
+    _, scale, _ = _top_level_rows(spec, 2 ** (7 * spec.genus - 9))[lvl_k < 0]
+    return grouped, scale * c * d
 
 
 # -- JSON -----------------------------------------------------------------------------
@@ -422,8 +413,9 @@ def glued_to_json(gs: GluedSeries) -> dict:
     return data
 
 
-_FIELDS = (("left", str), ("right", str), ("w_sq", int), ("pairs", list))
-_KEYS = ("left", "right", "g", "kind", "w1_sq", "w2_sq", "w_sq", "pairs", "experimental")
+_FIELDS = {"left": str, "right": str, "g": int, "w1_sq": int, "w2_sq": int, "w_sq": int,
+           "pairs": list}
+_KEYS = (*_FIELDS, "kind", "experimental")
 
 
 def glued_from_json(data: dict) -> GluedSeries:
@@ -432,7 +424,7 @@ def glued_from_json(data: dict) -> GluedSeries:
     disagrees with the kind raises ``GluingError`` naming it, and none is
     defaulted."""
     _only_keys(data, _KEYS, "a glued file", GluingError)
-    for name, typ in _FIELDS:
+    for name, typ in _FIELDS.items():
         if type(data[name]) is not typ:
             raise GluingError(f"field {name!r} must be of type {typ.__name__}, got {data[name]!r}")
     spec = GluingSpec(

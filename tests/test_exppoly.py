@@ -163,6 +163,19 @@ def test_json_round_trip_keeps_q_square():
         ExpPolynomial.from_json(data)
 
 
+@pytest.mark.parametrize(
+    "where, key",
+    [("top", "q_square"), ("top", "expansion"), ("term", "q"), ("term", "lam")],
+)
+def test_from_json_refuses_a_key_to_json_does_not_write(where, key):
+    p = poly([(2, Fraction(1, 4)), (-2, 3)], marker="+Q/2", q=4)
+    data = json.loads(json.dumps(p.to_json()))
+    assert ExpPolynomial.from_json(data) == p
+    (data if where == "top" else data["terms"][1])[key] = 4
+    with pytest.raises(ExpPolynomialError, match=f"unknown field '{key}'"):
+        ExpPolynomial.from_json(data)
+
+
 small_gauss = st.builds(
     GaussianRational,
     st.fractions(min_value=-3, max_value=3, max_denominator=4),

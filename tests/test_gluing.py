@@ -1,7 +1,9 @@
 import dataclasses
+import hashlib
 import json
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -233,6 +235,8 @@ def test_entries_over_denominators_3_and_4_evaluate_exactly():
     assert lam0 != lam15
     expected = ExpPolynomial("+Q/2", ((lam0, Fraction(-5, 12)), (lam15, Fraction(1, 4))), d.square)
     assert eval_glued(gs, d) == expected
+    # the pair (0, 0) sums its two sectors, over denominators 3 and 4
+    assert coefficient_match(gs, gs.left_class(0), gs.right_class(0))[0] == Fraction(-5, 12)
 
 
 # -- rshift ------------------------------------------------------------------------------
@@ -429,6 +433,33 @@ def test_coefficient_match_sector_signs():
     assert got == predicted == (-1) ** g * 2 ** (7 * g - 9) * b * b
 
 
+@pytest.mark.parametrize("g", (2, 4))
+def test_coefficient_match_at_epsilon_minus_one(g):
+    # w^2 = w1^2 + w2^2 + 2 makes epsilon = (-1)^{g-1}, so -1 at even g
+    normalized = bg_double(g)
+    spec = bg_double(g, w_square=normalized.w1.square + normalized.w2.square + 2)
+    assert spec.epsilon == -1
+    gs = glue(spec)
+    top = 2 * g - 2
+    hits = 0
+    for K, a in spec.left.series.entries:
+        for L, b in spec.right.series.entries:
+            got, predicted = coefficient_match(gs, K, L)
+            assert got == predicted
+            lvl = K.dot(spec.surface1.cls)
+            if lvl == L.dot(spec.surface2.cls) and abs(lvl) == top:
+                sector_sign = 1 if lvl == top else (-1) ** (g - 1)
+                assert predicted == -(-1) * sector_sign * 2 ** (7 * g - 9) * a * b != 0
+                hits += 1
+            else:
+                assert predicted == 0
+    assert hits == 2
+    if g == 2:
+        k_top = spec.left.lattice.cls("K")
+        assert coefficient_match(gs, k_top, k_top) == (2, 2)
+        assert coefficient_match(glue(normalized), k_top, k_top) == (-2, -2)
+
+
 def test_coefficient_match_with_nontrivial_twist():
     # w = E1 twists the side series by nontrivial signs; the untwisted
     # grouped sum must still match the untwisted product form
@@ -576,6 +607,13 @@ def test_glued_json_round_trip():
     assert rebuilt.entries == gs.entries
 
 
+@pytest.mark.parametrize("key, value", [("g", "banana"), ("w1_sq", [1]), ("w2_sq", None)])
+def test_glued_from_json_type_checks_the_genus_and_w_squares(key, value):
+    payload = dict(glued_to_json(glue(bg_double(2))), **{key: value})
+    with pytest.raises(GluingError, match=f"field '{key}' must be of type int"):
+        glued_from_json(payload)
+
+
 def test_glued_from_json_requires_kind():
     payload = glued_to_json(glue(bg_double(3)))
     del payload["kind"]
@@ -715,3 +753,42 @@ def test_glued_json_fields():
     assert payload["w_sq"] == payload["w1_sq"] + payload["w2_sq"]
     assert sorted(p[3] for p in payload["pairs"]) == ["-16", "-16"]
     assert {p[2] for p in payload["pairs"]} == {"+", "-"}
+
+
+# the benchmark's glue_fit gluings of genus <= 4: (name, rule, left, right, probe, labels)
+BENCH_GLUINGS = (
+    [(f"B{g}", glue, f"B{g}", f"B{g}", ("T1", "T1"), {}) for g in (2, 3, 4)]
+    + [
+        (f"dia2:{gp}:{g}", glue, f"dia2:{gp}:{g}", f"dia2:{gp}:{g}", ("T", "T"), {})
+        for g in (2, 3, 4)
+        for gp in range(1, g)
+    ]
+    + [(f"dia2:1:{g}+B{g}", glue, f"dia2:1:{g}", f"B{g}", ("T", "T1"), {}) for g in (2, 3)]
+    + [(f"{n}/F", glue_torus, n, n, ("sigma", "sigma"), {}) for n in ("K3", "S4")]
+    + [
+        (f"{n}/T1", glue_torus, n, n, ("sigma", "sigma"),
+         dict(left_surface="T1", right_surface="T1", left_w="sigma", right_w="sigma"))
+        for n in ("B3", "B4")
+    ]
+    + [("C2", glue_conjectural, "C2", "C2", ("Shat2", "Shat2"), {})]
+)
+
+
+def test_gluings_match_bench_digests():
+    """Every g <= 4 glued and evaluated digest the benchmark records is
+    reproduced in process, in the byte formats of its ``glued_bytes`` and
+    ``poly_bytes``."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "digests.json"
+    recorded = json.loads(path.read_text())
+    assert len(BENCH_GLUINGS) == 16
+    for name, rule, left, right, probe, labels in BENCH_GLUINGS:
+        gs = rule(GluingSpec(catalog(left), catalog(right), **labels))
+        rows = [[j, k, sector, str(c)] for j, k, sector, c in gs.entries]
+        glued = json.dumps([gs.kind, rows]).encode()
+        assert hashlib.sha256(glued).hexdigest() == recorded[f"glued/{name}"], name
+        lat1, lat2 = gs.spec.left.lattice, gs.spec.right.lattice
+        poly = eval_glued(gs, gs.spec.split_class(lat1.cls(probe[0]), lat2.cls(probe[1])))
+        q = None if poly.q_square is None else str(poly.q_square)
+        terms = [[lam.to_token(), c.to_token()] for lam, c in poly.terms]
+        evaluated = json.dumps([poly.marker, terms, q]).encode()
+        assert hashlib.sha256(evaluated).hexdigest() == recorded[f"eval/{name}"], name
