@@ -42,7 +42,7 @@ from .lattice import (
     HClass,
     Lattice,
     MarkedSurface,
-    _only_keys,
+    _read,
     lattice_from_json,
     lattice_to_json,
     same_lattice,
@@ -468,7 +468,7 @@ def catalog(ref: str) -> CatalogEntry:
         if stored != entry_json_bytes(entry):
             try:
                 entry_from_json(json.loads(stored))
-            except (KeyError, TypeError, ValueError) as exc:
+            except ValueError as exc:
                 raise MalformedCatalogFile(
                     f"stored catalog file {path} is not a valid catalog entry: {exc}"
                 ) from exc
@@ -503,31 +503,25 @@ def entry_to_json(entry: CatalogEntry) -> dict:
     }
 
 
-_ENTRY_KEYS = ("name", "lattice", "series", "surfaces", "w_labels", "glue_surface", "note")
+_SURFACE = ("a surface", {"label": str, "class": list, "genus": int}, ())
+_CATALOG_ENTRY = ("a catalog entry", {"name": str, "lattice": dict, "series": dict,
+                  "surfaces": [_SURFACE], "w_labels": [str], "glue_surface": str, "note": str}, ())
 
 
 def entry_from_json(data: dict) -> CatalogEntry:
-    """The entry ``entry_to_json`` wrote; a key it does not write is refused."""
-    _only_keys(data, _ENTRY_KEYS, "a catalog entry", ConstructionError)
+    """The entry ``entry_to_json`` wrote; a malformed shape is refused (``_read``)."""
+    _read(data, _CATALOG_ENTRY, "", ConstructionError)
     lattice = lattice_from_json(data["lattice"])
     series = series_from_json(data["series"], lattice)
-    surfaces = []
-    for s in data["surfaces"]:
-        _only_keys(s, ("label", "class", "genus"), "a surface", ConstructionError)
-        if type(s["label"]) is not str:
-            raise ConstructionError(f"surface label must be a str, got {s['label']!r}")
-        surfaces.append((s["label"], MarkedSurface(HClass(lattice, s["class"]), s["genus"])))
-    w_labels = data["w_labels"]
-    if type(w_labels) is not list or any(type(lab) is not str for lab in w_labels):
-        raise ConstructionError(f"w_labels must be a list of str, got {w_labels!r}")
-    for key in ("name", "glue_surface", "note"):
-        if type(data[key]) is not str:
-            raise ConstructionError(f"{key} must be a str, got {data[key]!r}")
+    surfaces = [
+        (s["label"], MarkedSurface(HClass(lattice, s["class"]), s["genus"]))
+        for s in data["surfaces"]
+    ]
     return CatalogEntry(
         name=data["name"],
         series=series,
         surfaces=tuple(surfaces),
-        w_labels=tuple(w_labels),
+        w_labels=tuple(data["w_labels"]),
         glue_surface=data["glue_surface"],
         note=data["note"],
     )

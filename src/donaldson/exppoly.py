@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gaussian import GaussianRational, frac_token
-from .lattice import _exact, _only_keys
+from .lattice import _NUMBER, _exact, _read
 
 MARKERS = ("+Q/2", "-Q/2", "none")
 
@@ -31,6 +31,10 @@ class ExpPolynomialError(ValueError):
 
 class InexactDivision(ExpPolynomialError):
     """Division in the exponential-polynomial ring left a remainder."""
+
+
+_TERM = ("a term", {"lambda": str, "c": str}, ())
+_EXPPOLY = ("an exponential polynomial", {"marker": str, "terms": [_TERM], "q": _NUMBER}, ("q",))
 
 
 @dataclass(frozen=True)
@@ -211,15 +215,15 @@ class ExpPolynomial:
 
     @classmethod
     def from_json(cls, data: dict) -> "ExpPolynomial":
-        """Read ``to_json`` output; a key it does not write raises."""
-        _only_keys(data, ("marker", "terms", "q"), "an exponential polynomial", ExpPolynomialError)
-        for t in data["terms"]:
-            _only_keys(t, ("lambda", "c"), "a term", ExpPolynomialError)
-        terms = tuple(
-            (GaussianRational.from_token(t["lambda"]), GaussianRational.from_token(t["c"]))
-            for t in data["terms"]
-        )
-        return cls(data["marker"], terms, data.get("q"))
+        """Read ``to_json`` output; a bad shape or token raises, naming its JSON path."""
+        _read(data, _EXPPOLY, "", ExpPolynomialError)
+        terms = []
+        for i, t in enumerate(data["terms"]):
+            try:
+                terms.append(tuple(map(GaussianRational.from_token, (t["lambda"], t["c"]))))
+            except ValueError as exc:
+                raise ExpPolynomialError(f"terms[{i}]: {exc}") from exc
+        return cls(data["marker"], tuple(terms), data.get("q"))
 
 
 def _mul_marker(a: ExpPolynomial, b: ExpPolynomial) -> tuple[str, int | Fraction | None]:

@@ -156,6 +156,8 @@ class GaussianRational:
 
     @classmethod
     def from_token(cls, s: str) -> "GaussianRational":
+        if type(s) is not str:
+            raise ValueError(f"a Gaussian rational token must be a str, got {s!r}")
         t = s.replace(" ", "")
         if not t:
             raise ValueError("empty Gaussian rational token")

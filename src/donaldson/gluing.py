@@ -39,7 +39,7 @@ from math import lcm
 from .constructions import CatalogEntry, catalog
 from .exppoly import ExpPolynomial
 from .gaussian import frac_token
-from .lattice import HClass, LatticeMismatch, _exact, _only_keys, d_zero_value, same_lattice
+from .lattice import HClass, LatticeMismatch, _exact, _read, d_zero_value, same_lattice
 from .series import SeriesError, SplitSeries
 
 
@@ -413,25 +413,24 @@ def glued_to_json(gs: GluedSeries) -> dict:
     return data
 
 
-_FIELDS = {"left": str, "right": str, "g": int, "w1_sq": int, "w2_sq": int, "w_sq": int,
-           "pairs": list}
-_KEYS = (*_FIELDS, "kind", "experimental")
+_GLUED = ("a glued file", {"left": str, "right": str, "g": int, "kind": str, "w1_sq": int,
+                           "w2_sq": int, "w_sq": int, "pairs": list, "experimental": bool},
+          ("experimental",))
 
 
 def glued_from_json(data: dict) -> GluedSeries:
-    """Rebuild a gluing from ``glued_to_json`` output; a key it does not
-    write, a field of the wrong JSON shape or an ``experimental`` flag that
-    disagrees with the kind raises ``GluingError`` naming it, and none is
-    defaulted."""
-    _only_keys(data, _KEYS, "a glued file", GluingError)
-    for name, typ in _FIELDS.items():
-        if type(data[name]) is not typ:
-            raise GluingError(f"field {name!r} must be of type {typ.__name__}, got {data[name]!r}")
-    spec = GluingSpec(
-        left=catalog(data["left"]),
-        right=catalog(data["right"]),
-        w_square=data["w_sq"],
-    )
+    """Rebuild a gluing from ``glued_to_json`` output; a malformed shape
+    (``_read``), an unknown ``left`` or ``right`` name, a bad pair or an
+    ``experimental`` flag that disagrees with the kind raises ``GluingError``
+    naming it, and none is defaulted."""
+    _read(data, _GLUED, "", GluingError)
+    sides = []
+    for key in ("left", "right"):
+        try:
+            sides.append(catalog(data[key]))
+        except KeyError as exc:  # only the unknown name: a stored file's errors pass
+            raise GluingError(f"field {key!r}: {exc.args[0]}") from exc
+    spec = GluingSpec(*sides, w_square=data["w_sq"])
     entries = []
     parsed: dict[tuple[type, int | float | str], Fraction] = {}  # each token once
     for row in data["pairs"]:

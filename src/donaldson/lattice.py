@@ -35,8 +35,8 @@ def _exact(x) -> int | Fraction:
 
     Every exact number the package stores passes through here.  A float is
     refused unless it is integral: its binary value is not the number that
-    was written (0.1 would become 3602879701896397/2^55).  A zero
-    denominator ('1/0') is a ``LatticeError`` naming the token.
+    was written (0.1 would become 3602879701896397/2^55).  A zero denominator
+    ('1/0'), or what is no number (null, a list, 'x'), is a ``LatticeError``.
     """
     if type(x) is int:
         return x
@@ -50,13 +50,16 @@ def _exact(x) -> int | Fraction:
         f = Fraction(x)
     except ZeroDivisionError:
         raise LatticeError(f"zero denominator in {x!r}") from None
+    except (TypeError, ValueError):
+        raise LatticeError(f"not a number: {x!r}") from None
     return f.numerator if f.denominator == 1 else f
 
 
 def _numbers(values, what: str) -> tuple[int | Fraction, ...]:
-    """``values`` through ``_exact``; a str is refused, not read digit by digit."""
-    if isinstance(values, str):
-        raise LatticeError(f"{what} must be a list of numbers, got the string {values!r}")
+    """``values``, a list or tuple, through ``_exact``; a str is not read digit by digit."""
+    if type(values) not in (list, tuple):
+        got = "the string " if type(values) is str else ""
+        raise LatticeError(f"{what} must be a list of numbers, got {got}{values!r}")
     return tuple(map(_exact, values))
 
 
@@ -342,18 +345,58 @@ def _coord_out(c: int | Fraction):
     return c if type(c) is int else str(c)
 
 
-def _only_keys(data, keys, where: str, error=LatticeError) -> None:
-    """The shape check of every JSON loader: ``data`` is an object holding no
-    key its writer does not write; ``where`` names what it is read as."""
+_NUMBER = (int, float, str)
+"""The JSON types of a number token, which ``_exact`` reads."""
+
+
+def _read(data, shape, where: str, error: type[ValueError]) -> None:
+    """The shape check of every JSON loader, run before it reads ``data``.
+
+    ``shape`` is (noun, fields, optional).  ``fields`` maps each key the
+    writer writes to its type (a bool is no int), a tuple of types, ``[t]``
+    for a list of t, a type or a shape, or else the one value it holds; a key
+    in ``optional`` may be absent.  Any other ``data`` raises ``error`` naming
+    the JSON path: ``where`` ("" at the top), or the field's own.
+    """
+    noun, fields, optional = shape
+    at = f"{where}: " if where else ""
     if type(data) is not dict:
-        raise error(f"{where} must hold a JSON object, got a {type(data).__name__}")
-    unknown = [key for key in data if key not in keys]
-    if unknown:
-        raise error(f"unknown field {unknown[0]!r} in {where}")
+        raise error(f"{at}{noun} must hold a JSON object, got a {type(data).__name__}")
+    for key in data:
+        if key not in fields:
+            raise error(f"{at}unknown field {key!r} in {noun}")
+    for key, want in fields.items():
+        if key not in data:
+            if key not in optional:
+                raise error(f"{at}field {key!r} is missing from {noun}")
+            continue
+        value, kind = data[key], type(want)
+        if kind is type:
+            ok = type(value) is want
+        elif kind is tuple:
+            ok = type(value) in want
+        elif kind is not list:
+            ok = type(value) is kind and value == want
+        elif type(want[0]) is tuple:  # a list of objects of the shape want[0]
+            ok = type(value) is list
+            for i, item in enumerate(value if ok else ()):
+                _read(item, want[0], f"{where}.{key}[{i}]" if where else f"{key}[{i}]", error)
+        else:
+            ok = type(value) is list and all(type(x) is want[0] for x in value)
+        if not ok:
+            path = f"{where}.{key}" if where else key
+            raise error(f"{path} must be {_what(want)}, got {value!r}")
 
 
-# b1 = 0 and the partial model are structure; the file keeps their keys
-_FIXED = {"b_one": 0, "model": "partial"}
+def _what(want) -> str:
+    """What a ``_read`` message says a field must be: its type(s) or its one value."""
+    if type(want) is list:
+        return f"a list of {want[0].__name__}" if type(want[0]) is type else "a list"
+    if type(want) is type:
+        want = (want,)
+    if type(want) is not tuple:
+        return repr(want)
+    return " or ".join(("an " if t is int else "a ") + t.__name__ for t in want)
 
 
 def lattice_to_json(lat: Lattice) -> dict:
@@ -362,30 +405,23 @@ def lattice_to_json(lat: Lattice) -> dict:
         "rank": lat.rank,
         "gram": [list(row) for row in lat.gram],
         "b_plus": lat.b_plus,
-        "b_one": _FIXED["b_one"],
+        "b_one": 0,
         "classes": {label: [_coord_out(c) for c in coords] for label, coords in lat.named},
-        "model": _FIXED["model"],
+        "model": "partial",
     }
 
 
-_KEYS = ("name", "rank", "gram", "b_plus", "b_one", "classes", "model")
+# b1 = 0 and the partial model are structure; the file keeps their keys
+_LATTICE = ("a lattice", {"name": str, "rank": int, "gram": list, "b_plus": int, "b_one": 0,
+                          "classes": dict, "model": "partial"}, ())
 
 
 def lattice_from_json(data: dict) -> Lattice:
-    """The lattice ``lattice_to_json`` wrote; a key it does not write, a
-    ``name`` that is not a str, a ``rank`` that is not an int, or a ``b_one``
-    or ``model`` other than the one it writes, is refused."""
-    _only_keys(data, _KEYS, "a lattice")
-    for key, value in _FIXED.items():
-        if type(data[key]) is not type(value) or data[key] != value:
-            raise LatticeError(f"field {key!r} must be {value!r}, got {data[key]!r}")
-    for key, typ in (("name", str), ("rank", int)):
-        if type(data[key]) is not typ:
-            raise LatticeError(f"field {key!r} must be of type {typ.__name__}, got {data[key]!r}")
+    """The lattice ``lattice_to_json`` wrote; a malformed shape is refused
+    (``_read``), and so is a ``rank`` that is not the Gram matrix's size."""
+    _read(data, _LATTICE, "lattice", LatticeError)
     if len(data["gram"]) != data["rank"]:
         raise LatticeError("rank field does not match Gram matrix size")
-    if not isinstance(data["classes"], dict):
-        raise LatticeError("classes field must map labels to coordinates")
     return Lattice(
         name=data["name"],
         gram=data["gram"],

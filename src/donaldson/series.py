@@ -35,8 +35,9 @@ from .lattice import (
     MarkedSurface,
     LatticeMismatch,
     _coord_out,
+    _NUMBER,
     _exact,
-    _only_keys,
+    _read,
     d_zero,
     d_zero_value,
     is_allowable,
@@ -413,16 +414,13 @@ def series_to_json(series: DonaldsonSeries) -> dict:
     }
 
 
+_SERIES_ENTRY = ("a series entry", {"k": list, "a": _NUMBER}, ())
+
+
 def series_from_json(data: dict, lattice: Lattice) -> DonaldsonSeries:
-    """The series ``series_to_json`` wrote; a key it does not write is refused."""
-    _only_keys(data, ("lattice", "entries", "simple_type"), "a series", SeriesError)
-    if data["lattice"] != lattice.name:
-        raise SeriesError(
-            f"series references lattice {data['lattice']!r}, got {lattice.name!r}"
-        )
-    if data["simple_type"] is not True:
-        raise SeriesError(f"simple_type must be true, got {data['simple_type']!r}")
-    for e in data["entries"]:
-        _only_keys(e, ("k", "a"), "a series entry", SeriesError)
+    """The series ``series_to_json`` wrote on ``lattice``; a malformed shape,
+    or one naming another lattice, is refused (``_read``)."""
+    fields = {"lattice": lattice.name, "entries": [_SERIES_ENTRY], "simple_type": True}
+    _read(data, ("a series", fields, ()), "series", SeriesError)
     pairs = [(HClass(lattice, e["k"]), e["a"]) for e in data["entries"]]
     return DonaldsonSeries.on(lattice, pairs)

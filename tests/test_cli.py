@@ -164,12 +164,12 @@ def test_eval_glued_file_with_bad_index(tmp_path, capsys):
 @pytest.mark.parametrize(
     "edit, field",
     [
-        (lambda p: {**p, "pairs": 5}, "'pairs'"),
+        (lambda p: {**p, "pairs": 5}, "pairs must be a list"),
         (lambda p: {**p, "pairs": [5]}, "pair 5"),
-        (lambda p: {**p, "left": 5}, "'left'"),
+        (lambda p: {**p, "left": 5}, "left must be a str"),
         (lambda p: {**p, "pairs": [p["pairs"][0][:3] + [[1]]]}, "coefficient"),
         (lambda p: [p], "JSON object"),
-        (lambda p: {**p, "w_sq": None}, "'w_sq'"),
+        (lambda p: {**p, "w_sq": None}, "w_sq must be an int"),
     ],
     ids=["pairs-int", "pair-int", "left-int", "coefficient-list", "top-level-list", "w_sq-null"],
 )

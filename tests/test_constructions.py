@@ -377,7 +377,7 @@ def test_entry_json_round_trip():
 def test_entry_from_json_requires_note():
     data = json.loads(entry_json_bytes(catalog("K3")).decode())
     del data["note"]
-    with pytest.raises(KeyError, match="note"):
+    with pytest.raises(ConstructionError, match="field 'note' is missing"):
         entry_from_json(data)
 
 
@@ -418,7 +418,7 @@ def test_entry_from_json_refuses_a_key_it_does_not_write(where):
 def test_entry_from_json_refuses_a_surface_label_that_is_not_a_str(label):
     data = json.loads(entry_json_bytes(catalog("B2")).decode())
     data["surfaces"][1]["label"] = label
-    with pytest.raises(ConstructionError, match="surface label must be a str"):
+    with pytest.raises(ConstructionError, match=r"^surfaces\[1\]\.label must be a str"):
         entry_from_json(data)
 
 

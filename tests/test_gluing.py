@@ -10,7 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from donaldson import gluing, lattice
 from donaldson.cli import run
-from donaldson.constructions import blow_up, catalog
+from donaldson.constructions import (
+    CatalogMismatch,
+    MalformedCatalogFile,
+    blow_up,
+    catalog,
+    entry_json_bytes,
+)
 from donaldson.exppoly import ExpPolynomial
 from donaldson.gaussian import GaussianRational, frac_token
 from donaldson.gluing import (
@@ -274,6 +280,21 @@ def test_swap_symmetry():
     assert sorted((k, j, sec, c) for j, k, sec, c in direct.entries) == sorted(
         (j, k, sec, c) for j, k, sec, c in swapped.entries
     )
+    # the swapped gluing evaluated at (D2, D1) is the gluing at (D1, D2)
+    for left, right, d1, d2 in [
+        ("B3", "B3", "T1", "T1"),
+        ("dia2:1:3", "B3", "T", "T1"),
+        ("dia2:2:3", "dia2:1:3", "T", "T"),
+        ("K3", "S4", "sigma", "sigma"),  # the torus rule
+        ("B4", "B4", "E1", "T1"),
+    ]:
+        spec = GluingSpec(catalog(left), catalog(right))
+        rule = glue_torus if spec.genus == 1 else glue
+        c1, c2 = spec.left.lattice.cls(d1), spec.right.lattice.cls(d2)
+        swapped = spec.swapped()
+        assert eval_glued(rule(swapped), swapped.split_class(c2, c1)) == eval_glued(
+            rule(spec), spec.split_class(c1, c2)
+        ), (left, right)
 
 
 @pytest.mark.parametrize("g", (2, 3, 4))
@@ -610,15 +631,35 @@ def test_glued_json_round_trip():
 @pytest.mark.parametrize("key, value", [("g", "banana"), ("w1_sq", [1]), ("w2_sq", None)])
 def test_glued_from_json_type_checks_the_genus_and_w_squares(key, value):
     payload = dict(glued_to_json(glue(bg_double(2))), **{key: value})
-    with pytest.raises(GluingError, match=f"field '{key}' must be of type int"):
+    with pytest.raises(GluingError, match=f"^{key} must be an int"):
         glued_from_json(payload)
 
 
 def test_glued_from_json_requires_kind():
     payload = glued_to_json(glue(bg_double(3)))
     del payload["kind"]
-    with pytest.raises(KeyError, match="kind"):
+    with pytest.raises(GluingError, match="field 'kind' is missing"):
         glued_from_json(payload)
+
+
+def test_glued_from_json_names_an_unknown_side_and_passes_a_stored_file_error(
+    tmp_path, monkeypatch
+):
+    payload = glued_to_json(glue(bg_double(2)))
+    for key in ("left", "right"):
+        with pytest.raises(GluingError, match=f"^field '{key}': unknown catalog name"):
+            glued_from_json(dict(payload, **{key: "nowhere"}))
+    # a stored catalog file that fails is the catalog's error, not the glued file's
+    changed = entry_json_bytes(catalog("B2")).replace(b'"note": "', b'"note": "x')
+    monkeypatch.setenv("DONALDSON_CATALOG_DIR", str(tmp_path))
+    stored = tmp_path / "B2.json"
+    stored.write_text("{}")
+    with pytest.raises(MalformedCatalogFile):
+        glued_from_json(payload)
+    stored.write_bytes(changed)
+    with pytest.raises(CatalogMismatch) as info:
+        glued_from_json(payload)
+    assert type(info.value) is CatalogMismatch
 
 
 @pytest.mark.parametrize(

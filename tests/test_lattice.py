@@ -194,7 +194,7 @@ def test_lattice_refuses_a_scalar_field_of_the_wrong_type(field, kwargs):
 )
 def test_lattice_from_json_refuses_a_b_one_or_model_it_does_not_write(b2, key, value):
     data = dict(lattice_to_json(b2.lattice), **{key: value})
-    with pytest.raises(LatticeError, match=f"field '{key}' must be"):
+    with pytest.raises(LatticeError, match=f"^lattice.{key} must be"):
         lattice_from_json(data)
 
 
@@ -205,7 +205,7 @@ def test_lattice_from_json_refuses_a_b_one_or_model_it_does_not_write(b2, key, v
 def test_lattice_from_json_refuses_a_name_or_rank_of_the_wrong_type(b2, key, value):
     # a bool is refused too: True == 1 would pass an equality test
     data = dict(lattice_to_json(b2.lattice), **{key: value})
-    with pytest.raises(LatticeError, match=f"field '{key}' must be of type"):
+    with pytest.raises(LatticeError, match=f"^lattice.{key} must be an? (str|int), got"):
         lattice_from_json(data)
 
 
@@ -213,7 +213,7 @@ def test_lattice_from_json_refuses_a_missing_b_one_or_model(b2):
     for key in ("b_one", "model"):
         data = lattice_to_json(b2.lattice)
         del data[key]
-        with pytest.raises(KeyError, match=key):
+        with pytest.raises(LatticeError, match=f"field '{key}' is missing from a lattice"):
             lattice_from_json(data)
 
 

@@ -518,7 +518,7 @@ def test_series_from_json_rejects_float_coefficient(b2):
 def test_series_from_json_requires_simple_type(b2):
     data = series_to_json(b2.series)
     del data["simple_type"]
-    with pytest.raises(KeyError, match="simple_type"):
+    with pytest.raises(SeriesError, match="field 'simple_type' is missing"):
         series_from_json(data, b2.lattice)
 
 
@@ -544,5 +544,8 @@ def test_series_from_json_refuses_a_bool_number(b2, field):
     data = series_to_json(b2.series)
     entry = next(e for e in data["entries"] if 1 in e["k"])
     entry[field] = [True if c == 1 else c for c in entry["k"]] if field == "k" else True
-    with pytest.raises(LatticeError, match="a bool is not a number"):
+    # a coefficient is a number token by its shape; a coordinate, by _exact
+    error, message = (LatticeError, "a bool is not a number") if field == "k" else (
+        SeriesError, r"^series\.entries\[\d+\]\.a must be an int or a float or a str, got True")
+    with pytest.raises(error, match=message):
         series_from_json(data, b2.lattice)
