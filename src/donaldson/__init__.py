@@ -4,8 +4,8 @@ The package models series of basic classes on partial intersection lattices,
 implements the two-sector surface calculus with exact Gaussian-rational
 scalars, glues series pairwise along genus-g square-zero odd surfaces, and
 re-derives the universal diagonal pairing matrix from reference gluings as a
-self-consistency check.  All arithmetic is exact; there is no floating point
-outside of display helpers.
+self-consistency check.  All arithmetic is exact; there is no floating
+point.
 
 Each public name is written once, in ``_EXPORTS`` under the module that
 defines it; that module is imported the first time the name is read

@@ -4,8 +4,7 @@ Exit codes: 0 success, 1 a stated identity broke during verification,
 2 usage error, which includes a file that cannot be read or written.  A
 stdout closed by its reader ends a command with 0, since a command prints
 only after its work and its checks succeeded.  All rationals in the JSON
-output are exact strings; pass --float to append floating-point renderings
-for display.
+output are exact strings.
 
 The gluing and fit modules are imported inside the commands that use them:
 glue, eval and conjecture load gluing, fit loads fit alone, and catalog,
@@ -25,9 +24,7 @@ from .constructions import (
     catalog,
     catalog_names,
     entry_json_bytes,
-    entry_to_json,
 )
-from .exppoly import ExpPolynomial
 from .lattice import HClass
 from .series import (
     check_adjunction,
@@ -75,37 +72,20 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="donaldson",
         description="Exact calculator for Donaldson series and their gluing laws",
     )
-    # display flags accepted both before and after the subcommand; SUPPRESS
-    # keeps the subparser from clobbering a value given up front
-    common = argparse.ArgumentParser(add_help=False)
-    for flags in (parser, common):
-        defaults = {} if flags is parser else {"default": argparse.SUPPRESS}
-        flags.add_argument(
-            "--table", action="store_true", help="plain table output", **defaults
-        )
-        flags.add_argument(
-            "--float",
-            action="store_true",
-            help="append float renderings for display",
-            **defaults,
-        )
     sub = parser.add_subparsers(required=True)
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
-
-    p = add_parser("catalog", help="list or show catalog entries")
+    p = sub.add_parser("catalog", help="list or show catalog entries")
     p.add_argument("action", choices=["list", "show"])
     p.add_argument("name", nargs="?")
     p.set_defaults(func=_cmd_catalog)
 
-    p = add_parser(
+    p = sub.add_parser(
         "build", help="build an entry from a recipe: elliptic:n | bg:g | dia2:g':g | cg:g"
     )
     p.add_argument("recipe")
     p.set_defaults(func=_cmd_build)
 
-    p = add_parser("glue", help="glue two catalog entries along their surfaces")
+    p = sub.add_parser("glue", help="glue two catalog entries along their surfaces")
     p.add_argument("--left", required=True, help="catalog name or recipe")
     p.add_argument("--right", required=True, help="catalog name or recipe")
     p.add_argument("--g", type=int, required=True, help="genus of the gluing surfaces")
@@ -114,28 +94,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write the glued JSON to a file")
     p.set_defaults(func=_cmd_glue)
 
-    p = add_parser("eval", help="evaluate a glued series on a split class")
+    p = sub.add_parser("eval", help="evaluate a glued series on a split class")
     p.add_argument("--glued", required=True, help="JSON file from the glue command")
     p.add_argument("--d1", required=True, help="left class label or coords a,b,...")
     p.add_argument("--d2", required=True, help="right class label or coords")
     p.add_argument("--expand-order", type=int, default=None)
     p.set_defaults(func=_cmd_eval)
 
-    p = add_parser("check", help="run the identity suites on an entry")
+    p = sub.add_parser("check", help="run the identity suites on an entry")
     p.add_argument("--entry", required=True)
     p.set_defaults(func=_cmd_check)
 
-    p = add_parser("fit", help="fit the universal diagonal pairing entries")
+    p = sub.add_parser("fit", help="fit the universal diagonal pairing entries")
     p.add_argument("--g", type=int, required=True, help="surface genus")
-    p.add_argument(
-        "--references",
-        nargs="*",
-        default=None,
-        help="vanishing-double recipes to fit against, instead of dia2:g':g for g' < g",
-    )
     p.set_defaults(func=_cmd_fit)
 
-    p = add_parser(
+    p = sub.add_parser(
         "conjecture", help="EXPERIMENTAL stabilized gluing rule on two entries"
     )
     p.add_argument("--left", required=True, help="stabilized entry: name or recipe")
@@ -159,43 +133,28 @@ def _print(text: str, end: str = "\n") -> None:
         raise _StdoutClosed from exc
 
 
-def _emit(args, payload: dict) -> None:
-    if getattr(args, "table", False):
-        for key, value in payload.items():
-            _print(f"{key}: {value}")
-    else:
-        _print(json.dumps(payload, indent=2))
+def _emit(payload: dict) -> None:
+    _print(json.dumps(payload, indent=2))
 
 
-def _floats(poly: ExpPolynomial) -> list[str]:
-    return [
-        f"({complex(float(c.re), float(c.im)):.6g}) exp(({complex(float(l.re), float(l.im)):.6g}) t)"
-        for l, c in poly.terms
-    ]
-
-
-def _emit_entry(args, ref: str) -> None:
+def _emit_entry(ref: str) -> None:
     """An entry's JSON is its cached catalog bytes, the ones a lookup checks."""
-    entry = catalog(ref)
-    if getattr(args, "table", False):
-        _emit(args, entry_to_json(entry))
-    else:
-        _print(entry_json_bytes(entry).decode(), end="")
+    _print(entry_json_bytes(catalog(ref)).decode(), end="")
 
 
 def _cmd_catalog(args) -> int:
     if args.action == "list":
-        _emit(args, {"entries": catalog_names()})
+        _emit({"entries": catalog_names()})
         return 0
     if not args.name:
         print("error: catalog show needs a name", file=sys.stderr)
         return 2
-    _emit_entry(args, args.name)
+    _emit_entry(args.name)
     return 0
 
 
 def _cmd_build(args) -> int:
-    _emit_entry(args, args.recipe)
+    _emit_entry(args.recipe)
     return 0
 
 
@@ -215,17 +174,13 @@ def _cmd_glue(args) -> int:
 
     spec = _make_spec(args.left, args.right, args.g, args.w_sq)
     gs = glue_torus(spec) if args.torus else glue(spec)
-    payload = glued_to_json(gs)
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(glued_to_json(gs), indent=2)
     # the file is written before anything is printed, so a bad --out
     # leaves stdout empty
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
-    if getattr(args, "table", False):
-        _emit(args, payload)
-    else:
-        _print(text)
+    _print(text)
     return 0
 
 
@@ -259,11 +214,9 @@ def _cmd_eval(args) -> int:
         payload["expansion"] = [
             c.to_token() for c in poly.expand(args.expand_order)
         ]
-    if args.float:
-        payload["float_terms"] = _floats(poly)
     if gs.experimental:
         payload["experimental"] = True
-    _emit(args, payload)
+    _emit(payload)
     return 0
 
 
@@ -311,7 +264,7 @@ def _cmd_check(args) -> int:
     else:
         results["relation_poly"] = "skipped (genus 1 surface)"
 
-    _emit(args, {"entry": entry.name, "checks": results})
+    _emit({"entry": entry.name, "checks": results})
     return 0
 
 
@@ -331,15 +284,11 @@ def _cmd_fit(args) -> int:
         cg.series, cg.w_class("Shat2"), cg.surface("Sigma_g"), cg.lattice.cls("Shat2")
     )
     triples = [(bc_side, bc_side, bc_glued)]
-    refs = args.references
-    if refs is None:
-        refs = [f"dia2:{gp}:{g}" for gp in range(1, g)]
-    for ref in refs:
-        side = catalog(ref)
-        s_ref = side.surface()
-        if s_ref.genus != g:
-            raise FitError(f"reference {ref} has genus {s_ref.genus}, not {g}")
-        bc = basis_coordinates(side.series, side.w_class(), s_ref, side.lattice.cls("T"))
+    for gp in range(1, g):
+        side = catalog(f"dia2:{gp}:{g}")
+        bc = basis_coordinates(
+            side.series, side.w_class(), side.surface(), side.lattice.cls("T")
+        )
         triples.append((bc, bc, zero_coordinates(g)))
     fitted = fit_diagonal(triples)
     payload = {
@@ -349,7 +298,7 @@ def _cmd_fit(args) -> int:
             for alpha in sorted(fitted)
         ],
     }
-    _emit(args, payload)
+    _emit(payload)
     return 0
 
 
@@ -357,7 +306,7 @@ def _cmd_conjecture(args) -> int:
     from .gluing import glue_conjectural, glued_to_json
 
     spec = _make_spec(args.left, args.right, args.g, args.w_sq)
-    _emit(args, glued_to_json(glue_conjectural(spec)))
+    _emit(glued_to_json(glue_conjectural(spec)))
     return 0
 
 

@@ -35,13 +35,17 @@ def _exact(x) -> int | Fraction:
 
     Every exact number the package stores passes through here.  A float is
     refused unless it is integral: its binary value is not the number that
-    was written (0.1 would become 3602879701896397/2^55).  A zero denominator
-    ('1/0'), or what is no number (null, a list, 'x'), is a ``LatticeError``.
+    was written (0.1 would become 3602879701896397/2^55).  Exponent notation
+    is refused, since '1e10000000' would build a ten-million-digit int.  A
+    zero denominator ('1/0'), or what is no number (null, a list, 'x'), is a
+    ``LatticeError``.
     """
     if type(x) is int:
         return x
     if type(x) is Fraction:
         return x.numerator if x.denominator == 1 else x
+    if isinstance(x, str) and ("e" in x or "E" in x):
+        raise LatticeError(f"exponent notation {x!r}; give an int or a 'p/q' string")
     if type(x) is bool:
         raise LatticeError(f"a bool is not a number: {x!r}")
     if isinstance(x, float) and not x.is_integer():

@@ -1,7 +1,9 @@
 """Every number entry point stores through one rule: an int when integral, a
-Fraction otherwise, and a non-integral float is refused."""
+Fraction otherwise, and a non-integral float or exponent notation is refused."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -55,3 +57,30 @@ def test_integral_float_and_fraction_are_read_as_ints(read):
     for x in (2.0, Fraction(2), 2):
         value = read(x)
         assert type(value) is int and value == 2
+
+
+@pytest.mark.parametrize("token", ["1e5", "1e10000000"])
+@pytest.mark.parametrize("read", ENTRY_POINTS)
+def test_exponent_notation_is_refused(read, token):
+    # refused before Fraction reads it: "1e10000000" would build a
+    # ten-million-digit int
+    with pytest.raises(LatticeError, match=f"exponent notation '{token}'"):
+        read(token)
+
+
+def test_the_package_makes_no_float():
+    # a float may be read (and refused unless integral), never made: no
+    # float(...) or complex(...) call and no float or complex literal
+    src = Path(__file__).resolve().parent.parent / "src" / "donaldson"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            call = (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("float", "complex")
+            )
+            literal = isinstance(node, ast.Constant) and type(node.value) in (float, complex)
+            if call or literal:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -297,6 +297,28 @@ def test_swap_symmetry():
         ), (left, right)
 
 
+@pytest.mark.parametrize("r", [1, 2, Fraction(1, 3), Fraction(-5, 2)])
+@pytest.mark.parametrize(
+    "name, rule, label", [("K3", glue_torus, "sigma"), ("B3", glue, "T1"), ("B4", glue, "T1")]
+)
+def test_blow_up_commutes_with_gluing(name, rule, label, r):
+    # blowing up the left side adds E with E.S1 = 0, E.w1 = 0 and E^2 = -1, so
+    # at (D1 + rE, D2) the evaluation gains the factor (e^{rt} + e^{-rt}) / 2
+    # and D^2 drops by r^2
+    x = catalog(name)
+    hat = blow_up(x)
+    (e_label,) = set(hat.lattice.labels()) - set(x.lattice.labels())
+    spec, hat_spec = GluingSpec(x, x), GluingSpec(hat, x)
+    d1, d2 = x.lattice.cls(label), x.lattice.cls(label)
+    base = eval_glued(rule(spec), spec.split_class(d1, d2))
+    d1_hat = hat.lattice.cls(label) + r * hat.lattice.cls(e_label)
+    got = eval_glued(rule(hat_spec), hat_spec.split_class(d1_hat, d2))
+    half = Fraction(1, 2)
+    factor = ExpPolynomial("none", ((r, half), (-r, half)))
+    assert not base.is_zero
+    assert got == ExpPolynomial(base.marker, base.terms, base.q_square - r * r) * factor
+
+
 @pytest.mark.parametrize("g", (2, 3, 4))
 def test_epsilon_scaling(g):
     normalized = glue(bg_double(g))
@@ -668,7 +690,7 @@ def test_glued_from_json_names_an_unknown_side_and_passes_a_stored_file_error(
         (0, 4), (0, 99), (0, -1), (0, 0.0), (0, True),
         (1, 4), (1, -1), (1, "0"),
         (2, "x"), (2, 1), (2, ["+"]),
-        (3, "1/0"), (3, "abc"), (3, 0.5),
+        (3, "1/0"), (3, "abc"), (3, 0.5), (3, "1e5"),
     ],
 )
 def test_glued_from_json_rejects_bad_pair_rows(column, value):

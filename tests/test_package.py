@@ -82,16 +82,16 @@ def test_import_loads_no_submodule_and_modules_still_resolve():
     assert done.stdout.split() == ["[]", "[]", "ok"]
 
 
-_DISPLAY = ["--float", "--help", "--table", "-h"]
+_HELP = ["--help", "-h"]
 OPTIONS = {
-    None: _DISPLAY,
-    "catalog": _DISPLAY,
-    "build": _DISPLAY,
-    "glue": sorted(_DISPLAY + ["--g", "--left", "--out", "--right", "--torus", "--w-sq"]),
-    "eval": sorted(_DISPLAY + ["--d1", "--d2", "--expand-order", "--glued"]),
-    "check": sorted(_DISPLAY + ["--entry"]),
-    "fit": sorted(_DISPLAY + ["--g", "--references"]),
-    "conjecture": sorted(_DISPLAY + ["--g", "--left", "--right", "--w-sq"]),
+    None: _HELP,
+    "catalog": _HELP,
+    "build": _HELP,
+    "glue": sorted(_HELP + ["--g", "--left", "--out", "--right", "--torus", "--w-sq"]),
+    "eval": sorted(_HELP + ["--d1", "--d2", "--expand-order", "--glued"]),
+    "check": sorted(_HELP + ["--entry"]),
+    "fit": sorted(_HELP + ["--g"]),
+    "conjecture": sorted(_HELP + ["--g", "--left", "--right", "--w-sq"]),
 }
 
 
