@@ -274,6 +274,9 @@ def _cmd_fit(args) -> int:
     g = args.g
     if g < 2:
         raise FitError("fit needs --g >= 2")
+    # every entry is resolved before any coordinate is computed, the largest,
+    # dia2:{g-1}:{g}, first: a genus over the size limit is refused up front
+    doubles = [catalog(f"dia2:{gp}:{g}") for gp in range(g - 1, 0, -1)][::-1]
     bg = catalog(f"bg:{g}")
     cg = catalog(f"cg:{g}")
     w = bg.w_class("T1")
@@ -284,8 +287,7 @@ def _cmd_fit(args) -> int:
         cg.series, cg.w_class("Shat2"), cg.surface("Sigma_g"), cg.lattice.cls("Shat2")
     )
     triples = [(bc_side, bc_side, bc_glued)]
-    for gp in range(1, g):
-        side = catalog(f"dia2:{gp}:{g}")
+    for side in doubles:
         bc = basis_coordinates(
             side.series, side.w_class(), side.surface(), side.lattice.cls("T")
         )

@@ -24,8 +24,8 @@ level; row j of a split is series entry j, so glued indices address both.
 A rule's coefficients are products scale * a_j * b_k of a few distinct
 values, repeated over many entries, so neither gluing nor evaluation does
 rational arithmetic per entry: ``_glued`` forms one product per distinct
-value, and ``_int_form``, the one int view of the entries, groups them by
-parent pair for ``eval_glued`` and ``coefficient_match``.
+value, and ``_int_form``, the int pair index that the repeat check builds,
+serves ``eval_glued`` and ``coefficient_match``; entries keep their order.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 
 from .constructions import CatalogEntry, catalog
@@ -183,6 +182,8 @@ class GluedSeries:
     spec: GluingSpec
     kind: str  # a key of _SECTORS_OF_KIND
     entries: tuple[tuple[int, int, int, Fraction], ...]
+    # (L, {(j, k): {sector: c * L}}), L the lcm of the denominators: built with the repeat check
+    _int_form: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if type(self.kind) is not str or self.kind not in _SECTORS_OF_KIND:
@@ -201,12 +202,15 @@ class GluedSeries:
                 if s not in sectors:
                     raise GluingError(f"{name}: a {self.kind} gluing has no sector {s!r}")
                 raise GluingError(f"{name}: the coefficient must be an int or a Fraction")
-        entries = tuple(sorted(self.entries, key=lambda e: (-e[2], e[0], e[1])))
-        # sorted by (sector, left, right), a repeated triple is adjacent
-        for (j, k, sector, _), nxt in zip(entries, entries[1:]):
-            if nxt[0] == j and nxt[1] == k and nxt[2] == sector:
+        den = lcm(*{c.denominator for _, _, _, c in self.entries})
+        pairs: dict[tuple[int, int], dict[int, int]] = {}
+        for j, k, sector, c in self.entries:
+            row = pairs.setdefault((j, k), {})
+            if sector in row:
                 raise GluingError(f"pair [{j}, {k}, {_SECTOR_CODE[sector]!r}] is repeated")
-        object.__setattr__(self, "entries", entries)
+            row[sector] = c.numerator * (den // c.denominator)
+        object.__setattr__(self, "entries", tuple(self.entries))
+        object.__setattr__(self, "_int_form", (den, pairs))
 
     @property
     def is_empty(self) -> bool:
@@ -222,18 +226,6 @@ class GluedSeries:
 
     def right_class(self, k: int) -> HClass:
         return self.spec.right.series.entries[k][0]
-
-    @cached_property
-    def _int_form(self) -> tuple[int, dict[tuple[int, int], list[tuple[int, int]]]]:
-        """(L, {(j, k): [(sector, c * L), ...]}): L is the lcm of the
-        coefficients' denominators, and each parent pair lists its entries'
-        sectors and coefficients c as the ints c * L.  The one derived form
-        of ``entries``, so a ``dataclasses.replace`` copy derives its own."""
-        den = lcm(*{c.denominator for _, _, _, c in self.entries})
-        pairs: dict[tuple[int, int], list[tuple[int, int]]] = defaultdict(list)
-        for j, k, sector, c in self.entries:
-            pairs[j, k].append((sector, c.numerator * (den // c.denominator)))
-        return den, dict(pairs)
 
 
 MAX_GLUED_ENTRIES = 2**20
@@ -281,7 +273,7 @@ def glue(spec: GluingSpec) -> GluedSeries:
 def glue_torus(spec: GluingSpec) -> GluedSeries:
     """Genus-1 gluing: every pair contributes three sectors.
 
-    Coefficients -1/4, -1/4, -1/2 on the +, -, 0 sectors; requires all
+    Coefficients -1/4, -1/2, -1/4 on the +, 0, - sectors; requires all
     basic classes to pair to zero with the tori.
     """
     if spec.genus != 1:
@@ -291,7 +283,7 @@ def glue_torus(spec: GluingSpec) -> GluedSeries:
         raise GluingError(f"torus rule needs K.S = 0 for all classes, got {bad[0]}")
     quarter = Fraction(-1, 4) * spec.epsilon
     half = Fraction(-1, 2) * spec.epsilon
-    return _glued(spec, "torus", ((+1, quarter, 0), (-1, quarter, 0), (0, half, 0)))
+    return _glued(spec, "torus", ((+1, quarter, 0), (0, half, 0), (-1, quarter, 0)))
 
 
 def glue_conjectural(spec: GluingSpec) -> GluedSeries:
@@ -328,7 +320,7 @@ def eval_glued(gs: GluedSeries, d: SplitClass) -> ExpPolynomial:
     sums: dict[int, int] = defaultdict(int)
     for (j, k), row in pairs.items():
         lam = u[j] + v[k]
-        for sector, c in row:
+        for sector, c in row.items():
             sums[lam + sector * shift] += c
     terms = tuple((Fraction(e, m), Fraction(c, den)) for e, c in sums.items())
     return ExpPolynomial("+Q/2", terms, d.square)
@@ -376,7 +368,7 @@ def coefficient_match(
     (_, lvl_k, a), (_, lvl_l, b) = spec._splits[0].rows[j], spec._splits[1].rows[k]
     c, d = left.entries[j][1], right.entries[k][1]
     den, pairs = gs._int_form
-    grouped = Fraction(sum(n for _, n in pairs[j, k]), den) if (j, k) in pairs else _ZERO
+    grouped = Fraction(sum(pairs[j, k].values()), den) if (j, k) in pairs else _ZERO
     if grouped and (a == c) != (b == d):
         grouped = -grouped  # untwist: the twist multiplied a_j and b_k by +-1
     # most pairs miss on their levels, and only the others read the genus

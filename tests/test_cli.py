@@ -367,6 +367,19 @@ def test_fit_refuses_a_genus_below_two_naming_the_flag(capsys, g):
     assert capsys.readouterr() == ("", "error: fit needs --g >= 2\n")
 
 
+def test_fit_refuses_a_genus_over_the_size_limit_before_any_coordinate(capsys, monkeypatch):
+    # dia2:10:11 is the largest entry fit --g 11 reads, and it is resolved first
+    import donaldson.fit
+
+    def computed(*args):
+        raise AssertionError("a coordinate was computed")
+
+    monkeypatch.setattr(donaldson.fit, "basis_coordinates", computed)
+    assert run(["fit", "--g", "11"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "'dia2:10:11'" in err and "over the limit" in err
+
+
 def test_fit_command_does_not_load_the_gluing_module():
     script = (
         "import contextlib, io, sys\n"

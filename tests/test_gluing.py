@@ -210,15 +210,17 @@ def test_split_class_square():
     assert d.square == -1
 
 
-def test_glued_series_sorts_and_evaluates_the_entries_it_is_given():
+def test_glued_series_keeps_and_evaluates_the_entries_it_is_given():
     spec = bg_double(3)
     gs = glue(spec)
-    assert GluedSeries(spec, gs.kind, tuple(reversed(gs.entries))).entries == gs.entries
+    reordered = tuple(reversed(gs.entries))
+    assert GluedSeries(spec, gs.kind, list(reordered)).entries == reordered
     lat = spec.left.lattice
     d = spec.split_class(lat.cls("T1"), lat.cls("T1"))
-    # evaluated first, the original caches its integer form before any copy
-    # is made; a copy must evaluate its own entries
+    # the original holds its integer index before any copy is made; a copy
+    # must build and evaluate its own
     before = eval_glued(gs, d)
+    assert eval_glued(GluedSeries(spec, gs.kind, reordered), d) == before
     (j, k, sector, c), rest = gs.entries[0], gs.entries[1:]
     lam = gs.left_class(j).dot(d.d1) + gs.right_class(k).dot(d.d2) + 2 * sector * d.sigma_pairing
     for delta in (1, Fraction(1, 3)):
@@ -648,6 +650,20 @@ def test_glued_json_round_trip():
     rebuilt = glued_from_json(json.loads(json.dumps(payload)))
     assert glued_to_json(rebuilt) == payload
     assert rebuilt.entries == gs.entries
+
+
+def test_a_glued_file_reloads_its_pairs_in_the_written_order():
+    # the pairs of a file in the rule's order, and the same pairs shuffled by hand
+    s4 = catalog("S4")
+    canonical = json.loads(json.dumps(glued_to_json(glue_torus(GluingSpec(s4, s4)))))
+    pairs = canonical["pairs"]
+    assert len(pairs) > 2
+    payload = dict(canonical, pairs=pairs[1::2] + pairs[::2])
+    rebuilt = glued_from_json(payload)
+    assert glued_to_json(rebuilt) == payload
+    d = rebuilt.spec.split_class(s4.lattice.cls("sigma"), s4.lattice.cls("sigma"))
+    expected = eval_glued(glued_from_json(canonical), d)
+    assert not expected.is_zero and eval_glued(rebuilt, d) == expected
 
 
 @pytest.mark.parametrize("key, value", [("g", "banana"), ("w1_sq", [1]), ("w2_sq", None)])

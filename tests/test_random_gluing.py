@@ -11,6 +11,10 @@ glued entries need a common denominator that none of them has alone.
 Genus g >= 2 glues by the standard rule and by the conjectural one, whose
 evaluation has no surface shift; genus 1, where every level is 0, by the
 torus rule.
+
+On the same sides, two checks that need no reference: blowing up the left
+side commutes with every rule, and a rule emits its entries already in
+(sector +, 0, -; left; right) order, which a glued series keeps as given.
 """
 
 from collections import defaultdict
@@ -18,9 +22,11 @@ from fractions import Fraction
 
 from hypothesis import example, given, strategies as st
 
-from donaldson.constructions import CatalogEntry
+from donaldson.constructions import CatalogEntry, blow_up
 from donaldson.exppoly import ExpPolynomial
-from donaldson.gluing import GluingSpec, eval_glued, glue, glue_conjectural, glue_torus, rshift
+from donaldson.gluing import (
+    GluedSeries, GluingSpec, eval_glued, glue, glue_conjectural, glue_torus, rshift
+)
 from donaldson.lattice import HClass, MarkedSurface
 from test_random_series import PROFILE, brute_dot, hyperbolic_plus_minus_ones, series_of, shaped
 
@@ -80,6 +86,29 @@ def brute_glue(spec, g, epsilon, top_scale):
     return out
 
 
+def rules(g):
+    """(rule, scale) per rule of genus g; the scale is ``brute_glue``'s."""
+    if g == 1:
+        return ((glue_torus, None),)
+    return ((glue, 2 ** (7 * g - 9)), (glue_conjectural, Fraction(1, 2 ** (3 * g - 5))))
+
+
+def spec_and_class(case, left=None):
+    """The case's spec and split class D; ``left`` replaces the left side, and
+    D1 takes 0 on each coordinate that ``left`` adds."""
+    g, ((m1, entries1, d1), (m2, entries2, d2)), d_sigma, w_square, _ = case
+    x1 = entry_of("X1", m1, entries1, g)
+    if left is not None:
+        x1 = left(x1)
+    spec = GluingSpec(x1, entry_of("X2", m2, entries2, g), w_square=w_square)
+    # D.S is D's f-coordinate on each side
+    pad = (0,) * (spec.left.lattice.rank - 2 - m1)
+    return spec, spec.split_class(
+        HClass(spec.left.lattice, (d1[0], d_sigma) + d1[2:] + pad),
+        HClass(spec.right.lattice, (d2[0], d_sigma) + d2[2:]),
+    )
+
+
 def per_entry_eval(gs, d):
     """One Fraction add per entry into a dict keyed by the exponent."""
     k_d1 = {j: gs.left_class(j).dot(d.d1) for j in {e[0] for e in gs.entries}}
@@ -110,23 +139,50 @@ HALVES_OVER_4_AND_5 = (
 @given(sides())
 @example(HALVES_OVER_4_AND_5)
 def test_random_gluings_match_the_per_pair_and_per_entry_references(case):
-    g, ((m1, left, d1), (m2, right, d2)), d_sigma, w_square, r = case
-    spec = GluingSpec(entry_of("X1", m1, left, g), entry_of("X2", m2, right, g), w_square=w_square)
+    g, _, _, w_square, r = case
+    spec, d = spec_and_class(case)
     epsilon = -1 if (g - 1) * (w_square // 2) % 2 else 1
     assert spec.epsilon == epsilon
-    if g == 1:
-        rules = ((glue_torus, None),)
-    else:
-        rules = ((glue, 2 ** (7 * g - 9)), (glue_conjectural, Fraction(1, 2 ** (3 * g - 5))))
-    # D.S is D's f-coordinate on each side
-    d = spec.split_class(
-        HClass(spec.left.lattice, (d1[0], d_sigma) + d1[2:]),
-        HClass(spec.right.lattice, (d2[0], d_sigma) + d2[2:]),
-    )
-    for rule, scale in rules:
+    for rule, scale in rules(g):
         gs = rule(spec)
         brute = brute_glue(spec, g, epsilon, scale)
         assert len(gs.entries) == len(brute)
         assert {(j, k, s): c for j, k, s, c in gs.entries} == brute
         for probe in (d, rshift(spec, d, r)):
             assert eval_glued(gs, probe) == per_entry_eval(gs, probe)
+
+
+@PROFILE
+@given(sides())
+@example(HALVES_OVER_4_AND_5)
+def test_blowing_up_the_left_side_commutes_with_every_rule(case):
+    # the new E{m+1} has E.S = E.w = 0 and E^2 = -1: at (D1 + rE, D2) the
+    # evaluation gains the factor (e^{rt} + e^{-rt}) / 2 and D^2 drops by r^2
+    g, ((m1, _, _), _), _, _, r = case
+    spec, d = spec_and_class(case)
+    hat_spec, hat_d = spec_and_class(case, left=blow_up)
+    e = hat_spec.left.lattice.cls(f"E{m1 + 1}")
+    assert e.dot(hat_spec.surface1.cls) == e.dot(hat_spec.w1) == 0
+    half = Fraction(1, 2)
+    for s in (r, 2):
+        moved = hat_spec.split_class(hat_d.d1 + s * e, hat_d.d2)
+        factor = ExpPolynomial("none", ((s, half), (-s, half)))
+        for rule, _ in rules(g):
+            base = eval_glued(rule(spec), d)
+            expected = ExpPolynomial(base.marker, base.terms, base.q_square - s * s) * factor
+            assert eval_glued(rule(hat_spec), moved) == expected
+
+
+@PROFILE
+@given(sides())
+@example(HALVES_OVER_4_AND_5)
+def test_rules_emit_sorted_entries_and_a_glued_series_keeps_any_order(case):
+    g = case[0]
+    spec, d = spec_and_class(case)
+    for rule, _ in rules(g):
+        gs = rule(spec)
+        assert list(gs.entries) == sorted(gs.entries, key=lambda e: (-e[2], e[0], e[1]))
+        reordered = tuple(reversed(gs.entries))
+        copy = GluedSeries(spec, gs.kind, reordered)
+        assert copy.entries == reordered
+        assert eval_glued(copy, d) == eval_glued(gs, d)
