@@ -21,10 +21,12 @@ each recipe head to its builder.  The three blow-up builders share one rule,
 ``_blown_up``, which takes the series it blows up: m blow-ups at once turn
 each (K, c) into the 2^m classes K +- E_1 +- ... +- E_m with c / 2^m (the
 simple-type blow-up formula), so B(g) is built in one step from E(g).
-Every recipe builder refuses, before it starts, an entry of more than
-``MAX_CLASSES`` basic classes, and ``elliptic_surface`` and
+Every recipe builder and ``blow_up`` refuse, before they start, an entry of
+more than ``MAX_CLASSES`` basic classes, and ``elliptic_surface`` and
 ``closed_form_cg`` one whose coefficients have more digits than Python
-lets an int be written with (``sys.get_int_max_str_digits()``).
+lets an int be written with (``sys.get_int_max_str_digits()``).  The
+builders do not run ``CatalogEntry.validate``; ``parse_recipe``, which every
+catalog lookup goes through, runs it once on the entry it derives.
 """
 
 from __future__ import annotations
@@ -136,7 +138,8 @@ class CatalogEntry:
 
 MAX_CLASSES = 2**16
 """The most basic classes a recipe may build; ``elliptic_surface``,
-``build_bg`` and ``build_dia2`` refuse a larger entry before building it."""
+``build_bg``, ``build_dia2`` and ``blow_up`` refuse a larger entry before
+building it."""
 
 
 def _check_size(name: str, classes: int, blowups: int = 0) -> None:
@@ -193,7 +196,7 @@ def elliptic_surface(n: int) -> CatalogEntry:
         coeff = Fraction((-1) ** j * comb(n - 2, j), 2 ** (n - 2))
         pairs.append((k * f, coeff))
     series = DonaldsonSeries.on(lattice, pairs)
-    entry = CatalogEntry(
+    return CatalogEntry(
         name=name,
         series=series,
         surfaces=(("F", MarkedSurface(f, genus=1)),),
@@ -202,14 +205,13 @@ def elliptic_surface(n: int) -> CatalogEntry:
         note=f"minimal elliptic surface, geometric genus {n - 1}; "
         "series is the (n-2)-th power of sinh of the fiber",
     )
-    entry.validate()
-    return entry
 
 
 def blow_up(entry: CatalogEntry) -> CatalogEntry:
     """Add an exceptional (-1)-class E; entries become (K+E, c/2), (K-E, c/2)."""
     k = 1 + sum(lab.startswith("E") for lab in entry.lattice.labels())
     name = f"{entry.name}.bl{k}"
+    _check_size(name, len(entry.series.entries), 1)
     series = _blown_up(name, entry.series, 1)
     lattice = series.lattice
     surfaces = tuple(
@@ -281,7 +283,6 @@ def build_bg(g: int) -> CatalogEntry:
         "square-zero genus-g surface section + g*fiber - sum of exceptionals",
     )
     _check_bg(out, g)
-    out.validate()
     return out
 
 
@@ -329,7 +330,7 @@ def build_dia2(g_prime: int, g: int) -> CatalogEntry:
     ]
     if len(attaining) != 1:
         raise ConstructionError(f"{name}: equality class is not unique")
-    out = CatalogEntry(
+    return CatalogEntry(
         name=name,
         series=series,
         surfaces=(("Sigma1", surface),),
@@ -338,8 +339,6 @@ def build_dia2(g_prime: int, g: int) -> CatalogEntry:
         note=f"K3 blown up {blowups} times; genus-{g} square-zero surface "
         f"pairing at most {2 * g_prime - 2} with every basic class",
     )
-    out.validate()
-    return out
 
 
 def closed_form_cg(g: int) -> CatalogEntry:
@@ -378,7 +377,7 @@ def closed_form_cg(g: int) -> CatalogEntry:
         lattice,
         [(k, top), (-k, -((-1) ** g) * top)],
     )
-    out = CatalogEntry(
+    return CatalogEntry(
         name=name,
         series=series,
         surfaces=(
@@ -390,8 +389,6 @@ def closed_form_cg(g: int) -> CatalogEntry:
         note="closed form for the double of B(g) along its genus-g surface; "
         "the twist by the genus-2 surface class gives -2^(3g-5), (-1)^g 2^(3g-5)",
     )
-    out.validate()
-    return out
 
 
 # -- catalog lookup and persistence ---------------------------------------------------
@@ -409,16 +406,19 @@ _RECIPES = {
 def parse_recipe(ref: str) -> CatalogEntry:
     """Resolve a recipe string: elliptic:n | bg:g | dia2:g':g | cg:g.
 
-    Entries are immutable, so repeated lookups share one derivation.
+    The one place the catalog validates a built entry; entries are
+    immutable, so repeated lookups share one derivation and one check.
     """
     head, *args = ref.split(":")
     builder, arity = _RECIPES.get(head.lower(), (None, None))
     if len(args) != arity:
         raise KeyError(f"unknown catalog name or recipe {ref!r}")
     try:
-        return builder(*map(int, args))
+        entry = builder(*map(int, args))
+        entry.validate()
     except ValueError as exc:
         raise ConstructionError(f"bad recipe {ref!r}: {exc}") from exc
+    return entry
 
 
 def catalog_names() -> list[str]:
@@ -441,9 +441,16 @@ def _lookup(ref: str) -> CatalogEntry:
         recipe = f"{family}:{ref[1:]}"
     else:
         recipe = "elliptic:2" if ref == "K3" else ref
-    try:
-        entry = parse_recipe(recipe)
-    except ConstructionError as exc:  # name the ref typed, not the recipe read
+    head, *args = recipe.split(":")
+    try:  # one cache key per spelling: a lower-case head and plain ints
+        key = ":".join([head.lower(), *(str(int(a)) for a in args)])
+    except ValueError:  # no int: parse_recipe refuses it as typed
+        key = recipe
+    try:  # errors name the ref typed, not the key read
+        entry = parse_recipe(key)
+    except KeyError:
+        raise KeyError(f"unknown catalog name or recipe {ref!r}") from None
+    except ConstructionError as exc:
         raise ConstructionError(f"bad recipe {ref!r}: {exc.__cause__}") from exc.__cause__
     if recipe != ref and entry.name != ref:
         raise KeyError(f"unknown catalog name or recipe {ref!r}")

@@ -223,7 +223,11 @@ class ExpPolynomial:
                 terms.append(tuple(map(GaussianRational.from_token, (t["lambda"], t["c"]))))
             except ValueError as exc:
                 raise ExpPolynomialError(f"terms[{i}]: {exc}") from exc
-        return cls(data["marker"], tuple(terms), data.get("q"))
+        try:
+            q = None if data.get("q") is None else _exact(data["q"])
+        except ValueError as exc:
+            raise ExpPolynomialError(f"q: {exc}") from exc
+        return cls(data["marker"], tuple(terms), q)
 
 
 def _mul_marker(a: ExpPolynomial, b: ExpPolynomial) -> tuple[str, int | Fraction | None]:

@@ -262,12 +262,16 @@ def _top_level_rows(spec: GluingSpec, scale: int | Fraction):
     return ((+1, -eps * scale, top), (-1, eps * (-1) ** g * scale, -top))
 
 
+def _standard_rows(spec: GluingSpec):
+    """The standard rule's rows: the scale 2^{7g-9} at the levels +-(2g-2)."""
+    return _top_level_rows(spec, Fraction(2 ** (7 * spec.genus - 9)))
+
+
 def glue(spec: GluingSpec) -> GluedSeries:
     """Pairwise gluing for genus >= 2; only the +-(2g-2) levels survive."""
-    g = spec.genus
-    if g == 1:
+    if spec.genus == 1:
         raise GluingError("genus-1 gluing uses the torus rule: call glue_torus")
-    return _glued(spec, "standard", _top_level_rows(spec, Fraction(2 ** (7 * g - 9))))
+    return _glued(spec, "standard", _standard_rows(spec))
 
 
 def glue_torus(spec: GluingSpec) -> GluedSeries:
@@ -374,7 +378,7 @@ def coefficient_match(
     # most pairs miss on their levels, and only the others read the genus
     if lvl_k != lvl_l or abs(lvl_k) != 2 * spec.genus - 2:
         return grouped, _ZERO
-    _, scale, _ = _top_level_rows(spec, 2 ** (7 * spec.genus - 9))[lvl_k < 0]
+    _, scale, _ = _standard_rows(spec)[lvl_k < 0]
     return grouped, scale * c * d
 
 

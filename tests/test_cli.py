@@ -285,16 +285,6 @@ def test_check_splits_once_per_w(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "name, fake, message",
     [
-        (
-            "check_involution",
-            lambda series: (False, ["K"]),
-            "the sign rule for the class map K -> -K fails at ['K']",
-        ),
-        (
-            "check_adjunction",
-            lambda series, s: (False, []),
-            "adjunction bound violated against Sigma_g",
-        ),
         ("finite_type_order", lambda series, w, s: 2, "point-class order 2, expected 1"),
         (
             "relation_poly",

@@ -30,7 +30,8 @@ from donaldson.constructions import (
     export_catalog,
     parse_recipe,
 )
-from donaldson.series import check_involution, twist
+from donaldson.lattice import MarkedSurface
+from donaldson.series import DonaldsonSeries, check_involution, twist
 
 
 def sinh_power(m):
@@ -202,6 +203,14 @@ def test_recipes_over_the_class_limit_are_refused(monkeypatch, capsys):
     assert "over the limit" in capsys.readouterr().err
 
 
+def test_blow_up_over_the_class_limit_is_refused(monkeypatch):
+    # a blow-up doubles the classes: refused before it builds, like a recipe
+    monkeypatch.setattr(constructions, "MAX_CLASSES", 48)
+    assert len(blow_up(elliptic_surface(25)).series.entries) == 48
+    with pytest.raises(ConstructionError, match="^B4.bl5: 48 x 2\\^1 basic classes .* limit of 48"):
+        blow_up(build_bg(4))
+
+
 @pytest.mark.skipif(
     not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit in this Python"
 )
@@ -339,6 +348,21 @@ def test_every_built_name_resolves():
     # a name the entry does not carry is unknown: S2 builds K3, B03 builds B3
     for ref in ("S2", "B03"):
         with pytest.raises(KeyError, match=f"unknown catalog name or recipe '{ref}'"):
+            catalog(ref)
+
+
+def test_every_spelling_of_a_recipe_shares_one_derivation():
+    parse_recipe.cache_clear()
+    spellings = ("B3", "bg:3", "BG:3", "bg:03", "bg:+3")
+    entries = [catalog(ref) for ref in spellings]
+    assert all(entry is entries[0] for entry in entries)
+    assert parse_recipe.cache_info().currsize == 1
+    # errors name the ref as typed, not the key it was read under
+    for ref in ("FOO:3", "BG:3:4"):
+        with pytest.raises(KeyError, match=f"^\"unknown catalog name or recipe '{ref}'\"$"):
+            catalog(ref)
+    for ref, why in (("BG:01", "B\\(g\\) needs g >= 2"), ("Bg:x", "invalid literal")):
+        with pytest.raises(ConstructionError, match=f"^bad recipe '{ref}': {why}"):
             catalog(ref)
 
 
@@ -524,6 +548,43 @@ def test_cached_bytes_never_hide_a_changed_file(tmp_path, monkeypatch):
 def test_catalog_entries_validate():
     for name in catalog_names():
         catalog(name).validate()
+
+
+def _broken_b3(kind):
+    """B3 with one coefficient's sign flipped ("involution"), or with its
+    genus-3 surface marked genus 2, which its top level 4 breaks."""
+    b3 = catalog("B3")
+    if kind == "involution":
+        (k, c), *rest = b3.series.entries
+        return dataclasses.replace(b3, series=DonaldsonSeries.on(b3.lattice, [(k, -c), *rest]))
+    low = MarkedSurface(b3.surface("Sigma_g").cls, genus=2)
+    return dataclasses.replace(b3, surfaces=(("Sigma_g", low),))
+
+
+BROKEN = [
+    ("involution", "involution symmetry K -> -K broken at "),
+    ("adjunction", "adjunction bound violated against Sigma_g by "),
+]
+
+
+@pytest.mark.parametrize("kind, message", BROKEN)
+def test_validate_refuses_a_broken_entry(kind, message):
+    with pytest.raises(ConstructionError, match=f"^B3: {message}"):
+        _broken_b3(kind).validate()
+
+
+@pytest.mark.parametrize("kind, message", BROKEN)
+def test_a_recipe_that_builds_a_broken_entry_is_refused(monkeypatch, capsys, kind, message):
+    # the builders leave the check to parse_recipe, which every lookup reaches
+    broken = _broken_b3(kind)
+    monkeypatch.delenv("DONALDSON_CATALOG_DIR", raising=False)
+    monkeypatch.setitem(constructions._RECIPES, "broken", (lambda n: broken, 1))
+    with pytest.raises(ConstructionError, match=f"^bad recipe 'broken:1': B3: {message}"):
+        catalog("broken:1")
+    assert run(["check", "--entry", "broken:1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: bad recipe 'broken:1': B3: {message}")
 
 
 def test_entry_lattice_is_its_series_lattice():

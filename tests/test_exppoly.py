@@ -158,9 +158,15 @@ def test_json_round_trip_keeps_q_square():
     back = ExpPolynomial.from_json(data)
     assert back == p
     assert back.expand(4) == p.expand(4)
-    data["q"] = 1.5
-    with pytest.raises(LatticeError, match="non-integral float"):
+
+
+@pytest.mark.parametrize("q", ["abc", 1.5, "1/0", "1e5"])
+def test_from_json_names_q_when_it_is_no_number(q):
+    data = poly([(2, 1)], marker="+Q/2", q=4).to_json()
+    data["q"] = q
+    with pytest.raises(ExpPolynomialError, match="^q: ") as info:
         ExpPolynomial.from_json(data)
+    assert isinstance(info.value.__cause__, LatticeError)
 
 
 @pytest.mark.parametrize(
