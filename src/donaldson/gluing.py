@@ -177,6 +177,7 @@ class GluedSeries:
     Sectors are +1 / -1 (exponent shift +-2 S.D) and 0 for the torus rule's
     unshifted sector.  Indices are ints in [0, n) of their side, coefficients
     ints or Fractions, and each (left, right, sector) occurs at most once.
+    A genus-1 spec takes only the torus kind.
     """
 
     spec: GluingSpec
@@ -188,6 +189,8 @@ class GluedSeries:
     def __post_init__(self):
         if type(self.kind) is not str or self.kind not in _SECTORS_OF_KIND:
             raise GluingError(f"unknown gluing kind {self.kind!r}")
+        if self.kind != "torus" and self.spec.genus == 1:
+            raise GluingError(f"a {self.kind} gluing needs genus >= 2, got genus 1")
         sectors = _SECTORS_OF_KIND[self.kind]
         n1, n2 = len(self.spec.left.series.entries), len(self.spec.right.series.entries)
         for j, k, s, c in self.entries:

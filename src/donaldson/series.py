@@ -16,7 +16,8 @@ gluing holds one and reads its rows, row j being series entry j, grouped by
 level only in its ``levels`` index.  ``level_sums`` is a level's bare sum of
 twisted coefficients per K.D, which a fit coordinate is; ``evaluate`` alone
 puts it in sector form.  ``z_value`` is z's scalar at a level, which
-``check`` reads alone; a zero one adds no terms, so no D pairing.
+``check`` reads alone, worked out on ints; a zero one adds no terms, so no
+D pairing.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from types import MappingProxyType
 
 from .exppoly import ExpPolynomial
@@ -141,15 +143,21 @@ def z_value(z_terms, ks: int, d_sigma) -> GaussianRational:
     """z, given by (S-power, x-power, c) terms, at surface level ``ks`` for
     D.S = ``d_sigma``, without the N-sector unit i^{-d0}: x acts by 2 when
     ks == 2 mod 4 (P) and by -2 otherwise (N), S by d_sigma + ks (P) or by
-    -d_sigma + i ks (N)."""
-    if ks % 4 == 2:
-        weight, x = GaussianRational(d_sigma + ks), 2
-    else:
-        weight, x = GaussianRational(-d_sigma, ks), -2
-    powers = [GaussianRational(1)]
-    for _ in range(max((sp for sp, _, _ in z_terms), default=0)):
-        powers.append(powers[-1] * weight)
-    return sum((powers[sp] * (cz * x**xp) for sp, xp, cz in z_terms), GaussianRational(0))
+    -d_sigma + i ks (N).  Each c must be rational, as ``_exact`` reads it: a
+    GaussianRational or a non-integral float is a LatticeError.  Each S-power's
+    x-powers sum to an int over L, the lcm of the denominators; Horner's rule
+    in S runs on (re, im), ints for an int D.S."""
+    terms = [(sp, xp, _exact(c)) for sp, xp, c in z_terms]
+    den = lcm(*(c.denominator for _, _, c in terms))
+    x = 2 if ks % 4 == 2 else -2
+    nums = [0] * (max((sp for sp, _, _ in terms), default=0) + 1)
+    for sp, xp, c in terms:
+        nums[sp] += c.numerator * (den // c.denominator) * x**xp
+    a, b = (_exact(d_sigma) + ks, 0) if x == 2 else (-_exact(d_sigma), ks)
+    re = im = 0
+    for n in reversed(nums):
+        re, im = re * a - im * b + n, re * b + im * a
+    return GaussianRational(Fraction(re, den), Fraction(im, den))
 
 
 @dataclass(frozen=True)
@@ -204,9 +212,10 @@ class SplitSeries:
     def evaluate(self, d: HClass, z_terms) -> tuple[ExpPolynomial, ExpPolynomial]:
         """(P, N) of the split on z e^{tD}, z given by (S-power, x-power, c) terms.
 
-        Every power must be >= 0.  z is one scalar per level K.S, ``z_value``,
-        times i^{-d0} in N; a zero one adds no terms, else each K.D of the
-        level's ``level_sums`` adds one term, exponent K.D in P or i K.D in N.
+        Every power must be >= 0 and every c rational.  z is one scalar per
+        level K.S, ``z_value``, times i^{-d0} in N; a zero one adds no terms,
+        else each K.D of the level's ``level_sums`` adds one term, exponent
+        K.D in P or i K.D in N.
         """
         if any(sp < 0 or xp < 0 for sp, xp, _ in z_terms):
             raise SeriesError("insertion powers must be >= 0")
@@ -366,12 +375,17 @@ def finite_type_order(
     every series: evaluating it would only compare the code with itself.
     The order is therefore 1 if some probe's plain evaluation (z = 1) is
     nonzero and 0 otherwise; the probes are evaluated on one split, until
-    the first nonzero value.
+    the first nonzero value.  Default probes go S-shifted first, an observed
+    ordering and no theorem: on B2..B8, bg:10, K3, S4, S6, dia2:1:3, dia2:2:5,
+    dia2:4:5 and cg:3 the first D + S probe is nonzero (each unshifted one
+    of B(g) gives 0), so one evaluation decides.  Given probes keep their order.
     """
     if series.is_zero:
         return 0
     if probes is None:
         probes = default_probes(series.lattice, s)
+        half = len(probes) // 2  # the S-shifted half first
+        probes = probes[half:] + probes[:half]
     if not probes:
         raise SeriesError("no probe classes with D.S = 1 are available")
     split = SplitSeries(series, w, s)

@@ -447,6 +447,27 @@ def test_torus_rule_rejects_higher_genus():
         glue_torus(bg_double(2))
 
 
+def test_a_genus_one_spec_takes_only_the_torus_kind(tmp_path, capsys):
+    # a K3/K3 torus file edited to "standard", its 0-sector pairs dropped,
+    # once reloaded, and coefficient_match answered (-1/2, -1/4) for it
+    k3 = catalog("K3")
+    spec = GluingSpec(left=k3, right=k3)
+    payload = json.loads(json.dumps(glued_to_json(glue_torus(spec))))
+    payload.update(kind="standard", pairs=[p for p in payload["pairs"] if p[2] != "0"])
+    message = "a standard gluing needs genus >= 2, got genus 1"
+    with pytest.raises(GluingError, match=f"^{re.escape(message)}$"):
+        glued_from_json(payload)
+    path = tmp_path / "glued.json"
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run(["eval", "--glued", str(path), "--d1", "sigma", "--d2", "sigma"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+    with pytest.raises(GluingError, match="^a stabilized gluing needs genus >= 2, got genus 1$"):
+        GluedSeries(spec, "stabilized", ())
+    assert GluedSeries(spec, "torus", ()).is_empty
+
+
 # -- coefficient matching --------------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Random series on random lattices, each checked against a brute per-class
 reference: the relation's level test, level sums, the two sectors of an
-evaluation, the point-class order and the fit coordinates.
+evaluation, the point-class order and the fit coordinates; and ``z_value``
+on random z against the plain power sum.
 
 The lattice is the hyperbolic plane (e, f) plus <-1>^m with b+ = 3; the
 surface is S = e and w = f.  A class a e + b f + sum c_i E_i is
@@ -13,10 +14,12 @@ f, f + E1 and their S-shifts.
 from fractions import Fraction
 from functools import cache
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from donaldson.fit import basis_coordinates
-from donaldson.lattice import HClass, Lattice, MarkedSurface
+from donaldson.gaussian import GaussianRational
+from donaldson.lattice import HClass, Lattice, LatticeError, MarkedSurface
 from donaldson.series import (
     DonaldsonSeries,
     SplitSeries,
@@ -263,3 +266,72 @@ def test_evaluate_order_and_coordinates_are_the_per_class_references(case, z_ter
                 for alpha, level in enumerate(order, start=1):
                     assert bc.plain(alpha).marker == "none"
                     assert as_pairs(bc.plain(alpha)) == brute_level_sum(rows, 2 * level)
+
+
+@PROFILE
+@given(cases(), st.data())
+def test_the_order_does_not_depend_on_the_order_of_the_probes(case, data):
+    m, g, entries, probes, _ = case
+    lat = hyperbolic_plus_minus_ones(m)
+    s = MarkedSurface(lat.basis_vector(0), genus=g)
+    given_probes = [HClass(lat, d) for d in default_probes(m) + probes]
+    for series_entries in (entries, paired(entries, 2)):
+        series = series_of(lat, series_entries)
+        for w in twists(m):
+            w_cls = HClass(lat, w)
+            order = finite_type_order(series, w_cls, s, given_probes)
+            shuffled = data.draw(st.permutations(given_probes))
+            assert finite_type_order(series, w_cls, s, shuffled) == order
+            # the default probes, tried S-shifted first, are the first four
+            defaults = finite_type_order(series, w_cls, s, given_probes[:4])
+            assert finite_type_order(series, w_cls, s) == defaults
+
+
+# -- z_value against the plain power sum --------------------------------------------
+
+# denominators 2, 3, 5 and their products: z's lcm is rarely a power of 2
+Z_COEFF = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 2, 3, 5, 6, 10, 15)))
+RANDOM_Z = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3), Z_COEFF), max_size=6)
+# D.S an int, or a rational that is not dyadic
+D_SIGMA = st.one_of(
+    st.integers(-5, 5), st.builds(Fraction, st.integers(-9, 9), st.sampled_from((3, 5, 6)))
+)
+
+
+def brute_z(z_terms, ks, d_sigma):
+    """Sum of c x^xp S^sp term by term, on (re, im) pairs of Fractions: x is
+    2 and S is D.S + ks at ks == 2 (mod 4), else x is -2 and S is -D.S + i ks."""
+    if ks % 4 == 2:
+        x, weight = 2, (Fraction(d_sigma + ks), Fraction(0))
+    else:
+        x, weight = -2, (Fraction(-d_sigma), Fraction(ks))
+    z = (Fraction(0), Fraction(0))
+    for sp, xp, c in z_terms:
+        term = (c * Fraction(x) ** xp, Fraction(0))
+        for _ in range(sp):
+            term = gmul(term, weight)
+        z = (z[0] + term[0], z[1] + term[1])
+    return z
+
+
+@PROFILE
+@given(RANDOM_Z, D_SIGMA)
+def test_z_value_is_the_plain_power_sum_at_every_level(z_terms, d_sigma):
+    for ks in range(-12, 13, 2):  # levels 2 and 0 mod 4: both sectors
+        z = z_value(z_terms, ks, d_sigma)
+        assert (z.re, z.im) == brute_z(z_terms, ks, d_sigma)
+        # a part is an int exactly when it is integral
+        for part in (z.re, z.im):
+            assert type(part) is (int if Fraction(part).denominator == 1 else Fraction)
+
+
+@pytest.mark.parametrize(
+    "c, message",
+    [(0.5, "non-integral float 0.5"), (GaussianRational(1, 1), "not a number")],
+    ids=["float", "gaussian"],
+)
+def test_z_value_refuses_a_coefficient_that_is_not_rational(c, message):
+    # z's coefficients must be rational; anything else is a package ValueError
+    with pytest.raises(LatticeError, match=message) as caught:
+        z_value(((1, 0, 1), (0, 1, c)), 2, 1)
+    assert isinstance(caught.value, ValueError)

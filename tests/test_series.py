@@ -14,6 +14,7 @@ from donaldson.series import (
     DonaldsonSeries,
     RelationPoly,
     SeriesError,
+    SplitSeries,
     apply_relation,
     check_adjunction,
     check_involution,
@@ -450,6 +451,24 @@ def test_finite_type_orders(b2, k3):
     b3 = catalog("B3")
     assert finite_type_order(b3.series, b3.w_class(), b3.surface()) == 1
     assert finite_type_order(k3.series, k3.lattice.cls("sigma"), k3.surface("F")) == 1
+
+
+@pytest.mark.parametrize("name", ["B3", "B4", "B5", "B6"])
+def test_default_probes_decide_the_order_in_one_evaluation(monkeypatch, name):
+    # the S-shifted probes go first; unshifted, B(g) spent g + 3 evaluations
+    # on probes whose plain value is 0
+    calls = []
+    real = SplitSeries.evaluate
+
+    def counting(self, d, z_terms):
+        calls.append(d)
+        return real(self, d, z_terms)
+
+    monkeypatch.setattr(SplitSeries, "evaluate", counting)
+    entry = catalog(name)
+    s = entry.surface()
+    assert finite_type_order(entry.series, entry.w_class(), s) == 1
+    assert len(calls) == 1 and calls[0].dot(s.cls) == 1
 
 
 def test_finite_type_order_needs_probes(b2):
