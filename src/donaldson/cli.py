@@ -29,7 +29,7 @@ from .constructions import (
     catalog_names,
     entry_json_bytes,
 )
-from .lattice import HClass
+from .lattice import HClass, _indented
 from .series import finite_type_order, relation_poly, z_value
 
 
@@ -132,7 +132,7 @@ def _print(text: str, end: str = "\n") -> None:
 
 
 def _emit(payload: dict) -> None:
-    _print(json.dumps(payload, indent=2))
+    _print(_indented(payload))
 
 
 def _emit_entry(ref: str) -> None:
@@ -172,7 +172,7 @@ def _cmd_glue(args) -> int:
 
     spec = _make_spec(args.left, args.right, args.g, args.w_sq)
     gs = glue_torus(spec) if args.torus else glue(spec)
-    text = json.dumps(glued_to_json(gs), indent=2)
+    text = _indented(glued_to_json(gs))
     # the file is written before anything is printed, so a bad --out
     # leaves stdout empty
     if args.out:

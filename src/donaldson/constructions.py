@@ -44,6 +44,7 @@ from .lattice import (
     HClass,
     Lattice,
     MarkedSurface,
+    _indented,
     _read,
     lattice_from_json,
     lattice_to_json,
@@ -119,7 +120,7 @@ class CatalogEntry:
         """The entry's catalog file, encoded on first use; the entry is immutable."""
         # construction order is deterministic; sorting keys would scramble the
         # class table
-        return (json.dumps(entry_to_json(self), indent=2) + "\n").encode()
+        return (_indented(entry_to_json(self)) + "\n").encode()
 
     def validate(self) -> None:
         ok, bad = check_involution(self.series)

@@ -8,14 +8,20 @@ be odd.  A lattice is a partial model spanned only by the classes the
 formulas touch (fibers, sections, exceptional classes, surfaces); the
 declared b^+ may exceed the rank of the modeled block, and only the count
 of positive directions is checked against it.
+
+K is characteristic when G K = diag(G) over F2, that is, when its odd
+coordinates lie in c0 + ker(G mod 2): c0 (the Wu class) and the kernel's
+basis, empty but on the catalog's C(g) blocks, are solved once per lattice.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from operator import mul
+from functools import cached_property, reduce
+from json.encoder import encode_basestring_ascii
+from operator import mul, xor
 
 
 class LatticeError(ValueError):
@@ -60,11 +66,18 @@ def _exact(x) -> int | Fraction:
 
 
 def _numbers(values, what: str) -> tuple[int | Fraction, ...]:
-    """``values``, a list or tuple, through ``_exact``; a str is not read digit by digit."""
+    """``values``, a list or tuple, through ``_exact`` but for plain ints; a str is refused."""
     if type(values) not in (list, tuple):
         got = "the string " if type(values) is str else ""
         raise LatticeError(f"{what} must be a list of numbers, got {got}{values!r}")
+    if set(map(type, values)) <= {int}:
+        return tuple(values)
     return tuple(map(_exact, values))
+
+
+def _parity(coords) -> int:
+    """The odd coordinates of an int vector as a mask, coordinate j at bit 8j."""
+    return int.from_bytes(bytes(map((1).__and__, coords)), "little")
 
 
 @dataclass(frozen=True)
@@ -117,12 +130,23 @@ class Lattice:
         return dict(self.named)
 
     @cached_property
-    def _parity_rows(self) -> tuple[tuple[int, int], ...]:
-        """Per basis vector i: (Gram row i mod 2 as a bit mask, G_ii mod 2)."""
-        return tuple(
-            (sum(1 << j for j, x in enumerate(row) if x & 1), row[i] & 1)
-            for i, row in enumerate(self.gram)
-        )
+    def _wu(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """(c0, kernel) over F2, as ``_parity`` masks: c0 solves G c = diag(G) and is
+        0 at the free columns of G mod 2; kernel holds, per free column, (its
+        bit, the kernel vector that is 1 there and 0 at the other free ones)."""
+        rhs = 1 << 8 * self.rank  # the augmented column, diag(G)
+        pivots = {}  # pivot bit -> its row, kept reduced (Gauss-Jordan)
+        for i, row in enumerate(self.gram):
+            row = _parity(row) | rhs * (row[i] & 1)
+            row ^= reduce(xor, (p for bit, p in pivots.items() if row & bit), 0)
+            # never rhs alone: x^T G x = x . diag(G) over F2 puts diag(G) in G's image
+            if row & (rhs - 1):
+                bit = row & -row
+                pivots = {b: p ^ row if p & bit else p for b, p in pivots.items()}
+                pivots[bit] = row
+        free = [f for f in (1 << 8 * j for j in range(self.rank)) if f not in pivots]
+        c0 = sum(bit for bit, row in pivots.items() if row & rhs)
+        return c0, tuple((f, f | sum(b for b, row in pivots.items() if row & f)) for f in free)
 
     def cls(self, label: str) -> "HClass":
         coords = self._named_coords.get(label)
@@ -160,9 +184,9 @@ class HClass:
         if len(coords) != self.lattice.rank:
             raise LatticeError("coordinate length does not match lattice rank")
 
-    @property
+    @cached_property
     def is_integral(self) -> bool:
-        return all(type(c) is int for c in self.coords)
+        return set(map(type, self.coords)) <= {int}
 
     @property
     def is_zero(self) -> bool:
@@ -254,13 +278,14 @@ def pairing(u: HClass, v: HClass) -> int | Fraction:
 
 
 def is_characteristic(k: HClass) -> bool:
-    """k . v == v . v (mod 2) for every basis vector of the modeled lattice."""
+    """k . v == v . v (mod 2) for every basis vector of the modeled lattice: y =
+    parity(k) + c0 is the sum of the kernel vectors at y's free coordinates
+    (``Lattice._wu``), which is y == 0 when G mod 2 is invertible."""
     if not k.is_integral:
         raise LatticeError("characteristic test needs an integral class")
-    # over F2: k . e_i is the parity of the bits k shares with Gram row i
-    # (the Gram matrix is symmetric), and e_i . e_i is G_ii mod 2
-    mask = sum(1 << j for j, c in enumerate(k.coords) if c & 1)
-    return all((m & mask).bit_count() & 1 == d for m, d in k.lattice._parity_rows)
+    c0, kernel = k.lattice._wu
+    y = _parity(k.coords) ^ c0
+    return y == reduce(xor, (v for f, v in kernel if y & f), 0)
 
 
 def is_allowable(w: HClass, s: MarkedSurface) -> bool:
@@ -345,10 +370,6 @@ def _add_basis(a, i, j):
 # -- JSON descriptors -------------------------------------------------------------
 
 
-def _coord_out(c: int | Fraction):
-    return c if type(c) is int else str(c)
-
-
 _NUMBER = (int, float, str)
 """The JSON types of a number token, which ``_exact`` reads."""
 
@@ -403,6 +424,25 @@ def _what(want) -> str:
     return " or ".join(("an " if t is int else "a ") + t.__name__ for t in want)
 
 
+def _indented(data, indent: str = "\n") -> str:
+    """``json.dumps(data, indent=2)``, with one join per container: a plain
+    int, or a list of them, is written by ``repr``, a str by the C string
+    encoder, any other scalar by ``json.dumps``.  Dict keys must be strs."""
+    if isinstance(data, str):
+        return encode_basestring_ascii(data)
+    if type(data) is int:
+        return repr(data)
+    inner = indent + "  "
+    if isinstance(data, dict) and data:
+        body = [encode_basestring_ascii(k) + ": " + _indented(v, inner) for k, v in data.items()]
+        return "{" + inner + ("," + inner).join(body) + indent + "}"
+    if not isinstance(data, (list, tuple)) or not data:
+        return json.dumps(data)
+    ints = set(map(type, data)) <= {int}
+    body = map(repr, data) if ints else [_indented(x, inner) for x in data]
+    return "[" + inner + ("," + inner).join(body) + indent + "]"
+
+
 def lattice_to_json(lat: Lattice) -> dict:
     return {
         "name": lat.name,
@@ -410,7 +450,9 @@ def lattice_to_json(lat: Lattice) -> dict:
         "gram": [list(row) for row in lat.gram],
         "b_plus": lat.b_plus,
         "b_one": 0,
-        "classes": {label: [_coord_out(c) for c in coords] for label, coords in lat.named},
+        "classes": {
+            lab: [c if type(c) is int else str(c) for c in coords] for lab, coords in lat.named
+        },
         "model": "partial",
     }
 

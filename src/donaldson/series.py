@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import neg
 from types import MappingProxyType
 
 from .exppoly import ExpPolynomial
@@ -36,7 +37,6 @@ from .lattice import (
     Lattice,
     MarkedSurface,
     LatticeMismatch,
-    _coord_out,
     _NUMBER,
     _exact,
     _read,
@@ -69,7 +69,7 @@ class DonaldsonSeries:
     _position: dict[tuple, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pairs = ((k, Fraction(_exact(c))) for k, c in self.entries)
+        pairs = ((k, c if type(c) is Fraction else Fraction(_exact(c))) for k, c in self.entries)
         entries = tuple(sorted(pairs, key=lambda e: e[0].coords))
         object.__setattr__(self, "entries", entries)
         position = {}
@@ -139,15 +139,22 @@ def _split_table(series: DonaldsonSeries, w: HClass, s: MarkedSurface):
     return tuple((k, k.dot(s.cls), a) for k, a in twist(series, w))
 
 
+def _power(p) -> int:
+    """An S- or x-power of an insertion: an int >= 0, else a SeriesError."""
+    if type(p) is not int or p < 0:
+        raise SeriesError("insertion powers must be >= 0")
+    return p
+
+
 def z_value(z_terms, ks: int, d_sigma) -> GaussianRational:
     """z, given by (S-power, x-power, c) terms, at surface level ``ks`` for
     D.S = ``d_sigma``, without the N-sector unit i^{-d0}: x acts by 2 when
     ks == 2 mod 4 (P) and by -2 otherwise (N), S by d_sigma + ks (P) or by
-    -d_sigma + i ks (N).  Each c must be rational, as ``_exact`` reads it: a
-    GaussianRational or a non-integral float is a LatticeError.  Each S-power's
-    x-powers sum to an int over L, the lcm of the denominators; Horner's rule
-    in S runs on (re, im), ints for an int D.S."""
-    terms = [(sp, xp, _exact(c)) for sp, xp, c in z_terms]
+    -d_sigma + i ks (N).  Powers are ints >= 0 (else a SeriesError), each c
+    rational (``_exact``; else a LatticeError).  Each S-power's x-powers sum
+    to an int over L, the lcm of the denominators; Horner's rule in S runs on
+    (re, im), ints for an int D.S."""
+    terms = [(_power(sp), _power(xp), _exact(c)) for sp, xp, c in z_terms]
     den = lcm(*(c.denominator for _, _, c in terms))
     x = 2 if ks % 4 == 2 else -2
     nums = [0] * (max((sp for sp, _, _ in terms), default=0) + 1)
@@ -274,7 +281,7 @@ def eval_insertion(
 class RelationPoly:
     """An element of the polynomial algebra in the surface class S and x.
 
-    Stored as (S-power, x-power, coefficient) triples.
+    Stored as (S-power, x-power, coefficient) triples, each power an int >= 0.
     """
 
     terms: tuple[tuple[int, int, int | Fraction], ...]
@@ -282,7 +289,8 @@ class RelationPoly:
     def __post_init__(self):
         merged: dict[tuple[int, int], int | Fraction] = {}
         for sp, xp, c in self.terms:
-            merged[(sp, xp)] = merged.get((sp, xp), 0) + _exact(c)
+            key = (_power(sp), _power(xp))
+            merged[key] = merged.get(key, 0) + _exact(c)
         canon = tuple(
             (sp, xp, _exact(c)) for (sp, xp), c in sorted(merged.items()) if c != 0
         )
@@ -404,12 +412,11 @@ def check_adjunction(
 
 def check_involution(series: DonaldsonSeries) -> tuple[bool, list[HClass]]:
     """The map K -> -K carries coefficients by the sign (-1)^{d0(X, w=0)}."""
-    d0 = series.d0()
-    sign = -1 if d0 % 2 else 1
+    flip = series.d0() % 2
     bad = []
     for k, c in series.entries:
-        j = series._position.get(tuple(-x for x in k.coords))
-        if j is None or series.entries[j][1] != sign * c:
+        j = series._position.get(tuple(map(neg, k.coords)))
+        if j is None or series.entries[j][1] != (-c if flip else c):
             bad.append(k)
     return (not bad, bad)
 
@@ -421,7 +428,7 @@ def series_to_json(series: DonaldsonSeries) -> dict:
     return {
         "lattice": series.lattice.name,
         "entries": [
-            {"k": [_coord_out(c) for c in k.coords], "a": frac_token(c)}
+            {"k": list(k.coords), "a": frac_token(c)}  # basic classes are integral
             for k, c in series.entries
         ],
         "simple_type": True,  # every series is; the key keeps the file format

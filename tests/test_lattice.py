@@ -1,10 +1,14 @@
+import itertools
+import json
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from donaldson.constructions import build_bg, catalog, catalog_names
+from donaldson import gluing
+from donaldson.constructions import blow_up, build_bg, catalog, catalog_names, entry_to_json
 from donaldson.lattice import (
     HClass,
     Lattice,
@@ -12,6 +16,7 @@ from donaldson.lattice import (
     LatticeMismatch,
     MarkedSurface,
     ParityError,
+    _indented,
     d_zero,
     d_zero_value,
     is_allowable,
@@ -366,3 +371,152 @@ def test_covector_leaves_equality_and_hash_alone(pair):
     assert u == fresh and fresh == u
     assert hash(u) == hash(fresh)
     assert len({u, fresh}) == 1
+
+
+# -- the indented writer ----------------------------------------------------------------
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**40), 10**40)
+    | st.floats()
+    | st.text(st.characters(), max_size=8)
+    | st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x7f", "\u00e9", "\u2028", "\U0001f600"]),
+    lambda kids: st.lists(kids, max_size=5)
+    | st.lists(kids, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=5),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(json_values)
+def test_indented_is_json_dumps_indent_2(data):
+    assert _indented(data) == json.dumps(data, indent=2)
+
+
+def test_indented_writes_every_catalog_entry_as_json_dumps_does():
+    entries = [catalog(name) for name in catalog_names()]
+    entries += [blow_up(catalog("K3")), blow_up(catalog("S4")), catalog("dia2:3:5")]
+    for entry in entries:
+        data = entry_to_json(entry)
+        assert _indented(data) == json.dumps(data, indent=2), entry.name
+
+
+def test_indented_writes_every_benchmark_gluing_as_json_dumps_does(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    from workloads import glue_fit_gluings
+
+    rules = {"standard": gluing.glue, "torus": gluing.glue_torus,
+             "stabilized": gluing.glue_conjectural}
+    gluings = glue_fit_gluings(small=False)
+    assert len(gluings) == 24
+    for g in gluings:
+        spec = gluing.GluingSpec(
+            catalog(g.left), catalog(g.right), left_surface=g.surfaces[0],
+            right_surface=g.surfaces[1], left_w=g.w[0], right_w=g.w[1],
+        )
+        data = gluing.glued_to_json(rules[g.kind](spec))
+        assert _indented(data) == json.dumps(data, indent=2), g.name
+
+
+# -- the characteristic test against its definition ------------------------------------------
+
+
+def characteristic_by_definition(k: HClass) -> bool:
+    """k . e_i - e_i . e_i even for every basis vector e_i."""
+    basis = [k.lattice.basis_vector(i) for i in range(k.lattice.rank)]
+    return all((k.dot(e) - e.square) % 2 == 0 for e in basis)
+
+
+def small_catalog_lattices():
+    entries = [catalog(name) for name in catalog_names()]
+    entries += [blow_up(catalog("K3")), blow_up(catalog("S4"))]
+    entries += [catalog(f"bg:{g}") for g in (9, 10)]
+    entries += [catalog(f"dia2:{gp}:{gp + 1}") for gp in range(1, 7)]
+    return [e.lattice for e in entries]
+
+
+def test_characteristic_on_every_parity_vector_of_the_catalog_lattices():
+    lattices = small_catalog_lattices()
+    assert {lat.name for lat in lattices} >= {"C2", "C6", "K3.bl1", "S4.bl1", "B10"}
+    for lat in lattices:
+        assert lat.rank <= 12
+        basis = [lat.basis_vector(i) for i in range(lat.rank)]
+        found = 0
+        for bits in itertools.product((0, 1), repeat=lat.rank):
+            # the same parities with coordinates of both signs
+            k = HClass(lat, tuple(b + 2 * (j - 3) for j, b in enumerate(bits)))
+            expected = all((k.dot(e) - e.square) % 2 == 0 for e in basis)
+            assert is_characteristic(k) == expected, (lat.name, bits)
+            found += expected
+        # the characteristic parities are a coset of ker(G mod 2), never empty
+        assert found >= 1 and found & (found - 1) == 0, lat.name
+
+
+def test_characteristic_with_two_free_columns_mod_2():
+    lat = Lattice("free2", ((0, 2, 0), (2, 0, 0), (0, 0, 1)), b_plus=3)
+    found = []
+    for bits in itertools.product((0, 1), repeat=3):
+        k = HClass(lat, bits)
+        assert is_characteristic(k) == characteristic_by_definition(k)
+        if is_characteristic(k):
+            found.append(bits)
+    # G mod 2 = diag(0, 0, 1): the first two coordinates are free
+    assert found == [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)]
+
+
+# blocks whose Gram matrix is invertible mod 2 (the last has determinant -1)
+INVERTIBLE_MOD_2 = [((1,),), ((0, 1), (1, 0)), ((0, 1), (1, 1)), ((1, 1, 0), (1, 0, 1), (0, 1, 0))]
+
+
+@st.composite
+def wide_class(draw):
+    """A class on a Gram matrix of rank 13 to 18: a direct sum of blocks of
+    rank <= 3, its basis shuffled.  The blocks are random (most sums are then
+    singular mod 2) or even perturbations of ``INVERTIBLE_MOD_2``, and the
+    class is characteristic on every block or has random parities."""
+    invertible, characteristic = draw(st.booleans()), draw(st.booleans())
+    blocks, rank, target = [], 0, draw(st.integers(13, 18))
+    while rank < target:
+        if invertible:
+            base, step, spread = draw(st.sampled_from(INVERTIBLE_MOD_2)), 2, 1
+        else:
+            n = draw(st.integers(1, 3))
+            base, step, spread = ((0,) * n,) * n, 1, 3
+        n = len(base)
+        block = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                entry = base[i][j] + step * draw(st.integers(-spread, spread))
+                block[i][j] = block[j][i] = entry
+        blocks.append(block)
+        rank += n
+    gram = [[0] * rank for _ in range(rank)]
+    coords, at = [], 0
+    for block in blocks:
+        n = len(block)
+        for i in range(n):
+            gram[at + i][at: at + n] = block[i]
+        if characteristic:
+            bits = draw(st.sampled_from([
+                bits for bits in itertools.product((0, 1), repeat=n)
+                if all((sum(map(int.__mul__, row, bits)) - row[i]) % 2 == 0
+                       for i, row in enumerate(block))
+            ]))
+        else:
+            bits = draw(st.tuples(*[st.integers(0, 1)] * n))
+        coords += [b + 2 * draw(st.integers(-2, 2)) for b in bits]
+        at += n
+    order = draw(st.permutations(range(rank)))
+    gram = tuple(tuple(gram[i][j] for j in order) for i in order)
+    lat = Lattice("wide", gram, b_plus=rank | 1)
+    return HClass(lat, tuple(coords[i] for i in order))
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_class())
+def test_characteristic_beyond_rank_12_matches_the_definition(k):
+    assert k.lattice.rank > 12
+    assert is_characteristic(k) == characteristic_by_definition(k)

@@ -1,6 +1,7 @@
 """The package's export table: every public name, resolved on first use."""
 
 import argparse
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -120,3 +121,19 @@ def test_the_settable_surface_is_pinned():
     (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     found = {None: options(parser)} | {name: options(p) for name, p in sub.choices.items()}
     assert found == OPTIONS
+
+
+def test_no_module_encodes_json_with_indent():
+    # json.dumps(..., indent=...) runs the pure-Python encoder; the one indented
+    # writer is lattice._indented
+    found = []
+    for path in sorted((SRC / "donaldson").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("dump", "dumps")
+                and any(kw.arg == "indent" for kw in node.keywords)
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

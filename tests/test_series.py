@@ -429,6 +429,25 @@ def test_apply_relation_identity_and_x2(b2):
     assert p.is_zero and n.is_zero
 
 
+@pytest.mark.parametrize("term", [(-1, 0, 1), (0, -1, 1)], ids=["S-power", "x-power"])
+def test_a_negative_power_is_refused_by_every_entry_point(b2, term):
+    with pytest.raises(SeriesError, match="insertion powers must be >= 0"):
+        z_value([term], 2, 1)
+    with pytest.raises(SeriesError, match="insertion powers must be >= 0"):
+        RelationPoly.of([term])
+    w, s, d = b2.lattice.cls("T1"), b2.surface("Sigma_g"), b2.lattice.cls("T1")
+    with pytest.raises(SeriesError, match="insertion powers must be >= 0"):
+        eval_insertion(b2.series, w, s, d, x_power=term[1], sigma_power=term[0])
+
+
+@pytest.mark.parametrize("power", [1.0, True, "1"])
+def test_a_power_that_is_no_int_is_refused(b2, power):
+    with pytest.raises(SeriesError, match="insertion powers must be >= 0"):
+        z_value([(power, 0, 1)], 2, 1)
+    with pytest.raises(SeriesError, match="insertion powers must be >= 0"):
+        RelationPoly.of([(0, power, 1)])
+
+
 def test_apply_relation_warns_off_probe(b2):
     w = b2.lattice.cls("T1")
     s = b2.surface("Sigma_g")
