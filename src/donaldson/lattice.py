@@ -184,7 +184,7 @@ class HClass:
         if len(coords) != self.lattice.rank:
             raise LatticeError("coordinate length does not match lattice rank")
 
-    @cached_property
+    @property
     def is_integral(self) -> bool:
         return set(map(type, self.coords)) <= {int}
 
@@ -450,9 +450,7 @@ def lattice_to_json(lat: Lattice) -> dict:
         "gram": [list(row) for row in lat.gram],
         "b_plus": lat.b_plus,
         "b_one": 0,
-        "classes": {
-            lab: [c if type(c) is int else str(c) for c in coords] for lab, coords in lat.named
-        },
+        "classes": {lab: [c if type(c) is int else str(c) for c in cs] for lab, cs in lat.named},
         "model": "partial",
     }
 

@@ -219,13 +219,14 @@ class SplitSeries:
     def evaluate(self, d: HClass, z_terms) -> tuple[ExpPolynomial, ExpPolynomial]:
         """(P, N) of the split on z e^{tD}, z given by (S-power, x-power, c) terms.
 
-        Every power must be >= 0 and every c rational.  z is one scalar per
-        level K.S, ``z_value``, times i^{-d0} in N; a zero one adds no terms,
-        else each K.D of the level's ``level_sums`` adds one term, exponent
-        K.D in P or i K.D in N.
+        Every power must be an int >= 0 and every c rational.  z is one
+        scalar per level K.S, ``z_value``, times i^{-d0} in N; a zero one adds
+        no terms, else each K.D of the level's ``level_sums`` adds one term,
+        exponent K.D in P or i K.D in N.
         """
-        if any(sp < 0 or xp < 0 for sp, xp, _ in z_terms):
-            raise SeriesError("insertion powers must be >= 0")
+        for sp, xp, _ in z_terms:  # also where no level calls z_value
+            _power(sp)
+            _power(xp)
         d_sigma = d.dot(self.surface.cls)  # a foreign D raises LatticeMismatch here
         i_pow = GaussianRational.i_power(-self.d0)
         parts = {2: [], 0: []}

@@ -26,6 +26,7 @@ from donaldson.lattice import (
     pairing,
     signature,
 )
+from test_pairing_table import brute_characteristic
 
 
 @pytest.fixture(scope="module")
@@ -424,12 +425,6 @@ def test_indented_writes_every_benchmark_gluing_as_json_dumps_does(monkeypatch):
 # -- the characteristic test against its definition ------------------------------------------
 
 
-def characteristic_by_definition(k: HClass) -> bool:
-    """k . e_i - e_i . e_i even for every basis vector e_i."""
-    basis = [k.lattice.basis_vector(i) for i in range(k.lattice.rank)]
-    return all((k.dot(e) - e.square) % 2 == 0 for e in basis)
-
-
 def small_catalog_lattices():
     entries = [catalog(name) for name in catalog_names()]
     entries += [blow_up(catalog("K3")), blow_up(catalog("S4"))]
@@ -443,28 +438,15 @@ def test_characteristic_on_every_parity_vector_of_the_catalog_lattices():
     assert {lat.name for lat in lattices} >= {"C2", "C6", "K3.bl1", "S4.bl1", "B10"}
     for lat in lattices:
         assert lat.rank <= 12
-        basis = [lat.basis_vector(i) for i in range(lat.rank)]
         found = 0
         for bits in itertools.product((0, 1), repeat=lat.rank):
             # the same parities with coordinates of both signs
             k = HClass(lat, tuple(b + 2 * (j - 3) for j, b in enumerate(bits)))
-            expected = all((k.dot(e) - e.square) % 2 == 0 for e in basis)
+            expected = brute_characteristic(lat, k.coords)
             assert is_characteristic(k) == expected, (lat.name, bits)
             found += expected
         # the characteristic parities are a coset of ker(G mod 2), never empty
         assert found >= 1 and found & (found - 1) == 0, lat.name
-
-
-def test_characteristic_with_two_free_columns_mod_2():
-    lat = Lattice("free2", ((0, 2, 0), (2, 0, 0), (0, 0, 1)), b_plus=3)
-    found = []
-    for bits in itertools.product((0, 1), repeat=3):
-        k = HClass(lat, bits)
-        assert is_characteristic(k) == characteristic_by_definition(k)
-        if is_characteristic(k):
-            found.append(bits)
-    # G mod 2 = diag(0, 0, 1): the first two coordinates are free
-    assert found == [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)]
 
 
 # blocks whose Gram matrix is invertible mod 2 (the last has determinant -1)
@@ -519,4 +501,4 @@ def wide_class(draw):
 @given(wide_class())
 def test_characteristic_beyond_rank_12_matches_the_definition(k):
     assert k.lattice.rank > 12
-    assert is_characteristic(k) == characteristic_by_definition(k)
+    assert is_characteristic(k) == brute_characteristic(k.lattice, k.coords)

@@ -11,7 +11,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import donaldson.gluing as gluing_mod
 import donaldson.lattice as lattice_mod
@@ -34,6 +34,7 @@ from donaldson.gluing import (
 )
 from donaldson.lattice import HClass, Lattice, LatticeError, is_characteristic
 from donaldson.series import (
+    DonaldsonSeries,
     RelationPoly,
     apply_relation,
     default_probes,
@@ -289,6 +290,16 @@ def test_evaluate_rejects_negative_powers(z):
         split.evaluate(default_probes(entry.lattice, s)[0], z)
 
 
+@pytest.mark.parametrize("power", [1.0, True])
+def test_evaluate_refuses_a_power_that_is_no_int_on_an_empty_series(power):
+    entry = catalog("B3")
+    s = entry.surface()
+    split = split_series(DonaldsonSeries.on(entry.lattice, []), entry.w_class(), s)
+    assert not split.levels  # no level calls z_value
+    with pytest.raises(series_mod.SeriesError, match="insertion powers must be >= 0"):
+        split.evaluate(default_probes(entry.lattice, s)[0], ((power, 0, 1),))
+
+
 def test_apply_relation_rejects_negative_powers():
     entry = catalog("B3")
     s = entry.surface()
@@ -314,22 +325,21 @@ def gram_and_class(draw):
 
 
 def brute_characteristic(lat, coords) -> bool:
-    """k.v == v.v (mod 2) for every v in {0,1}^n, in Fractions."""
-    k = [Fraction(c) for c in coords]
-    n = lat.rank
-
-    def form(x, y):
-        cells = itertools.product(range(n), repeat=2)
-        return sum((x[i] * lat.gram[i][j] * y[j] for i, j in cells), Fraction(0))
-
-    for v in itertools.product((Fraction(0), Fraction(1)), repeat=n):
-        if (form(k, v) - form(v, v)) % 2 != 0:
-            return False
-    return True
+    """The definition, straight from the Gram matrix: k.e_i == e_i.e_i (mod 2)
+    for every basis vector e_i.  That is k.v == v.v (mod 2) for every v in
+    {0,1}^n, since both sides are additive in v mod 2."""
+    return all(
+        (sum(c * g for c, g in zip(coords, row)) - row[i]) % 2 == 0
+        for i, row in enumerate(lat.gram)
+    )
 
 
 @settings(max_examples=200, deadline=None)
 @given(gram_and_class())
+# G mod 2 = diag(0, 0, 1): two free columns, (1, 1, 1) characteristic only
+# through the kernel, (1, 0, 0) not at all
+@example(([[0, 2, 0], [2, 0, 0], [0, 0, 1]], [1, 1, 1]))
+@example(([[0, 2, 0], [2, 0, 0], [0, 0, 1]], [1, 0, 0]))
 def test_is_characteristic_matches_fraction_brute_force(case):
     gram, coords = case
     lat = Lattice(
