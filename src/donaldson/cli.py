@@ -30,7 +30,7 @@ from .constructions import (
     entry_json_bytes,
 )
 from .lattice import HClass, _indented
-from .series import finite_type_order, relation_poly, z_value
+from .series import finite_type_order, relation_poly, split_series, z_value
 
 
 class VerificationError(Exception):
@@ -239,10 +239,11 @@ def _cmd_check(args) -> int:
 
     if s.genus >= 2:
         # z is one scalar per surface level, whatever the twist, so it kills
-        # the series at every D with D.S = 1 exactly when it is zero at each level
+        # the series at every D with D.S = 1 exactly when it is zero at each
+        # level; the levels are those of the split finite_type_order tabled
         z = relation_poly(s.genus)
-        levels = {k.dot(s.cls) for k in entry.series.classes()}
-        if any(not z_value(z.terms, ks, 1).is_zero for ks in levels):
+        levels = split_series(entry.series, w, s).levels
+        if any(not z_value(z, ks, 1).is_zero for ks in levels):
             raise VerificationError(
                 f"{entry.name}: genus-{s.genus} relation polynomial "
                 "failed to annihilate the series"

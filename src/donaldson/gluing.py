@@ -242,6 +242,7 @@ def _glued(spec: GluingSpec, kind: str, rows) -> GluedSeries:
     left row, scale * a_j is formed once and multiplied by each distinct b
     of the level once; an entry reads its product by the index of its b."""
     left, right = spec._splits
+    left_rows, right_rows = left.rows, right.rows
     blocks = [(sector, scale, left.levels.get(lvl, ()), right.levels.get(lvl, ()))
               for sector, scale, lvl in rows]
     size = sum(len(js) * len(ks) for _, _, js, ks in blocks)
@@ -250,9 +251,9 @@ def _glued(spec: GluingSpec, kind: str, rows) -> GluedSeries:
     entries = []
     for sector, scale, js, ks in blocks:
         distinct: dict[Fraction, int] = {}
-        k_index = [(k, distinct.setdefault(right.rows[k][2], len(distinct))) for k in ks]
+        k_index = [(k, distinct.setdefault(right_rows[k][2], len(distinct))) for k in ks]
         for j in js:
-            scaled = scale * left.rows[j][2]
+            scaled = scale * left_rows[j][2]
             products = [scaled * b for b in distinct]
             entries.extend((j, k, sector, products[i]) for k, i in k_index)
     return GluedSeries(spec, kind, tuple(entries))

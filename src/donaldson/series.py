@@ -10,14 +10,16 @@ b+ > 1, so a series with b+ = 1 is refused.  Point-class and surface-class
 insertions act on the sectors by the scalars 2 / -2 and by the polynomial
 weights ((D+K).S)^b and ((-D + iK).S)^b respectively, which is everything
 the finite-type and relation-polynomial machinery needs.  ``SplitSeries(series, w, surface)``
-is the only way to split a series (it checks them when it is made and runs
-``_split_table`` on the first read of ``rows``); every evaluation, fit and
-gluing holds one and reads its rows, row j being series entry j, grouped by
-level only in its ``levels`` index.  ``level_sums`` is a level's bare sum of
-twisted coefficients per K.D, which a fit coordinate is; ``evaluate`` alone
-puts it in sector form.  ``z_value`` is z's scalar at a level, which
-``check`` reads alone, worked out on ints; a zero one adds no terms, so no
-D pairing.
+is the only way to split a series: it checks (series, w, S) each time it is
+made, and its ``rows`` and ``levels`` read the series' one split table for
+(w, S), which ``_split_table`` builds on the first read of any split of that
+series against that pair and every later split reuses.  Every evaluation, fit
+and gluing holds a split and reads its rows, row j being series entry j,
+grouped by level only in its ``levels`` index.  ``level_sums`` is a level's
+bare sum of twisted coefficients per K.D, which a fit coordinate is;
+``evaluate`` alone puts it in sector form.  ``z_value`` is z's scalar at a
+level, which ``check`` reads alone, worked out on ints; a zero one adds no
+terms, so no D pairing.
 """
 
 from __future__ import annotations
@@ -62,11 +64,18 @@ class DonaldsonSeries:
     on the modeled lattice.
     ``position`` (class coords -> entry index) is the one lookup by class;
     the duplicate check builds it, and it is a read-only view.
+    ``_splits`` maps (w coords, S coords) to the split table that
+    ``_split_table`` built for that pair: the rows and their ``levels``
+    index, which every ``SplitSeries`` of this series against (w, S) reads.
+    It holds one table per distinct (w, S) split on this series, unbounded,
+    and is freed with the series; a copy (``on``, ``dataclasses.replace``)
+    starts with none.
     """
 
     lattice: Lattice
     entries: tuple[tuple[HClass, Fraction], ...]
     _position: dict[tuple, int] = field(init=False, repr=False, compare=False)
+    _splits: dict[tuple, tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pairs = ((k, c if type(c) is Fraction else Fraction(_exact(c))) for k, c in self.entries)
@@ -74,6 +83,7 @@ class DonaldsonSeries:
         object.__setattr__(self, "entries", entries)
         position = {}
         object.__setattr__(self, "_position", position)
+        object.__setattr__(self, "_splits", {})
         for j, (k, c) in enumerate(entries):
             if not same_lattice(k.lattice, self.lattice):
                 raise LatticeMismatch("entry class on a foreign lattice")
@@ -134,9 +144,20 @@ def twisted(series: DonaldsonSeries, w: HClass) -> DonaldsonSeries:
 
 
 def _split_table(series: DonaldsonSeries, w: HClass, s: MarkedSurface):
-    """The rows of the split against (w, S), for ``SplitSeries.rows`` alone:
-    the series is twisted once and each class is paired with S once."""
-    return tuple((k, k.dot(s.cls), a) for k, a in twist(series, w))
+    """The split table against (w, S), for ``SplitSeries`` alone, filed in
+    ``series._splits`` (the only code that fills it): the rows (K, K.S,
+    twisted coefficient), the series twisted once and each class paired with
+    S once, and the levels index, level K.S -> its row indices in first-seen
+    row order.  The index is a plain dict, so that a series pickles with its
+    tables; ``SplitSeries.levels`` shows it read-only.  Two threads may both
+    build one key's table; the two are equal and either is kept."""
+    rows = tuple((k, k.dot(s.cls), a) for k, a in twist(series, w))
+    groups: dict[int, list[int]] = {}
+    for j, (_, ks, _) in enumerate(rows):
+        groups.setdefault(ks, []).append(j)
+    table = rows, {ks: tuple(js) for ks, js in groups.items()}
+    series._splits[w.coords, s.cls.coords] = table
+    return table
 
 
 def _power(p) -> int:
@@ -147,14 +168,15 @@ def _power(p) -> int:
 
 
 def z_value(z_terms, ks: int, d_sigma) -> GaussianRational:
-    """z, given by (S-power, x-power, c) terms, at surface level ``ks`` for
-    D.S = ``d_sigma``, without the N-sector unit i^{-d0}: x acts by 2 when
-    ks == 2 mod 4 (P) and by -2 otherwise (N), S by d_sigma + ks (P) or by
-    -d_sigma + i ks (N).  Powers are ints >= 0 (else a SeriesError), each c
+    """z, a ``RelationPoly`` or its (S-power, x-power, c) terms, at surface
+    level ``ks`` for D.S = ``d_sigma``, without the N-sector unit i^{-d0}: x
+    acts by 2 when ks == 2 mod 4 (P) and by -2 otherwise (N), S by d_sigma +
+    ks (P) or by -d_sigma + i ks (N).  Plain terms are checked once, through
+    ``RelationPoly.of``: powers ints >= 0 (else a SeriesError), each c
     rational (``_exact``; else a LatticeError).  Each S-power's x-powers sum
     to an int over L, the lcm of the denominators; Horner's rule in S runs on
     (re, im), ints for an int D.S."""
-    terms = [(_power(sp), _power(xp), _exact(c)) for sp, xp, c in z_terms]
+    terms = RelationPoly.of(z_terms).terms
     den = lcm(*(c.denominator for _, _, c in terms))
     x = 2 if ks % 4 == 2 else -2
     nums = [0] * (max((sp for sp, _, _ in terms), default=0) + 1)
@@ -171,12 +193,16 @@ def z_value(z_terms, ks: int, d_sigma) -> GaussianRational:
 class SplitSeries:
     """The two-sector form of a series against an allowable pair (w, S).
 
-    Checked when made; ``rows``, tabled on first read, holds one row (K,
-    level K.S, twisted coefficient) per basic class, row j for series entry
-    j.  The level fixes the sector (K.S = S^2 = 0 mod 2 for a characteristic
-    K).  ``evaluate`` gives the P-sector levels (K.S == 2 mod 4) the e^{+Q/2}
-    marker; the N-sector levels (K.S == 0 mod 4) get e^{-Q/2}, the i^{-d0}
-    factor and exponents rotated by i.
+    Checked each time it is made, before it reads any table; ``rows`` holds
+    one row (K, level K.S, twisted coefficient) per basic class, row j for
+    series entry j, and ``levels`` maps each level K.S to its row indices.
+    Both read the series' split table for (w, S), built on the first read of
+    any split of that series against that pair and bound to this split on
+    its own first read.  The level fixes the sector
+    (K.S = S^2 = 0 mod 2 for a characteristic K).  ``evaluate`` gives the
+    P-sector levels (K.S == 2 mod 4) the e^{+Q/2} marker; the N-sector levels
+    (K.S == 0 mod 4) get e^{-Q/2}, the i^{-d0} factor and exponents rotated
+    by i.
     """
 
     series: DonaldsonSeries = field(repr=False)
@@ -195,23 +221,32 @@ class SplitSeries:
         object.__setattr__(self, "d0", series.d0(w))
 
     @cached_property
-    def rows(self) -> tuple[tuple[HClass, int, Fraction], ...]:
-        return _split_table(self.series, self.w, self.surface)
+    def _table(self):
+        """(rows, levels) of the series' split table for (w, S), bound on
+        this split's first read: the rows by reference and the levels index
+        wrapped read-only once, so that a later read hashes no key
+        (``coefficient_match`` reads two rows per call)."""
+        series, w, s = self.series, self.w, self.surface
+        table = series._splits.get((w.coords, s.cls.coords))
+        rows, levels = _split_table(series, w, s) if table is None else table
+        return rows, MappingProxyType(levels)
 
-    @cached_property
-    def levels(self) -> dict[int, tuple[int, ...]]:
+    @property
+    def rows(self) -> tuple[tuple[HClass, int, Fraction], ...]:
+        return self._table[0]
+
+    @property
+    def levels(self) -> MappingProxyType:
         """Surface level K.S -> its row indices, levels in first-seen row order."""
-        groups: dict[int, list[int]] = {}
-        for j, (_, ks, _) in enumerate(self.rows):
-            groups.setdefault(ks, []).append(j)
-        return {ks: tuple(js) for ks, js in groups.items()}
+        return self._table[1]
 
     def level_sums(self, ks: int, d: HClass) -> dict[int | Fraction, int | Fraction]:
         """{K.D: summed twisted coefficient} over the rows at level K.S = ``ks``
         ({} at a level the split does not have); only those classes meet D."""
+        rows, levels = self._table
         sums: dict[int | Fraction, int | Fraction] = {}
-        for j in self.levels.get(ks, ()):
-            k, _, a = self.rows[j]
+        for j in levels.get(ks, ()):
+            k, _, a = rows[j]
             kd = k.dot(d)
             sums[kd] = sums.get(kd, 0) + a
         return sums
@@ -219,19 +254,18 @@ class SplitSeries:
     def evaluate(self, d: HClass, z_terms) -> tuple[ExpPolynomial, ExpPolynomial]:
         """(P, N) of the split on z e^{tD}, z given by (S-power, x-power, c) terms.
 
-        Every power must be an int >= 0 and every c rational.  z is one
-        scalar per level K.S, ``z_value``, times i^{-d0} in N; a zero one adds
-        no terms, else each K.D of the level's ``level_sums`` adds one term,
-        exponent K.D in P or i K.D in N.
+        z may also be a ``RelationPoly``; plain terms are checked once, also
+        where no level calls ``z_value``: every power must be an int >= 0 and
+        every c rational.  z is one scalar per level K.S, ``z_value``, times
+        i^{-d0} in N; a zero one adds no terms, else each K.D of the level's
+        ``level_sums`` adds one term, exponent K.D in P or i K.D in N.
         """
-        for sp, xp, _ in z_terms:  # also where no level calls z_value
-            _power(sp)
-            _power(xp)
+        z = RelationPoly.of(z_terms)
         d_sigma = d.dot(self.surface.cls)  # a foreign D raises LatticeMismatch here
         i_pow = GaussianRational.i_power(-self.d0)
         parts = {2: [], 0: []}
         for ks in self.levels:
-            scalar = z_value(z_terms, ks, d_sigma)
+            scalar = z_value(z, ks, d_sigma)
             if scalar.is_zero:
                 continue
             r = ks % 4
@@ -299,7 +333,9 @@ class RelationPoly:
 
     @classmethod
     def of(cls, pairs) -> "RelationPoly":
-        return cls(tuple(pairs))
+        """The polynomial of (S-power, x-power, c) terms; a RelationPoly is
+        already one and is returned as it is."""
+        return pairs if isinstance(pairs, cls) else cls(tuple(pairs))
 
     @property
     def sigma_degree(self) -> int:
@@ -359,7 +395,7 @@ def apply_relation(
             "is withdrawn",
             stacklevel=2,
         )
-    return SplitSeries(series, w, s).evaluate(d, z.terms)
+    return SplitSeries(series, w, s).evaluate(d, z)
 
 
 # -- finite type, adjunction, involution ---------------------------------------------

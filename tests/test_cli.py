@@ -1,15 +1,19 @@
+import functools
 import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import donaldson.cli as cli
+import donaldson.constructions as constructions
+import donaldson.lattice as lattice_mod
 import donaldson.series as series_mod
 from donaldson.cli import VerificationError, run
 from donaldson.constructions import (
@@ -276,9 +280,29 @@ def test_check_splits_once_per_w(monkeypatch, capsys):
         return real(*args)
 
     monkeypatch.setattr(series_mod, "_split_table", counting)
+    # a recipe cache of its own, so that bg:4 is derived here, unsplit
+    monkeypatch.setattr(
+        constructions, "parse_recipe", functools.cache(constructions.parse_recipe.__wrapped__)
+    )
+    entry = catalog("bg:4")
+    s = entry.surface().cls
+    classes = {id(k) for k in entry.series.classes()}
+    met_s = Counter()
+    pairing = lattice_mod.pairing
+
+    def recording(u, v):
+        met_s.update(id(x) for x, y in ((u, v), (v, u)) if y is s and id(x) in classes)
+        return pairing(u, v)
+
+    monkeypatch.setattr(lattice_mod, "pairing", recording)
     assert run(["check", "--entry", "bg:4"]) == 0
     # one split of w, for finite_type_order; the relation check reads z's
-    # value at each surface level, which no twist changes, so it splits nothing
+    # value at each surface level of that split's table, so it tables nothing
+    assert len(calls) == 1
+    # and each basic class met S once, when that table was made
+    assert set(met_s) == classes and max(met_s.values()) == 1
+    # a second check reads the table the entry's series already has
+    assert run(["check", "--entry", "bg:4"]) == 0
     assert len(calls) == 1
 
 

@@ -6,13 +6,17 @@ those pairings, and a relation is the sum of one insertion polynomial per
 monomial.  The package must agree with them exactly.
 """
 
+import dataclasses
+import functools
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import donaldson.constructions as constructions
 import donaldson.gluing as gluing_mod
 import donaldson.lattice as lattice_mod
 import donaldson.series as series_mod
@@ -32,7 +36,14 @@ from donaldson.gluing import (
     glued_to_json,
     rshift,
 )
-from donaldson.lattice import HClass, Lattice, LatticeError, is_characteristic
+from donaldson.lattice import (
+    HClass,
+    Lattice,
+    LatticeError,
+    LatticeMismatch,
+    MarkedSurface,
+    is_characteristic,
+)
 from donaldson.series import (
     DonaldsonSeries,
     RelationPoly,
@@ -430,6 +441,19 @@ def test_coefficient_match_matches_per_entry_sums_on_b3_double(right_w):
 # -- work counts ------------------------------------------------------------------------
 
 
+def own_recipe_cache(monkeypatch):
+    """Derive catalog entries from here on under a recipe cache of the
+    caller's own: the shared entries' series may hold split tables that
+    earlier tests made, which would hide a split's work."""
+    fresh = functools.cache(constructions.parse_recipe.__wrapped__)
+    monkeypatch.setattr(constructions, "parse_recipe", fresh)
+
+
+def bound_tables(spec):
+    """How many of the spec's splits have read their table."""
+    return sum("_table" in split.__dict__ for split in spec._splits)
+
+
 def count_calls(monkeypatch, module, name, calls):
     real = getattr(module, name)
 
@@ -460,6 +484,7 @@ def fresh_probes(entry):
 
 
 def test_split_series_pairs_each_class_with_the_surface_once(monkeypatch):
+    own_recipe_cache(monkeypatch)
     entry = catalog("B4")
     s = entry.surface()
     pairs = record_pairings(monkeypatch)
@@ -506,18 +531,36 @@ def test_relation_pairs_no_class_with_the_probe(monkeypatch, name):
             assert paired_with_d == []
 
 
+def fresh_series(entry):
+    """A new copy of the entry's series: catalog entries are shared, so an
+    earlier test may already have split theirs."""
+    return DonaldsonSeries.on(entry.lattice, entry.series.entries)
+
+
+def tabled_twists(calls):
+    """The w coords of each ``_split_table`` call, in call order."""
+    return [w.coords for _, w, _ in calls]
+
+
 def test_apply_relation_splits_once(monkeypatch):
+    # one table per (w, S) over the whole sweep: the first probe tables each
+    # twist once, every later probe none
     calls = []
     count_calls(monkeypatch, series_mod, "_split_table", calls)
     entry = catalog("B4")
+    series = fresh_series(entry)
     s = entry.surface()
     z = relation_poly(s.genus)
-    for d in default_probes(entry.lattice, s):
-        for w in twists(entry):
-            calls.clear()
-            p, n = apply_relation(entry.series, w, s, z, d)
+    ws = twists(entry)
+    probes = default_probes(entry.lattice, s)
+    assert len(probes) > 1
+    for i, d in enumerate(probes):
+        for w in ws:
+            before = len(calls)
+            p, n = apply_relation(series, w, s, z, d)
             assert p.is_zero and n.is_zero
-            assert len(calls) == 1
+            assert len(calls) - before == (i == 0)
+    assert tabled_twists(calls) == [w.coords for w in ws]
 
 
 @pytest.mark.parametrize("name", ["B4", "dia2:2:4"])
@@ -525,12 +568,104 @@ def test_finite_type_order_splits_once(monkeypatch, name):
     calls = []
     count_calls(monkeypatch, series_mod, "_split_table", calls)
     entry = catalog(name)
+    series = fresh_series(entry)
     s = entry.surface()
+    ws = twists(entry)
     assert len(default_probes(entry.lattice, s)) > 1
-    for w in twists(entry):
+    for _ in range(2):
+        for w in ws:
+            assert finite_type_order(series, w, s) == 1
+    assert tabled_twists(calls) == [w.coords for w in ws]
+
+
+def test_a_split_tables_its_rows_on_first_read(monkeypatch):
+    own_recipe_cache(monkeypatch)
+    entry = catalog("B4")
+    series = entry.series
+    w, s = entry.w_class(), entry.surface()
+    calls = []
+    count_calls(monkeypatch, series_mod, "_split_table", calls)
+    split = series_mod.SplitSeries(series, w, s)
+    spec = GluingSpec(left=entry, right=entry)
+    assert calls == [] and bound_tables(spec) == 0
+    assert split.rows is split.rows
+    assert len(calls) == 1
+    # a later split of the series against the same (w, S) reads that table
+    again = series_mod.SplitSeries(series, w, s)
+    assert again.rows is split.rows and again.levels == split.levels
+    assert len(calls) == 1
+    series_mod.SplitSeries(series, w + s.cls, s).levels
+    assert tabled_twists(calls) == [w.coords, (w + s.cls).coords]
+
+
+def test_copies_of_a_series_start_with_no_split_tables():
+    entry = catalog("B3")
+    series = fresh_series(entry)
+    split_series(series, entry.w_class(), entry.surface()).rows
+    assert len(series._splits) == 1
+    for copy in (DonaldsonSeries.on(series.lattice, series.entries), dataclasses.replace(series)):
+        assert copy == series and copy._splits == {}
+
+
+def test_split_tables_are_not_part_of_equality_hash_or_repr():
+    entry = catalog("B3")
+    warm, cold = fresh_series(entry), fresh_series(entry)
+    w, s = entry.w_class(), entry.surface()
+    for ww in twists(entry):
+        split_series(warm, ww, s).levels
+    assert len(warm._splits) == 2 and cold._splits == {}
+    assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
+    assert split_series(warm, w, s) == split_series(cold, w, s)
+
+
+def test_a_split_on_a_foreign_lattice_is_refused_before_any_table(monkeypatch):
+    # the same Gram under another name: equal coordinates, another lattice
+    entry = catalog("B3")
+    other = dataclasses.replace(entry.lattice, name="B3'")
+    w, s = entry.w_class(), entry.surface()
+    foreign_w = HClass(other, w.coords)
+    foreign_s = MarkedSurface(HClass(other, s.cls.coords), s.genus)
+    series = fresh_series(entry)
+    calls = []
+    count_calls(monkeypatch, series_mod, "_split_table", calls)
+    for _ in range(2):  # without a table, then with the one of (w, S)
         calls.clear()
-        assert finite_type_order(entry.series, w, s) == 1
-        assert len(calls) == 1
+        for ww, ss in ((foreign_w, s), (w, foreign_s), (foreign_w, foreign_s)):
+            with pytest.raises(LatticeMismatch):
+                series_mod.SplitSeries(series, ww, ss)
+        assert calls == []
+        split_series(series, w, s).rows
+
+
+def test_split_levels_refuse_item_assignment():
+    entry = catalog("B3")
+    split = split_series(fresh_series(entry), entry.w_class(), entry.surface())
+    level = next(iter(split.levels))
+    with pytest.raises(TypeError):
+        split.levels[level] = ()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["B3", "B4", "B5", "dia2:2:4"]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3), st.integers(-3, 3)), max_size=4),
+)
+def test_a_warm_series_evaluates_as_a_fresh_copy(name, shifted, seed, z_terms):
+    entry = catalog(name)
+    w, s = entry.w_class(), entry.surface()
+    if shifted:
+        w = w + s.cls
+    rng = random.Random(seed)
+    d = HClass(entry.lattice, [rng.randint(-2, 2) for _ in range(entry.lattice.rank)])
+    warm = entry.series
+    split_series(warm, w, s).rows
+    assert (w.coords, s.cls.coords) in warm._splits
+    fresh = fresh_series(entry)
+    assert split_series(warm, w, s).evaluate(d, z_terms) == split_series(fresh, w, s).evaluate(
+        d, z_terms
+    )
 
 
 def test_gluing_spec_tests_each_side_once_for_allowability(monkeypatch):
@@ -544,17 +679,6 @@ def test_gluing_spec_tests_each_side_once_for_allowability(monkeypatch):
     k = entry.series.entries[0][0]
     coefficient_match(gs, k, k)
     assert len(calls) == 2
-
-
-def test_a_split_tables_its_rows_on_first_read(monkeypatch):
-    entry = catalog("B4")
-    calls = []
-    count_calls(monkeypatch, series_mod, "_split_table", calls)
-    split = series_mod.SplitSeries(entry.series, entry.w_class(), entry.surface())
-    GluingSpec(left=entry, right=entry)
-    assert calls == []
-    assert split.rows is split.rows
-    assert len(calls) == 1
 
 
 def test_splits_are_equal_when_their_series_w_and_surface_are():
@@ -575,13 +699,16 @@ def test_splits_are_equal_when_their_series_w_and_surface_are():
 def test_eval_glued_on_a_reload_neither_twists_nor_splits(monkeypatch):
     bg = catalog("B3")
     data = glued_to_json(glue(GluingSpec(left=bg, right=bg)))
+    # the reload derives B3 again, so its series holds no table of the glue's
+    own_recipe_cache(monkeypatch)
     calls = []
     for name in ("twist", "_split_table"):
         count_calls(monkeypatch, series_mod, name, calls)
     gs = glued_from_json(data)
+    assert gs.spec.left.series is not bg.series
     for d in split_probes(gs.spec, "T1"):
         assert not eval_glued(gs, d).is_zero
-    assert calls == []
+    assert calls == [] and bound_tables(gs.spec) == 0
 
 
 def record_term_counts(monkeypatch, module):
@@ -627,6 +754,7 @@ def test_eval_glued_passes_one_term_per_exponent(monkeypatch):
 
 
 def test_glue_pairs_each_class_with_its_surface_once(monkeypatch):
+    own_recipe_cache(monkeypatch)
     bg = catalog("B4")
     spec = GluingSpec(left=bg, right=bg)
     surfaces = (spec.surface1.cls, spec.surface2.cls)
@@ -641,9 +769,12 @@ def test_glue_pairs_each_class_with_its_surface_once(monkeypatch):
 
     monkeypatch.setattr(lattice_mod, "pairing", counting)
     gs = glue(spec)
-    n1, n2 = len(bg.series.entries), len(bg.series.entries)
     assert len(gs.entries) == 2
-    assert count <= n1 + n2 + 4
+    # both sides split one series against one (w, S): the right reads the
+    # left's table, so each class meets a surface once in all
+    left, right = spec._splits
+    assert right.rows is left.rows
+    assert count <= len(bg.series.entries) + 4
 
 
 @pytest.mark.parametrize(
@@ -651,6 +782,7 @@ def test_glue_pairs_each_class_with_its_surface_once(monkeypatch):
     [("B4", None, None, (glue, glue_conjectural)), ("B3", "T1", "sigma", (glue_torus,))],
 )
 def test_spec_pairs_each_class_with_its_surface_once(monkeypatch, name, surface, w, rules):
+    own_recipe_cache(monkeypatch)
     entry = catalog(name)
     s = entry.surface(surface).cls
     count = 0
@@ -668,6 +800,6 @@ def test_spec_pairs_each_class_with_its_surface_once(monkeypatch, name, surface,
     if glued[0].kind == "standard":
         k = entry.lattice.cls("K")
         coefficient_match(glued[0], k, k)
-    n = len(entry.series.entries)
     assert all(not gs.is_empty for gs in glued)
-    assert count <= n + n + 4
+    # both sides are one series split against one (w, S), so one table
+    assert count <= len(entry.series.entries) + 4
