@@ -36,9 +36,16 @@ class InsufficientData(FitError):
     """No reference triple determines a requested diagonal entry."""
 
 
+def _int(value, name: str) -> int:
+    """The value, if it is an int (a bool is not one); else a ``FitError``."""
+    if type(value) is not int:
+        raise FitError(f"{name} must be an int, got {value!r}")
+    return value
+
+
 def p_of_alpha(alpha: int, genus: int) -> int:
     """Pairing level of the alpha-th coordinate, alpha = 1..2g-1."""
-    if not 1 <= alpha <= 2 * genus - 1:
+    if not 1 <= _int(alpha, "alpha") <= 2 * _int(genus, "genus") - 1:
         raise FitError(f"alpha={alpha} out of range for genus {genus}")
     m = (alpha - 1) // 2
     level = genus - 1 - m
@@ -54,7 +61,7 @@ class BasisCoordinates:
     coords: tuple[ExpPolynomial, ...]
 
     def __post_init__(self):
-        if len(self.coords) != 2 * self.genus - 1:
+        if len(self.coords) != 2 * _int(self.genus, "genus") - 1:
             raise FitError("coordinate vector has the wrong length")
         if any(c.marker != "none" for c in self.coords):
             raise FitError("a coordinate is a bare level sum and carries no marker")
@@ -62,7 +69,7 @@ class BasisCoordinates:
 
     def plain(self, alpha: int) -> ExpPolynomial:
         """sum a_{j,w} e^{(K_j . D) t} over level K.S = 2 p_of_alpha(alpha)."""
-        if not 1 <= alpha <= 2 * self.genus - 1:
+        if not 1 <= _int(alpha, "alpha") <= 2 * self.genus - 1:
             raise FitError(f"alpha={alpha} out of range for genus {self.genus}")
         return self.coords[alpha - 1]
 
@@ -90,7 +97,7 @@ def basis_coordinates(
 
 def zero_coordinates(genus: int) -> BasisCoordinates:
     """The coordinate vector of a manifold with vanishing invariants."""
-    return BasisCoordinates(genus, 0, (ExpPolynomial(),) * (2 * genus - 1))
+    return BasisCoordinates(genus, 0, (ExpPolynomial(),) * (2 * _int(genus, "genus") - 1))
 
 
 def fit_diagonal(

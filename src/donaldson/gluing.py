@@ -14,12 +14,12 @@ materialized as lattice vectors: an output entry is a parent pair plus a
 sector sign, and evaluation against a split class (D1, D2) uses the exponent
 K.D1 + L.D2 +- 2 (S.D) t.
 
-Each rule is a table of rows (sector, scale, level) run by one builder.  The
-genus-1 rule has three rows at level 0 with scales -1/4, -1/4, -1/2; the
-experimental stabilized rule keeps the +-(2g-2) levels with scales
--+2^{-3g+5} and no surface shift.  Each side's ``SplitSeries``, made with the
-spec, gives the twisted coefficients and, through ``levels``, the rows at a
-level; row j of a split is series entry j, so glued indices address both.
+Each rule, the torus and the experimental stabilized rules too, is a table
+of rows (sector, scale, level) written once, in ``_rows(kind, g, eps)``:
+gluing runs it, ``GluedSeries`` takes its sectors from it and
+``coefficient_match`` its predicted scale.  Each side's ``SplitSeries``, made
+with the spec, gives the twisted coefficients and, through ``levels``, the
+rows at a level; row j of a split is series entry j, so glued indices address both.
 
 A rule's coefficients are products scale * a_j * b_k of a few distinct
 values, repeated over many entries, so neither gluing nor evaluation does
@@ -167,7 +167,26 @@ def _validate_split_class(spec: GluingSpec, d: SplitClass) -> None:
             )
 
 
-_SECTORS_OF_KIND = {"standard": (1, -1), "torus": (1, -1, 0), "stabilized": (1, -1)}
+def _rows(kind: str, g: int, eps: int) -> tuple[tuple[int, Fraction, int], ...]:
+    """The rows (sector, scale, level) of the gluing rule ``kind`` at genus g
+    and sign eps, the one place a rule is written:
+
+        standard    (+, -eps 2^{7g-9}, 2g-2)  and  (-, eps (-1)^g 2^{7g-9}, -(2g-2))
+        stabilized  the same rows with 2^{5-3g}
+        torus       -eps/4, -eps/2, -eps/4 on the +, 0, - sectors at level 0
+
+    An unknown kind, or a standard or stabilized kind below genus 2, raises
+    ``GluingError``.
+    """
+    if type(kind) is not str or kind not in ("standard", "stabilized", "torus"):
+        raise GluingError(f"unknown gluing kind {kind!r}")
+    if kind == "torus":
+        quarter = Fraction(-eps, 4)
+        return ((+1, quarter, 0), (0, 2 * quarter, 0), (-1, quarter, 0))
+    if g < 2:
+        raise GluingError(f"a {kind} gluing needs genus >= 2, got genus {g}")
+    scale = Fraction(2) ** (7 * g - 9 if kind == "standard" else 5 - 3 * g)
+    return ((+1, -eps * scale, 2 * g - 2), (-1, eps * (-1) ** g * scale, 2 - 2 * g))
 
 
 @dataclass(frozen=True)
@@ -181,17 +200,13 @@ class GluedSeries:
     """
 
     spec: GluingSpec
-    kind: str  # a key of _SECTORS_OF_KIND
+    kind: str  # "standard", "torus" or "stabilized": a rule of _rows
     entries: tuple[tuple[int, int, int, Fraction], ...]
     # (L, {(j, k): {sector: c * L}}), L the lcm of the denominators: built with the repeat check
     _int_form: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if type(self.kind) is not str or self.kind not in _SECTORS_OF_KIND:
-            raise GluingError(f"unknown gluing kind {self.kind!r}")
-        if self.kind != "torus" and self.spec.genus == 1:
-            raise GluingError(f"a {self.kind} gluing needs genus >= 2, got genus 1")
-        sectors = _SECTORS_OF_KIND[self.kind]
+        sectors = tuple(row[0] for row in _rows(self.kind, self.spec.genus, self.spec.epsilon))
         n1, n2 = len(self.spec.left.series.entries), len(self.spec.right.series.entries)
         for j, k, s, c in self.entries:
             if not (
@@ -235,12 +250,13 @@ MAX_GLUED_ENTRIES = 2**20
 """The most entries a gluing may have; ``_glued`` refuses more before building any."""
 
 
-def _glued(spec: GluingSpec, kind: str, rows) -> GluedSeries:
-    """Run a gluing rule given as rows (sector, scale, level): each row keeps
-    every left/right pair of classes at that surface level (from ``levels``),
-    with coefficient scale * a_j * b_k on the twisted coefficients.  Per
-    left row, scale * a_j is formed once and multiplied by each distinct b
-    of the level once; an entry reads its product by the index of its b."""
+def _glued(spec: GluingSpec, kind: str) -> GluedSeries:
+    """Run the rule ``kind``, refused before any product if ``_rows`` refuses
+    it: each row keeps every left/right pair of classes at its surface level
+    (from ``levels``), with coefficient scale * a_j * b_k on the twisted
+    coefficients.  Per left row, scale * a_j is formed once and multiplied by
+    each distinct b of the level once; an entry reads its product by its b."""
+    rows = _rows(kind, spec.genus, spec.epsilon)
     left, right = spec._splits
     left_rows, right_rows = left.rows, right.rows
     blocks = [(sector, scale, left.levels.get(lvl, ()), right.levels.get(lvl, ()))
@@ -259,39 +275,20 @@ def _glued(spec: GluingSpec, kind: str, rows) -> GluedSeries:
     return GluedSeries(spec, kind, tuple(entries))
 
 
-def _top_level_rows(spec: GluingSpec, scale: int | Fraction):
-    """The rows of the genus >= 2 rules: sectors at the levels 2g-2, -(2g-2)."""
-    g, eps = spec.genus, spec.epsilon
-    top = 2 * g - 2
-    return ((+1, -eps * scale, top), (-1, eps * (-1) ** g * scale, -top))
-
-
-def _standard_rows(spec: GluingSpec):
-    """The standard rule's rows: the scale 2^{7g-9} at the levels +-(2g-2)."""
-    return _top_level_rows(spec, Fraction(2 ** (7 * spec.genus - 9)))
-
-
 def glue(spec: GluingSpec) -> GluedSeries:
     """Pairwise gluing for genus >= 2; only the +-(2g-2) levels survive."""
-    if spec.genus == 1:
-        raise GluingError("genus-1 gluing uses the torus rule: call glue_torus")
-    return _glued(spec, "standard", _standard_rows(spec))
+    return _glued(spec, "standard")
 
 
 def glue_torus(spec: GluingSpec) -> GluedSeries:
-    """Genus-1 gluing: every pair contributes three sectors.
-
-    Coefficients -1/4, -1/2, -1/4 on the +, 0, - sectors; requires all
-    basic classes to pair to zero with the tori.
-    """
+    """Genus-1 gluing: every pair contributes three sectors; requires all
+    basic classes to pair to zero with the tori."""
     if spec.genus != 1:
         raise GluingError("torus rule needs genus-1 surfaces")
     bad = [lvl for split in spec._splits for lvl in split.levels if lvl]
     if bad:
         raise GluingError(f"torus rule needs K.S = 0 for all classes, got {bad[0]}")
-    quarter = Fraction(-1, 4) * spec.epsilon
-    half = Fraction(-1, 2) * spec.epsilon
-    return _glued(spec, "torus", ((+1, quarter, 0), (0, half, 0), (-1, quarter, 0)))
+    return _glued(spec, "torus")
 
 
 def glue_conjectural(spec: GluingSpec) -> GluedSeries:
@@ -303,10 +300,7 @@ def glue_conjectural(spec: GluingSpec) -> GluedSeries:
     evaluation exponents.  The validity of this rule is a conjecture; the
     output is flagged and must not be mixed with proven identities.
     """
-    g = spec.genus
-    if g < 2:
-        raise GluingError("stabilized gluing needs genus >= 2")
-    return _glued(spec, "stabilized", _top_level_rows(spec, Fraction(1, 2 ** (3 * g - 5))))
+    return _glued(spec, "stabilized")
 
 
 def eval_glued(gs: GluedSeries, d: SplitClass) -> ExpPolynomial:
@@ -382,7 +376,7 @@ def coefficient_match(
     # most pairs miss on their levels, and only the others read the genus
     if lvl_k != lvl_l or abs(lvl_k) != 2 * spec.genus - 2:
         return grouped, _ZERO
-    _, scale, _ = _standard_rows(spec)[lvl_k < 0]
+    _, scale, _ = _rows(gs.kind, spec.genus, spec.epsilon)[lvl_k < 0]
     return grouped, scale * c * d
 
 

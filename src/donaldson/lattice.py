@@ -299,7 +299,9 @@ def is_allowable(w: HClass, s: MarkedSurface) -> bool:
 
 
 def d_zero_value(w_square, b_plus: int) -> int:
-    """d0 = -w^2 - (3/2)(1 + b+), b1 = 0; requires b+ odd."""
+    """d0 = -w^2 - (3/2)(1 + b+), b1 = 0; requires b+ an odd int."""
+    if type(b_plus) is not int:
+        raise LatticeError(f"b+ must be an int, got {b_plus!r}")
     if b_plus % 2 == 0:
         raise ParityError(
             f"b+ = {b_plus} is even; d0 is not an integer "

@@ -351,6 +351,8 @@ def relation_poly(g: int) -> RelationPoly:
     S^2 + 2S + 1 + 16k^2; for g odd it is (1 + x/2) and the roots are the
     reals (-1)^k (2k-1) for k = 1..g-1, i.e. -1, 3, -5, ...
     """
+    if type(g) is not int:
+        raise SeriesError(f"relation polynomial genus must be an int, got {g!r}")
     if g < 2:
         raise SeriesError("relation polynomial needs genus >= 2")
     # monic factors of p(S), constant term first: S + 1, one quadratic per

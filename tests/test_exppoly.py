@@ -100,6 +100,10 @@ def test_zero_division_cases():
     assert zero.divide_exact(one).is_zero
     with pytest.raises(ZeroDivisionError):
         one.divide_exact(zero)
+    with pytest.raises(TypeError, match="^divisor must be an ExpPolynomial$"):
+        one.divide_exact(1)
+    with pytest.raises(ExpPolynomialError, match="^exact division is defined for unmarked parts$"):
+        poly([(0, 1)], marker="+Q/2").divide_exact(one)
 
 
 def _taylor_oracle(p: ExpPolynomial, order: int):
@@ -141,6 +145,8 @@ def test_expand_refuses_an_order_over_the_limit():
     # refused before any work: the missing D^2 is never reached
     with pytest.raises(ExpPolynomialError, match="over the limit"):
         poly([(1, 1)], marker="+Q/2").expand(limit + 1)
+    with pytest.raises(ExpPolynomialError, match="^expansion order must be >= 0$"):
+        poly([(1, 1)]).expand(-1)
 
 
 def test_json_round_trip():

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -103,10 +104,35 @@ def test_plain_refuses_alpha_out_of_range(g):
             bc.plain(alpha)
 
 
+@pytest.mark.parametrize("alpha", [1.0, True, "1"])
+def test_an_alpha_that_is_not_an_int_is_refused(alpha):
+    bc = bg_coords(2)
+    message = f"^alpha must be an int, got {re.escape(repr(alpha))}$"
+    with pytest.raises(FitError, match=message):
+        p_of_alpha(alpha, 2)
+    with pytest.raises(FitError, match=message):
+        bc.plain(alpha)
+    with pytest.raises(FitError, match=message):
+        fit_diagonal([(bc, bc, cg_coords(2))], alphas=[alpha])
+
+
+@pytest.mark.parametrize("genus", [2.0, True, "2"])
+def test_a_genus_that_is_not_an_int_is_refused(genus):
+    message = f"^genus must be an int, got {re.escape(repr(genus))}$"
+    with pytest.raises(FitError, match=message):
+        p_of_alpha(1, genus)
+    with pytest.raises(FitError, match=message):
+        zero_coordinates(genus)
+    with pytest.raises(FitError, match=message):
+        BasisCoordinates(genus, 0, (ExpPolynomial(),) * 3)
+
+
 def test_marked_coordinate_is_refused():
     coords = (ExpPolynomial("+Q/2", ((0, 1),), 0), ExpPolynomial(), ExpPolynomial())
     with pytest.raises(FitError, match="no marker"):
         BasisCoordinates(2, 0, coords)
+    with pytest.raises(FitError, match="^coordinate vector has the wrong length$"):
+        BasisCoordinates(2, 0, coords[1:])
 
 
 def test_coordinates_need_unit_pairing_probe():
@@ -160,6 +186,8 @@ def test_fit_insufficient_data():
     # the probe pairs to zero with every class, so middle coordinates cancel
     with pytest.raises(InsufficientData):
         fit_diagonal([(bg_coords(3), bg_coords(3), cg_coords(3))], alphas=[5])
+    with pytest.raises(InsufficientData, match="^no reference triples given$"):
+        fit_diagonal([])
 
 
 def test_fit_degenerate_reference():
@@ -200,6 +228,8 @@ def test_fit_division_is_unique():
 def test_mixed_genus_references_rejected():
     with pytest.raises(FitError):
         fit_diagonal([(bg_coords(2), bg_coords(3), cg_coords(2))], alphas=[1])
+    with pytest.raises(FitError, match="^coordinate vectors have mismatched index sets$"):
+        predict_glued(bg_coords(2), bg_coords(3), full_m_map(2))
 
 
 # -- prediction vs direct gluing ---------------------------------------------------------------
@@ -248,6 +278,9 @@ def test_predict_with_zero_map():
     zero_map = {a: ExpPolynomial() for a in range(1, 2 * g)}
     total = predict_glued(bg_coords(g), bg_coords(g), zero_map)
     assert total.is_zero and total.marker == "+Q/2"
+    del zero_map[2]
+    with pytest.raises(FitError, match="^missing diagonal entry for alpha=2$"):
+        predict_glued(bg_coords(g), bg_coords(g), zero_map)
 
 
 @pytest.mark.parametrize("order", (0, 1, 5, 12))

@@ -83,6 +83,13 @@ def test_token_parsing_variants():
     assert GaussianRational.from_token("-i") == -I
     assert GaussianRational.from_token("2i") == GaussianRational(0, 2)
     assert GaussianRational.from_token("-5/3") == GaussianRational(Fraction(-5, 3))
+    assert GaussianRational.from_token("1+i") == GaussianRational(1, 1)
+    assert GaussianRational.from_token("1/2 - i") == GaussianRational(Fraction(1, 2), -1)
+    with pytest.raises(ValueError, match="^a Gaussian rational token must be a str, got 1$"):
+        GaussianRational.from_token(1)
+    for blank in ("", "  "):
+        with pytest.raises(ValueError, match="^empty Gaussian rational token$"):
+            GaussianRational.from_token(blank)
 
 
 def test_frac_token():

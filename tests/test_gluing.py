@@ -189,6 +189,8 @@ def test_split_class_validation():
     with pytest.raises(GluingError):
         # halves must pair equally with their surfaces
         eval_glued(glue(spec), SplitClass(lat.cls("T1"), lat.cls("Sigma_g"), Fraction(1)))
+    with pytest.raises(LatticeMismatch, match="^split class halves on the wrong lattices$"):
+        eval_glued(glue(spec), SplitClass(catalog("K3").lattice.zero(), lat.cls("T1"), Fraction(1)))
 
 
 def test_eval_accepts_rational_split_classes():
@@ -466,6 +468,13 @@ def test_a_genus_one_spec_takes_only_the_torus_kind(tmp_path, capsys):
     with pytest.raises(GluingError, match="^a stabilized gluing needs genus >= 2, got genus 1$"):
         GluedSeries(spec, "stabilized", ())
     assert GluedSeries(spec, "torus", ()).is_empty
+    # the rules refuse it themselves, before either split binds its table
+    for rule in (glue, glue_conjectural):
+        fresh = GluingSpec(left=k3, right=k3)
+        refusal = "^a (standard|stabilized) gluing needs genus >= 2, got genus 1$"
+        with pytest.raises(GluingError, match=refusal):
+            rule(fresh)
+        assert all("_table" not in split.__dict__ for split in fresh._splits)
 
 
 # -- coefficient matching --------------------------------------------------------------------

@@ -83,6 +83,8 @@ def test_allowable_examples(b2):
     assert not is_allowable(b2.lattice.zero(), surface)
     # the surface class itself pairs evenly with itself
     assert not is_allowable(surface.cls, surface)
+    with pytest.raises(LatticeError, match="^w must be integral$"):
+        is_allowable(Fraction(1, 2) * b2.lattice.cls("T1"), surface)
 
 
 def test_d_zero_examples():
@@ -90,11 +92,18 @@ def test_d_zero_examples():
     assert d_zero_value(-2, 3) == -4
     with pytest.raises(ParityError):
         d_zero_value(0, 2)
+    with pytest.raises(ParityError, match="^w\\^2 must be an integer$"):
+        d_zero_value(Fraction(1, 2), 3)
+    for b_plus in (3.0, True, "3"):
+        with pytest.raises(LatticeError, match=f"^b\\+ must be an int, got {re.escape(repr(b_plus))}$"):
+            d_zero_value(0, b_plus)
 
 
 def test_d_zero_from_class(k3):
     sigma = k3.lattice.cls("sigma")
     assert d_zero(sigma, 3) == -4  # sigma^2 = -2 on K3
+    with pytest.raises(LatticeError, match="^w must be integral$"):
+        d_zero(Fraction(1, 2) * sigma, 3)
 
 
 def test_marked_surface_invariants(b2):
@@ -105,6 +114,8 @@ def test_marked_surface_invariants(b2):
         MarkedSurface(2 * lat.cls("F"), genus=1)  # even class
     with pytest.raises(LatticeError):
         MarkedSurface(lat.cls("F"), genus=0)
+    with pytest.raises(LatticeError, match="^surface class must be integral$"):
+        MarkedSurface(Fraction(1, 2) * lat.cls("F"), genus=1)
 
 
 def test_signature_examples():
@@ -293,6 +304,8 @@ def test_hclass_arithmetic(b2):
     assert (f + sigma).dot(f) == 1
     assert (-f).coords == tuple(-c for c in f.coords)
     assert (Fraction(1, 2) * f).is_integral is False
+    with pytest.raises(LatticeError, match="^mod-2 reduction needs an integral class$"):
+        (Fraction(1, 2) * f).is_odd()
     with pytest.raises(LatticeError):
         HClass(lat, (Fraction(1),))  # wrong length
 

@@ -56,7 +56,7 @@ def shifted_w(entry):
 # -- construction invariants -----------------------------------------------------
 
 
-def test_entries_sorted_distinct_characteristic(b2):
+def test_entries_sorted_distinct_characteristic(b2, k3):
     series = b2.series
     coords = [k.coords for k, _ in series.entries]
     assert coords == sorted(coords)
@@ -65,6 +65,10 @@ def test_entries_sorted_distinct_characteristic(b2):
     # a non-characteristic class is rejected
     with pytest.raises(SeriesError):
         DonaldsonSeries.on(b2.lattice, [(b2.lattice.cls("F"), Fraction(1))])
+    with pytest.raises(LatticeMismatch, match="^entry class on a foreign lattice$"):
+        DonaldsonSeries.on(b2.lattice, [(k3.lattice.zero(), Fraction(1))])
+    with pytest.raises(SeriesError, match="is not integral$"):
+        DonaldsonSeries.on(b2.lattice, [(Fraction(1, 2) * b2.lattice.cls("K"), Fraction(1))])
 
 
 @pytest.mark.parametrize("name", ("B3", "B4", "S4", "K3", "C3", "dia2:2:4"))
@@ -193,9 +197,11 @@ def test_twist_involutive(b2):
     assert twist(twisted(b2.series, w), w) == list(b2.series.entries)
 
 
-def test_twist_needs_integral_w(b2):
+def test_twist_needs_integral_w(b2, k3):
     with pytest.raises(SeriesError):
         twist(b2.series, Fraction(1, 2) * b2.lattice.cls("F"))
+    with pytest.raises(LatticeMismatch, match="^twist class on a foreign lattice$"):
+        twist(b2.series, k3.lattice.cls("sigma"))
 
 
 # -- splitting ----------------------------------------------------------------------
@@ -379,6 +385,12 @@ def test_relation_poly_degree(g):
 def test_relation_poly_rejects_small_genus():
     with pytest.raises(SeriesError):
         relation_poly(1)
+
+
+@pytest.mark.parametrize("g", [2.0, "3", True])
+def test_relation_poly_refuses_a_genus_that_is_not_an_int(g):
+    with pytest.raises(SeriesError, match=f"^relation polynomial genus must be an int, got {g!r}$"):
+        relation_poly(g)
 
 
 @pytest.mark.parametrize("g", range(2, 7))
