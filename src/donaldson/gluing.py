@@ -26,6 +26,8 @@ values, repeated over many entries, so neither gluing nor evaluation does
 rational arithmetic per entry: ``_glued`` forms one product per distinct
 value, and ``_int_form``, the int pair index that the repeat check builds,
 serves ``eval_glued`` and ``coefficient_match``; entries keep their order.
+``coefficient_match`` makes a number (``_exact``) only for a pair that has
+entries: a miss is the ints (0, 0), so the caller compares ints.
 """
 
 from __future__ import annotations
@@ -193,10 +195,10 @@ def _rows(kind: str, g: int, eps: int) -> tuple[tuple[int, Fraction, int], ...]:
 class GluedSeries:
     """Output of a gluing: (left index, right index, sector, coefficient).
 
-    Sectors are +1 / -1 (exponent shift +-2 S.D) and 0 for the torus rule's
-    unshifted sector.  Indices are ints in [0, n) of their side, coefficients
-    ints or Fractions, and each (left, right, sector) occurs at most once.
-    A genus-1 spec takes only the torus kind.
+    Sectors are the ints +1 / -1 (exponent shift +-2 S.D) and 0 for the
+    torus rule's unshifted sector.  Indices are ints in [0, n) of their
+    side, coefficients ints or Fractions, and each (left, right, sector)
+    occurs at most once.  A genus-1 spec takes only the torus kind.
     """
 
     spec: GluingSpec
@@ -211,13 +213,14 @@ class GluedSeries:
         for j, k, s, c in self.entries:
             if not (
                 type(j) is int and 0 <= j < n1 and type(k) is int and 0 <= k < n2
-                and s in sectors and (type(c) is Fraction or type(c) is int)
+                and type(s) is int and s in sectors and (type(c) is Fraction or type(c) is int)
             ):  # name the first entry that fails, and what it fails
-                name = f"pair [{j!r}, {k!r}, {_SECTOR_CODE[s] if s in sectors else s!r}]"
+                known = type(s) is int and s in sectors
+                name = f"pair [{j!r}, {k!r}, {_SECTOR_CODE[s] if known else s!r}]"
                 for side, idx, n in (("left", j, n1), ("right", k, n2)):
                     if type(idx) is not int or not 0 <= idx < n:
                         raise GluingError(f"{name}: the {side} index must be an int in [0, {n})")
-                if s not in sectors:
+                if not known:
                     raise GluingError(f"{name}: a {self.kind} gluing has no sector {s!r}")
                 raise GluingError(f"{name}: the coefficient must be an int or a Fraction")
         den = lcm(*{c.denominator for _, _, _, c in self.entries})
@@ -337,21 +340,20 @@ def rshift(spec: GluingSpec, d: SplitClass, r) -> SplitClass:
     )
 
 
-_ZERO = Fraction(0)
-
-
 def coefficient_match(
     gs: GluedSeries, k_restrict: HClass, l_restrict: HClass
-) -> tuple[Fraction, Fraction]:
+) -> tuple[int | Fraction, int | Fraction]:
     """Grouped glued coefficient against its product form, per restriction pair.
 
     For a pair (K, L) of parent classes attaining K.S = L.S = +-(2g-2), the
     untwisted sum of glued coefficients over parents restricting to (K, L)
     must equal the scale of ``glue``'s row at that level times (sum of a_j
     over K_j = K) (sum of b_k over L_k = L); everything else gives (0, 0).
-    Both values are returned, for the caller to compare.  K and L are found
-    through each side's series index, ``position``; a class on another
-    lattice raises ``LatticeMismatch``.
+    Both values are returned, for the caller to compare, each an int when
+    integral (``_exact``): the grouped value is the pair's ints of
+    ``_int_form`` summed over their one denominator, and a miss is (0, 0).
+    K and L are found through each side's series index, ``position``; a
+    class on another lattice raises ``LatticeMismatch``.
     """
     if gs.kind != "standard":
         raise GluingError("coefficient matching is defined for standard gluings")
@@ -366,18 +368,18 @@ def coefficient_match(
     k = right._position.get(l_restrict.coords)
     if j is None or k is None:
         # no parent classes restrict there: both sums are empty
-        return _ZERO, _ZERO
+        return 0, 0
     (_, lvl_k, a), (_, lvl_l, b) = spec._splits[0].rows[j], spec._splits[1].rows[k]
-    c, d = left.entries[j][1], right.entries[k][1]
     den, pairs = gs._int_form
-    grouped = Fraction(sum(pairs[j, k].values()), den) if (j, k) in pairs else _ZERO
-    if grouped and (a == c) != (b == d):
+    row = pairs.get((j, k))
+    grouped = 0 if row is None else _exact(Fraction(sum(row.values()), den))
+    if grouped and (a == left.entries[j][1]) != (b == right.entries[k][1]):
         grouped = -grouped  # untwist: the twist multiplied a_j and b_k by +-1
     # most pairs miss on their levels, and only the others read the genus
     if lvl_k != lvl_l or abs(lvl_k) != 2 * spec.genus - 2:
-        return grouped, _ZERO
+        return grouped, 0
     _, scale, _ = _rows(gs.kind, spec.genus, spec.epsilon)[lvl_k < 0]
-    return grouped, scale * c * d
+    return grouped, _exact(scale * left.entries[j][1] * right.entries[k][1])
 
 
 # -- JSON -----------------------------------------------------------------------------

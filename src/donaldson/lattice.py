@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from json.encoder import encode_basestring_ascii
+from math import lcm
 from operator import mul, xor
 
 
@@ -201,8 +202,14 @@ class HClass:
 
     @cached_property
     def covector(self) -> tuple[int | Fraction, ...]:
-        """gram . coords, built once: pairing with this class is one dot product."""
-        return tuple(sum(map(mul, row, self.coords)) for row in self.lattice.gram)
+        """gram . coords, built once: pairing with this class is one dot product.
+        A rational class dots each Gram row with its int numerators over m,
+        the lcm of its denominators, and makes one number per entry (``_exact``)."""
+        if self.is_integral:
+            return tuple(sum(map(mul, row, self.coords)) for row in self.lattice.gram)
+        m = lcm(*(c.denominator for c in self.coords))
+        nums = [c.numerator * (m // c.denominator) for c in self.coords]
+        return tuple(_exact(Fraction(sum(map(mul, row, nums)), m)) for row in self.lattice.gram)
 
     def is_odd(self) -> bool:
         """Nonzero reduction mod 2 (meaningful for integral classes)."""

@@ -147,15 +147,19 @@ def _split_table(series: DonaldsonSeries, w: HClass, s: MarkedSurface):
     """The split table against (w, S), for ``SplitSeries`` alone, filed in
     ``series._splits`` (the only code that fills it): the rows (K, K.S,
     twisted coefficient), the series twisted once and each class paired with
-    S once, and the levels index, level K.S -> its row indices in first-seen
-    row order.  The index is a plain dict, so that a series pickles with its
-    tables; ``SplitSeries.levels`` shows it read-only.  Two threads may both
-    build one key's table; the two are equal and either is kept."""
+    S once; the levels index, level K.S -> its row indices in first-seen row
+    order; and the twisted coefficients as int numerators over L, the lcm of
+    their denominators, for ``level_sums``.  The index is a plain dict, so
+    that a series pickles with its tables; ``SplitSeries.levels`` shows it
+    read-only.  Two threads may both build one key's table; the two are
+    equal and either is kept."""
     rows = tuple((k, k.dot(s.cls), a) for k, a in twist(series, w))
     groups: dict[int, list[int]] = {}
     for j, (_, ks, _) in enumerate(rows):
         groups.setdefault(ks, []).append(j)
-    table = rows, {ks: tuple(js) for ks, js in groups.items()}
+    den = lcm(*(a.denominator for _, _, a in rows))
+    nums = tuple(a.numerator * (den // a.denominator) for _, _, a in rows)
+    table = rows, {ks: tuple(js) for ks, js in groups.items()}, den, nums
     series._splits[w.coords, s.cls.coords] = table
     return table
 
@@ -222,14 +226,14 @@ class SplitSeries:
 
     @cached_property
     def _table(self):
-        """(rows, levels) of the series' split table for (w, S), bound on
-        this split's first read: the rows by reference and the levels index
-        wrapped read-only once, so that a later read hashes no key
-        (``coefficient_match`` reads two rows per call)."""
+        """(rows, levels, L, numerators) of the series' split table for
+        (w, S), bound on this split's first read: the rest by reference and
+        the levels index wrapped read-only once, so that a later read hashes
+        no key (``coefficient_match`` reads two rows per call)."""
         series, w, s = self.series, self.w, self.surface
         table = series._splits.get((w.coords, s.cls.coords))
-        rows, levels = _split_table(series, w, s) if table is None else table
-        return rows, MappingProxyType(levels)
+        rows, levels, den, nums = _split_table(series, w, s) if table is None else table
+        return rows, MappingProxyType(levels), den, nums
 
     @property
     def rows(self) -> tuple[tuple[HClass, int, Fraction], ...]:
@@ -242,14 +246,17 @@ class SplitSeries:
 
     def level_sums(self, ks: int, d: HClass) -> dict[int | Fraction, int | Fraction]:
         """{K.D: summed twisted coefficient} over the rows at level K.S = ``ks``
-        ({} at a level the split does not have); only those classes meet D."""
-        rows, levels = self._table
+        ({} at a level the split does not have); only those classes meet D.
+        The table's int numerators are added per K.D, and each sum becomes
+        one number over L (``_exact``): none is a Fraction when L is 1."""
+        rows, levels, den, nums = self._table
         sums: dict[int | Fraction, int | Fraction] = {}
         for j in levels.get(ks, ()):
-            k, _, a = rows[j]
-            kd = k.dot(d)
-            sums[kd] = sums.get(kd, 0) + a
-        return sums
+            kd = rows[j][0].dot(d)
+            sums[kd] = sums.get(kd, 0) + nums[j]
+        if den == 1:
+            return sums
+        return {kd: _exact(Fraction(n, den)) for kd, n in sums.items()}
 
     def evaluate(self, d: HClass, z_terms) -> tuple[ExpPolynomial, ExpPolynomial]:
         """(P, N) of the split on z e^{tD}, z given by (S-power, x-power, c) terms.

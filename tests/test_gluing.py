@@ -777,13 +777,18 @@ def test_a_repeated_pair_is_refused(tmp_path, capsys):
         ((0, 999, 1, Fraction(1)), "pair [0, 999, '+']: the right index must be an int in [0, 4)"),
         ((0, 0, 2, Fraction(1)), "pair [0, 0, 2]: a standard gluing has no sector 2"),
         ((0, 0, 1, 0.5), "pair [0, 0, '+']: the coefficient must be an int or a Fraction"),
+        ((0, 0, True, Fraction(1)), "pair [0, 0, True]: a standard gluing has no sector True"),
+        ((0, 0, 1.0, Fraction(1)), "pair [0, 0, 1.0]: a standard gluing has no sector 1.0"),
+        ((0, 0, -1.0, Fraction(1)), "pair [0, 0, -1.0]: a standard gluing has no sector -1.0"),
     ],
-    ids=["index-negative", "index-999", "sector-2", "float-coefficient"],
+    ids=["index-negative", "index-999", "sector-2", "float-coefficient", "sector-True",
+         "sector-1.0", "sector--1.0"],
 )
 def test_a_glued_series_refuses_an_entry_it_cannot_hold(entry, message):
     # each of these once got through: -1 read the last class, 999 raised
-    # IndexError in eval_glued, sector 2 doubled the shift and a float
-    # raised AttributeError
+    # IndexError in eval_glued, sector 2 doubled the shift, a float
+    # raised AttributeError, and True, 1.0 and -1.0 equal a sector, were
+    # written as '+' and '-', and a float one made eval_glued raise TypeError
     spec = bg_double(2)
     with pytest.raises(GluingError, match=re.escape(message)):
         GluedSeries(spec, "standard", (entry,))

@@ -438,6 +438,104 @@ def test_coefficient_match_matches_per_entry_sums_on_b3_double(right_w):
     assert coefficient_match(gs, half_t1, some_class) == (0, 0)
 
 
+# -- the number rule: an int when integral, else a Fraction -------------------------------
+
+
+def is_exact(value) -> bool:
+    """``lattice._exact`` leaves the value as it is: an int, or a Fraction
+    that is no integer."""
+    return type(value) is int or (type(value) is Fraction and value.denominator != 1)
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4, 5])
+@pytest.mark.parametrize("delta", [0, 2])
+def test_coefficient_match_answers_are_exact_numbers(genus, delta):
+    bg = catalog(f"B{genus}")
+    w_sq = 2 * bg.w_class().square + delta
+    spec = GluingSpec(left=bg, right=bg, w_square=w_sq)
+    # w^2 - w1^2 - w2^2 = 2 flips epsilon when g - 1 is odd
+    assert spec.epsilon == (-1 if delta and genus % 2 == 0 else 1)
+    gs = glue(spec)
+    classes = bg.series.classes()
+    answers = [coefficient_match(gs, k, l) for k in classes for l in classes]
+    assert all(is_exact(x) for pair in answers for x in pair)
+    hits = [pair for pair in answers if pair != (0, 0)]
+    assert len(hits) == 2 and all(got == predicted for got, predicted in hits)
+    assert any(type(got) is int for got, _ in hits)
+    # misses: a class that no parent restricts to, integral or rational
+    for k in (bg.lattice.zero(), Fraction(1, 2) * bg.lattice.cls("T1")):
+        got, predicted = coefficient_match(gs, k, classes[0])
+        assert (type(got), type(predicted)) == (int, int) and got == predicted == 0
+
+
+@pytest.mark.parametrize("name", ENTRIES)
+def test_level_sums_are_exact_numbers(name):
+    entry = catalog(name)
+    s = entry.surface()
+    for w in twists(entry):
+        split = split_series(entry.series, w, s)
+        # D = 0 sums each level whole: 0 on B3, and +-1 over L = 4 on S4
+        for d in probe_cases(entry) + [entry.lattice.zero()]:
+            sums = [split.level_sums(ks, d) for ks in split.levels]
+            assert all(is_exact(a) for level in sums for a in level.values())
+
+
+# -- int paths against Fraction brute force -----------------------------------------------
+
+
+@functools.cache
+def oracle_lattice(name):
+    if name == "K3.bl1":
+        return constructions.blow_up(catalog("K3")).lattice
+    return catalog(name).lattice
+
+
+RATIONAL = st.builds(Fraction, st.integers(-7, 7), st.sampled_from([1, 2, 3, 4, 6, 9]))
+
+
+@st.composite
+def rational_class_pair(draw):
+    name = draw(st.sampled_from(["B3", "C3", "K3.bl1", "dia2:2:4"]))
+    rank = oracle_lattice(name).rank
+    coords = st.lists(RATIONAL, min_size=rank, max_size=rank)
+    return name, draw(coords), draw(coords)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_class_pair())
+@example(("B3", [Fraction(1, 3), Fraction(-1, 4), 0, 2, Fraction(5, 6)],
+          [Fraction(-1, 2), 1, Fraction(2, 9), 0, -3]))
+def test_rational_covector_square_and_pairing_match_fraction_brute_force(case):
+    name, u_coords, v_coords = case
+    lat = oracle_lattice(name)
+    u, v = HClass(lat, u_coords), HClass(lat, v_coords)
+    integral = HClass(lat, [c.numerator for c in u_coords])  # the int path too
+    for x, y in ((u, v), (v, u), (integral, u), (u, integral), (integral, integral)):
+        covector = tuple(ref_dot(x, lat.basis_vector(i)) for i in range(lat.rank))
+        assert x.covector == covector and all(is_exact(c) for c in x.covector)
+        assert x.square == ref_dot(x, x)
+        assert lattice_mod.pairing(x, y) == x.dot(y) == ref_dot(x, y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from([Fraction(1, 3), Fraction(-1, 4), Fraction(2, 3),
+                                 Fraction(-3, 4), Fraction(5), Fraction(-1)]),
+                min_size=16, max_size=16))
+@example([Fraction(1, 3), Fraction(-1, 4)] * 8)
+@example([Fraction(5)] * 16)
+def test_level_sums_over_mixed_denominators_match_reference(coefficients):
+    entry = catalog("B3")
+    s = entry.surface()
+    assert len(entry.series.entries) == 16
+    series = DonaldsonSeries.on(entry.lattice, zip(entry.series.classes(), coefficients))
+    for w in twists(entry):
+        split = split_series(series, w, s)
+        for d in probe_cases(entry):
+            got = {ks: split.level_sums(ks, d) for ks in split.levels}
+            assert got == ref_level_sums(ref_table(series, w, s, d))
+            assert all(is_exact(a) for level in got.values() for a in level.values())
+
+
 # -- work counts ------------------------------------------------------------------------
 
 
