@@ -16,17 +16,15 @@ The builders here produce value-level catalog entries:
   along its genus-g surface, used as the comparison target by the
   pairing-fit module.
 
-An entry's lattice is its series' lattice, and one table, ``_RECIPES``, maps
-each recipe head to its builder.  The three blow-up builders share one rule,
-``_blown_up``, which takes the series it blows up: m blow-ups at once turn
-each (K, c) into the 2^m classes K +- E_1 +- ... +- E_m with c / 2^m (the
-simple-type blow-up formula), so B(g) is built in one step from E(g).
-Every recipe builder and ``blow_up`` refuse, before they start, an entry of
-more than ``MAX_CLASSES`` basic classes, and ``elliptic_surface`` and
-``closed_form_cg`` one whose coefficients have more digits than Python
-lets an int be written with (``sys.get_int_max_str_digits()``).  The
-builders do not run ``CatalogEntry.validate``; ``parse_recipe``, which every
-catalog lookup goes through, runs it once on the entry it derives.
+An entry's lattice is its series' lattice; ``_RECIPES`` maps each recipe
+head to its builder.  The blow-up builders share ``_blown_up``: m blow-ups
+at once turn each row K, c into the 2^m int rows K +- E_1 +- ... +- E_m
+with c / 2^m (the simple-type blow-up formula), so B(g) is one step from
+E(g).  Builders and ``blow_up`` refuse up front an entry of more than
+``MAX_CLASSES`` basic classes, and ``elliptic_surface`` and ``closed_form_cg``
+one whose coefficients have more digits than an int may be written with
+(``sys.get_int_max_str_digits()``).  ``parse_recipe``, which every catalog
+lookup goes through, runs ``CatalogEntry.validate`` once per derived entry.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from itertools import product
 from math import comb
 
@@ -52,6 +50,7 @@ from .lattice import (
 )
 from .series import (
     DonaldsonSeries,
+    _entries_text,
     check_adjunction,
     check_involution,
     series_from_json,
@@ -120,7 +119,10 @@ class CatalogEntry:
         """The entry's catalog file, encoded on first use; the entry is immutable."""
         # construction order is deterministic; sorting keys would scramble the
         # class table
-        return (_indented(entry_to_json(self)) + "\n").encode()
+        data = entry_to_json(self)
+        # the same bytes as the list there, written straight from the int rows
+        data["series"]["entries"] = partial(_entries_text, self.series)
+        return (_indented(data) + "\n").encode()
 
     def validate(self) -> None:
         ok, bad = check_involution(self.series)
@@ -191,12 +193,10 @@ def elliptic_surface(n: int) -> CatalogEntry:
         ),
     )
     f = lattice.cls("F")
-    pairs = []
-    for k in range(-(n - 2), n - 1, 2):
-        j = (n - 2 - k) // 2
-        coeff = Fraction((-1) ** j * comb(n - 2, j), 2 ** (n - 2))
-        pairs.append((k * f, coeff))
-    series = DonaldsonSeries.on(lattice, pairs)
+    # K = kF for k = -(n-2), -(n-4), ..., n-2, with (-1)^j C(n-2, j) / 2^(n-2), j = (n-2-k)/2
+    rows = tuple((k, 0) for k in range(-(n - 2), n - 1, 2))
+    nums = tuple((-1) ** j * comb(n - 2, j) for j in range(n - 2, -1, -1))
+    series = DonaldsonSeries(lattice, rows, nums, 2 ** (n - 2))
     return CatalogEntry(
         name=name,
         series=series,
@@ -212,7 +212,7 @@ def blow_up(entry: CatalogEntry) -> CatalogEntry:
     """Add an exceptional (-1)-class E; entries become (K+E, c/2), (K-E, c/2)."""
     k = 1 + sum(lab.startswith("E") for lab in entry.lattice.labels())
     name = f"{entry.name}.bl{k}"
-    _check_size(name, len(entry.series.entries), 1)
+    _check_size(name, len(entry.series.rows), 1)
     series = _blown_up(name, entry.series, 1)
     lattice = series.lattice
     surfaces = tuple(
@@ -251,12 +251,10 @@ def _blown_up(name, series, m, extra=()) -> DonaldsonSeries:
         + tuple((f"E{first + i}", e) for i, e in enumerate(units))
         + tuple(extra),
     )
-    signs = list(product((1, -1), repeat=m))
-    out = []
-    for k, c in series.entries:
-        c = Fraction(c, 2**m)
-        out += [(HClass(lattice, k.coords + s), c) for s in signs]
-    return DonaldsonSeries.on(lattice, out)
+    signs = list(product((-1, 1), repeat=m))  # the rows come out sorted
+    rows = tuple(k + s for k in series.rows for s in signs)
+    nums = tuple(n for n in series.nums for _ in signs)
+    return DonaldsonSeries(lattice, rows, nums, series.den << m)
 
 
 def build_bg(g: int) -> CatalogEntry:
@@ -288,18 +286,17 @@ def build_bg(g: int) -> CatalogEntry:
 
 
 def _check_bg(entry: CatalogEntry, g: int) -> None:
-    lat = entry.lattice
-    sigma_g = lat.cls("Sigma_g")
-    t1 = lat.cls("T1")
-    k_top = lat.cls("K")
+    lat, series = entry.lattice, entry.series
+    sigma_g, t1 = lat.cls("Sigma_g"), lat.cls("T1")
     if t1.dot(sigma_g) != 1:
         raise ConstructionError(f"B{g}: fiber pairs {t1.dot(sigma_g)} with surface")
-    top = [(k, c) for k, c in entry.series.entries if k.dot(sigma_g) == 2 * g - 2]
-    if len(top) != 1 or top[0][0].coords != k_top.coords:
+    top = [j for j, ks in enumerate(lat.pairings(series.rows, sigma_g)) if ks == 2 * g - 2]
+    if len(top) != 1 or series.rows[top[0]] != lat.cls("K").coords:
         raise ConstructionError(f"B{g}: top class against the surface is not unique")
-    if top[0][1] != Fraction(1, 2 ** (2 * g - 2)):
-        raise ConstructionError(f"B{g}: top coefficient {top[0][1]} is wrong")
-    if len(entry.series.entries) != 2**g * (g - 1):
+    c = Fraction(series.nums[top[0]], series.den)
+    if c != Fraction(1, 2 ** (2 * g - 2)):
+        raise ConstructionError(f"B{g}: top coefficient {c} is wrong")
+    if len(series.rows) != 2**g * (g - 1):
         raise ConstructionError(f"B{g}: expected {2**g * (g - 1)} basic classes")
 
 
@@ -321,15 +318,11 @@ def build_dia2(g_prime: int, g: int) -> CatalogEntry:
     series = _blown_up(name, DonaldsonSeries.on(k3, [(k3.zero(), 1)]), blowups, [sigma1])
     lattice = series.lattice
     surface = MarkedSurface(lattice.cls("Sigma1"), genus=g)
-    max_pair = max(
-        (abs(k.dot(surface.cls)) for k, _ in series.entries), default=0
-    )
+    levels = lattice.pairings(series.rows, surface.cls)
+    max_pair = max(map(abs, levels), default=0)
     if max_pair != 2 * g_prime - 2:
         raise ConstructionError(f"{name}: max |K.S| = {max_pair} != {2 * g_prime - 2}")
-    attaining = [
-        k for k, _ in series.entries if k.dot(surface.cls) == 2 * g_prime - 2
-    ]
-    if len(attaining) != 1:
+    if levels.count(2 * g_prime - 2) != 1:
         raise ConstructionError(f"{name}: equality class is not unique")
     return CatalogEntry(
         name=name,

@@ -84,9 +84,9 @@ def basis_coordinates(
     split = SplitSeries(series, w, s)
     for lvl, (j, *_) in split.levels.items():
         if abs(lvl) > 2 * g - 2:
+            k = HClass(series.lattice, series.rows[j])
             raise FitError(
-                f"class {split.rows[j][0]} pairs {lvl} with the surface, beyond the "
-                f"adjunction bound {2 * g - 2}"
+                f"class {k} pairs {lvl} with the surface, beyond the adjunction bound {2 * g - 2}"
             )
     coords = tuple(
         ExpPolynomial("none", split.level_sums(2 * p_of_alpha(alpha, g), d).items())

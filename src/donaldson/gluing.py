@@ -18,16 +18,14 @@ Each rule, the torus and the experimental stabilized rules too, is a table
 of rows (sector, scale, level) written once, in ``_rows(kind, g, eps)``:
 gluing runs it, ``GluedSeries`` takes its sectors from it and
 ``coefficient_match`` its predicted scale.  Each side's ``SplitSeries``, made
-with the spec, gives the twisted coefficients and, through ``levels``, the
-rows at a level; row j of a split is series entry j, so glued indices address both.
+with the spec, gives the twisted numerators and, through ``levels``, the
+rows at a level; row j of a split is series row j, so glued indices address both.
 
 A rule's coefficients are products scale * a_j * b_k of a few distinct
-values, repeated over many entries, so neither gluing nor evaluation does
-rational arithmetic per entry: ``_glued`` forms one product per distinct
-value, and ``_int_form``, the int pair index that the repeat check builds,
-serves ``eval_glued`` and ``coefficient_match``; entries keep their order.
-``coefficient_match`` makes a number (``_exact``) only for a pair that has
-entries: a miss is the ints (0, 0), so the caller compares ints.
+values, so neither gluing nor evaluation does rational arithmetic per entry:
+``_glued`` forms one product per distinct value, and ``_int_form``, the int
+pair index that the repeat check builds, serves ``eval_glued`` and
+``coefficient_match``, which makes a number only for a pair that has entries.
 """
 
 from __future__ import annotations
@@ -51,11 +49,9 @@ class GluingError(ValueError):
 @dataclass(frozen=True)
 class GluingSpec:
     """The two sides of a gluing: entries, chosen surfaces and w-classes.
-
-    ``w_square`` is the self-intersection of the glued w; it enters only
-    through w^2 - w1^2 - w2^2, which must be even and contributes the
-    epsilon sign when it is 2 mod 4.  Default: the normalized value
-    w1^2 + w2^2.  The spec resolves each side's labels once, into its split.
+    ``w_square``, the glued w^2, enters only through w^2 - w1^2 - w2^2, which
+    must be even and gives the epsilon sign when it is 2 mod 4 (default:
+    w1^2 + w2^2).  The spec resolves each side's labels once, into its split.
     """
 
     left: CatalogEntry
@@ -194,10 +190,9 @@ def _rows(kind: str, g: int, eps: int) -> tuple[tuple[int, Fraction, int], ...]:
 @dataclass(frozen=True)
 class GluedSeries:
     """Output of a gluing: (left index, right index, sector, coefficient).
-
     Sectors are the ints +1 / -1 (exponent shift +-2 S.D) and 0 for the
-    torus rule's unshifted sector.  Indices are ints in [0, n) of their
-    side, coefficients ints or Fractions, and each (left, right, sector)
+    torus rule's unshifted sector.  Indices are ints in [0, n) of their side's
+    rows, coefficients ints or Fractions, and each (left, right, sector)
     occurs at most once.  A genus-1 spec takes only the torus kind.
     """
 
@@ -209,7 +204,7 @@ class GluedSeries:
 
     def __post_init__(self):
         sectors = tuple(row[0] for row in _rows(self.kind, self.spec.genus, self.spec.epsilon))
-        n1, n2 = len(self.spec.left.series.entries), len(self.spec.right.series.entries)
+        n1, n2 = len(self.spec.left.series.rows), len(self.spec.right.series.rows)
         for j, k, s, c in self.entries:
             if not (
                 type(j) is int and 0 <= j < n1 and type(k) is int and 0 <= k < n2
@@ -243,10 +238,10 @@ class GluedSeries:
         return self.kind == "stabilized"
 
     def left_class(self, j: int) -> HClass:
-        return self.spec.left.series.entries[j][0]
+        return HClass(self.spec.left.lattice, self.spec.left.series.rows[j])
 
     def right_class(self, k: int) -> HClass:
-        return self.spec.right.series.entries[k][0]
+        return HClass(self.spec.right.lattice, self.spec.right.series.rows[k])
 
 
 MAX_GLUED_ENTRIES = 2**20
@@ -261,7 +256,7 @@ def _glued(spec: GluingSpec, kind: str) -> GluedSeries:
     each distinct b of the level once; an entry reads its product by its b."""
     rows = _rows(kind, spec.genus, spec.epsilon)
     left, right = spec._splits
-    left_rows, right_rows = left.rows, right.rows
+    (_, _, den1, nums1, _), (_, _, den2, nums2, _) = left._table, right._table
     blocks = [(sector, scale, left.levels.get(lvl, ()), right.levels.get(lvl, ()))
               for sector, scale, lvl in rows]
     size = sum(len(js) * len(ks) for _, _, js, ks in blocks)
@@ -269,10 +264,10 @@ def _glued(spec: GluingSpec, kind: str) -> GluedSeries:
         raise GluingError(f"{size} glued entries is over the limit of {MAX_GLUED_ENTRIES}")
     entries = []
     for sector, scale, js, ks in blocks:
-        distinct: dict[Fraction, int] = {}
-        k_index = [(k, distinct.setdefault(right_rows[k][2], len(distinct))) for k in ks]
+        distinct: dict[int, int] = {}  # right numerator -> its index
+        k_index = [(k, distinct.setdefault(nums2[k], len(distinct))) for k in ks]
         for j in js:
-            scaled = scale * left_rows[j][2]
+            scaled = scale * Fraction(nums1[j], den1 * den2)
             products = [scaled * b for b in distinct]
             entries.extend((j, k, sector, products[i]) for k, i in k_index)
     return GluedSeries(spec, kind, tuple(entries))
@@ -309,12 +304,10 @@ def glue_conjectural(spec: GluingSpec) -> GluedSeries:
 def eval_glued(gs: GluedSeries, d: SplitClass) -> ExpPolynomial:
     """Evaluate a glued series on e^{tD} for a split class D.
 
-    Each entry's exponent is K.D1 + L.D2 plus the sector shift +-2 S.D (no
-    shift for the torus 0-sector and for stabilized output).  With m the
-    common denominator of D's coordinates, m times it is the int K.(m D1) +
-    L.(m D2) + sector 2 (m D1).S.  One pass over the pairs of ``_int_form``
-    adds their int coefficients into int exponents: one term per exponent.
-    """
+    Each entry's exponent is K.D1 + L.D2 plus the sector shift +-2 S.D (none
+    for the torus 0-sector and stabilized output); with m the common
+    denominator of D's coordinates, m times it is an int.  One pass over the
+    pairs of ``_int_form`` adds int coefficients into int exponents."""
     _validate_split_class(gs.spec, d)
     den, pairs = gs._int_form
     m = lcm(*(c.denominator for c in d.d1.coords + d.d2.coords))
@@ -350,10 +343,8 @@ def coefficient_match(
     must equal the scale of ``glue``'s row at that level times (sum of a_j
     over K_j = K) (sum of b_k over L_k = L); everything else gives (0, 0).
     Both values are returned, for the caller to compare, each an int when
-    integral (``_exact``): the grouped value is the pair's ints of
-    ``_int_form`` summed over their one denominator, and a miss is (0, 0).
-    K and L are found through each side's series index, ``position``; a
-    class on another lattice raises ``LatticeMismatch``.
+    integral (``_exact``); a miss is the ints (0, 0).  K and L are found
+    through each side's ``position``; a foreign class raises ``LatticeMismatch``.
     """
     if gs.kind != "standard":
         raise GluingError("coefficient matching is defined for standard gluings")
@@ -369,17 +360,18 @@ def coefficient_match(
     if j is None or k is None:
         # no parent classes restrict there: both sums are empty
         return 0, 0
-    (_, lvl_k, a), (_, lvl_l, b) = spec._splits[0].rows[j], spec._splits[1].rows[k]
+    (lvls_k, _, _, a, _), (lvls_l, _, _, b, _) = spec._splits[0]._table, spec._splits[1]._table
+    lvl_k, lvl_l = lvls_k[j], lvls_l[k]
     den, pairs = gs._int_form
     row = pairs.get((j, k))
     grouped = 0 if row is None else _exact(Fraction(sum(row.values()), den))
-    if grouped and (a == left.entries[j][1]) != (b == right.entries[k][1]):
+    if grouped and (a[j] == left.nums[j]) != (b[k] == right.nums[k]):
         grouped = -grouped  # untwist: the twist multiplied a_j and b_k by +-1
     # most pairs miss on their levels, and only the others read the genus
     if lvl_k != lvl_l or abs(lvl_k) != 2 * spec.genus - 2:
         return grouped, 0
     _, scale, _ = _rows(gs.kind, spec.genus, spec.epsilon)[lvl_k < 0]
-    return grouped, _exact(scale * left.entries[j][1] * right.entries[k][1])
+    return grouped, _exact(scale * Fraction(left.nums[j] * right.nums[k], left.den * right.den))
 
 
 # -- JSON -----------------------------------------------------------------------------

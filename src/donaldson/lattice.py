@@ -9,9 +9,10 @@ formulas touch (fibers, sections, exceptional classes, surfaces); the
 declared b^+ may exceed the rank of the modeled block, and only the count
 of positive directions is checked against it.
 
-K is characteristic when G K = diag(G) over F2, that is, when its odd
-coordinates lie in c0 + ker(G mod 2): c0 (the Wu class) and the kernel's
-basis, empty but on the catalog's C(g) blocks, are solved once per lattice.
+K is characteristic when G K = diag(G) over F2: its odd coordinates lie in
+c0 + ker(G mod 2), c0 (the Wu class) and the kernel (only on the catalog's
+C(g) blocks) solved once per lattice.  A series' basic classes are int rows,
+which ``Lattice.pairings`` pairs and ``characteristic_prefix`` tests in batches.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import chain
 from json.encoder import encode_basestring_ascii
-from math import lcm
+from math import gcd, lcm
 from operator import mul, xor
 
 
@@ -148,6 +150,27 @@ class Lattice:
         free = [f for f in (1 << 8 * j for j in range(self.rank)) if f not in pivots]
         c0 = sum(bit for bit, row in pivots.items() if row & rhs)
         return c0, tuple((f, f | sum(b for b, row in pivots.items() if row & f)) for f in free)
+
+    def pairings(self, rows, v: "HClass") -> list[int | Fraction]:
+        """K . v per int coordinate row K, by v's covector: the one batch pairing.
+        v on another lattice is refused when there is a row to pair."""
+        if rows and not same_lattice(self, v.lattice):
+            raise LatticeMismatch(f"pairing of classes on {self.name} and {v.lattice.name}")
+        cov = v.covector
+        dots = [sum(map(mul, k, cov)) for k in rows]
+        return dots if v.is_integral else [_exact(x) if type(x) is Fraction else x for x in dots]
+
+    def characteristic_prefix(self, rows) -> int:
+        """How many leading int rows are characteristic: y = parity(K) + c0 is the
+        sum of the kernel vectors at y's free coordinates (``_wu``); with no
+        kernel, y == 0, one compare of all rows' parities against c0 repeated."""
+        c0, kernel = self._wu
+        odd = bytes(map((1).__and__, chain.from_iterable(rows)))
+        if not kernel and odd == c0.to_bytes(self.rank, "little") * len(rows):
+            return len(rows)
+        ys = enumerate(_parity(k) ^ c0 for k in rows)
+        bad = (j for j, y in ys if y != reduce(xor, (v for f, v in kernel if y & f), 0))
+        return next(bad, len(rows))
 
     def cls(self, label: str) -> "HClass":
         coords = self._named_coords.get(label)
@@ -276,23 +299,22 @@ def same_lattice(a: Lattice, b: Lattice) -> bool:
 
 
 def pairing(u: HClass, v: HClass) -> int | Fraction:
-    """u^T . gram . v as u . (v's cached covector): an int on integral classes."""
+    """u^T . gram . v as u . (v's cached covector): an int on integral classes,
+    and a sum of rational terms is made one number (``_exact``)."""
     if not same_lattice(u.lattice, v.lattice):
         raise LatticeMismatch(
             f"pairing of classes on {u.lattice.name} and {v.lattice.name}"
         )
-    return sum(map(mul, u.coords, v.covector))
+    x = sum(map(mul, u.coords, v.covector))
+    return _exact(x) if type(x) is Fraction else x
 
 
 def is_characteristic(k: HClass) -> bool:
-    """k . v == v . v (mod 2) for every basis vector of the modeled lattice: y =
-    parity(k) + c0 is the sum of the kernel vectors at y's free coordinates
-    (``Lattice._wu``), which is y == 0 when G mod 2 is invertible."""
+    """k . v == v . v (mod 2) for every basis vector of the modeled lattice:
+    ``Lattice.characteristic_prefix`` on the one row."""
     if not k.is_integral:
         raise LatticeError("characteristic test needs an integral class")
-    c0, kernel = k.lattice._wu
-    y = _parity(k.coords) ^ c0
-    return y == reduce(xor, (v for f, v in kernel if y & f), 0)
+    return k.lattice.characteristic_prefix((k.coords,)) == 1
 
 
 def is_allowable(w: HClass, s: MarkedSurface) -> bool:
@@ -328,52 +350,31 @@ def d_zero(w: HClass, b_plus: int) -> int:
 
 
 def signature(gram) -> tuple[int, int, int]:
-    """(positive, negative, zero) inertia of a symmetric integer matrix.
-
-    Exact rational congruence diagonalization; no floating point.
-    """
-    n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    pos = neg = zero = 0
-    for i in range(n):
-        if a[i][i] == 0:
-            j = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
-            if j is not None:
-                _swap_basis(a, i, j)
-            else:
-                j = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
-                if j is None:
-                    zero += 1
-                    continue
-                _add_basis(a, i, j)
-        d = a[i][i]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        for r in range(i + 1, n):
-            f = a[r][i] / d
-            if f == 0:
+    """(positive, negative, zero) inertia of a symmetric integer matrix, on ints:
+    a nonzero diagonal pivot d goes on with d A' - a a^T over its gcd, whose
+    inertia is the rest's, flipped when d < 0.  With a zero diagonal, e_0 <-
+    e_0 + e_j makes a[0][0] = 2 a[0][j] for an a[0][j] != 0; a zero row is a zero."""
+    a, counts, flip = [list(row) for row in gram], [0, 0, 0], 0
+    while a:
+        p = next((j for j, row in enumerate(a) if row[j]), None)
+        if p is None:
+            j = next((j for j, x in enumerate(a[0]) if x), None)
+            if j is None:
+                counts[2] += 1
+                a = [row[1:] for row in a[1:]]
                 continue
-            for c in range(n):
-                a[r][c] -= f * a[i][c]
-            for c in range(n):
-                a[c][r] -= f * a[c][i]
-    return pos, neg, zero
-
-
-def _swap_basis(a, i, j):
-    a[i], a[j] = a[j], a[i]
-    for row in a:
-        row[i], row[j] = row[j], row[i]
-
-
-def _add_basis(a, i, j):
-    # basis change e_i <- e_i + e_j, making a[i][i] = 2 a[i][j] + a[j][j] != 0
-    for c in range(len(a)):
-        a[i][c] += a[j][c]
-    for r in range(len(a)):
-        a[r][i] += a[r][j]
+            a[0] = [x + y for x, y in zip(a[0], a[j])]
+            for row in a:
+                row[0] += row[j]
+            p = 0
+        d, col = a[p][p], a[p][:p] + a[p][p + 1 :]
+        counts[(d < 0) ^ flip] += 1
+        flip ^= d < 0
+        rest = [row[:p] + row[p + 1 :] for row in a[:p] + a[p + 1 :]]
+        a = [[d * x - ci * cj for x, cj in zip(row, col)] for ci, row in zip(col, rest)]
+        g = gcd(*chain.from_iterable(a))
+        a = [[x // g for x in row] for row in a] if g > 1 else a
+    return tuple(counts)
 
 
 # -- JSON descriptors -------------------------------------------------------------
@@ -436,7 +437,8 @@ def _what(want) -> str:
 def _indented(data, indent: str = "\n") -> str:
     """``json.dumps(data, indent=2)``, with one join per container: a plain
     int, or a list of them, is written by ``repr``, a str by the C string
-    encoder, any other scalar by ``json.dumps``.  Dict keys must be strs."""
+    encoder, any other scalar by ``json.dumps``, and a callable by what it
+    returns for the indent (a writer of its own).  Dict keys must be strs."""
     if isinstance(data, str):
         return encode_basestring_ascii(data)
     if type(data) is int:
@@ -446,7 +448,7 @@ def _indented(data, indent: str = "\n") -> str:
         body = [encode_basestring_ascii(k) + ": " + _indented(v, inner) for k, v in data.items()]
         return "{" + inner + ("," + inner).join(body) + indent + "}"
     if not isinstance(data, (list, tuple)) or not data:
-        return json.dumps(data)
+        return data(indent) if callable(data) else json.dumps(data)
     ints = set(map(type, data)) <= {int}
     body = map(repr, data) if ints else [_indented(x, inner) for x in data]
     return "[" + inner + ("," + inner).join(body) + indent + "]"

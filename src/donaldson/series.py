@@ -1,25 +1,18 @@
 """Donaldson series of simple-type manifolds and the two-sector surface calculus.
 
-A series is the finite datum  D_X(e^a) = e^{Q(a)/2} sum_j c_j e^{K_j . a}
-of basic classes K_j with rational coefficients; its ``position`` map (class
-coords -> entry index) is the one lookup by class.  Against an allowable pair
-(w, S) it splits into two sectors by K_j . S mod 4: the P-sector keeps the
-e^{+Q/2} prefactor, the N-sector acquires e^{-Q/2}, a global i^{-d0} and
-imaginary exponents; it is stated for b1 = 0, which every lattice has, and
-b+ > 1, so a series with b+ = 1 is refused.  Point-class and surface-class
-insertions act on the sectors by the scalars 2 / -2 and by the polynomial
-weights ((D+K).S)^b and ((-D + iK).S)^b respectively, which is everything
-the finite-type and relation-polynomial machinery needs.  ``SplitSeries(series, w, surface)``
-is the only way to split a series: it checks (series, w, S) each time it is
-made, and its ``rows`` and ``levels`` read the series' one split table for
-(w, S), which ``_split_table`` builds on the first read of any split of that
-series against that pair and every later split reuses.  Every evaluation, fit
-and gluing holds a split and reads its rows, row j being series entry j,
-grouped by level only in its ``levels`` index.  ``level_sums`` is a level's
-bare sum of twisted coefficients per K.D, which a fit coordinate is;
-``evaluate`` alone puts it in sector form.  ``z_value`` is z's scalar at a
-level, which ``check`` reads alone, worked out on ints; a zero one adds no
-terms, so no D pairing.
+A series  D_X(e^a) = e^{Q(a)/2} sum_j c_j e^{K_j . a}  is an integer table:
+its basic classes K_j as sorted int coordinate rows, each checked once, and
+the c_j as int numerators over one denominator.  Against an allowable pair
+(w, S), b1 = 0 and b+ > 1, it splits into two sectors by K_j . S mod 4: the
+P-sector keeps e^{+Q/2}, the N-sector acquires e^{-Q/2}, a global i^{-d0}
+and imaginary exponents; point and surface insertions act by 2 / -2 and by
+((D+K).S)^b and ((-D + iK).S)^b.  ``SplitSeries(series, w, surface)`` is the
+only split, checked each time it is made; it reads the series' one table for
+(w, S), levels K.S and twisted numerators per row, which ``_split_table``
+builds on the first read.  Rows meet the form in ``Lattice.pairings``.
+``level_sums`` is a level's bare sum of twisted coefficients per K.D, a fit
+coordinate; ``evaluate`` puts it in sector form with ``z_value``, z's scalar
+at a level, worked out on ints.
 """
 
 from __future__ import annotations
@@ -28,8 +21,9 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
-from operator import neg
+from itertools import chain
+from math import gcd, lcm
+from operator import add, lt, neg
 from types import MappingProxyType
 
 from .exppoly import ExpPolynomial
@@ -45,7 +39,6 @@ from .lattice import (
     d_zero,
     d_zero_value,
     is_allowable,
-    is_characteristic,
     same_lattice,
 )
 
@@ -56,49 +49,69 @@ class SeriesError(ValueError):
 
 @dataclass(frozen=True)
 class DonaldsonSeries:
-    """Finite list of (basic class, rational coefficient) on a lattice.
-
-    The series is of simple type, the hypothesis of every formula here, on a
-    lattice with b1 = 0 and b+ odd.  Entries are kept sorted by class
-    coordinates, classes are pairwise distinct, integral, and characteristic
-    on the modeled lattice.
-    ``position`` (class coords -> entry index) is the one lookup by class;
-    the duplicate check builds it, and it is a read-only view.
-    ``_splits`` maps (w coords, S coords) to the split table that
-    ``_split_table`` built for that pair: the rows and their ``levels``
-    index, which every ``SplitSeries`` of this series against (w, S) reads.
-    It holds one table per distinct (w, S) split on this series, unbounded,
-    and is freed with the series; a copy (``on``, ``dataclasses.replace``)
-    starts with none.
+    """Basic classes with rational coefficients, of simple type, on a lattice
+    of b1 = 0 and b+ odd: sorted int coordinate ``rows`` and int ``nums`` over
+    ``den``, the lcm of the denominators.  The first bad row is refused (not
+    ints of the rank, coefficient 0, a repeat, not characteristic), named by
+    an ``HClass``.  ``entries``, the (``HClass``, ``Fraction``) pairs, is a view
+    made on first read; no split, check or fit reads it.  ``position`` (coords
+    -> row) is the one lookup by class; ``_splits`` maps (w, S) coords to the
+    ``_split_table`` of that pair, one each, unbounded; a copy starts with none.
     """
 
     lattice: Lattice
-    entries: tuple[tuple[HClass, Fraction], ...]
+    rows: tuple[tuple[int, ...], ...]
+    nums: tuple[int, ...]
+    den: int
     _position: dict[tuple, int] = field(init=False, repr=False, compare=False)
-    _splits: dict[tuple, tuple] = field(init=False, repr=False, compare=False)
+    _splits: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pairs = ((k, c if type(c) is Fraction else Fraction(_exact(c))) for k, c in self.entries)
-        entries = tuple(sorted(pairs, key=lambda e: e[0].coords))
-        object.__setattr__(self, "entries", entries)
-        position = {}
-        object.__setattr__(self, "_position", position)
-        object.__setattr__(self, "_splits", {})
-        for j, (k, c) in enumerate(entries):
-            if not same_lattice(k.lattice, self.lattice):
-                raise LatticeMismatch("entry class on a foreign lattice")
-            if not k.is_integral:
-                raise SeriesError(f"basic class {k} is not integral")
-            if not c:
+        lat, nums, den = self.lattice, tuple(self.nums), self.den
+        rows = tuple(map(tuple, self.rows))
+        if len(nums) != len(rows) or type(den) is not int or den < 1 or {*map(type, nums)} - {int}:
+            raise SeriesError("coefficients must be one int per row over an int den >= 1")
+        if {*map(len, rows)} - {lat.rank} or {*map(type, chain.from_iterable(rows))} - {int}:
+            bad = next(k for k in rows if len(k) != lat.rank or {*map(type, k)} - {int})
+            raise SeriesError(f"basic class {bad!r} is not a row of {lat.rank} ints")
+        if not all(map(lt, rows, rows[1:])):
+            rows, nums = zip(*sorted(zip(rows, nums)))
+        g, n, position = gcd(den, *nums), len(rows), dict(zip(rows, range(len(rows))))
+        for name, value in (("rows", rows), ("nums", tuple(x // g for x in nums)),
+                            ("den", den // g), ("_position", position), ("_splits", {})):
+            object.__setattr__(self, name, value)
+        # the first row of coefficient 0 or a repeat, or one before it that is not K
+        bad = min(nums.index(0) if 0 in nums else n, n if len(position) == n else
+                  next(j for j in range(1, n) if rows[j] == rows[j - 1]))
+        bad = lat.characteristic_prefix(rows[:bad])
+        if bad < n:
+            k = HClass(lat, rows[bad])
+            if not nums[bad]:
                 raise SeriesError(f"DonaldsonSeries: basic class {k} has coefficient 0")
-            if position.setdefault(k.coords, j) != j:
+            if bad and rows[bad - 1] == rows[bad]:
                 raise SeriesError(f"duplicate basic class {k}")
-            if not is_characteristic(k):
-                raise SeriesError(f"basic class {k} is not characteristic")
+            raise SeriesError(f"basic class {k} is not characteristic")
 
     @classmethod
     def on(cls, lattice: Lattice, pairs) -> "DonaldsonSeries":
-        return cls(lattice, tuple(pairs))
+        """From (``HClass``, coefficient) pairs: a foreign or rational class is
+        refused where it sorts, once the rows before it have passed."""
+        pairs = sorted(((k, Fraction(_exact(c))) for k, c in pairs), key=lambda e: e[0].coords)
+        for j, (k, _) in enumerate(pairs):
+            if not (same_lattice(k.lattice, lattice) and k.is_integral):
+                cls.on(lattice, pairs[:j])
+                if not same_lattice(k.lattice, lattice):
+                    raise LatticeMismatch("entry class on a foreign lattice")
+                raise SeriesError(f"basic class {k} is not integral")
+        den = lcm(*(c.denominator for _, c in pairs))
+        nums = tuple(c.numerator * (den // c.denominator) for _, c in pairs)
+        return cls(lattice, tuple(k.coords for k, _ in pairs), nums, den)
+
+    @cached_property
+    def entries(self) -> tuple[tuple[HClass, Fraction], ...]:
+        """(basic class, coefficient) per row: the view, built once on first read."""
+        value = {n: Fraction(n, self.den) for n in set(self.nums)}
+        return tuple((HClass(self.lattice, k), value[n]) for k, n in zip(self.rows, self.nums))
 
     @property
     def position(self) -> MappingProxyType:
@@ -110,13 +123,13 @@ class DonaldsonSeries:
 
     @property
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.rows
 
     def coefficient(self, k: HClass) -> Fraction:
         if not same_lattice(k.lattice, self.lattice):
             raise LatticeMismatch("coefficient of a class on a foreign lattice")
         j = self._position.get(k.coords)
-        return Fraction(0) if j is None else self.entries[j][1]
+        return Fraction(0) if j is None else Fraction(self.nums[j], self.den)
 
     def classes(self) -> tuple[HClass, ...]:
         return tuple(k for k, _ in self.entries)
@@ -128,38 +141,37 @@ class DonaldsonSeries:
         return d_zero(w, self.b_plus)
 
 
-def twist(series: DonaldsonSeries, w: HClass) -> list[tuple[HClass, Fraction]]:
-    """Coefficients for the w-twisted series: c -> (-1)^{(K.w + w^2)/2} c."""
+def _twist(series: DonaldsonSeries, w: HClass) -> tuple[int, ...]:
+    """The w-twisted numerators over ``series.den``: n -> (-1)^{(K.w + w^2)/2} n."""
     if not same_lattice(w.lattice, series.lattice):
         raise LatticeMismatch("twist class on a foreign lattice")
     if not w.is_integral:
         raise SeriesError("twist class must be integral")
     w_sq = w.square
     # K characteristic and w integral: K.w = w^2 (mod 2), so the sum is even
-    return [(k, -c if (k.dot(w) + w_sq) // 2 % 2 else c) for k, c in series.entries]
+    kw = series.lattice.pairings(series.rows, w)
+    return tuple(-n if (x + w_sq) & 2 else n for x, n in zip(kw, series.nums))
+
+
+def twist(series: DonaldsonSeries, w: HClass) -> list[tuple[HClass, Fraction]]:
+    """Coefficients for the w-twisted series: c -> (-1)^{(K.w + w^2)/2} c."""
+    return list(twisted(series, w).entries)
 
 
 def twisted(series: DonaldsonSeries, w: HClass) -> DonaldsonSeries:
-    return DonaldsonSeries.on(series.lattice, twist(series, w))
+    return DonaldsonSeries(series.lattice, series.rows, _twist(series, w), series.den)
 
 
 def _split_table(series: DonaldsonSeries, w: HClass, s: MarkedSurface):
-    """The split table against (w, S), for ``SplitSeries`` alone, filed in
-    ``series._splits`` (the only code that fills it): the rows (K, K.S,
-    twisted coefficient), the series twisted once and each class paired with
-    S once; the levels index, level K.S -> its row indices in first-seen row
-    order; and the twisted coefficients as int numerators over L, the lcm of
-    their denominators, for ``level_sums``.  The index is a plain dict, so
-    that a series pickles with its tables; ``SplitSeries.levels`` shows it
-    read-only.  Two threads may both build one key's table; the two are
-    equal and either is kept."""
-    rows = tuple((k, k.dot(s.cls), a) for k, a in twist(series, w))
+    """The split table against (w, S), filed in ``series._splits`` (only here):
+    [K.S per row, level -> its rows in first-seen order, L, twisted numerators
+    over L, the ``SplitSeries.rows`` view once read].  Plain containers, so a
+    series pickles with its tables; of two threads' equal tables either is kept."""
+    levels, nums = series.lattice.pairings(series.rows, s.cls), _twist(series, w)
     groups: dict[int, list[int]] = {}
-    for j, (_, ks, _) in enumerate(rows):
+    for j, ks in enumerate(levels):
         groups.setdefault(ks, []).append(j)
-    den = lcm(*(a.denominator for _, _, a in rows))
-    nums = tuple(a.numerator * (den // a.denominator) for _, _, a in rows)
-    table = rows, {ks: tuple(js) for ks, js in groups.items()}, den, nums
+    table = [levels, {ks: tuple(js) for ks, js in groups.items()}, series.den, nums, None]
     series._splits[w.coords, s.cls.coords] = table
     return table
 
@@ -195,18 +207,12 @@ def z_value(z_terms, ks: int, d_sigma) -> GaussianRational:
 
 @dataclass(frozen=True)
 class SplitSeries:
-    """The two-sector form of a series against an allowable pair (w, S).
-
-    Checked each time it is made, before it reads any table; ``rows`` holds
-    one row (K, level K.S, twisted coefficient) per basic class, row j for
-    series entry j, and ``levels`` maps each level K.S to its row indices.
-    Both read the series' split table for (w, S), built on the first read of
-    any split of that series against that pair and bound to this split on
-    its own first read.  The level fixes the sector
-    (K.S = S^2 = 0 mod 2 for a characteristic K).  ``evaluate`` gives the
-    P-sector levels (K.S == 2 mod 4) the e^{+Q/2} marker; the N-sector levels
-    (K.S == 0 mod 4) get e^{-Q/2}, the i^{-d0} factor and exponents rotated
-    by i.
+    """The two-sector form of a series against an allowable pair (w, S),
+    checked each time it is made, before it reads any table.  Row j is series
+    row j; ``levels`` maps each level K.S to its rows, and the level fixes the
+    sector (K.S = S^2 = 0 mod 2 for a characteristic K): ``evaluate`` gives
+    the P-sector levels (K.S == 2 mod 4) e^{+Q/2}, the N-sector levels
+    (K.S == 0 mod 4) e^{-Q/2}, the i^{-d0} factor and exponents rotated by i.
     """
 
     series: DonaldsonSeries = field(repr=False)
@@ -225,47 +231,45 @@ class SplitSeries:
         object.__setattr__(self, "d0", series.d0(w))
 
     @cached_property
-    def _table(self):
-        """(rows, levels, L, numerators) of the series' split table for
-        (w, S), bound on this split's first read: the rest by reference and
-        the levels index wrapped read-only once, so that a later read hashes
-        no key (``coefficient_match`` reads two rows per call)."""
+    def _table(self) -> list:
+        """The series' split table for (w, S), bound on this split's first read."""
         series, w, s = self.series, self.w, self.surface
         table = series._splits.get((w.coords, s.cls.coords))
-        rows, levels, den, nums = _split_table(series, w, s) if table is None else table
-        return rows, MappingProxyType(levels), den, nums
+        return _split_table(series, w, s) if table is None else table
 
     @property
     def rows(self) -> tuple[tuple[HClass, int, Fraction], ...]:
-        return self._table[0]
+        """(K, K.S, twisted coefficient) per row: the table's view, made on first read."""
+        table = self._table
+        if table[4] is None:
+            value = {n: Fraction(n, table[2]) for n in set(table[3])}
+            table[4] = tuple(zip(self.series.classes(), table[0], map(value.get, table[3])))
+        return table[4]
 
-    @property
+    @cached_property
     def levels(self) -> MappingProxyType:
-        """Surface level K.S -> its row indices, levels in first-seen row order."""
-        return self._table[1]
+        """Surface level K.S -> its row indices, read-only, levels in first-seen order."""
+        return MappingProxyType(self._table[1])
 
     def level_sums(self, ks: int, d: HClass) -> dict[int | Fraction, int | Fraction]:
         """{K.D: summed twisted coefficient} over the rows at level K.S = ``ks``
-        ({} at a level the split does not have); only those classes meet D.
-        The table's int numerators are added per K.D, and each sum becomes
-        one number over L (``_exact``): none is a Fraction when L is 1."""
-        rows, levels, den, nums = self._table
+        ({} at a level the split does not have); only those rows meet D, in
+        one ``Lattice.pairings``.  Int numerators are added per K.D, and each
+        sum becomes one number over L (``_exact``), no Fraction when L is 1."""
+        _, index, den, nums, _ = self._table
+        js, rows = index.get(ks, ()), self.series.rows
         sums: dict[int | Fraction, int | Fraction] = {}
-        for j in levels.get(ks, ()):
-            kd = rows[j][0].dot(d)
+        for j, kd in zip(js, self.series.lattice.pairings([rows[j] for j in js], d)):
             sums[kd] = sums.get(kd, 0) + nums[j]
         if den == 1:
             return sums
         return {kd: _exact(Fraction(n, den)) for kd, n in sums.items()}
 
     def evaluate(self, d: HClass, z_terms) -> tuple[ExpPolynomial, ExpPolynomial]:
-        """(P, N) of the split on z e^{tD}, z given by (S-power, x-power, c) terms.
-
-        z may also be a ``RelationPoly``; plain terms are checked once, also
-        where no level calls ``z_value``: every power must be an int >= 0 and
-        every c rational.  z is one scalar per level K.S, ``z_value``, times
-        i^{-d0} in N; a zero one adds no terms, else each K.D of the level's
-        ``level_sums`` adds one term, exponent K.D in P or i K.D in N.
+        """(P, N) of the split on z e^{tD}, z a ``RelationPoly`` or its (S-power,
+        x-power, c) terms, checked once.  z is one scalar per level K.S,
+        ``z_value``, times i^{-d0} in N; a zero one adds no terms, else each K.D
+        of the level's ``level_sums`` adds one term, exponent K.D in P or i K.D in N.
         """
         z = RelationPoly.of(z_terms)
         d_sigma = d.dot(self.surface.cls)  # a foreign D raises LatticeMismatch here
@@ -294,7 +298,7 @@ def split_series(series: DonaldsonSeries, w: HClass, s: MarkedSurface) -> SplitS
 
 def unsplit_series(ss: SplitSeries) -> DonaldsonSeries:
     """Invert the split; recovers the w-twisted series exactly."""
-    return DonaldsonSeries.on(ss.surface.lattice, [(k, a) for k, _, a in ss.rows])
+    return DonaldsonSeries(ss.surface.lattice, ss.series.rows, ss._table[3], ss._table[2])
 
 
 def eval_insertion(
@@ -305,13 +309,10 @@ def eval_insertion(
     x_power: int = 0,
     sigma_power: int = 0,
 ) -> tuple[ExpPolynomial, ExpPolynomial]:
-    """Evaluate the split series on S^b x^a e^{tD}, sector by sector.
-
-    Returns (P, N):
+    """Evaluate the split series on S^b x^a e^{tD}, sector by sector: (P, N) =
       P = e^{+Q/2} sum_{K.S==2(4)} c_{K,w} 2^a ((D+K).S)^b e^{(K.D)t}
       N = e^{-Q/2} sum_{K.S==0(4)} i^{-d0} c_{K,w} (-2)^a ((-D+iK).S)^b e^{i(K.D)t}
-    The series is split once, K.S and K.D are paired once per class, and
-    coefficients are summed per (level K.S, K.D) before any term is made.
+    with coefficients summed per (level K.S, K.D) before any term is made.
     """
     return SplitSeries(series, w, s).evaluate(d, ((sigma_power, x_power, 1),))
 
@@ -391,13 +392,8 @@ def apply_relation(
     z: RelationPoly,
     d: HClass,
 ) -> tuple[ExpPolynomial, ExpPolynomial]:
-    """Evaluate the split series on z e^{tD}: the sum of its insertions.
-
-    The series is split once.  z takes one value per sector and surface
-    level K.S, at most 2(2g-1) scalars.  Each level then contributes one
-    term per distinct K.D: the sum of its classes' split coefficients at
-    that K.D, times the scalar of the level.
-    """
+    """Evaluate the split series on z e^{tD}: the sum of its insertions, one
+    term per level K.S and distinct K.D (``SplitSeries.evaluate``)."""
     if d.dot(s.cls) != 1:
         warnings.warn(
             "relation evaluated at D with D.S != 1; the vanishing guarantee "
@@ -431,9 +427,8 @@ def finite_type_order(
     nonzero and 0 otherwise; the probes are evaluated on one split, until
     the first nonzero value.  Default probes go S-shifted first, an observed
     ordering and no theorem: on B2..B8, bg:10, K3, S4, S6, dia2:1:3, dia2:2:5,
-    dia2:4:5 and cg:3 the first D + S probe is nonzero (each unshifted one
-    of B(g) gives 0), so one evaluation decides.  Given probes keep their order.
-    """
+    dia2:4:5 and cg:3 the first D + S probe is nonzero, so one evaluation
+    decides.  Given probes keep their order."""
     if series.is_zero:
         return 0
     if probes is None:
@@ -452,18 +447,25 @@ def check_adjunction(
 ) -> tuple[bool, list[tuple[HClass, Fraction]]]:
     """2g - 2 >= S^2 + |K.S| for every entry; returns all violators."""
     bound = 2 * s.genus - 2 - s.cls.square
-    violators = [(k, c) for k, c in series.entries if abs(k.dot(s.cls)) > bound]
+    levels = series.lattice.pairings(series.rows, s.cls)
+    violators = [series.entries[j] for j, ks in enumerate(levels) if abs(ks) > bound]
     return (not violators, violators)
 
 
 def check_involution(series: DonaldsonSeries) -> tuple[bool, list[HClass]]:
-    """The map K -> -K carries coefficients by the sign (-1)^{d0(X, w=0)}."""
+    """The map K -> -K carries coefficients by the sign (-1)^{d0(X, w=0)}.
+    K -> -K reverses the sorted rows: a symmetric series is its rows and
+    numerators reversed and negated (the numerators only when d0 is odd)."""
     flip = series.d0() % 2
+    rows, nums = series.rows, series.nums
+    flat, mirror = chain.from_iterable(rows), map(neg, chain.from_iterable(reversed(rows)))
+    if nums == (tuple(map(neg, nums[::-1])) if flip else nums[::-1]) and [*flat] == [*mirror]:
+        return (True, [])
     bad = []
-    for k, c in series.entries:
-        j = series._position.get(tuple(map(neg, k.coords)))
-        if j is None or series.entries[j][1] != (-c if flip else c):
-            bad.append(k)
+    for k, n in zip(rows, nums):
+        j = series._position.get(tuple(map(neg, k)))
+        if j is None or nums[j] != (-n if flip else n):
+            bad.append(HClass(series.lattice, k))
     return (not bad, bad)
 
 
@@ -471,14 +473,25 @@ def check_involution(series: DonaldsonSeries) -> tuple[bool, list[HClass]]:
 
 
 def series_to_json(series: DonaldsonSeries) -> dict:
+    token = {n: frac_token(Fraction(n, series.den)) for n in set(series.nums)}
     return {
         "lattice": series.lattice.name,
-        "entries": [
-            {"k": list(k.coords), "a": frac_token(c)}  # basic classes are integral
-            for k, c in series.entries
-        ],
+        "entries": [{"k": list(k), "a": token[n]} for k, n in zip(series.rows, series.nums)],
         "simple_type": True,  # every series is; the key keeps the file format
     }
+
+
+def _entries_text(series: DonaldsonSeries, indent: str) -> str:
+    """``series_to_json``'s entry list as ``lattice._indented`` writes it at
+    ``indent``, straight from the int rows: one %-format over all of them."""
+    if not series.rows:
+        return "[]"
+    item, field_, coord = indent + "  ", indent + "    ", indent + "      "
+    k = f"[{coord}{(',' + coord).join(['%d'] * series.lattice.rank)}{field_}]"
+    row = f'{{{field_}"k": {k if series.lattice.rank else "[]"},{field_}"a": "%s"{item}}}'
+    token = {n: frac_token(Fraction(n, series.den)) for n in set(series.nums)}
+    args = chain.from_iterable(map(add, series.rows, zip(map(token.get, series.nums))))
+    return f"[{item}{(',' + item).join([row] * len(series.rows))}{indent}]" % tuple(args)
 
 
 _SERIES_ENTRY = ("a series entry", {"k": list, "a": _NUMBER}, ())

@@ -286,15 +286,22 @@ def test_check_splits_once_per_w(monkeypatch, capsys):
     )
     entry = catalog("bg:4")
     s = entry.surface().cls
-    classes = {id(k) for k in entry.series.classes()}
+    classes = set(entry.series.rows)
+    objects = {id(k) for k in entry.series.classes()}  # a named probe may share a row's coords
     met_s = Counter()
-    pairing = lattice_mod.pairing
+    pairing, pairings = lattice_mod.pairing, lattice_mod.Lattice.pairings
 
+    # a series row meets a class in a Lattice.pairings batch; a class in pairing
     def recording(u, v):
-        met_s.update(id(x) for x, y in ((u, v), (v, u)) if y is s and id(x) in classes)
+        met_s.update(x.coords for x, y in ((u, v), (v, u)) if y is s and id(x) in objects)
         return pairing(u, v)
 
+    def recording_rows(lat, rows, v):
+        met_s.update(k for k in rows if v is s and k in classes)
+        return pairings(lat, rows, v)
+
     monkeypatch.setattr(lattice_mod, "pairing", recording)
+    monkeypatch.setattr(lattice_mod.Lattice, "pairings", recording_rows)
     assert run(["check", "--entry", "bg:4"]) == 0
     # one split of w, for finite_type_order; the relation check reads z's
     # value at each surface level of that split's table, so it tables nothing

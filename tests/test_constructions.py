@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from donaldson import constructions, series
+from donaldson import constructions
 from donaldson.cli import run
 from donaldson.constructions import (
     CatalogEntry,
@@ -30,7 +30,7 @@ from donaldson.constructions import (
     export_catalog,
     parse_recipe,
 )
-from donaldson.lattice import MarkedSurface
+from donaldson.lattice import Lattice, MarkedSurface
 from donaldson.series import DonaldsonSeries, check_involution, twist
 
 
@@ -172,12 +172,16 @@ def test_bg_rejects_small_genus():
 
 
 def test_bg_tests_each_class_once(monkeypatch):
-    """B(g) is built in one step: E(g)'s and B(g)'s classes are tested once each."""
+    """B(g) is built in one step: E(g)'s and B(g)'s classes are tested once each,
+    as rows of the one characteristic test a series runs."""
     calls = []
-    real = series.is_characteristic
-    monkeypatch.setattr(series, "is_characteristic", lambda k: calls.append(k) or real(k))
+    real = Lattice.characteristic_prefix
+    monkeypatch.setattr(
+        Lattice, "characteristic_prefix", lambda lat, rows: calls.extend(rows) or real(lat, rows)
+    )
     build_bg(4)
     assert len(calls) == 3 + 2**4 * 3
+    assert len(set(calls)) == len(calls)
 
 
 def test_recipes_over_the_class_limit_are_refused(monkeypatch, capsys):

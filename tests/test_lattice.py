@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from donaldson import gluing
 from donaldson.constructions import blow_up, build_bg, catalog, catalog_names, entry_to_json
@@ -515,3 +515,92 @@ def wide_class(draw):
 def test_characteristic_beyond_rank_12_matches_the_definition(k):
     assert k.lattice.rank > 12
     assert is_characteristic(k) == brute_characteristic(k.lattice, k.coords)
+
+
+# -- the integer signature against Fraction elimination ---------------------------------
+
+
+def ref_signature(gram) -> tuple[int, int, int]:
+    """(positive, negative, zero) inertia by rational congruence elimination:
+    a zero pivot is swapped with a later nonzero diagonal entry, or else made
+    nonzero by e_i <- e_i + e_j."""
+    n = len(gram)
+    a = [[Fraction(x) for x in row] for row in gram]
+    pos = neg = zero = 0
+    for i in range(n):
+        if a[i][i] == 0:
+            j = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
+            if j is not None:
+                a[i], a[j] = a[j], a[i]
+                for row in a:
+                    row[i], row[j] = row[j], row[i]
+            else:
+                j = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
+                if j is None:
+                    zero += 1
+                    continue
+                for c in range(n):
+                    a[i][c] += a[j][c]
+                for r in range(n):
+                    a[r][i] += a[r][j]
+        d = a[i][i]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        for r in range(i + 1, n):
+            f = a[r][i] / d
+            for c in range(n):
+                a[r][c] -= f * a[i][c]
+            for c in range(n):
+                a[c][r] -= f * a[c][i]
+    return pos, neg, zero
+
+
+@st.composite
+def symmetric_int_matrix(draw):
+    """A symmetric int matrix of rank <= 10 built from blocks that stress the
+    pivot rules: random entries, zero diagonals, hyperbolic blocks
+    ((0, m), (m, 0)) and degenerate rows (a copy or a multiple of another)."""
+    n = draw(st.integers(0, 10))
+    small = st.integers(-4, 4)
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = draw(small)
+    if n and draw(st.booleans()):  # zero diagonal
+        for i in range(n):
+            a[i][i] = 0
+    if n >= 2 and draw(st.booleans()):  # a hyperbolic block on the first two
+        m = draw(st.integers(1, 3))
+        for i in range(n):
+            a[0][i] = a[i][0] = a[1][i] = a[i][1] = 0
+        a[0][1] = a[1][0] = m
+    if n >= 2 and draw(st.booleans()):  # a degenerate row: k times another
+        i, j = draw(st.permutations(range(n)))[:2]
+        k = draw(st.integers(-2, 2))
+        a[i] = [k * x for x in a[j]]
+        for r in range(n):
+            a[r][i] = a[i][r]
+        a[i][i] = k * k * a[j][j]
+    return tuple(map(tuple, a))
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_int_matrix())
+@example(((0, 1), (1, 0)))
+@example(((0, 0, 1), (0, 0, 2), (1, 2, 0)))
+@example(((-3, 1), (1, -5)))
+@example(())
+def test_signature_matches_fraction_elimination(gram):
+    assert all(gram[i][j] == gram[j][i] for i in range(len(gram)) for j in range(i))
+    got = signature(gram)
+    assert got == ref_signature(gram) and sum(got) == len(gram)
+
+
+def test_signature_of_every_catalog_gram_matches_fraction_elimination():
+    grams = [catalog(n).lattice.gram for n in catalog_names()]
+    grams += [catalog(f"dia2:{gp}:{g}").lattice.gram for g in (3, 5) for gp in range(1, g)]
+    grams += [blow_up(catalog("K3")).lattice.gram, build_bg(9).lattice.gram]
+    for gram in grams:
+        assert signature(gram) == ref_signature(gram)

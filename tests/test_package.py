@@ -107,7 +107,7 @@ def test_the_settable_surface_is_pinned():
         return list(inspect.signature(fn).parameters)
 
     assert init_fields(Lattice) == ["name", "gram", "b_plus", "named"]
-    assert init_fields(DonaldsonSeries) == ["lattice", "entries"]
+    assert init_fields(DonaldsonSeries) == ["lattice", "rows", "nums", "den"]
     assert params(predict_glued) == ["left", "right", "m_map"]
     assert params(zero_coordinates) == ["genus"]
     assert params(DonaldsonSeries.on) == ["lattice", "pairs"]

@@ -505,6 +505,7 @@ def rational_class_pair(draw):
 @given(rational_class_pair())
 @example(("B3", [Fraction(1, 3), Fraction(-1, 4), 0, 2, Fraction(5, 6)],
           [Fraction(-1, 2), 1, Fraction(2, 9), 0, -3]))
+@example(("C3", [0, 0, Fraction(1, 2)], [Fraction(1, 2), 0, Fraction(1, 3)]))  # squares to 0
 def test_rational_covector_square_and_pairing_match_fraction_brute_force(case):
     name, u_coords, v_coords = case
     lat = oracle_lattice(name)
@@ -513,8 +514,12 @@ def test_rational_covector_square_and_pairing_match_fraction_brute_force(case):
     for x, y in ((u, v), (v, u), (integral, u), (u, integral), (integral, integral)):
         covector = tuple(ref_dot(x, lat.basis_vector(i)) for i in range(lat.rank))
         assert x.covector == covector and all(is_exact(c) for c in x.covector)
-        assert x.square == ref_dot(x, x)
+        assert x.square == ref_dot(x, x) and is_exact(x.square)
         assert lattice_mod.pairing(x, y) == x.dot(y) == ref_dot(x, y)
+        assert is_exact(lattice_mod.pairing(x, y))
+        # the batch pairing of a row against y is the same number
+        if x.is_integral:
+            assert lat.pairings([x.coords], y) == [lattice_mod.pairing(x, y)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -563,15 +568,22 @@ def count_calls(monkeypatch, module, name, calls):
 
 
 def record_pairings(monkeypatch):
-    """Every (u, v) that ``lattice.pairing`` is called with, in call order."""
+    """Every (K coords, v) that is paired, in call order: each row of a
+    ``Lattice.pairings`` batch, the one way a series row meets a class, and
+    ``lattice.pairing(u, v)`` of two classes both ways round."""
     pairs = []
-    real = lattice_mod.pairing
+    batch, single = Lattice.pairings, lattice_mod.pairing
 
-    def recording(u, v):
-        pairs.append((u, v))
-        return real(u, v)
+    def pairings(lattice, rows, v):
+        pairs.extend((k, v) for k in rows)
+        return batch(lattice, rows, v)
 
-    monkeypatch.setattr(lattice_mod, "pairing", recording)
+    def pairing(u, v):
+        pairs.extend(((u.coords, v), (v.coords, u)))
+        return single(u, v)
+
+    monkeypatch.setattr(Lattice, "pairings", pairings)
+    monkeypatch.setattr(lattice_mod, "pairing", pairing)
     return pairs
 
 
@@ -587,9 +599,11 @@ def test_split_series_pairs_each_class_with_the_surface_once(monkeypatch):
     s = entry.surface()
     pairs = record_pairings(monkeypatch)
     ss = split_series(entry.series, entry.w_class(), s)
-    n = len(entry.series.entries)
-    assert len(ss.rows) == n
-    assert sum(1 for u, v in pairs if u is s.cls or v is s.cls) <= n + 2
+    assert len(ss.levels) == 2 * s.genus - 1
+    classes = set(entry.series.rows)
+    met = Counter(k for k, v in pairs if v is s.cls and k in classes)
+    assert set(met) == classes and max(met.values()) == 1
+    assert len(ss.rows) == len(entry.series.rows)
 
 
 @pytest.mark.parametrize("name", ["B4", "dia2:2:4"])
@@ -603,12 +617,9 @@ def test_finite_type_order_pairs_each_class_with_each_probe_at_most_once(monkeyp
         pairs.clear()
         assert finite_type_order(entry.series, w, s, probes) == 1
         seen = Counter(
-            (id(d), k.coords)
-            for u, v in pairs
-            for d, k in ((u, v), (v, u))
-            if any(d is p for p in probes) and k.coords in classes
+            (id(d), k) for k, d in pairs if any(d is p for p in probes) and k in classes
         )
-        assert max(seen.values(), default=0) <= 1
+        assert seen and max(seen.values()) == 1
 
 
 @pytest.mark.parametrize("name", ["B3", "B4", "B5"])
@@ -623,10 +634,7 @@ def test_relation_pairs_no_class_with_the_probe(monkeypatch, name):
             pairs.clear()
             p, n = apply_relation(entry.series, w, s, z, d)
             assert p.is_zero and n.is_zero
-            paired_with_d = [
-                (u, v) for u, v in pairs if (u is d or v is d) and {u.coords, v.coords} & classes
-            ]
-            assert paired_with_d == []
+            assert [(k, v) for k, v in pairs if v is d and k in classes] == []
 
 
 def fresh_series(entry):
@@ -856,23 +864,16 @@ def test_glue_pairs_each_class_with_its_surface_once(monkeypatch):
     bg = catalog("B4")
     spec = GluingSpec(left=bg, right=bg)
     surfaces = (spec.surface1.cls, spec.surface2.cls)
-    count = 0
-    real = lattice_mod.pairing
-
-    def counting(u, v):
-        nonlocal count
-        if any(x is s for x in (u, v) for s in surfaces):
-            count += 1
-        return real(u, v)
-
-    monkeypatch.setattr(lattice_mod, "pairing", counting)
+    pairs = record_pairings(monkeypatch)
     gs = glue(spec)
     assert len(gs.entries) == 2
     # both sides split one series against one (w, S): the right reads the
     # left's table, so each class meets a surface once in all
     left, right = spec._splits
     assert right.rows is left.rows
-    assert count <= len(bg.series.entries) + 4
+    classes = set(bg.series.rows)
+    met = Counter(k for k, v in pairs if any(v is s for s in surfaces) and k in classes)
+    assert set(met) == classes and max(met.values()) == 1
 
 
 @pytest.mark.parametrize(
@@ -883,16 +884,7 @@ def test_spec_pairs_each_class_with_its_surface_once(monkeypatch, name, surface,
     own_recipe_cache(monkeypatch)
     entry = catalog(name)
     s = entry.surface(surface).cls
-    count = 0
-    real = lattice_mod.pairing
-
-    def counting(u, v):
-        nonlocal count
-        if u is s or v is s:
-            count += 1
-        return real(u, v)
-
-    monkeypatch.setattr(lattice_mod, "pairing", counting)
+    pairs = record_pairings(monkeypatch)
     spec = GluingSpec(entry, entry, surface, surface, w, w)
     glued = [rule(spec) for rule in rules]
     if glued[0].kind == "standard":
@@ -900,4 +892,6 @@ def test_spec_pairs_each_class_with_its_surface_once(monkeypatch, name, surface,
         coefficient_match(glued[0], k, k)
     assert all(not gs.is_empty for gs in glued)
     # both sides are one series split against one (w, S), so one table
-    assert count <= len(entry.series.entries) + 4
+    classes = set(entry.series.rows)
+    met = Counter(k for k, v in pairs if v is s and k in classes)
+    assert set(met) == classes and max(met.values()) == 1

@@ -1,0 +1,255 @@
+"""A series is an integer table: oracles for the row path.
+
+A series built from (``HClass``, coefficient) pairs and one built from its
+coordinate rows and int numerators must be the same value; the catalog file
+written straight from the rows must be the bytes of the generic writer; each
+refusal keeps its error type, message and order; and no derivation, split,
+check, fit or gluing builds the ``entries`` view.
+"""
+
+import dataclasses
+import functools
+import json
+import re
+from fractions import Fraction
+from math import lcm
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import donaldson.constructions as constructions
+from donaldson.cli import run
+from donaldson.constructions import CatalogEntry, blow_up, catalog, catalog_names, entry_to_json
+from donaldson.gluing import GluingSpec, eval_glued, glue, glued_from_json, glued_to_json
+from donaldson.lattice import (
+    HClass,
+    Lattice,
+    LatticeError,
+    LatticeMismatch,
+    MarkedSurface,
+    _indented,
+)
+from donaldson.series import (
+    DonaldsonSeries,
+    SeriesError,
+    _entries_text,
+    check_adjunction,
+    series_from_json,
+    series_to_json,
+)
+
+BASES = ("B3", "B4", "S4", "K3")
+
+
+def characteristic_rows(lattice, draw, count):
+    """Up to ``count`` distinct characteristic rows: 2 v + c0, v in [-2, 2]^rank
+    (the base lattices have no kernel, so these are all of them)."""
+    c0, kernel = lattice._wu
+    assert not kernel
+    bits = [(c0 >> 8 * j) & 1 for j in range(lattice.rank)]
+    vectors = st.lists(st.integers(-2, 2), min_size=lattice.rank, max_size=lattice.rank)
+    rows = draw(st.lists(vectors, max_size=count, unique_by=tuple))
+    return [tuple(2 * v + b for v, b in zip(row, bits)) for row in rows]
+
+
+COEFFICIENT = st.builds(
+    Fraction, st.integers(-9, 9).filter(bool), st.sampled_from([1, 2, 3, 4, 12])
+)
+
+
+@st.composite
+def random_series(draw):
+    base = catalog(draw(st.sampled_from(BASES)))
+    rows = characteristic_rows(base.lattice, draw, 12)
+    coefficients = draw(st.lists(COEFFICIENT, min_size=len(rows), max_size=len(rows)))
+    pairs = [(HClass(base.lattice, k), c) for k, c in zip(rows, coefficients)]
+    return base, draw(st.permutations(pairs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_series())
+@example((catalog("B3"), []))
+def test_a_series_from_pairs_is_the_series_from_its_rows(case):
+    base, pairs = case
+    lat = base.lattice
+    from_pairs = DonaldsonSeries.on(lat, pairs)
+    den = lcm(*(c.denominator for _, c in pairs))
+    nums = [c.numerator * (den // c.denominator) for _, c in pairs]
+    from_rows = DonaldsonSeries(lat, [k.coords for k, _ in pairs], nums, den)
+    assert from_rows == from_pairs and hash(from_rows) == hash(from_pairs)
+    assert from_rows.position == from_pairs.position
+    # the view is the pairs, sorted by class, and indexes as position does
+    ordered = tuple(sorted(pairs, key=lambda e: e[0].coords))
+    assert from_rows.entries == from_pairs.entries == ordered
+    assert all(from_rows.position[k.coords] == j for j, (k, _) in enumerate(ordered))
+    assert all(from_rows.coefficient(k) == c for k, c in pairs)
+    # one denominator, the lcm of the coefficients' own
+    assert from_rows.den == den and all(type(n) is int for n in from_rows.nums)
+
+
+@pytest.mark.parametrize("name", catalog_names() + ["dia2:2:4", "dia2:1:3"])
+def test_catalog_series_view_is_its_rows(name):
+    series = catalog(name).series
+    assert [k.coords for k, _ in series.entries] == list(series.rows)
+    assert [c * series.den for _, c in series.entries] == list(series.nums)
+    again = DonaldsonSeries.on(series.lattice, series.entries)
+    assert again == series and hash(again) == hash(series)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_series())
+@example((catalog("B4"), []))
+def test_row_writer_gives_the_generic_writers_bytes(case):
+    base, pairs = case
+    series = DonaldsonSeries.on(base.lattice, pairs)
+    entry = CatalogEntry("R", series, base.surfaces, base.w_labels, base.glue_surface, "n")
+    data = entry_to_json(entry)
+    assert entry.json_bytes == (_indented(data) + "\n").encode()
+    assert entry.json_bytes == (json.dumps(data, indent=2) + "\n").encode()
+
+
+@pytest.mark.parametrize("name", catalog_names() + ["dia2:3:5"])
+def test_catalog_files_are_the_generic_writers_bytes(name):
+    entry = catalog(name)
+    assert entry.json_bytes == (json.dumps(entry_to_json(entry), indent=2) + "\n").encode()
+    blown = blow_up(entry) if name == "K3" else entry
+    assert blown.json_bytes == (_indented(entry_to_json(blown)) + "\n").encode()
+
+
+def test_row_writer_on_a_rank_zero_lattice():
+    point = Lattice("pt", (), b_plus=3)
+    for series in (DonaldsonSeries(point, [()], [3], 4), DonaldsonSeries(point, [], [], 1)):
+        for indent in ("\n", "\n    "):
+            expected = _indented(series_to_json(series)["entries"], indent)
+            assert _entries_text(series, indent) == expected
+
+
+# -- refusals: the error type and message of each bad row, in row order ------------------
+
+
+def _b3():
+    entry = catalog("B3")
+    return entry, entry.lattice, list(entry.series.entries)
+
+
+def _row(lat, *head):
+    return HClass(lat, head + (0,) * (lat.rank - len(head)))
+
+
+def _refusals():
+    entry, lat, good = _b3()
+    ks = [k for k, _ in good]
+    other = dataclasses.replace(lat, name="B3'")
+    half = HClass(lat, (Fraction(1, 2),) + (1,) * (lat.rank - 1))
+    third = (Fraction(1, 3),) + (1,) * (lat.rank - 2)
+    data = json.loads(json.dumps(series_to_json(entry.series)))
+    short = json.loads(json.dumps(data))
+    short["entries"][3]["k"] = [1, 0]
+    rational = json.loads(json.dumps(data))
+    rational["entries"][3]["k"][0] = "1/2"
+    s = entry.surface()
+    foreign_s = MarkedSurface(HClass(other, s.cls.coords), s.genus)
+    on = functools.partial(DonaldsonSeries.on, lat)
+    return [
+        ("non-int", lambda: on(good + [(half, 1)]),
+         SeriesError, "basic class <1/2,1,1,1,1>@B3 is not integral"),
+        ("non-int in a file", lambda: series_from_json(rational, lat),
+         SeriesError, "basic class <1/2,0,-1,1,1>@B3 is not integral"),
+        ("wrong length in a file", lambda: series_from_json(short, lat),
+         LatticeError, "coordinate length does not match lattice rank"),
+        ("zero", lambda: on(good[:5] + [(ks[5], 0)] + good[6:]),
+         SeriesError, "DonaldsonSeries: basic class <-1,0,1,-1,1>@B3 has coefficient 0"),
+        ("duplicate", lambda: on(good + [(ks[7], 3)]),
+         SeriesError, "duplicate basic class <-1,0,1,1,1>@B3"),
+        ("not characteristic", lambda: on(good + [(lat.zero(), 1)]),
+         SeriesError, "basic class <0,0,0,0,0>@B3 is not characteristic"),
+        ("foreign class", lambda: on(good + [(HClass(other, ks[0].coords), 1)]),
+         LatticeMismatch, "entry class on a foreign lattice"),
+        ("foreign surface in check_adjunction", lambda: check_adjunction(entry.series, foreign_s),
+         LatticeMismatch, "pairing of classes on B3 and B3'"),
+        # the first row, in sorted order, with any failure; in a row, the order above
+        ("not characteristic before a zero",
+         lambda: on(good[:4] + [(ks[4], 0)] + good[5:] + [(_row(lat, -9), 1)]),
+         SeriesError, "basic class <-9,0,0,0,0>@B3 is not characteristic"),
+        ("zero and not characteristic in one row", lambda: on(good + [(_row(lat, -9), 0)]),
+         SeriesError, "DonaldsonSeries: basic class <-9,0,0,0,0>@B3 has coefficient 0"),
+        ("zero before a non-int",
+         lambda: on([(ks[0], 0)] + good[1:] + [(HClass(lat, (9,) + third), 1)]),
+         SeriesError, "DonaldsonSeries: basic class <-1,0,-1,-1,-1>@B3 has coefficient 0"),
+        ("non-int before a duplicate",
+         lambda: on(good + [(ks[-1], 2), (HClass(lat, (-9,) + third), 1)]),
+         SeriesError, "basic class <-9,1/3,1,1,1>@B3 is not integral"),
+        ("not characteristic before a foreign class",
+         lambda: on(good + [(HClass(other, (9,) + ks[0].coords[1:]), 1), (_row(lat, -9), 1)]),
+         SeriesError, "basic class <-9,0,0,0,0>@B3 is not characteristic"),
+        ("a foreign class before one not characteristic",
+         lambda: on(good + [(HClass(other, (-9,) + ks[0].coords[1:]), 1), (_row(lat, 9), 1)]),
+         LatticeMismatch, "entry class on a foreign lattice"),
+        ("a coefficient that is no number", lambda: on(good + [(lat.zero(), "x")]),
+         LatticeError, "not a number: 'x'"),
+    ]
+
+
+@pytest.mark.parametrize("index", range(len(_refusals())))
+def test_each_refusal_keeps_its_error_and_message(index):
+    # the messages are those the (HClass, Fraction) series gave, case for case
+    _, fn, error, message = _refusals()[index]
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as raised:
+        fn()
+    assert type(raised.value) is error
+
+
+def test_a_foreign_surface_meets_no_row_of_an_empty_series():
+    entry, lat, _ = _b3()
+    other = dataclasses.replace(lat, name="B3'")
+    s = entry.surface()
+    foreign_s = MarkedSurface(HClass(other, s.cls.coords), s.genus)
+    assert check_adjunction(DonaldsonSeries.on(lat, []), foreign_s) == (True, [])
+
+
+@pytest.mark.parametrize(
+    "rows, nums, den, message",
+    [
+        ([(1, 1, 1)], [1], 1, "basic class (1, 1, 1) is not a row of 2 ints"),
+        ([(1.0, 1)], [1], 1, "basic class (1.0, 1) is not a row of 2 ints"),
+        ([(1, 1), ("1", 1)], [1, 1], 1, "basic class ('1', 1) is not a row of 2 ints"),
+        ([(1, 1)], [1.0], 1, "one int per row over an int den >= 1"),
+        ([(1, 1)], [True], 1, "one int per row over an int den >= 1"),
+        ([(1, 1)], [1, 2], 1, "one int per row over an int den >= 1"),
+        ([(1, 1)], [1], 0, "one int per row over an int den >= 1"),
+        ([(1, 1)], [1], Fraction(1), "one int per row over an int den >= 1"),
+    ],
+)
+def test_the_row_constructor_refuses_what_is_not_an_int_table(rows, nums, den, message):
+    lat = Lattice("square", ((1, 0), (0, 1)), b_plus=3)
+    assert DonaldsonSeries(lat, [(1, 1)], [1], 1).rows == ((1, 1),)
+    with pytest.raises(SeriesError, match=re.escape(message)):
+        DonaldsonSeries(lat, rows, nums, den)
+
+
+def test_rows_are_sorted_and_reduced_over_one_denominator():
+    entry, lat, good = _b3()
+    rows = [k.coords for k, _ in reversed(good)]
+    series = DonaldsonSeries(lat, [list(k) for k in rows], [6] * len(rows), 24)
+    assert series.rows == tuple(sorted(rows)) and series.den == 4 and set(series.nums) == {1}
+
+
+# -- the view is for readers of classes only ------------------------------------------
+
+
+def test_no_derivation_split_check_fit_or_gluing_builds_the_view(monkeypatch, capsys):
+    fresh = functools.cache(constructions.parse_recipe.__wrapped__)
+    monkeypatch.setattr(constructions, "parse_recipe", fresh)
+    assert run(["check", "--entry", "bg:4"]) == 0
+    assert run(["check", "--entry", "dia2:2:4"]) == 0
+    assert run(["fit", "--g", "3"]) == 0
+    assert run(["build", "bg:3"]) == 0
+    spec = GluingSpec(left=catalog("B3"), right=catalog("B3"))
+    gs = glue(spec)
+    back = glued_from_json(json.loads(json.dumps(glued_to_json(gs))))
+    t1 = spec.left.lattice.cls("T1")
+    eval_glued(back, back.spec.split_class(t1, t1))
+    capsys.readouterr()
+    names = ["bg:4", "dia2:2:4", "bg:3", "cg:3", "dia2:1:3", "dia2:2:3"]
+    for name in names:
+        assert "entries" not in vars(catalog(name).series), name
