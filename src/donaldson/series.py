@@ -11,8 +11,11 @@ only split, checked each time it is made; it reads the series' one table for
 (w, S), levels K.S and twisted numerators per row, which ``_split_table``
 builds on the first read.  Rows meet the form in ``Lattice.pairings``.
 ``level_sums`` is a level's bare sum of twisted coefficients per K.D, a fit
-coordinate; ``evaluate`` puts it in sector form with ``z_value``, z's scalar
-at a level, worked out on ints.
+coordinate; ``evaluate`` puts it in sector form with z's scalar at the
+level, read from the ``RelationPoly``'s table, compiled once per value (one
+int denominator, per sector int Horner numerators), as ``z_value`` reads it;
+``relation_poly(g)`` is one value per genus.  ``twisted`` and
+``unsplit_series`` flip signs of a checked series, so they check nothing again.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain
 from math import gcd, lcm
 from operator import add, lt, neg
@@ -31,6 +34,7 @@ from .gaussian import GaussianRational, frac_token
 from .lattice import (
     HClass,
     Lattice,
+    LatticeError,
     MarkedSurface,
     LatticeMismatch,
     _NUMBER,
@@ -107,6 +111,17 @@ class DonaldsonSeries:
         nums = tuple(c.numerator * (den // c.denominator) for _, c in pairs)
         return cls(lattice, tuple(k.coords for k, _ in pairs), nums, den)
 
+    def _signed(self, nums: tuple[int, ...]) -> "DonaldsonSeries":
+        """This series with each numerator's sign kept or flipped (``nums``),
+        trusted: a sign flip keeps every row, every nonzero numerator and the
+        gcd, so it shares ``rows`` and ``_position``, starts with no split
+        tables and checks nothing again."""
+        signed = object.__new__(DonaldsonSeries)
+        for name, value in (("lattice", self.lattice), ("rows", self.rows), ("nums", nums),
+                            ("den", self.den), ("_position", self._position), ("_splits", {})):
+            object.__setattr__(signed, name, value)
+        return signed
+
     @cached_property
     def entries(self) -> tuple[tuple[HClass, Fraction], ...]:
         """(basic class, coefficient) per row: the view, built once on first read."""
@@ -159,7 +174,7 @@ def twist(series: DonaldsonSeries, w: HClass) -> list[tuple[HClass, Fraction]]:
 
 
 def twisted(series: DonaldsonSeries, w: HClass) -> DonaldsonSeries:
-    return DonaldsonSeries(series.lattice, series.rows, _twist(series, w), series.den)
+    return series._signed(_twist(series, w))
 
 
 def _split_table(series: DonaldsonSeries, w: HClass, s: MarkedSurface):
@@ -188,21 +203,11 @@ def z_value(z_terms, ks: int, d_sigma) -> GaussianRational:
     level ``ks`` for D.S = ``d_sigma``, without the N-sector unit i^{-d0}: x
     acts by 2 when ks == 2 mod 4 (P) and by -2 otherwise (N), S by d_sigma +
     ks (P) or by -d_sigma + i ks (N).  Plain terms are checked once, through
-    ``RelationPoly.of``: powers ints >= 0 (else a SeriesError), each c
-    rational (``_exact``; else a LatticeError).  Each S-power's x-powers sum
-    to an int over L, the lcm of the denominators; Horner's rule in S runs on
-    (re, im), ints for an int D.S."""
-    terms = RelationPoly.of(z_terms).terms
-    den = lcm(*(c.denominator for _, _, c in terms))
-    x = 2 if ks % 4 == 2 else -2
-    nums = [0] * (max((sp for sp, _, _ in terms), default=0) + 1)
-    for sp, xp, c in terms:
-        nums[sp] += c.numerator * (den // c.denominator) * x**xp
-    a, b = (_exact(d_sigma) + ks, 0) if x == 2 else (-_exact(d_sigma), ks)
-    re = im = 0
-    for n in reversed(nums):
-        re, im = re * a - im * b + n, re * b + im * a
-    return GaussianRational(Fraction(re, den), Fraction(im, den))
+    ``RelationPoly.of`` (a power that is not an int >= 0, or a coefficient
+    that is not rational, is a SeriesError); the value is one Horner loop
+    over z's compiled table."""
+    value = RelationPoly.of(z_terms)._value(ks, _exact(d_sigma))
+    return GaussianRational() if value is None else value
 
 
 @dataclass(frozen=True)
@@ -267,17 +272,18 @@ class SplitSeries:
 
     def evaluate(self, d: HClass, z_terms) -> tuple[ExpPolynomial, ExpPolynomial]:
         """(P, N) of the split on z e^{tD}, z a ``RelationPoly`` or its (S-power,
-        x-power, c) terms, checked once.  z is one scalar per level K.S,
-        ``z_value``, times i^{-d0} in N; a zero one adds no terms, else each K.D
-        of the level's ``level_sums`` adds one term, exponent K.D in P or i K.D in N.
+        x-power, c) terms, checked once.  z is one scalar per level K.S (its
+        compiled table at the level, ``z_value``), times i^{-d0} in N; a zero
+        one adds no terms, else each K.D of the level's ``level_sums`` adds one
+        term, exponent K.D in P or i K.D in N.
         """
         z = RelationPoly.of(z_terms)
-        d_sigma = d.dot(self.surface.cls)  # a foreign D raises LatticeMismatch here
+        d_sigma = d.dot(self.surface.cls)  # exact; a foreign D raises LatticeMismatch here
         i_pow = GaussianRational.i_power(-self.d0)
         parts = {2: [], 0: []}
         for ks in self.levels:
-            scalar = z_value(z, ks, d_sigma)
-            if scalar.is_zero:
+            scalar = z._value(ks, d_sigma)
+            if scalar is None:
                 continue
             r = ks % 4
             if r == 0:
@@ -298,7 +304,7 @@ def split_series(series: DonaldsonSeries, w: HClass, s: MarkedSurface) -> SplitS
 
 def unsplit_series(ss: SplitSeries) -> DonaldsonSeries:
     """Invert the split; recovers the w-twisted series exactly."""
-    return DonaldsonSeries(ss.surface.lattice, ss.series.rows, ss._table[3], ss._table[2])
+    return ss.series._signed(ss._table[3])
 
 
 def eval_insertion(
@@ -324,16 +330,24 @@ def eval_insertion(
 class RelationPoly:
     """An element of the polynomial algebra in the surface class S and x.
 
-    Stored as (S-power, x-power, coefficient) triples, each power an int >= 0.
+    Stored as (S-power, x-power, coefficient) triples, each power an int >= 0
+    and each coefficient rational (else a SeriesError naming the term).  Its
+    compiled table, ``_horner``, is built on first read: an insertion reads
+    only that table, once per surface level.
     """
 
     terms: tuple[tuple[int, int, int | Fraction], ...]
 
     def __post_init__(self):
         merged: dict[tuple[int, int], int | Fraction] = {}
-        for sp, xp, c in self.terms:
+        for term in self.terms:
+            sp, xp, c = term
             key = (_power(sp), _power(xp))
-            merged[key] = merged.get(key, 0) + _exact(c)
+            try:
+                c = _exact(c)
+            except LatticeError as exc:
+                raise SeriesError(f"insertion term {term!r}: {exc}") from exc
+            merged[key] = merged.get(key, 0) + c
         canon = tuple(
             (sp, xp, _exact(c)) for (sp, xp), c in sorted(merged.items()) if c != 0
         )
@@ -349,9 +363,42 @@ class RelationPoly:
     def sigma_degree(self) -> int:
         return max((sp for sp, _, _ in self.terms), default=0)
 
+    @cached_property
+    def _horner(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """(L, P numerators, N numerators), built once: ``_horner_table``."""
+        return _horner_table(self.terms)
+
+    def _value(self, ks: int, d_sigma) -> GaussianRational | None:
+        """z at level ``ks`` for an exact D.S, None when it is 0: one Horner
+        loop in S over the sector's numerators on (re, im), S = d_sigma + ks
+        (P) or -d_sigma + i ks (N), ints for an int D.S."""
+        den, p, n = self._horner
+        nums, a, b = (p, d_sigma + ks, 0) if ks % 4 == 2 else (n, -d_sigma, ks)
+        re = im = 0
+        for c in nums:
+            re, im = re * a - im * b + c, re * b + im * a
+        if re or im:
+            return GaussianRational(Fraction(re, den), Fraction(im, den))
+        return None
+
+
+def _horner_table(terms) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """z compiled, the one sum of its x-powers: L, the lcm of the coefficients'
+    denominators, and for x = 2 (P) and x = -2 (N) one int numerator over L
+    per S-power, highest power first, as Horner's rule in S reads them."""
+    den = lcm(*(c.denominator for _, _, c in terms))
+    top = max((sp for sp, _, _ in terms), default=0)
+    p, n = [0] * (top + 1), [0] * (top + 1)
+    for sp, xp, c in terms:
+        m = c.numerator * (den // c.denominator)
+        p[top - sp] += m * 2**xp
+        n[top - sp] += m * (-2) ** xp
+    return den, tuple(p), tuple(n)
+
 
 def relation_poly(g: int) -> RelationPoly:
-    """The degree-(g-1) relation annihilated by every genus-g split series.
+    """The degree-(g-1) relation annihilated by every genus-g split series,
+    one value per genus; a genus that is not an int >= 2 is refused first.
 
     Shape (1 -+ x/2) p(S), p the product of (S - r) over its roots r.  For
     g even the x-factor is (1 - x/2) and the roots are -1 and the pairs
@@ -363,6 +410,11 @@ def relation_poly(g: int) -> RelationPoly:
         raise SeriesError(f"relation polynomial genus must be an int, got {g!r}")
     if g < 2:
         raise SeriesError("relation polynomial needs genus >= 2")
+    return _relation_poly(g)
+
+
+@cache
+def _relation_poly(g: int) -> RelationPoly:
     # monic factors of p(S), constant term first: S + 1, one quadratic per
     # conjugate pair, or S - r per real root r
     if g % 2 == 0:
@@ -437,8 +489,8 @@ def finite_type_order(
         probes = probes[half:] + probes[:half]
     if not probes:
         raise SeriesError("no probe classes with D.S = 1 are available")
-    split = SplitSeries(series, w, s)
-    plain = (part for d in probes for part in split.evaluate(d, ((0, 0, 1),)))
+    split, one = SplitSeries(series, w, s), RelationPoly(((0, 0, 1),))
+    plain = (part for d in probes for part in split.evaluate(d, one))
     return int(any(not part.is_zero for part in plain))
 
 

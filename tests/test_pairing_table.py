@@ -637,6 +637,32 @@ def test_relation_pairs_no_class_with_the_probe(monkeypatch, name):
             assert [(k, v) for k, v in pairs if v is d and k in classes] == []
 
 
+def test_a_relation_compiles_its_table_once(monkeypatch):
+    # one compiled table for every level of every evaluation of one z, and
+    # one z = 1 for every probe of finite_type_order
+    entry = catalog("B5")
+    s, w = entry.surface(), entry.w_class()
+    split = split_series(entry.series, w, s)
+    compiled, evaluated = [], []
+    count_calls(monkeypatch, series_mod, "_horner_table", compiled)
+    z = RelationPoly(relation_poly(s.genus).terms)  # a new value, not yet compiled
+    probes = fresh_probes(entry)
+    for d in probes + [probes[0] + probes[0]]:  # the last has D.S = 2: z is not zero
+        p, n = split.evaluate(d, z)
+        assert (p.is_zero and n.is_zero) == (d.dot(s.cls) == 1)
+    assert len(split.levels) == 2 * s.genus - 1 and len(compiled) == 1
+    real = series_mod.SplitSeries.evaluate
+    monkeypatch.setattr(
+        series_mod.SplitSeries, "evaluate", lambda *a: evaluated.append(a[2]) or real(*a)
+    )
+    # every unshifted probe of B(g) gives 0, so each is evaluated before the shifted one
+    half = len(probes) // 2
+    compiled.clear()
+    assert finite_type_order(entry.series, w, s, probes[:half] + probes[half:half + 1]) == 1
+    assert len(evaluated) == half + 1 and len({id(z) for z in evaluated}) == 1
+    assert len(compiled) == 1
+
+
 def fresh_series(entry):
     """A new copy of the entry's series: catalog entries are shared, so an
     earlier test may already have split theirs."""

@@ -19,9 +19,11 @@ from hypothesis import given, settings, strategies as st
 
 from donaldson.fit import basis_coordinates
 from donaldson.gaussian import GaussianRational
-from donaldson.lattice import HClass, Lattice, LatticeError, MarkedSurface
+from donaldson.lattice import HClass, Lattice, MarkedSurface
 from donaldson.series import (
     DonaldsonSeries,
+    RelationPoly,
+    SeriesError,
     SplitSeries,
     apply_relation,
     finite_type_order,
@@ -327,11 +329,16 @@ def test_z_value_is_the_plain_power_sum_at_every_level(z_terms, d_sigma):
 
 @pytest.mark.parametrize(
     "c, message",
-    [(0.5, "non-integral float 0.5"), (GaussianRational(1, 1), "not a number")],
-    ids=["float", "gaussian"],
+    [
+        (0.5, r"insertion term \(0, 1, 0\.5\): non-integral float 0\.5"),
+        (1.5, r"insertion term \(0, 1, 1\.5\): non-integral float 1\.5"),
+        (GaussianRational(1, 1), r"insertion term \(0, 1, GaussianRational\(1, 1\)\): not a number"),
+    ],
+    ids=["float", "float-1.5", "gaussian"],
 )
 def test_z_value_refuses_a_coefficient_that_is_not_rational(c, message):
-    # z's coefficients must be rational; anything else is a package ValueError
-    with pytest.raises(LatticeError, match=message) as caught:
-        z_value(((1, 0, 1), (0, 1, c)), 2, 1)
-    assert isinstance(caught.value, ValueError)
+    # z's coefficients must be rational; anything else is a SeriesError naming the term
+    for refuse in (lambda t: z_value(t, 2, 1), RelationPoly.of):
+        with pytest.raises(SeriesError, match=f"^{message}") as caught:
+            refuse(((1, 0, 1), (0, 1, c)))
+        assert isinstance(caught.value, ValueError)

@@ -395,6 +395,19 @@ def test_relation_poly_refuses_a_genus_that_is_not_an_int(g):
         relation_poly(g)
 
 
+def test_relation_poly_is_one_value_per_genus():
+    z = relation_poly(2)
+    assert relation_poly(2) is z and relation_poly(3) is not z
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        z.terms = ()
+    # the refusals run before the cached lookup: 2.0 and True hash as 2 and 1
+    for g in (2.0, True, "2"):
+        with pytest.raises(SeriesError, match=f"^relation polynomial genus must be an int, got {g!r}$"):
+            relation_poly(g)
+    with pytest.raises(SeriesError, match="^relation polynomial needs genus >= 2$"):
+        relation_poly(1)
+
+
 @pytest.mark.parametrize("g", range(2, 7))
 def test_relation_annihilates_bg_for_both_twists(g):
     entry = catalog(f"B{g}")

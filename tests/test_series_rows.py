@@ -36,6 +36,9 @@ from donaldson.series import (
     check_adjunction,
     series_from_json,
     series_to_json,
+    split_series,
+    twisted,
+    unsplit_series,
 )
 
 BASES = ("B3", "B4", "S4", "K3")
@@ -85,6 +88,37 @@ def test_a_series_from_pairs_is_the_series_from_its_rows(case):
     assert all(from_rows.coefficient(k) == c for k, c in pairs)
     # one denominator, the lcm of the coefficients' own
     assert from_rows.den == den and all(type(n) is int for n in from_rows.nums)
+
+
+def checked_twist(series, w):
+    """The w-twisted series through the checked row constructor, each sign
+    (-1)^{(K.w + w^2)/2} from the class's own pairing with w."""
+    signs = [(k.dot(w) + w.square) % 4 for k in series.classes()]  # 0 or 2
+    nums = [-n if sign else n for sign, n in zip(signs, series.nums)]
+    return DonaldsonSeries(series.lattice, series.rows, nums, series.den)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_series(), st.lists(st.integers(-3, 3), min_size=6, max_size=6))
+@example((catalog("B4"), list(catalog("B4").series.entries)), [1, 0, 0, 0, 0, 1])
+@example((catalog("B3"), []), [1, 1, 0, 0, 0, 0])
+def test_a_derived_series_is_the_checked_series(case, w_coords):
+    # twisted and unsplit_series trust their series' rows and gcd: what they
+    # give must equal, hash and index as the checked construction does
+    base, pairs = case
+    lat, s = base.lattice, base.surface()
+    series = DonaldsonSeries.on(lat, pairs)
+    w = base.w_class()
+    derived = [(twisted(series, v), v) for v in (HClass(lat, w_coords[: lat.rank]), w)]
+    derived += [(unsplit_series(split_series(series, v, s)), v) for v in (w, w + s.cls)]
+    for trusted, v in derived:
+        checked = checked_twist(series, v)
+        assert trusted == checked and hash(trusted) == hash(checked)
+        assert (trusted.rows, trusted.nums, trusted.den) == (checked.rows, checked.nums, checked.den)
+        assert trusted.position == checked.position and trusted.entries == checked.entries
+        assert all(trusted.coefficient(k) == c for k, c in checked.entries)
+        assert trusted._splits == {} and trusted._splits is not series._splits
+        assert twisted(trusted, v) == series
 
 
 @pytest.mark.parametrize("name", catalog_names() + ["dia2:2:4", "dia2:1:3"])
