@@ -11,11 +11,8 @@ only split, checked each time it is made; it reads the series' one table for
 (w, S), levels K.S and twisted numerators per row, which ``_split_table``
 builds on the first read.  Rows meet the form in ``Lattice.pairings``.
 ``level_sums`` is a level's bare sum of twisted coefficients per K.D, a fit
-coordinate; ``evaluate`` puts it in sector form with z's scalar at the
-level, read from the ``RelationPoly``'s table, compiled once per value (one
-int denominator, per sector int Horner numerators), as ``z_value`` reads it;
-``relation_poly(g)`` is one value per genus.  ``twisted`` and
-``unsplit_series`` flip signs of a checked series, so they check nothing again.
+coordinate; ``evaluate`` puts it in sector form with ``z_value``, z's
+scalar at a level, read from z's table of ints, compiled once per z.
 """
 
 from __future__ import annotations
@@ -112,10 +109,8 @@ class DonaldsonSeries:
         return cls(lattice, tuple(k.coords for k, _ in pairs), nums, den)
 
     def _signed(self, nums: tuple[int, ...]) -> "DonaldsonSeries":
-        """This series with each numerator's sign kept or flipped (``nums``),
-        trusted: a sign flip keeps every row, every nonzero numerator and the
-        gcd, so it shares ``rows`` and ``_position``, starts with no split
-        tables and checks nothing again."""
+        """This series with its numerators' signs flipped to ``nums``: the
+        rows, position and gcd are its own, so nothing is checked again."""
         signed = object.__new__(DonaldsonSeries)
         for name, value in (("lattice", self.lattice), ("rows", self.rows), ("nums", nums),
                             ("den", self.den), ("_position", self._position), ("_splits", {})):
@@ -203,9 +198,7 @@ def z_value(z_terms, ks: int, d_sigma) -> GaussianRational:
     level ``ks`` for D.S = ``d_sigma``, without the N-sector unit i^{-d0}: x
     acts by 2 when ks == 2 mod 4 (P) and by -2 otherwise (N), S by d_sigma +
     ks (P) or by -d_sigma + i ks (N).  Plain terms are checked once, through
-    ``RelationPoly.of`` (a power that is not an int >= 0, or a coefficient
-    that is not rational, is a SeriesError); the value is one Horner loop
-    over z's compiled table."""
+    ``RelationPoly.of``; the value is one Horner loop over z's table."""
     value = RelationPoly.of(z_terms)._value(ks, _exact(d_sigma))
     return GaussianRational() if value is None else value
 
@@ -272,10 +265,9 @@ class SplitSeries:
 
     def evaluate(self, d: HClass, z_terms) -> tuple[ExpPolynomial, ExpPolynomial]:
         """(P, N) of the split on z e^{tD}, z a ``RelationPoly`` or its (S-power,
-        x-power, c) terms, checked once.  z is one scalar per level K.S (its
-        compiled table at the level, ``z_value``), times i^{-d0} in N; a zero
-        one adds no terms, else each K.D of the level's ``level_sums`` adds one
-        term, exponent K.D in P or i K.D in N.
+        x-power, c) terms, checked once.  z is one scalar per level K.S,
+        ``z_value``, times i^{-d0} in N; a zero one adds no terms, else each K.D
+        of the level's ``level_sums`` adds one term, exponent K.D in P or i K.D in N.
         """
         z = RelationPoly.of(z_terms)
         d_sigma = d.dot(self.surface.cls)  # exact; a foreign D raises LatticeMismatch here
@@ -331,9 +323,8 @@ class RelationPoly:
     """An element of the polynomial algebra in the surface class S and x.
 
     Stored as (S-power, x-power, coefficient) triples, each power an int >= 0
-    and each coefficient rational (else a SeriesError naming the term).  Its
-    compiled table, ``_horner``, is built on first read: an insertion reads
-    only that table, once per surface level.
+    and each coefficient rational, else a SeriesError naming the term.  Its
+    table of ints, ``_horner``, is compiled on first read; insertions read it.
     """
 
     terms: tuple[tuple[int, int, int | Fraction], ...]
@@ -365,13 +356,11 @@ class RelationPoly:
 
     @cached_property
     def _horner(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        """(L, P numerators, N numerators), built once: ``_horner_table``."""
         return _horner_table(self.terms)
 
     def _value(self, ks: int, d_sigma) -> GaussianRational | None:
-        """z at level ``ks`` for an exact D.S, None when it is 0: one Horner
-        loop in S over the sector's numerators on (re, im), S = d_sigma + ks
-        (P) or -d_sigma + i ks (N), ints for an int D.S."""
+        """z at level ``ks`` for an exact D.S, or None for 0: Horner's rule in
+        S on (re, im), ints for an int D.S."""
         den, p, n = self._horner
         nums, a, b = (p, d_sigma + ks, 0) if ks % 4 == 2 else (n, -d_sigma, ks)
         re = im = 0
@@ -383,9 +372,8 @@ class RelationPoly:
 
 
 def _horner_table(terms) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """z compiled, the one sum of its x-powers: L, the lcm of the coefficients'
-    denominators, and for x = 2 (P) and x = -2 (N) one int numerator over L
-    per S-power, highest power first, as Horner's rule in S reads them."""
+    """z compiled, the one sum of its x-powers: L, the lcm of the denominators,
+    and for x = 2 (P) and -2 (N) the int numerators over L, highest S-power first."""
     den = lcm(*(c.denominator for _, _, c in terms))
     top = max((sp for sp, _, _ in terms), default=0)
     p, n = [0] * (top + 1), [0] * (top + 1)
@@ -398,7 +386,7 @@ def _horner_table(terms) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
 
 def relation_poly(g: int) -> RelationPoly:
     """The degree-(g-1) relation annihilated by every genus-g split series,
-    one value per genus; a genus that is not an int >= 2 is refused first.
+    one value per genus.
 
     Shape (1 -+ x/2) p(S), p the product of (S - r) over its roots r.  For
     g even the x-factor is (1 - x/2) and the roots are -1 and the pairs
