@@ -31,7 +31,7 @@ class GaussianRational:
     @classmethod
     def i_power(cls, k: int) -> "GaussianRational":
         """i**k for any integer k (k may be negative)."""
-        return ((cls(1), cls(0, 1), cls(-1), cls(0, -1))[k % 4])
+        return cls(*((1, 0), (0, 1), (-1, 0), (0, -1))[k % 4])
 
     @classmethod
     def coerce(cls, x) -> "GaussianRational":

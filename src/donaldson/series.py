@@ -271,7 +271,6 @@ class SplitSeries:
         """
         z = RelationPoly.of(z_terms)
         d_sigma = d.dot(self.surface.cls)  # exact; a foreign D raises LatticeMismatch here
-        i_pow = GaussianRational.i_power(-self.d0)
         parts = {2: [], 0: []}
         for ks in self.levels:
             scalar = z._value(ks, d_sigma)
@@ -279,7 +278,7 @@ class SplitSeries:
                 continue
             r = ks % 4
             if r == 0:
-                scalar = i_pow * scalar
+                scalar = GaussianRational.i_power(-self.d0) * scalar
             for kd, a in self.level_sums(ks, d).items():
                 lam = GaussianRational(kd) if r == 2 else GaussianRational(0, kd)
                 parts[r].append((lam, scalar * a))

@@ -663,6 +663,30 @@ def test_a_relation_compiles_its_table_once(monkeypatch):
     assert len(compiled) == 1
 
 
+def test_a_relation_that_vanishes_makes_no_gaussian_value(monkeypatch):
+    # at D.S = 1 the genus-g relation is 0 at every level: no level value and
+    # no i^{-d0} is made; at D.S = 2 it is not 0, and the values are made
+    entry = catalog("B5")
+    s = entry.surface()
+    z = relation_poly(s.genus)
+    made = []
+
+    class Counting(GaussianRational):
+        def __init__(self, *parts):
+            made.append(parts)
+            super().__init__(*parts)
+
+    monkeypatch.setattr(series_mod, "GaussianRational", Counting)
+    probes = fresh_probes(entry)
+    for d in probes:
+        for w in twists(entry):
+            p, n = apply_relation(entry.series, w, s, z, d)
+            assert p.is_zero and n.is_zero
+    assert made == []
+    p, n = split_series(entry.series, entry.w_class(), s).evaluate(probes[0] + probes[0], z)
+    assert made and not (p.is_zero and n.is_zero)
+
+
 def fresh_series(entry):
     """A new copy of the entry's series: catalog entries are shared, so an
     earlier test may already have split theirs."""
