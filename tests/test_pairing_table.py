@@ -659,7 +659,7 @@ def test_a_relation_compiles_its_table_once(monkeypatch):
     half = len(probes) // 2
     compiled.clear()
     assert finite_type_order(entry.series, w, s, probes[:half] + probes[half:half + 1]) == 1
-    assert len(evaluated) == half + 1 and len({id(z) for z in evaluated}) == 1
+    assert len(evaluated) == half + 1 and len({id(one) for one in evaluated}) == 1
     assert len(compiled) == 1
 
 
