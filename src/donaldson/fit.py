@@ -84,7 +84,7 @@ def basis_coordinates(
     split = SplitSeries(series, w, s)
     for lvl, (j, *_) in split.levels.items():
         if abs(lvl) > 2 * g - 2:
-            k = HClass(series.lattice, series.rows[j])
+            k = HClass._row(series.lattice, series.rows[j])
             raise FitError(
                 f"class {k} pairs {lvl} with the surface, beyond the adjunction bound {2 * g - 2}"
             )

@@ -238,10 +238,10 @@ class GluedSeries:
         return self.kind == "stabilized"
 
     def left_class(self, j: int) -> HClass:
-        return HClass(self.spec.left.lattice, self.spec.left.series.rows[j])
+        return HClass._row(self.spec.left.lattice, self.spec.left.series.rows[j])
 
     def right_class(self, k: int) -> HClass:
-        return HClass(self.spec.right.lattice, self.spec.right.series.rows[k])
+        return HClass._row(self.spec.right.lattice, self.spec.right.series.rows[k])
 
 
 MAX_GLUED_ENTRIES = 2**20
@@ -256,7 +256,7 @@ def _glued(spec: GluingSpec, kind: str) -> GluedSeries:
     each distinct b of the level once; an entry reads its product by its b."""
     rows = _rows(kind, spec.genus, spec.epsilon)
     left, right = spec._splits
-    (_, _, den1, nums1, _), (_, _, den2, nums2, _) = left._table, right._table
+    (_, _, nums1), (_, _, nums2) = left._table, right._table
     blocks = [(sector, scale, left.levels.get(lvl, ()), right.levels.get(lvl, ()))
               for sector, scale, lvl in rows]
     size = sum(len(js) * len(ks) for _, _, js, ks in blocks)
@@ -267,7 +267,7 @@ def _glued(spec: GluingSpec, kind: str) -> GluedSeries:
         distinct: dict[int, int] = {}  # right numerator -> its index
         k_index = [(k, distinct.setdefault(nums2[k], len(distinct))) for k in ks]
         for j in js:
-            scaled = scale * Fraction(nums1[j], den1 * den2)
+            scaled = scale * Fraction(nums1[j], left.series.den * right.series.den)
             products = [scaled * b for b in distinct]
             entries.extend((j, k, sector, products[i]) for k, i in k_index)
     return GluedSeries(spec, kind, tuple(entries))
@@ -360,7 +360,7 @@ def coefficient_match(
     if j is None or k is None:
         # no parent classes restrict there: both sums are empty
         return 0, 0
-    (lvls_k, _, _, a, _), (lvls_l, _, _, b, _) = spec._splits[0]._table, spec._splits[1]._table
+    (lvls_k, _, a), (lvls_l, _, b) = spec._splits[0]._table, spec._splits[1]._table
     lvl_k, lvl_l = lvls_k[j], lvls_l[k]
     den, pairs = gs._int_form
     row = pairs.get((j, k))

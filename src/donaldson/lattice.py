@@ -176,7 +176,7 @@ class Lattice:
         coords = self._named_coords.get(label)
         if coords is None:
             raise KeyError(f"{self.name}: no named class {label!r}")
-        return HClass(self, coords)
+        return HClass._row(self, coords)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(lab for lab, _ in self.named)
@@ -196,8 +196,8 @@ class HClass:
 
     Basic classes and w-classes are integral; probe classes D may be rational
     (the theory rescales D freely).  Each coordinate is stored as an int when
-    it is integral and as a Fraction otherwise.
-    """
+    it is integral and as a Fraction otherwise.  ``HClass._row`` checks nothing:
+    it serves only a series row or a named class, checked when made."""
 
     lattice: Lattice
     coords: tuple[int | Fraction, ...]
@@ -207,6 +207,13 @@ class HClass:
         object.__setattr__(self, "coords", coords)
         if len(coords) != self.lattice.rank:
             raise LatticeError("coordinate length does not match lattice rank")
+
+    @staticmethod
+    def _row(lattice: Lattice, coords: tuple[int | Fraction, ...]) -> "HClass":
+        """The class of ``coords``, a checked tuple of the lattice's rank."""
+        k = object.__new__(HClass)
+        k.__dict__.update(lattice=lattice, coords=coords)
+        return k
 
     @property
     def is_integral(self) -> bool:

@@ -8,8 +8,8 @@ P-sector keeps e^{+Q/2}, the N-sector acquires e^{-Q/2}, a global i^{-d0}
 and imaginary exponents; point and surface insertions act by 2 / -2 and by
 ((D+K).S)^b and ((-D + iK).S)^b.  ``SplitSeries(series, w, surface)`` is the
 only split, checked each time it is made; it reads the series' one table for
-(w, S), levels K.S and twisted numerators per row, which ``_split_table``
-builds on the first read.  Rows meet the form in ``Lattice.pairings``.
+(w, S): K.S per row, rows per level and twisted numerators over ``den``, made
+by ``_split_table`` on first read.  Rows meet the form in ``Lattice.pairings``.
 ``level_sums`` is a level's bare sum of twisted coefficients per K.D, a fit
 coordinate; ``evaluate`` puts it in sector form with ``z_value``, z's
 scalar at a level, read from z's table of ints, compiled once per z.
@@ -54,10 +54,10 @@ class DonaldsonSeries:
     of b1 = 0 and b+ odd: sorted int coordinate ``rows`` and int ``nums`` over
     ``den``, the lcm of the denominators.  The first bad row is refused (not
     ints of the rank, coefficient 0, a repeat, not characteristic), named by
-    an ``HClass``.  ``entries``, the (``HClass``, ``Fraction``) pairs, is a view
-    made on first read; no split, check or fit reads it.  ``position`` (coords
-    -> row) is the one lookup by class; ``_splits`` maps (w, S) coords to the
-    ``_split_table`` of that pair, one each, unbounded; a copy starts with none.
+    an ``HClass``.  ``entries``, the (``HClass._row``, ``Fraction``) pairs, is
+    a view made on first read; no split or fit reads it.  ``position`` (coords
+    -> row) is the one lookup by class; ``_splits`` maps (w, S) coords to that
+    pair's ``_split_table`` 3-tuple, one each, unbounded; a copy starts with none.
     """
 
     lattice: Lattice
@@ -121,7 +121,7 @@ class DonaldsonSeries:
     def entries(self) -> tuple[tuple[HClass, Fraction], ...]:
         """(basic class, coefficient) per row: the view, built once on first read."""
         value = {n: Fraction(n, self.den) for n in set(self.nums)}
-        return tuple((HClass(self.lattice, k), value[n]) for k, n in zip(self.rows, self.nums))
+        return tuple((HClass._row(self.lattice, k), value[n]) for k, n in zip(self.rows, self.nums))
 
     @property
     def position(self) -> MappingProxyType:
@@ -172,16 +172,16 @@ def twisted(series: DonaldsonSeries, w: HClass) -> DonaldsonSeries:
     return series._signed(_twist(series, w))
 
 
-def _split_table(series: DonaldsonSeries, w: HClass, s: MarkedSurface):
+def _split_table(series: DonaldsonSeries, w: HClass, s: MarkedSurface) -> tuple:
     """The split table against (w, S), filed in ``series._splits`` (only here):
-    [K.S per row, level -> its rows in first-seen order, L, twisted numerators
-    over L, the ``SplitSeries.rows`` view once read].  Plain containers, so a
-    series pickles with its tables; of two threads' equal tables either is kept."""
+    (K.S per row, level -> its rows in first-seen order, twisted numerators
+    over ``series.den``).  Plain containers, so a series pickles with its
+    tables; of two threads' equal tables either is kept."""
     levels, nums = series.lattice.pairings(series.rows, s.cls), _twist(series, w)
     groups: dict[int, list[int]] = {}
     for j, ks in enumerate(levels):
         groups.setdefault(ks, []).append(j)
-    table = [levels, {ks: tuple(js) for ks, js in groups.items()}, series.den, nums, None]
+    table = (tuple(levels), {ks: tuple(js) for ks, js in groups.items()}, nums)
     series._splits[w.coords, s.cls.coords] = table
     return table
 
@@ -229,20 +229,11 @@ class SplitSeries:
         object.__setattr__(self, "d0", series.d0(w))
 
     @cached_property
-    def _table(self) -> list:
+    def _table(self) -> tuple:
         """The series' split table for (w, S), bound on this split's first read."""
         series, w, s = self.series, self.w, self.surface
         table = series._splits.get((w.coords, s.cls.coords))
         return _split_table(series, w, s) if table is None else table
-
-    @property
-    def rows(self) -> tuple[tuple[HClass, int, Fraction], ...]:
-        """(K, K.S, twisted coefficient) per row: the table's view, made on first read."""
-        table = self._table
-        if table[4] is None:
-            value = {n: Fraction(n, table[2]) for n in set(table[3])}
-            table[4] = tuple(zip(self.series.classes(), table[0], map(value.get, table[3])))
-        return table[4]
 
     @cached_property
     def levels(self) -> MappingProxyType:
@@ -253,9 +244,9 @@ class SplitSeries:
         """{K.D: summed twisted coefficient} over the rows at level K.S = ``ks``
         ({} at a level the split does not have); only those rows meet D, in
         one ``Lattice.pairings``.  Int numerators are added per K.D, and each
-        sum becomes one number over L (``_exact``), no Fraction when L is 1."""
-        _, index, den, nums, _ = self._table
-        js, rows = index.get(ks, ()), self.series.rows
+        sum becomes one number over ``den`` (``_exact``), no Fraction when it is 1."""
+        _, index, nums = self._table
+        js, rows, den = index.get(ks, ()), self.series.rows, self.series.den
         sums: dict[int | Fraction, int | Fraction] = {}
         for j, kd in zip(js, self.series.lattice.pairings([rows[j] for j in js], d)):
             sums[kd] = sums.get(kd, 0) + nums[j]
@@ -295,7 +286,7 @@ def split_series(series: DonaldsonSeries, w: HClass, s: MarkedSurface) -> SplitS
 
 def unsplit_series(ss: SplitSeries) -> DonaldsonSeries:
     """Invert the split; recovers the w-twisted series exactly."""
-    return ss.series._signed(ss._table[3])
+    return ss.series._signed(ss._table[2])
 
 
 def eval_insertion(
@@ -504,7 +495,7 @@ def check_involution(series: DonaldsonSeries) -> tuple[bool, list[HClass]]:
     for k, n in zip(rows, nums):
         j = series._position.get(tuple(map(neg, k)))
         if j is None or nums[j] != (-n if flip else n):
-            bad.append(HClass(series.lattice, k))
+            bad.append(HClass._row(series.lattice, k))
     return (not bad, bad)
 
 

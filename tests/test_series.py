@@ -30,6 +30,7 @@ from donaldson.series import (
     unsplit_series,
     z_value,
 )
+from test_pairing_table import split_rows
 
 
 def gr(re, im=0):
@@ -215,7 +216,7 @@ def test_split_k3_single_class(k3):
     ss = split_series(k3.series, w, s)
     # d0(K3, sigma) = -4; the sigma-twist of the coefficient is -1, at level 0 (N)
     assert ss.d0 == -4
-    [(k, ks, c)] = ss.rows
+    [(k, ks, c)] = split_rows(ss)
     assert k.is_zero and ks == 0 and c == -1
 
 
@@ -223,10 +224,11 @@ def test_split_b2_sectors(b2):
     w = b2.lattice.cls("T1")
     s = b2.surface("Sigma_g")
     ss = split_series(b2.series, w, s)
-    levels = [ks for _, ks, _ in ss.rows]
+    rows = split_rows(ss)
+    levels = [ks for _, ks, _ in rows]
     assert sorted(ks for ks in levels if ks % 4 == 2) == [-2, 2]
     assert [ks for ks in levels if ks % 4 == 0] == [0, 0]
-    assert all(k.dot(s.cls) == ks for k, ks, _ in ss.rows)
+    assert all(k.dot(s.cls) == ks for k, ks, _ in rows)
 
 
 def test_split_requires_allowable_pair(b2):

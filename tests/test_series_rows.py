@@ -3,8 +3,9 @@
 A series built from (``HClass``, coefficient) pairs and one built from its
 coordinate rows and int numerators must be the same value; the catalog file
 written straight from the rows must be the bytes of the generic writer; each
-refusal keeps its error type, message and order; and no derivation, split,
-check, fit or gluing builds the ``entries`` view.
+refusal keeps its error type, message and order; a class built from a
+checked row or named class without a check is the checked class; and no
+derivation, split, check, fit or gluing builds the ``entries`` view.
 """
 
 import dataclasses
@@ -20,7 +21,14 @@ from hypothesis import example, given, settings, strategies as st
 import donaldson.constructions as constructions
 from donaldson.cli import run
 from donaldson.constructions import CatalogEntry, blow_up, catalog, catalog_names, entry_to_json
-from donaldson.gluing import GluingSpec, eval_glued, glue, glued_from_json, glued_to_json
+from donaldson.gluing import (
+    GluedSeries,
+    GluingSpec,
+    eval_glued,
+    glue,
+    glued_from_json,
+    glued_to_json,
+)
 from donaldson.lattice import (
     HClass,
     Lattice,
@@ -34,6 +42,7 @@ from donaldson.series import (
     SeriesError,
     _entries_text,
     check_adjunction,
+    check_involution,
     series_from_json,
     series_to_json,
     split_series,
@@ -119,6 +128,51 @@ def test_a_derived_series_is_the_checked_series(case, w_coords):
         assert all(trusted.coefficient(k) == c for k, c in checked.entries)
         assert trusted._splits == {} and trusted._splits is not series._splits
         assert twisted(trusted, v) == series
+
+
+def assert_checked(trusted, lattice, coords, probes):
+    """A class that ``HClass._row`` built is ``HClass(lattice, coords)``: equal,
+    hashing alike, the same dict key, and the same square, covector and dots."""
+    checked = HClass(lattice, coords)
+    assert trusted == checked and hash(trusted) == hash(checked)
+    assert {checked: "k"}[trusted] == "k" and {trusted: "k"}[checked] == "k"
+    assert trusted.square == checked.square and trusted.covector == checked.covector
+    assert [trusted.dot(v) for v in probes] == [checked.dot(v) for v in probes]
+    assert [v.dot(trusted) for v in probes] == [v.dot(checked) for v in probes]
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_series(), st.lists(st.integers(-3, 3), min_size=6, max_size=6))
+@example((catalog("B4"), list(catalog("B4").series.entries)), [1, 0, 0, 0, 0, 1])
+@example((catalog("K3"), list(catalog("K3").series.entries)), [0, 1, 0, 0, 0, 0])
+def test_a_trusted_class_is_the_checked_class(case, d_coords):
+    # the entries view, the involution's bad list and a gluing's classes are
+    # built from checked rows without a check: each must be the checked class
+    base, pairs = case
+    lat, s = base.lattice, base.surface()
+    series = DonaldsonSeries.on(lat, pairs)
+    d = HClass(lat, d_coords[: lat.rank])
+    probes = [s.cls, d, Fraction(1, 2) * d]
+    for j, (k, _) in enumerate(series.entries):
+        assert series.position[k.coords] == j
+        assert_checked(k, lat, series.rows[j], probes)
+    for k in check_involution(series)[1]:
+        assert_checked(k, lat, series.rows[series.position[k.coords]], probes)
+    entry = CatalogEntry("R", series, base.surfaces, base.w_labels, base.glue_surface, "n")
+    spec = GluingSpec(entry, entry)
+    gs = GluedSeries(spec, "torus" if spec.genus == 1 else "standard", ())
+    for j, row in enumerate(series.rows):
+        assert_checked(gs.left_class(j), lat, row, probes)
+        assert_checked(gs.right_class(j), lat, row, probes)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_a_named_class_is_the_checked_class(name):
+    lat = catalog(name).lattice
+    probes = [HClass(lat, coords) for _, coords in lat.named]
+    probes += [Fraction(1, 3) * v for v in probes]
+    for label, coords in lat.named:
+        assert_checked(lat.cls(label), lat, coords, probes)
 
 
 @pytest.mark.parametrize("name", catalog_names() + ["dia2:2:4", "dia2:1:3"])
