@@ -757,6 +757,10 @@ def test_a_split_tables_its_rows_on_first_read(monkeypatch):
     assert calls == [] and bound_tables(spec) == 0
     assert split._table is split._table
     assert len(calls) == 1
+    # the table holds three facts per series row, immutably
+    levels, _, nums = split._table
+    assert type(split._table) is tuple and type(levels) is tuple and type(nums) is tuple
+    assert len(levels) == len(nums) == len(series.rows)
     # a later split of the series against the same (w, S) reads that table
     again = series_mod.SplitSeries(series, w, s)
     assert again._table is split._table and again.levels == split.levels
