@@ -51,6 +51,7 @@ from .lattice import (
 from .series import (
     DonaldsonSeries,
     _entries_text,
+    _series_json,
     check_adjunction,
     check_involution,
     series_from_json,
@@ -116,13 +117,11 @@ class CatalogEntry:
 
     @cached_property
     def json_bytes(self) -> bytes:
-        """The entry's catalog file, encoded on first use; the entry is immutable."""
-        # construction order is deterministic; sorting keys would scramble the
-        # class table
-        data = entry_to_json(self)
-        # the same bytes as the list there, written straight from the int rows
-        data["series"]["entries"] = partial(_entries_text, self.series)
-        return (_indented(data) + "\n").encode()
+        """The entry's catalog file, encoded on first use; the entry is immutable.
+        ``entry_to_json``'s layout, with the series' rows written straight from
+        the ints by ``_entries_text``: the same bytes, and no dict per row."""
+        series = _series_json(self.series, partial(_entries_text, self.series))
+        return (_indented(_entry_json(self, series)) + "\n").encode()
 
     def validate(self) -> None:
         ok, bad = check_involution(self.series)
@@ -490,10 +489,16 @@ def _entry_path(directory: str, name: str) -> str:
 
 
 def entry_to_json(entry: CatalogEntry) -> dict:
+    return _entry_json(entry, series_to_json(entry.series))
+
+
+def _entry_json(entry: CatalogEntry, series: dict) -> dict:
+    """``entry_to_json``'s layout around the ``series`` part.  Construction
+    order is deterministic; sorting keys would scramble the class table."""
     return {
         "name": entry.name,
         "lattice": lattice_to_json(entry.lattice),
-        "series": series_to_json(entry.series),
+        "series": series,
         "surfaces": [
             {"label": lab, "class": [str(c) for c in s.cls.coords], "genus": s.genus}
             for lab, s in entry.surfaces

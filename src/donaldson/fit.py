@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .exppoly import ExpPolynomial
 from .lattice import HClass, MarkedSurface, _exact
-from .series import DonaldsonSeries, SplitSeries
+from .series import DonaldsonSeries, split_series
 
 
 class FitError(ValueError):
@@ -81,7 +81,7 @@ def basis_coordinates(
     if d.dot(s.cls) != 1:
         raise FitError("coordinates are computed against a probe with D.S = 1")
     g = s.genus
-    split = SplitSeries(series, w, s)
+    split = split_series(series, w, s)
     for lvl, (j, *_) in split.levels.items():
         if abs(lvl) > 2 * g - 2:
             k = HClass._row(series.lattice, series.rows[j])

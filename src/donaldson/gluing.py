@@ -17,9 +17,10 @@ K.D1 + L.D2 +- 2 (S.D) t.
 Each rule, the torus and the experimental stabilized rules too, is a table
 of rows (sector, scale, level) written once, in ``_rows(kind, g, eps)``:
 gluing runs it, ``GluedSeries`` takes its sectors from it and
-``coefficient_match`` its predicted scale.  Each side's ``SplitSeries``, made
-with the spec, gives the twisted numerators and, through ``levels``, the
-rows at a level; row j of a split is series row j, so glued indices address both.
+``coefficient_match`` its predicted scale.  Each side's ``SplitSeries``, its
+series' one split for (w, S) (``split_series``), taken with the spec, gives
+the twisted numerators and, through ``levels``, the rows at a level; row j
+of a split is series row j, so glued indices address both.
 
 A rule's coefficients are products scale * a_j * b_k of a few distinct
 values, so neither gluing nor evaluation does rational arithmetic per entry:
@@ -39,7 +40,7 @@ from .constructions import CatalogEntry, catalog
 from .exppoly import ExpPolynomial
 from .gaussian import frac_token
 from .lattice import HClass, LatticeMismatch, _exact, _read, d_zero_value, same_lattice
-from .series import SeriesError, SplitSeries
+from .series import SeriesError, SplitSeries, split_series
 
 
 class GluingError(ValueError):
@@ -74,7 +75,7 @@ class GluingSpec:
         splits = []
         for entry, s, w in ((self.left, s1, w1), (self.right, s2, w2)):
             try:
-                splits.append(SplitSeries(entry.series, w, s))
+                splits.append(split_series(entry.series, w, s))
             except SeriesError as exc:
                 raise GluingError(f"{entry.name}: {exc}") from exc
         object.__setattr__(self, "_splits", tuple(splits))

@@ -133,10 +133,11 @@ class Lattice:
         return dict(self.named)
 
     @cached_property
-    def _wu(self) -> tuple[int, tuple[tuple[int, int], ...]]:
-        """(c0, kernel) over F2, as ``_parity`` masks: c0 solves G c = diag(G) and is
-        0 at the free columns of G mod 2; kernel holds, per free column, (its
-        bit, the kernel vector that is 1 there and 0 at the other free ones)."""
+    def _wu(self) -> tuple[int, tuple[tuple[int, int], ...], bytes]:
+        """(c0, kernel, c0's bytes) over F2, as ``_parity`` masks: c0 solves G c =
+        diag(G) and is 0 at the free columns of G mod 2; kernel holds, per free
+        column, (its bit, the kernel vector that is 1 there and 0 at the other
+        free ones); the bytes are c0 one byte per coordinate."""
         rhs = 1 << 8 * self.rank  # the augmented column, diag(G)
         pivots = {}  # pivot bit -> its row, kept reduced (Gauss-Jordan)
         for i, row in enumerate(self.gram):
@@ -149,7 +150,8 @@ class Lattice:
                 pivots[bit] = row
         free = [f for f in (1 << 8 * j for j in range(self.rank)) if f not in pivots]
         c0 = sum(bit for bit, row in pivots.items() if row & rhs)
-        return c0, tuple((f, f | sum(b for b, row in pivots.items() if row & f)) for f in free)
+        kernel = tuple((f, f | sum(b for b, row in pivots.items() if row & f)) for f in free)
+        return c0, kernel, c0.to_bytes(self.rank, "little")
 
     def pairings(self, rows, v: "HClass") -> list[int | Fraction]:
         """K . v per int coordinate row K, by v's covector: the one batch pairing.
@@ -164,9 +166,9 @@ class Lattice:
         """How many leading int rows are characteristic: y = parity(K) + c0 is the
         sum of the kernel vectors at y's free coordinates (``_wu``); with no
         kernel, y == 0, one compare of all rows' parities against c0 repeated."""
-        c0, kernel = self._wu
+        c0, kernel, wu = self._wu
         odd = bytes(map((1).__and__, chain.from_iterable(rows)))
-        if not kernel and odd == c0.to_bytes(self.rank, "little") * len(rows):
+        if not kernel and odd == wu * len(rows):
             return len(rows)
         ys = enumerate(_parity(k) ^ c0 for k in rows)
         bad = (j for j, y in ys if y != reduce(xor, (v for f, v in kernel if y & f), 0))
@@ -318,7 +320,14 @@ def pairing(u: HClass, v: HClass) -> int | Fraction:
 
 def is_characteristic(k: HClass) -> bool:
     """k . v == v . v (mod 2) for every basis vector of the modeled lattice:
+    with no kernel, k's parity bytes against the Wu class's, else
     ``Lattice.characteristic_prefix`` on the one row."""
+    _, kernel, wu = k.lattice._wu
+    if not kernel:
+        try:
+            return bytes(map((1).__and__, k.coords)) == wu
+        except TypeError:  # a Fraction coordinate: (1).__and__ gives NotImplemented
+            pass
     if not k.is_integral:
         raise LatticeError("characteristic test needs an integral class")
     return k.lattice.characteristic_prefix((k.coords,)) == 1

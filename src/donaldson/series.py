@@ -7,9 +7,11 @@ the c_j as int numerators over one denominator.  Against an allowable pair
 P-sector keeps e^{+Q/2}, the N-sector acquires e^{-Q/2}, a global i^{-d0}
 and imaginary exponents; point and surface insertions act by 2 / -2 and by
 ((D+K).S)^b and ((-D + iK).S)^b.  ``SplitSeries(series, w, surface)`` is the
-only split, checked each time it is made; it reads the series' one table for
-(w, S): K.S per row, rows per level and twisted numerators over ``den``, made
-by ``_split_table`` on first read.  Rows meet the form in ``Lattice.pairings``.
+only split, checked when it is made; ``split_series`` hands out the series'
+one checked split per (w, S, genus), made on the first request, and every
+evaluator takes its split from there.  A split's table, made by
+``_split_table`` on first read, holds K.S per row, rows per level and
+twisted numerators over ``den``.  Rows meet the form in ``Lattice.pairings``.
 ``level_sums`` is a level's bare sum of twisted coefficients per K.D, a fit
 coordinate; ``evaluate`` puts it in sector form with ``z_value``, z's
 scalar at a level, read from z's table of ints, compiled once per z.
@@ -20,7 +22,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from itertools import chain
 from math import gcd, lcm
 from operator import add, lt, neg
@@ -56,8 +58,9 @@ class DonaldsonSeries:
     ints of the rank, coefficient 0, a repeat, not characteristic), named by
     an ``HClass``.  ``entries``, the (``HClass._row``, ``Fraction``) pairs, is
     a view made on first read; no split or fit reads it.  ``position`` (coords
-    -> row) is the one lookup by class; ``_splits`` maps (w, S) coords to that
-    pair's ``_split_table`` 3-tuple, one each, unbounded; a copy starts with none.
+    -> row) is the one lookup by class; ``_splits`` maps (w coords, S coords,
+    genus) to that pair's one checked ``SplitSeries``, unbounded; a copy made
+    by ``on``, ``dataclasses.replace`` or ``_signed`` starts with none.
     """
 
     lattice: Lattice
@@ -173,17 +176,14 @@ def twisted(series: DonaldsonSeries, w: HClass) -> DonaldsonSeries:
 
 
 def _split_table(series: DonaldsonSeries, w: HClass, s: MarkedSurface) -> tuple:
-    """The split table against (w, S), filed in ``series._splits`` (only here):
-    (K.S per row, level -> its rows in first-seen order, twisted numerators
-    over ``series.den``).  Plain containers, so a series pickles with its
-    tables; of two threads' equal tables either is kept."""
+    """The split table against (w, S): (K.S per row, level -> its rows in
+    first-seen order, twisted numerators over ``series.den``).  Plain
+    containers, so a series pickles with its splits."""
     levels, nums = series.lattice.pairings(series.rows, s.cls), _twist(series, w)
     groups: dict[int, list[int]] = {}
     for j, ks in enumerate(levels):
         groups.setdefault(ks, []).append(j)
-    table = (tuple(levels), {ks: tuple(js) for ks, js in groups.items()}, nums)
-    series._splits[w.coords, s.cls.coords] = table
-    return table
+    return (tuple(levels), {ks: tuple(js) for ks, js in groups.items()}, nums)
 
 
 def _power(p) -> int:
@@ -206,7 +206,8 @@ def z_value(z_terms, ks: int, d_sigma) -> GaussianRational:
 @dataclass(frozen=True)
 class SplitSeries:
     """The two-sector form of a series against an allowable pair (w, S),
-    checked each time it is made, before it reads any table.  Row j is series
+    checked when it is made, before it reads any table; ``split_series`` makes
+    one per (series, w, S, genus) and hands it out again.  Row j is series
     row j; ``levels`` maps each level K.S to its rows, and the level fixes the
     sector (K.S = S^2 = 0 mod 2 for a characteristic K): ``evaluate`` gives
     the P-sector levels (K.S == 2 mod 4) e^{+Q/2}, the N-sector levels
@@ -230,12 +231,13 @@ class SplitSeries:
 
     @cached_property
     def _table(self) -> tuple:
-        """The series' split table for (w, S), bound on this split's first read."""
+        """The split table for (w, S), made once, by the series' stored split
+        for the pair; a split made directly, with none stored, files itself."""
         series, w, s = self.series, self.w, self.surface
-        table = series._splits.get((w.coords, s.cls.coords))
-        return _split_table(series, w, s) if table is None else table
+        stored = series._splits.setdefault((w.coords, s.cls.coords, s.genus), self)
+        return _split_table(series, w, s) if stored is self else stored._table
 
-    @cached_property
+    @property
     def levels(self) -> MappingProxyType:
         """Surface level K.S -> its row indices, read-only, levels in first-seen order."""
         return MappingProxyType(self._table[1])
@@ -263,7 +265,7 @@ class SplitSeries:
         z = RelationPoly.of(z_terms)
         d_sigma = d.dot(self.surface.cls)  # exact; a foreign D raises LatticeMismatch here
         parts = {2: [], 0: []}
-        for ks in self.levels:
+        for ks in self._table[1]:
             scalar = z._value(ks, d_sigma)
             if scalar is None:
                 continue
@@ -280,8 +282,16 @@ class SplitSeries:
 
 
 def split_series(series: DonaldsonSeries, w: HClass, s: MarkedSurface) -> SplitSeries:
-    """Split the w-twisted series into its two sectors against (w, S)."""
-    return SplitSeries(series, w, s)
+    """Split the w-twisted series into its two sectors against (w, S): the
+    series' one checked split per (w, S, genus), made on the first request.
+    A w or S on another lattice goes to the checks, whatever its coordinates,
+    and a refused pair is never stored."""
+    lat, key = series.lattice, (w.coords, s.cls.coords, s.genus)
+    if same_lattice(w.lattice, lat) and same_lattice(s.lattice, lat):
+        split = series._splits.get(key)
+        if split is not None:
+            return split
+    return series._splits.setdefault(key, SplitSeries(series, w, s))
 
 
 def unsplit_series(ss: SplitSeries) -> DonaldsonSeries:
@@ -302,7 +312,7 @@ def eval_insertion(
       N = e^{-Q/2} sum_{K.S==0(4)} i^{-d0} c_{K,w} (-2)^a ((-D+iK).S)^b e^{i(K.D)t}
     with coefficients summed per (level K.S, K.D) before any term is made.
     """
-    return SplitSeries(series, w, s).evaluate(d, ((sigma_power, x_power, 1),))
+    return split_series(series, w, s).evaluate(d, ((sigma_power, x_power, 1),))
 
 
 # -- relation polynomials -----------------------------------------------------------
@@ -315,6 +325,7 @@ class RelationPoly:
     Stored as (S-power, x-power, coefficient) triples, each power an int >= 0
     and each coefficient rational, else a SeriesError naming the term.  Its
     table of ints, ``_horner``, is compiled on first read; insertions read it.
+    ``sigma_degree`` too is computed once per polynomial, on first read.
     """
 
     terms: tuple[tuple[int, int, int | Fraction], ...]
@@ -340,7 +351,7 @@ class RelationPoly:
         already one and is returned as it is."""
         return pairs if isinstance(pairs, cls) else cls(tuple(pairs))
 
-    @property
+    @cached_property
     def sigma_degree(self) -> int:
         return max((sp for sp, _, _ in self.terms), default=0)
 
@@ -430,16 +441,27 @@ def apply_relation(
             "is withdrawn",
             stacklevel=2,
         )
-    return SplitSeries(series, w, s).evaluate(d, z)
+    return split_series(series, w, s).evaluate(d, z)
 
 
 # -- finite type, adjunction, involution ---------------------------------------------
 
 
 def default_probes(lattice: Lattice, s: MarkedSurface) -> list[HClass]:
-    """All named classes D with D.S = 1, plus their S-shifts."""
-    probes = [d for d in map(lattice.cls, lattice.labels()) if d.dot(s.cls) == 1]
-    return probes + [d + s.cls for d in probes]
+    """All named classes D with D.S = 1, plus their S-shifts, as a new list:
+    made once per (lattice, S class).  An S on another lattice is refused
+    when the lattice names a class, as pairing it with one would be."""
+    if lattice.named and not same_lattice(s.lattice, lattice):
+        raise LatticeMismatch(f"pairing of classes on {lattice.name} and {s.lattice.name}")
+    return list(_probes(lattice, s.cls.coords))
+
+
+@lru_cache(maxsize=64)
+def _probes(lattice: Lattice, s_coords: tuple[int, ...]) -> tuple[HClass, ...]:
+    """``default_probes`` of the surface class at ``s_coords``, checked coordinates."""
+    s = HClass._row(lattice, s_coords)
+    probes = [d for d in map(lattice.cls, lattice.labels()) if d.dot(s) == 1]
+    return (*probes, *(d + s for d in probes))
 
 
 def finite_type_order(
@@ -467,7 +489,7 @@ def finite_type_order(
         probes = probes[half:] + probes[:half]
     if not probes:
         raise SeriesError("no probe classes with D.S = 1 are available")
-    split, one = SplitSeries(series, w, s), RelationPoly(((0, 0, 1),))
+    split, one = split_series(series, w, s), RelationPoly(((0, 0, 1),))
     plain = (part for d in probes for part in split.evaluate(d, one))
     return int(any(not part.is_zero for part in plain))
 
@@ -504,11 +526,15 @@ def check_involution(series: DonaldsonSeries) -> tuple[bool, list[HClass]]:
 
 def series_to_json(series: DonaldsonSeries) -> dict:
     token = {n: frac_token(Fraction(n, series.den)) for n in set(series.nums)}
-    return {
-        "lattice": series.lattice.name,
-        "entries": [{"k": list(k), "a": token[n]} for k, n in zip(series.rows, series.nums)],
-        "simple_type": True,  # every series is; the key keeps the file format
-    }
+    entries = [{"k": list(k), "a": token[n]} for k, n in zip(series.rows, series.nums)]
+    return _series_json(series, entries)
+
+
+def _series_json(series: DonaldsonSeries, entries) -> dict:
+    """``series_to_json``'s layout around ``entries``: its list of dicts, or
+    the catalog writer's ``_entries_text``, which writes that list's text."""
+    # every series is simple type; the key keeps the file format
+    return {"lattice": series.lattice.name, "entries": entries, "simple_type": True}
 
 
 def _entries_text(series: DonaldsonSeries, indent: str) -> str:

@@ -526,11 +526,9 @@ def test_entry_json_bytes_are_encoded_once_per_entry():
 
 def test_export_and_lookups_share_one_encoding(tmp_path, monkeypatch):
     parse_recipe.cache_clear()  # a fresh B3, not yet encoded
-    calls = []
-    real = constructions.entry_to_json
-    monkeypatch.setattr(
-        constructions, "entry_to_json", lambda entry: calls.append(entry) or real(entry)
-    )
+    calls = []  # the entry dicts encoded: one per file text made
+    real = constructions._indented
+    monkeypatch.setattr(constructions, "_indented", lambda data: calls.append(data) or real(data))
     export_catalog(str(tmp_path), ["B3"])
     monkeypatch.setenv("DONALDSON_CATALOG_DIR", str(tmp_path))
     assert catalog("B3") is catalog("B3")

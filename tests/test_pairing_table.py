@@ -6,9 +6,11 @@ those pairings, and a relation is the sum of one insertion polynomial per
 monomial.  The package must agree with them exactly.
 """
 
+import copy
 import dataclasses
 import functools
 import itertools
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -47,6 +49,7 @@ from donaldson.lattice import (
 from donaldson.series import (
     DonaldsonSeries,
     RelationPoly,
+    SeriesError,
     apply_relation,
     default_probes,
     eval_insertion,
@@ -361,6 +364,10 @@ def brute_characteristic(lat, coords) -> bool:
 # through the kernel, (1, 0, 0) not at all
 @example(([[0, 2, 0], [2, 0, 0], [0, 0, 1]], [1, 1, 1]))
 @example(([[0, 2, 0], [2, 0, 0], [0, 0, 1]], [1, 0, 0]))
+# negative coordinates: a kernel lattice, then one with none (G = diag(1, -1))
+@example(([[0, 2, 0], [2, 0, 0], [0, 0, 1]], [-1, -3, -1]))
+@example(([[1, 0], [0, -1]], [-3, -1]))
+@example(([[1, 0], [0, -1]], [-4, -1]))
 def test_is_characteristic_matches_fraction_brute_force(case):
     gram, coords = case
     lat = Lattice(
@@ -368,9 +375,13 @@ def test_is_characteristic_matches_fraction_brute_force(case):
     )
     k = HClass(lat, tuple(Fraction(c) for c in coords))
     assert is_characteristic(k) == brute_characteristic(lat, coords)
-    half = HClass(lat, (Fraction(1, 2),) + k.coords[1:])
-    with pytest.raises(LatticeError):
-        is_characteristic(half)
+    assert is_characteristic(-k) == brute_characteristic(lat, [-c for c in coords])
+    # a rational class is refused, with or without a kernel, wherever its
+    # non-integral coordinate sits
+    for j in {0, len(coords) - 1}:
+        rational = HClass(lat, k.coords[:j] + (Fraction(2 * coords[j] - 1, 2),) + k.coords[j + 1 :])
+        with pytest.raises(LatticeError):
+            is_characteristic(rational)
 
 
 # -- gluing against per-entry sums ------------------------------------------------------
@@ -808,6 +819,111 @@ def test_a_split_on_a_foreign_lattice_is_refused_before_any_table(monkeypatch):
         split_series(series, w, s)._table
 
 
+def test_a_stored_key_never_lets_a_foreign_pair_through():
+    # the same Gram under another name: equal coordinates, another lattice
+    entry = catalog("B3")
+    other = dataclasses.replace(entry.lattice, name="B3'")
+    w, s = entry.w_class(), entry.surface()
+    foreign_w = HClass(other, w.coords)
+    foreign_s = MarkedSurface(HClass(other, s.cls.coords), s.genus)
+    series = fresh_series(entry)
+    split = split_series(series, w, s)
+    d = default_probes(entry.lattice, s)[0]
+    z = relation_poly(s.genus)
+    for ww, ss in ((foreign_w, s), (w, foreign_s), (foreign_w, foreign_s)):
+        for request in (
+            lambda: split_series(series, ww, ss),
+            lambda: apply_relation(series, ww, ss, z, d),
+            lambda: eval_insertion(series, ww, ss, d),
+            lambda: finite_type_order(series, ww, ss, [d]),
+        ):
+            with pytest.raises(LatticeMismatch):
+                request()
+    assert list(series._splits.values()) == [split]
+    assert split_series(series, w, s) is split
+
+
+def test_a_refused_pair_is_refused_again_and_never_stored():
+    entry = catalog("B3")
+    s = entry.surface()
+    series = fresh_series(entry)
+    even = entry.lattice.zero()  # w.S = 0: not allowable
+    other = dataclasses.replace(entry.lattice, name="B3'")
+    foreign = MarkedSurface(HClass(other, s.cls.coords), s.genus)
+    for w, ss, error in ((even, s, SeriesError), (entry.w_class(), foreign, LatticeMismatch)):
+        for _ in range(2):
+            with pytest.raises(error):
+                split_series(series, w, ss)
+            assert series._splits == {}
+
+
+def test_a_surface_of_another_genus_gets_its_own_split():
+    # one series under two entries: the same surface class, marked genus g
+    # and g + 1 (the adjunction bound only loosens)
+    entry = cold_entry(catalog("B4"))
+    higher = dataclasses.replace(
+        entry, surfaces=tuple((lab, MarkedSurface(s.cls, s.genus + 1)) for lab, s in entry.surfaces)
+    )
+    assert higher.series is entry.series
+    g = entry.surface().genus
+    spec, spec_higher = GluingSpec(entry, entry), GluingSpec(higher, higher)
+    assert (spec.genus, spec_higher.genus) == (g, g + 1)
+    assert spec_higher.surface1.genus == g + 1 and spec_higher._splits[0] is not spec._splits[0]
+    assert len(entry.series._splits) == 2
+    w = entry.w_class()
+    assert split_series(entry.series, w, higher.surface()) is spec_higher._splits[0]
+    assert split_series(entry.series, w, entry.surface()) is spec._splits[0]
+
+
+def test_one_pair_is_split_and_checked_once(monkeypatch):
+    entry = catalog("B4")
+    series = fresh_series(entry)
+    w, s = entry.w_class(), entry.surface()
+    z = relation_poly(s.genus)
+    probes = default_probes(entry.lattice, s)
+    made = []
+    real = series_mod.SplitSeries.__post_init__
+    monkeypatch.setattr(
+        series_mod.SplitSeries, "__post_init__", lambda self: made.append(self) or real(self)
+    )
+    for d in probes:
+        apply_relation(series, w, s, z, d)
+    assert len(made) == 1
+    # every other route to the split of one pair, on a series of its own
+    cold = cold_entry(entry)
+    for _ in range(3):
+        eval_insertion(cold.series, w, s, probes[0], 1, 1)
+        finite_type_order(cold.series, w, s)
+        basis_coordinates(cold.series, w, s, probes[0])
+        GluingSpec(cold, cold)
+    assert len(made) == 2 and split_series(series, w, s) is made[0]
+    assert len(series._splits) == len(cold.series._splits) == 1
+
+
+@pytest.mark.parametrize(
+    "copy_of", [copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))], ids=["deepcopy", "pickle"]
+)
+def test_a_warm_series_copies_and_evaluates_as_the_original(copy_of):
+    entry = catalog("B4")
+    series = fresh_series(entry)
+    s = entry.surface()
+    z = relation_poly(s.genus)
+    probes = default_probes(entry.lattice, s)
+    for w in twists(entry):
+        apply_relation(series, w, s, z, probes[0])
+    other = copy_of(series)
+    assert other == series and other._splits.keys() == series._splits.keys()
+    assert all(split.series is other for split in other._splits.values())
+    for w in twists(entry):
+        stored = split_series(other, w, s)
+        assert stored.series is other and "_table" in stored.__dict__
+        for d in probes:
+            for poly in (z, ((0, 0, 1),), ((2, 1, 3),)):
+                got = split_series(other, w, s).evaluate(d, poly)
+                assert got == split_series(series, w, s).evaluate(d, poly)
+    assert len(other._splits) == len(series._splits) == 2
+
+
 def test_split_levels_refuse_item_assignment():
     entry = catalog("B3")
     split = split_series(fresh_series(entry), entry.w_class(), entry.surface())
@@ -831,24 +947,33 @@ def test_a_warm_series_evaluates_as_a_fresh_copy(name, shifted, seed, z_terms):
     rng = random.Random(seed)
     d = HClass(entry.lattice, [rng.randint(-2, 2) for _ in range(entry.lattice.rank)])
     warm = entry.series
-    split_series(warm, w, s)._table
-    assert (w.coords, s.cls.coords) in warm._splits
+    split = split_series(warm, w, s)
+    split._table
+    assert split_series(warm, w, s) is split and "_table" in split.__dict__
     fresh = fresh_series(entry)
     assert split_series(warm, w, s).evaluate(d, z_terms) == split_series(fresh, w, s).evaluate(
         d, z_terms
     )
 
 
+def cold_entry(entry):
+    """The entry over a copy of its series, which holds no split yet."""
+    return dataclasses.replace(entry, series=dataclasses.replace(entry.series))
+
+
 def test_gluing_spec_tests_each_side_once_for_allowability(monkeypatch):
-    entry = catalog("B4")
+    # two equal series with a store each: one allowability test per side,
+    # and none again for the rules or a second spec on the same sides
+    left, right = cold_entry(catalog("B4")), cold_entry(catalog("B4"))
     calls = []
     count_calls(monkeypatch, series_mod, "is_allowable", calls)
-    spec = GluingSpec(left=entry, right=entry)
+    spec = GluingSpec(left=left, right=right)
     assert len(calls) == 2
     gs = glue(spec)
     glue_conjectural(spec)
-    k = entry.series.entries[0][0]
+    k = left.series.entries[0][0]
     coefficient_match(gs, k, k)
+    GluingSpec(left=left, right=right).swapped()
     assert len(calls) == 2
 
 

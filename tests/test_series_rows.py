@@ -56,7 +56,7 @@ BASES = ("B3", "B4", "S4", "K3")
 def characteristic_rows(lattice, draw, count):
     """Up to ``count`` distinct characteristic rows: 2 v + c0, v in [-2, 2]^rank
     (the base lattices have no kernel, so these are all of them)."""
-    c0, kernel = lattice._wu
+    c0, kernel, _ = lattice._wu
     assert not kernel
     bits = [(c0 >> 8 * j) & 1 for j in range(lattice.rank)]
     vectors = st.lists(st.integers(-2, 2), min_size=lattice.rank, max_size=lattice.rank)
