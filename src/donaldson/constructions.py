@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, partial
 from itertools import product
@@ -81,8 +81,10 @@ class CatalogEntry:
     w_labels: tuple[str, ...]
     glue_surface: str
     note: str = ""
+    _surface_map: dict[str, MarkedSurface] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "_surface_map", dict(self.surfaces))
         if len(self._surface_map) != len(self.surfaces):
             raise ConstructionError(f"{self.name}: a surface label is repeated")
         if self.glue_surface not in self._surface_map:
@@ -99,10 +101,6 @@ class CatalogEntry:
     @property
     def lattice(self) -> Lattice:
         return self.series.lattice
-
-    @cached_property
-    def _surface_map(self) -> dict[str, MarkedSurface]:
-        return dict(self.surfaces)
 
     def surface(self, label: str | None = None) -> MarkedSurface:
         label = label or self.glue_surface

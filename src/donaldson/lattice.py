@@ -18,7 +18,7 @@ which ``Lattice.pairings`` pairs and ``characteristic_prefix`` tests in batches.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain
@@ -93,6 +93,7 @@ class Lattice:
     gram: tuple[tuple[int, ...], ...]
     b_plus: int
     named: tuple[tuple[str, tuple[int | Fraction, ...]], ...] = ()
+    _named_coords: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gram = tuple(_numbers(r, f"{self.name}: Gram row {i}") for i, r in enumerate(self.gram))
@@ -112,6 +113,7 @@ class Lattice:
             )
         named = tuple((lab, _numbers(c, f"{self.name}: class {lab!r}")) for lab, c in self.named)
         object.__setattr__(self, "named", named)
+        object.__setattr__(self, "_named_coords", dict(named))
         if len(self._named_coords) != len(named):
             raise LatticeError(f"{self.name}: a class label is repeated")
         for label, coords in named:
@@ -127,10 +129,6 @@ class Lattice:
     @property
     def rank(self) -> int:
         return len(self.gram)
-
-    @cached_property
-    def _named_coords(self) -> dict[str, tuple[int | Fraction, ...]]:
-        return dict(self.named)
 
     @cached_property
     def _wu(self) -> tuple[int, tuple[tuple[int, int], ...], bytes]:

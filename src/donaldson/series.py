@@ -10,11 +10,11 @@ and imaginary exponents; point and surface insertions act by 2 / -2 and by
 only split, checked when it is made; ``split_series`` hands out the series'
 one checked split per (w, S, genus), made on the first request, and every
 evaluator takes its split from there.  A split's table, made by
-``_split_table`` on first read, holds K.S per row, rows per level and
-twisted numerators over ``den``.  Rows meet the form in ``Lattice.pairings``.
+``_split_table`` on its own first read, holds K.S per row, rows per level
+and twisted numerators over ``den``.  Rows meet the form in ``Lattice.pairings``.
 ``level_sums`` is a level's bare sum of twisted coefficients per K.D, a fit
 coordinate; ``evaluate`` puts it in sector form with ``z_value``, z's
-scalar at a level, read from z's table of ints, compiled once per z.
+scalar at a level, read from z's table of ints, compiled when z is made.
 """
 
 from __future__ import annotations
@@ -231,11 +231,9 @@ class SplitSeries:
 
     @cached_property
     def _table(self) -> tuple:
-        """The split table for (w, S), made once, by the series' stored split
-        for the pair; a split made directly, with none stored, files itself."""
-        series, w, s = self.series, self.w, self.surface
-        stored = series._splits.setdefault((w.coords, s.cls.coords, s.genus), self)
-        return _split_table(series, w, s) if stored is self else stored._table
+        """The split table for (w, S), made on first read: a reloaded gluing
+        or a refused rule makes splits that never read it."""
+        return _split_table(self.series, self.w, self.surface)
 
     @property
     def levels(self) -> MappingProxyType:
@@ -324,11 +322,12 @@ class RelationPoly:
 
     Stored as (S-power, x-power, coefficient) triples, each power an int >= 0
     and each coefficient rational, else a SeriesError naming the term.  Its
-    table of ints, ``_horner``, is compiled on first read; insertions read it.
-    ``sigma_degree`` too is computed once per polynomial, on first read.
+    table of ints, ``_horner``, is compiled when it is made; insertions and
+    ``sigma_degree`` read it.
     """
 
     terms: tuple[tuple[int, int, int | Fraction], ...]
+    _horner: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         merged: dict[tuple[int, int], int | Fraction] = {}
@@ -344,6 +343,7 @@ class RelationPoly:
             (sp, xp, _exact(c)) for (sp, xp), c in sorted(merged.items()) if c != 0
         )
         object.__setattr__(self, "terms", canon)
+        object.__setattr__(self, "_horner", _horner_table(canon))
 
     @classmethod
     def of(cls, pairs) -> "RelationPoly":
@@ -351,13 +351,9 @@ class RelationPoly:
         already one and is returned as it is."""
         return pairs if isinstance(pairs, cls) else cls(tuple(pairs))
 
-    @cached_property
+    @property
     def sigma_degree(self) -> int:
-        return max((sp for sp, _, _ in self.terms), default=0)
-
-    @cached_property
-    def _horner(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        return _horner_table(self.terms)
+        return len(self._horner[1]) - 1
 
     def _value(self, ks: int, d_sigma) -> GaussianRational | None:
         """z at level ``ks`` for an exact D.S, or None for 0: Horner's rule in
@@ -476,11 +472,11 @@ def finite_type_order(
     z = x^2 - 4 takes the exact value 0 at every surface level and kills
     every series: evaluating it would only compare the code with itself.
     The order is therefore 1 if some probe's plain evaluation (z = 1) is
-    nonzero and 0 otherwise; the probes are evaluated on one split, until
-    the first nonzero value.  Default probes go S-shifted first, an observed
-    ordering and no theorem: on B2..B8, bg:10, K3, S4, S6, dia2:1:3, dia2:2:5,
-    dia2:4:5 and cg:3 the first D + S probe is nonzero, so one evaluation
-    decides.  Given probes keep their order."""
+    nonzero, that is if a sum of twisted numerators per (K.S mod 4, K.D) is,
+    one ``Lattice.pairings`` per probe, and 0 otherwise.  Default probes go
+    S-shifted first, an observed ordering and no theorem: on B2..B8, bg:10,
+    K3, S4, S6, dia2:1:3, dia2:2:5, dia2:4:5 and cg:3 the first D + S probe
+    is nonzero, so one pairing decides.  Given probes keep their order."""
     if series.is_zero:
         return 0
     if probes is None:
@@ -489,9 +485,14 @@ def finite_type_order(
         probes = probes[half:] + probes[:half]
     if not probes:
         raise SeriesError("no probe classes with D.S = 1 are available")
-    split, one = split_series(series, w, s), RelationPoly(((0, 0, 1),))
-    plain = (part for d in probes for part in split.evaluate(d, one))
-    return int(any(not part.is_zero for part in plain))
+    levels, _, nums = split_series(series, w, s)._table
+    for d in probes:
+        sums: dict[tuple, int] = {}
+        for ks, kd, n in zip(levels, series.lattice.pairings(series.rows, d), nums):
+            sums[ks % 4, kd] = sums.get((ks % 4, kd), 0) + n
+        if any(sums.values()):
+            return 1
+    return 0
 
 
 def check_adjunction(

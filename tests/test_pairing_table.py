@@ -660,29 +660,88 @@ def test_relation_pairs_no_class_with_the_probe(monkeypatch, name):
 
 
 def test_a_relation_compiles_its_table_once(monkeypatch):
-    # one compiled table for every level of every evaluation of one z, and
-    # one z = 1 for every probe of finite_type_order
+    # one compiled table for every level of every evaluation of one z, made
+    # with z; finite_type_order compiles no z at all
     entry = catalog("B5")
     s, w = entry.surface(), entry.w_class()
     split = split_series(entry.series, w, s)
-    compiled, evaluated = [], []
+    compiled = []
     count_calls(monkeypatch, series_mod, "_horner_table", compiled)
-    z = RelationPoly(relation_poly(s.genus).terms)  # a new value, not yet compiled
+    z = RelationPoly(relation_poly(s.genus).terms)  # a new value, compiled here
+    assert len(compiled) == 1
     probes = fresh_probes(entry)
     for d in probes + [probes[0] + probes[0]]:  # the last has D.S = 2: z is not zero
         p, n = split.evaluate(d, z)
         assert (p.is_zero and n.is_zero) == (d.dot(s.cls) == 1)
     assert len(split.levels) == 2 * s.genus - 1 and len(compiled) == 1
-    real = series_mod.SplitSeries.evaluate
-    monkeypatch.setattr(
-        series_mod.SplitSeries, "evaluate", lambda *a: evaluated.append(a[2]) or real(*a)
-    )
-    # every unshifted probe of B(g) gives 0, so each is evaluated before the shifted one
+    # every unshifted probe of B(g) sums to 0, so each meets the rows, in one
+    # batch, before the shifted one
     half = len(probes) // 2
+    given = probes[:half] + probes[half:half + 1]
+    pairs = record_pairings(monkeypatch)
     compiled.clear()
-    assert finite_type_order(entry.series, w, s, probes[:half] + probes[half:half + 1]) == 1
-    assert len(evaluated) == half + 1 and len({id(one) for one in evaluated}) == 1
-    assert len(compiled) == 1
+    assert finite_type_order(entry.series, w, s, given) == 1
+    met = [id(v) for _, v in pairs if any(v is d for d in given)]
+    assert met == [id(d) for d in given for _ in entry.series.rows]
+    assert compiled == []
+
+
+def canceling_pair(levels, signs):
+    """A two-row series on B3's lattice whose rows are B3's first rows at
+    the two surface levels, with twisted numerators 1 and -1 against (T1,
+    Sigma_g): both rows pair to 0 with the zero probe."""
+    entry = catalog("B3")
+    w, s = entry.lattice.cls("T1"), entry.surface("Sigma_g")
+    rows, twisted_nums = entry.series.rows, twisted(entry.series, w).nums
+    all_levels = split_series(entry.series, w, s)._table[0]
+    js = [all_levels.index(ks) for ks in levels]
+    nums = [t * (1 if twisted_nums[j] == entry.series.nums[j] else -1) for j, t in zip(js, signs)]
+    return DonaldsonSeries(entry.lattice, [rows[j] for j in js], nums, 1), w, s
+
+
+@pytest.mark.parametrize("levels, order", [((2, -2), 0), ((2, 0), 1)])
+def test_finite_type_sums_per_sector_and_exponent(levels, order):
+    # two P-sector rows at levels 2 and -2 cancel in the exact evaluation,
+    # so their sums must not be kept per level; a P row and an N row never
+    # cancel, so their sums must not be merged across sectors
+    series, w, s = canceling_pair(levels, (1, -1))
+    d = series.lattice.zero()
+    assert sorted(series.lattice.pairings(series.rows, s.cls)) == sorted(levels)
+    p, n = split_series(series, w, s).evaluate(d, ((0, 0, 1),))
+    assert (p.is_zero and n.is_zero) == (order == 0)
+    assert finite_type_order(series, w, s, [d]) == order
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 6),
+            st.integers(0, 4),
+            st.fractions(max_denominator=12).filter(bool),
+        ),
+        max_size=6,
+    ),
+    st.booleans(),
+)
+@example([], False)
+@example([(3, 1, Fraction(1, 2))], True)
+def test_a_relation_table_is_compiled_once_when_made(terms, cancel):
+    # the table is made with the polynomial, and its length gives the
+    # S-degree: nothing reading z compiles it again
+    if cancel:
+        terms = terms + [(sp, xp, -c) for sp, xp, c in terms]
+    compiled = []
+    with pytest.MonkeyPatch.context() as mp:
+        count_calls(mp, series_mod, "_horner_table", compiled)
+        z = RelationPoly(tuple(terms))
+        assert len(compiled) == 1
+        assert z.sigma_degree == max((sp for sp, _, _ in z.terms), default=0)
+        assert not (cancel and z.terms)
+        for ks in (-2, 0, 2):
+            series_mod.z_value(z, ks, 1)
+            z._value(ks, Fraction(1, 3))
+        assert RelationPoly.of(z) is z and len(compiled) == 1
 
 
 def test_a_relation_that_vanishes_makes_no_gaussian_value(monkeypatch):
@@ -772,12 +831,24 @@ def test_a_split_tables_its_rows_on_first_read(monkeypatch):
     levels, _, nums = split._table
     assert type(split._table) is tuple and type(levels) is tuple and type(nums) is tuple
     assert len(levels) == len(nums) == len(series.rows)
-    # a later split of the series against the same (w, S) reads that table
+    # another direct split of the pair tables the rows again, for itself
     again = series_mod.SplitSeries(series, w, s)
-    assert again._table is split._table and again.levels == split.levels
-    assert len(calls) == 1
+    assert again._table == split._table and again._table is not split._table
+    assert again.levels == split.levels and len(calls) == 2
     series_mod.SplitSeries(series, w + s.cls, s).levels
-    assert tabled_twists(calls) == [w.coords, (w + s.cls).coords]
+    assert tabled_twists(calls) == [w.coords, w.coords, (w + s.cls).coords]
+
+
+def test_a_split_made_directly_files_nothing_on_its_series():
+    # split_series is the one writer of a series' store of splits
+    entry = catalog("B3")
+    series = fresh_series(entry)
+    w, s = entry.w_class(), entry.surface()
+    split = series_mod.SplitSeries(series, w, s)
+    assert split.levels and split._table and series._splits == {}
+    stored = split_series(series, w, s)
+    assert stored is not split and stored == split
+    assert list(series._splits.values()) == [stored]
 
 
 def test_copies_of_a_series_start_with_no_split_tables():
