@@ -81,7 +81,7 @@ class CatalogEntry:
     w_labels: tuple[str, ...]
     glue_surface: str
     note: str = ""
-    _surface_map: dict[str, MarkedSurface] = field(init=False, repr=False, compare=False)
+    _surface_map: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_surface_map", dict(self.surfaces))
