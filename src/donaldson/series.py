@@ -281,9 +281,9 @@ class SplitSeries:
 
 def split_series(series: DonaldsonSeries, w: HClass, s: MarkedSurface) -> SplitSeries:
     """Split the w-twisted series into its two sectors against (w, S): the
-    series' one checked split per (w, S, genus), made on the first request.
-    A w or S on another lattice goes to the checks, whatever its coordinates,
-    and a refused pair is never stored."""
+    series' one checked split per (w, S, genus), made on the first request;
+    the one writer of ``series._splits``.  A w or S on another lattice goes
+    to the checks, whatever its coordinates, and a refused pair is never stored."""
     lat, key = series.lattice, (w.coords, s.cls.coords, s.genus)
     if same_lattice(w.lattice, lat) and same_lattice(s.lattice, lat):
         split = series._splits.get(key)
