@@ -54,6 +54,7 @@ from .series import (
     _series_json,
     check_adjunction,
     check_involution,
+    column,
     series_from_json,
     series_to_json,
 )
@@ -287,7 +288,7 @@ def _check_bg(entry: CatalogEntry, g: int) -> None:
     sigma_g, t1 = lat.cls("Sigma_g"), lat.cls("T1")
     if t1.dot(sigma_g) != 1:
         raise ConstructionError(f"B{g}: fiber pairs {t1.dot(sigma_g)} with surface")
-    top = [j for j, ks in enumerate(lat.pairings(series.rows, sigma_g)) if ks == 2 * g - 2]
+    top = [j for j, ks in enumerate(column(series, sigma_g)) if ks == 2 * g - 2]
     if len(top) != 1 or series.rows[top[0]] != lat.cls("K").coords:
         raise ConstructionError(f"B{g}: top class against the surface is not unique")
     c = Fraction(series.nums[top[0]], series.den)
@@ -315,7 +316,7 @@ def build_dia2(g_prime: int, g: int) -> CatalogEntry:
     series = _blown_up(name, DonaldsonSeries.on(k3, [(k3.zero(), 1)]), blowups, [sigma1])
     lattice = series.lattice
     surface = MarkedSurface(lattice.cls("Sigma1"), genus=g)
-    levels = lattice.pairings(series.rows, surface.cls)
+    levels = column(series, surface.cls)
     max_pair = max(map(abs, levels), default=0)
     if max_pair != 2 * g_prime - 2:
         raise ConstructionError(f"{name}: max |K.S| = {max_pair} != {2 * g_prime - 2}")

@@ -185,9 +185,12 @@ class Lattice:
         return HClass(self, (0,) * self.rank)
 
     def basis_vector(self, i: int) -> "HClass":
-        coords = [0] * self.rank
-        coords[i] = 1
-        return HClass(self, tuple(coords))
+        """e_i, for an int 0 <= i < rank; any other index is a LatticeError."""
+        if type(i) is not int or not 0 <= i < self.rank:
+            raise LatticeError(
+                f"{self.name}: no basis vector {i!r}; the index is an int in [0, {self.rank})"
+            )
+        return HClass(self, (0,) * i + (1,) + (0,) * (self.rank - 1 - i))
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,17 @@ and imaginary exponents; point and surface insertions act by 2 / -2 and by
 ((D+K).S)^b and ((-D + iK).S)^b.  ``SplitSeries(series, w, surface)`` is the
 only split, checked when it is made; ``split_series`` hands out the series'
 one checked split per (w, S, genus), made on the first request, and every
-evaluator takes its split from there.  A split's table, made by
-``_split_table`` on its own first read, holds K.S per row, rows per level
-and twisted numerators over ``den``.  Rows meet the form in ``Lattice.pairings``.
-``level_sums`` is a level's bare sum of twisted coefficients per K.D, a fit
-coordinate; ``evaluate`` puts it in sector form with ``z_value``, z's
-scalar at a level, read from z's table of ints, compiled when z is made.
+evaluator takes its split from there.  Rows meet an integral class v of
+their lattice once: ``column(series, v)``, K.v per row, is made by one
+``Lattice.pairings`` and kept in the store that a series shares with its
+signed copies, and every reader (the catalog's checks, adjunction, the
+twist, the split table, the finite-type probes, ``level_sums``) reads it
+there.  A split's table, made by ``_split_table`` on its own first read,
+holds the column of S, rows per level and the numerators twisted by the
+column of w, over ``den``.  ``level_sums`` is a level's bare sum of twisted
+coefficients per K.D, a fit coordinate; ``evaluate`` puts it in sector form
+with ``z_value``, z's scalar at a level, read from z's table of ints,
+compiled when z is made.
 """
 
 from __future__ import annotations
@@ -56,11 +61,17 @@ class DonaldsonSeries:
     of b1 = 0 and b+ odd: sorted int coordinate ``rows`` and int ``nums`` over
     ``den``, the lcm of the denominators.  The first bad row is refused (not
     ints of the rank, coefficient 0, a repeat, not characteristic), named by
-    an ``HClass``.  ``entries``, the (``HClass._row``, ``Fraction``) pairs, is
-    a view made on first read; no split or fit reads it.  ``position`` (coords
-    -> row) is the one lookup by class; ``_splits`` maps (w coords, S coords,
-    genus) to that pair's one checked ``SplitSeries``, unbounded; a copy made
-    by ``on``, ``dataclasses.replace`` or ``_signed`` starts with none.
+    an ``HClass``.  ``entries``, the (class, ``Fraction``) pairs, is a view
+    made on first read; no split or fit reads it.  ``position`` (coords -> row)
+    is the one lookup by class.  ``_store`` holds what the rows fix: the
+    column K.v per row of each integral class v met on the lattice, keyed by
+    v's coords and written only by ``column``, and under the key None the
+    rows' ``HClass`` objects, made by the first ``entries``.  ``_splits`` maps
+    (w coords, S coords, genus) to that pair's one checked ``SplitSeries``.
+    Both are unbounded: a series meets only its surfaces, w choices and
+    probes.  A signed copy (``_signed``) shares the store and starts with no
+    splits; a copy made by ``on``, ``dataclasses.replace`` or a JSON load
+    starts with neither.
     """
 
     lattice: Lattice
@@ -68,6 +79,7 @@ class DonaldsonSeries:
     nums: tuple[int, ...]
     den: int
     _position: dict[tuple, int] = field(init=False, repr=False, compare=False)
+    _store: dict = field(init=False, repr=False, compare=False)
     _splits: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -82,7 +94,8 @@ class DonaldsonSeries:
             rows, nums = zip(*sorted(zip(rows, nums)))
         g, n, position = gcd(den, *nums), len(rows), dict(zip(rows, range(len(rows))))
         for name, value in (("rows", rows), ("nums", tuple(x // g for x in nums)),
-                            ("den", den // g), ("_position", position), ("_splits", {})):
+                            ("den", den // g), ("_position", position), ("_store", {}),
+                            ("_splits", {})):
             object.__setattr__(self, name, value)
         # the first row of coefficient 0 or a repeat, or one before it that is not K
         bad = min(nums.index(0) if 0 in nums else n, n if len(position) == n else
@@ -113,18 +126,25 @@ class DonaldsonSeries:
 
     def _signed(self, nums: tuple[int, ...]) -> "DonaldsonSeries":
         """This series with its numerators' signs flipped to ``nums``: the
-        rows, position and gcd are its own, so nothing is checked again."""
+        rows, position and gcd are its own, so nothing is checked again, and a
+        sign changes no K.v and no class, so it shares the store."""
         signed = object.__new__(DonaldsonSeries)
         for name, value in (("lattice", self.lattice), ("rows", self.rows), ("nums", nums),
-                            ("den", self.den), ("_position", self._position), ("_splits", {})):
+                            ("den", self.den), ("_position", self._position),
+                            ("_store", self._store), ("_splits", {})):
             object.__setattr__(signed, name, value)
         return signed
 
     @cached_property
     def entries(self) -> tuple[tuple[HClass, Fraction], ...]:
-        """(basic class, coefficient) per row: the view, built once on first read."""
+        """(basic class, coefficient) per row: the view, built once on first
+        read, of the row classes in the store zipped with this copy's values."""
+        classes = self._store.get(None)
+        if classes is None:
+            classes = tuple(HClass._row(self.lattice, k) for k in self.rows)
+            classes = self._store.setdefault(None, classes)
         value = {n: Fraction(n, self.den) for n in set(self.nums)}
-        return tuple((HClass._row(self.lattice, k), value[n]) for k, n in zip(self.rows, self.nums))
+        return tuple(zip(classes, map(value.get, self.nums)))
 
     @property
     def position(self) -> MappingProxyType:
@@ -154,6 +174,26 @@ class DonaldsonSeries:
         return d_zero(w, self.b_plus)
 
 
+def column(series: DonaldsonSeries, v: HClass, summands=None) -> tuple | list:
+    """K.v per row of ``series``: for an integral v on its lattice, the one
+    stored column, made on the first request by one ``Lattice.pairings`` or,
+    given ``summands`` (a, b) with a + b = v, as a's column plus b's (pairing
+    is linear); the one writer of a column in ``series._store``.  A rational
+    v, or one on another lattice whatever its coordinates, goes to
+    ``Lattice.pairings`` and its checks, and is never stored."""
+    lat = series.lattice
+    if not (same_lattice(v.lattice, lat) and v.is_integral):
+        return lat.pairings(series.rows, v)
+    col = series._store.get(v.coords)
+    if col is None:
+        if summands is None:
+            col = tuple(lat.pairings(series.rows, v))
+        else:
+            col = tuple(map(add, *(column(series, u) for u in summands)))
+        col = series._store.setdefault(v.coords, col)
+    return col
+
+
 def _twist(series: DonaldsonSeries, w: HClass) -> tuple[int, ...]:
     """The w-twisted numerators over ``series.den``: n -> (-1)^{(K.w + w^2)/2} n."""
     if not same_lattice(w.lattice, series.lattice):
@@ -162,8 +202,7 @@ def _twist(series: DonaldsonSeries, w: HClass) -> tuple[int, ...]:
         raise SeriesError("twist class must be integral")
     w_sq = w.square
     # K characteristic and w integral: K.w = w^2 (mod 2), so the sum is even
-    kw = series.lattice.pairings(series.rows, w)
-    return tuple(-n if (x + w_sq) & 2 else n for x, n in zip(kw, series.nums))
+    return tuple(-n if (x + w_sq) & 2 else n for x, n in zip(column(series, w), series.nums))
 
 
 def twist(series: DonaldsonSeries, w: HClass) -> list[tuple[HClass, Fraction]]:
@@ -176,14 +215,14 @@ def twisted(series: DonaldsonSeries, w: HClass) -> DonaldsonSeries:
 
 
 def _split_table(series: DonaldsonSeries, w: HClass, s: MarkedSurface) -> tuple:
-    """The split table against (w, S): (K.S per row, level -> its rows in
-    first-seen order, twisted numerators over ``series.den``).  Plain
+    """The split table against (w, S): (the column of S, level -> its rows
+    in first-seen order, twisted numerators over ``series.den``).  Plain
     containers, so a series pickles with its splits."""
-    levels, nums = series.lattice.pairings(series.rows, s.cls), _twist(series, w)
+    levels, nums = column(series, s.cls), _twist(series, w)
     groups: dict[int, list[int]] = {}
     for j, ks in enumerate(levels):
         groups.setdefault(ks, []).append(j)
-    return (tuple(levels), {ks: tuple(js) for ks, js in groups.items()}, nums)
+    return (levels, {ks: tuple(js) for ks, js in groups.items()}, nums)
 
 
 def _power(p) -> int:
@@ -242,13 +281,20 @@ class SplitSeries:
 
     def level_sums(self, ks: int, d: HClass) -> dict[int | Fraction, int | Fraction]:
         """{K.D: summed twisted coefficient} over the rows at level K.S = ``ks``
-        ({} at a level the split does not have); only those rows meet D, in
-        one ``Lattice.pairings``.  Int numerators are added per K.D, and each
-        sum becomes one number over ``den`` (``_exact``), no Fraction when it is 1."""
+        ({} at a level the split does not have), read from the column of an
+        integral D; a rational D pairs only those rows, in one
+        ``Lattice.pairings``.  Int numerators are added per K.D, and each sum
+        becomes one number over ``den`` (``_exact``), no Fraction when it is 1."""
         _, index, nums = self._table
-        js, rows, den = index.get(ks, ()), self.series.rows, self.series.den
+        js, series, den = index.get(ks, ()), self.series, self.series.den
+        if not js:
+            return {}
+        if d.is_integral:
+            kds = map(column(series, d).__getitem__, js)
+        else:
+            kds = series.lattice.pairings([series.rows[j] for j in js], d)
         sums: dict[int | Fraction, int | Fraction] = {}
-        for j, kd in zip(js, self.series.lattice.pairings([rows[j] for j in js], d)):
+        for j, kd in zip(js, kds):
             sums[kd] = sums.get(kd, 0) + nums[j]
         if den == 1:
             return sums
@@ -473,22 +519,28 @@ def finite_type_order(
     every series: evaluating it would only compare the code with itself.
     The order is therefore 1 if some probe's plain evaluation (z = 1) is
     nonzero, that is if a sum of twisted numerators per (K.S mod 4, K.D) is,
-    one ``Lattice.pairings`` per probe, and 0 otherwise.  Default probes go
-    S-shifted first, an observed ordering and no theorem: on B2..B8, bg:10,
-    K3, S4, S6, dia2:1:3, dia2:2:5, dia2:4:5 and cg:3 the first D + S probe
-    is nonzero, so one pairing decides.  Given probes keep their order."""
+    one ``column`` per probe, and 0 otherwise.  Default probes go S-shifted
+    first, an observed ordering and no theorem: on B2..B8, bg:10, K3, S4, S6,
+    dia2:1:3, dia2:2:5, dia2:4:5 and cg:3 the first D + S probe is nonzero,
+    so one column decides, the sum of the columns of D and S.  Given probes
+    keep their order."""
     if series.is_zero:
         return 0
     if probes is None:
         probes = default_probes(series.lattice, s)
-        half = len(probes) // 2  # the S-shifted half first
-        probes = probes[half:] + probes[:half]
+        half = len(probes) // 2  # the S-shifted half first, D + S from D and S
+        columns = chain(
+            (column(series, v, (d, s.cls)) for d, v in zip(probes, probes[half:])),
+            (column(series, d) for d in probes[:half]),
+        )
+    else:
+        columns = (column(series, d) for d in probes)
     if not probes:
         raise SeriesError("no probe classes with D.S = 1 are available")
     levels, _, nums = split_series(series, w, s)._table
-    for d in probes:
+    for col in columns:
         sums: dict[tuple, int] = {}
-        for ks, kd, n in zip(levels, series.lattice.pairings(series.rows, d), nums):
+        for ks, kd, n in zip(levels, col, nums):
             sums[ks % 4, kd] = sums.get((ks % 4, kd), 0) + n
         if any(sums.values()):
             return 1
@@ -500,7 +552,7 @@ def check_adjunction(
 ) -> tuple[bool, list[tuple[HClass, Fraction]]]:
     """2g - 2 >= S^2 + |K.S| for every entry; returns all violators."""
     bound = 2 * s.genus - 2 - s.cls.square
-    levels = series.lattice.pairings(series.rows, s.cls)
+    levels = column(series, s.cls)
     violators = [series.entries[j] for j, ks in enumerate(levels) if abs(ks) > bound]
     return (not violators, violators)
 

@@ -31,6 +31,21 @@ from donaldson.fit import FitError
 from donaldson.gluing import GluingError
 from donaldson.lattice import LatticeError
 from donaldson.series import RelationPoly, SeriesError, relation_poly
+from test_pairing_table import record_columns
+
+
+def record_rows(monkeypatch):
+    """(row, v coords) -> how often that row met v in a ``Lattice.pairings``
+    batch, the one way a series row meets a class."""
+    met = Counter()
+    pairings = lattice_mod.Lattice.pairings
+
+    def recording(lat, rows, v):
+        met.update((k, v.coords) for k in rows)
+        return pairings(lat, rows, v)
+
+    monkeypatch.setattr(lattice_mod.Lattice, "pairings", recording)
+    return met
 
 
 def python_m_cli(*argv):
@@ -280,37 +295,47 @@ def test_check_splits_once_per_w(monkeypatch, capsys):
         return real(*args)
 
     monkeypatch.setattr(series_mod, "_split_table", counting)
-    # a recipe cache of its own, so that bg:4 is derived here, unsplit
+    # a recipe cache of its own, so that bg:4 is derived here, unsplit, and
+    # every column of its series is made while the counts below look on
     monkeypatch.setattr(
         constructions, "parse_recipe", functools.cache(constructions.parse_recipe.__wrapped__)
     )
+    columns = record_columns(monkeypatch)
+    met = record_rows(monkeypatch)
     entry = catalog("bg:4")
-    s = entry.surface().cls
+    s = entry.surface().cls.coords
     classes = set(entry.series.rows)
-    objects = {id(k) for k in entry.series.classes()}  # a named probe may share a row's coords
-    met_s = Counter()
-    pairing, pairings = lattice_mod.pairing, lattice_mod.Lattice.pairings
-
-    # a series row meets a class in a Lattice.pairings batch; a class in pairing
-    def recording(u, v):
-        met_s.update(x.coords for x, y in ((u, v), (v, u)) if y is s and id(x) in objects)
-        return pairing(u, v)
-
-    def recording_rows(lat, rows, v):
-        met_s.update(k for k in rows if v is s and k in classes)
-        return pairings(lat, rows, v)
-
-    monkeypatch.setattr(lattice_mod, "pairing", recording)
-    monkeypatch.setattr(lattice_mod.Lattice, "pairings", recording_rows)
     assert run(["check", "--entry", "bg:4"]) == 0
     # one split of w, for finite_type_order; the relation check reads z's
     # value at each surface level of that split's table, so it tables nothing
     assert len(calls) == 1
-    # and each basic class met S once, when that table was made
-    assert set(met_s) == classes and max(met_s.values()) == 1
-    # a second check reads the table the entry's series already has
+    # the column of S was made once, when bg:4 was derived; the adjunction
+    # check and the split read it, so each basic class met S once
+    made = [v.coords for series, v, _, new in columns if series is entry.series and new]
+    assert made.count(s) == 1
+    assert {k for k, v in met if v == s} == classes and max(met[k, s] for k in classes) == 1
+    # a second check reads the table and the columns the series already has
+    columns.clear()
+    met.clear()
     assert run(["check", "--entry", "bg:4"]) == 0
-    assert len(calls) == 1
+    assert len(calls) == 1 and not any(new for *_, new in columns) and not met
+
+
+def test_check_pairs_the_rows_with_the_surface_and_the_torus_only(monkeypatch, capsys):
+    # Sigma_g and T1 are paired with the rows once each, when bg:6 is derived
+    # and validated; the split reads both columns, and the first S-shifted
+    # probe, T1 + Sigma_g, sums them
+    monkeypatch.setattr(
+        constructions, "parse_recipe", functools.cache(constructions.parse_recipe.__wrapped__)
+    )
+    met = record_rows(monkeypatch)
+    assert run(["check", "--entry", "bg:6"]) == 0
+    entry = catalog("bg:6")
+    rows = set(entry.series.rows)
+    paired = Counter(v for k, v in met.elements() if k in rows)
+    sigma_g, t1 = (entry.lattice.cls(label).coords for label in ("Sigma_g", "T1"))
+    assert dict(paired) == {sigma_g: len(rows), t1: len(rows)} and len(rows) == 2**6 * 5
+    assert max(met.values()) == 1
 
 
 @pytest.mark.parametrize(

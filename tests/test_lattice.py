@@ -67,6 +67,27 @@ def test_pairing_lattice_mismatch(b2, k3):
         pairing(b2.lattice.cls("F"), k3.lattice.cls("F"))
 
 
+def test_basis_vectors_of_b3():
+    lat = catalog("B3").lattice
+    vectors = [lat.basis_vector(i).coords for i in range(lat.rank)]
+    assert vectors == [tuple(int(i == j) for j in range(lat.rank)) for i in range(lat.rank)]
+
+
+@pytest.mark.parametrize(
+    "index",
+    [-1, -5, 5, 6, True, False, 1.0, "0", None],
+    ids=["minus-one", "minus-rank", "rank", "past-rank", "true", "false", "float", "str", "none"],
+)
+def test_basis_vector_refuses_an_index_that_is_not_an_int_in_range(index):
+    # an index is never wrapped (-1 is not the last vector) nor read as an
+    # int (True is not e_1), and rank is a LatticeError, not an IndexError
+    lat = catalog("B3").lattice
+    assert lat.rank == 5
+    message = f"B3: no basis vector {index!r}; the index is an int in [0, 5)"
+    with pytest.raises(LatticeError, match=f"^{re.escape(message)}$"):
+        lat.basis_vector(index)
+
+
 def test_characteristic_examples(b2, k3):
     # the even K3 block makes 0 characteristic
     assert is_characteristic(k3.lattice.zero())

@@ -608,6 +608,24 @@ def record_pairings(monkeypatch):
     return pairs
 
 
+def record_columns(monkeypatch):
+    """Every request to ``column``, the one writer of a series' columns, from
+    series.py and constructions.py, in call order: (series, v, summands,
+    whether this request made v's column)."""
+    calls = []
+    real = series_mod.column
+
+    def column(series, v, summands=None):
+        new = v.coords not in series._store
+        col = real(series, v, summands)
+        calls.append((series, v, summands, new and v.coords in series._store))
+        return col
+
+    monkeypatch.setattr(series_mod, "column", column)
+    monkeypatch.setattr(constructions, "column", column)
+    return calls
+
+
 def fresh_probes(entry):
     """The default probes as new objects: a named probe such as T1 is also
     the object w, so only a copy tells a pairing with D from one with w."""
@@ -616,13 +634,17 @@ def fresh_probes(entry):
 
 def test_split_series_pairs_each_class_with_the_surface_once(monkeypatch):
     own_recipe_cache(monkeypatch)
+    columns = record_columns(monkeypatch)
+    pairs = record_pairings(monkeypatch)
     entry = catalog("B4")
     s = entry.surface()
-    pairs = record_pairings(monkeypatch)
     ss = split_series(entry.series, entry.w_class(), s)
     assert len(ss.levels) == 2 * s.genus - 1
+    # the derivation's check made the column of S; validate and the split read it
+    made = [v.coords for series, v, _, new in columns if series is entry.series and new]
+    assert made.count(s.cls.coords) == 1 and ss._table[0] is entry.series._store[s.cls.coords]
     classes = set(entry.series.rows)
-    met = Counter(k for k, v in pairs if v is s.cls and k in classes)
+    met = Counter(k for k, v in pairs if v.coords == s.cls.coords and k in classes)
     assert set(met) == classes and max(met.values()) == 1
     levels = [ks for _, ks, _ in split_rows(ss)]
     assert levels == [ref_dot(k, s.cls) for k in entry.series.classes()]
@@ -631,17 +653,21 @@ def test_split_series_pairs_each_class_with_the_surface_once(monkeypatch):
 @pytest.mark.parametrize("name", ["B4", "dia2:2:4"])
 def test_finite_type_order_pairs_each_class_with_each_probe_at_most_once(monkeypatch, name):
     entry = catalog(name)
+    series = fresh_series(entry)  # a store of its own, with no column yet
     s = entry.surface()
-    classes = {k.coords for k in entry.series.classes()}
+    classes = set(series.rows)
     probes = fresh_probes(entry)
+    columns = record_columns(monkeypatch)
     pairs = record_pairings(monkeypatch)
     for w in twists(entry):
-        pairs.clear()
-        assert finite_type_order(entry.series, w, s, probes) == 1
-        seen = Counter(
-            (id(d), k) for k, d in pairs if any(d is p for p in probes) and k in classes
-        )
-        assert seen and max(seen.values()) == 1
+        assert finite_type_order(series, w, s, probes) == 1
+    # a probe's column is made once and read by the other twist: each class
+    # met each probe at most once over both
+    made = [v.coords for _, v, _, new in columns if new]
+    read = {v.coords for _, v, _, _ in columns if any(v is d for d in probes)}
+    assert len(made) == len(set(made)) and read <= set(series._store)
+    seen = Counter((d.coords, k) for k, d in pairs if d.coords in read and k in classes)
+    assert seen and max(seen.values()) == 1
 
 
 @pytest.mark.parametrize("name", ["B3", "B4", "B5"])
@@ -674,15 +700,14 @@ def test_a_relation_compiles_its_table_once(monkeypatch):
         p, n = split.evaluate(d, z)
         assert (p.is_zero and n.is_zero) == (d.dot(s.cls) == 1)
     assert len(split.levels) == 2 * s.genus - 1 and len(compiled) == 1
-    # every unshifted probe of B(g) sums to 0, so each meets the rows, in one
-    # batch, before the shifted one
+    # every unshifted probe of B(g) sums to 0, so each one's column is read,
+    # in order, before the shifted one's
     half = len(probes) // 2
     given = probes[:half] + probes[half:half + 1]
-    pairs = record_pairings(monkeypatch)
+    columns = record_columns(monkeypatch)
     compiled.clear()
     assert finite_type_order(entry.series, w, s, given) == 1
-    met = [id(v) for _, v in pairs if any(v is d for d in given)]
-    assert met == [id(d) for d in given for _ in entry.series.rows]
+    assert [id(v) for _, v, _, _ in columns] == [id(d) for d in given]
     assert compiled == []
 
 
@@ -1124,18 +1149,22 @@ def test_eval_glued_passes_one_term_per_exponent(monkeypatch):
 
 def test_glue_pairs_each_class_with_its_surface_once(monkeypatch):
     own_recipe_cache(monkeypatch)
+    columns = record_columns(monkeypatch)
+    pairs = record_pairings(monkeypatch)
     bg = catalog("B4")
     spec = GluingSpec(left=bg, right=bg)
-    surfaces = (spec.surface1.cls, spec.surface2.cls)
-    pairs = record_pairings(monkeypatch)
+    s = spec.surface1.cls.coords
     gs = glue(spec)
     assert len(gs.entries) == 2
     # both sides split one series against one (w, S): the right reads the
-    # left's table, so each class meets a surface once in all
+    # left's table, and the table reads the column of S that the derivation
+    # made, so each class meets the surface once in all
     left, right = spec._splits
-    assert right._table is left._table
+    assert right._table is left._table and spec.surface2.cls.coords == s
+    made = [v.coords for series, v, _, new in columns if series is bg.series and new]
+    assert made.count(s) == 1
     classes = set(bg.series.rows)
-    met = Counter(k for k, v in pairs if any(v is s for s in surfaces) and k in classes)
+    met = Counter(k for k, v in pairs if v.coords == s and k in classes)
     assert set(met) == classes and max(met.values()) == 1
 
 
@@ -1145,16 +1174,20 @@ def test_glue_pairs_each_class_with_its_surface_once(monkeypatch):
 )
 def test_spec_pairs_each_class_with_its_surface_once(monkeypatch, name, surface, w, rules):
     own_recipe_cache(monkeypatch)
-    entry = catalog(name)
-    s = entry.surface(surface).cls
+    columns = record_columns(monkeypatch)
     pairs = record_pairings(monkeypatch)
+    entry = catalog(name)
+    s = entry.surface(surface).cls.coords
     spec = GluingSpec(entry, entry, surface, surface, w, w)
     glued = [rule(spec) for rule in rules]
     if glued[0].kind == "standard":
         k = entry.lattice.cls("K")
         coefficient_match(glued[0], k, k)
     assert all(not gs.is_empty for gs in glued)
-    # both sides are one series split against one (w, S), so one table
+    # both sides are one series split against one (w, S), so one table, and
+    # it reads the column of S that the derivation and validate made once
+    made = [v.coords for series, v, _, new in columns if series is entry.series and new]
+    assert made.count(s) == 1
     classes = set(entry.series.rows)
-    met = Counter(k for k, v in pairs if v is s and k in classes)
+    met = Counter(k for k, v in pairs if v.coords == s and k in classes)
     assert set(met) == classes and max(met.values()) == 1

@@ -43,6 +43,9 @@ from donaldson.series import (
     _entries_text,
     check_adjunction,
     check_involution,
+    column,
+    default_probes,
+    finite_type_order,
     series_from_json,
     series_to_json,
     split_series,
@@ -340,4 +343,115 @@ def test_no_derivation_split_check_fit_or_gluing_builds_the_view(monkeypatch, ca
     capsys.readouterr()
     names = ["bg:4", "dia2:2:4", "bg:3", "cg:3", "dia2:1:3", "dia2:2:3"]
     for name in names:
-        assert "entries" not in vars(catalog(name).series), name
+        series = catalog(name).series
+        assert "entries" not in vars(series) and None not in series._store, name
+
+
+# -- the column store: what a series' rows fix, made once and shared by signed copies --
+
+
+def stored_columns(series):
+    """The store's columns, by class coords (the key None holds the row classes)."""
+    return {key: col for key, col in series._store.items() if key is not None}
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_series(), st.lists(st.lists(st.integers(-3, 3), min_size=6, max_size=6), max_size=3))
+@example((catalog("B4"), list(catalog("B4").series.entries)), [[1, 0, 0, 0, 0, 1]])
+@example((catalog("K3"), list(catalog("K3").series.entries)), [])
+@example((catalog("B3"), []), [[0, 0, 0, 0, 0, 0]])
+def test_every_stored_column_is_a_fresh_pairing(case, vs):
+    # every reader writes through the one writer: the adjunction checks, the
+    # twist, the split, the default probes (S-shifted ones summed), level sums
+    base, pairs = case
+    lat, s, w = base.lattice, base.surface(), base.w_class()
+    series = DonaldsonSeries.on(lat, pairs)
+    classes = [HClass(lat, v[: lat.rank]) for v in vs]
+    for _, surface in base.surfaces:
+        check_adjunction(series, surface)
+    assert finite_type_order(series, w, s) == (0 if series.is_zero else 1)
+    signed = [twisted(series, v) for v in classes + [w]]
+    split = split_series(series, w, s)
+    for d in classes + [Fraction(1, 2) * (w + s.cls)]:
+        for ks in split.levels:
+            split.level_sums(ks, d)
+    stored = stored_columns(series)
+    assert {s.cls.coords, w.coords, *(v.coords for v in classes)} <= set(stored)
+    for key, col in stored.items():
+        assert col == tuple(lat.pairings(series.rows, HClass(lat, key))), key
+    # the shifted default probes that were read are sums, equal to their pairing
+    probes = default_probes(lat, s)
+    shifted = [d for d in probes[len(probes) // 2 :] if d.coords in stored]
+    assert shifted or series.is_zero
+    assert all(stored[d.coords] == tuple(lat.pairings(series.rows, d)) for d in shifted)
+    # a rational class is never stored
+    assert all(type(x) is int for key in stored for x in key)
+    # a signed copy shares the store and reads the shared row classes: its
+    # view is the view of the checked copy made from its (class, value) pairs
+    for copy, v in zip(signed, classes + [w]):
+        assert copy._store is series._store
+        values = checked_twist(series, v).entries
+        checked = DonaldsonSeries.on(lat, [(HClass(lat, k.coords), c) for k, c in values])
+        assert copy.entries == checked.entries and checked._store is not series._store
+        assert all(a is b for (a, _), (b, _) in zip(copy.entries, series.entries))
+
+
+def test_a_foreign_class_never_reads_a_stored_column():
+    # the store is keyed by coords only after the lattice check: a class of
+    # equal coords on another lattice is refused, and nothing is stored
+    entry, lat, pairs = _b3()
+    series = DonaldsonSeries.on(lat, pairs)
+    other = dataclasses.replace(lat, name="B3'")
+    t1, s = lat.cls("T1"), entry.surface()
+    assert column(series, t1) == tuple(lat.pairings(series.rows, t1))
+    check_adjunction(series, s)
+    before = dict(series._store)
+    foreign_s = MarkedSurface(HClass(other, s.cls.coords), s.genus)
+    for v in (HClass(other, t1.coords), foreign_s.cls):
+        with pytest.raises(LatticeMismatch):
+            column(series, v)
+    with pytest.raises(LatticeMismatch):
+        check_adjunction(series, foreign_s)
+    with pytest.raises(LatticeMismatch):
+        twisted(series, HClass(other, t1.coords))
+    assert series._store == before
+
+
+def test_each_copy_but_a_signed_one_starts_with_an_empty_store():
+    entry, lat, pairs = _b3()
+    series = DonaldsonSeries.on(lat, pairs)
+    t1 = lat.cls("T1")
+    column(series, t1)
+    series.entries
+    assert set(series._store) == {t1.coords, None}
+    half = DonaldsonSeries.on(lat, pairs[::2])  # other rows on the same lattice
+    loaded = series_from_json(series_to_json(series), lat)
+    copies = (DonaldsonSeries.on(lat, series.entries), dataclasses.replace(series), half, loaded)
+    for copy in copies:
+        assert copy._store == {} and copy._store is not series._store
+        assert column(copy, t1) == tuple(lat.pairings(copy.rows, t1))
+    assert column(half, t1) != column(series, t1)
+    split = split_series(series, t1, entry.surface("Sigma_g"))
+    for copy in (twisted(series, t1), unsplit_series(split)):
+        assert copy._store is series._store and copy._splits == {}
+
+
+def test_the_store_is_not_part_of_equality_hash_or_repr():
+    _, lat, pairs = _b3()
+    warm, cold = DonaldsonSeries.on(lat, pairs), DonaldsonSeries.on(lat, pairs)
+    column(warm, lat.cls("T1"))
+    warm.entries
+    assert len(warm._store) == 2 and cold._store == {}
+    assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
+
+
+def test_the_row_classes_never_meet_a_rank_zero_column():
+    # a rank-0 class has the empty coords: its column and the row classes
+    # are two keys of one store
+    point = Lattice("pt", (), b_plus=3)
+    series = DonaldsonSeries(point, [()], [3], 4)
+    zero = point.zero()
+    assert column(series, zero) == (0,)
+    assert series.entries == ((HClass(point, ()), Fraction(3, 4)),)
+    assert column(series, zero) == (0,) and set(series._store) == {(), None}
+    assert twisted(series, zero).entries == series.entries
