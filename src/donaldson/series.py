@@ -13,12 +13,13 @@ evaluator takes its split from there.  Rows meet an integral class v of
 their lattice once: ``column(series, v)``, K.v per row, is made by one
 ``Lattice.pairings`` and kept in the store that a series shares with its
 signed copies, and every reader (the catalog's checks, adjunction, the
-twist, the split table, the finite-type probes, ``level_sums``) reads it
-there.  A split's table, made by ``_split_table`` on its own first read,
-holds the column of S, rows per level and the numerators twisted by the
-column of w, over ``den``.  ``level_sums`` is a level's bare sum of twisted
-coefficients per K.D, a fit coordinate; ``evaluate`` puts it in sector form
-with ``z_value``, z's scalar at a level, read from z's table of ints,
+twist, the split table, the finite-type probes) reads it there.  A split's
+table, made by ``_split_table`` on its own first read, holds the column of
+S, rows per level and the numerators twisted by the column of w, over
+``den``.  ``level_sums`` is a level's bare sum of twisted coefficients per
+K.D, a fit coordinate, read from D's column if one is stored and else
+paired on the level's rows, storing nothing; ``evaluate`` puts it in sector
+form with ``z_value``, z's scalar at a level, read from z's table of ints,
 compiled when z is made.
 """
 
@@ -63,15 +64,16 @@ class DonaldsonSeries:
     ints of the rank, coefficient 0, a repeat, not characteristic), named by
     an ``HClass``.  ``entries``, the (class, ``Fraction``) pairs, is a view
     made on first read; no split or fit reads it.  ``position`` (coords -> row)
-    is the one lookup by class.  ``_store`` holds what the rows fix: the
-    column K.v per row of each integral class v met on the lattice, keyed by
-    v's coords and written only by ``column``, and under the key None the
-    rows' ``HClass`` objects, made by the first ``entries``.  ``_splits`` maps
+    is the one lookup by class.  ``_store`` holds the column K.v per row of
+    each integral class v on the lattice that a check, a twist, a split or a
+    probe met, keyed by v's coords and written only by ``column``; a level
+    sum reads a stored column and stores none.  ``_classes`` holds the rows'
+    ``HClass`` objects, made by the first ``entries``.  ``_splits`` maps
     (w coords, S coords, genus) to that pair's one checked ``SplitSeries``.
-    Both are unbounded: a series meets only its surfaces, w choices and
-    probes.  A signed copy (``_signed``) shares the store and starts with no
-    splits; a copy made by ``on``, ``dataclasses.replace`` or a JSON load
-    starts with neither.
+    The store and splits are unbounded: a series meets only its surfaces,
+    w choices and probes.  A signed copy (``_signed``) shares the store and
+    the classes and starts with no splits; a copy made by ``on``,
+    ``dataclasses.replace`` or a JSON load starts with none of them.
     """
 
     lattice: Lattice
@@ -80,6 +82,7 @@ class DonaldsonSeries:
     den: int
     _position: dict[tuple, int] = field(init=False, repr=False, compare=False)
     _store: dict = field(init=False, repr=False, compare=False)
+    _classes: list = field(init=False, repr=False, compare=False)
     _splits: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -95,7 +98,7 @@ class DonaldsonSeries:
         g, n, position = gcd(den, *nums), len(rows), dict(zip(rows, range(len(rows))))
         for name, value in (("rows", rows), ("nums", tuple(x // g for x in nums)),
                             ("den", den // g), ("_position", position), ("_store", {}),
-                            ("_splits", {})):
+                            ("_classes", []), ("_splits", {})):
             object.__setattr__(self, name, value)
         # the first row of coefficient 0 or a repeat, or one before it that is not K
         bad = min(nums.index(0) if 0 in nums else n, n if len(position) == n else
@@ -127,24 +130,24 @@ class DonaldsonSeries:
     def _signed(self, nums: tuple[int, ...]) -> "DonaldsonSeries":
         """This series with its numerators' signs flipped to ``nums``: the
         rows, position and gcd are its own, so nothing is checked again, and a
-        sign changes no K.v and no class, so it shares the store."""
+        sign changes no K.v and no class, so it shares the store and classes."""
         signed = object.__new__(DonaldsonSeries)
         for name, value in (("lattice", self.lattice), ("rows", self.rows), ("nums", nums),
                             ("den", self.den), ("_position", self._position),
-                            ("_store", self._store), ("_splits", {})):
+                            ("_store", self._store), ("_classes", self._classes),
+                            ("_splits", {})):
             object.__setattr__(signed, name, value)
         return signed
 
     @cached_property
     def entries(self) -> tuple[tuple[HClass, Fraction], ...]:
         """(basic class, coefficient) per row: the view, built once on first
-        read, of the row classes in the store zipped with this copy's values."""
-        classes = self._store.get(None)
-        if classes is None:
-            classes = tuple(HClass._row(self.lattice, k) for k in self.rows)
-            classes = self._store.setdefault(None, classes)
+        read, of the row classes shared with signed copies zipped with this
+        copy's values."""
+        if not self._classes:
+            self._classes.extend(HClass._row(self.lattice, k) for k in self.rows)
         value = {n: Fraction(n, self.den) for n in set(self.nums)}
-        return tuple(zip(classes, map(value.get, self.nums)))
+        return tuple(zip(self._classes, map(value.get, self.nums)))
 
     @property
     def position(self) -> MappingProxyType:
@@ -174,23 +177,18 @@ class DonaldsonSeries:
         return d_zero(w, self.b_plus)
 
 
-def column(series: DonaldsonSeries, v: HClass, summands=None) -> tuple | list:
+def column(series: DonaldsonSeries, v: HClass) -> tuple | list:
     """K.v per row of ``series``: for an integral v on its lattice, the one
-    stored column, made on the first request by one ``Lattice.pairings`` or,
-    given ``summands`` (a, b) with a + b = v, as a's column plus b's (pairing
-    is linear); the one writer of a column in ``series._store``.  A rational
-    v, or one on another lattice whatever its coordinates, goes to
-    ``Lattice.pairings`` and its checks, and is never stored."""
+    stored column, made on the first request by one ``Lattice.pairings``;
+    the one writer of ``series._store``.  A rational v, or one on another
+    lattice whatever its coordinates, goes to ``Lattice.pairings`` and its
+    checks, and is never stored."""
     lat = series.lattice
     if not (same_lattice(v.lattice, lat) and v.is_integral):
         return lat.pairings(series.rows, v)
     col = series._store.get(v.coords)
     if col is None:
-        if summands is None:
-            col = tuple(lat.pairings(series.rows, v))
-        else:
-            col = tuple(map(add, *(column(series, u) for u in summands)))
-        col = series._store.setdefault(v.coords, col)
+        col = series._store.setdefault(v.coords, tuple(lat.pairings(series.rows, v)))
     return col
 
 
@@ -281,18 +279,20 @@ class SplitSeries:
 
     def level_sums(self, ks: int, d: HClass) -> dict[int | Fraction, int | Fraction]:
         """{K.D: summed twisted coefficient} over the rows at level K.S = ``ks``
-        ({} at a level the split does not have), read from the column of an
-        integral D; a rational D pairs only those rows, in one
-        ``Lattice.pairings``.  Int numerators are added per K.D, and each sum
+        ({} at a level the split does not have), read from D's column if a
+        check, twist, split or probe stored one; else only those rows meet D,
+        in one ``Lattice.pairings``, and nothing is stored, so evaluating at
+        many D grows no store.  Int numerators are added per K.D, and each sum
         becomes one number over ``den`` (``_exact``), no Fraction when it is 1."""
         _, index, nums = self._table
         js, series, den = index.get(ks, ()), self.series, self.series.den
-        if not js:
-            return {}
-        if d.is_integral:
-            kds = map(column(series, d).__getitem__, js)
+        lat, col = series.lattice, None
+        if same_lattice(d.lattice, lat) and d.is_integral:
+            col = series._store.get(d.coords)
+        if col is None:
+            kds = lat.pairings([series.rows[j] for j in js], d)
         else:
-            kds = series.lattice.pairings([series.rows[j] for j in js], d)
+            kds = map(col.__getitem__, js)
         sums: dict[int | Fraction, int | Fraction] = {}
         for j, kd in zip(js, kds):
             sums[kd] = sums.get(kd, 0) + nums[j]
@@ -522,25 +522,19 @@ def finite_type_order(
     one ``column`` per probe, and 0 otherwise.  Default probes go S-shifted
     first, an observed ordering and no theorem: on B2..B8, bg:10, K3, S4, S6,
     dia2:1:3, dia2:2:5, dia2:4:5 and cg:3 the first D + S probe is nonzero,
-    so one column decides, the sum of the columns of D and S.  Given probes
-    keep their order."""
+    so one column decides.  Given probes keep their order."""
     if series.is_zero:
         return 0
     if probes is None:
         probes = default_probes(series.lattice, s)
-        half = len(probes) // 2  # the S-shifted half first, D + S from D and S
-        columns = chain(
-            (column(series, v, (d, s.cls)) for d, v in zip(probes, probes[half:])),
-            (column(series, d) for d in probes[:half]),
-        )
-    else:
-        columns = (column(series, d) for d in probes)
+        half = len(probes) // 2  # the S-shifted half first
+        probes = probes[half:] + probes[:half]
     if not probes:
         raise SeriesError("no probe classes with D.S = 1 are available")
     levels, _, nums = split_series(series, w, s)._table
-    for col in columns:
+    for d in probes:
         sums: dict[tuple, int] = {}
-        for ks, kd, n in zip(levels, col, nums):
+        for ks, kd, n in zip(levels, column(series, d), nums):
             sums[ks % 4, kd] = sums.get((ks % 4, kd), 0) + n
         if any(sums.values()):
             return 1

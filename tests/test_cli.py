@@ -31,21 +31,17 @@ from donaldson.fit import FitError
 from donaldson.gluing import GluingError
 from donaldson.lattice import LatticeError
 from donaldson.series import RelationPoly, SeriesError, relation_poly
-from test_pairing_table import record_columns
+from test_pairing_table import record_columns, record_pairings
 
 
-def record_rows(monkeypatch):
-    """(row, v coords) -> how often that row met v in a ``Lattice.pairings``
-    batch, the one way a series row meets a class."""
-    met = Counter()
-    pairings = lattice_mod.Lattice.pairings
-
-    def recording(lat, rows, v):
-        met.update((k, v.coords) for k in rows)
-        return pairings(lat, rows, v)
-
-    monkeypatch.setattr(lattice_mod.Lattice, "pairings", recording)
-    return met
+def row_meetings(pairs, series):
+    """(row, class coords) -> how often that row of ``series`` met the class,
+    from ``record_pairings``: in a batch, or as one of the series' row classes
+    in a single pairing.  A named class of a row's coords (K, paired with S in
+    ``default_probes``) is no row, so its single pairings are taken out."""
+    rows, objects = set(series.rows), {id(k) for k in series.classes()}
+    named = Counter((u.coords, c) for c, u in pairs if u.coords in rows and id(u) not in objects)
+    return Counter((k, v.coords) for k, v in pairs if k in rows) - named
 
 
 def python_m_cli(*argv):
@@ -301,41 +297,45 @@ def test_check_splits_once_per_w(monkeypatch, capsys):
         constructions, "parse_recipe", functools.cache(constructions.parse_recipe.__wrapped__)
     )
     columns = record_columns(monkeypatch)
-    met = record_rows(monkeypatch)
+    pairs = record_pairings(monkeypatch)
     entry = catalog("bg:4")
     s = entry.surface().cls.coords
     classes = set(entry.series.rows)
+    entry.series.classes()  # the row classes, whose single pairings are counted
     assert run(["check", "--entry", "bg:4"]) == 0
     # one split of w, for finite_type_order; the relation check reads z's
     # value at each surface level of that split's table, so it tables nothing
     assert len(calls) == 1
     # the column of S was made once, when bg:4 was derived; the adjunction
-    # check and the split read it, so each basic class met S once
-    made = [v.coords for series, v, _, new in columns if series is entry.series and new]
+    # check and the split read it.  Each basic class met S once, in a batch
+    # or in a single pairing of a row class
+    made = [v.coords for series, v, new in columns if series is entry.series and new]
     assert made.count(s) == 1
-    assert {k for k, v in met if v == s} == classes and max(met[k, s] for k in classes) == 1
+    met = {k: n for (k, v), n in row_meetings(pairs, entry.series).items() if v == s}
+    assert set(met) == classes and max(met.values()) == 1
     # a second check reads the table and the columns the series already has
     columns.clear()
-    met.clear()
+    pairs.clear()
     assert run(["check", "--entry", "bg:4"]) == 0
-    assert len(calls) == 1 and not any(new for *_, new in columns) and not met
+    assert len(calls) == 1 and not any(new for *_, new in columns)
+    assert not row_meetings(pairs, entry.series)
 
 
-def test_check_pairs_the_rows_with_the_surface_and_the_torus_only(monkeypatch, capsys):
+def test_check_pairs_the_rows_with_the_surface_the_torus_and_one_probe(monkeypatch, capsys):
     # Sigma_g and T1 are paired with the rows once each, when bg:6 is derived
     # and validated; the split reads both columns, and the first S-shifted
-    # probe, T1 + Sigma_g, sums them
+    # probe, T1 + Sigma_g, is the one more class the rows meet
     monkeypatch.setattr(
         constructions, "parse_recipe", functools.cache(constructions.parse_recipe.__wrapped__)
     )
-    met = record_rows(monkeypatch)
+    pairs = record_pairings(monkeypatch)
     assert run(["check", "--entry", "bg:6"]) == 0
     entry = catalog("bg:6")
-    rows = set(entry.series.rows)
-    paired = Counter(v for k, v in met.elements() if k in rows)
-    sigma_g, t1 = (entry.lattice.cls(label).coords for label in ("Sigma_g", "T1"))
-    assert dict(paired) == {sigma_g: len(rows), t1: len(rows)} and len(rows) == 2**6 * 5
-    assert max(met.values()) == 1
+    met = row_meetings(pairs, entry.series)
+    sigma_g, t1 = (entry.lattice.cls(label) for label in ("Sigma_g", "T1"))
+    paired = Counter(v for _, v in met.elements())
+    assert len(entry.series.rows) == 2**6 * 5 and max(met.values()) == 1
+    assert paired == {v.coords: len(entry.series.rows) for v in (sigma_g, t1, t1 + sigma_g)}
 
 
 @pytest.mark.parametrize(

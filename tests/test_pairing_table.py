@@ -610,15 +610,15 @@ def record_pairings(monkeypatch):
 
 def record_columns(monkeypatch):
     """Every request to ``column``, the one writer of a series' columns, from
-    series.py and constructions.py, in call order: (series, v, summands,
-    whether this request made v's column)."""
+    series.py and constructions.py, in call order: (series, v, whether this
+    request made v's column)."""
     calls = []
     real = series_mod.column
 
-    def column(series, v, summands=None):
+    def column(series, v):
         new = v.coords not in series._store
-        col = real(series, v, summands)
-        calls.append((series, v, summands, new and v.coords in series._store))
+        col = real(series, v)
+        calls.append((series, v, new and v.coords in series._store))
         return col
 
     monkeypatch.setattr(series_mod, "column", column)
@@ -641,7 +641,7 @@ def test_split_series_pairs_each_class_with_the_surface_once(monkeypatch):
     ss = split_series(entry.series, entry.w_class(), s)
     assert len(ss.levels) == 2 * s.genus - 1
     # the derivation's check made the column of S; validate and the split read it
-    made = [v.coords for series, v, _, new in columns if series is entry.series and new]
+    made = [v.coords for series, v, new in columns if series is entry.series and new]
     assert made.count(s.cls.coords) == 1 and ss._table[0] is entry.series._store[s.cls.coords]
     classes = set(entry.series.rows)
     met = Counter(k for k, v in pairs if v.coords == s.cls.coords and k in classes)
@@ -663,8 +663,8 @@ def test_finite_type_order_pairs_each_class_with_each_probe_at_most_once(monkeyp
         assert finite_type_order(series, w, s, probes) == 1
     # a probe's column is made once and read by the other twist: each class
     # met each probe at most once over both
-    made = [v.coords for _, v, _, new in columns if new]
-    read = {v.coords for _, v, _, _ in columns if any(v is d for d in probes)}
+    made = [v.coords for _, v, new in columns if new]
+    read = {v.coords for _, v, _ in columns if any(v is d for d in probes)}
     assert len(made) == len(set(made)) and read <= set(series._store)
     seen = Counter((d.coords, k) for k, d in pairs if d.coords in read and k in classes)
     assert seen and max(seen.values()) == 1
@@ -707,7 +707,7 @@ def test_a_relation_compiles_its_table_once(monkeypatch):
     columns = record_columns(monkeypatch)
     compiled.clear()
     assert finite_type_order(entry.series, w, s, given) == 1
-    assert [id(v) for _, v, _, _ in columns] == [id(d) for d in given]
+    assert [id(v) for _, v, _ in columns] == [id(d) for d in given]
     assert compiled == []
 
 
@@ -1161,7 +1161,7 @@ def test_glue_pairs_each_class_with_its_surface_once(monkeypatch):
     # made, so each class meets the surface once in all
     left, right = spec._splits
     assert right._table is left._table and spec.surface2.cls.coords == s
-    made = [v.coords for series, v, _, new in columns if series is bg.series and new]
+    made = [v.coords for series, v, new in columns if series is bg.series and new]
     assert made.count(s) == 1
     classes = set(bg.series.rows)
     met = Counter(k for k, v in pairs if v.coords == s and k in classes)
@@ -1186,7 +1186,7 @@ def test_spec_pairs_each_class_with_its_surface_once(monkeypatch, name, surface,
     assert all(not gs.is_empty for gs in glued)
     # both sides are one series split against one (w, S), so one table, and
     # it reads the column of S that the derivation and validate made once
-    made = [v.coords for series, v, _, new in columns if series is entry.series and new]
+    made = [v.coords for series, v, new in columns if series is entry.series and new]
     assert made.count(s) == 1
     classes = set(entry.series.rows)
     met = Counter(k for k, v in pairs if v.coords == s and k in classes)

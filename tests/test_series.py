@@ -29,7 +29,7 @@ from donaldson.series import (
     unsplit_series,
     z_value,
 )
-from test_pairing_table import record_columns, split_rows
+from test_pairing_table import split_rows
 
 
 def gr(re, im=0):
@@ -503,14 +503,14 @@ def test_finite_type_orders(b2, k3):
 @pytest.mark.parametrize("name", ["B3", "B4", "B5", "B6"])
 def test_default_probes_decide_the_order_in_one_evaluation(monkeypatch, name):
     # the S-shifted probes go first; unshifted, B(g) paired its rows with
-    # g + 3 probes, the first g + 2 of which sum to 0.  The first shifted
-    # probe is T1 + S, and its column is the sum of the columns of T1 (= w)
-    # and S that the split made, so no probe meets the rows
+    # g + 3 probes, the first g + 2 of which sum to 0.  A copy of the series
+    # has no probe column yet, and its split is made first, so the pairings
+    # below are the probes' own
     entry = catalog(name)
-    series = DonaldsonSeries.on(entry.lattice, entry.series.entries)  # no column yet
+    series = DonaldsonSeries.on(entry.lattice, entry.series.entries)
     s = entry.surface()
+    split_series(series, entry.w_class(), s).levels
     probes = default_probes(entry.lattice, s)
-    columns = record_columns(monkeypatch)
     met = []
     real = Lattice.pairings
 
@@ -520,12 +520,7 @@ def test_default_probes_decide_the_order_in_one_evaluation(monkeypatch, name):
 
     monkeypatch.setattr(Lattice, "pairings", counting)
     assert finite_type_order(series, entry.w_class(), s) == 1
-    shifted = [(v, summands, new) for _, v, summands, new in columns if summands]
-    assert met == [] and len(shifted) == 1
-    d, (probe, surface), new = shifted[0]
-    assert new and d is probes[len(probes) // 2] and d.dot(s.cls) == 1
-    assert probe is probes[0] and surface is s.cls
-    assert series._store[d.coords] == tuple(real(series.lattice, series.rows, d))
+    assert met == [probes[len(probes) // 2]] and met[0].dot(s.cls) == 1
 
 
 def test_finite_type_order_needs_probes(b2):

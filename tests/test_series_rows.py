@@ -46,6 +46,7 @@ from donaldson.series import (
     column,
     default_probes,
     finite_type_order,
+    relation_poly,
     series_from_json,
     series_to_json,
     split_series,
@@ -344,15 +345,10 @@ def test_no_derivation_split_check_fit_or_gluing_builds_the_view(monkeypatch, ca
     names = ["bg:4", "dia2:2:4", "bg:3", "cg:3", "dia2:1:3", "dia2:2:3"]
     for name in names:
         series = catalog(name).series
-        assert "entries" not in vars(series) and None not in series._store, name
+        assert "entries" not in vars(series) and not series._classes, name
 
 
 # -- the column store: what a series' rows fix, made once and shared by signed copies --
-
-
-def stored_columns(series):
-    """The store's columns, by class coords (the key None holds the row classes)."""
-    return {key: col for key, col in series._store.items() if key is not None}
 
 
 @settings(max_examples=60, deadline=None)
@@ -362,7 +358,7 @@ def stored_columns(series):
 @example((catalog("B3"), []), [[0, 0, 0, 0, 0, 0]])
 def test_every_stored_column_is_a_fresh_pairing(case, vs):
     # every reader writes through the one writer: the adjunction checks, the
-    # twist, the split, the default probes (S-shifted ones summed), level sums
+    # twist, the split and the default probes; level sums read stored columns
     base, pairs = case
     lat, s, w = base.lattice, base.surface(), base.w_class()
     series = DonaldsonSeries.on(lat, pairs)
@@ -375,15 +371,13 @@ def test_every_stored_column_is_a_fresh_pairing(case, vs):
     for d in classes + [Fraction(1, 2) * (w + s.cls)]:
         for ks in split.levels:
             split.level_sums(ks, d)
-    stored = stored_columns(series)
+    stored = series._store
     assert {s.cls.coords, w.coords, *(v.coords for v in classes)} <= set(stored)
     for key, col in stored.items():
         assert col == tuple(lat.pairings(series.rows, HClass(lat, key))), key
-    # the shifted default probes that were read are sums, equal to their pairing
+    # the S-shifted default probes go first
     probes = default_probes(lat, s)
-    shifted = [d for d in probes[len(probes) // 2 :] if d.coords in stored]
-    assert shifted or series.is_zero
-    assert all(stored[d.coords] == tuple(lat.pairings(series.rows, d)) for d in shifted)
+    assert any(d.coords in stored for d in probes[len(probes) // 2 :]) or series.is_zero
     # a rational class is never stored
     assert all(type(x) is int for key in stored for x in key)
     # a signed copy shares the store and reads the shared row classes: its
@@ -423,17 +417,19 @@ def test_each_copy_but_a_signed_one_starts_with_an_empty_store():
     t1 = lat.cls("T1")
     column(series, t1)
     series.entries
-    assert set(series._store) == {t1.coords, None}
+    assert set(series._store) == {t1.coords} and len(series._classes) == len(pairs)
     half = DonaldsonSeries.on(lat, pairs[::2])  # other rows on the same lattice
     loaded = series_from_json(series_to_json(series), lat)
     copies = (DonaldsonSeries.on(lat, series.entries), dataclasses.replace(series), half, loaded)
     for copy in copies:
         assert copy._store == {} and copy._store is not series._store
+        assert copy._classes == [] and copy._classes is not series._classes
         assert column(copy, t1) == tuple(lat.pairings(copy.rows, t1))
     assert column(half, t1) != column(series, t1)
     split = split_series(series, t1, entry.surface("Sigma_g"))
     for copy in (twisted(series, t1), unsplit_series(split)):
-        assert copy._store is series._store and copy._splits == {}
+        assert copy._store is series._store and copy._classes is series._classes
+        assert copy._splits == {}
 
 
 def test_the_store_is_not_part_of_equality_hash_or_repr():
@@ -441,17 +437,37 @@ def test_the_store_is_not_part_of_equality_hash_or_repr():
     warm, cold = DonaldsonSeries.on(lat, pairs), DonaldsonSeries.on(lat, pairs)
     column(warm, lat.cls("T1"))
     warm.entries
-    assert len(warm._store) == 2 and cold._store == {}
+    assert len(warm._store) == 1 and warm._classes and cold._store == {} and not cold._classes
     assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
 
 
-def test_the_row_classes_never_meet_a_rank_zero_column():
-    # a rank-0 class has the empty coords: its column and the row classes
-    # are two keys of one store
-    point = Lattice("pt", (), b_plus=3)
-    series = DonaldsonSeries(point, [()], [3], 4)
-    zero = point.zero()
-    assert column(series, zero) == (0,)
-    assert series.entries == ((HClass(point, ()), Fraction(3, 4)),)
-    assert column(series, zero) == (0,) and set(series._store) == {(), None}
-    assert twisted(series, zero).entries == series.entries
+
+def test_level_sums_read_a_stored_column_and_store_none():
+    # a sweep of D over a series (evaluate, basis coordinates, a relation at
+    # a general D) pairs each level's rows with D and grows no store
+    entry, lat, pairs = _b3()
+    series = DonaldsonSeries.on(lat, pairs)
+    s, w = entry.surface(), entry.w_class()
+    split = split_series(series, w, s)
+    assert len(split.levels) == 2 * s.genus - 1  # the table stores S's and w's columns
+    stored = dict(series._store)
+    assert set(stored) == {s.cls.coords, w.coords}
+    sweep = [lat.cls("T1") + m * s.cls + n * lat.cls("E1") for m in range(-3, 4) for n in (0, 1)]
+    sums = [[split.level_sums(ks, d) for ks in split.levels] for d in sweep]
+    for d in sweep:
+        split.evaluate(d, relation_poly(s.genus))
+    assert series._store == stored
+    assert sums == [[fresh_level_sums(series, w, s, ks, d) for ks in split.levels] for d in sweep]
+    # a stored column is read: summing at w pairs no row
+    seen = []
+    real = Lattice.pairings
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Lattice, "pairings", lambda lat_, rows, v: seen.append(v) or real(lat_, rows, v))
+        at_w = [split.level_sums(ks, w) for ks in split.levels]
+    assert seen == [] and at_w == [fresh_level_sums(series, w, s, ks, w) for ks in split.levels]
+
+
+def fresh_level_sums(series, w, s, ks, d):
+    """``level_sums`` on a new copy of ``series`` with an empty store."""
+    copy = DonaldsonSeries(series.lattice, series.rows, series.nums, series.den)
+    return split_series(copy, w, s).level_sums(ks, d)
