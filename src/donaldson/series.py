@@ -145,7 +145,7 @@ class DonaldsonSeries:
         read, of the row classes shared with signed copies zipped with this
         copy's values."""
         if not self._classes:
-            self._classes.extend(HClass._row(self.lattice, k) for k in self.rows)
+            self._classes[:] = [HClass._row(self.lattice, k) for k in self.rows]
         value = {n: Fraction(n, self.den) for n in set(self.nums)}
         return tuple(zip(self._classes, map(value.get, self.nums)))
 
