@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .gaussian import GaussianRational, frac_token
 from .lattice import _NUMBER, _exact, _read
@@ -172,14 +173,23 @@ class ExpPolynomial:
             raise ExpPolynomialError(
                 f"expansion order {order} is over the limit of {MAX_EXPAND_ORDER}"
             )
-        body = [GaussianRational(0)] * (order + 1)
-        for lam, c in self.terms:
-            power = GaussianRational(1)
-            fact = 1
-            for n in range(order + 1):
-                body[n] = body[n] + c * power * Fraction(1, fact)
-                power = power * lam
-                fact *= n + 1
+        # c lam^n / n! = C Lam^n / (M L^n n!) over the Gaussian ints Lam = L lam and
+        # C = M c, L and M the lcms of the exponents' and the coefficients' denominators
+        big_l = lcm(*(p.denominator for lam, _ in self.terms for p in (lam.re, lam.im)))
+        big_m = lcm(*(p.denominator for _, c in self.terms for p in (c.re, c.im)))
+
+        def over(p, big):
+            return p.numerator * (big // p.denominator)
+
+        lams = [(over(lam.re, big_l), over(lam.im, big_l)) for lam, _ in self.terms]
+        powers = [(over(c.re, big_m), over(c.im, big_m)) for _, c in self.terms]  # C Lam^n
+        body, den = [], big_m
+        for n in range(order + 1):
+            if n:
+                powers = [(x * a - y * b, x * b + y * a) for (x, y), (a, b) in zip(powers, lams)]
+                den *= big_l * n
+            re, im = sum(x for x, _ in powers), sum(y for _, y in powers)
+            body.append(GaussianRational(Fraction(re, den), Fraction(im, den)))
         if self.marker == "none":
             return tuple(body)
         if self.q_square is None:

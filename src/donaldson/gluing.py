@@ -24,9 +24,13 @@ of a split is series row j, so glued indices address both.
 
 A rule's coefficients are products scale * a_j * b_k of a few distinct
 values, so neither gluing nor evaluation does rational arithmetic per entry:
-``_glued`` forms one product per distinct value, and ``_int_form``, the int
-pair index that the repeat check builds, serves ``eval_glued`` and
-``coefficient_match``, which makes a number only for a pair that has entries.
+``_glued`` forms one product per distinct value, builds the int pair index
+``_int_form`` from them and hands both to the trusted ``GluedSeries._made``,
+so a rule's output is not walked again.  Entries from anywhere else (a JSON
+load, ``dataclasses.replace``) are checked, and the one ``_pair_index``
+builds their index.  ``_int_form`` serves ``eval_glued``; ``coefficient_match``
+reads ``_match``, a gluing's one index of the answers that can be nonzero,
+made on its first call; ``glued_to_json`` formats each distinct value once.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, repeat
 from math import lcm
 
 from .constructions import CatalogEntry, catalog
@@ -200,8 +205,10 @@ class GluedSeries:
     spec: GluingSpec
     kind: str  # "standard", "torus" or "stabilized": a rule of _rows
     entries: tuple[tuple[int, int, int, Fraction], ...]
-    # (L, {(j, k): {sector: c * L}}), L the lcm of the denominators: built with the repeat check
+    # (L, {(j, k): {sector: c * L}}), L the lcm of the denominators (``_pair_index``)
     _int_form: tuple = field(init=False, repr=False, compare=False)
+    # (j, k) -> coefficient_match's answer where it can be nonzero: made by its first call
+    _match: dict | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sectors = tuple(row[0] for row in _rows(self.kind, self.spec.genus, self.spec.epsilon))
@@ -220,14 +227,23 @@ class GluedSeries:
                     raise GluingError(f"{name}: a {self.kind} gluing has no sector {s!r}")
                 raise GluingError(f"{name}: the coefficient must be an int or a Fraction")
         den = lcm(*{c.denominator for _, _, _, c in self.entries})
-        pairs: dict[tuple[int, int], dict[int, int]] = {}
-        for j, k, sector, c in self.entries:
-            row = pairs.setdefault((j, k), {})
-            if sector in row:
-                raise GluingError(f"pair [{j}, {k}, {_SECTOR_CODE[sector]!r}] is repeated")
-            row[sector] = c.numerator * (den // c.denominator)
+        pairs = _pair_index((j, k, s, c.numerator * (den // c.denominator))
+                            for j, k, s, c in self.entries)
         object.__setattr__(self, "entries", tuple(self.entries))
         object.__setattr__(self, "_int_form", (den, pairs))
+        object.__setattr__(self, "_match", None)
+
+    @classmethod
+    def _made(cls, spec: GluingSpec, kind: str, entries: tuple, int_form: tuple) -> "GluedSeries":
+        """A rule's own output, with the int index ``_glued`` built beside it
+        through ``_pair_index``.  Nothing is checked again: its indices come
+        from its splits' ``levels``, its sectors from ``_rows``, and it makes
+        one entry per (pair, sector)."""
+        made = object.__new__(cls)
+        for name, value in (("spec", spec), ("kind", kind), ("entries", entries),
+                            ("_int_form", int_form), ("_match", None)):
+            object.__setattr__(made, name, value)
+        return made
 
     @property
     def is_empty(self) -> bool:
@@ -245,6 +261,18 @@ class GluedSeries:
         return HClass._row(self.spec.right.lattice, self.spec.right.series.rows[k])
 
 
+def _pair_index(items) -> dict[tuple[int, int], dict[int, int]]:
+    """{(j, k): {sector: n}} from (j, k, sector, n) in order, the int index of
+    both ``GluedSeries`` paths; a repeated (j, k, sector) raises ``GluingError``."""
+    pairs: dict[tuple[int, int], dict[int, int]] = {}
+    for j, k, sector, n in items:
+        row = pairs.setdefault((j, k), {})
+        if sector in row:
+            raise GluingError(f"pair [{j}, {k}, {_SECTOR_CODE[sector]!r}] is repeated")
+        row[sector] = n
+    return pairs
+
+
 MAX_GLUED_ENTRIES = 2**20
 """The most entries a gluing may have; ``_glued`` refuses more before building any."""
 
@@ -254,7 +282,9 @@ def _glued(spec: GluingSpec, kind: str) -> GluedSeries:
     it: each row keeps every left/right pair of classes at its surface level
     (from ``levels``), with coefficient scale * a_j * b_k on the twisted
     coefficients.  Per left row, scale * a_j is formed once and multiplied by
-    each distinct b of the level once; an entry reads its product by its b."""
+    each distinct b of the level once; an entry reads its product by its b,
+    and the int index its product over L, the lcm of the products'
+    denominators, so the output is made through ``GluedSeries._made``."""
     rows = _rows(kind, spec.genus, spec.epsilon)
     left, right = spec._splits
     (_, _, nums1), (_, _, nums2) = left._table, right._table
@@ -263,15 +293,21 @@ def _glued(spec: GluingSpec, kind: str) -> GluedSeries:
     size = sum(len(js) * len(ks) for _, _, js, ks in blocks)
     if size > MAX_GLUED_ENTRIES:
         raise GluingError(f"{size} glued entries is over the limit of {MAX_GLUED_ENTRIES}")
-    entries = []
+    made = []  # (sector, j, its products, ks, index of each b_k's product)
     for sector, scale, js, ks in blocks:
         distinct: dict[int, int] = {}  # right numerator -> its index
-        k_index = [(k, distinct.setdefault(nums2[k], len(distinct))) for k in ks]
+        at = [distinct.setdefault(nums2[k], len(distinct)) for k in ks]
         for j in js:
             scaled = scale * Fraction(nums1[j], left.series.den * right.series.den)
-            products = [scaled * b for b in distinct]
-            entries.extend((j, k, sector, products[i]) for k, i in k_index)
-    return GluedSeries(spec, kind, tuple(entries))
+            made.append((sector, j, [scaled * b for b in distinct], ks, at))
+    den = lcm(*{c.denominator for _, _, products, _, _ in made for c in products})
+    entries, items = [], []
+    for sector, j, products, ks, at in made:
+        entries.extend(zip(repeat(j), ks, repeat(sector), map(products.__getitem__, at)))
+        ints = [c.numerator * (den // c.denominator) for c in products]
+        items.append(zip(repeat(j), ks, repeat(sector), map(ints.__getitem__, at)))
+    pairs = _pair_index(chain.from_iterable(items))
+    return GluedSeries._made(spec, kind, tuple(entries), (den, pairs))
 
 
 def glue(spec: GluingSpec) -> GluedSeries:
@@ -346,33 +382,46 @@ def coefficient_match(
     Both values are returned, for the caller to compare, each an int when
     integral (``_exact``); a miss is the ints (0, 0).  K and L are found
     through each side's ``position``; a foreign class raises ``LatticeMismatch``.
+    The answers that can be nonzero are read from ``_match_index``.
     """
     if gs.kind != "standard":
         raise GluingError("coefficient matching is defined for standard gluings")
-    spec = gs.spec
-    left, right = spec.left.series, spec.right.series
+    left, right = gs.spec.left.series, gs.spec.right.series
     if not same_lattice(k_restrict.lattice, left.lattice):
         raise LatticeMismatch("K restriction on a lattice other than the left side's")
     if not same_lattice(l_restrict.lattice, right.lattice):
         raise LatticeMismatch("L restriction on a lattice other than the right side's")
-    # a rational class misses: no tuple of int coords equals it
-    j = left._position.get(k_restrict.coords)
-    k = right._position.get(l_restrict.coords)
-    if j is None or k is None:
-        # no parent classes restrict there: both sums are empty
-        return 0, 0
-    (lvls_k, _, a), (lvls_l, _, b) = spec._splits[0]._table, spec._splits[1]._table
-    lvl_k, lvl_l = lvls_k[j], lvls_l[k]
+    match = gs._match
+    if match is None:
+        match = _match_index(gs)
+        object.__setattr__(gs, "_match", match)
+    # a rational class, or one no row holds, has no position: its pair misses
+    key = (left._position.get(k_restrict.coords), right._position.get(l_restrict.coords))
+    return match.get(key, (0, 0))
+
+
+def _match_index(gs: GluedSeries) -> dict[tuple[int, int], tuple]:
+    """``coefficient_match``'s answer per row pair (j, k) that can be nonzero:
+    the pairs with entries, grouped over their sectors and untwisted (the
+    twist multiplied a_j and b_k by +-1), and the pairs at a common level of
+    a rule row, predicted as that row's scale times the untwisted a_j b_k."""
+    spec = gs.spec
+    left, right = spec.left.series, spec.right.series
+    (_, _, a), (_, _, b) = spec._splits[0]._table, spec._splits[1]._table
     den, pairs = gs._int_form
-    row = pairs.get((j, k))
-    grouped = 0 if row is None else _exact(Fraction(sum(row.values()), den))
-    if grouped and (a[j] == left.nums[j]) != (b[k] == right.nums[k]):
-        grouped = -grouped  # untwist: the twist multiplied a_j and b_k by +-1
-    # most pairs miss on their levels, and only the others read the genus
-    if lvl_k != lvl_l or abs(lvl_k) != 2 * spec.genus - 2:
-        return grouped, 0
-    _, scale, _ = _rows(gs.kind, spec.genus, spec.epsilon)[lvl_k < 0]
-    return grouped, _exact(scale * Fraction(left.nums[j] * right.nums[k], left.den * right.den))
+    match = {}
+    for (j, k), row in pairs.items():
+        grouped = _exact(Fraction(sum(row.values()), den))
+        if (a[j] == left.nums[j]) != (b[k] == right.nums[k]):
+            grouped = -grouped
+        match[j, k] = (grouped, 0)
+    for _, scale, lvl in _rows(gs.kind, spec.genus, spec.epsilon):
+        for j in spec._splits[0].levels.get(lvl, ()):
+            for k in spec._splits[1].levels.get(lvl, ()):
+                grouped, _ = match.get((j, k), (0, 0))
+                predicted = scale * Fraction(left.nums[j] * right.nums[k], left.den * right.den)
+                match[j, k] = (grouped, _exact(predicted))
+    return match
 
 
 # -- JSON -----------------------------------------------------------------------------
@@ -383,7 +432,11 @@ _SECTOR_OF_CODE = {code: sector for sector, code in _SECTOR_CODE.items()}
 
 
 def glued_to_json(gs: GluedSeries) -> dict:
+    """The glued file's fields; each distinct coefficient object is formatted
+    once, as a gluing's entries share the few values of its rule's products."""
     spec = gs.spec
+    distinct = {id(c): c for _, _, _, c in gs.entries}
+    token = {key: frac_token(c) for key, c in distinct.items()}
     data = {
         "left": spec.left.name,
         "right": spec.right.name,
@@ -392,10 +445,7 @@ def glued_to_json(gs: GluedSeries) -> dict:
         "w1_sq": spec.w1.square,
         "w2_sq": spec.w2.square,
         "w_sq": spec.glued_w_square,
-        "pairs": [
-            [j, k, _SECTOR_CODE[sector], frac_token(c)]
-            for j, k, sector, c in gs.entries
-        ],
+        "pairs": [[j, k, _SECTOR_CODE[sector], token[id(c)]] for j, k, sector, c in gs.entries],
     }
     if gs.experimental:
         data["experimental"] = True

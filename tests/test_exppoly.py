@@ -204,3 +204,69 @@ def test_product_division_round_trip(pt, qt):
     if q.is_zero:
         return
     assert (p * q).divide_exact(q) == p
+
+
+def _expand_by_loop(p: ExpPolynomial, order: int):
+    """``expand`` as three Gaussian products per term per order: the reference
+    for the integer power sums."""
+    body = [GaussianRational(0)] * (order + 1)
+    for lam, c in p.terms:
+        power = GaussianRational(1)
+        fact = 1
+        for n in range(order + 1):
+            body[n] = body[n] + c * power * Fraction(1, fact)
+            power = power * lam
+            fact *= n + 1
+    if p.marker == "none":
+        return tuple(body)
+    s = 1 if p.marker == "+Q/2" else -1
+    half_q = Fraction(s) * p.q_square / 2
+    pref = [GaussianRational(0)] * (order + 1)
+    power = GaussianRational(1)
+    fact = 1
+    for m in range(order // 2 + 1):
+        pref[2 * m] = power * Fraction(1, fact)
+        power = power * half_q
+        fact *= m + 1
+    return tuple(
+        sum((pref[k] * body[n - k] for k in range(n + 1)), GaussianRational(0))
+        for n in range(order + 1)
+    )
+
+
+wide_gauss = st.builds(
+    GaussianRational,
+    st.fractions(min_value=-40, max_value=40, max_denominator=9),
+    st.fractions(min_value=-40, max_value=40, max_denominator=9) | st.just(0),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    terms=st.lists(st.tuples(wide_gauss, wide_gauss), max_size=5),
+    marker=st.sampled_from(exppoly.MARKERS),
+    q=st.fractions(min_value=-20, max_value=20, max_denominator=7),
+    order=st.integers(min_value=0, max_value=12),
+)
+def test_expand_by_power_sums_is_the_product_loop(terms, marker, q, order):
+    p = ExpPolynomial(marker, tuple(terms), None if marker == "none" else q)
+    got = p.expand(order)
+    assert got == _expand_by_loop(p, order)
+    assert all(type(x) is GaussianRational for x in got) and len(got) == order + 1
+
+
+@pytest.mark.parametrize("marker", exppoly.MARKERS)
+def test_the_zero_polynomial_expands_to_zeros(marker):
+    p = ExpPolynomial(marker, (), None if marker == "none" else Fraction(-3, 2))
+    assert p.expand(5) == _expand_by_loop(p, 5) == (GaussianRational(0),) * 6
+
+
+def test_expand_keeps_its_refusals():
+    marked = poly([(Fraction(1, 3), (1, 2))], marker="-Q/2")
+    with pytest.raises(ExpPolynomialError, match="^cannot expand a marked polynomial without D\\^2$"):
+        marked.expand(3)
+    with pytest.raises(ExpPolynomialError, match="^expansion order must be >= 0$"):
+        marked.expand(-1)
+    limit = exppoly.MAX_EXPAND_ORDER
+    with pytest.raises(ExpPolynomialError, match=f"^expansion order {limit + 1} is over the limit of {limit}$"):
+        marked.expand(limit + 1)
