@@ -208,7 +208,7 @@ class GluedSeries:
     # (L, {(j, k): {sector: c * L}}), L the lcm of the denominators (``_pair_index``)
     _int_form: tuple = field(init=False, repr=False, compare=False)
     # (j, k) -> coefficient_match's answer where it can be nonzero: made by its first call
-    _match: dict | None = field(init=False, repr=False, compare=False)
+    _match: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sectors = tuple(row[0] for row in _rows(self.kind, self.spec.genus, self.spec.epsilon))
@@ -231,7 +231,6 @@ class GluedSeries:
                             for j, k, s, c in self.entries)
         object.__setattr__(self, "entries", tuple(self.entries))
         object.__setattr__(self, "_int_form", (den, pairs))
-        object.__setattr__(self, "_match", None)
 
     @classmethod
     def _made(cls, spec: GluingSpec, kind: str, entries: tuple, int_form: tuple) -> "GluedSeries":
@@ -241,7 +240,7 @@ class GluedSeries:
         one entry per (pair, sector)."""
         made = object.__new__(cls)
         for name, value in (("spec", spec), ("kind", kind), ("entries", entries),
-                            ("_int_form", int_form), ("_match", None)):
+                            ("_int_form", int_form)):
             object.__setattr__(made, name, value)
         return made
 

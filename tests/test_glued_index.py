@@ -128,12 +128,6 @@ def test_a_rule_never_walks_its_own_output_and_every_other_maker_does(monkeypatc
     assert len(walked) == 2 * len(outputs)
 
 
-def test_the_checked_constructor_still_refuses_a_repeated_pair():
-    gs = glue(GluingSpec(catalog("B3"), catalog("B3")))
-    with pytest.raises(GluingError, match=r"^pair \[\d+, \d+, '\+'\] is repeated$"):
-        GluedSeries(gs.spec, gs.kind, gs.entries + gs.entries[:1])
-
-
 # -- coefficient_match from one index ------------------------------------------------
 
 
