@@ -38,7 +38,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import repeat
 from math import lcm
 
 from .constructions import CatalogEntry, catalog
@@ -227,8 +227,8 @@ class GluedSeries:
                     raise GluingError(f"{name}: a {self.kind} gluing has no sector {s!r}")
                 raise GluingError(f"{name}: the coefficient must be an int or a Fraction")
         den = lcm(*{c.denominator for _, _, _, c in self.entries})
-        pairs = _pair_index((j, k, s, c.numerator * (den // c.denominator))
-                            for j, k, s, c in self.entries)
+        pairs = _pair_index(self.entries, [c.numerator * (den // c.denominator)
+                                           for _, _, _, c in self.entries])
         object.__setattr__(self, "entries", tuple(self.entries))
         object.__setattr__(self, "_int_form", (den, pairs))
 
@@ -260,11 +260,12 @@ class GluedSeries:
         return HClass._row(self.spec.right.lattice, self.spec.right.series.rows[k])
 
 
-def _pair_index(items) -> dict[tuple[int, int], dict[int, int]]:
-    """{(j, k): {sector: n}} from (j, k, sector, n) in order, the int index of
-    both ``GluedSeries`` paths; a repeated (j, k, sector) raises ``GluingError``."""
+def _pair_index(entries, ints) -> dict[tuple[int, int], dict[int, int]]:
+    """{(j, k): {sector: n}} from the entries and each one's int n = c L, the
+    int index of both ``GluedSeries`` paths; a repeated (j, k, sector) raises
+    ``GluingError``."""
     pairs: dict[tuple[int, int], dict[int, int]] = {}
-    for j, k, sector, n in items:
+    for (j, k, sector, _), n in zip(entries, ints):
         row = pairs.setdefault((j, k), {})
         if sector in row:
             raise GluingError(f"pair [{j}, {k}, {_SECTOR_CODE[sector]!r}] is repeated")
@@ -300,13 +301,11 @@ def _glued(spec: GluingSpec, kind: str) -> GluedSeries:
             scaled = scale * Fraction(nums1[j], left.series.den * right.series.den)
             made.append((sector, j, [scaled * b for b in distinct], ks, at))
     den = lcm(*{c.denominator for _, _, products, _, _ in made for c in products})
-    entries, items = [], []
+    entries, ints = [], []
     for sector, j, products, ks, at in made:
         entries.extend(zip(repeat(j), ks, repeat(sector), map(products.__getitem__, at)))
-        ints = [c.numerator * (den // c.denominator) for c in products]
-        items.append(zip(repeat(j), ks, repeat(sector), map(ints.__getitem__, at)))
-    pairs = _pair_index(chain.from_iterable(items))
-    return GluedSeries._made(spec, kind, tuple(entries), (den, pairs))
+        ints.extend(map([c.numerator * (den // c.denominator) for c in products].__getitem__, at))
+    return GluedSeries._made(spec, kind, tuple(entries), (den, _pair_index(entries, ints)))
 
 
 def glue(spec: GluingSpec) -> GluedSeries:
