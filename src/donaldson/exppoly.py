@@ -173,43 +173,33 @@ class ExpPolynomial:
             raise ExpPolynomialError(
                 f"expansion order {order} is over the limit of {MAX_EXPAND_ORDER}"
             )
-        # c lam^n / n! = C Lam^n / (M L^n n!) over the Gaussian ints Lam = L lam and
-        # C = M c, L and M the lcms of the exponents' and the coefficients' denominators
-        big_l = lcm(*(p.denominator for lam, _ in self.terms for p in (lam.re, lam.im)))
-        big_m = lcm(*(p.denominator for _, c in self.terms for p in (c.re, c.im)))
+        if self.marker != "none" and self.q_square is None:
+            raise ExpPolynomialError("cannot expand a marked polynomial without D^2")
+        # A term c e^{lam t} under the prefactor e^{p t^2/2}, p = +-q_square (0 when
+        # unmarked), has nth coefficient B_n / (M (L R)^n n!) over the Gaussian ints
+        # B_0 = C = M c and B_n = Lam R B_{n-1} + P L^2 R (n-1) B_{n-2}, Lam = L lam and
+        # p = P / R, with L and M the lcms of the exponents' and coefficients' denominators
+        p = 0 if self.marker == "none" else self.q_square if self.marker == "+Q/2" else -self.q_square
+        big_l = lcm(*(x.denominator for lam, _ in self.terms for x in (lam.re, lam.im)))
+        big_m = lcm(*(x.denominator for _, c in self.terms for x in (c.re, c.im)))
 
-        def over(p, big):
-            return p.numerator * (big // p.denominator)
+        def over(x, big):
+            return x.numerator * (big // x.denominator)
 
-        lams = [(over(lam.re, big_l), over(lam.im, big_l)) for lam, _ in self.terms]
-        powers = [(over(c.re, big_m), over(c.im, big_m)) for _, c in self.terms]  # C Lam^n
+        big_r = p.denominator
+        lams = [(over(lam.re, big_l) * big_r, over(lam.im, big_l) * big_r) for lam, _ in self.terms]
+        step = p.numerator * big_l * big_l * big_r  # P L^2 R
+        prev = cur = [(over(c.re, big_m), over(c.im, big_m)) for _, c in self.terms]
         body, den = [], big_m
         for n in range(order + 1):
             if n:
-                powers = [(x * a - y * b, x * b + y * a) for (x, y), (a, b) in zip(powers, lams)]
-                den *= big_l * n
-            re, im = sum(x for x, _ in powers), sum(y for _, y in powers)
+                k = step * (n - 1)
+                prev, cur = cur, [(a * x - b * y + k * u, a * y + b * x + k * w)
+                                  for (x, y), (u, w), (a, b) in zip(cur, prev, lams)]
+                den *= big_l * big_r * n
+            re, im = sum(x for x, _ in cur), sum(y for _, y in cur)
             body.append(GaussianRational(Fraction(re, den), Fraction(im, den)))
-        if self.marker == "none":
-            return tuple(body)
-        if self.q_square is None:
-            raise ExpPolynomialError("cannot expand a marked polynomial without D^2")
-        s = 1 if self.marker == "+Q/2" else -1
-        half_q = Fraction(s) * self.q_square / 2
-        pref = [GaussianRational(0)] * (order + 1)
-        power = GaussianRational(1)
-        fact = 1
-        for m in range(order // 2 + 1):
-            pref[2 * m] = power * Fraction(1, fact)
-            power = power * half_q
-            fact *= m + 1
-        return tuple(
-            sum(
-                (pref[k] * body[n - k] for k in range(n + 1)),
-                GaussianRational(0),
-            )
-            for n in range(order + 1)
-        )
+        return tuple(body)
 
     # -- serialization --------------------------------------------------------------
 

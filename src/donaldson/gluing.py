@@ -24,19 +24,22 @@ of a split is series row j, so glued indices address both.
 
 A rule's coefficients are products scale * a_j * b_k of a few distinct
 values, so neither gluing nor evaluation does rational arithmetic per entry:
-``_glued`` forms one product per distinct value, builds the int pair index
-``_int_form`` from them and hands both to the trusted ``GluedSeries._made``,
-so a rule's output is not walked again.  Entries from anywhere else (a JSON
-load, ``dataclasses.replace``) are checked, and the one ``_pair_index``
-builds their index.  ``_int_form`` serves ``eval_glued``; ``coefficient_match``
-reads ``_match``, a gluing's one index of the answers that can be nonzero,
-made on its first call; ``glued_to_json`` formats each distinct value once.
+``_glued`` forms one product per distinct value, and a gluing's
+``_int_form`` is (L, one int c * L per entry, in entry order), L the lcm
+of the denominators.  ``_glued`` hands the entries and that column to the
+trusted ``GluedSeries._made``, so a rule's output is not walked again;
+entries from anywhere else (a JSON load, ``dataclasses.replace``) are
+checked and get the same column.  ``eval_glued`` reads the column;
+``coefficient_match`` reads ``_match``, a gluing's one index of the answers
+that can be nonzero, made on its first read; ``glued_to_json`` formats each
+distinct value once.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import repeat
 from math import lcm
@@ -205,10 +208,8 @@ class GluedSeries:
     spec: GluingSpec
     kind: str  # "standard", "torus" or "stabilized": a rule of _rows
     entries: tuple[tuple[int, int, int, Fraction], ...]
-    # (L, {(j, k): {sector: c * L}}), L the lcm of the denominators (``_pair_index``)
+    # (L, ints): L the lcm of the denominators, ints[i] = c * L of entries[i]
     _int_form: tuple = field(init=False, repr=False, compare=False)
-    # (j, k) -> coefficient_match's answer where it can be nonzero: made by its first call
-    _match: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sectors = tuple(row[0] for row in _rows(self.kind, self.spec.genus, self.spec.epsilon))
@@ -226,18 +227,22 @@ class GluedSeries:
                 if not known:
                     raise GluingError(f"{name}: a {self.kind} gluing has no sector {s!r}")
                 raise GluingError(f"{name}: the coefficient must be an int or a Fraction")
+        seen = set()
+        for j, k, s, _ in self.entries:
+            if (j, k, s) in seen:
+                raise GluingError(f"pair [{j}, {k}, {_SECTOR_CODE[s]!r}] is repeated")
+            seen.add((j, k, s))
         den = lcm(*{c.denominator for _, _, _, c in self.entries})
-        pairs = _pair_index(self.entries, [c.numerator * (den // c.denominator)
-                                           for _, _, _, c in self.entries])
+        ints = tuple(c.numerator * (den // c.denominator) for _, _, _, c in self.entries)
         object.__setattr__(self, "entries", tuple(self.entries))
-        object.__setattr__(self, "_int_form", (den, pairs))
+        object.__setattr__(self, "_int_form", (den, ints))
 
     @classmethod
     def _made(cls, spec: GluingSpec, kind: str, entries: tuple, int_form: tuple) -> "GluedSeries":
-        """A rule's own output, with the int index ``_glued`` built beside it
-        through ``_pair_index``.  Nothing is checked again: its indices come
-        from its splits' ``levels``, its sectors from ``_rows``, and it makes
-        one entry per (pair, sector)."""
+        """A rule's own output, with the int column ``_glued`` built beside
+        it.  Nothing is checked again: its indices come from its splits'
+        ``levels``, its sectors from ``_rows``, and it makes one entry per
+        (pair, sector)."""
         made = object.__new__(cls)
         for name, value in (("spec", spec), ("kind", kind), ("entries", entries),
                             ("_int_form", int_form)):
@@ -259,18 +264,31 @@ class GluedSeries:
     def right_class(self, k: int) -> HClass:
         return HClass._row(self.spec.right.lattice, self.spec.right.series.rows[k])
 
-
-def _pair_index(entries, ints) -> dict[tuple[int, int], dict[int, int]]:
-    """{(j, k): {sector: n}} from the entries and each one's int n = c L, the
-    int index of both ``GluedSeries`` paths; a repeated (j, k, sector) raises
-    ``GluingError``."""
-    pairs: dict[tuple[int, int], dict[int, int]] = {}
-    for (j, k, sector, _), n in zip(entries, ints):
-        row = pairs.setdefault((j, k), {})
-        if sector in row:
-            raise GluingError(f"pair [{j}, {k}, {_SECTOR_CODE[sector]!r}] is repeated")
-        row[sector] = n
-    return pairs
+    @cached_property
+    def _match(self) -> dict[tuple[int, int], tuple]:
+        """``coefficient_match``'s answer per row pair (j, k) that can be
+        nonzero: the pairs with entries, grouped over their sectors and
+        untwisted (the twist multiplied a_j and b_k by +-1), and the pairs at a
+        common level of a rule row, predicted as that row's scale times the
+        untwisted a_j b_k."""
+        spec = self.spec
+        left, right = spec.left.series, spec.right.series
+        (_, _, a), (_, _, b) = spec._splits[0]._table, spec._splits[1]._table
+        den, ints = self._int_form
+        match = {}
+        for (j, k, _, _), n in zip(self.entries, ints):
+            match[j, k] = match.get((j, k), 0) + n
+        for (j, k), n in match.items():
+            grouped = _exact(Fraction(n, den))
+            if (a[j] == left.nums[j]) != (b[k] == right.nums[k]):
+                grouped = -grouped
+            match[j, k] = (grouped, 0)
+        for _, scale, lvl in _rows(self.kind, spec.genus, spec.epsilon):
+            for j in spec._splits[0].levels.get(lvl, ()):
+                for k in spec._splits[1].levels.get(lvl, ()):
+                    product = Fraction(left.nums[j] * right.nums[k], left.den * right.den)
+                    match[j, k] = (match.get((j, k), (0, 0))[0], _exact(scale * product))
+        return match
 
 
 MAX_GLUED_ENTRIES = 2**20
@@ -283,7 +301,7 @@ def _glued(spec: GluingSpec, kind: str) -> GluedSeries:
     (from ``levels``), with coefficient scale * a_j * b_k on the twisted
     coefficients.  Per left row, scale * a_j is formed once and multiplied by
     each distinct b of the level once; an entry reads its product by its b,
-    and the int index its product over L, the lcm of the products'
+    and the int column its product over L, the lcm of the products'
     denominators, so the output is made through ``GluedSeries._made``."""
     rows = _rows(kind, spec.genus, spec.epsilon)
     left, right = spec._splits
@@ -305,7 +323,7 @@ def _glued(spec: GluingSpec, kind: str) -> GluedSeries:
     for sector, j, products, ks, at in made:
         entries.extend(zip(repeat(j), ks, repeat(sector), map(products.__getitem__, at)))
         ints.extend(map([c.numerator * (den // c.denominator) for c in products].__getitem__, at))
-    return GluedSeries._made(spec, kind, tuple(entries), (den, _pair_index(entries, ints)))
+    return GluedSeries._made(spec, kind, tuple(entries), (den, tuple(ints)))
 
 
 def glue(spec: GluingSpec) -> GluedSeries:
@@ -342,19 +360,22 @@ def eval_glued(gs: GluedSeries, d: SplitClass) -> ExpPolynomial:
     Each entry's exponent is K.D1 + L.D2 plus the sector shift +-2 S.D (none
     for the torus 0-sector and stabilized output); with m the common
     denominator of D's coordinates, m times it is an int.  One pass over the
-    pairs of ``_int_form`` adds int coefficients into int exponents."""
+    entries and their ints in ``_int_form`` adds int coefficients into int
+    exponents."""
     _validate_split_class(gs.spec, d)
-    den, pairs = gs._int_form
+    den, ints = gs._int_form
     m = lcm(*(c.denominator for c in d.d1.coords + d.d2.coords))
     md1, md2 = m * d.d1, m * d.d2
-    u = {j: gs.left_class(j).dot(md1) for j in {j for j, _ in pairs}}
-    v = {k: gs.right_class(k).dot(md2) for k in {k for _, k in pairs}}
+    # K.(m D1) and L.(m D2) by row index, each parent class with an entry paired once
+    u, v = [0] * len(gs.spec.left.series.rows), [0] * len(gs.spec.right.series.rows)
+    for j in {j for j, _, _, _ in gs.entries}:
+        u[j] = gs.left_class(j).dot(md1)
+    for k in {k for _, k, _, _ in gs.entries}:
+        v[k] = gs.right_class(k).dot(md2)
     shift = 0 if gs.kind == "stabilized" else _exact(2 * m * d.sigma_pairing)
     sums: dict[int, int] = defaultdict(int)
-    for (j, k), row in pairs.items():
-        lam = u[j] + v[k]
-        for sector, c in row.items():
-            sums[lam + sector * shift] += c
+    for (j, k, sector, _), n in zip(gs.entries, ints):
+        sums[u[j] + v[k] + sector * shift] += n
     terms = tuple((Fraction(e, m), Fraction(c, den)) for e, c in sums.items())
     return ExpPolynomial("+Q/2", terms, d.square)
 
@@ -380,7 +401,7 @@ def coefficient_match(
     Both values are returned, for the caller to compare, each an int when
     integral (``_exact``); a miss is the ints (0, 0).  K and L are found
     through each side's ``position``; a foreign class raises ``LatticeMismatch``.
-    The answers that can be nonzero are read from ``_match_index``.
+    The answers that can be nonzero are read from ``GluedSeries._match``.
     """
     if gs.kind != "standard":
         raise GluingError("coefficient matching is defined for standard gluings")
@@ -389,37 +410,9 @@ def coefficient_match(
         raise LatticeMismatch("K restriction on a lattice other than the left side's")
     if not same_lattice(l_restrict.lattice, right.lattice):
         raise LatticeMismatch("L restriction on a lattice other than the right side's")
-    match = gs._match
-    if match is None:
-        match = _match_index(gs)
-        object.__setattr__(gs, "_match", match)
     # a rational class, or one no row holds, has no position: its pair misses
     key = (left._position.get(k_restrict.coords), right._position.get(l_restrict.coords))
-    return match.get(key, (0, 0))
-
-
-def _match_index(gs: GluedSeries) -> dict[tuple[int, int], tuple]:
-    """``coefficient_match``'s answer per row pair (j, k) that can be nonzero:
-    the pairs with entries, grouped over their sectors and untwisted (the
-    twist multiplied a_j and b_k by +-1), and the pairs at a common level of
-    a rule row, predicted as that row's scale times the untwisted a_j b_k."""
-    spec = gs.spec
-    left, right = spec.left.series, spec.right.series
-    (_, _, a), (_, _, b) = spec._splits[0]._table, spec._splits[1]._table
-    den, pairs = gs._int_form
-    match = {}
-    for (j, k), row in pairs.items():
-        grouped = _exact(Fraction(sum(row.values()), den))
-        if (a[j] == left.nums[j]) != (b[k] == right.nums[k]):
-            grouped = -grouped
-        match[j, k] = (grouped, 0)
-    for _, scale, lvl in _rows(gs.kind, spec.genus, spec.epsilon):
-        for j in spec._splits[0].levels.get(lvl, ()):
-            for k in spec._splits[1].levels.get(lvl, ()):
-                grouped, _ = match.get((j, k), (0, 0))
-                predicted = scale * Fraction(left.nums[j] * right.nums[k], left.den * right.den)
-                match[j, k] = (grouped, _exact(predicted))
-    return match
+    return gs._match.get(key, (0, 0))
 
 
 # -- JSON -----------------------------------------------------------------------------

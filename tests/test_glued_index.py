@@ -1,11 +1,13 @@
 """A gluing built once and read cheaply.
 
 A rule's output is made through the trusted ``GluedSeries._made`` with the
-int index ``_glued`` builds beside it, and is checked here against the
-checked constructor on every gluing of the benchmark's glue_fit workload.
-``coefficient_match`` answers from one index per gluing, checked here
-against its per-call reference body, and ``glued_to_json`` formats each
-distinct coefficient once, checked against per-entry tokens.
+int column ``_glued`` builds beside it (one int c * L per entry, in entry
+order), and is checked here against the checked constructor on every
+gluing of the benchmark's glue_fit workload.  ``coefficient_match`` answers
+from one index per gluing, the cached ``_match``, checked here against a
+per-call reference that groups the entries' own coefficients, and
+``glued_to_json`` formats each distinct coefficient once, checked against
+per-entry tokens.
 """
 
 import dataclasses
@@ -84,11 +86,11 @@ def test_a_rule_output_equals_its_checked_copy(case):
     assert type(gs.entries) is tuple and gs.entries == checked.entries
     assert gs == checked and hash(gs) == hash(checked) and repr(gs) == repr(checked)
     assert gs._int_form == checked._int_form
-    # L is the lcm of the reduced denominators, and each int is c L
-    den, pairs = gs._int_form
+    # L is the lcm of the reduced denominators, and ints[i] is c_i L
+    den, ints = gs._int_form
     assert den == lcm(*(c.denominator for *_, c in gs.entries))
-    assert sum(map(len, pairs.values())) == len(gs.entries)
-    assert all(pairs[j, k][s] == c * den for j, k, s, c in gs.entries)
+    assert type(ints) is tuple and len(ints) == len(gs.entries)
+    assert all(type(n) is int and n == c * den for n, (*_, c) in zip(ints, gs.entries))
     d = probe(gs, case[4])
     moved = rshift(gs.spec, d, Fraction(5, 6))
     assert not moved.d1.is_integral
@@ -101,6 +103,24 @@ def test_a_rule_output_equals_its_checked_copy(case):
         assert gs._match == checked._match
         for K, L in all_pairs(gs) if len(gs.spec.left.series.rows) < 320 else ():
             assert coefficient_match(gs, K, L) == coefficient_match(checked, K, L)
+
+
+REVERSIBLE = [case for case in GLUE_FIT if case[0] in ("B4", "B4/T1")]
+
+
+@pytest.mark.parametrize("case", REVERSIBLE, ids=[c[0] for c in REVERSIBLE])
+def test_a_copy_with_its_entries_reversed_evaluates_and_matches_alike(case):
+    gs = made(case)
+    backwards = GluedSeries(gs.spec, gs.kind, gs.entries[::-1])
+    den, ints = gs._int_form
+    assert backwards._int_form == (den, ints[::-1]) and len(set(ints)) > 1
+    d = probe(gs, case[4])
+    for split in (d, rshift(gs.spec, d, Fraction(5, 6)), rshift(gs.spec, d, 2)):
+        assert eval_glued(backwards, split) == eval_glued(gs, split)
+    if gs.kind == "standard":
+        assert backwards._match == gs._match
+        for K, L in all_pairs(gs):
+            assert coefficient_match(backwards, K, L) == coefficient_match(gs, K, L)
 
 
 def test_a_rule_never_walks_its_own_output_and_every_other_maker_does(monkeypatch):
@@ -132,7 +152,8 @@ def test_a_rule_never_walks_its_own_output_and_every_other_maker_does(monkeypatc
 
 
 def reference_match(gs, k_restrict, l_restrict):
-    """``coefficient_match`` as it read both split tables and the rule per call."""
+    """``coefficient_match`` as it read both split tables and the rule per call,
+    grouping the entries' own coefficients, not ``_int_form``."""
     if gs.kind != "standard":
         raise GluingError("coefficient matching is defined for standard gluings")
     spec = gs.spec
@@ -147,9 +168,7 @@ def reference_match(gs, k_restrict, l_restrict):
         return 0, 0
     (lvls_k, _, a), (lvls_l, _, b) = spec._splits[0]._table, spec._splits[1]._table
     lvl_k, lvl_l = lvls_k[j], lvls_l[k]
-    den, pairs = gs._int_form
-    row = pairs.get((j, k))
-    grouped = 0 if row is None else _exact(Fraction(sum(row.values()), den))
+    grouped = _exact(Fraction(sum(c for j2, k2, _, c in gs.entries if (j2, k2) == (j, k))))
     if grouped and (a[j] == left.nums[j]) != (b[k] == right.nums[k]):
         grouped = -grouped
     if lvl_k != lvl_l or abs(lvl_k) != 2 * spec.genus - 2:
@@ -167,7 +186,7 @@ def assert_matches_reference(gs, pairs):
 @pytest.mark.parametrize("g", (2, 3, 4, 5))
 def test_coefficient_match_is_its_reference_on_every_pair_of_a_double(g):
     gs = glue(GluingSpec(catalog(f"B{g}"), catalog(f"B{g}")))
-    assert gs._match is None
+    assert "_match" not in gs.__dict__
     assert_matches_reference(gs, all_pairs(gs))
     assert len(gs._match) == len(gs.entries) == 2
 
@@ -183,11 +202,12 @@ def test_coefficient_match_is_its_reference_on_twisted_and_mixed_gluings(left, r
 @pytest.mark.parametrize("name, labels", [("B3", dict(left_w="E1")), ("B4", dict(right_w="E1"))])
 def test_a_pair_twisted_on_one_side_alone_is_untwisted_by_a_sign(name, labels):
     gs = glue(GluingSpec(catalog(name), catalog(name), **labels))
-    den, pairs = gs._int_form
+    grouped = {}
+    for j, k, _, c in gs.entries:
+        grouped[j, k] = grouped.get((j, k), 0) + c
     flipped = [
-        (j, k) for (j, k), row in pairs.items()
-        if coefficient_match(gs, gs.left_class(j), gs.right_class(k))[0]
-        == -Fraction(sum(row.values()), den) != 0
+        (j, k) for (j, k), c in grouped.items()
+        if coefficient_match(gs, gs.left_class(j), gs.right_class(k))[0] == -c != 0
     ]
     assert len(flipped) == 1
     assert_matches_reference(gs, all_pairs(gs))
@@ -200,10 +220,10 @@ def levels(gs, side):
 def test_a_changed_coefficient_is_read_from_the_copy():
     gs = glue(GluingSpec(catalog("B4"), catalog("B4")))
     coefficient_match(gs, *first_pair(gs))
-    assert gs._match is not None
+    assert "_match" in gs.__dict__
     j, k, s, c = gs.entries[0]
     copy = dataclasses.replace(gs, entries=((j, k, s, 3 * c),) + gs.entries[1:])
-    assert copy._match is None
+    assert "_match" not in copy.__dict__
     assert_matches_reference(copy, all_pairs(copy))
     grouped, predicted = coefficient_match(copy, copy.left_class(j), copy.right_class(k))
     assert grouped == 3 * predicted != 0
@@ -225,7 +245,7 @@ def test_an_index_made_still_refuses_a_foreign_class_and_misses_a_rational_one()
     gs = glue(GluingSpec(catalog("B3"), catalog("B3")))
     k_top = gs.spec.left.lattice.cls("K")
     assert coefficient_match(gs, k_top, k_top) != (0, 0)
-    assert gs._match is not None
+    assert "_match" in gs.__dict__
     other = blow_up(blow_up(blow_up(catalog("K3")))).lattice
     k_other = HClass(other, k_top.coords)
     for k, l in ((k_other, k_top), (k_top, k_other)):
@@ -240,8 +260,8 @@ def test_the_match_index_is_kept_out_of_equality_and_repr():
     fresh = glue(GluingSpec(catalog("B2"), catalog("B2")))
     coefficient_match(gs, *first_pair(gs))
     assert gs == fresh and hash(gs) == hash(fresh) and repr(gs) == repr(fresh)
-    assert gs._match is not None and fresh._match is None
-    assert dataclasses.replace(gs)._match is None
+    assert "_match" in gs.__dict__ and "_match" not in fresh.__dict__
+    assert "_match" not in dataclasses.replace(gs).__dict__
 
 
 # -- the glued file's bytes ----------------------------------------------------------
