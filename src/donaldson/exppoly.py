@@ -179,7 +179,8 @@ class ExpPolynomial:
         # unmarked), has nth coefficient B_n / (M (L R)^n n!) over the Gaussian ints
         # B_0 = C = M c and B_n = Lam R B_{n-1} + P L^2 R (n-1) B_{n-2}, Lam = L lam and
         # p = P / R, with L and M the lcms of the exponents' and coefficients' denominators
-        p = 0 if self.marker == "none" else self.q_square if self.marker == "+Q/2" else -self.q_square
+        sign = {"+Q/2": 1, "-Q/2": -1}.get(self.marker, 0)
+        p = sign * self.q_square if sign else 0
         big_l = lcm(*(x.denominator for lam, _ in self.terms for x in (lam.re, lam.im)))
         big_m = lcm(*(x.denominator for _, c in self.terms for x in (c.re, c.im)))
 
@@ -187,8 +188,9 @@ class ExpPolynomial:
             return x.numerator * (big // x.denominator)
 
         big_r = p.denominator
-        lams = [(over(lam.re, big_l) * big_r, over(lam.im, big_l) * big_r) for lam, _ in self.terms]
+        lams = [(over(l.re, big_l) * big_r, over(l.im, big_l) * big_r) for l, _ in self.terms]
         step = p.numerator * big_l * big_l * big_r  # P L^2 R
+        # B_0 = C; the B_{-1} that prev starts as meets only the factor n - 1 = 0
         prev = cur = [(over(c.re, big_m), over(c.im, big_m)) for _, c in self.terms]
         body, den = [], big_m
         for n in range(order + 1):
