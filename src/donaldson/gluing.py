@@ -26,10 +26,10 @@ A rule's coefficients are products scale * a_j * b_k of a few distinct
 values, so neither gluing nor evaluation does rational arithmetic per entry:
 ``_glued`` forms one product per distinct value, and a gluing's
 ``_int_form`` is (L, one int c * L per entry, in entry order), L the lcm
-of the denominators.  ``_glued`` hands the entries and that column to the
-trusted ``GluedSeries._made``, so a rule's output is not walked again;
-entries from anywhere else (a JSON load, ``dataclasses.replace``) are
-checked and get the same column.  ``eval_glued`` reads the column;
+of the denominators.  ``_glued`` makes its output with that column through
+``lattice._trusted``, so a rule's output is not walked again; entries from
+anywhere else (a JSON load, ``dataclasses.replace``) are checked and get the
+same column.  ``eval_glued`` reads the column;
 ``coefficient_match`` reads ``_match``, a gluing's one index of the answers
 that can be nonzero, made on its first read; ``glued_to_json`` formats each
 distinct value once.
@@ -47,7 +47,7 @@ from math import lcm
 from .constructions import CatalogEntry, catalog
 from .exppoly import ExpPolynomial
 from .gaussian import frac_token
-from .lattice import HClass, LatticeMismatch, _exact, _read, d_zero_value, same_lattice
+from .lattice import HClass, LatticeMismatch, _exact, _read, _trusted, d_zero_value, same_lattice
 from .series import SeriesError, SplitSeries, split_series
 
 
@@ -234,20 +234,7 @@ class GluedSeries:
             seen.add((j, k, s))
         den = lcm(*{c.denominator for _, _, _, c in self.entries})
         ints = tuple(c.numerator * (den // c.denominator) for _, _, _, c in self.entries)
-        object.__setattr__(self, "entries", tuple(self.entries))
-        object.__setattr__(self, "_int_form", (den, ints))
-
-    @classmethod
-    def _made(cls, spec: GluingSpec, kind: str, entries: tuple, int_form: tuple) -> "GluedSeries":
-        """A rule's own output, with the int column ``_glued`` built beside
-        it.  Nothing is checked again: its indices come from its splits'
-        ``levels``, its sectors from ``_rows``, and it makes one entry per
-        (pair, sector)."""
-        made = object.__new__(cls)
-        for name, value in (("spec", spec), ("kind", kind), ("entries", entries),
-                            ("_int_form", int_form)):
-            object.__setattr__(made, name, value)
-        return made
+        self.__dict__.update(entries=tuple(self.entries), _int_form=(den, ints))
 
     @property
     def is_empty(self) -> bool:
@@ -273,7 +260,7 @@ class GluedSeries:
         untwisted a_j b_k."""
         spec = self.spec
         left, right = spec.left.series, spec.right.series
-        (_, _, a), (_, _, b) = spec._splits[0]._table, spec._splits[1]._table
+        a, b = spec._splits[0].nums, spec._splits[1].nums
         den, ints = self._int_form
         match = {}
         for (j, k, _, _), n in zip(self.entries, ints):
@@ -302,10 +289,11 @@ def _glued(spec: GluingSpec, kind: str) -> GluedSeries:
     coefficients.  Per left row, scale * a_j is formed once and multiplied by
     each distinct b of the level once; an entry reads its product by its b,
     and the int column its product over L, the lcm of the products'
-    denominators, so the output is made through ``GluedSeries._made``."""
+    denominators.  ``_trusted`` makes the output unchecked: indices come from
+    ``levels``, sectors from ``_rows``, and each (pair, sector) is one entry."""
     rows = _rows(kind, spec.genus, spec.epsilon)
     left, right = spec._splits
-    (_, _, nums1), (_, _, nums2) = left._table, right._table
+    nums1, nums2 = left.nums, right.nums
     blocks = [(sector, scale, left.levels.get(lvl, ()), right.levels.get(lvl, ()))
               for sector, scale, lvl in rows]
     size = sum(len(js) * len(ks) for _, _, js, ks in blocks)
@@ -323,7 +311,8 @@ def _glued(spec: GluingSpec, kind: str) -> GluedSeries:
     for sector, j, products, ks, at in made:
         entries.extend(zip(repeat(j), ks, repeat(sector), map(products.__getitem__, at)))
         ints.extend(map([c.numerator * (den // c.denominator) for c in products].__getitem__, at))
-    return GluedSeries._made(spec, kind, tuple(entries), (den, tuple(ints)))
+    return _trusted(GluedSeries, spec=spec, kind=kind, entries=tuple(entries),
+                    _int_form=(den, tuple(ints)))
 
 
 def glue(spec: GluingSpec) -> GluedSeries:

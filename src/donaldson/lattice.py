@@ -78,6 +78,15 @@ def _numbers(values, what: str) -> tuple[int | Fraction, ...]:
     return tuple(map(_exact, values))
 
 
+def _trusted(cls, **fields):
+    """The one door past a checked constructor: ``cls`` holding ``fields``, all it
+    would set, with no check run.  Each value made here equals its checked twin,
+    ``cls(**its init fields)``, as its maker derives the fields from checked values."""
+    made = object.__new__(cls)
+    made.__dict__.update(fields)
+    return made
+
+
 def _parity(coords) -> int:
     """The odd coordinates of an int vector as a mask, coordinate j at bit 8j."""
     return int.from_bytes(bytes(map((1).__and__, coords)), "little")
@@ -199,8 +208,8 @@ class HClass:
 
     Basic classes and w-classes are integral; probe classes D may be rational
     (the theory rescales D freely).  Each coordinate is stored as an int when
-    it is integral and as a Fraction otherwise.  ``HClass._row`` checks nothing:
-    it serves only a series row or a named class, checked when made."""
+    it is integral and as a Fraction otherwise.  ``HClass._row`` (``_trusted``)
+    serves only a series row or a named class, checked when made."""
 
     lattice: Lattice
     coords: tuple[int | Fraction, ...]
@@ -214,9 +223,7 @@ class HClass:
     @staticmethod
     def _row(lattice: Lattice, coords: tuple[int | Fraction, ...]) -> "HClass":
         """The class of ``coords``, a checked tuple of the lattice's rank."""
-        k = object.__new__(HClass)
-        k.__dict__.update(lattice=lattice, coords=coords)
-        return k
+        return _trusted(HClass, lattice=lattice, coords=coords)
 
     @property
     def is_integral(self) -> bool:

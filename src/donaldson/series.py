@@ -12,15 +12,15 @@ one checked split per (w, S, genus), made on the first request, and every
 evaluator takes its split from there.  Rows meet an integral class v of
 their lattice once: ``column(series, v)``, K.v per row, is made by one
 ``Lattice.pairings`` and kept in the store that a series shares with its
-signed copies, and every reader (the catalog's checks, adjunction, the
-twist, the split table, the finite-type probes) reads it there.  A split's
-table, made by ``_split_table`` on its own first read, holds the column of
-S, rows per level and the numerators twisted by the column of w, over
-``den``.  ``level_sums`` is a level's bare sum of twisted coefficients per
-K.D, a fit coordinate, read from D's column if one is stored and else
-paired on the level's rows, storing nothing; ``evaluate`` puts it in sector
-form with ``z_value``, z's scalar at a level, read from z's table of ints,
-compiled when z is made.
+signed copies (made by ``lattice._trusted``), and every reader (the checks,
+adjunction, the twist, the split table, the finite-type probes) reads it
+there.  A split's table, made by ``_split_table`` on its own first read,
+holds the column of S, ``levels`` (rows per level) and ``nums`` (numerators
+twisted by the column of w, over ``den``).  ``level_sums`` is a level's bare
+sum of twisted coefficients per K.D, a fit coordinate, read from D's column
+if one is stored and else paired on the level's rows, storing nothing;
+``evaluate`` puts it in sector form with ``z_value``, z's scalar at a level,
+read from z's table of ints, compiled when z is made.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
-from itertools import chain
+from itertools import chain, compress, count
 from math import gcd, lcm
-from operator import add, lt, neg
+from operator import add, eq, lt, neg
 from types import MappingProxyType
 
 from .exppoly import ExpPolynomial
@@ -45,6 +45,7 @@ from .lattice import (
     _NUMBER,
     _exact,
     _read,
+    _trusted,
     d_zero,
     d_zero_value,
     is_allowable,
@@ -63,16 +64,16 @@ class DonaldsonSeries:
     ``den``, the lcm of the denominators.  The first bad row is refused (not
     ints of the rank, coefficient 0, a repeat, not characteristic), named by
     an ``HClass``.  ``entries``, the (class, ``Fraction``) pairs, is a view
-    made on first read; no split or fit reads it.  ``position`` (coords -> row)
-    is the one lookup by class.  ``_store`` holds the column K.v per row of
-    each integral class v on the lattice that a check, a twist, a split or a
-    probe met, keyed by v's coords and written only by ``column``; a level
-    sum reads a stored column and stores none.  ``_classes`` holds the rows'
-    ``HClass`` objects, made by the first ``entries``.  ``_splits`` maps
+    made on first read, as is ``position`` (coords -> row), the one lookup by
+    class; no split or fit reads them.  ``_store`` holds the column K.v per
+    row of each integral class v on the lattice that a check, a twist, a split
+    or a probe met, keyed by v's coords and written only by ``column``; a
+    level sum reads a stored column and stores none.  ``_classes`` holds the
+    rows' ``HClass`` objects, made by the first ``entries``.  ``_splits`` maps
     (w coords, S coords, genus) to that pair's one checked ``SplitSeries``.
     The store and splits are unbounded: a series meets only its surfaces,
     w choices and probes.  A signed copy (``_signed``) shares the store and
-    the classes and starts with no splits; a copy made by ``on``,
+    the classes and starts with no splits or views; a copy made by ``on``,
     ``dataclasses.replace`` or a JSON load starts with none of them.
     """
 
@@ -80,7 +81,6 @@ class DonaldsonSeries:
     rows: tuple[tuple[int, ...], ...]
     nums: tuple[int, ...]
     den: int
-    _position: dict[tuple, int] = field(init=False, repr=False, compare=False)
     _store: dict = field(init=False, repr=False, compare=False)
     _classes: list = field(init=False, repr=False, compare=False)
     _splits: dict = field(init=False, repr=False, compare=False)
@@ -93,16 +93,14 @@ class DonaldsonSeries:
         if {*map(len, rows)} - {lat.rank} or {*map(type, chain.from_iterable(rows))} - {int}:
             bad = next(k for k in rows if len(k) != lat.rank or {*map(type, k)} - {int})
             raise SeriesError(f"basic class {bad!r} is not a row of {lat.rank} ints")
-        if not all(map(lt, rows, rows[1:])):
+        g, n, increasing = gcd(den, *nums), len(rows), all(map(lt, rows, rows[1:]))
+        if not increasing:
             rows, nums = zip(*sorted(zip(rows, nums)))
-        g, n, position = gcd(den, *nums), len(rows), dict(zip(rows, range(len(rows))))
-        for name, value in (("rows", rows), ("nums", tuple(x // g for x in nums)),
-                            ("den", den // g), ("_position", position), ("_store", {}),
-                            ("_classes", []), ("_splits", {})):
-            object.__setattr__(self, name, value)
-        # the first row of coefficient 0 or a repeat, or one before it that is not K
-        bad = min(nums.index(0) if 0 in nums else n, n if len(position) == n else
-                  next(j for j in range(1, n) if rows[j] == rows[j - 1]))
+        self.__dict__.update(rows=rows, nums=tuple(x // g for x in nums), den=den // g,
+                             _store={}, _classes=[], _splits={})
+        # the first row of coefficient 0 or a repeat (none if increasing), or one before it not K
+        repeat = n if increasing else next(compress(count(1), map(eq, rows, rows[1:])), n)
+        bad = min(nums.index(0) if 0 in nums else n, repeat)
         bad = lat.characteristic_prefix(rows[:bad])
         if bad < n:
             k = HClass(lat, rows[bad])
@@ -128,16 +126,11 @@ class DonaldsonSeries:
         return cls(lattice, tuple(k.coords for k, _ in pairs), nums, den)
 
     def _signed(self, nums: tuple[int, ...]) -> "DonaldsonSeries":
-        """This series with its numerators' signs flipped to ``nums``: the
-        rows, position and gcd are its own, so nothing is checked again, and a
-        sign changes no K.v and no class, so it shares the store and classes."""
-        signed = object.__new__(DonaldsonSeries)
-        for name, value in (("lattice", self.lattice), ("rows", self.rows), ("nums", nums),
-                            ("den", self.den), ("_position", self._position),
-                            ("_store", self._store), ("_classes", self._classes),
-                            ("_splits", {})):
-            object.__setattr__(signed, name, value)
-        return signed
+        """This series with its numerators' signs flipped to ``nums``, made by ``_trusted``:
+        its rows and gcd are checked, and a sign changes no K.v and no class, so it
+        shares the store and classes.  No cached view is copied: it holds the old values."""
+        return _trusted(DonaldsonSeries, lattice=self.lattice, rows=self.rows, nums=nums,
+                        den=self.den, _store=self._store, _classes=self._classes, _splits={})
 
     @cached_property
     def entries(self) -> tuple[tuple[HClass, Fraction], ...]:
@@ -148,6 +141,10 @@ class DonaldsonSeries:
             self._classes[:] = [HClass._row(self.lattice, k) for k in self.rows]
         value = {n: Fraction(n, self.den) for n in set(self.nums)}
         return tuple(zip(self._classes, map(value.get, self.nums)))
+
+    @cached_property
+    def _position(self) -> dict[tuple, int]:
+        return dict(zip(self.rows, range(len(self.rows))))
 
     @property
     def position(self) -> MappingProxyType:
@@ -277,6 +274,11 @@ class SplitSeries:
         """Surface level K.S -> its row indices, read-only, levels in first-seen order."""
         return MappingProxyType(self._table[1])
 
+    @property
+    def nums(self) -> tuple[int, ...]:
+        """The twisted numerators over ``series.den``, row j's at j."""
+        return self._table[2]
+
     def level_sums(self, ks: int, d: HClass) -> dict[int | Fraction, int | Fraction]:
         """{K.D: summed twisted coefficient} over the rows at level K.S = ``ks``
         ({} at a level the split does not have), read from D's column if a
@@ -340,7 +342,7 @@ def split_series(series: DonaldsonSeries, w: HClass, s: MarkedSurface) -> SplitS
 
 def unsplit_series(ss: SplitSeries) -> DonaldsonSeries:
     """Invert the split; recovers the w-twisted series exactly."""
-    return ss.series._signed(ss._table[2])
+    return ss.series._signed(ss.nums)
 
 
 def eval_insertion(

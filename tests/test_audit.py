@@ -1,0 +1,217 @@
+"""One audit of every value made past its checks.
+
+``lattice._trusted`` is the one door past a checked constructor:
+``HClass._row``, ``DonaldsonSeries._signed`` and ``gluing._glued`` make their
+values through it, and ``test_package`` pins that no other code calls
+``__new__``.  The audit wraps the door in every module that binds it, so that
+each value made there is compared with its checked twin, ``cls(**its init
+fields)``: equal, with the same attributes set and, for a gluing, the same
+int column.  A twin built from the door's fields cannot see a maker that
+hands the door the wrong values, so ``_signed``, whose arguments fix its
+value, is also compared with the checked series of its own arguments.  The
+audit also checks what a series keeps once made: each split that
+``split_series`` hands out is the one asked for, and at the end each stored
+column equals a fresh ``Lattice.pairings`` and each stored split's table a
+fresh ``_split_table``.
+
+The scenario runs, through ``cli.run``, the commands of the benchmark's
+cli_session workload at full size, then a B4/T1 torus gluing with its
+evaluation and the signed copies (``twisted``, ``unsplit_series``) of its
+left side.  It runs once with the audit off and once on, each under fresh
+recipe and probe caches, so that every trusted path runs in both.
+
+A later trusted path goes through ``_trusted``, so the door audits it from
+its first day; the change that adds it also adds it to ``PATHS`` here.
+"""
+
+import contextlib
+import dataclasses
+import functools
+import io
+import json
+import sys
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+
+import donaldson.cli as cli
+import donaldson.constructions as constructions
+import donaldson.fit  # noqa: F401  loaded before the audit patches split_series, which it binds
+import donaldson.lattice as lattice_mod
+import donaldson.series as series_mod
+from donaldson.constructions import catalog
+from donaldson.gluing import GluedSeries, GluingSpec, eval_glued, glue_torus, glued_to_json, rshift
+from donaldson.lattice import HClass, _indented
+from donaldson.series import DonaldsonSeries, series_to_json, twisted, unsplit_series
+
+G, CHECK_G = 6, 4  # cli_session's genera at full size
+R = Fraction(5, 6)  # the probe shift: cli_session draws an odd r over 6
+
+# every wrapped path: the door per class it makes, the signed copy and the two stores
+PATHS = ("HClass", "DonaldsonSeries", "GluedSeries", "_signed", "column", "split_series")
+
+
+def commands(tmp):
+    """cli_session's commands; eval's probe is read from build's output."""
+    glued = str(tmp / f"bg{G}_double.json")
+    return [
+        ["catalog", "list"],
+        ["catalog", "show", "B3"],
+        ["build", f"bg:{G}"],
+        ["glue", "--left", f"bg:{G}", "--right", f"bg:{G}", "--g", str(G), "--out", glued],
+        ["eval", "--glued", glued, "--expand-order", "8"],
+        ["glue", "--left", "K3", "--right", "K3", "--g", "1", "--torus"],
+        ["conjecture", "--left", "C2", "--right", "C2", "--g", "2"],
+        ["fit", "--g", str(G)],
+        ["check", "--entry", f"bg:{CHECK_G}"],
+    ]
+
+
+def shifted_probe(build_output):
+    """--d1/--d2 for the split (T1 + R S, T1 - R S), as cli_session makes them."""
+    classes = json.loads(build_output)["lattice"]["classes"]
+    t1, sg = ([Fraction(x) for x in classes[label]] for label in ("T1", "Sigma_g"))
+    d1 = ",".join(str(a + R * b) for a, b in zip(t1, sg))
+    d2 = ",".join(str(a - R * b) for a, b in zip(t1, sg))
+    return [f"--d1={d1}", f"--d2={d2}"]
+
+
+def scenario(monkeypatch, tmp) -> str:
+    """Everything the scenario prints, run under fresh recipe and probe caches."""
+    recipes = functools.cache(constructions.parse_recipe.__wrapped__)
+    probes = functools.lru_cache(64)(series_mod._probes.__wrapped__)
+    monkeypatch.setattr(constructions, "parse_recipe", recipes)
+    monkeypatch.setattr(series_mod, "_probes", probes)
+    printed = []
+    for argv in commands(tmp):
+        if argv[0] == "eval":
+            argv += shifted_probe(printed[2])
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.run(argv) == 0, argv
+        printed.append(out.getvalue())
+    b4 = catalog("B4")
+    torus = dict(left_surface="T1", right_surface="T1", left_w="sigma", right_w="sigma")
+    spec = GluingSpec(b4, b4, **torus)
+    gs = glue_torus(spec)
+    sigma = b4.lattice.cls("sigma")
+    d = spec.split_class(sigma, sigma)
+    printed.append(_indented(glued_to_json(gs)))
+    printed += [_indented(eval_glued(gs, x).to_json()) for x in (d, rshift(spec, d, R))]
+    assert spec._splits[0].nums != b4.series.nums  # the twist flips some signs
+    signed = twisted(b4.series, spec.w1), unsplit_series(spec._splits[0])
+    printed += [_indented(series_to_json(series)) for series in signed]
+    return "\n".join(printed)
+
+
+class Audit:
+    """What the wrapped paths ran and which comparisons failed."""
+
+    def __init__(self):
+        self.ran, self.failed, self.series = Counter(), [], {}
+
+    def check(self, path, same, what):
+        self.ran[path] += 1
+        if not same:
+            self.failed.append(f"{path}: {what}")
+
+    def keep(self, series):
+        self.series[id(series)] = series
+
+    def twin(self, cls, fields, made):
+        """``made`` against ``cls(**its init fields)``."""
+        try:
+            twin = cls(**{f.name: fields[f.name] for f in dataclasses.fields(cls) if f.init})
+        except ValueError as exc:
+            self.check(cls.__name__, False, f"the checked twin refuses it: {exc}")
+            return
+        same = made == twin and fields.keys() == vars(twin).keys()
+        if cls is GluedSeries:
+            same = same and made._int_form == twin._int_form
+        self.check(cls.__name__, same, f"{made!r:.200} is not its checked twin")
+
+    def sweep(self):
+        """Each stored column and split table against a fresh one."""
+        for series in self.series.values():
+            lat = series.lattice
+            for coords, col in series._store.items():
+                fresh = tuple(lat.pairings(series.rows, HClass(lat, coords)))
+                self.check("column", col == fresh, f"stored column of {coords} is stale")
+            for key, split in series._splits.items():
+                own = split.w.coords, split.surface.cls.coords, split.surface.genus
+                same = split.series is series and key == own
+                if "_table" in vars(split):
+                    fresh = series_mod._split_table(series, split.w, split.surface)
+                    same = same and split._table == fresh
+                self.check("split_series", same, f"stored split {key} is not its own")
+
+
+def patch_everywhere(monkeypatch, module, name, wrapper):
+    """``wrapper`` for ``module.name`` in every donaldson module that binds it."""
+    real = getattr(module, name)
+    for mod in [m for key, m in sys.modules.items() if key.startswith("donaldson")]:
+        if getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, wrapper)
+
+
+def install(monkeypatch) -> Audit:
+    audit = Audit()
+    door, signed = lattice_mod._trusted, DonaldsonSeries._signed
+    column, split_series = series_mod.column, series_mod.split_series
+
+    def trusted(cls, **fields):
+        made = door(cls, **fields)
+        audit.twin(cls, fields, made)
+        if cls is DonaldsonSeries:
+            audit.keep(made)
+        return made
+
+    def signed_copy(self, nums):
+        made = signed(self, nums)
+        same = made == DonaldsonSeries(self.lattice, self.rows, nums, self.den)
+        shares = made._store is self._store and made._classes is self._classes
+        audit.check("_signed", same and shares and made._splits == {}, "not its arguments' series")
+        return made
+
+    def stored_column(series, v):
+        audit.keep(series)
+        return column(series, v)
+
+    def stored_split(series, w, s):
+        split = split_series(series, w, s)
+        asked = split.w.coords == w.coords and split.surface == s and split.series is series
+        audit.keep(series)
+        audit.check("split_series", asked, f"a split for {split.w} and {split.surface} came back")
+        return split
+
+    patch_everywhere(monkeypatch, lattice_mod, "_trusted", trusted)
+    patch_everywhere(monkeypatch, series_mod, "column", stored_column)
+    patch_everywhere(monkeypatch, series_mod, "split_series", stored_split)
+    monkeypatch.setattr(DonaldsonSeries, "_signed", signed_copy)
+    return audit
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    """(printed with the audit off, printed with it on, the audit)."""
+    with pytest.MonkeyPatch.context() as mp:
+        off = scenario(mp, tmp_path_factory.mktemp("off"))
+    with pytest.MonkeyPatch.context() as mp:
+        audit = install(mp)
+        on = scenario(mp, tmp_path_factory.mktemp("on"))
+        audit.sweep()
+    return off, on, audit
+
+
+def test_the_audit_changes_no_output(runs):
+    off, on, _ = runs
+    assert on == off
+
+
+def test_every_trusted_path_ran(runs):
+    ran = runs[2].ran
+    assert {path: ran[path] > 0 for path in PATHS} == dict.fromkeys(PATHS, True)
+
+
+def test_every_trusted_value_is_its_checked_twin(runs):
+    assert runs[2].failed == []

@@ -1,8 +1,8 @@
 """A gluing built once and read cheaply.
 
-A rule's output is made through the trusted ``GluedSeries._made`` with the
-int column ``_glued`` builds beside it (one int c * L per entry, in entry
-order), and is checked here against the checked constructor on every
+A rule's output is made through the trusted door ``lattice._trusted`` with
+the int column ``_glued`` builds beside it (one int c * L per entry, in
+entry order), and is checked here against the checked constructor on every
 gluing of the benchmark's glue_fit workload.  ``coefficient_match`` answers
 from one index per gluing, the cached ``_match``, checked here against a
 per-call reference that groups the entries' own coefficients, and

@@ -137,3 +137,19 @@ def test_no_module_encodes_json_with_indent():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_only_the_trusted_door_makes_a_value_past_its_checks():
+    # lattice._trusted is the one door past a checked constructor, and the
+    # audit (test_audit.py) wraps it; any other __new__ would escape the audit
+    found = []
+    for path in sorted((SRC / "donaldson").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owners = {}  # node -> the innermost function (or module) holding it
+        for node in ast.walk(tree):
+            owner = node if isinstance(node, ast.FunctionDef) else owners.get(node, tree)
+            owners.update(dict.fromkeys(ast.iter_child_nodes(node), owner))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "__new__":
+                found.append(f"{path.stem}.{getattr(owners[node], 'name', '<module>')}")
+    assert found == ["lattice._trusted"]
