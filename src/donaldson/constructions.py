@@ -20,7 +20,13 @@ An entry's lattice is its series' lattice; ``_RECIPES`` maps each recipe
 head to its builder.  The blow-up builders share ``_blown_up``: m blow-ups
 at once turn each row K, c into the 2^m int rows K +- E_1 +- ... +- E_m
 with c / 2^m (the simple-type blow-up formula), so B(g) is one step from
-E(g).  Builders and ``blow_up`` refuse up front an entry of more than
+E(g).  A blow-up of a checked base is not checked again: ``Lattice._blown``
+makes the blown lattice L + <-1>^m and ``DonaldsonSeries._blown`` its
+series, both through ``lattice._trusted``, by one lemma.  The rows come out
+sorted and unique, as the base's are and the signs run in lexicographic
+order; they are characteristic, as E_i^2 = -1 is odd; the Gram matrix stays
+symmetric, and the negative block keeps b+ and the positive count.  Only
+the gcd of ``den << m`` and the numerators is taken again.  Builders and ``blow_up`` refuse up front an entry of more than
 ``MAX_CLASSES`` basic classes, and ``elliptic_surface`` and ``closed_form_cg``
 one whose coefficients have more digits than an int may be written with
 (``sys.get_int_max_str_digits()``).  ``parse_recipe``, which every catalog
@@ -35,7 +41,6 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, partial
-from itertools import product
 from math import comb
 
 from .lattice import (
@@ -211,7 +216,7 @@ def blow_up(entry: CatalogEntry) -> CatalogEntry:
     k = 1 + sum(lab.startswith("E") for lab in entry.lattice.labels())
     name = f"{entry.name}.bl{k}"
     _check_size(name, len(entry.series.rows), 1)
-    series = _blown_up(name, entry.series, 1)
+    series = _blown_up(name, entry.series, 1, first=k)
     lattice = series.lattice
     surfaces = tuple(
         (lab, MarkedSurface(HClass(lattice, s.cls.coords + (0,)), s.genus))
@@ -227,32 +232,18 @@ def blow_up(entry: CatalogEntry) -> CatalogEntry:
     )
 
 
-def _blown_up(name, series, m, extra=()) -> DonaldsonSeries:
+def _blown_up(name, series, m, extra=(), first=1) -> DonaldsonSeries:
     """``series`` blown up m times, on its lattice + <-1>^m named ``name``.
 
-    The new E labels are numbered after the base's, then the extra named
-    classes (in the new basis) follow.  Each (K, c) becomes the 2^m classes
-    K +- E_1 +- ... +- E_m with c / 2^m: a blow-up keeps b+ and b1 = 0, so the
-    series keeps its parity in t, which forces the even combination of e^{+-E_i}.
+    The new labels are E_first, ..., E_(first+m-1) (the bases of ``build_bg``
+    and ``build_dia2`` have no E label), then the extra named classes (in
+    the new basis) follow.  Each (K, c) becomes the 2^m classes K +- E_1 +-
+    ... +- E_m with c / 2^m: a blow-up keeps b+ and b1 = 0, so the series
+    keeps its parity in t, which forces the even combination of e^{+-E_i}.
+    Both are made past their checks, by ``Lattice._blown`` and
+    ``DonaldsonSeries._blown``, whose docstrings give why they hold.
     """
-    base = series.lattice
-    n = base.rank
-    first = 1 + sum(lab.startswith("E") for lab in base.labels())
-    pad = (0,) * m
-    units = [(0,) * (n + i) + (1,) + pad[i + 1 :] for i in range(m)]
-    lattice = Lattice(
-        name=name,
-        gram=tuple(row + pad for row in base.gram)
-        + tuple(tuple(-x for x in e) for e in units),
-        b_plus=base.b_plus,
-        named=tuple((lab, coords + pad) for lab, coords in base.named)
-        + tuple((f"E{first + i}", e) for i, e in enumerate(units))
-        + tuple(extra),
-    )
-    signs = list(product((-1, 1), repeat=m))  # the rows come out sorted
-    rows = tuple(k + s for k in series.rows for s in signs)
-    nums = tuple(n for n in series.nums for _ in signs)
-    return DonaldsonSeries(lattice, rows, nums, series.den << m)
+    return series._blown(series.lattice._blown(name, m, first, extra), m)
 
 
 def build_bg(g: int) -> CatalogEntry:

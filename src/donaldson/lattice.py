@@ -87,6 +87,18 @@ def _trusted(cls, **fields):
     return made
 
 
+def _by_label(name: str, named, rank: int) -> dict:
+    """label -> coords of a lattice's ``named``; a repeated label, or coords
+    not of the lattice's rank, is a LatticeError."""
+    coords = dict(named)
+    if len(coords) != len(named):
+        raise LatticeError(f"{name}: a class label is repeated")
+    for label, c in named:
+        if len(c) != rank:
+            raise LatticeError(f"{name}: class {label!r} has wrong length")
+    return coords
+
+
 def _parity(coords) -> int:
     """The odd coordinates of an int vector as a mask, coordinate j at bit 8j."""
     return int.from_bytes(bytes(map((1).__and__, coords)), "little")
@@ -122,12 +134,7 @@ class Lattice:
             )
         named = tuple((lab, _numbers(c, f"{self.name}: class {lab!r}")) for lab, c in self.named)
         object.__setattr__(self, "named", named)
-        object.__setattr__(self, "_named_coords", dict(named))
-        if len(self._named_coords) != len(named):
-            raise LatticeError(f"{self.name}: a class label is repeated")
-        for label, coords in named:
-            if len(coords) != n:
-                raise LatticeError(f"{self.name}: class {label!r} has wrong length")
+        object.__setattr__(self, "_named_coords", _by_label(self.name, named, n))
         pos = signature(gram)[0]
         if pos > self.b_plus:
             raise LatticeError(
@@ -138,6 +145,23 @@ class Lattice:
     @property
     def rank(self) -> int:
         return len(self.gram)
+
+    def _blown(self, name: str, m: int, first: int, extra=()) -> "Lattice":
+        """This lattice + <-1>^m named ``name``, made by ``_trusted``: the named
+        classes padded with m zeros, then E_first, ..., the new basis vectors,
+        then ``extra`` (labels and coords of rank + m, checked).  The rest holds
+        as this lattice's does: the Gram matrix stays symmetric, and a negative
+        definite block adds no positive direction, so b+ still bounds them."""
+        n, pad = self.rank, (0,) * m
+        units = [(0,) * (n + i) + (1,) + pad[i + 1 :] for i in range(m)]
+        named = (
+            tuple((lab, coords + pad) for lab, coords in self.named)
+            + tuple((f"E{first + i}", e) for i, e in enumerate(units))
+            + tuple((lab, _numbers(c, f"{name}: class {lab!r}")) for lab, c in extra)
+        )
+        gram = tuple(row + pad for row in self.gram) + tuple(tuple(-x for x in e) for e in units)
+        return _trusted(Lattice, name=name, gram=gram, b_plus=self.b_plus, named=named,
+                        _named_coords=_by_label(name, named, n + m))
 
     @cached_property
     def _wu(self) -> tuple[int, tuple[tuple[int, int], ...], bytes]:

@@ -29,7 +29,7 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
-from itertools import chain, compress, count
+from itertools import chain, compress, count, product, repeat
 from math import gcd, lcm
 from operator import add, eq, lt, neg
 from types import MappingProxyType
@@ -74,7 +74,10 @@ class DonaldsonSeries:
     The store and splits are unbounded: a series meets only its surfaces,
     w choices and probes.  A signed copy (``_signed``) shares the store and
     the classes and starts with no splits or views; a copy made by ``on``,
-    ``dataclasses.replace`` or a JSON load starts with none of them.
+    ``dataclasses.replace`` or a JSON load starts with none of them.  A
+    blow-up (``_blown``, on the blown lattice ``Lattice._blown``) is made
+    unchecked too, as its rows are sorted, unique and characteristic by a
+    lemma its docstring states; it starts with nothing stored.
     """
 
     lattice: Lattice
@@ -131,6 +134,21 @@ class DonaldsonSeries:
         shares the store and classes.  No cached view is copied: it holds the old values."""
         return _trusted(DonaldsonSeries, lattice=self.lattice, rows=self.rows, nums=nums,
                         den=self.den, _store=self._store, _classes=self._classes, _splits={})
+
+    def _blown(self, lattice: Lattice, m: int) -> "DonaldsonSeries":
+        """This series blown up m times on ``lattice``, its lattice + <-1>^m
+        (``Lattice._blown``), made by ``_trusted``: each (K, c) becomes the 2^m
+        rows K + s, s in {-1, 1}^m, with c / 2^m.  The rows pass the checks by a
+        lemma: they come out sorted and unique, as this series' rows are and
+        ``product((-1, 1), repeat=m)`` runs in lexicographic order; each is
+        characteristic, as E_i^2 = -1 is odd: (K, s).(x, a) = K.x - s.a = x.x +
+        a.a (mod 2); and no coefficient is 0.  The gcd of ``den << m`` and the
+        numerators is still divided out: numerators all even share a 2 with it."""
+        signs, g = tuple(product((-1, 1), repeat=m)), gcd(self.den << m, *self.nums)
+        nums = chain.from_iterable(repeat(x // g, 1 << m) for x in self.nums)
+        return _trusted(DonaldsonSeries, lattice=lattice,
+                        rows=tuple(k + s for k in self.rows for s in signs), nums=tuple(nums),
+                        den=(self.den << m) // g, _store={}, _classes=[], _splits={})
 
     @cached_property
     def entries(self) -> tuple[tuple[HClass, Fraction], ...]:

@@ -1,24 +1,32 @@
 """One audit of every value made past its checks.
 
 ``lattice._trusted`` is the one door past a checked constructor:
-``HClass._row``, ``DonaldsonSeries._signed`` and ``gluing._glued`` make their
-values through it, and ``test_package`` pins that no other code calls
-``__new__``.  The audit wraps the door in every module that binds it, so that
-each value made there is compared with its checked twin, ``cls(**its init
-fields)``: equal, with the same attributes set and, for a gluing, the same
-int column.  A twin built from the door's fields cannot see a maker that
-hands the door the wrong values, so ``_signed``, whose arguments fix its
-value, is also compared with the checked series of its own arguments.  The
-audit also checks what a series keeps once made: each split that
-``split_series`` hands out is the one asked for, and at the end each stored
-column equals a fresh ``Lattice.pairings`` and each stored split's table a
-fresh ``_split_table``.
+``HClass._row``, ``DonaldsonSeries._signed``, ``gluing._glued`` and the two
+blow-up makers, ``Lattice._blown`` (the blown lattice L + <-1>^m) and
+``DonaldsonSeries._blown`` (the blown series), make their values through it,
+and ``test_package`` pins that no other code calls ``__new__``.  The blow-up
+makers rest on one lemma, which their docstrings state: the rows K + s come
+out sorted, unique and characteristic, as the base's are, the signs s run in
+lexicographic order and E_i^2 = -1 is odd; only the gcd is taken again.
+
+The audit wraps the door in every module that binds it, so that each value
+made there is compared with its checked twin, ``cls(**its init fields)``:
+equal, with the same attributes set and, for a gluing, the same int column
+and match index ``_match``.  A twin built from the door's fields cannot see
+a maker that hands the door the wrong values, so ``_signed`` and both
+``_blown`` makers, whose arguments fix their values, are also compared with
+the checked value of their own arguments.  The audit also checks what a
+series keeps once made: each split that ``split_series`` hands out is the
+one asked for, and at the end each stored column equals a fresh
+``Lattice.pairings`` and each stored split's table a fresh ``_split_table``.
 
 The scenario runs, through ``cli.run``, the commands of the benchmark's
-cli_session workload at full size, then a B4/T1 torus gluing with its
-evaluation and the signed copies (``twisted``, ``unsplit_series``) of its
-left side.  It runs once with the audit off and once on, each under fresh
-recipe and probe caches, so that every trusted path runs in both.
+cli_session workload at full size and ``check`` of dia2:2:3, then a B4/T1
+torus gluing with its evaluation, the signed copies (``twisted``,
+``unsplit_series``) of its left side and K3 blown up once: B(g), dia2 and
+``blow_up`` are the three builders of blow-ups.  It runs once with the audit
+off and once on, each under fresh recipe and probe caches, so that every
+trusted path runs in both.
 
 A later trusted path goes through ``_trusted``, so the door audits it from
 its first day; the change that adds it also adds it to ``PATHS`` here.
@@ -32,6 +40,7 @@ import json
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -40,20 +49,22 @@ import donaldson.constructions as constructions
 import donaldson.fit  # noqa: F401  loaded before the audit patches split_series, which it binds
 import donaldson.lattice as lattice_mod
 import donaldson.series as series_mod
-from donaldson.constructions import catalog
+from donaldson.constructions import blow_up, catalog
 from donaldson.gluing import GluedSeries, GluingSpec, eval_glued, glue_torus, glued_to_json, rshift
-from donaldson.lattice import HClass, _indented
+from donaldson.lattice import HClass, Lattice, _indented
 from donaldson.series import DonaldsonSeries, series_to_json, twisted, unsplit_series
 
 G, CHECK_G = 6, 4  # cli_session's genera at full size
 R = Fraction(5, 6)  # the probe shift: cli_session draws an odd r over 6
 
-# every wrapped path: the door per class it makes, the signed copy and the two stores
-PATHS = ("HClass", "DonaldsonSeries", "GluedSeries", "_signed", "column", "split_series")
+# every wrapped path: the door per class it makes, the signed and blown makers and the two stores
+PATHS = ("HClass", "Lattice", "DonaldsonSeries", "GluedSeries", "_signed", "_blown", "column",
+         "split_series")
 
 
 def commands(tmp):
-    """cli_session's commands; eval's probe is read from build's output."""
+    """cli_session's commands, then a check of dia2; eval's probe is read from
+    build's output."""
     glued = str(tmp / f"bg{G}_double.json")
     return [
         ["catalog", "list"],
@@ -65,6 +76,7 @@ def commands(tmp):
         ["conjecture", "--left", "C2", "--right", "C2", "--g", "2"],
         ["fit", "--g", str(G)],
         ["check", "--entry", f"bg:{CHECK_G}"],
+        ["check", "--entry", "dia2:2:3"],
     ]
 
 
@@ -101,6 +113,7 @@ def scenario(monkeypatch, tmp) -> str:
     assert spec._splits[0].nums != b4.series.nums  # the twist flips some signs
     signed = twisted(b4.series, spec.w1), unsplit_series(spec._splits[0])
     printed += [_indented(series_to_json(series)) for series in signed]
+    printed.append(blow_up(catalog("K3")).json_bytes.decode())
     return "\n".join(printed)
 
 
@@ -127,7 +140,7 @@ class Audit:
             return
         same = made == twin and fields.keys() == vars(twin).keys()
         if cls is GluedSeries:
-            same = same and made._int_form == twin._int_form
+            same = same and made._int_form == twin._int_form and made._match == twin._match
         self.check(cls.__name__, same, f"{made!r:.200} is not its checked twin")
 
     def sweep(self):
@@ -157,6 +170,7 @@ def patch_everywhere(monkeypatch, module, name, wrapper):
 def install(monkeypatch) -> Audit:
     audit = Audit()
     door, signed = lattice_mod._trusted, DonaldsonSeries._signed
+    blown, blown_lattice = DonaldsonSeries._blown, Lattice._blown
     column, split_series = series_mod.column, series_mod.split_series
 
     def trusted(cls, **fields):
@@ -171,6 +185,26 @@ def install(monkeypatch) -> Audit:
         same = made == DonaldsonSeries(self.lattice, self.rows, nums, self.den)
         shares = made._store is self._store and made._classes is self._classes
         audit.check("_signed", same and shares and made._splits == {}, "not its arguments' series")
+        return made
+
+    def blown_copy(self, lattice, m):
+        made = blown(self, lattice, m)
+        rows = [k + s for k in self.rows for s in product((1, -1), repeat=m)]
+        nums = [x for x in self.nums for _ in range(2**m)]
+        twin = DonaldsonSeries(lattice, rows, nums, self.den << m)
+        fresh = made._store == {} and made._classes == [] and made._splits == {}
+        audit.check("_blown", made == twin and fresh, "not its arguments' series")
+        return made
+
+    def blown_copy_lattice(self, name, m, first, extra=()):
+        made = blown_lattice(self, name, m, first, extra)
+        n = self.rank
+        unit = [tuple(int(j == i) for j in range(n + m)) for i in range(n, n + m)]
+        gram = [row + (0,) * m for row in self.gram] + [[-x for x in e] for e in unit]
+        named = [(lab, c + (0,) * m) for lab, c in self.named]
+        named += [(f"E{first + i}", e) for i, e in enumerate(unit)] + list(extra)
+        twin = Lattice(name, gram, self.b_plus, named)
+        audit.check("_blown", made == twin, "not its arguments' lattice")
         return made
 
     def stored_column(series, v):
@@ -188,6 +222,8 @@ def install(monkeypatch) -> Audit:
     patch_everywhere(monkeypatch, series_mod, "column", stored_column)
     patch_everywhere(monkeypatch, series_mod, "split_series", stored_split)
     monkeypatch.setattr(DonaldsonSeries, "_signed", signed_copy)
+    monkeypatch.setattr(DonaldsonSeries, "_blown", blown_copy)
+    monkeypatch.setattr(Lattice, "_blown", blown_copy_lattice)
     return audit
 
 
