@@ -26,9 +26,10 @@ series, both through ``lattice._trusted``, by one lemma.  The rows come out
 sorted and unique, as the base's are and the signs run in lexicographic
 order; they are characteristic, as E_i^2 = -1 is odd; the Gram matrix stays
 symmetric, and the negative block keeps b+ and the positive count.  Only
-the gcd of ``den << m`` and the numerators is taken again.  Builders and ``blow_up`` refuse up front an entry of more than
-``MAX_CLASSES`` basic classes, and ``elliptic_surface`` and ``closed_form_cg``
-one whose coefficients have more digits than an int may be written with
+the gcd of ``den << m`` and the numerators is taken again.  Builders and
+``blow_up`` refuse up front an entry of more than ``MAX_CLASSES`` basic
+classes, and ``elliptic_surface`` and ``closed_form_cg`` one whose
+coefficients have more digits than an int may be written with
 (``sys.get_int_max_str_digits()``).  ``parse_recipe``, which every catalog
 lookup goes through, runs ``CatalogEntry.validate`` once per derived entry.
 """

@@ -151,7 +151,7 @@ class Lattice:
         classes padded with m zeros, then E_first, ..., the new basis vectors,
         then ``extra`` (labels and coords of rank + m, checked).  The rest holds
         as this lattice's does: the Gram matrix stays symmetric, and a negative
-        definite block adds no positive direction, so b+ still bounds them."""
+        definite block adds no positive direction, so b+ still bounds their count."""
         n, pad = self.rank, (0,) * m
         units = [(0,) * (n + i) + (1,) + pad[i + 1 :] for i in range(m)]
         named = (
