@@ -12,7 +12,8 @@ of positive directions is checked against it.
 K is characteristic when G K = diag(G) over F2: its odd coordinates lie in
 c0 + ker(G mod 2), c0 (the Wu class) and the kernel (only on the catalog's
 C(g) blocks) solved once per lattice.  A series' basic classes are int rows,
-which ``Lattice.pairings`` pairs and ``characteristic_prefix`` tests in batches.
+which ``Lattice.pairings`` pairs in batches and ``is_characteristic``, the one
+characteristic test, tests one row at a time.
 """
 
 from __future__ import annotations
@@ -193,18 +194,6 @@ class Lattice:
         dots = [sum(map(mul, k, cov)) for k in rows]
         return dots if v.is_integral else [_exact(x) if type(x) is Fraction else x for x in dots]
 
-    def characteristic_prefix(self, rows) -> int:
-        """How many leading int rows are characteristic: y = parity(K) + c0 is the
-        sum of the kernel vectors at y's free coordinates (``_wu``); with no
-        kernel, y == 0, one compare of all rows' parities against c0 repeated."""
-        c0, kernel, wu = self._wu
-        odd = bytes(map((1).__and__, chain.from_iterable(rows)))
-        if not kernel and odd == wu * len(rows):
-            return len(rows)
-        ys = enumerate(_parity(k) ^ c0 for k in rows)
-        bad = (j for j, y in ys if y != reduce(xor, (v for f, v in kernel if y & f), 0))
-        return next(bad, len(rows))
-
     def cls(self, label: str) -> "HClass":
         coords = self._named_coords.get(label)
         if coords is None:
@@ -351,10 +340,11 @@ def pairing(u: HClass, v: HClass) -> int | Fraction:
 
 
 def is_characteristic(k: HClass) -> bool:
-    """k . v == v . v (mod 2) for every basis vector of the modeled lattice:
-    with no kernel, k's parity bytes against the Wu class's, else
-    ``Lattice.characteristic_prefix`` on the one row."""
-    _, kernel, wu = k.lattice._wu
+    """k . v == v . v (mod 2) for every basis vector of the modeled lattice,
+    the package's one characteristic test: y = parity(k) + c0 is the sum of
+    the kernel vectors at y's free coordinates (``Lattice._wu``); with no
+    kernel, y == 0, one compare of k's parity bytes against c0's."""
+    c0, kernel, wu = k.lattice._wu
     if not kernel:
         try:
             return bytes(map((1).__and__, k.coords)) == wu
@@ -362,7 +352,8 @@ def is_characteristic(k: HClass) -> bool:
             pass
     if not k.is_integral:
         raise LatticeError("characteristic test needs an integral class")
-    return k.lattice.characteristic_prefix((k.coords,)) == 1
+    y = _parity(k.coords) ^ c0
+    return y == reduce(xor, (v for f, v in kernel if y & f), 0)
 
 
 def is_allowable(w: HClass, s: MarkedSurface) -> bool:

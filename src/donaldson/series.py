@@ -29,9 +29,9 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
-from itertools import chain, compress, count, product, repeat
+from itertools import chain, product, repeat
 from math import gcd, lcm
-from operator import add, eq, lt, neg
+from operator import add, neg
 from types import MappingProxyType
 
 from .exppoly import ExpPolynomial
@@ -49,6 +49,7 @@ from .lattice import (
     d_zero,
     d_zero_value,
     is_allowable,
+    is_characteristic,
     same_lattice,
 )
 
@@ -96,22 +97,18 @@ class DonaldsonSeries:
         if {*map(len, rows)} - {lat.rank} or {*map(type, chain.from_iterable(rows))} - {int}:
             bad = next(k for k in rows if len(k) != lat.rank or {*map(type, k)} - {int})
             raise SeriesError(f"basic class {bad!r} is not a row of {lat.rank} ints")
-        g, n, increasing = gcd(den, *nums), len(rows), all(map(lt, rows, rows[1:]))
-        if not increasing:
-            rows, nums = zip(*sorted(zip(rows, nums)))
+        rows, nums = tuple(zip(*sorted(zip(rows, nums)))) or ((), ())
+        g = gcd(den, *nums)
         self.__dict__.update(rows=rows, nums=tuple(x // g for x in nums), den=den // g,
                              _store={}, _classes=[], _splits={})
-        # the first row of coefficient 0 or a repeat (none if increasing), or one before it not K
-        repeat = n if increasing else next(compress(count(1), map(eq, rows, rows[1:])), n)
-        bad = min(nums.index(0) if 0 in nums else n, repeat)
-        bad = lat.characteristic_prefix(rows[:bad])
-        if bad < n:
-            k = HClass(lat, rows[bad])
-            if not nums[bad]:
+        for j, n in enumerate(nums):  # the first bad row, in sorted order, is named
+            k = HClass._row(lat, rows[j])
+            if not n:
                 raise SeriesError(f"DonaldsonSeries: basic class {k} has coefficient 0")
-            if bad and rows[bad - 1] == rows[bad]:
+            if j and rows[j - 1] == rows[j]:
                 raise SeriesError(f"duplicate basic class {k}")
-            raise SeriesError(f"basic class {k} is not characteristic")
+            if not is_characteristic(k):
+                raise SeriesError(f"basic class {k} is not characteristic")
 
     @classmethod
     def on(cls, lattice: Lattice, pairs) -> "DonaldsonSeries":
@@ -447,9 +444,16 @@ def _horner_table(terms) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     return den, tuple(p), tuple(n)
 
 
+MAX_GENUS = 1000
+"""The largest genus ``relation_poly`` expands.  The expansion multiplies g - 1
+root factors into big-int coefficients, at a cost that grows about as g^3: on
+one Intel Xeon core 0.06 s at g = 500, 0.3-0.5 s at 1000, 0.9-1.4 s at 1500
+and 2 s at 2000, so a larger genus is refused before it starts."""
+
+
 def relation_poly(g: int) -> RelationPoly:
     """The degree-(g-1) relation annihilated by every genus-g split series,
-    one value per genus.
+    one value per genus; a genus over ``MAX_GENUS`` is a SeriesError.
 
     Shape (1 -+ x/2) p(S), p the product of (S - r) over its roots r.  For
     g even the x-factor is (1 - x/2) and the roots are -1 and the pairs
@@ -461,6 +465,8 @@ def relation_poly(g: int) -> RelationPoly:
         raise SeriesError(f"relation polynomial genus must be an int, got {g!r}")
     if g < 2:
         raise SeriesError("relation polynomial needs genus >= 2")
+    if g > MAX_GENUS:
+        raise SeriesError(f"relation polynomial genus {g} is over the limit of {MAX_GENUS}")
     return _relation_poly(g)
 
 

@@ -19,14 +19,19 @@ the checked value of their own arguments.  The audit also checks what a
 series keeps once made: each split that ``split_series`` hands out is the
 one asked for, and at the end each stored column equals a fresh
 ``Lattice.pairings`` and each stored split's table a fresh ``_split_table``.
+The cached paths make no new value on a repeated call: each value that
+``parse_recipe``, ``_probes`` or ``_relation_poly`` hands out is compared at
+the end with a fresh rebuild from the call's own arguments (the entry's file
+bytes and the relation's table too), and ``RelationPoly.of`` must hand back
+a ``RelationPoly`` it is given as it is.
 
 The scenario runs, through ``cli.run``, the commands of the benchmark's
 cli_session workload at full size and ``check`` of dia2:2:3, then a B4/T1
 torus gluing with its evaluation, the signed copies (``twisted``,
 ``unsplit_series``) of its left side and K3 blown up once: B(g), dia2 and
 ``blow_up`` are the three builders of blow-ups.  It runs once with the audit
-off and once on, each under fresh recipe and probe caches, so that every
-trusted path runs in both.
+off and once on, each under fresh recipe, probe and relation caches, so
+that every trusted path runs in both.
 
 A later trusted path goes through ``_trusted``, so the door audits it from
 its first day; the change that adds it also adds it to ``PATHS`` here.
@@ -57,9 +62,14 @@ from donaldson.series import DonaldsonSeries, series_to_json, twisted, unsplit_s
 G, CHECK_G = 6, 4  # cli_session's genera at full size
 R = Fraction(5, 6)  # the probe shift: cli_session draws an odd r over 6
 
-# every wrapped path: the door per class it makes, the signed and blown makers and the two stores
+# every wrapped path: the door per class it makes, the signed and blown makers, the two
+# stores and the cached paths, which make no new value on a repeated call
 PATHS = ("HClass", "Lattice", "DonaldsonSeries", "GluedSeries", "_signed", "_blown", "column",
-         "split_series")
+         "split_series", "parse_recipe", "_probes", "_relation_poly", "RelationPoly.of")
+
+# each cached path: its module, and what beyond == a fresh rebuild must match
+CACHED = {"parse_recipe": (constructions, "json_bytes"), "_probes": (series_mod, None),
+          "_relation_poly": (series_mod, "_horner")}
 
 
 def commands(tmp):
@@ -89,12 +99,16 @@ def shifted_probe(build_output):
     return [f"--d1={d1}", f"--d2={d2}"]
 
 
+def fresh_caches(monkeypatch):
+    """An empty cache of the same size in place of each cached path's own."""
+    for name, (module, _) in CACHED.items():
+        cached = getattr(module, name)
+        fresh = functools.lru_cache(cached.cache_info().maxsize)(cached.__wrapped__)
+        patch_everywhere(monkeypatch, module, name, fresh)
+
+
 def scenario(monkeypatch, tmp) -> str:
-    """Everything the scenario prints, run under fresh recipe and probe caches."""
-    recipes = functools.cache(constructions.parse_recipe.__wrapped__)
-    probes = functools.lru_cache(64)(series_mod._probes.__wrapped__)
-    monkeypatch.setattr(constructions, "parse_recipe", recipes)
-    monkeypatch.setattr(series_mod, "_probes", probes)
+    """Everything the scenario prints."""
     printed = []
     for argv in commands(tmp):
         if argv[0] == "eval":
@@ -121,7 +135,7 @@ class Audit:
     """What the wrapped paths ran and which comparisons failed."""
 
     def __init__(self):
-        self.ran, self.failed, self.series = Counter(), [], {}
+        self.ran, self.failed, self.series, self.cached = Counter(), [], {}, []
 
     def check(self, path, same, what):
         self.ran[path] += 1
@@ -157,6 +171,10 @@ class Audit:
                     fresh = series_mod._split_table(series, split.w, split.surface)
                     same = same and split._table == fresh
                 self.check("split_series", same, f"stored split {key} is not its own")
+        for name, rebuild, args, made in self.cached:
+            fresh, extra = rebuild(*args), CACHED[name][1]
+            same = made == fresh and (extra is None or getattr(made, extra) == getattr(fresh, extra))
+            self.check(name, same, f"cached {name}{args!r:.200} is not a fresh rebuild")
 
 
 def patch_everywhere(monkeypatch, module, name, wrapper):
@@ -172,6 +190,7 @@ def install(monkeypatch) -> Audit:
     door, signed = lattice_mod._trusted, DonaldsonSeries._signed
     blown, blown_lattice = DonaldsonSeries._blown, Lattice._blown
     column, split_series = series_mod.column, series_mod.split_series
+    poly_of_real = series_mod.RelationPoly.of.__func__
 
     def trusted(cls, **fields):
         made = door(cls, **fields)
@@ -207,6 +226,20 @@ def install(monkeypatch) -> Audit:
         audit.check("_blown", made == twin, "not its arguments' lattice")
         return made
 
+    def remembered(name, cached):
+        def lookup(*args):
+            made = cached(*args)
+            audit.cached.append((name, cached.__wrapped__, args, made))
+            return made
+
+        return lookup
+
+    def poly_of(cls, pairs):
+        made = poly_of_real(cls, pairs)
+        if isinstance(pairs, cls):
+            audit.check("RelationPoly.of", made is pairs, f"{pairs!r:.200} was made again")
+        return made
+
     def stored_column(series, v):
         audit.keep(series)
         return column(series, v)
@@ -224,6 +257,9 @@ def install(monkeypatch) -> Audit:
     monkeypatch.setattr(DonaldsonSeries, "_signed", signed_copy)
     monkeypatch.setattr(DonaldsonSeries, "_blown", blown_copy)
     monkeypatch.setattr(Lattice, "_blown", blown_copy_lattice)
+    monkeypatch.setattr(series_mod.RelationPoly, "of", classmethod(poly_of))
+    for name, (module, _) in CACHED.items():
+        patch_everywhere(monkeypatch, module, name, remembered(name, getattr(module, name)))
     return audit
 
 
@@ -231,8 +267,10 @@ def install(monkeypatch) -> Audit:
 def runs(tmp_path_factory):
     """(printed with the audit off, printed with it on, the audit)."""
     with pytest.MonkeyPatch.context() as mp:
+        fresh_caches(mp)
         off = scenario(mp, tmp_path_factory.mktemp("off"))
     with pytest.MonkeyPatch.context() as mp:
+        fresh_caches(mp)
         audit = install(mp)
         on = scenario(mp, tmp_path_factory.mktemp("on"))
         audit.sweep()

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -371,6 +372,28 @@ def test_check_fails_when_a_level_value_is_nonzero(monkeypatch, capsys):
 
 def test_check_unknown_entry(capsys):
     assert run(["check", "--entry", "nonsense"]) == 2
+
+
+@pytest.mark.parametrize(
+    "ref, g",
+    [(f"dia2:1:{series_mod.MAX_GENUS + 1}", series_mod.MAX_GENUS + 1),
+     (f"cg:{series_mod.MAX_GENUS + 1}", series_mod.MAX_GENUS + 1),
+     ("dia2:1:100000", 100000)],
+)
+def test_check_refuses_a_genus_over_the_limit_at_once(capsys, ref, g):
+    # the relation's expansion grows about as g^3 (dia2:1:100000 ran past
+    # 20 s), so a genus over MAX_GENUS is refused before it starts
+    start = time.perf_counter()
+    assert run(["check", "--entry", ref]) == 2
+    assert time.perf_counter() - start < 1
+    limit = series_mod.MAX_GENUS
+    message = f"error: relation polynomial genus {g} is over the limit of {limit}\n"
+    assert capsys.readouterr() == ("", message)
+
+
+def test_check_expands_the_relation_at_the_genus_limit(capsys):
+    code, payload = run_json(capsys, ["check", "--entry", f"dia2:1:{series_mod.MAX_GENUS}"])
+    assert code == 0 and payload["checks"]["relation_poly"] == "ok"
 
 
 def test_fit_command(capsys):

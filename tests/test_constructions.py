@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from donaldson import constructions
+from donaldson import series as series_mod
 from donaldson.cli import run
 from donaldson.constructions import (
     CatalogEntry,
@@ -30,7 +31,7 @@ from donaldson.constructions import (
     export_catalog,
     parse_recipe,
 )
-from donaldson.lattice import Lattice, MarkedSurface
+from donaldson.lattice import MarkedSurface
 from donaldson.series import DonaldsonSeries, check_involution, twist
 
 
@@ -173,13 +174,12 @@ def test_bg_rejects_small_genus():
 
 def test_bg_tests_each_class_once(monkeypatch):
     """B(g) is built in one step from E(g): E(g)'s classes are tested once each,
-    as rows of the one characteristic test a series runs, and B(g)'s are not
-    tested again, as ``DonaldsonSeries._blown`` proves them characteristic."""
+    by the one characteristic test the series constructor runs per row, and
+    B(g)'s are not tested again, as ``DonaldsonSeries._blown`` proves them
+    characteristic."""
     calls = []
-    real = Lattice.characteristic_prefix
-    monkeypatch.setattr(
-        Lattice, "characteristic_prefix", lambda lat, rows: calls.extend(rows) or real(lat, rows)
-    )
+    real = series_mod.is_characteristic
+    monkeypatch.setattr(series_mod, "is_characteristic", lambda k: calls.append(k.coords) or real(k))
     build_bg(4)
     assert len(calls) == 3
     assert len(set(calls)) == len(calls)

@@ -153,3 +153,21 @@ def test_only_the_trusted_door_makes_a_value_past_its_checks():
             if isinstance(node, ast.Attribute) and node.attr == "__new__":
                 found.append(f"{path.stem}.{getattr(owners[node], 'name', '<module>')}")
     assert found == ["lattice._trusted"]
+
+
+def test_only_the_one_characteristic_test_reads_the_wu_class():
+    # Lattice._wu solves the Wu class and is_characteristic is the one test
+    # that reads it: a second characteristic path would name _wu somewhere else
+    found = []
+    for path in sorted((SRC / "donaldson").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owners = {}  # node -> the innermost function (or module) holding it
+        for node in ast.walk(tree):
+            owner = node if isinstance(node, ast.FunctionDef) else owners.get(node, tree)
+            owners.update(dict.fromkeys(ast.iter_child_nodes(node), owner))
+        for node in ast.walk(tree):
+            field = {ast.Attribute: "attr", ast.FunctionDef: "name", ast.Constant: "value"}
+            if type(node) in field and getattr(node, field[type(node)]) == "_wu":
+                owner = node if isinstance(node, ast.FunctionDef) else owners[node]
+                found.append(f"{path.stem}.{getattr(owner, 'name', '<module>')}")
+    assert sorted(found) == ["lattice._wu", "lattice.is_characteristic"]

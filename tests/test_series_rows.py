@@ -242,6 +242,7 @@ def _refusals():
     s = entry.surface()
     foreign_s = MarkedSurface(HClass(other, s.cls.coords), s.genus)
     on = functools.partial(DonaldsonSeries.on, lat)
+    c2 = catalog("C2")  # G mod 2 has a kernel: K's first coordinate is free
     return [
         ("non-int", lambda: on(good + [(half, 1)]),
          SeriesError, "basic class <1/2,1,1,1,1>@B3 is not integral"),
@@ -279,6 +280,9 @@ def _refusals():
          LatticeMismatch, "entry class on a foreign lattice"),
         ("a coefficient that is no number", lambda: on(good + [(lat.zero(), "x")]),
          LatticeError, "not a number: 'x'"),
+        ("not characteristic where G mod 2 has a kernel",
+         lambda: DonaldsonSeries.on(c2.lattice, [*c2.series.entries, (_row(c2.lattice, 1, 1), 1)]),
+         SeriesError, "basic class <1,1,0>@C2 is not characteristic"),
     ]
 
 
