@@ -375,16 +375,14 @@ def test_check_unknown_entry(capsys):
 
 
 @pytest.mark.parametrize(
-    "ref, g",
-    [(f"dia2:1:{series_mod.MAX_GENUS + 1}", series_mod.MAX_GENUS + 1),
-     (f"cg:{series_mod.MAX_GENUS + 1}", series_mod.MAX_GENUS + 1),
-     ("dia2:1:100000", 100000)],
+    "recipe, g",
+    [("dia2:1:", series_mod.MAX_GENUS + 1), ("cg:", series_mod.MAX_GENUS + 1), ("dia2:1:", 100000)],
 )
-def test_check_refuses_a_genus_over_the_limit_at_once(capsys, ref, g):
+def test_check_refuses_a_genus_over_the_limit_at_once(capsys, recipe, g):
     # the relation's expansion grows about as g^3 (dia2:1:100000 ran past
     # 20 s), so a genus over MAX_GENUS is refused before it starts
     start = time.perf_counter()
-    assert run(["check", "--entry", ref]) == 2
+    assert run(["check", "--entry", f"{recipe}{g}"]) == 2
     assert time.perf_counter() - start < 1
     limit = series_mod.MAX_GENUS
     message = f"error: relation polynomial genus {g} is over the limit of {limit}\n"
