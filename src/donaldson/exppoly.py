@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
-from .gaussian import GaussianRational, frac_token
-from .lattice import _NUMBER, _exact, _read
+from .gaussian import GaussianRational
+from .lattice import _NUMBER, _exact, _over_lcm, _read
 
 MARKERS = ("+Q/2", "-Q/2", "none")
 
@@ -42,8 +41,9 @@ _EXPPOLY = ("an exponential polynomial", {"marker": str, "terms": [_TERM], "q": 
 class ExpPolynomial:
     """Canonical form: terms sorted by exponent, like exponents merged, zeros pruned.
 
-    ``q_square`` carries D.D for a marked prefactor when it is known; it rides
-    along through sums and products and is only consumed by ``expand``.
+    ``q_square`` is D.D of the marked prefactor, carried exactly when the part
+    is marked (None when it is not); it rides along through sums and products
+    and is only consumed by ``expand``.
     """
 
     marker: str = "none"
@@ -53,6 +53,10 @@ class ExpPolynomial:
     def __post_init__(self):
         if self.marker not in MARKERS:
             raise ExpPolynomialError(f"unknown marker {self.marker!r}")
+        if (self.marker == "none") != (self.q_square is None):
+            raise ExpPolynomialError(
+                f"marker {self.marker!r} with D^2 {self.q_square!r}: D^2 goes with a marker"
+            )
         merged: dict[tuple, list] = {}
         for lam, c in self.terms:
             lam = GaussianRational.coerce(lam)
@@ -96,12 +100,9 @@ class ExpPolynomial:
             raise ExpPolynomialError(
                 f"cannot combine parts marked {self.marker!r} and {other.marker!r}"
             )
-        q, q_other = self.q_square, other.q_square
-        if q is None:
-            q = q_other
-        elif q_other is not None and q != q_other:
+        if self.q_square != other.q_square:
             raise ExpPolynomialError("cannot combine like-marked parts over different D^2")
-        return ExpPolynomial(self.marker, self.terms + other.terms, q)
+        return ExpPolynomial(self.marker, self.terms + other.terms, self.q_square)
 
     def __sub__(self, other: "ExpPolynomial") -> "ExpPolynomial":
         return self + (-other)
@@ -165,7 +166,7 @@ class ExpPolynomial:
         """Taylor coefficients in t up to the given order, marker included.
 
         The marked prefactor contributes e^{s q t^2 / 2} with s = +-1; this is
-        the only place the marker is ever developed, and it needs q_square.
+        the only place the marker is ever developed, with q = q_square.
         """
         if order < 0:
             raise ExpPolynomialError("expansion order must be >= 0")
@@ -173,25 +174,19 @@ class ExpPolynomial:
             raise ExpPolynomialError(
                 f"expansion order {order} is over the limit of {MAX_EXPAND_ORDER}"
             )
-        if self.marker != "none" and self.q_square is None:
-            raise ExpPolynomialError("cannot expand a marked polynomial without D^2")
         # A term c e^{lam t} under the prefactor e^{p t^2/2}, p = +-q_square (0 when
         # unmarked), has nth coefficient B_n / (M (L R)^n n!) over the Gaussian ints
         # B_0 = C = M c and B_n = Lam R B_{n-1} + P L^2 R (n-1) B_{n-2}, Lam = L lam and
-        # p = P / R, with L and M the lcms of the exponents' and coefficients' denominators
+        # p = P / R, with L and M the exponents' and coefficients' denominators (_over_lcm)
         sign = {"+Q/2": 1, "-Q/2": -1}.get(self.marker, 0)
         p = sign * self.q_square if sign else 0
-        big_l = lcm(*(x.denominator for lam, _ in self.terms for x in (lam.re, lam.im)))
-        big_m = lcm(*(x.denominator for _, c in self.terms for x in (c.re, c.im)))
-
-        def over(x, big):
-            return x.numerator * (big // x.denominator)
-
+        big_l, lam_ints = _over_lcm(x for lam, _ in self.terms for x in (lam.re, lam.im))
+        big_m, c_ints = _over_lcm(x for _, c in self.terms for x in (c.re, c.im))
         big_r = p.denominator
-        lams = [(over(l.re, big_l) * big_r, over(l.im, big_l) * big_r) for l, _ in self.terms]
+        lams = [(x * big_r, y * big_r) for x, y in zip(lam_ints[::2], lam_ints[1::2])]
         step = p.numerator * big_l * big_l * big_r  # P L^2 R
         # B_0 = C; the B_{-1} that prev starts as meets only the factor n - 1 = 0
-        prev = cur = [(over(c.re, big_m), over(c.im, big_m)) for _, c in self.terms]
+        prev = cur = list(zip(c_ints[::2], c_ints[1::2]))
         body, den = [], big_m
         for n in range(order + 1):
             if n:
@@ -206,7 +201,7 @@ class ExpPolynomial:
     # -- serialization --------------------------------------------------------------
 
     def to_json(self) -> dict:
-        q = {} if self.q_square is None else {"q": frac_token(self.q_square)}
+        q = {} if self.q_square is None else {"q": str(self.q_square)}
         return {
             "marker": self.marker,
             "terms": [
@@ -239,7 +234,5 @@ def _mul_marker(a: ExpPolynomial, b: ExpPolynomial) -> tuple[str, int | Fraction
         return a.marker, a.q_square
     if a.marker != b.marker:
         raise ExpPolynomialError("cannot multiply oppositely marked parts")
-    if a.q_square is None or b.q_square is None:
-        return a.marker, None
     # e^{sQ1/2} e^{sQ2/2} = e^{sQ/2} with D^2 = D1^2 + D2^2
     return a.marker, a.q_square + b.q_square

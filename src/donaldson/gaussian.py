@@ -148,11 +148,11 @@ class GaussianRational:
     def to_token(self) -> str:
         """Serialize as 'p/q', 'r/s i' or 'p/q+r/s i' with exact parts."""
         if self.im == 0:
-            return frac_token(self.re)
+            return str(self.re)
         if self.re == 0:
-            return frac_token(self.im) + " i"
+            return f"{self.im} i"
         sign = "+" if self.im > 0 else "-"
-        return f"{frac_token(self.re)}{sign}{frac_token(abs(self.im))} i"
+        return f"{self.re}{sign}{abs(self.im)} i"
 
     @classmethod
     def from_token(cls, s: str) -> "GaussianRational":
@@ -174,11 +174,6 @@ class GaussianRational:
         if body in ("", "+", "-"):
             body += "1"
         return cls(0, body)
-
-
-def frac_token(f: int | Fraction) -> str:
-    """Exact token for a rational: 'p' or 'p/q'."""
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 ZERO = GaussianRational(0)

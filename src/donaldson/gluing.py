@@ -25,11 +25,12 @@ of a split is series row j, so glued indices address both.
 A rule's coefficients are products scale * a_j * b_k of a few distinct
 values, so neither gluing nor evaluation does rational arithmetic per entry:
 ``_glued`` forms one product per distinct value, and a gluing's
-``_int_form`` is (L, one int c * L per entry, in entry order), L the lcm
-of the denominators.  ``_glued`` makes its output with that column through
-``lattice._trusted``, so a rule's output is not walked again; entries from
-anywhere else (a JSON load, ``dataclasses.replace``) are checked and get the
-same column.  ``eval_glued`` reads the column;
+``_int_form`` is (L, one int c * L per entry, in entry order), the
+coefficients over one denominator (``lattice._over_lcm``).  ``_glued``
+makes its output with that column through ``lattice._trusted``, so a
+rule's output is not walked again; entries from anywhere else (a JSON
+load, ``dataclasses.replace``) are checked and get the same column.
+``eval_glued`` reads the column;
 ``coefficient_match`` reads ``_match``, a gluing's one index of the answers
 that can be nonzero, made on its first read; ``glued_to_json`` formats each
 distinct value once.
@@ -41,13 +42,13 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from itertools import repeat
-from math import lcm
+from itertools import islice, repeat
 
 from .constructions import CatalogEntry, catalog
 from .exppoly import ExpPolynomial
-from .gaussian import frac_token
-from .lattice import HClass, LatticeMismatch, _exact, _read, _trusted, d_zero_value, same_lattice
+from .lattice import (
+    HClass, LatticeMismatch, _exact, _over_lcm, _read, _trusted, d_zero_value, same_lattice,
+)
 from .series import SeriesError, SplitSeries, split_series
 
 
@@ -208,7 +209,7 @@ class GluedSeries:
     spec: GluingSpec
     kind: str  # "standard", "torus" or "stabilized": a rule of _rows
     entries: tuple[tuple[int, int, int, Fraction], ...]
-    # (L, ints): L the lcm of the denominators, ints[i] = c * L of entries[i]
+    # (L, ints): the coefficients over one L (_over_lcm), ints[i] = c * L of entries[i]
     _int_form: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -232,9 +233,8 @@ class GluedSeries:
             if (j, k, s) in seen:
                 raise GluingError(f"pair [{j}, {k}, {_SECTOR_CODE[s]!r}] is repeated")
             seen.add((j, k, s))
-        den = lcm(*{c.denominator for _, _, _, c in self.entries})
-        ints = tuple(c.numerator * (den // c.denominator) for _, _, _, c in self.entries)
-        self.__dict__.update(entries=tuple(self.entries), _int_form=(den, ints))
+        den, ints = _over_lcm(c for _, _, _, c in self.entries)
+        self.__dict__.update(entries=tuple(self.entries), _int_form=(den, tuple(ints)))
 
     @property
     def is_empty(self) -> bool:
@@ -288,8 +288,8 @@ def _glued(spec: GluingSpec, kind: str) -> GluedSeries:
     (from ``levels``), with coefficient scale * a_j * b_k on the twisted
     coefficients.  Per left row, scale * a_j is formed once and multiplied by
     each distinct b of the level once; an entry reads its product by its b,
-    and the int column its product over L, the lcm of the products'
-    denominators.  ``_trusted`` makes the output unchecked: indices come from
+    and the int column its product over L, the products' one denominator
+    (``_over_lcm``).  ``_trusted`` makes the output unchecked: indices come from
     ``levels``, sectors from ``_rows``, and each (pair, sector) is one entry."""
     rows = _rows(kind, spec.genus, spec.epsilon)
     left, right = spec._splits
@@ -306,11 +306,11 @@ def _glued(spec: GluingSpec, kind: str) -> GluedSeries:
         for j in js:
             scaled = scale * Fraction(nums1[j], left.series.den * right.series.den)
             made.append((sector, j, [scaled * b for b in distinct], ks, at))
-    den = lcm(*{c.denominator for _, _, products, _, _ in made for c in products})
-    entries, ints = [], []
+    den, flat = _over_lcm(c for _, _, products, _, _ in made for c in products)
+    flat, entries, ints = iter(flat), [], []
     for sector, j, products, ks, at in made:
         entries.extend(zip(repeat(j), ks, repeat(sector), map(products.__getitem__, at)))
-        ints.extend(map([c.numerator * (den // c.denominator) for c in products].__getitem__, at))
+        ints.extend(map(list(islice(flat, len(products))).__getitem__, at))
     return _trusted(GluedSeries, spec=spec, kind=kind, entries=tuple(entries),
                     _int_form=(den, tuple(ints)))
 
@@ -353,7 +353,7 @@ def eval_glued(gs: GluedSeries, d: SplitClass) -> ExpPolynomial:
     exponents."""
     _validate_split_class(gs.spec, d)
     den, ints = gs._int_form
-    m = lcm(*(c.denominator for c in d.d1.coords + d.d2.coords))
+    m = _over_lcm(d.d1.coords + d.d2.coords)[0]
     md1, md2 = m * d.d1, m * d.d2
     # K.(m D1) and L.(m D2) by row index, each parent class with an entry paired once
     u, v = [0] * len(gs.spec.left.series.rows), [0] * len(gs.spec.right.series.rows)
@@ -416,7 +416,7 @@ def glued_to_json(gs: GluedSeries) -> dict:
     once, as a gluing's entries share the few values of its rule's products."""
     spec = gs.spec
     distinct = {id(c): c for _, _, _, c in gs.entries}
-    token = {key: frac_token(c) for key, c in distinct.items()}
+    token = {key: str(c) for key, c in distinct.items()}
     data = {
         "left": spec.left.name,
         "right": spec.right.name,

@@ -69,6 +69,15 @@ def _exact(x) -> int | Fraction:
     return f.numerator if f.denominator == 1 else f
 
 
+def _over_lcm(values) -> tuple[int, list[int]]:
+    """The one common-denominator rule: (L, ints), L the lcm of the denominators
+    of ``values`` (ints and Fractions alike) and ints the values times L, in
+    order; no values give (1, [])."""
+    values = list(values)
+    big = lcm(*{x.denominator for x in values})
+    return big, [x.numerator * (big // x.denominator) for x in values]
+
+
 def _numbers(values, what: str) -> tuple[int | Fraction, ...]:
     """``values``, a list or tuple, through ``_exact`` but for plain ints; a str is refused."""
     if type(values) not in (list, tuple):
@@ -256,12 +265,11 @@ class HClass:
     @cached_property
     def covector(self) -> tuple[int | Fraction, ...]:
         """gram . coords, built once: pairing with this class is one dot product.
-        A rational class dots each Gram row with its int numerators over m,
-        the lcm of its denominators, and makes one number per entry (``_exact``)."""
+        A rational class dots each Gram row with its coords over one
+        denominator m (``_over_lcm``) and makes one number per entry (``_exact``)."""
         if self.is_integral:
             return tuple(sum(map(mul, row, self.coords)) for row in self.lattice.gram)
-        m = lcm(*(c.denominator for c in self.coords))
-        nums = [c.numerator * (m // c.denominator) for c in self.coords]
+        m, nums = _over_lcm(self.coords)
         return tuple(_exact(Fraction(sum(map(mul, row, nums)), m)) for row in self.lattice.gram)
 
     def is_odd(self) -> bool:

@@ -30,12 +30,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 from itertools import chain, product, repeat
-from math import gcd, lcm
+from math import gcd
 from operator import add, neg
 from types import MappingProxyType
 
 from .exppoly import ExpPolynomial
-from .gaussian import GaussianRational, frac_token
+from .gaussian import GaussianRational
 from .lattice import (
     HClass,
     Lattice,
@@ -44,6 +44,7 @@ from .lattice import (
     LatticeMismatch,
     _NUMBER,
     _exact,
+    _over_lcm,
     _read,
     _trusted,
     d_zero,
@@ -62,7 +63,7 @@ class SeriesError(ValueError):
 class DonaldsonSeries:
     """Basic classes with rational coefficients, of simple type, on a lattice
     of b1 = 0 and b+ odd: sorted int coordinate ``rows`` and int ``nums`` over
-    ``den``, the lcm of the denominators.  The first bad row is refused (not
+    one ``den`` (``lattice._over_lcm``).  The first bad row is refused (not
     ints of the rank, coefficient 0, a repeat, not characteristic), named by
     an ``HClass``.  ``entries``, the (class, ``Fraction``) pairs, is a view
     made on first read, as is ``position`` (coords -> row), the one lookup by
@@ -114,15 +115,14 @@ class DonaldsonSeries:
     def on(cls, lattice: Lattice, pairs) -> "DonaldsonSeries":
         """From (``HClass``, coefficient) pairs: a foreign or rational class is
         refused where it sorts, once the rows before it have passed."""
-        pairs = sorted(((k, Fraction(_exact(c))) for k, c in pairs), key=lambda e: e[0].coords)
+        pairs = sorted(((k, _exact(c)) for k, c in pairs), key=lambda e: e[0].coords)
         for j, (k, _) in enumerate(pairs):
             if not (same_lattice(k.lattice, lattice) and k.is_integral):
                 cls.on(lattice, pairs[:j])
                 if not same_lattice(k.lattice, lattice):
                     raise LatticeMismatch("entry class on a foreign lattice")
                 raise SeriesError(f"basic class {k} is not integral")
-        den = lcm(*(c.denominator for _, c in pairs))
-        nums = tuple(c.numerator * (den // c.denominator) for _, c in pairs)
+        den, nums = _over_lcm(c for _, c in pairs)
         return cls(lattice, tuple(k.coords for k, _ in pairs), nums, den)
 
     def _signed(self, nums: tuple[int, ...]) -> "DonaldsonSeries":
@@ -432,13 +432,12 @@ class RelationPoly:
 
 
 def _horner_table(terms) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """z compiled, the one sum of its x-powers: L, the lcm of the denominators,
-    and for x = 2 (P) and -2 (N) the int numerators over L, highest S-power first."""
-    den = lcm(*(c.denominator for _, _, c in terms))
+    """z compiled, the one sum of its x-powers: (L, P, N), z's coefficients over one
+    L (``_over_lcm``) summed at x = 2 (P) and -2 (N), highest S-power first."""
+    den, ints = _over_lcm(c for _, _, c in terms)
     top = max((sp for sp, _, _ in terms), default=0)
     p, n = [0] * (top + 1), [0] * (top + 1)
-    for sp, xp, c in terms:
-        m = c.numerator * (den // c.denominator)
+    for (sp, xp, _), m in zip(terms, ints):
         p[top - sp] += m * 2**xp
         n[top - sp] += m * (-2) ** xp
     return den, tuple(p), tuple(n)
@@ -598,7 +597,7 @@ def check_involution(series: DonaldsonSeries) -> tuple[bool, list[HClass]]:
 
 
 def series_to_json(series: DonaldsonSeries) -> dict:
-    token = {n: frac_token(Fraction(n, series.den)) for n in set(series.nums)}
+    token = {n: str(Fraction(n, series.den)) for n in set(series.nums)}
     entries = [{"k": list(k), "a": token[n]} for k, n in zip(series.rows, series.nums)]
     return _series_json(series, entries)
 
@@ -618,7 +617,7 @@ def _entries_text(series: DonaldsonSeries, indent: str) -> str:
     item, field_, coord = indent + "  ", indent + "    ", indent + "      "
     k = f"[{coord}{(',' + coord).join(['%d'] * series.lattice.rank)}{field_}]"
     row = f'{{{field_}"k": {k if series.lattice.rank else "[]"},{field_}"a": "%s"{item}}}'
-    token = {n: frac_token(Fraction(n, series.den)) for n in set(series.nums)}
+    token = {n: str(Fraction(n, series.den)) for n in set(series.nums)}
     args = chain.from_iterable(map(add, series.rows, zip(map(token.get, series.nums))))
     return f"[{item}{(',' + item).join([row] * len(series.rows))}{indent}]" % tuple(args)
 
@@ -628,8 +627,11 @@ _SERIES_ENTRY = ("a series entry", {"k": list, "a": _NUMBER}, ())
 
 def series_from_json(data: dict, lattice: Lattice) -> DonaldsonSeries:
     """The series ``series_to_json`` wrote on ``lattice``; a malformed shape,
-    or one naming another lattice, is refused (``_read``)."""
+    or one naming another lattice, is refused (``_read``).  Each distinct
+    coefficient token is read once, keyed by type too: 1, 1.0 and "1" differ."""
     fields = {"lattice": lattice.name, "entries": [_SERIES_ENTRY], "simple_type": True}
     _read(data, ("a series", fields, ()), "series", SeriesError)
-    pairs = [(HClass(lattice, e["k"]), e["a"]) for e in data["entries"]]
-    return DonaldsonSeries.on(lattice, pairs)
+    classes = [HClass(lattice, e["k"]) for e in data["entries"]]
+    keys = [(type(e["a"]), e["a"]) for e in data["entries"]]
+    value = {key: _exact(key[1]) for key in dict.fromkeys(keys)}
+    return DonaldsonSeries.on(lattice, zip(classes, map(value.get, keys)))

@@ -3,16 +3,18 @@ Fraction otherwise, and a non-integral float or exponent notation is refused."""
 
 import ast
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from donaldson.constructions import catalog
 from donaldson.exppoly import ExpPolynomial
 from donaldson.fit import BasisCoordinates
 from donaldson.gaussian import GaussianRational
 from donaldson.gluing import SplitClass
-from donaldson.lattice import LatticeError, d_zero_value
+from donaldson.lattice import LatticeError, _over_lcm, d_zero_value
 
 
 def _gaussian_real_part(x):
@@ -84,3 +86,16 @@ def test_the_package_makes_no_float():
             if call or literal:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+@example([])
+@example([-3, Fraction(-3, 4), Fraction(6, 3), Fraction(5, 6)])
+@given(st.lists(st.integers(-50, 50) | st.fractions(-50, 50, max_denominator=60), max_size=8))
+def test_over_lcm_puts_values_over_the_lcm_of_their_denominators(values):
+    # the reference lcm is folded by gcd, pairwise; no values give (1, [])
+    big, ints = _over_lcm(iter(values))
+    want = 1
+    for v in values:
+        want = want * Fraction(v).denominator // gcd(want, Fraction(v).denominator)
+    assert big == want and all(type(n) is int for n in ints)
+    assert [Fraction(n, big) for n in ints] == values

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -103,7 +104,7 @@ def test_zero_division_cases():
     with pytest.raises(TypeError, match="^divisor must be an ExpPolynomial$"):
         one.divide_exact(1)
     with pytest.raises(ExpPolynomialError, match="^exact division is defined for unmarked parts$"):
-        poly([(0, 1)], marker="+Q/2").divide_exact(one)
+        poly([(0, 1)], marker="+Q/2", q=0).divide_exact(one)
 
 
 def _taylor_oracle(p: ExpPolynomial, order: int):
@@ -135,26 +136,32 @@ def test_expand_against_oracle(marker, q):
 
 
 def test_expand_marked_needs_q():
-    with pytest.raises(ExpPolynomialError, match="^cannot expand a marked polynomial without D\\^2$"):
-        poly([(1, 1)], marker="+Q/2").expand(3)
+    # D^2 travels with its marker, so expand always has it: a marked part
+    # without D^2, or an unmarked one with it, is refused when made, and a
+    # marked file with no "q" fails to load
+    for marker, q in (("+Q/2", None), ("-Q/2", None), ("none", 0)):
+        message = f"^{re.escape(f'marker {marker!r} with D^2 {q}: D^2 goes with a marker')}$"
+        with pytest.raises(ExpPolynomialError, match=message):
+            poly([(1, 1)], marker=marker, q=q)
+    data = poly([(1, 1)], marker="-Q/2", q=2).to_json()
+    del data["q"]
+    with pytest.raises(ExpPolynomialError, match="^marker '-Q/2' with D\\^2 None: "):
+        ExpPolynomial.from_json(data)
 
 
 def test_expand_refuses_an_order_over_the_limit():
     limit = exppoly.MAX_EXPAND_ORDER
     assert len(poly([(1, 1), (2, 3)]).expand(limit)) == limit + 1
-    # refused before any work: the missing D^2 is never reached
     with pytest.raises(ExpPolynomialError, match=f"^expansion order {limit + 1} is over the limit of {limit}$"):
-        poly([(1, 1)], marker="+Q/2").expand(limit + 1)
+        poly([(1, 1)], marker="+Q/2", q=1).expand(limit + 1)
     with pytest.raises(ExpPolynomialError, match="^expansion order must be >= 0$"):
         poly([(1, 1)]).expand(-1)
 
 
 def test_json_round_trip():
-    p = ExpPolynomial(
-        "-Q/2",
-        ((GaussianRational(0, 2), GaussianRational(Fraction(1, 2), -1)),),
-    )
-    assert ExpPolynomial.from_json(p.to_json()) == ExpPolynomial("-Q/2", p.terms)
+    terms = ((GaussianRational(0, 2), GaussianRational(Fraction(1, 2), -1)),)
+    for p in (ExpPolynomial("none", terms), ExpPolynomial("-Q/2", terms, -3)):
+        assert ExpPolynomial.from_json(p.to_json()) == p
 
 
 def test_json_round_trip_keeps_q_square():

@@ -3,7 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from donaldson.gaussian import GaussianRational, I, ONE, ZERO, frac_token
+from donaldson.constructions import catalog
+from donaldson.exppoly import ExpPolynomial
+from donaldson.gaussian import GaussianRational, I, ONE, ZERO
+from donaldson.gluing import GluedSeries, GluingSpec, glued_to_json
+from donaldson.lattice import HClass
+from donaldson.series import DonaldsonSeries, series_to_json
 
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=12)
@@ -92,9 +97,21 @@ def test_token_parsing_variants():
             GaussianRational.from_token(blank)
 
 
-def test_frac_token():
-    assert frac_token(Fraction(3)) == "3"
-    assert frac_token(Fraction(-3, 4)) == "-3/4"
+def test_every_writer_tokens_a_rational_as_str():
+    # 'p' or 'p/q', reduced: the token of an int or a Fraction is its str
+    values, tokens = (3, Fraction(-3, 4), Fraction(6, 3)), ["3", "-3/4", "2"]
+    for v, t in zip(values, tokens):
+        assert GaussianRational(v).to_token() == t
+        assert GaussianRational(0, v).to_token() == t + " i"
+        poly = ExpPolynomial("+Q/2", ((v, v),), v)
+        assert poly.to_json() == {"marker": "+Q/2", "terms": [{"lambda": t, "c": t}], "q": t}
+    entry = catalog("B2")
+    lat, rows = entry.lattice, entry.series.rows[:3]
+    series = DonaldsonSeries.on(lat, [(HClass(lat, k), v) for k, v in zip(rows, values)])
+    assert [e["a"] for e in series_to_json(series)["entries"]] == tokens
+    pairs = [(0, 0, 1, values[0]), (0, 1, 1, values[1]), (1, 0, 1, values[2])]
+    gs = GluedSeries(GluingSpec(entry, entry), "standard", tuple(pairs))
+    assert [c for *_, c in glued_to_json(gs)["pairs"]] == tokens
 
 
 @given(a=gaussians, b=gaussians, c=gaussians)

@@ -18,7 +18,7 @@ from donaldson.constructions import (
     entry_json_bytes,
 )
 from donaldson.exppoly import ExpPolynomial
-from donaldson.gaussian import GaussianRational, frac_token
+from donaldson.gaussian import GaussianRational
 from donaldson.gluing import (
     GluingError,
     GluedSeries,
@@ -556,7 +556,7 @@ def test_coefficient_match_sums_rows_that_share_a_pair():
     g = 3
     payload = json.loads(json.dumps(glued_to_json(glue(bg_double(g)))))
     j, k, sector, coeff = payload["pairs"][0]
-    half = frac_token(Fraction(coeff) / 2)
+    half = str(Fraction(coeff) / 2)
     other = "-" if sector == "+" else "+"
     payload["pairs"][0:1] = [[j, k, sector, half], [j, k, other, half]]
     gs = glued_from_json(payload)

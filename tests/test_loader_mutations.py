@@ -74,10 +74,10 @@ def _escapes(load, payload) -> list[str]:
     return bad
 
 
-def _exppoly(marker, q):
+def _exppoly(marker):
     terms = ((GaussianRational(2), GaussianRational(Fraction(1, 4))),
              (GaussianRational(0, -1), GaussianRational(3, Fraction(-1, 2))))
-    return ExpPolynomial(marker, terms, q)
+    return ExpPolynomial(marker, terms, None if marker == "none" else Fraction(3, 2))
 
 
 PAYLOADS = {
@@ -90,9 +90,10 @@ PAYLOADS = {
                     lambda: glued_to_json(glue_torus(GluingSpec(catalog("K3"), catalog("K3"))))),
     "glued-stabilized": (glued_from_json, lambda: glued_to_json(
         glue_conjectural(GluingSpec(catalog("C2"), catalog("C2"))))),
-    **{f"exppoly-{marker}-{'q' if q is not None else 'no-q'}":
-       (ExpPolynomial.from_json, lambda marker=marker, q=q: _exppoly(marker, q).to_json())
-       for marker in MARKERS for q in (None, Fraction(3, 2))},
+    # D^2 travels with its marker: a marked payload has "q", an unmarked one has none
+    **{f"exppoly-{marker}-{'no-q' if marker == 'none' else 'q'}":
+       (ExpPolynomial.from_json, lambda marker=marker: _exppoly(marker).to_json())
+       for marker in MARKERS},
 }
 
 

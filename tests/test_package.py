@@ -139,16 +139,22 @@ def test_no_module_encodes_json_with_indent():
     assert found == []
 
 
+def _owners(tree) -> dict:
+    """node -> the innermost function (or the module) holding it."""
+    owners = {}
+    for node in ast.walk(tree):
+        owner = node if isinstance(node, ast.FunctionDef) else owners.get(node, tree)
+        owners.update(dict.fromkeys(ast.iter_child_nodes(node), owner))
+    return owners
+
+
 def test_only_the_trusted_door_makes_a_value_past_its_checks():
     # lattice._trusted is the one door past a checked constructor, and the
     # audit (test_audit.py) wraps it; any other __new__ would escape the audit
     found = []
     for path in sorted((SRC / "donaldson").glob("*.py")):
         tree = ast.parse(path.read_text())
-        owners = {}  # node -> the innermost function (or module) holding it
-        for node in ast.walk(tree):
-            owner = node if isinstance(node, ast.FunctionDef) else owners.get(node, tree)
-            owners.update(dict.fromkeys(ast.iter_child_nodes(node), owner))
+        owners = _owners(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and node.attr == "__new__":
                 found.append(f"{path.stem}.{getattr(owners[node], 'name', '<module>')}")
@@ -161,13 +167,30 @@ def test_only_the_one_characteristic_test_reads_the_wu_class():
     found = []
     for path in sorted((SRC / "donaldson").glob("*.py")):
         tree = ast.parse(path.read_text())
-        owners = {}  # node -> the innermost function (or module) holding it
-        for node in ast.walk(tree):
-            owner = node if isinstance(node, ast.FunctionDef) else owners.get(node, tree)
-            owners.update(dict.fromkeys(ast.iter_child_nodes(node), owner))
+        owners = _owners(tree)
         for node in ast.walk(tree):
             field = {ast.Attribute: "attr", ast.FunctionDef: "name", ast.Constant: "value"}
             if type(node) in field and getattr(node, field[type(node)]) == "_wu":
                 owner = node if isinstance(node, ast.FunctionDef) else owners[node]
                 found.append(f"{path.stem}.{getattr(owner, 'name', '<module>')}")
     assert sorted(found) == ["lattice._wu", "lattice.is_characteristic"]
+
+
+def test_one_common_denominator_rule_and_str_tokens():
+    # lattice._over_lcm is the one rule that puts numbers over one denominator:
+    # lattice imports lcm and only _over_lcm names it; a rational's token is
+    # its str, so frac_token is named nowhere
+    field = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name",
+             ast.FunctionDef: "name", ast.Constant: "value"}
+    found, tokens = [], []
+    for path in sorted((SRC / "donaldson").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owners = _owners(tree)
+        for node in ast.walk(tree):
+            name = getattr(node, field[type(node)]) if type(node) in field else None
+            if name == "lcm":
+                found.append(f"{path.stem}.{getattr(owners[node], 'name', '<module>')}")
+            elif name == "frac_token":
+                tokens.append(f"{path.name}:{node.lineno}")
+    assert sorted(found) == ["lattice.<module>", "lattice._over_lcm"]
+    assert tokens == []
