@@ -30,7 +30,10 @@ coefficients over one denominator (``lattice._over_lcm``).  ``_glued``
 makes its output with that column through ``lattice._trusted``, so a
 rule's output is not walked again; entries from anywhere else (a JSON
 load, ``dataclasses.replace``) are checked and get the same column.
-``eval_glued`` reads the column;
+``eval_glued`` reads the column against D's ints: ``_scaled_halves`` puts
+both halves of D over their one denominator m once, and each side's parent
+rows with entries are paired with m D_i in one batch; ``rshift`` moves each
+half on its ints and makes one number per coordinate;
 ``coefficient_match`` reads ``_match``, a gluing's one index of the answers
 that can be nonzero, made on its first read; ``glued_to_json`` formats each
 distinct value once.
@@ -60,8 +63,10 @@ class GluingError(ValueError):
 class GluingSpec:
     """The two sides of a gluing: entries, chosen surfaces and w-classes.
     ``w_square``, the glued w^2, enters only through w^2 - w1^2 - w2^2, which
-    must be even and gives the epsilon sign when it is 2 mod 4 (default:
-    w1^2 + w2^2).  The spec resolves each side's labels once, into its split.
+    must be even and gives the epsilon sign when it is 2 mod 4.  The spec
+    resolves each side's labels once, into its split, and ``w_square`` once,
+    to the number it names (``_exact``) or, when None, w1^2 + w2^2, so a
+    reloaded spec equals the one written.
     """
 
     left: CatalogEntry
@@ -70,7 +75,7 @@ class GluingSpec:
     right_surface: str | None = None
     left_w: str | None = None
     right_w: str | None = None
-    w_square: int | None = None
+    w_square: int | Fraction | None = None
     _splits: tuple[SplitSeries, SplitSeries] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -88,7 +93,9 @@ class GluingSpec:
             except SeriesError as exc:
                 raise GluingError(f"{entry.name}: {exc}") from exc
         object.__setattr__(self, "_splits", tuple(splits))
-        if (self.glued_w_square - self.w1.square - self.w2.square) % 2 != 0:
+        w_sq = self.w1.square + self.w2.square if self.w_square is None else _exact(self.w_square)
+        object.__setattr__(self, "w_square", w_sq)
+        if (w_sq - self.w1.square - self.w2.square) % 2 != 0:
             raise GluingError("w^2 - w1^2 - w2^2 must be even")
 
     @property
@@ -113,9 +120,7 @@ class GluingSpec:
 
     @property
     def glued_w_square(self) -> int | Fraction:
-        if self.w_square is not None:
-            return _exact(self.w_square)
-        return self.w1.square + self.w2.square
+        return self.w_square
 
     @property
     def epsilon(self) -> int:
@@ -164,15 +169,27 @@ class SplitClass:
         return self.d1.square + self.d2.square
 
 
-def _validate_split_class(spec: GluingSpec, d: SplitClass) -> None:
-    for name, half, split in zip(("D1", "D2"), (d.d1, d.d2), spec._splits):
+def _scaled_halves(spec: GluingSpec, d: SplitClass) -> tuple[int, HClass, HClass]:
+    """(m, m D1, m D2): m the one denominator of both halves' coordinates
+    (``_over_lcm``), each m D_i made by the checked ``HClass`` from its ints,
+    and D_i itself when m = 1, so its cached covector and square serve.  Per
+    half, a half on a lattice other than its side's raises ``LatticeMismatch``,
+    then m D_i.S != m S.D raises ``GluingError`` naming the exact D_i.S."""
+    m, ints = _over_lcm(d.d1.coords + d.d2.coords)
+    n, scaled = len(d.d1.coords), []
+    halves = zip(("D1", "D2"), (d.d1, d.d2), (ints[:n], ints[n:]), spec._splits)
+    for name, half, own, split in halves:
         if not same_lattice(half.lattice, split.series.lattice):
             raise LatticeMismatch("split class halves on the wrong lattices")
+        half = half if m == 1 else HClass(half.lattice, own)
         level = half.dot(split.surface.cls)
-        if level != d.sigma_pairing:
+        if level != m * d.sigma_pairing:
             raise GluingError(
-                f"{name}.S = {level} disagrees with the declared S.D = {d.sigma_pairing}"
+                f"{name}.S = {_exact(Fraction(level, m))} disagrees with the declared "
+                f"S.D = {d.sigma_pairing}"
             )
+        scaled.append(half)
+    return m, *scaled
 
 
 def _rows(kind: str, g: int, eps: int) -> tuple[tuple[int, Fraction, int], ...]:
@@ -348,34 +365,43 @@ def eval_glued(gs: GluedSeries, d: SplitClass) -> ExpPolynomial:
 
     Each entry's exponent is K.D1 + L.D2 plus the sector shift +-2 S.D (none
     for the torus 0-sector and stabilized output); with m the common
-    denominator of D's coordinates, m times it is an int.  One pass over the
-    entries and their ints in ``_int_form`` adds int coefficients into int
-    exponents."""
-    _validate_split_class(gs.spec, d)
+    denominator of D's coordinates, m times it is an int.  The parent rows
+    that have entries are paired in one ``Lattice.pairings`` batch per side
+    with the integral m D1 or m D2 (``_scaled_halves``), and one pass over
+    the entries and their ints in ``_int_form`` adds int coefficients into
+    int exponents; D^2 is ((m D1)^2 + (m D2)^2) / m^2."""
+    m, md1, md2 = _scaled_halves(gs.spec, d)
     den, ints = gs._int_form
-    m = _over_lcm(d.d1.coords + d.d2.coords)[0]
-    md1, md2 = m * d.d1, m * d.d2
-    # K.(m D1) and L.(m D2) by row index, each parent class with an entry paired once
-    u, v = [0] * len(gs.spec.left.series.rows), [0] * len(gs.spec.right.series.rows)
-    for j in {j for j, _, _, _ in gs.entries}:
-        u[j] = gs.left_class(j).dot(md1)
-    for k in {k for _, k, _, _ in gs.entries}:
-        v[k] = gs.right_class(k).dot(md2)
+    left, right = gs.spec.left.series, gs.spec.right.series
+    js, ks = {j for j, _, _, _ in gs.entries}, {k for _, k, _, _ in gs.entries}
+    # K.(m D1) and L.(m D2) per parent row with an entry, one batch per side
+    u = dict(zip(js, left.lattice.pairings([left.rows[j] for j in js], md1)))
+    v = dict(zip(ks, right.lattice.pairings([right.rows[k] for k in ks], md2)))
     shift = 0 if gs.kind == "stabilized" else _exact(2 * m * d.sigma_pairing)
     sums: dict[int, int] = defaultdict(int)
     for (j, k, sector, _), n in zip(gs.entries, ints):
         sums[u[j] + v[k] + sector * shift] += n
     terms = tuple((Fraction(e, m), Fraction(c, den)) for e, c in sums.items())
-    return ExpPolynomial("+Q/2", terms, d.square)
+    return ExpPolynomial("+Q/2", terms, Fraction(md1.square + md2.square, m * m))
 
 
 def rshift(spec: GluingSpec, d: SplitClass, r) -> SplitClass:
-    """Move the split by (D1 + rS, D2 - rS); evaluation is invariant."""
-    return SplitClass(
-        d.d1 + r * spec.surface1.cls,
-        d.d2 - r * spec.surface2.cls,
-        d.sigma_pairing,
-    )
+    """Move the split by (D1 + rS, D2 - rS); evaluation is invariant.  With
+    r = p/q and m D_i a half's ints over its one denominator m (``_over_lcm``),
+    each moved coordinate is the one number (m D_i q +- p m S_i) / (m q), made
+    by the checked ``HClass``.  A bad r is refused (``_exact``) before a half
+    on a lattice other than its surface's (``LatticeMismatch``)."""
+    r = _exact(r)
+    p, q = r.numerator, r.denominator
+    moved = []
+    for half, s, sign in ((d.d1, spec.surface1.cls, 1), (d.d2, spec.surface2.cls, -1)):
+        if not same_lattice(half.lattice, s.lattice):
+            raise LatticeMismatch("cannot add classes on different lattices")
+        m, ints = _over_lcm(half.coords)
+        step = sign * p * m
+        moved.append(HClass(half.lattice, [Fraction(a * q + step * c, m * q)
+                                           for a, c in zip(ints, s.coords)]))
+    return SplitClass(*moved, d.sigma_pairing)
 
 
 def coefficient_match(

@@ -26,7 +26,8 @@ bytes and the relation's table too), and ``RelationPoly.of`` must hand back
 a ``RelationPoly`` it is given as it is.
 
 The scenario runs, through ``cli.run``, the commands of the benchmark's
-cli_session workload at full size and ``check`` of dia2:2:3, then a B4/T1
+cli_session workload at full size, ``check`` of dia2:2:3, B2..B6, K3, S4 and
+cg:3 and ``fit`` at genus 3, 4 and 5, then a B4/T1
 torus gluing with its evaluation, the signed copies (``twisted``,
 ``unsplit_series``) of its left side and K3 blown up once: B(g), dia2 and
 ``blow_up`` are the three builders of blow-ups.  It runs once with the audit
@@ -61,6 +62,9 @@ from donaldson.series import DonaldsonSeries, series_to_json, twisted, unsplit_s
 
 G, CHECK_G = 6, 4  # cli_session's genera at full size
 R = Fraction(5, 6)  # the probe shift: cli_session draws an odd r over 6
+# the other entries that check walks, and the other genera that fit fits
+CHECKED = ("B2", "B3", "B4", "B5", "B6", "K3", "S4", "cg:3")
+FIT_G = (3, 4, 5)
 
 # every wrapped path: the door per class it makes, the signed and blown makers, the two
 # stores and the cached paths, which make no new value on a repeated call
@@ -73,8 +77,8 @@ CACHED = {"parse_recipe": (constructions, "json_bytes"), "_probes": (series_mod,
 
 
 def commands(tmp):
-    """cli_session's commands, then a check of dia2; eval's probe is read from
-    build's output."""
+    """cli_session's commands, then checks of dia2 and the ``CHECKED`` entries
+    and fits at ``FIT_G``; eval's probe is read from build's output."""
     glued = str(tmp / f"bg{G}_double.json")
     return [
         ["catalog", "list"],
@@ -87,7 +91,7 @@ def commands(tmp):
         ["fit", "--g", str(G)],
         ["check", "--entry", f"bg:{CHECK_G}"],
         ["check", "--entry", "dia2:2:3"],
-    ]
+    ] + [["check", "--entry", name] for name in CHECKED] + [["fit", "--g", str(g)] for g in FIT_G]
 
 
 def shifted_probe(build_output):

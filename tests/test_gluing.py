@@ -822,19 +822,21 @@ def test_eval_glued_with_halves_of_different_denominators(monkeypatch):
     for j, k, sector, c in gs.entries:
         lam = gs.left_class(j).dot(d.d1) + gs.right_class(k).dot(d.d2) + sector * shift
         sums[lam] = sums.get(lam, Fraction(0)) + c
-    parents = {k for k, _ in b3.series.entries}
-    parent_pairings = []
-    real = lattice.pairing
+    batches = []
+    real = lattice.Lattice.pairings
 
-    def recording(u, v):
-        value = real(u, v)
-        if u in parents:
-            parent_pairings.append(value)
-        return value
+    def recording(lat, rows, v):
+        batches.append((lat, sorted(rows), v.is_integral))
+        return real(lat, rows, v)
 
-    monkeypatch.setattr(lattice, "pairing", recording)
+    monkeypatch.setattr(lattice.Lattice, "pairings", recording)
     got = eval_glued(gs, d)
-    assert parent_pairings and all(type(x) is int for x in parent_pairings)
+    # one batch per side, with an integral class, of the rows of the parents with entries
+    rows = b3.series.rows
+    assert batches == [
+        (lat, sorted({rows[j] for j, _, _, _ in gs.entries}), True),
+        (lat, sorted({rows[k] for _, k, _, _ in gs.entries}), True),
+    ]
     assert got == ExpPolynomial("+Q/2", tuple(sums.items()), d.square)
     assert 36 in {Fraction(lam.re).denominator for lam in got.exponents()}
 
@@ -869,6 +871,18 @@ def test_glued_json_fields():
     assert payload["w_sq"] == payload["w1_sq"] + payload["w2_sq"]
     assert sorted(p[3] for p in payload["pairs"]) == ["-16", "-16"]
     assert {p[2] for p in payload["pairs"]} == {"+", "-"}
+
+
+@pytest.mark.parametrize(
+    "rule, name", [(glue, "B2"), (glue, "dia2:2:3"), (glue_torus, "K3"), (glue_conjectural, "C2")]
+)
+def test_a_gluing_on_default_labels_reloads_equal(rule, name):
+    # the spec resolves w^2 when made, so the loader's w_sq gives an equal spec
+    side = catalog(name)
+    gs = rule(GluingSpec(side, side))
+    back = glued_from_json(json.loads(json.dumps(glued_to_json(gs))))
+    assert back.spec == gs.spec and back == gs
+    assert back.spec.w_square == gs.spec.w_square == gs.spec.w1.square + gs.spec.w2.square
 
 
 # the benchmark's glue_fit gluings of genus <= 4: (name, rule, left, right, probe, labels)

@@ -15,19 +15,28 @@ torus rule.
 On the same sides, two checks that need no reference: blowing up the left
 side commutes with every rule, and a rule emits its entries already in
 (sector +, 0, -; left; right) order, which a glued series keeps as given.
+
+With D's halves over 4 and 9 (so m is a multiple of 36) and r an int, a
+Fraction, negative or 0, ``eval_glued`` is checked against the same
+per-entry sum, which pairs D itself, and ``rshift`` against
+(D1 + rS1, D2 - rS2) by class arithmetic.  Each refusal of the two keeps its
+exception type, message and order: a bad r, a half on a foreign lattice, a
+half whose S-pairing is not the declared S.D.
 """
 
 from collections import defaultdict
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, strategies as st
 
-from donaldson.constructions import CatalogEntry, blow_up
+from donaldson.constructions import CatalogEntry, blow_up, catalog
 from donaldson.exppoly import ExpPolynomial
 from donaldson.gluing import (
-    GluedSeries, GluingSpec, eval_glued, glue, glue_conjectural, glue_torus, rshift
+    GluedSeries, GluingError, GluingSpec, SplitClass, eval_glued, glue, glue_conjectural,
+    glue_torus, rshift,
 )
-from donaldson.lattice import HClass, MarkedSurface
+from donaldson.lattice import HClass, LatticeError, LatticeMismatch, MarkedSurface
 from test_random_series import PROFILE, brute_dot, hyperbolic_plus_minus_ones, series_of, shaped
 
 # 1/3, -5/6 and the like: the glued coefficients are not dyadic
@@ -186,3 +195,82 @@ def test_rules_emit_sorted_entries_and_a_glued_series_keeps_any_order(case):
         copy = GluedSeries(spec, gs.kind, reordered)
         assert copy.entries == reordered
         assert eval_glued(copy, d) == eval_glued(gs, d)
+
+
+# r: ints and Fractions, negatives and 0
+SHIFTS = st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=7))
+
+
+@st.composite
+def halves_over_4_and_9(draw):
+    """A case of ``sides`` whose halves take the e-coordinates a1/4 and a2/9,
+    which S does not see: D1's denominator is a multiple of 4 and never of 9,
+    D2's a multiple of 9, so D's common denominator is a multiple of 36.  And
+    a shift r."""
+    case = draw(sides())
+    a1 = draw(st.integers(-4, 3).map(lambda x: 2 * x + 1))
+    a2 = draw(st.integers(-4, 4).filter(lambda x: x % 3))
+    return case, (Fraction(a1, 4), Fraction(a2, 9)), draw(SHIFTS)
+
+
+def rescaled(case, tops):
+    """The case's spec and D, each half's e-coordinate replaced by its top."""
+    spec, d = spec_and_class(case)
+    halves = (HClass(h.lattice, (top,) + h.coords[1:]) for h, top in zip((d.d1, d.d2), tops))
+    return spec, spec.split_class(*halves)
+
+
+def reference_shift(spec, d, r):
+    """(D1 + rS1, D2 - rS2) by class arithmetic."""
+    return SplitClass(d.d1 + r * spec.surface1.cls, d.d2 - r * spec.surface2.cls, d.sigma_pairing)
+
+
+@PROFILE
+@given(halves_over_4_and_9())
+@example((HALVES_OVER_4_AND_5, (Fraction(1, 4), Fraction(2, 9)), 0))
+@example((HALVES_OVER_4_AND_5, (Fraction(-3, 4), Fraction(-1, 9)), -3))
+@example((HALVES_OVER_4_AND_5, (Fraction(5, 4), Fraction(4, 9)), Fraction(-5, 7)))
+def test_eval_glued_and_rshift_match_the_references_at_halves_of_different_denominators(drawn):
+    case, tops, r = drawn
+    spec, d = rescaled(case, tops)
+    moved = rshift(spec, d, r)
+    assert moved == reference_shift(spec, d, r)
+    for rule, _ in rules(case[0]):
+        gs = rule(spec)
+        for probe in (d, moved):
+            assert eval_glued(gs, probe) == per_entry_eval(gs, probe)
+
+
+def refused(call, kind, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert (type(caught.value), str(caught.value)) == (kind, message)
+
+
+def test_refusals_keep_their_types_messages_and_order():
+    spec, d = spec_and_class(HALVES_OVER_4_AND_5)
+    gs, s = glue(spec), d.sigma_pairing
+    foreign = catalog("K3").lattice.zero()
+    off_level = HClass(d.d2.lattice, (d.d2.coords[0], s + Fraction(1, 3)) + d.d2.coords[2:])
+    for r, message in (
+        (True, "a bool is not a number: True"),
+        (0.5, "non-integral float 0.5; give an int or a 'p/q' string"),
+        ("1e3", "exponent notation '1e3'; give an int or a 'p/q' string"),
+    ):
+        refused(lambda: rshift(spec, d, r), LatticeError, message)
+        # a bad r before a foreign half
+        refused(lambda: rshift(spec, SplitClass(foreign, d.d2, s), r), LatticeError, message)
+    other = "cannot add classes on different lattices"
+    refused(lambda: rshift(spec, SplitClass(foreign, d.d2, s), 1), LatticeMismatch, other)
+    refused(lambda: rshift(spec, SplitClass(d.d1, foreign, s), 1), LatticeMismatch, other)
+    wrong = "split class halves on the wrong lattices"
+    refused(lambda: eval_glued(gs, SplitClass(foreign, d.d2, s)), LatticeMismatch, wrong)
+    refused(lambda: eval_glued(gs, SplitClass(d.d1, foreign, s)), LatticeMismatch, wrong)
+    refused(lambda: eval_glued(gs, SplitClass(d.d1, d.d2, s + 1)), GluingError,
+            f"D1.S = {s} disagrees with the declared S.D = {s + 1}")
+    refused(lambda: eval_glued(gs, SplitClass(d.d1, off_level, s)), GluingError,
+            f"D2.S = {s + Fraction(1, 3)} disagrees with the declared S.D = {s}")
+    # each half is checked whole, D1 first
+    refused(lambda: eval_glued(gs, SplitClass(d.d1, foreign, s + 1)), GluingError,
+            f"D1.S = {s} disagrees with the declared S.D = {s + 1}")
+    refused(lambda: eval_glued(gs, SplitClass(foreign, off_level, s)), LatticeMismatch, wrong)
