@@ -29,7 +29,7 @@ from .constructions import (
     catalog_names,
     entry_json_bytes,
 )
-from .lattice import HClass, _indented
+from .lattice import HClass, _indented, _unique_keys
 from .series import finite_type_order, relation_poly, split_series, z_value
 
 
@@ -186,16 +186,6 @@ def _parse_class(lattice, token: str) -> HClass:
     if "," in token:
         return HClass(lattice, token.split(","))
     return lattice.cls(token)
-
-
-def _unique_keys(pairs) -> dict:
-    """A JSON object that refuses a repeated key instead of keeping the last."""
-    out = {}
-    for key, value in pairs:
-        if key in out:
-            raise ValueError(f"repeated key {key!r} in a JSON object")
-        out[key] = value
-    return out
 
 
 def _cmd_eval(args) -> int:

@@ -50,6 +50,7 @@ from .lattice import (
     MarkedSurface,
     _indented,
     _read,
+    _unique_keys,
     lattice_from_json,
     lattice_to_json,
     same_lattice,
@@ -448,8 +449,8 @@ def catalog(ref: str) -> CatalogEntry:
     The stored file is named after the entry, whatever spelling looked it
     up, and read on every lookup; only the derived side's bytes are cached,
     on the entry.  A file that matches is never parsed; one that does not is
-    parsed to tell a malformed file (``MalformedCatalogFile``) from a changed
-    entry (``CatalogMismatch``).
+    parsed, a repeated key refused (``_unique_keys``), to tell a malformed
+    file (``MalformedCatalogFile``) from a changed entry (``CatalogMismatch``).
     """
     entry = _lookup(ref)
     base = catalog_dir()
@@ -458,7 +459,7 @@ def catalog(ref: str) -> CatalogEntry:
             stored = fh.read()
         if stored != entry_json_bytes(entry):
             try:
-                entry_from_json(json.loads(stored))
+                entry_from_json(json.loads(stored, object_pairs_hook=_unique_keys))
             except ValueError as exc:
                 raise MalformedCatalogFile(
                     f"stored catalog file {path} is not a valid catalog entry: {exc}"

@@ -86,7 +86,8 @@ class GaussianRational:
         if o is None:
             return NotImplemented
         if not o.im:
-            # a real factor: half the products
+            # a real factor, half the products: without this, glue_fit's fit ops
+            # (g = 2..7, in process) took 2.4-2.6 ms against 2.1 ms
             return GaussianRational(self.re * o.re, self.im * o.re)
         return GaussianRational(
             self.re * o.re - self.im * o.im,

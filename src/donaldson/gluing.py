@@ -36,7 +36,7 @@ rows with entries are paired with m D_i in one batch; ``rshift`` moves each
 half on its ints and makes one number per coordinate;
 ``coefficient_match`` reads ``_match``, a gluing's one index of the answers
 that can be nonzero, made on its first read; ``glued_to_json`` formats each
-distinct value once.
+distinct int of the column once.
 """
 
 from __future__ import annotations
@@ -220,7 +220,8 @@ class GluedSeries:
     Sectors are the ints +1 / -1 (exponent shift +-2 S.D) and 0 for the
     torus rule's unshifted sector.  Indices are ints in [0, n) of their side's
     rows, coefficients ints or Fractions, and each (left, right, sector)
-    occurs at most once.  A genus-1 spec takes only the torus kind.
+    occurs at most once; one walk names the first entry that fails any of
+    these.  A genus-1 spec takes only the torus kind.
     """
 
     spec: GluingSpec
@@ -232,11 +233,12 @@ class GluedSeries:
     def __post_init__(self):
         sectors = tuple(row[0] for row in _rows(self.kind, self.spec.genus, self.spec.epsilon))
         n1, n2 = len(self.spec.left.series.rows), len(self.spec.right.series.rows)
-        for j, k, s, c in self.entries:
+        seen = set()
+        for j, k, s, c in self.entries:  # name the first entry that fails, and what it fails
             if not (
                 type(j) is int and 0 <= j < n1 and type(k) is int and 0 <= k < n2
                 and type(s) is int and s in sectors and (type(c) is Fraction or type(c) is int)
-            ):  # name the first entry that fails, and what it fails
+            ):
                 known = type(s) is int and s in sectors
                 name = f"pair [{j!r}, {k!r}, {_SECTOR_CODE[s] if known else s!r}]"
                 for side, idx, n in (("left", j, n1), ("right", k, n2)):
@@ -245,8 +247,6 @@ class GluedSeries:
                 if not known:
                     raise GluingError(f"{name}: a {self.kind} gluing has no sector {s!r}")
                 raise GluingError(f"{name}: the coefficient must be an int or a Fraction")
-        seen = set()
-        for j, k, s, _ in self.entries:
             if (j, k, s) in seen:
                 raise GluingError(f"pair [{j}, {k}, {_SECTOR_CODE[s]!r}] is repeated")
             seen.add((j, k, s))
@@ -438,11 +438,11 @@ _SECTOR_OF_CODE = {code: sector for sector, code in _SECTOR_CODE.items()}
 
 
 def glued_to_json(gs: GluedSeries) -> dict:
-    """The glued file's fields; each distinct coefficient object is formatted
-    once, as a gluing's entries share the few values of its rule's products."""
+    """The glued file's fields, each coefficient read from ``_int_form``:
+    each distinct int n of the column is formatted once, as n / L."""
     spec = gs.spec
-    distinct = {id(c): c for _, _, _, c in gs.entries}
-    token = {key: str(c) for key, c in distinct.items()}
+    den, ints = gs._int_form
+    token = {n: str(Fraction(n, den)) for n in set(ints)}
     data = {
         "left": spec.left.name,
         "right": spec.right.name,
@@ -451,7 +451,8 @@ def glued_to_json(gs: GluedSeries) -> dict:
         "w1_sq": spec.w1.square,
         "w2_sq": spec.w2.square,
         "w_sq": spec.glued_w_square,
-        "pairs": [[j, k, _SECTOR_CODE[sector], token[id(c)]] for j, k, sector, c in gs.entries],
+        "pairs": [[j, k, _SECTOR_CODE[sector], token[n]]
+                  for (j, k, sector, _), n in zip(gs.entries, ints)],
     }
     if gs.experimental:
         data["experimental"] = True

@@ -198,6 +198,7 @@ def column(series: DonaldsonSeries, v: HClass) -> tuple | list:
     lat = series.lattice
     if not (same_lattice(v.lattice, lat) and v.is_integral):
         return lat.pairings(series.rows, v)
+    # without the store, relation_check passes took 3.8-3.9 ms against 2.9-3.4 ms (3 runs each)
     col = series._store.get(v.coords)
     if col is None:
         col = series._store.setdefault(v.coords, tuple(lat.pairings(series.rows, v)))
@@ -300,10 +301,12 @@ class SplitSeries:
         check, twist, split or probe stored one; else only those rows meet D,
         in one ``Lattice.pairings``, and nothing is stored, so evaluating at
         many D grows no store.  Int numerators are added per K.D, and each sum
-        becomes one number over ``den`` (``_exact``), no Fraction when it is 1."""
+        becomes one number over ``den`` (``_exact``)."""
         _, index, nums = self._table
         js, series, den = index.get(ks, ()), self.series, self.series.den
         lat, col = series.lattice, None
+        # fit reads D = w, whose column the twist stored: without this read, in-process
+        # fit --g 10 took 0.43 s against 0.35 s (median of 10 alternating runs, one Xeon core)
         if same_lattice(d.lattice, lat) and d.is_integral:
             col = series._store.get(d.coords)
         if col is None:
@@ -313,8 +316,6 @@ class SplitSeries:
         sums: dict[int | Fraction, int | Fraction] = {}
         for j, kd in zip(js, kds):
             sums[kd] = sums.get(kd, 0) + nums[j]
-        if den == 1:
-            return sums
         return {kd: _exact(Fraction(n, den)) for kd, n in sums.items()}
 
     def evaluate(self, d: HClass, z_terms) -> tuple[ExpPolynomial, ExpPolynomial]:
@@ -583,6 +584,8 @@ def check_involution(series: DonaldsonSeries) -> tuple[bool, list[HClass]]:
     flip = series.d0() % 2
     rows, nums = series.rows, series.nums
     flat, mirror = chain.from_iterable(rows), map(neg, chain.from_iterable(reversed(rows)))
+    # one compare of the whole table: 0.78 ms on B8 against 1.5 ms for the row walk
+    # below with the position index it builds (timeit, one Xeon core)
     if nums == (tuple(map(neg, nums[::-1])) if flip else nums[::-1]) and [*flat] == [*mirror]:
         return (True, [])
     bad = []

@@ -650,6 +650,23 @@ def test_catalog_dir_malformed_file_exits_2(tmp_path, monkeypatch, capsys, store
     assert "is not a valid catalog entry" in err
 
 
+def test_catalog_dir_file_with_a_repeated_key_exits_2(tmp_path, monkeypatch, capsys):
+    # read keeping the last "sigma", the file would be a valid entry whose
+    # bytes differ, a mismatch (exit 1); a repeated key is a malformed file
+    [path] = export_catalog(str(tmp_path), ["K3"])
+    stored = Path(path)
+    text = stored.read_text()
+    assert text.count('"sigma": [') == 1
+    stored.write_text(text.replace('"classes": {', '"classes": {\n      "sigma": [1, 1],', 1))
+    monkeypatch.setenv("DONALDSON_CATALOG_DIR", str(tmp_path))
+    with pytest.raises(MalformedCatalogFile, match="repeated key 'sigma' in a JSON object"):
+        catalog("K3")
+    assert run(["check", "--entry", "K3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: stored catalog file {path}")
+    assert "is not a valid catalog entry: repeated key 'sigma'" in err
+
+
 def test_catalog_dir_entry_with_a_changed_coefficient_exits_1(tmp_path, monkeypatch, capsys):
     # a valid entry that is not the re-derived one fails as a mismatch
     data = entry_to_json(catalog("B2"))

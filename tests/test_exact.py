@@ -14,7 +14,9 @@ from donaldson.exppoly import ExpPolynomial
 from donaldson.fit import BasisCoordinates
 from donaldson.gaussian import GaussianRational
 from donaldson.gluing import SplitClass
-from donaldson.lattice import LatticeError, _over_lcm, d_zero_value
+from donaldson.lattice import (
+    HClass, Lattice, LatticeError, _numbers, _over_lcm, d_zero_value, pairing,
+)
 
 
 def _gaussian_real_part(x):
@@ -99,3 +101,72 @@ def test_over_lcm_puts_values_over_the_lcm_of_their_denominators(values):
         want = want * Fraction(v).denominator // gcd(want, Fraction(v).denominator)
     assert big == want and all(type(n) is int for n in ints)
     assert [Fraction(n, big) for n in ints] == values
+
+
+# -- one formula per operation, against plain-Fraction references ---------------------
+
+NUMBER = st.integers(-20, 20) | st.fractions(-20, 20, max_denominator=12)
+
+
+def _is_exact(value, ref) -> bool:
+    """``value`` is the number ``ref`` held as ``_exact`` holds it: an int
+    whenever it is integral, else a Fraction."""
+    ref = Fraction(ref)
+    return value == ref and type(value) is (int if ref.denominator == 1 else Fraction)
+
+
+@st.composite
+def lattice_and_coords(draw):
+    """A symmetric Gram matrix of rank 1-5 (b+ the odd rank or one more) and
+    two coordinate rows, ints or rationals."""
+    n = draw(st.integers(1, 5))
+    upper = {(i, j): draw(st.integers(-5, 5)) for i in range(n) for j in range(i, n)}
+    gram = [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+    lat = Lattice("L", gram, n | 1)
+    rows = st.lists(NUMBER, min_size=n, max_size=n)
+    return lat, draw(rows), draw(rows)
+
+
+def _fraction_covector(gram, coords):
+    return [sum(Fraction(g) * Fraction(c) for g, c in zip(row, coords)) for row in gram]
+
+
+@example((Lattice("L", [[2]], 1), [Fraction(1, 2)], [1]))  # 2 * 1/2 is the int 1
+@example((Lattice("L", [[0, 1], [1, 0]], 1), [Fraction(3, 2), Fraction(-5, 2)], [2, 2]))
+@given(lattice_and_coords())
+def test_covector_and_pairing_are_the_fraction_sums(case):
+    lat, u, v = case
+    cu, cv = HClass(lat, u), HClass(lat, v)
+    want = _fraction_covector(lat.gram, cu.coords)
+    assert len(cu.covector) == len(want) and all(map(_is_exact, cu.covector, want))
+    assert _is_exact(pairing(cv, cu), sum(Fraction(x) * y for x, y in zip(cv.coords, want)))
+    assert _is_exact(cu.square, sum(Fraction(x) * y for x, y in zip(cu.coords, want)))
+
+
+GAUSSIAN = st.tuples(NUMBER, NUMBER | st.just(0))  # real factors drawn often
+
+
+@example((1, 2), (3, 0))
+@example((Fraction(1, 2), Fraction(-1, 3)), (Fraction(2, 3), Fraction(3, 2)))
+@given(GAUSSIAN, GAUSSIAN)
+def test_a_gaussian_product_is_the_fraction_product(x, y):
+    (a, b), (c, d) = map(Fraction, x), map(Fraction, y)
+    product = GaussianRational(*x) * GaussianRational(*y)
+    assert _is_exact(product.re, a * c - b * d) and _is_exact(product.im, a * d + b * c)
+    scaled = GaussianRational(*x) * y[0]  # a plain real factor, on either side
+    assert _is_exact(scaled.re, a * c) and _is_exact(scaled.im, b * c)
+    assert y[0] * GaussianRational(*x) == scaled
+
+
+@example([True])
+@example([1, 2, False])
+@example([Fraction(4, 1), 3])
+@given(st.lists(NUMBER | st.booleans(), max_size=9))
+def test_numbers_is_exact_per_value_and_refuses_a_bool(values):
+    if any(type(x) is bool for x in values):
+        with pytest.raises(LatticeError, match="a bool is not a number"):
+            _numbers(values, "row")
+        return
+    got = _numbers(values, "row")
+    assert type(got) is tuple and len(got) == len(values) and all(map(_is_exact, got, values))
+    assert _numbers(tuple(values), "row") == got

@@ -796,6 +796,17 @@ def test_a_glued_series_refuses_an_entry_it_cannot_hold(entry, message):
         GluedSeries(spec, "standard", (entry,))
 
 
+def test_the_first_bad_entry_is_named_whatever_it_fails():
+    # one walk over the entries: a repeat is named before a later entry's
+    # bad index, as the series constructor names its first bad row
+    spec = bg_double(2)
+    entries = ((0, 0, 1, Fraction(1)), (0, 0, 1, Fraction(1)), (0, 999, 1, Fraction(1)))
+    with pytest.raises(GluingError, match=re.escape("pair [0, 0, '+'] is repeated")):
+        GluedSeries(spec, "standard", entries)
+    with pytest.raises(GluingError, match=re.escape("pair [0, 999, '+']: the right index")):
+        GluedSeries(spec, "standard", entries[2:] + entries[:2])
+
+
 def test_a_zero_sector_pair_in_a_standard_glued_file_exits_two(tmp_path, capsys):
     payload = glued_to_json(glue(bg_double(2)))
     payload["pairs"][0][2] = "0"

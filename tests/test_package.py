@@ -194,3 +194,14 @@ def test_one_common_denominator_rule_and_str_tokens():
                 tokens.append(f"{path.name}:{node.lineno}")
     assert sorted(found) == ["lattice.<module>", "lattice._over_lcm"]
     assert tokens == []
+
+
+def test_no_module_keys_by_object_identity():
+    # values are keyed by what they are, never by id(): a writer that keyed
+    # its tokens by the objects' ids would hang on how a maker shared them
+    found = []
+    for path in sorted((SRC / "donaldson").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "id":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
