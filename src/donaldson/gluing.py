@@ -119,12 +119,8 @@ class GluingSpec:
         return self.surface1.genus
 
     @property
-    def glued_w_square(self) -> int | Fraction:
-        return self.w_square
-
-    @property
     def epsilon(self) -> int:
-        delta = self.glued_w_square - self.w1.square - self.w2.square
+        delta = self.w_square - self.w1.square - self.w2.square
         return -1 if ((self.genus - 1) * (delta // 2)) % 2 else 1
 
     @property
@@ -132,7 +128,7 @@ class GluingSpec:
         return self.left.series.b_plus + self.right.series.b_plus + 2 * self.genus - 1
 
     def glued_d_zero(self) -> int:
-        return d_zero_value(self.glued_w_square, self.glued_b_plus)
+        return d_zero_value(self.w_square, self.glued_b_plus)
 
     def split_class(self, d1: HClass, d2: HClass) -> "SplitClass":
         return SplitClass(d1, d2, d1.dot(self.surface1.cls))
@@ -218,10 +214,11 @@ def _rows(kind: str, g: int, eps: int) -> tuple[tuple[int, Fraction, int], ...]:
 class GluedSeries:
     """Output of a gluing: (left index, right index, sector, coefficient).
     Sectors are the ints +1 / -1 (exponent shift +-2 S.D) and 0 for the
-    torus rule's unshifted sector.  Indices are ints in [0, n) of their side's
-    rows, coefficients ints or Fractions, and each (left, right, sector)
-    occurs at most once; one walk names the first entry that fails any of
-    these.  A genus-1 spec takes only the torus kind.
+    torus rule's unshifted sector.  ``entries`` is a list or tuple of such
+    4-item lists or tuples; indices are ints in [0, n) of their side's rows,
+    coefficients ints or Fractions, and each (left, right, sector) occurs at
+    most once; one walk names the first entry that fails any of these.  A
+    genus-1 spec takes only the torus kind.
     """
 
     spec: GluingSpec
@@ -233,8 +230,13 @@ class GluedSeries:
     def __post_init__(self):
         sectors = tuple(row[0] for row in _rows(self.kind, self.spec.genus, self.spec.epsilon))
         n1, n2 = len(self.spec.left.series.rows), len(self.spec.right.series.rows)
-        seen = set()
-        for j, k, s, c in self.entries:  # name the first entry that fails, and what it fails
+        entries, seen = self.entries, set()
+        if type(entries) not in (list, tuple):
+            raise GluingError(f"entries must be a list or a tuple, got a {type(entries).__name__}")
+        for entry in entries:  # name the first entry that fails, and what it fails
+            if type(entry) not in (list, tuple) or len(entry) != 4:
+                raise GluingError(f"entry {entry!r}: must be [left, right, sector, coefficient]")
+            j, k, s, c = entry
             if not (
                 type(j) is int and 0 <= j < n1 and type(k) is int and 0 <= k < n2
                 and type(s) is int and s in sectors and (type(c) is Fraction or type(c) is int)
@@ -250,8 +252,8 @@ class GluedSeries:
             if (j, k, s) in seen:
                 raise GluingError(f"pair [{j}, {k}, {_SECTOR_CODE[s]!r}] is repeated")
             seen.add((j, k, s))
-        den, ints = _over_lcm(c for _, _, _, c in self.entries)
-        self.__dict__.update(entries=tuple(self.entries), _int_form=(den, tuple(ints)))
+        den, ints = _over_lcm(c for _, _, _, c in entries)
+        self.__dict__.update(entries=tuple(entries), _int_form=(den, tuple(ints)))
 
     @property
     def is_empty(self) -> bool:
@@ -450,7 +452,7 @@ def glued_to_json(gs: GluedSeries) -> dict:
         "kind": gs.kind,
         "w1_sq": spec.w1.square,
         "w2_sq": spec.w2.square,
-        "w_sq": spec.glued_w_square,
+        "w_sq": spec.w_square,
         "pairs": [[j, k, _SECTOR_CODE[sector], token[n]]
                   for (j, k, sector, _), n in zip(gs.entries, ints)],
     }

@@ -349,7 +349,7 @@ def is_characteristic(k: HClass) -> bool:
     the kernel vectors at y's free coordinates (``Lattice._wu``); with no
     kernel, y == 0, one compare of k's parity bytes against c0's."""
     c0, kernel, wu = k.lattice._wu
-    if not kernel:  # 1.0 us per B8 row against 2.4-3.0 us on the kernel path (timeit)
+    if not kernel:  # catalog_cold wall_s +8.6% without it, 9 of 10 pairs (BENCH_50.json)
         try:
             return bytes(map((1).__and__, k.coords)) == wu
         except TypeError:  # a Fraction coordinate: (1).__and__ gives NotImplemented
@@ -471,7 +471,7 @@ def _read(data, shape, where: str, error: type[ValueError]) -> None:
             for i, item in enumerate(value if ok else ()):
                 _read(item, want[0], f"{where}.{key}[{i}]" if where else f"{key}[{i}]", error)
         else:
-            ok = type(value) is list and all(type(x) is want[0] for x in value)
+            ok = type(value) is list and {*map(type, value)} <= {want[0]}
         if not ok:
             path = f"{where}.{key}" if where else key
             raise error(f"{path} must be {_what(want)}, got {value!r}")

@@ -17,10 +17,10 @@ adjunction, the twist, the split table, the finite-type probes) reads it
 there.  A split's table, made by ``_split_table`` on its own first read,
 holds the column of S, ``levels`` (rows per level) and ``nums`` (numerators
 twisted by the column of w, over ``den``).  ``level_sums`` is a level's bare
-sum of twisted coefficients per K.D, a fit coordinate, read from D's column
-if one is stored and else paired on the level's rows, storing nothing;
-``evaluate`` puts it in sector form with ``z_value``, z's scalar at a level,
-read from z's table of ints, compiled when z is made.
+sum of twisted coefficients per K.D, a fit coordinate, paired on the level's
+rows and storing nothing; ``evaluate`` puts it in sector form with
+``z_value``, z's scalar at a level, read from z's table of ints, compiled
+when z is made.
 """
 
 from __future__ import annotations
@@ -70,13 +70,14 @@ class DonaldsonSeries:
     class; no split or fit reads them.  ``_store`` holds the column K.v per
     row of each integral class v on the lattice that a check, a twist, a split
     or a probe met, keyed by v's coords and written only by ``column``; a
-    level sum reads a stored column and stores none.  ``_classes`` holds the
-    rows' ``HClass`` objects, made by the first ``entries``.  ``_splits`` maps
+    level sum stores none.  ``_classes`` holds the rows' ``HClass`` objects,
+    made by the first ``entries``.  ``_splits`` maps
     (w coords, S coords, genus) to that pair's one checked ``SplitSeries``.
     The store and splits are unbounded: a series meets only its surfaces,
     w choices and probes.  A signed copy (``_signed``) shares the store and
-    the classes and starts with no splits or views; a copy made by ``on``,
-    ``dataclasses.replace`` or a JSON load starts with none of them.  A
+    the classes and starts with no splits or views; a series made by this
+    checked constructor, as ``on``, ``dataclasses.replace`` and
+    ``series_from_json`` make theirs, starts with none of them.  A
     blow-up (``_blown``, on the blown lattice ``Lattice._blown``) is made
     unchecked too, as its rows are sorted, unique and characteristic by a
     lemma its docstring states; it starts with nothing stored.
@@ -91,14 +92,16 @@ class DonaldsonSeries:
     _splits: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lat, nums, den = self.lattice, tuple(self.nums), self.den
-        rows = tuple(map(tuple, self.rows))
+        lat, rows, nums, den = self.lattice, self.rows, self.nums, self.den
+        if {type(rows), type(nums)} - {list, tuple}:
+            raise SeriesError("rows and nums must be lists or tuples, got a "
+                              f"{type(rows).__name__} and a {type(nums).__name__}")
         if len(nums) != len(rows) or type(den) is not int or den < 1 or {*map(type, nums)} - {int}:
             raise SeriesError("coefficients must be one int per row over an int den >= 1")
-        if {*map(len, rows)} - {lat.rank} or {*map(type, chain.from_iterable(rows))} - {int}:
-            bad = next(k for k in rows if len(k) != lat.rank or {*map(type, k)} - {int})
-            raise SeriesError(f"basic class {bad!r} is not a row of {lat.rank} ints")
-        rows, nums = tuple(zip(*sorted(zip(rows, nums)))) or ((), ())
+        for k in rows:
+            if type(k) not in (list, tuple) or len(k) != lat.rank or {*map(type, k)} - {int}:
+                raise SeriesError(f"basic class {k!r} is not a row of {lat.rank} ints")
+        rows, nums = tuple(zip(*sorted(zip(map(tuple, rows), nums)))) or ((), ())
         g = gcd(den, *nums)
         self.__dict__.update(rows=rows, nums=tuple(x // g for x in nums), den=den // g,
                              _store={}, _classes=[], _splits={})
@@ -297,26 +300,17 @@ class SplitSeries:
 
     def level_sums(self, ks: int, d: HClass) -> dict[int | Fraction, int | Fraction]:
         """{K.D: summed twisted coefficient} over the rows at level K.S = ``ks``
-        ({} at a level the split does not have), read from D's column if a
-        check, twist, split or probe stored one; else only those rows meet D,
-        in one ``Lattice.pairings``, and nothing is stored, so evaluating at
-        many D grows no store.  Int numerators are added per K.D, and each sum
-        becomes one number over ``den`` (``_exact``)."""
+        ({} at a level the split does not have): only those rows meet D, in one
+        ``Lattice.pairings``, and nothing is stored, so evaluating at many D
+        grows no store.  Int numerators are added per K.D, and each sum becomes
+        one number over ``den`` (``_exact``)."""
         _, index, nums = self._table
-        js, series, den = index.get(ks, ()), self.series, self.series.den
-        lat, col = series.lattice, None
-        # fit reads D = w, whose column the twist stored: without this read, in-process
-        # fit --g 10 took 0.43 s against 0.35 s (median of 10 alternating runs, one Xeon core)
-        if same_lattice(d.lattice, lat) and d.is_integral:
-            col = series._store.get(d.coords)
-        if col is None:
-            kds = lat.pairings([series.rows[j] for j in js], d)
-        else:
-            kds = map(col.__getitem__, js)
+        js, series = index.get(ks, ()), self.series
+        kds = series.lattice.pairings([series.rows[j] for j in js], d)
         sums: dict[int | Fraction, int | Fraction] = {}
         for j, kd in zip(js, kds):
             sums[kd] = sums.get(kd, 0) + nums[j]
-        return {kd: _exact(Fraction(n, den)) for kd, n in sums.items()}
+        return {kd: _exact(Fraction(n, series.den)) for kd, n in sums.items()}
 
     def evaluate(self, d: HClass, z_terms) -> tuple[ExpPolynomial, ExpPolynomial]:
         """(P, N) of the split on z e^{tD}, z a ``RelationPoly`` or its (S-power,
@@ -584,8 +578,8 @@ def check_involution(series: DonaldsonSeries) -> tuple[bool, list[HClass]]:
     flip = series.d0() % 2
     rows, nums = series.rows, series.nums
     flat, mirror = chain.from_iterable(rows), map(neg, chain.from_iterable(reversed(rows)))
-    # one compare of the whole table: 0.78 ms on B8 against 1.5 ms for the row walk
-    # below with the position index it builds (timeit, one Xeon core)
+    # catalog_cold pays for this whole-table compare: without it, wall_s read 6.6% higher,
+    # losing 9 of 10 pairs by more than the runs' IQR (BENCH_50.json "shortcuts")
     if nums == (tuple(map(neg, nums[::-1])) if flip else nums[::-1]) and [*flat] == [*mirror]:
         return (True, [])
     bad = []
@@ -625,16 +619,19 @@ def _entries_text(series: DonaldsonSeries, indent: str) -> str:
     return f"[{item}{(',' + item).join([row] * len(series.rows))}{indent}]" % tuple(args)
 
 
-_SERIES_ENTRY = ("a series entry", {"k": list, "a": _NUMBER}, ())
+_SERIES_ENTRY = ("a series entry", {"k": [int], "a": _NUMBER}, ())
 
 
 def series_from_json(data: dict, lattice: Lattice) -> DonaldsonSeries:
-    """The series ``series_to_json`` wrote on ``lattice``; a malformed shape,
-    or one naming another lattice, is refused (``_read``).  Each distinct
-    coefficient token is read once, keyed by type too: 1, 1.0 and "1" differ."""
+    """The series ``series_to_json`` wrote on ``lattice``; a malformed shape, a
+    coordinate that is no JSON int, or a file naming another lattice is refused
+    (``_read``).  Each distinct coefficient token is read once, keyed by type
+    too (1, 1.0 and "1" differ), and the tokens go over one denominator
+    (``_over_lcm``): the checked constructor takes the rows and numerators."""
     fields = {"lattice": lattice.name, "entries": [_SERIES_ENTRY], "simple_type": True}
     _read(data, ("a series", fields, ()), "series", SeriesError)
-    classes = [HClass(lattice, e["k"]) for e in data["entries"]]
     keys = [(type(e["a"]), e["a"]) for e in data["entries"]]
-    value = {key: _exact(key[1]) for key in dict.fromkeys(keys)}
-    return DonaldsonSeries.on(lattice, zip(classes, map(value.get, keys)))
+    distinct = dict.fromkeys(keys)
+    den, nums = _over_lcm(_exact(a) for _, a in distinct)
+    num = dict(zip(distinct, nums))
+    return DonaldsonSeries(lattice, [e["k"] for e in data["entries"]], [*map(num.get, keys)], den)

@@ -246,7 +246,7 @@ def test_criterion_6_property_suites():
         # (e) the d0 congruence across every gluing spec
         for spec in acceptance_gluings():
             g = spec.genus
-            assert (spec.glued_w_square - spec.w1.square - spec.w2.square) % 4 == 0
+            assert (spec.w_square - spec.w1.square - spec.w2.square) % 4 == 0
             d0_left = d_zero(spec.w1, spec.left.series.b_plus)
             d0_right = d_zero(spec.w2, spec.right.series.b_plus)
             assert (spec.glued_d_zero() - d0_left - d0_right - (g - 1)) % 2 == 0

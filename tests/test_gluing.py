@@ -350,7 +350,7 @@ def test_d_zero_congruence(maker, args):
     g = spec.genus
     d0_left = d_zero(spec.w1, spec.left.series.b_plus)
     d0_right = d_zero(spec.w2, spec.right.series.b_plus)
-    assert (spec.glued_w_square - spec.w1.square - spec.w2.square) % 4 == 0
+    assert (spec.w_square - spec.w1.square - spec.w2.square) % 4 == 0
     assert (spec.glued_d_zero() - d0_left - d0_right - (g - 1)) % 2 == 0
 
 
@@ -782,9 +782,11 @@ def test_a_repeated_pair_is_refused(tmp_path, capsys):
         ((0, 0, True, Fraction(1)), "pair [0, 0, True]: a standard gluing has no sector True"),
         ((0, 0, 1.0, Fraction(1)), "pair [0, 0, 1.0]: a standard gluing has no sector 1.0"),
         ((0, 0, -1.0, Fraction(1)), "pair [0, 0, -1.0]: a standard gluing has no sector -1.0"),
+        ((0, 0, 1), "entry (0, 0, 1): must be [left, right, sector, coefficient]"),
+        (5, "entry 5: must be [left, right, sector, coefficient]"),
     ],
     ids=["index-negative", "index-999", "sector-2", "float-coefficient", "sector-True",
-         "sector-1.0", "sector--1.0"],
+         "sector-1.0", "sector--1.0", "three-items", "not-a-list"],
 )
 def test_a_glued_series_refuses_an_entry_it_cannot_hold(entry, message):
     # each of these once got through: -1 read the last class, 999 raised
@@ -794,6 +796,11 @@ def test_a_glued_series_refuses_an_entry_it_cannot_hold(entry, message):
     spec = bg_double(2)
     with pytest.raises(GluingError, match=re.escape(message)):
         GluedSeries(spec, "standard", (entry,))
+
+
+def test_a_glued_series_refuses_entries_that_are_no_list():
+    with pytest.raises(GluingError, match="^entries must be a list or a tuple, got a NoneType$"):
+        GluedSeries(bg_double(2), "standard", None)
 
 
 def test_the_first_bad_entry_is_named_whatever_it_fails():
@@ -872,7 +879,7 @@ def test_spec_resolves_each_side_once():
     spec = bg_double(3)
     for name in ("surface1", "surface2", "w1", "w2"):
         assert getattr(spec, name) is getattr(spec, name), name
-    spec.glued_w_square
+    spec.epsilon
     assert "square" in spec.w1.__dict__ and "square" in spec.w2.__dict__
 
 

@@ -196,6 +196,18 @@ def test_one_common_denominator_rule_and_str_tokens():
     assert tokens == []
 
 
+def test_the_series_reader_takes_the_checked_constructor_alone():
+    # series_from_json hands rows and numerators to DonaldsonSeries: it makes
+    # no HClass per entry and does not go through DonaldsonSeries.on
+    tree = ast.parse((SRC / "donaldson" / "series.py").read_text())
+    reader = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "series_from_json")
+    names = {node.id for node in ast.walk(reader) if isinstance(node, ast.Name)}
+    attrs = {node.attr for node in ast.walk(reader) if isinstance(node, ast.Attribute)}
+    assert "DonaldsonSeries" in names
+    assert "HClass" not in names | attrs and "on" not in names | attrs
+
+
 def test_no_module_keys_by_object_identity():
     # values are keyed by what they are, never by id(): a writer that keyed
     # its tokens by the objects' ids would hang on how a maker shared them

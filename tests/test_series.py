@@ -1,12 +1,14 @@
 import copy
 import dataclasses
+import json
 import pickle
+import re
 import warnings
 from fractions import Fraction
 
 import pytest
 
-from donaldson.constructions import blow_up, catalog
+from donaldson.constructions import blow_up, catalog, catalog_names
 from donaldson.exppoly import ExpPolynomial
 from donaldson.gaussian import GaussianRational
 from donaldson.lattice import HClass, Lattice, LatticeError, LatticeMismatch
@@ -575,6 +577,13 @@ def test_series_json_round_trip(b2):
     assert all(isinstance(e["a"], str) for e in data["entries"])
 
 
+@pytest.mark.parametrize("name", catalog_names())
+def test_every_catalog_series_round_trips(name):
+    entry = catalog(name)
+    back = series_from_json(json.loads(json.dumps(series_to_json(entry.series))), entry.lattice)
+    assert back == entry.series and back.entries == entry.series.entries
+
+
 def test_series_from_json_rejects_float_coefficient(b2):
     data = series_to_json(b2.series)
     data["entries"][0]["a"] = -0.1
@@ -615,8 +624,19 @@ def test_series_from_json_refuses_a_bool_number(b2, field):
     data = series_to_json(b2.series)
     entry = next(e for e in data["entries"] if 1 in e["k"])
     entry[field] = [True if c == 1 else c for c in entry["k"]] if field == "k" else True
-    # a coefficient is a number token by its shape; a coordinate, by _exact
-    error, message = (LatticeError, "a bool is not a number") if field == "k" else (
-        SeriesError, r"^series\.entries\[\d+\]\.a must be an int or a float or a str, got True")
-    with pytest.raises(error, match=message):
+    # both by the shape: a coordinate is a JSON int, a coefficient a number token
+    message = (r"^series\.entries\[\d+\]\.k must be a list of int, got \[.*True" if field == "k"
+               else r"^series\.entries\[\d+\]\.a must be an int or a float or a str, got True")
+    with pytest.raises(SeriesError, match=message):
+        series_from_json(data, b2.lattice)
+
+
+@pytest.mark.parametrize("one", ["1", 1.0])
+def test_series_from_json_refuses_a_coordinate_that_is_no_json_int(b2, one):
+    # series_to_json writes ints; "1" and 1.0 are refused, not read as 1
+    data = series_to_json(b2.series)
+    at = next(i for i, e in enumerate(data["entries"]) if 1 in e["k"])
+    data["entries"][at]["k"] = [one if c == 1 else c for c in data["entries"][at]["k"]]
+    message = f"series.entries[{at}].k must be a list of int, got {data['entries'][at]['k']!r}"
+    with pytest.raises(SeriesError, match=f"^{re.escape(message)}$"):
         series_from_json(data, b2.lattice)
