@@ -6,7 +6,9 @@ prefactor e^{+Q(tD)/2} or e^{-Q(tD)/2}.  The markers are never expanded when
 identities are compared (all identities in the theory compare like-marked
 parts); a truncated power-series expansion exists for display only.
 Scalar parts and ``q_square`` are ints when integral (``lattice._exact``).
-The constructor is the one merge of like exponents and pruning of zero terms.
+The constructor is the one merge of like exponents and pruning of zero terms;
+``ExpPolynomial._canonical`` takes terms a maker already holds merged, pruned
+and sorted (``gluing.eval_glued``'s sums) past it, through ``lattice._trusted``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gaussian import GaussianRational
-from .lattice import _NUMBER, _exact, _over_lcm, _read
+from .lattice import _NUMBER, _exact, _over_lcm, _read, _trusted
 
 MARKERS = ("+Q/2", "-Q/2", "none")
 
@@ -74,6 +76,15 @@ class ExpPolynomial:
         object.__setattr__(self, "terms", canon)
         if self.q_square is not None:
             object.__setattr__(self, "q_square", _exact(self.q_square))
+
+    @staticmethod
+    def _canonical(marker: str, terms: tuple, q_square) -> "ExpPolynomial":
+        """The polynomial of ``terms`` already in canonical form, made by
+        ``lattice._trusted``: ``terms`` a tuple of (exponent, coefficient)
+        pairs of ``GaussianRational``s, sorted by exponent, no exponent twice
+        and no coefficient zero; ``marker`` one of ``MARKERS`` and
+        ``q_square`` an int or a Fraction (``_exact``) exactly when it is marked."""
+        return _trusted(ExpPolynomial, marker=marker, terms=terms, q_square=q_square)
 
     # -- queries -----------------------------------------------------------------
 

@@ -231,7 +231,9 @@ class HClass:
     Basic classes and w-classes are integral; probe classes D may be rational
     (the theory rescales D freely).  Each coordinate is stored as an int when
     it is integral and as a Fraction otherwise.  ``HClass._row`` (``_trusted``)
-    serves only a series row or a named class, checked when made."""
+    serves only a series row or a named class, checked when made, and the
+    glued evaluation's classes of numbers it derived (``gluing._scaled_halves``'
+    m D_i, ``gluing.rshift``'s moved halves)."""
 
     lattice: Lattice
     coords: tuple[int | Fraction, ...]
@@ -244,7 +246,8 @@ class HClass:
 
     @staticmethod
     def _row(lattice: Lattice, coords: tuple[int | Fraction, ...]) -> "HClass":
-        """The class of ``coords``, a checked tuple of the lattice's rank."""
+        """The class of ``coords``, a tuple of the lattice's rank whose entries
+        are ints and non-integral Fractions, as ``_exact`` leaves them."""
         return _trusted(HClass, lattice=lattice, coords=coords)
 
     @property

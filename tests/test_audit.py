@@ -1,10 +1,12 @@
 """One audit of every value made past its checks.
 
 ``lattice._trusted`` is the one door past a checked constructor:
-``HClass._row``, ``DonaldsonSeries._signed``, ``gluing._glued`` and the two
+``HClass._row``, ``DonaldsonSeries._signed``, ``gluing._glued``, the two
 blow-up makers, ``Lattice._blown`` (the blown lattice L + <-1>^m) and
-``DonaldsonSeries._blown`` (the blown series), make their values through it,
-and ``test_package`` pins that no other code calls ``__new__``.  The blow-up
+``DonaldsonSeries._blown`` (the blown series), the glued evaluation's
+makers, ``gluing.rshift`` (the moved split class, with its int form) and
+``ExpPolynomial._canonical`` (``eval_glued``'s result), make their values
+through it, and ``test_package`` pins that no other code calls ``__new__``.  The blow-up
 makers rest on one lemma, which their docstrings state: the rows K + s come
 out sorted, unique and characteristic, as the base's are, the signs s run in
 lexicographic order and E_i^2 = -1 is odd; only the gcd is taken again.
@@ -12,10 +14,16 @@ lexicographic order and E_i^2 = -1 is odd; only the gcd is taken again.
 The audit wraps the door in every module that binds it, so that each value
 made there is compared with its checked twin, ``cls(**its init fields)``:
 equal, with the same attributes set and, for a gluing, the same int column
-and match index ``_match``.  A twin built from the door's fields cannot see
-a maker that hands the door the wrong values, so ``_signed`` and both
+and match index ``_match``; a class has the same coordinate types (an int
+wherever the value is integral), a split class the same int form and a
+polynomial the same type of D^2.  A twin built from the door's fields cannot
+see a maker that hands the door the wrong values, so ``_signed`` and both
 ``_blown`` makers, whose arguments fix their values, are also compared with
-the checked value of their own arguments.  The audit also checks what a
+the checked value of their own arguments, and so are the glued evaluation's
+three: ``_scaled_halves``' m D_i with ``HClass`` of m times D_i's
+coordinates, ``rshift``'s moved class with (D1 + rS, D2 - rS) by checked
+class arithmetic, and ``eval_glued``'s result with the per-entry
+``Fraction`` sum through the checked ``ExpPolynomial``.  The audit also checks what a
 series keeps once made: each split that ``split_series`` hands out is the
 one asked for, and at the end each stored column equals a fresh
 ``Lattice.pairings`` and each stored split's table a fresh ``_split_table``.
@@ -53,11 +61,13 @@ import pytest
 import donaldson.cli as cli
 import donaldson.constructions as constructions
 import donaldson.fit  # noqa: F401  loaded before the audit patches split_series, which it binds
+import donaldson.gluing as gluing_mod
 import donaldson.lattice as lattice_mod
 import donaldson.series as series_mod
 from donaldson.constructions import blow_up, catalog
-from donaldson.gluing import GluedSeries, GluingSpec, eval_glued, glue_torus, glued_to_json, rshift
-from donaldson.lattice import HClass, Lattice, _indented
+from donaldson.exppoly import ExpPolynomial
+from donaldson.gluing import GluedSeries, GluingSpec, SplitClass, glue_torus, glued_to_json
+from donaldson.lattice import HClass, Lattice, _indented, _over_lcm
 from donaldson.series import DonaldsonSeries, series_to_json, twisted, unsplit_series
 
 G, CHECK_G = 6, 4  # cli_session's genera at full size
@@ -66,9 +76,11 @@ R = Fraction(5, 6)  # the probe shift: cli_session draws an odd r over 6
 CHECKED = ("B2", "B3", "B4", "B5", "B6", "K3", "S4", "cg:3")
 FIT_G = (3, 4, 5)
 
-# every wrapped path: the door per class it makes, the signed and blown makers, the two
-# stores and the cached paths, which make no new value on a repeated call
-PATHS = ("HClass", "Lattice", "DonaldsonSeries", "GluedSeries", "_signed", "_blown", "column",
+# every wrapped path: the door per class it makes, the signed and blown makers, the glued
+# evaluation's makers (m D_i, the moved class, the result), the two stores and the cached
+# paths, which make no new value on a repeated call
+PATHS = ("HClass", "Lattice", "DonaldsonSeries", "GluedSeries", "SplitClass", "ExpPolynomial",
+         "_signed", "_blown", "_scaled_halves", "rshift", "eval_glued", "column",
          "split_series", "parse_recipe", "_probes", "_relation_poly", "RelationPoly.of")
 
 # each cached path: its module, and what beyond == a fresh rebuild must match
@@ -127,7 +139,9 @@ def scenario(monkeypatch, tmp) -> str:
     sigma = b4.lattice.cls("sigma")
     d = spec.split_class(sigma, sigma)
     printed.append(_indented(glued_to_json(gs)))
-    printed += [_indented(eval_glued(gs, x).to_json()) for x in (d, rshift(spec, d, R))]
+    # through the module, so that the audit's wrappers run
+    moved = gluing_mod.rshift(spec, d, R)
+    printed += [_indented(gluing_mod.eval_glued(gs, x).to_json()) for x in (d, moved)]
     assert spec._splits[0].nums != b4.series.nums  # the twist flips some signs
     signed = twisted(b4.series, spec.w1), unsplit_series(spec._splits[0])
     printed += [_indented(series_to_json(series)) for series in signed]
@@ -159,6 +173,12 @@ class Audit:
         same = made == twin and fields.keys() == vars(twin).keys()
         if cls is GluedSeries:
             same = same and made._int_form == twin._int_form and made._match == twin._match
+        elif cls is HClass:
+            same = same and same_types(made.coords, twin.coords)
+        elif cls is SplitClass:
+            same = same and made._int_form == twin._int_form
+        elif cls is ExpPolynomial:
+            same = same and type(made.q_square) is type(twin.q_square)
         self.check(cls.__name__, same, f"{made!r:.200} is not its checked twin")
 
     def sweep(self):
@@ -181,6 +201,23 @@ class Audit:
             self.check(name, same, f"cached {name}{args!r:.200} is not a fresh rebuild")
 
 
+def same_types(coords, others) -> bool:
+    return [*map(type, coords)] == [*map(type, others)]
+
+
+def per_entry_eval(gs, d) -> ExpPolynomial:
+    """``eval_glued``'s value from its arguments: one ``Fraction`` add per
+    entry, keyed by the exponent, through the checked ``ExpPolynomial``."""
+    k_d1 = {j: gs.left_class(j).dot(d.d1) for j in {e[0] for e in gs.entries}}
+    l_d2 = {k: gs.right_class(k).dot(d.d2) for k in {e[1] for e in gs.entries}}
+    shift = 0 if gs.kind == "stabilized" else 2 * d.sigma_pairing
+    sums = {}
+    for j, k, sector, coeff in gs.entries:
+        lam = k_d1[j] + l_d2[k] + sector * shift
+        sums[lam] = sums.get(lam, Fraction(0)) + coeff
+    return ExpPolynomial("+Q/2", tuple(sums.items()), d.square)
+
+
 def patch_everywhere(monkeypatch, module, name, wrapper):
     """``wrapper`` for ``module.name`` in every donaldson module that binds it."""
     real = getattr(module, name)
@@ -194,6 +231,8 @@ def install(monkeypatch) -> Audit:
     door, signed = lattice_mod._trusted, DonaldsonSeries._signed
     blown, blown_lattice = DonaldsonSeries._blown, Lattice._blown
     column, split_series = series_mod.column, series_mod.split_series
+    scaled_halves, rshift, eval_glued = (
+        gluing_mod._scaled_halves, gluing_mod.rshift, gluing_mod.eval_glued)
     poly_of_real = series_mod.RelationPoly.of.__func__
 
     def trusted(cls, **fields):
@@ -230,6 +269,29 @@ def install(monkeypatch) -> Audit:
         audit.check("_blown", made == twin, "not its arguments' lattice")
         return made
 
+    def scaled(spec, d):
+        m, *made = scaled_halves(spec, d)
+        same = m == _over_lcm(d.d1.coords + d.d2.coords)[0]
+        for half, md in zip((d.d1, d.d2), made):
+            twin = half if m == 1 else HClass(half.lattice, [m * c for c in half.coords])
+            same = same and md == twin and same_types(md.coords, twin.coords)
+        audit.check("_scaled_halves", same, f"m D of {d!r:.200} is not m times D")
+        return m, *made
+
+    def shifted(spec, d, r):
+        made = rshift(spec, d, r)
+        twin = SplitClass(d.d1 + r * spec.surface1.cls, d.d2 - r * spec.surface2.cls,
+                          d.sigma_pairing)
+        same = made == twin and made._int_form == twin._int_form and all(
+            same_types(x.coords, y.coords) for x, y in ((made.d1, twin.d1), (made.d2, twin.d2)))
+        audit.check("rshift", same, f"{d!r:.200} moved by {r} is not D + (rS, -rS)")
+        return made
+
+    def evaluated(gs, d):
+        made = eval_glued(gs, d)
+        audit.check("eval_glued", made == per_entry_eval(gs, d), f"{d!r:.200} evaluates wrong")
+        return made
+
     def remembered(name, cached):
         def lookup(*args):
             made = cached(*args)
@@ -258,6 +320,9 @@ def install(monkeypatch) -> Audit:
     patch_everywhere(monkeypatch, lattice_mod, "_trusted", trusted)
     patch_everywhere(monkeypatch, series_mod, "column", stored_column)
     patch_everywhere(monkeypatch, series_mod, "split_series", stored_split)
+    patch_everywhere(monkeypatch, gluing_mod, "_scaled_halves", scaled)
+    patch_everywhere(monkeypatch, gluing_mod, "rshift", shifted)
+    patch_everywhere(monkeypatch, gluing_mod, "eval_glued", evaluated)
     monkeypatch.setattr(DonaldsonSeries, "_signed", signed_copy)
     monkeypatch.setattr(DonaldsonSeries, "_blown", blown_copy)
     monkeypatch.setattr(Lattice, "_blown", blown_copy_lattice)

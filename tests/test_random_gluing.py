@@ -19,7 +19,14 @@ side commutes with every rule, and a rule emits its entries already in
 With D's halves over 4 and 9 (so m is a multiple of 36) and r an int, a
 Fraction, negative or 0, ``eval_glued`` is checked against the same
 per-entry sum, which pairs D itself, and ``rshift`` against
-(D1 + rS1, D2 - rS2) by class arithmetic.  Each refusal of the two keeps its
+(D1 + rS1, D2 - rS2) by class arithmetic.  With D drawn whole, each
+coordinate over its own denominator (all of them 1 in some draws, so m = 1)
+and of either sign, on these sides and on catalog doubles whose surface
+has no zero coordinate, three more: ``eval_glued`` is the per-entry sum
+through the checked ``ExpPolynomial``, ``rshift``'s halves are the checked
+``HClass`` of the same numbers with the same coordinate types (an int
+wherever the value is integral) and its int form the checked split class's,
+and the evaluation is the same at D and at D moved.  Each refusal of the two keeps its
 exception type, message and order: a bad r, a half on a foreign lattice, a
 half whose S-pairing is not the declared S.D.
 """
@@ -239,6 +246,91 @@ def test_eval_glued_and_rshift_match_the_references_at_halves_of_different_denom
         gs = rule(spec)
         for probe in (d, moved):
             assert eval_glued(gs, probe) == per_entry_eval(gs, probe)
+
+
+# per coordinate of a drawn D, a denominator: 1 alone in some draws, so m = 1
+DENOMINATORS = st.sampled_from((1, 2, 3, 4, 5, 6, 9))
+
+
+def drawn_class(draw, spec, probes, integral):
+    """A split class of ``spec``: per half, a coordinate n/q in [-6, 6] per
+    basis vector, moved by a multiple of the side's probe A (A.S = 1) so
+    that both halves pair with their surface as a drawn S.D."""
+    def number():
+        return Fraction(draw(st.integers(-6, 6)), 1 if integral else draw(DENOMINATORS))
+
+    s_dot, halves = number(), []
+    for lat, surface, probe in zip((spec.left.lattice, spec.right.lattice),
+                                   (spec.surface1, spec.surface2), probes):
+        a = lat.cls(probe)
+        assert a.dot(surface.cls) == 1
+        half = HClass(lat, [number() for _ in range(lat.rank)])
+        halves.append(half + (s_dot - half.dot(surface.cls)) * a)
+    return spec.split_class(*halves)
+
+
+def check_evaluation(spec, gluings, d, r):
+    """``rshift`` against the checked classes of its numbers, and each
+    gluing's evaluation against the per-entry sum at D and at D moved, and
+    at D against D moved."""
+    moved = rshift(spec, d, r)
+    twins = [HClass(half.lattice, [c + sign * r * x for c, x in zip(half.coords, s.cls.coords)])
+             for half, s, sign in ((d.d1, spec.surface1, 1), (d.d2, spec.surface2, -1))]
+    for half, twin in zip((moved.d1, moved.d2), twins):
+        assert half == twin
+        assert [*map(type, half.coords)] == [*map(type, twin.coords)]
+    checked = SplitClass(*twins, d.sigma_pairing)
+    assert moved == checked and moved._int_form == checked._int_form
+    for gs in gluings:
+        at_d = eval_glued(gs, d)
+        assert at_d == per_entry_eval(gs, d)
+        assert eval_glued(gs, moved) == per_entry_eval(gs, moved) == at_d
+
+
+@PROFILE
+@given(sides(), st.booleans(), SHIFTS, st.data())
+@example(HALVES_OVER_4_AND_5, False, Fraction(-1, 6), None)
+def test_eval_glued_and_rshift_match_their_references_at_drawn_split_classes(
+    case, integral, r, data
+):
+    spec, d = spec_and_class(case)
+    if data is not None:
+        d = drawn_class(data.draw, spec, ("f", "f"), integral)
+    check_evaluation(spec, [rule(spec) for rule, _ in rules(case[0])], d, r)
+
+
+# (entry, surface, w, probe A with A.S = 1, rules): standard, stabilized and torus
+# gluings of catalog doubles; B2's surface (2, 1, -1, -1) moves every coordinate
+CATALOG_DOUBLES = {
+    "B2": ("B2", None, None, "T1", (glue, glue_conjectural)),
+    "C2": ("C2", None, None, "Shat2", (glue_conjectural,)),
+    "B3/T1": ("B3", "T1", "sigma", "sigma", (glue_torus,)),
+    "K3/F": ("K3", None, None, "sigma", (glue_torus,)),
+}
+
+
+@pytest.mark.parametrize("name", CATALOG_DOUBLES)
+@PROFILE
+@given(st.booleans(), SHIFTS, st.data())
+def test_catalog_doubles_evaluate_as_their_references_at_drawn_split_classes(
+    name, integral, r, data
+):
+    entry, surface, w, probe, gluers = CATALOG_DOUBLES[name]
+    spec = GluingSpec(catalog(entry), catalog(entry), surface, surface, w, w)
+    d = drawn_class(data.draw, spec, (probe, probe), integral)
+    check_evaluation(spec, [rule(spec) for rule in gluers], d, r)
+
+
+def test_a_cancelled_exponent_leaves_no_term():
+    # B2's double has one + and one - entry, with coefficients -s and s: at
+    # D = 0 both exponents are 0 and the sum is zero, which leaves no term
+    spec = GluingSpec(catalog("B2"), catalog("B2"))
+    gs = glue(spec)
+    zero = spec.left.lattice.zero()
+    d = spec.split_class(zero, zero)
+    assert sorted(c for _, _, _, c in gs.entries) == [-2, 2]
+    assert eval_glued(gs, d) == per_entry_eval(gs, d) == ExpPolynomial("+Q/2", (), 0)
+    assert eval_glued(gs, d).terms == ()
 
 
 def refused(call, kind, message):
