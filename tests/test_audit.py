@@ -23,9 +23,9 @@ the checked value of their own arguments, and so are the glued evaluation's
 three: ``_scaled_halves``' m D_i with ``HClass`` of m times D_i's
 coordinates, ``rshift``'s moved class with (D1 + rS, D2 - rS) by checked
 class arithmetic, and ``eval_glued``'s result with the per-entry
-``Fraction`` sum through the checked ``ExpPolynomial``.  The audit also checks what a
-series keeps once made: each split that ``split_series`` hands out is the
-one asked for, and at the end each stored column equals a fresh
+``Fraction`` sum through the checked ``ExpPolynomial``.  The audit also
+checks what a series keeps once made: each split that ``split_series``
+hands out is the one asked for, and at the end each stored column equals a fresh
 ``Lattice.pairings`` and each stored split's table a fresh ``_split_table``.
 The cached paths make no new value on a repeated call: each value that
 ``parse_recipe``, ``_probes`` or ``_relation_poly`` hands out is compared at
@@ -35,10 +35,11 @@ a ``RelationPoly`` it is given as it is.
 
 The scenario runs, through ``cli.run``, the commands of the benchmark's
 cli_session workload at full size, ``check`` of dia2:2:3, B2..B6, K3, S4 and
-cg:3 and ``fit`` at genus 3, 4 and 5, then a B4/T1
-torus gluing with its evaluation, the signed copies (``twisted``,
-``unsplit_series``) of its left side and K3 blown up once: B(g), dia2 and
-``blow_up`` are the three builders of blow-ups.  It runs once with the audit
+cg:3 and ``fit`` at genus 3, 4 and 5, then a B4/T1 torus gluing with its
+evaluation at D, at D moved by 5/6 of the surface and at D moved back, the
+signed copies (``twisted``, ``unsplit_series``) of its left side, B2's
+double at D = 0, where its two entries' sums cancel, and K3 blown up once:
+B(g), dia2 and ``blow_up`` are the three builders of blow-ups.  It runs once with the audit
 off and once on, each under fresh recipe, probe and relation caches, so
 that every trusted path runs in both.
 
@@ -66,9 +67,10 @@ import donaldson.lattice as lattice_mod
 import donaldson.series as series_mod
 from donaldson.constructions import blow_up, catalog
 from donaldson.exppoly import ExpPolynomial
-from donaldson.gluing import GluedSeries, GluingSpec, SplitClass, glue_torus, glued_to_json
+from donaldson.gluing import GluedSeries, GluingSpec, SplitClass, glue, glue_torus, glued_to_json
 from donaldson.lattice import HClass, Lattice, _indented, _over_lcm
 from donaldson.series import DonaldsonSeries, series_to_json, twisted, unsplit_series
+from test_random_gluing import per_entry_eval
 
 G, CHECK_G = 6, 4  # cli_session's genera at full size
 R = Fraction(5, 6)  # the probe shift: cli_session draws an odd r over 6
@@ -139,9 +141,15 @@ def scenario(monkeypatch, tmp) -> str:
     sigma = b4.lattice.cls("sigma")
     d = spec.split_class(sigma, sigma)
     printed.append(_indented(glued_to_json(gs)))
-    # through the module, so that the audit's wrappers run
+    # through the module, so that the audit's wrappers run; moved back, the
+    # numerators share m q = 36 and the int form's m drops to 1
     moved = gluing_mod.rshift(spec, d, R)
-    printed += [_indented(gluing_mod.eval_glued(gs, x).to_json()) for x in (d, moved)]
+    back = gluing_mod.rshift(spec, moved, -R)
+    printed += [_indented(gluing_mod.eval_glued(gs, x).to_json()) for x in (d, moved, back)]
+    # B2's double at D = 0: its two entries' sums cancel, so the result has no term
+    b2 = GluingSpec(catalog("B2"), catalog("B2"))
+    zero = b2.left.lattice.zero()
+    printed.append(_indented(gluing_mod.eval_glued(glue(b2), b2.split_class(zero, zero)).to_json()))
     assert spec._splits[0].nums != b4.series.nums  # the twist flips some signs
     signed = twisted(b4.series, spec.w1), unsplit_series(spec._splits[0])
     printed += [_indented(series_to_json(series)) for series in signed]
@@ -203,19 +211,6 @@ class Audit:
 
 def same_types(coords, others) -> bool:
     return [*map(type, coords)] == [*map(type, others)]
-
-
-def per_entry_eval(gs, d) -> ExpPolynomial:
-    """``eval_glued``'s value from its arguments: one ``Fraction`` add per
-    entry, keyed by the exponent, through the checked ``ExpPolynomial``."""
-    k_d1 = {j: gs.left_class(j).dot(d.d1) for j in {e[0] for e in gs.entries}}
-    l_d2 = {k: gs.right_class(k).dot(d.d2) for k in {e[1] for e in gs.entries}}
-    shift = 0 if gs.kind == "stabilized" else 2 * d.sigma_pairing
-    sums = {}
-    for j, k, sector, coeff in gs.entries:
-        lam = k_d1[j] + l_d2[k] + sector * shift
-        sums[lam] = sums.get(lam, Fraction(0)) + coeff
-    return ExpPolynomial("+Q/2", tuple(sums.items()), d.square)
 
 
 def patch_everywhere(monkeypatch, module, name, wrapper):
