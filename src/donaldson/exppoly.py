@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gaussian import GaussianRational
-from .lattice import _NUMBER, _exact, _over_lcm, _read, _trusted
+from .lattice import _NUMBER, _exact, _over_lcm, _quotient, _read, _trusted
 
 MARKERS = ("+Q/2", "-Q/2", "none")
 
@@ -206,7 +206,7 @@ class ExpPolynomial:
                                   for (x, y), (u, w), (a, b) in zip(cur, prev, lams)]
                 den *= big_l * big_r * n
             re, im = sum(x for x, _ in cur), sum(y for _, y in cur)
-            body.append(GaussianRational(Fraction(re, den), Fraction(im, den)))
+            body.append(GaussianRational(_quotient(re, den), _quotient(im, den)))
         return tuple(body)
 
     # -- serialization --------------------------------------------------------------

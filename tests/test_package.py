@@ -196,6 +196,36 @@ def test_one_common_denominator_rule_and_str_tokens():
     assert tokens == []
 
 
+def test_exact_numbers_are_made_by_the_rules_in_lattice():
+    # lattice._quotient is the one way an int over a positive int becomes a number,
+    # and lattice._tokens the one writer of ints over a denominator as tokens: each
+    # is defined there alone, no module makes _exact(Fraction(...)), and only
+    # _tokens writes str(Fraction(...))
+    defined, exact_of_fraction, str_of_fraction = [], [], []
+    for path in sorted((SRC / "donaldson").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owners = _owners(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in ("_quotient", "_tokens"):
+                defined.append(f"{path.stem}.{node.name}")
+            elif _calls(node, "_exact", "Fraction"):
+                exact_of_fraction.append(f"{path.name}:{node.lineno}")
+            elif _calls(node, "str", "Fraction"):
+                str_of_fraction.append(f"{path.stem}.{getattr(owners[node], 'name', '<module>')}")
+    assert sorted(defined) == ["lattice._quotient", "lattice._tokens"]
+    assert exact_of_fraction == []
+    assert str_of_fraction == ["lattice._tokens"]
+
+
+def _calls(node, outer: str, inner: str) -> bool:
+    """node is outer(inner(...), ...), both called by their bare names."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.args):
+        return False
+    arg = node.args[0]
+    return (node.func.id == outer and isinstance(arg, ast.Call)
+            and isinstance(arg.func, ast.Name) and arg.func.id == inner)
+
+
 def test_the_series_reader_takes_the_checked_constructor_alone():
     # series_from_json hands rows and numerators to DonaldsonSeries: it makes
     # no HClass per entry and does not go through DonaldsonSeries.on
