@@ -8,7 +8,7 @@ parts); a truncated power-series expansion exists for display only.
 Scalar parts and ``q_square`` are ints when integral (``lattice._exact``).
 The constructor is the one merge of like exponents and pruning of zero terms;
 ``ExpPolynomial._canonical`` takes terms a maker already holds merged, pruned
-and sorted (``gluing.eval_glued``'s sums) past it, through ``lattice._trusted``.
+and sorted past it, through ``lattice._trusted``.
 """
 
 from __future__ import annotations
@@ -83,7 +83,10 @@ class ExpPolynomial:
         ``lattice._trusted``: ``terms`` a tuple of (exponent, coefficient)
         pairs of ``GaussianRational``s, sorted by exponent, no exponent twice
         and no coefficient zero; ``marker`` one of ``MARKERS`` and
-        ``q_square`` an int or a Fraction (``_exact``) exactly when it is marked."""
+        ``q_square`` an int or a Fraction (``_exact``) exactly when it is marked.
+        Its makers, each from sums per exponent: ``gluing.eval_glued``,
+        ``SplitSeries._evaluate`` (``evaluate`` and ``apply_relation``) and
+        ``fit.basis_coordinates``."""
         return _trusted(ExpPolynomial, marker=marker, terms=terms, q_square=q_square)
 
     # -- queries -----------------------------------------------------------------

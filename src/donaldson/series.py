@@ -20,7 +20,7 @@ twisted by the column of w, over ``den``).  ``level_sums`` is a level's bare
 sum of twisted coefficients per K.D, a fit coordinate, paired on the level's
 rows and storing nothing; ``evaluate`` puts it in sector form with
 ``z_value``, z's scalar at a level, read from z's table of ints, compiled
-when z is made.
+when z is made, and sums each sector per K.D before it makes a term.
 """
 
 from __future__ import annotations
@@ -253,7 +253,8 @@ def z_value(z_terms, ks: int, d_sigma) -> GaussianRational:
     level ``ks`` for D.S = ``d_sigma``, without the N-sector unit i^{-d0}: x
     acts by 2 when ks == 2 mod 4 (P) and by -2 otherwise (N), S by d_sigma +
     ks (P) or by -d_sigma + i ks (N).  Plain terms are checked once, through
-    ``RelationPoly.of``; the value is one Horner loop over z's table."""
+    ``RelationPoly.of``; the value is Horner's rule over z's table
+    (``RelationPoly._value``), on one number at a P level."""
     value = RelationPoly.of(z_terms)._value(ks, _exact(d_sigma))
     return GaussianRational() if value is None else value
 
@@ -316,13 +317,21 @@ class SplitSeries:
 
     def evaluate(self, d: HClass, z_terms) -> tuple[ExpPolynomial, ExpPolynomial]:
         """(P, N) of the split on z e^{tD}, z a ``RelationPoly`` or its (S-power,
-        x-power, c) terms, checked once.  z is one scalar per level K.S,
-        ``z_value``, times i^{-d0} in N; a zero one adds no terms, else each K.D
-        of the level's ``level_sums`` adds one term, exponent K.D in P or i K.D in N.
-        """
+        x-power, c) terms, checked once: ``_evaluate`` at D.S, read here, where a
+        D on another lattice raises ``LatticeMismatch``."""
         z = RelationPoly.of(z_terms)
-        d_sigma = d.dot(self.surface.cls)  # exact; a foreign D raises LatticeMismatch here
-        parts = {2: [], 0: []}
+        return self._evaluate(d, z, d.dot(self.surface.cls))
+
+    def _evaluate(
+        self, d: HClass, z: RelationPoly, d_sigma
+    ) -> tuple[ExpPolynomial, ExpPolynomial]:
+        """``evaluate`` at D.S = ``d_sigma``, exact, which ``apply_relation`` reads
+        once.  z is one scalar per level K.S, its ``_value``, times i^{-d0} in N; a
+        zero one adds nothing, else the level's ``level_sums`` add scalar * a into
+        its sector's one sum per K.D.  The nonzero sums, sorted by K.D, are the
+        terms as they stand, exponent K.D in P and i K.D in N, so each part is
+        made past the constructor's merge and sort (``ExpPolynomial._canonical``)."""
+        sums: dict[int, dict] = {2: {}, 0: {}}
         for ks in self._table[1]:
             scalar = z._value(ks, d_sigma)
             if scalar is None:
@@ -330,13 +339,15 @@ class SplitSeries:
             r = ks % 4
             if r == 0:
                 scalar = GaussianRational.i_power(-self.d0) * scalar
+            out = sums[r]
             for kd, a in self.level_sums(ks, d).items():
-                lam = GaussianRational(kd) if r == 2 else GaussianRational(0, kd)
-                parts[r].append((lam, scalar * a))
-        return (
-            ExpPolynomial("+Q/2", tuple(parts[2]), d.square),
-            ExpPolynomial("-Q/2", tuple(parts[0]), d.square),
-        )
+                c = scalar * a
+                out[kd] = out[kd] + c if kd in out else c
+        p, n = sorted(sums[2].items()), sorted(sums[0].items())
+        p = tuple([(GaussianRational(kd), c) for kd, c in p if not c.is_zero])
+        n = tuple([(GaussianRational(0, kd), c) for kd, c in n if not c.is_zero])
+        q = d.square
+        return ExpPolynomial._canonical("+Q/2", p, q), ExpPolynomial._canonical("-Q/2", n, q)
 
 
 def split_series(series: DonaldsonSeries, w: HClass, s: MarkedSurface) -> SplitSeries:
@@ -368,7 +379,8 @@ def eval_insertion(
     """Evaluate the split series on S^b x^a e^{tD}, sector by sector: (P, N) =
       P = e^{+Q/2} sum_{K.S==2(4)} c_{K,w} 2^a ((D+K).S)^b e^{(K.D)t}
       N = e^{-Q/2} sum_{K.S==0(4)} i^{-d0} c_{K,w} (-2)^a ((-D+iK).S)^b e^{i(K.D)t}
-    with coefficients summed per (level K.S, K.D) before any term is made.
+    with coefficients summed per sector and K.D, each sum made once
+    (``SplitSeries.evaluate``).
     """
     return split_series(series, w, s).evaluate(d, ((sigma_power, x_power, 1),))
 
@@ -416,13 +428,19 @@ class RelationPoly:
         return len(self._horner[1]) - 1
 
     def _value(self, ks: int, d_sigma) -> GaussianRational | None:
-        """z at level ``ks`` for an exact D.S, or None for 0: Horner's rule in
-        S on (re, im), ints for an int D.S."""
+        """z at level ``ks`` for an exact D.S, or None for 0: Horner's rule in S
+        on z's table, ints for an int D.S.  At a P level (ks == 2 mod 4) S acts by
+        the real D.S + ks, so Horner runs on one number; at an N level by
+        -D.S + i ks, on (re, im)."""
         den, p, n = self._horner
-        nums, a, b = (p, d_sigma + ks, 0) if ks % 4 == 2 else (n, -d_sigma, ks)
-        re = im = 0
-        for c in nums:
-            re, im = re * a - im * b + c, re * b + im * a
+        if ks % 4 == 2:
+            a, re = d_sigma + ks, 0
+            for c in p:
+                re = re * a + c
+            return GaussianRational(_quotient(re, den)) if re else None
+        a, re, im = -d_sigma, 0, 0
+        for c in n:
+            re, im = re * a - im * ks + c, re * ks + im * a
         if re or im:
             return GaussianRational(_quotient(re, den), _quotient(im, den))
         return None
@@ -498,14 +516,17 @@ def apply_relation(
     d: HClass,
 ) -> tuple[ExpPolynomial, ExpPolynomial]:
     """Evaluate the split series on z e^{tD}: the sum of its insertions, one
-    term per level K.S and distinct K.D (``SplitSeries.evaluate``)."""
-    if d.dot(s.cls) != 1:
+    term per sector and distinct K.D (``SplitSeries._evaluate``).  D.S is read
+    once, before any split: a D on another lattice than S raises
+    ``LatticeMismatch`` there, and D.S != 1 warns, naming the caller's line."""
+    d_sigma = d.dot(s.cls)
+    if d_sigma != 1:
         warnings.warn(
             "relation evaluated at D with D.S != 1; the vanishing guarantee "
             "is withdrawn",
             stacklevel=2,
         )
-    return split_series(series, w, s).evaluate(d, z)
+    return split_series(series, w, s)._evaluate(d, RelationPoly.of(z), d_sigma)
 
 
 # -- finite type, adjunction, involution ---------------------------------------------

@@ -5,8 +5,10 @@
 blow-up makers, ``Lattice._blown`` (the blown lattice L + <-1>^m) and
 ``DonaldsonSeries._blown`` (the blown series), the glued evaluation's
 makers, ``gluing.rshift`` (the moved split class, with its int form) and
-``ExpPolynomial._canonical`` (``eval_glued``'s result), make their values
-through it, and ``test_package`` pins that no other code calls ``__new__``.  The blow-up
+``ExpPolynomial._canonical`` (the results of ``eval_glued``,
+``SplitSeries.evaluate``, whose private ``_evaluate`` ``apply_relation``
+calls too, and ``basis_coordinates``), make their values through it, and
+``test_package`` pins that no other code calls ``__new__``.  The blow-up
 makers rest on one lemma, which their docstrings state: the rows K + s come
 out sorted, unique and characteristic, as the base's are, the signs s run in
 lexicographic order and E_i^2 = -1 is odd; only the gcd is taken again.
@@ -23,9 +25,12 @@ the checked value of their own arguments, and so are the glued evaluation's
 three: ``_scaled_halves``' m D_i with ``HClass`` of m times D_i's
 coordinates, ``rshift``'s moved class with (D1 + rS, D2 - rS) by checked
 class arithmetic, and ``eval_glued``'s result with the per-entry
-``Fraction`` sum through the checked ``ExpPolynomial``.  The audit also
-checks what a series keeps once made: each split that ``split_series``
-hands out is the one asked for, and at the end each stored column equals a fresh
+``Fraction`` sum through the checked ``ExpPolynomial``.  So are the split
+evaluations' results, with the per-row sums, each row paired with S, D
+and w alone and z's scalar taken as its plain power sum:
+``SplitSeries.evaluate``'s and ``apply_relation``'s two parts, and each
+coordinate of ``basis_coordinates``.  The audit also checks what a series
+keeps once made: each split that ``split_series`` hands out is the one asked for, and at the end each stored column equals a fresh
 ``Lattice.pairings`` and each stored split's table a fresh ``_split_table``.
 The cached paths make no new value on a repeated call: each value that
 ``parse_recipe``, ``_probes`` or ``_relation_poly`` hands out is compared at
@@ -38,7 +43,9 @@ cli_session workload at full size, ``check`` of dia2:2:3, B2..B6, K3, S4 and
 cg:3 and ``fit`` at genus 3, 4 and 5, then a B4/T1 torus gluing with its
 evaluation at D, at D moved by 5/6 of the surface and at D moved back, the
 signed copies (``twisted``, ``unsplit_series``) of its left side, B2's
-double at D = 0, where its two entries' sums cancel, and K3 blown up once:
+double at D = 0, where its two entries' sums cancel, B3's split evaluated at
+D = E1, where a sector's coefficients at a K.D cancel, and at E1 moved by
+5/6 of the surface, a rational D, and K3 blown up once:
 B(g), dia2 and ``blow_up`` are the three builders of blow-ups.  It runs once with the audit
 off and once on, each under fresh recipe, probe and relation caches, so
 that every trusted path runs in both.
@@ -53,7 +60,8 @@ import functools
 import io
 import json
 import sys
-from collections import Counter
+import warnings
+from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import product
 
@@ -61,15 +69,17 @@ import pytest
 
 import donaldson.cli as cli
 import donaldson.constructions as constructions
-import donaldson.fit  # noqa: F401  loaded before the audit patches split_series, which it binds
+import donaldson.fit as fit_mod  # loaded before the audit patches split_series, which it binds
 import donaldson.gluing as gluing_mod
 import donaldson.lattice as lattice_mod
 import donaldson.series as series_mod
 from donaldson.constructions import blow_up, catalog
 from donaldson.exppoly import ExpPolynomial
+from donaldson.fit import BasisCoordinates, p_of_alpha
+from donaldson.gaussian import GaussianRational
 from donaldson.gluing import GluedSeries, GluingSpec, SplitClass, glue, glue_torus, glued_to_json
 from donaldson.lattice import HClass, Lattice, _indented, _over_lcm
-from donaldson.series import DonaldsonSeries, series_to_json, twisted, unsplit_series
+from donaldson.series import DonaldsonSeries, SplitSeries, series_to_json, twisted, unsplit_series
 from test_random_gluing import per_entry_eval
 
 G, CHECK_G = 6, 4  # cli_session's genera at full size
@@ -79,11 +89,14 @@ CHECKED = ("B2", "B3", "B4", "B5", "B6", "K3", "S4", "cg:3")
 FIT_G = (3, 4, 5)
 
 # every wrapped path: the door per class it makes, the signed and blown makers, the glued
-# evaluation's makers (m D_i, the moved class, the result), the two stores and the cached
-# paths, which make no new value on a repeated call
+# evaluation's makers (m D_i, the moved class, the result), the split evaluations, the two
+# stores and the cached paths, which make no new value on a repeated call
 PATHS = ("HClass", "Lattice", "DonaldsonSeries", "GluedSeries", "SplitClass", "ExpPolynomial",
-         "_signed", "_blown", "_scaled_halves", "rshift", "eval_glued", "column",
-         "split_series", "parse_recipe", "_probes", "_relation_poly", "RelationPoly.of")
+         "_signed", "_blown", "_scaled_halves", "rshift", "eval_glued", "SplitSeries.evaluate",
+         "apply_relation", "basis_coordinates", "column", "split_series", "parse_recipe",
+         "_probes", "_relation_poly", "RelationPoly.of")
+# the split evaluations, each of which must meet a rational D and a K.D whose sum cancels
+SPLIT_PATHS = ("SplitSeries.evaluate", "apply_relation", "basis_coordinates")
 
 # each cached path: its module, and what beyond == a fresh rebuild must match
 CACHED = {"parse_recipe": (constructions, "json_bytes"), "_probes": (series_mod, None),
@@ -150,6 +163,23 @@ def scenario(monkeypatch, tmp) -> str:
     b2 = GluingSpec(catalog("B2"), catalog("B2"))
     zero = b2.left.lattice.zero()
     printed.append(_indented(gluing_mod.eval_glued(glue(b2), b2.split_class(zero, zero)).to_json()))
+    # B3's split at E1 (D.S = 1): in N at K.D = 1 and in P at K.D = +-1 the
+    # twisted coefficients cancel; E1 + R S is a rational D
+    b3 = catalog("B3")
+    w, s = b3.w_class(), b3.surface()
+    e1 = b3.lattice.cls("E1")
+    z, one = series_mod.relation_poly(s.genus), series_mod.RelationPoly.of(((0, 0, 1),))
+    for x in (e1, e1 + R * s.cls):
+        parts = [series_mod.eval_insertion(b3.series, w, s, x),
+                 series_mod.eval_insertion(b3.series, w + s.cls, s, x, 1, 2),
+                 series_mod.apply_relation(b3.series, w, s, z, x),
+                 series_mod.apply_relation(b3.series, w, s, one, x)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # at D.S = 2 the relation need not vanish
+            parts.append(series_mod.apply_relation(b3.series, w, s, z, x + e1))
+        printed += [_indented([part.to_json() for part in pair]) for pair in parts]
+        bc = fit_mod.basis_coordinates(b3.series, w, s, x)
+        printed.append(_indented([c.to_json() for c in bc.coords]))
     assert spec._splits[0].nums != b4.series.nums  # the twist flips some signs
     signed = twisted(b4.series, spec.w1), unsplit_series(spec._splits[0])
     printed += [_indented(series_to_json(series)) for series in signed]
@@ -157,11 +187,60 @@ def scenario(monkeypatch, tmp) -> str:
     return "\n".join(printed)
 
 
+def per_row(split, d, z=None):
+    """{(sector, exponent): the per-row terms} of ``split`` on z e^{tD}, K.S, K.D
+    and K.w taken row by row, z's scalar as its plain power sum (z = None gives
+    the bare twisted coefficients at exponent K.D, keyed by the level K.S)."""
+    series, w, s = split.series, split.w, split.surface
+    d_sigma, w_sq = d.dot(s.cls), w.square
+    terms = defaultdict(list)
+    for k, c in series.entries:
+        ks, kd = k.dot(s.cls), k.dot(d)
+        c = -c if (k.dot(w) + w_sq) % 4 else c
+        if z is None:
+            terms[ks, GaussianRational(kd)].append(GaussianRational(c))
+            continue
+        if ks % 4 == 2:
+            x, weight, lam, unit = 2, GaussianRational(d_sigma + ks), GaussianRational(kd), 1
+        else:
+            x, weight = -2, GaussianRational(-d_sigma, ks)
+            lam, unit = GaussianRational(0, kd), GaussianRational.i_power(-split.d0)
+        scalar = sum((weight**sp * (cz * x**xp) for sp, xp, cz in z.terms), GaussianRational())
+        terms[ks % 4, lam].append(unit * scalar * c)
+    return terms
+
+
+def cancels(terms) -> bool:
+    """Whether the terms at some key, two or more of them nonzero, sum to zero."""
+    for cs in terms.values():
+        nonzero = [c for c in cs if not c.is_zero]
+        if len(nonzero) > 1 and sum(nonzero, GaussianRational()).is_zero:
+            return True
+    return False
+
+
+def sector_parts(terms, q) -> tuple[ExpPolynomial, ExpPolynomial]:
+    """(P, N) of ``per_row`` terms through the checked ``ExpPolynomial``."""
+    def part(r):
+        return tuple((lam, c) for (sector, lam), cs in terms.items() if sector == r for c in cs)
+
+    return ExpPolynomial("+Q/2", part(2), q), ExpPolynomial("-Q/2", part(0), q)
+
+
 class Audit:
     """What the wrapped paths ran and which comparisons failed."""
 
     def __init__(self):
         self.ran, self.failed, self.series, self.cached = Counter(), [], {}, []
+        self.met = Counter()  # (split path, "rational D" or "a K.D cancels")
+
+    def against_rows(self, path, made, twin, d, terms):
+        """A split evaluation's result against its per-row twin: equal, term for
+        term in order, and with the same JSON, what a command would print."""
+        same = made == twin and json.dumps(to_json(made)) == json.dumps(to_json(twin))
+        self.check(path, same, f"{d!r:.200} is not the per-row sum")
+        self.met[path, "rational D"] += not d.is_integral
+        self.met[path, "a K.D cancels"] += cancels(terms)
 
     def check(self, path, same, what):
         self.ran[path] += 1
@@ -209,6 +288,13 @@ class Audit:
             self.check(name, same, f"cached {name}{args!r:.200} is not a fresh rebuild")
 
 
+def to_json(value):
+    """A split evaluation's result as JSON: each part's, or the coordinates'."""
+    if isinstance(value, BasisCoordinates):
+        return [value.genus, str(value.d_square), to_json(value.coords)]
+    return [to_json(v) for v in value] if isinstance(value, tuple) else value.to_json()
+
+
 def same_types(coords, others) -> bool:
     return [*map(type, coords)] == [*map(type, others)]
 
@@ -228,6 +314,8 @@ def install(monkeypatch) -> Audit:
     column, split_series = series_mod.column, series_mod.split_series
     scaled_halves, rshift, eval_glued = (
         gluing_mod._scaled_halves, gluing_mod.rshift, gluing_mod.eval_glued)
+    split_evaluate, apply_relation = SplitSeries.evaluate, series_mod.apply_relation
+    basis_coordinates = fit_mod.basis_coordinates
     poly_of_real = series_mod.RelationPoly.of.__func__
 
     def trusted(cls, **fields):
@@ -287,6 +375,28 @@ def install(monkeypatch) -> Audit:
         audit.check("eval_glued", made == per_entry_eval(gs, d), f"{d!r:.200} evaluates wrong")
         return made
 
+    def split_evaluated(split, d, z_terms):
+        made = split_evaluate(split, d, z_terms)
+        terms = per_row(split, d, series_mod.RelationPoly.of(z_terms))
+        audit.against_rows("SplitSeries.evaluate", made, sector_parts(terms, d.square), d, terms)
+        return made
+
+    def relation_applied(series, w, s, z, d):
+        made = apply_relation(series, w, s, z, d)
+        terms = per_row(series_mod.split_series(series, w, s), d, z)
+        audit.against_rows("apply_relation", made, sector_parts(terms, d.square), d, terms)
+        return made
+
+    def coordinates(series, w, s, d):
+        made = basis_coordinates(series, w, s, d)
+        terms, g = per_row(series_mod.split_series(series, w, s), d), s.genus
+        coords = tuple(ExpPolynomial("none", tuple((lam, c) for (ks, lam), cs in terms.items()
+                                                   if ks == 2 * p_of_alpha(alpha, g) for c in cs))
+                       for alpha in range(1, 2 * g))
+        twin = BasisCoordinates(g, d.square, coords)
+        audit.against_rows("basis_coordinates", made, twin, d, terms)
+        return made
+
     def remembered(name, cached):
         def lookup(*args):
             made = cached(*args)
@@ -318,6 +428,9 @@ def install(monkeypatch) -> Audit:
     patch_everywhere(monkeypatch, gluing_mod, "_scaled_halves", scaled)
     patch_everywhere(monkeypatch, gluing_mod, "rshift", shifted)
     patch_everywhere(monkeypatch, gluing_mod, "eval_glued", evaluated)
+    patch_everywhere(monkeypatch, series_mod, "apply_relation", relation_applied)
+    patch_everywhere(monkeypatch, fit_mod, "basis_coordinates", coordinates)
+    monkeypatch.setattr(SplitSeries, "evaluate", split_evaluated)
     monkeypatch.setattr(DonaldsonSeries, "_signed", signed_copy)
     monkeypatch.setattr(DonaldsonSeries, "_blown", blown_copy)
     monkeypatch.setattr(Lattice, "_blown", blown_copy_lattice)
@@ -353,3 +466,9 @@ def test_every_trusted_path_ran(runs):
 
 def test_every_trusted_value_is_its_checked_twin(runs):
     assert runs[2].failed == []
+
+
+def test_every_split_evaluation_meets_a_rational_d_and_a_cancelling_sum(runs):
+    met = runs[2].met
+    wanted = [(path, what) for path in SPLIT_PATHS for what in ("rational D", "a K.D cancels")]
+    assert {key: met[key] > 0 for key in wanted} == dict.fromkeys(wanted, True)

@@ -12,6 +12,7 @@ import functools
 import itertools
 import pickle
 import random
+import warnings
 from collections import Counter, defaultdict
 from fractions import Fraction
 
@@ -1103,32 +1104,39 @@ def test_eval_glued_on_a_reload_neither_twists_nor_splits(monkeypatch):
     assert calls == [] and bound_tables(gs.spec) == 0
 
 
-def record_term_counts(monkeypatch, module):
-    """len(terms) of every ExpPolynomial that ``module`` builds, in call order."""
-    counts = []
+def record_canonical(monkeypatch):
+    """(marker, len(terms)) of every ExpPolynomial made past the constructor's
+    merge (``ExpPolynomial._canonical``), in call order."""
+    made = []
+    real = ExpPolynomial._canonical
 
-    def recording(marker="none", terms=(), q_square=None):
-        counts.append(len(terms))
-        return ExpPolynomial(marker, terms, q_square)
+    def recording(marker, terms, q_square):
+        made.append((marker, len(terms)))
+        return real(marker, terms, q_square)
 
-    monkeypatch.setattr(module, "ExpPolynomial", recording)
-    return counts
+    monkeypatch.setattr(ExpPolynomial, "_canonical", staticmethod(recording))
+    return made
 
 
 def test_evaluate_passes_one_term_per_level_and_exponent(monkeypatch):
+    # evaluate hands each part's sums to the trusted maker already merged: one
+    # term per (sector, K.D) whose twisted coefficients do not cancel, and no other
     entry = catalog("B5")
     s = entry.surface()
     split = split_series(entry.series, entry.w_class(), s)
     rows = split_rows(split)
     assert [ks for _, ks, _ in rows] == [ref_dot(k, s.cls) for k in entry.series.classes()]
-    counts = record_term_counts(monkeypatch, series_mod)
+    made = record_canonical(monkeypatch)
     for d in default_probes(entry.lattice, s):
-        counts.clear()
-        split.evaluate(d, ((0, 0, 1),))
-        keys = {(ks, ref_dot(k, d)) for k, ks, _ in rows}
-        assert len(counts) == 2
-        assert sum(counts) <= len(keys)
-        assert sum(counts) < len(rows)
+        made.clear()
+        p, n = split.evaluate(d, ((0, 0, 1),))
+        sums = defaultdict(Fraction)
+        for k, ks, c in rows:
+            sums[ks % 4, ref_dot(k, d)] += c
+        nonzero = Counter(sector for sector, _ in (key for key, c in sums.items() if c))
+        assert made == [("+Q/2", nonzero[2]), ("-Q/2", nonzero[0])]
+        assert (len(p.terms), len(n.terms)) == (nonzero[2], nonzero[0])
+        assert sum(nonzero.values()) < len(rows)
 
 
 def test_eval_glued_passes_one_term_per_exponent(monkeypatch):
@@ -1137,16 +1145,9 @@ def test_eval_glued_passes_one_term_per_exponent(monkeypatch):
     entry = catalog("B4")
     gs = glue_torus(GluingSpec(entry, entry, "T1", "T1", "sigma", "sigma"))
     assert len(gs.entries) == 6912
-    counts = []
-    real = ExpPolynomial._canonical
-
-    def recording(marker, terms, q_square):
-        counts.append(len(terms))
-        return real(marker, terms, q_square)
-
-    monkeypatch.setattr(ExpPolynomial, "_canonical", staticmethod(recording))
+    made = record_canonical(monkeypatch)
     for d in split_probes(gs.spec, "sigma"):
-        counts.clear()
+        made.clear()
         got = eval_glued(gs, d)
         shift = 2 * ref_dot(d.d1, gs.spec.surface1.cls)
         k_d1 = {j: ref_dot(gs.left_class(j), d.d1) for j in {e[0] for e in gs.entries}}
@@ -1154,8 +1155,49 @@ def test_eval_glued_passes_one_term_per_exponent(monkeypatch):
         sums = defaultdict(Fraction)
         for j, k, sector, c in gs.entries:
             sums[k_d1[j] + l_d2[k] + sector * shift] += c
-        assert counts == [sum(1 for c in sums.values() if c)]
-        assert len(got.terms) == counts[0] <= len(sums)
+        assert made == [("+Q/2", sum(1 for c in sums.values() if c))]
+        assert len(got.terms) == made[0][1] <= len(sums)
+
+
+def test_apply_relation_pairs_d_with_the_surface_once_before_any_split(monkeypatch):
+    own_recipe_cache(monkeypatch)
+    entry = catalog("B4")
+    s, w = entry.surface(), entry.w_class()
+    series, z = entry.series, relation_poly(s.genus)
+    k3 = catalog("K3")
+    met = []
+    single = lattice_mod.pairing
+
+    def pairing(u, v):
+        met.append((u, v))
+        return single(u, v)
+
+    def with_s(d):
+        """How many recorded pairings were D with S, either way round."""
+        return sum({id(u), id(v)} == {id(d), id(s.cls)} for u, v in met)
+
+    monkeypatch.setattr(lattice_mod, "pairing", pairing)
+    # D.S is read once, before the split: a foreign D is refused with no warning
+    # and no split made, and D.S != 1 warns, naming this file, before a refused w
+    d = k3.lattice.cls(k3.lattice.labels()[0])
+    with warnings.catch_warnings(record=True) as caught, pytest.raises(LatticeMismatch):
+        warnings.simplefilter("always")
+        apply_relation(series, w, s, z, d)
+    assert caught == [] and series._splits == {} and with_s(d) == len(met) == 1
+    d = 2 * fresh_probes(entry)[0]
+    with pytest.warns(UserWarning, match="D.S != 1") as caught, pytest.raises(SeriesError):
+        apply_relation(series, entry.lattice.zero(), s, z, d)
+    assert [x.filename for x in caught] == [__file__] and series._splits == {}
+    # on a split made once, each apply_relation pairs D with S once, at D.S = 1
+    # (no level then meets D) and at D.S = 2 (each level's rows meet D in a batch)
+    split_series(series, w, s)
+    for d in fresh_probes(entry):
+        for x in (d, d + d):
+            met.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                apply_relation(series, w, s, z, x)
+            assert with_s(x) == 1
 
 
 def test_glue_pairs_each_class_with_its_surface_once(monkeypatch):

@@ -1,7 +1,9 @@
 """Random series on random lattices, each checked against a brute per-class
 reference: the relation's level test, level sums, the two sectors of an
-evaluation, the point-class order and the fit coordinates; and ``z_value``
-on random z against the plain power sum.
+evaluation, the point-class order and the fit coordinates; ``evaluate`` and
+``apply_relation`` against the per-class terms through the checked
+``ExpPolynomial``; and ``z_value`` on random z against the plain power sum,
+``RelationPoly._value`` at the P levels against the complex Horner loop.
 
 The lattice is the hyperbolic plane (e, f) plus <-1>^m with b+ = 3; the
 surface is S = e and w = f.  A class a e + b f + sum c_i E_i is
@@ -11,12 +13,15 @@ The named classes are e, f, the E_i and f + E1, so the default probes are
 f, f + E1 and their S-shifts.
 """
 
+import warnings
 from fractions import Fraction
 from functools import cache
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from donaldson.exppoly import ExpPolynomial
 from donaldson.fit import basis_coordinates
 from donaldson.gaussian import GaussianRational
 from donaldson.lattice import HClass, Lattice, MarkedSurface
@@ -159,12 +164,13 @@ def as_pairs(poly):
     return {(lam.re, lam.im): (c.re, c.im) for lam, c in poly.terms}
 
 
-def brute_evaluate(rows, d0, d_sigma, z_terms):
-    """(P, N) of z e^{tD} from the brute rows, class by class: P takes the
-    classes with K.S == 2 (mod 4), each adding z(2, (D+K).S) c_K e^{(K.D) t};
-    N the others, each adding i^{-d0} z(-2, (-D+iK).S) c_K e^{i(K.D) t}."""
+def row_terms(rows, d0, d_sigma, z_terms):
+    """(P, N) of z e^{tD} from the brute rows, one (exponent, coefficient) term
+    per class, unmerged: P takes the classes with K.S == 2 (mod 4), each adding
+    z(2, (D+K).S) c_K e^{(K.D) t}; N the others, each adding
+    i^{-d0} z(-2, (-D+iK).S) c_K e^{i(K.D) t}."""
     unit = ((1, 0), (0, 1), (-1, 0), (0, -1))[-d0 % 4]
-    p_terms, n_terms = {}, {}
+    p_terms, n_terms = [], []
     for ks, kd, a in rows:
         if ks % 4 == 2:
             weight, x, lam, out = (d_sigma + ks, 0), 2, (kd, 0), p_terms
@@ -178,8 +184,17 @@ def brute_evaluate(rows, d0, d_sigma, z_terms):
             z = (z[0] + zt[0], z[1] + zt[1])
         if out is n_terms:
             z = gmul(unit, z)
-        gadd_term(out, lam, gmul(z, (a, 0)))
-    return nonzero(p_terms), nonzero(n_terms)
+        out.append((lam, gmul(z, (a, 0))))
+    return p_terms, n_terms
+
+
+def brute_evaluate(rows, d0, d_sigma, z_terms):
+    """``row_terms`` merged per exponent, zero sums dropped."""
+    merged = ({}, {})
+    for terms, out in zip(row_terms(rows, d0, d_sigma, z_terms), merged):
+        for lam, c in terms:
+            gadd_term(out, lam, c)
+    return tuple(map(nonzero, merged))
 
 
 def brute_level_sum(rows, ks):
@@ -289,6 +304,56 @@ def test_the_order_does_not_depend_on_the_order_of_the_probes(case, data):
             assert finite_type_order(series, w_cls, s) == defaults
 
 
+@cache
+def rational_probes(m):
+    """D with rational coordinates and D.S (its f-coordinate) an int or not,
+    built once per m."""
+    part = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=3))
+    return st.lists(st.tuples(part, part, *[st.integers(-2, 2)] * m), min_size=1, max_size=2)
+
+
+def checked_parts(rows, d0, d_sigma, z_terms, d_square):
+    """(P, N) of the per-class terms through the checked ``ExpPolynomial``,
+    which merges like exponents, drops zero sums and sorts."""
+    p, n = (
+        tuple((GaussianRational(*lam), GaussianRational(*c)) for lam, c in terms)
+        for terms in row_terms(rows, d0, d_sigma, z_terms)
+    )
+    return ExpPolynomial("+Q/2", p, d_square), ExpPolynomial("-Q/2", n, d_square)
+
+
+@PROFILE
+@given(cases(), Z_TERMS, st.data())
+def test_evaluate_and_apply_relation_are_the_checked_per_class_sums(case, z_terms, data):
+    # the parts are made past the checked constructor, so each must equal the
+    # constructor's own merge of the per-class terms, term for term and in
+    # order, and with the same JSON.  D runs over int and rational
+    # classes and D.S over ints and rationals, 1 among them; w over w and w + S.
+    # Paired at E1, a series' sums cancel in both sectors at the probe f
+    m, g, entries, _, _ = case
+    lat = hyperbolic_plus_minus_ones(m)
+    s = MarkedSurface(lat.basis_vector(0), genus=g)
+    z = RelationPoly.of(z_terms)
+    probes = default_probes(m)[:2] + [SEPARATING[: 2 + m]] + data.draw(rational_probes(m))
+    for series_entries, w in product((entries, paired(entries, 2)), twists(m)):
+        series = series_of(lat, series_entries)
+        for w_ in (w, (1,) + w[1:]):  # w + S: S = e is the first coordinate
+            w_cls = HClass(lat, w_)
+            d0 = -brute_dot(lat, w_, w_) - 3 * (1 + lat.b_plus) // 2
+            split = SplitSeries(series, w_cls, s)
+            for d in probes:
+                d_cls, d_sigma = HClass(lat, d), d[1]
+                rows = brute_rows(lat, series_entries, w_, d)
+                want = checked_parts(rows, d0, d_sigma, z.terms, brute_dot(lat, d, d))
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    applied = apply_relation(series, w_cls, s, z, d_cls)
+                assert len(caught) == (d_sigma != 1)
+                for got in (split.evaluate(d_cls, z_terms), applied):
+                    assert got == want
+                    assert [part.to_json() for part in got] == [part.to_json() for part in want]
+
+
 # -- z_value against the plain power sum --------------------------------------------
 
 # denominators 2, 3, 5 and their products: z's lcm is rarely a power of 2
@@ -342,3 +407,23 @@ def test_z_value_refuses_a_coefficient_that_is_not_rational(c, message):
         with pytest.raises(SeriesError, match=f"^{message}") as caught:
             refuse(((1, 0, 1), (0, 1, c)))
         assert isinstance(caught.value, ValueError)
+
+
+@PROFILE
+@given(RANDOM_Z, D_SIGMA)
+def test_value_at_a_p_level_is_the_complex_horner(z_terms, d_sigma):
+    # at a P level S acts by the real D.S + ks: the one-number loop must give
+    # what Horner's rule on (re, im) over z's P table gives
+    z = RelationPoly.of(z_terms)
+    den, p, _ = z._horner
+    for ks in range(-14, 15, 4):  # every ks == 2 (mod 4) in [-14, 14]
+        a, b = d_sigma + ks, 0
+        re = im = 0
+        for c in p:
+            re, im = re * a - im * b + c, re * b + im * a
+        got = z._value(ks, d_sigma)
+        if re or im:
+            assert (got.re, got.im) == (Fraction(re, den), Fraction(im, den))
+            assert type(got.re) is (int if Fraction(re, den).denominator == 1 else Fraction)
+        else:
+            assert got is None

@@ -6,6 +6,8 @@ token.  Run from anywhere:
 
     python3 tools/src_size.py            # this checkout's src/donaldson
     python3 tools/src_size.py DIR        # the modules in DIR
+
+A DIR that does not exist, or holds no ``*.py``, exits 2 with a message.
 """
 
 import sys
@@ -24,8 +26,12 @@ def size(path: Path) -> tuple[int, int]:
 
 def main(argv: list[str]) -> int:
     root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "donaldson"
+    paths = sorted(root.glob("*.py")) if root.is_dir() else []
+    if not paths:
+        print(f"src_size: {root} is not a directory holding *.py files", file=sys.stderr)
+        return 2
     total_lines = total_tokens = 0
-    for path in sorted(root.glob("*.py")):
+    for path in paths:
         lines, tokens = size(path)
         total_lines, total_tokens = total_lines + lines, total_tokens + tokens
         print(f"{path.name:<20} {lines:>6} {tokens:>7}")
