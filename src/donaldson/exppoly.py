@@ -84,9 +84,8 @@ class ExpPolynomial:
         pairs of ``GaussianRational``s, sorted by exponent, no exponent twice
         and no coefficient zero; ``marker`` one of ``MARKERS`` and
         ``q_square`` an int or a Fraction (``_exact``) exactly when it is marked.
-        Its makers, each from sums per exponent: ``gluing.eval_glued``,
-        ``SplitSeries._evaluate`` (``evaluate`` and ``apply_relation``) and
-        ``fit.basis_coordinates``."""
+        Its makers, each from sums per exponent: ``gluing.eval_glued`` and
+        ``SplitSeries._evaluate`` (``evaluate`` and ``apply_relation``)."""
         return _trusted(ExpPolynomial, marker=marker, terms=terms, q_square=q_square)
 
     # -- queries -----------------------------------------------------------------

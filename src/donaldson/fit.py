@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exppoly import ExpPolynomial
-from .gaussian import GaussianRational
 from .lattice import HClass, MarkedSurface, _exact
 from .series import DonaldsonSeries, split_series
 
@@ -78,9 +77,7 @@ class BasisCoordinates:
 def basis_coordinates(
     series: DonaldsonSeries, w: HClass, s: MarkedSurface, d: HClass
 ) -> BasisCoordinates:
-    """Collect the series into its 2g-1 level coordinates against (w, S, D): each
-    coordinate is its level's ``level_sums``, whose nonzero sums, sorted by K.D,
-    are its terms as they stand (``ExpPolynomial._canonical``)."""
+    """Collect the series into its 2g-1 level coordinates against (w, S, D)."""
     if d.dot(s.cls) != 1:
         raise FitError("coordinates are computed against a probe with D.S = 1")
     g = s.genus
@@ -91,12 +88,11 @@ def basis_coordinates(
             raise FitError(
                 f"class {k} pairs {lvl} with the surface, beyond the adjunction bound {2 * g - 2}"
             )
-    coords = []
-    for alpha in range(1, 2 * g):
-        sums = sorted(split.level_sums(2 * p_of_alpha(alpha, g), d).items())
-        terms = tuple([(GaussianRational(kd), GaussianRational(a)) for kd, a in sums if a])
-        coords.append(ExpPolynomial._canonical("none", terms, None))
-    return BasisCoordinates(g, d.square, tuple(coords))
+    coords = tuple(
+        ExpPolynomial("none", split.level_sums(2 * p_of_alpha(alpha, g), d).items())
+        for alpha in range(1, 2 * g)
+    )
+    return BasisCoordinates(g, d.square, coords)
 
 
 def zero_coordinates(genus: int) -> BasisCoordinates:

@@ -5,9 +5,9 @@
 blow-up makers, ``Lattice._blown`` (the blown lattice L + <-1>^m) and
 ``DonaldsonSeries._blown`` (the blown series), the glued evaluation's
 makers, ``gluing.rshift`` (the moved split class, with its int form) and
-``ExpPolynomial._canonical`` (the results of ``eval_glued``,
+``ExpPolynomial._canonical`` (the results of ``eval_glued`` and of
 ``SplitSeries.evaluate``, whose private ``_evaluate`` ``apply_relation``
-calls too, and ``basis_coordinates``), make their values through it, and
+calls too), make their values through it, and
 ``test_package`` pins that no other code calls ``__new__``.  The blow-up
 makers rest on one lemma, which their docstrings state: the rows K + s come
 out sorted, unique and characteristic, as the base's are, the signs s run in
@@ -28,10 +28,11 @@ class arithmetic, and ``eval_glued``'s result with the per-entry
 ``Fraction`` sum through the checked ``ExpPolynomial``.  So are the split
 evaluations' results, with the per-row sums, each row paired with S, D
 and w alone and z's scalar taken as its plain power sum:
-``SplitSeries.evaluate``'s and ``apply_relation``'s two parts, and each
-coordinate of ``basis_coordinates``.  The audit also checks what a series
-keeps once made: each split that ``split_series`` hands out is the one asked for, and at the end each stored column equals a fresh
-``Lattice.pairings`` and each stored split's table a fresh ``_split_table``.
+``SplitSeries.evaluate``'s and ``apply_relation``'s two parts.  The
+audit also checks what a series keeps once made: each split that
+``split_series`` hands out is the one asked for, and at the end each stored
+column equals a fresh ``Lattice.pairings`` and each stored split's table a
+fresh ``_split_table``.
 The cached paths make no new value on a repeated call: each value that
 ``parse_recipe``, ``_probes`` or ``_relation_poly`` hands out is compared at
 the end with a fresh rebuild from the call's own arguments (the entry's file
@@ -69,13 +70,12 @@ import pytest
 
 import donaldson.cli as cli
 import donaldson.constructions as constructions
-import donaldson.fit as fit_mod  # loaded before the audit patches split_series, which it binds
+import donaldson.fit  # noqa: F401  loaded before the audit patches split_series, which it binds
 import donaldson.gluing as gluing_mod
 import donaldson.lattice as lattice_mod
 import donaldson.series as series_mod
 from donaldson.constructions import blow_up, catalog
 from donaldson.exppoly import ExpPolynomial
-from donaldson.fit import BasisCoordinates, p_of_alpha
 from donaldson.gaussian import GaussianRational
 from donaldson.gluing import GluedSeries, GluingSpec, SplitClass, glue, glue_torus, glued_to_json
 from donaldson.lattice import HClass, Lattice, _indented, _over_lcm
@@ -93,10 +93,10 @@ FIT_G = (3, 4, 5)
 # stores and the cached paths, which make no new value on a repeated call
 PATHS = ("HClass", "Lattice", "DonaldsonSeries", "GluedSeries", "SplitClass", "ExpPolynomial",
          "_signed", "_blown", "_scaled_halves", "rshift", "eval_glued", "SplitSeries.evaluate",
-         "apply_relation", "basis_coordinates", "column", "split_series", "parse_recipe",
-         "_probes", "_relation_poly", "RelationPoly.of")
+         "apply_relation", "column", "split_series", "parse_recipe", "_probes",
+         "_relation_poly", "RelationPoly.of")
 # the split evaluations, each of which must meet a rational D and a K.D whose sum cancels
-SPLIT_PATHS = ("SplitSeries.evaluate", "apply_relation", "basis_coordinates")
+SPLIT_PATHS = ("SplitSeries.evaluate", "apply_relation")
 
 # each cached path: its module, and what beyond == a fresh rebuild must match
 CACHED = {"parse_recipe": (constructions, "json_bytes"), "_probes": (series_mod, None),
@@ -178,8 +178,6 @@ def scenario(monkeypatch, tmp) -> str:
             warnings.simplefilter("ignore")  # at D.S = 2 the relation need not vanish
             parts.append(series_mod.apply_relation(b3.series, w, s, z, x + e1))
         printed += [_indented([part.to_json() for part in pair]) for pair in parts]
-        bc = fit_mod.basis_coordinates(b3.series, w, s, x)
-        printed.append(_indented([c.to_json() for c in bc.coords]))
     assert spec._splits[0].nums != b4.series.nums  # the twist flips some signs
     signed = twisted(b4.series, spec.w1), unsplit_series(spec._splits[0])
     printed += [_indented(series_to_json(series)) for series in signed]
@@ -187,19 +185,15 @@ def scenario(monkeypatch, tmp) -> str:
     return "\n".join(printed)
 
 
-def per_row(split, d, z=None):
+def per_row(split, d, z):
     """{(sector, exponent): the per-row terms} of ``split`` on z e^{tD}, K.S, K.D
-    and K.w taken row by row, z's scalar as its plain power sum (z = None gives
-    the bare twisted coefficients at exponent K.D, keyed by the level K.S)."""
+    and K.w taken row by row, z's scalar as its plain power sum."""
     series, w, s = split.series, split.w, split.surface
     d_sigma, w_sq = d.dot(s.cls), w.square
     terms = defaultdict(list)
     for k, c in series.entries:
         ks, kd = k.dot(s.cls), k.dot(d)
         c = -c if (k.dot(w) + w_sq) % 4 else c
-        if z is None:
-            terms[ks, GaussianRational(kd)].append(GaussianRational(c))
-            continue
         if ks % 4 == 2:
             x, weight, lam, unit = 2, GaussianRational(d_sigma + ks), GaussianRational(kd), 1
         else:
@@ -237,7 +231,8 @@ class Audit:
     def against_rows(self, path, made, twin, d, terms):
         """A split evaluation's result against its per-row twin: equal, term for
         term in order, and with the same JSON, what a command would print."""
-        same = made == twin and json.dumps(to_json(made)) == json.dumps(to_json(twin))
+        made_json, twin_json = (json.dumps([p.to_json() for p in pair]) for pair in (made, twin))
+        same = made == twin and made_json == twin_json
         self.check(path, same, f"{d!r:.200} is not the per-row sum")
         self.met[path, "rational D"] += not d.is_integral
         self.met[path, "a K.D cancels"] += cancels(terms)
@@ -288,13 +283,6 @@ class Audit:
             self.check(name, same, f"cached {name}{args!r:.200} is not a fresh rebuild")
 
 
-def to_json(value):
-    """A split evaluation's result as JSON: each part's, or the coordinates'."""
-    if isinstance(value, BasisCoordinates):
-        return [value.genus, str(value.d_square), to_json(value.coords)]
-    return [to_json(v) for v in value] if isinstance(value, tuple) else value.to_json()
-
-
 def same_types(coords, others) -> bool:
     return [*map(type, coords)] == [*map(type, others)]
 
@@ -315,7 +303,6 @@ def install(monkeypatch) -> Audit:
     scaled_halves, rshift, eval_glued = (
         gluing_mod._scaled_halves, gluing_mod.rshift, gluing_mod.eval_glued)
     split_evaluate, apply_relation = SplitSeries.evaluate, series_mod.apply_relation
-    basis_coordinates = fit_mod.basis_coordinates
     poly_of_real = series_mod.RelationPoly.of.__func__
 
     def trusted(cls, **fields):
@@ -387,16 +374,6 @@ def install(monkeypatch) -> Audit:
         audit.against_rows("apply_relation", made, sector_parts(terms, d.square), d, terms)
         return made
 
-    def coordinates(series, w, s, d):
-        made = basis_coordinates(series, w, s, d)
-        terms, g = per_row(series_mod.split_series(series, w, s), d), s.genus
-        coords = tuple(ExpPolynomial("none", tuple((lam, c) for (ks, lam), cs in terms.items()
-                                                   if ks == 2 * p_of_alpha(alpha, g) for c in cs))
-                       for alpha in range(1, 2 * g))
-        twin = BasisCoordinates(g, d.square, coords)
-        audit.against_rows("basis_coordinates", made, twin, d, terms)
-        return made
-
     def remembered(name, cached):
         def lookup(*args):
             made = cached(*args)
@@ -429,7 +406,6 @@ def install(monkeypatch) -> Audit:
     patch_everywhere(monkeypatch, gluing_mod, "rshift", shifted)
     patch_everywhere(monkeypatch, gluing_mod, "eval_glued", evaluated)
     patch_everywhere(monkeypatch, series_mod, "apply_relation", relation_applied)
-    patch_everywhere(monkeypatch, fit_mod, "basis_coordinates", coordinates)
     monkeypatch.setattr(SplitSeries, "evaluate", split_evaluated)
     monkeypatch.setattr(DonaldsonSeries, "_signed", signed_copy)
     monkeypatch.setattr(DonaldsonSeries, "_blown", blown_copy)
