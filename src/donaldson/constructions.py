@@ -49,6 +49,7 @@ from .lattice import (
     Lattice,
     MarkedSurface,
     _indented,
+    _int,
     _read,
     _unique_keys,
     lattice_from_json,
@@ -181,7 +182,7 @@ def elliptic_surface(n: int) -> CatalogEntry:
     n = 1 has b+ = 1, where invariants depend on a chamber structure this
     calculator does not model.
     """
-    if n < 2:
+    if _int(n, "n", ConstructionError) < 2:
         raise ConstructionError(
             "n = 1 has b+ = 1 and chamber-dependent invariants; need n >= 2"
         )
@@ -250,7 +251,7 @@ def _blown_up(name, series, m, extra=(), first=1) -> DonaldsonSeries:
 
 def build_bg(g: int) -> CatalogEntry:
     """E(g) blown up g times with its genus-g square-zero surface S_g."""
-    if g < 2:
+    if _int(g, "g", ConstructionError) < 2:
         raise ConstructionError("B(g) needs g >= 2")
     _check_size(f"B{g}", g - 1, g)
     # in the coordinates (F, sigma, E_1, ..., E_g)
@@ -298,7 +299,8 @@ def build_dia2(g_prime: int, g: int) -> CatalogEntry:
     basic class pairs with it in [-(2g'-2), 2g'-2], strictly below the
     adjunction bound 2g-2, so doubles along it have vanishing invariants.
     """
-    if g_prime < 1 or g <= g_prime:
+    _int(g_prime, "g_prime", ConstructionError)
+    if g_prime < 1 or _int(g, "g", ConstructionError) <= g_prime:
         raise ConstructionError("need 1 <= g' < g")
     blowups = 2 * g_prime - 2
     name = f"dia2:{g_prime}:{g}"
@@ -335,7 +337,7 @@ def closed_form_cg(g: int) -> CatalogEntry:
     comparison target when re-deriving the universal pairing matrix, never
     as a gluing input.
     """
-    if g < 2:
+    if _int(g, "g", ConstructionError) < 2:
         raise ConstructionError("C(g) needs g >= 2")
     name = f"C{g}"
     _check_digits(name, 3 * g - 5)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gaussian import GaussianRational
-from .lattice import _NUMBER, _exact, _over_lcm, _quotient, _read, _trusted
+from .lattice import _NUMBER, _exact, _int, _over_lcm, _quotient, _read, _trusted
 
 MARKERS = ("+Q/2", "-Q/2", "none")
 
@@ -181,7 +181,7 @@ class ExpPolynomial:
         The marked prefactor contributes e^{s q t^2 / 2} with s = +-1; this is
         the only place the marker is ever developed, with q = q_square.
         """
-        if order < 0:
+        if _int(order, "expansion order", ExpPolynomialError) < 0:
             raise ExpPolynomialError("expansion order must be >= 0")
         if order > MAX_EXPAND_ORDER:
             raise ExpPolynomialError(

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exppoly import ExpPolynomial
-from .lattice import HClass, MarkedSurface, _exact
+from .lattice import HClass, MarkedSurface, _exact, _int
 from .series import DonaldsonSeries, split_series
 
 
@@ -36,16 +36,9 @@ class InsufficientData(FitError):
     """No reference triple determines a requested diagonal entry."""
 
 
-def _int(value, name: str) -> int:
-    """The value, if it is an int (a bool is not one); else a ``FitError``."""
-    if type(value) is not int:
-        raise FitError(f"{name} must be an int, got {value!r}")
-    return value
-
-
 def p_of_alpha(alpha: int, genus: int) -> int:
     """Pairing level of the alpha-th coordinate, alpha = 1..2g-1."""
-    if not 1 <= _int(alpha, "alpha") <= 2 * _int(genus, "genus") - 1:
+    if not 1 <= _int(alpha, "alpha", FitError) <= 2 * _int(genus, "genus", FitError) - 1:
         raise FitError(f"alpha={alpha} out of range for genus {genus}")
     m = (alpha - 1) // 2
     level = genus - 1 - m
@@ -61,7 +54,7 @@ class BasisCoordinates:
     coords: tuple[ExpPolynomial, ...]
 
     def __post_init__(self):
-        if len(self.coords) != 2 * _int(self.genus, "genus") - 1:
+        if len(self.coords) != 2 * _int(self.genus, "genus", FitError) - 1:
             raise FitError("coordinate vector has the wrong length")
         if any(c.marker != "none" for c in self.coords):
             raise FitError("a coordinate is a bare level sum and carries no marker")
@@ -97,7 +90,7 @@ def basis_coordinates(
 
 def zero_coordinates(genus: int) -> BasisCoordinates:
     """The coordinate vector of a manifold with vanishing invariants."""
-    return BasisCoordinates(genus, 0, (ExpPolynomial(),) * (2 * _int(genus, "genus") - 1))
+    return BasisCoordinates(genus, 0, (ExpPolynomial(),) * (2 * _int(genus, "genus", FitError) - 1))
 
 
 def fit_diagonal(

@@ -19,7 +19,8 @@ Exact numbers are made here, each by one rule: ``_exact`` makes any number
 an int when it is integral and a Fraction otherwise; ``_over_lcm`` puts
 numbers over one denominator as ints; ``_quotient``, its inverse, makes an
 int over a positive int one number; and ``_tokens`` writes ints over a
-denominator as their str tokens.
+denominator as their str tokens.  ``_int`` is the one refusal of a value
+that must be an int, naming it.
 """
 
 from __future__ import annotations
@@ -90,6 +91,13 @@ def _quotient(n: int, d: int) -> int | Fraction:
     return Fraction(n, d) if n % d else n // d
 
 
+def _int(value, what: str, error=LatticeError) -> int:
+    """``value`` if it is an int (a bool is not one); else ``error``, naming ``what``."""
+    if type(value) is not int:
+        raise error(f"{what} must be an int, got {value!r}")
+    return value
+
+
 def _tokens(ints, den: int) -> list[str]:
     """The token of each n / den, in order, for a sequence of ints over a
     positive den: its str, formatted once per distinct n."""
@@ -155,9 +163,7 @@ class Lattice:
             raise LatticeError(f"{self.name}: Gram matrix is not square")
         if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(i)):
             raise LatticeError(f"{self.name}: Gram matrix is not symmetric")
-        if type(self.b_plus) is not int:
-            raise LatticeError(f"{self.name}: b_plus must be an int, got {self.b_plus!r}")
-        if self.b_plus % 2 == 0:
+        if _int(self.b_plus, f"{self.name}: b_plus") % 2 == 0:
             raise ParityError(
                 f"{self.name}: a series-carrying manifold needs b+ odd, got b+={self.b_plus}"
             )
@@ -250,9 +256,9 @@ class HClass:
     Basic classes and w-classes are integral; probe classes D may be rational
     (the theory rescales D freely).  Each coordinate is stored as an int when
     it is integral and as a Fraction otherwise.  ``HClass._row`` (``_trusted``)
-    serves only a series row or a named class, checked when made, and the
-    glued evaluation's classes of numbers it derived (``gluing._scaled_halves``'
-    m D_i, ``gluing.rshift``'s moved halves)."""
+    serves only a series row, a named class or a surface's class, checked when
+    made, and the glued evaluation's classes of numbers it derived
+    (``gluing._scaled_halves``' m D_i, ``gluing.rshift``'s moved halves)."""
 
     lattice: Lattice
     coords: tuple[int | Fraction, ...]
@@ -328,9 +334,7 @@ class MarkedSurface:
     genus: int
 
     def __post_init__(self):
-        if type(self.genus) is not int:
-            raise LatticeError(f"surface genus must be an int, got {self.genus!r}")
-        if self.genus < 1:
+        if _int(self.genus, "surface genus") < 1:
             raise LatticeError("surface genus must be >= 1")
         if not self.cls.is_integral:
             raise LatticeError("surface class must be integral")
@@ -393,9 +397,7 @@ def is_allowable(w: HClass, s: MarkedSurface) -> bool:
 
 def d_zero_value(w_square, b_plus: int) -> int:
     """d0 = -w^2 - (3/2)(1 + b+), b1 = 0; requires b+ an odd int."""
-    if type(b_plus) is not int:
-        raise LatticeError(f"b+ must be an int, got {b_plus!r}")
-    if b_plus % 2 == 0:
+    if _int(b_plus, "b+") % 2 == 0:
         raise ParityError(
             f"b+ = {b_plus} is even; d0 is not an integer "
             "(manifold outside the simple-type structure hypotheses)"

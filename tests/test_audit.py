@@ -1,14 +1,15 @@
 """One audit of every value made past its checks.
 
 ``lattice._trusted`` is the one door past a checked constructor:
-``HClass._row``, ``DonaldsonSeries._signed``, ``gluing._glued``, the two
-blow-up makers, ``Lattice._blown`` (the blown lattice L + <-1>^m) and
-``DonaldsonSeries._blown`` (the blown series), the glued evaluation's
-makers, ``gluing.rshift`` (the moved split class, with its int form) and
+``HClass._row`` (a series row, a named class or a surface's class, and the
+glued evaluation's m D_i and ``gluing.rshift``'s moved halves), ``DonaldsonSeries._signed``,
+``gluing._glued``, the two blow-up makers, ``Lattice._blown`` (the blown
+lattice L + <-1>^m) and ``DonaldsonSeries._blown`` (the blown series), and
 ``ExpPolynomial._canonical`` (the results of ``eval_glued`` and of
 ``SplitSeries.evaluate``, whose private ``_evaluate`` ``apply_relation``
 calls too), make their values through it, and
-``test_package`` pins that no other code calls ``__new__``.  The blow-up
+``test_package`` pins that no other code calls ``__new__``.  The moved
+split class itself is made by the checked ``SplitClass``.  The blow-up
 makers rest on one lemma, which their docstrings state: the rows K + s come
 out sorted, unique and characteristic, as the base's are, the signs s run in
 lexicographic order and E_i^2 = -1 is odd; only the gcd is taken again.
@@ -17,11 +18,11 @@ The audit wraps the door in every module that binds it, so that each value
 made there is compared with its checked twin, ``cls(**its init fields)``:
 equal, with the same attributes set and, for a gluing, the same int column
 and match index ``_match``; a class has the same coordinate types (an int
-wherever the value is integral), a split class the same int form and a
-polynomial the same type of D^2.  A twin built from the door's fields cannot
-see a maker that hands the door the wrong values, so ``_signed`` and both
-``_blown`` makers, whose arguments fix their values, are also compared with
-the checked value of their own arguments, and so are the glued evaluation's
+wherever the value is integral) and a polynomial the same type of D^2.  A
+twin built from the door's fields cannot see a maker that hands the door the
+wrong values, so ``_signed`` and both ``_blown`` makers, whose arguments fix
+their values, are also compared with the checked value of their own
+arguments, and so are the glued evaluation's
 three: ``_scaled_halves``' m D_i with ``HClass`` of m times D_i's
 coordinates, ``rshift``'s moved class with (D1 + rS, D2 - rS) by checked
 class arithmetic, and ``eval_glued``'s result with the per-entry
@@ -91,7 +92,7 @@ FIT_G = (3, 4, 5)
 # every wrapped path: the door per class it makes, the signed and blown makers, the glued
 # evaluation's makers (m D_i, the moved class, the result), the split evaluations, the two
 # stores and the cached paths, which make no new value on a repeated call
-PATHS = ("HClass", "Lattice", "DonaldsonSeries", "GluedSeries", "SplitClass", "ExpPolynomial",
+PATHS = ("HClass", "Lattice", "DonaldsonSeries", "GluedSeries", "ExpPolynomial",
          "_signed", "_blown", "_scaled_halves", "rshift", "eval_glued", "SplitSeries.evaluate",
          "apply_relation", "column", "split_series", "parse_recipe", "_probes",
          "_relation_poly", "RelationPoly.of")
@@ -257,8 +258,6 @@ class Audit:
             same = same and made._int_form == twin._int_form and made._match == twin._match
         elif cls is HClass:
             same = same and same_types(made.coords, twin.coords)
-        elif cls is SplitClass:
-            same = same and made._int_form == twin._int_form
         elif cls is ExpPolynomial:
             same = same and type(made.q_square) is type(twin.q_square)
         self.check(cls.__name__, same, f"{made!r:.200} is not its checked twin")

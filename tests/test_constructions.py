@@ -252,6 +252,20 @@ def test_a_refused_family_name_is_named_in_its_error(name, recipe):
     assert str(by_name.value).split(": ", 1)[1] == str(by_recipe.value).split(": ", 1)[1]
 
 
+@pytest.mark.parametrize("build, args, shown", [
+    (elliptic_surface, (3.0,), "n must be an int, got 3.0"),
+    (build_bg, (3.0,), "g must be an int, got 3.0"),
+    (build_bg, (True,), "g must be an int, got True"),
+    (build_dia2, (1.0, 2), "g_prime must be an int, got 1.0"),
+    (build_dia2, (1, True), "g must be an int, got True"),
+    (closed_form_cg, (2.0,), "g must be an int, got 2.0"),
+])
+def test_a_builder_refuses_an_argument_that_is_not_an_int(monkeypatch, build, args, shown):
+    monkeypatch.setattr(constructions, "Lattice", None)  # building would raise TypeError
+    with pytest.raises(ConstructionError, match=f"^{shown}$"):
+        build(*args)
+
+
 # -- the blown-up K3 vanishing references ----------------------------------------------
 
 

@@ -158,6 +158,13 @@ def test_expand_refuses_an_order_over_the_limit():
         poly([(1, 1)]).expand(-1)
 
 
+@pytest.mark.parametrize("order, shown", [(True, "True"), (2.5, "2.5"), ("3", "'3'")])
+def test_expand_refuses_an_order_that_is_not_an_int(order, shown):
+    # True is no order 1, and 2.5 or "3" no order at all
+    with pytest.raises(ExpPolynomialError, match=f"^expansion order must be an int, got {shown}$"):
+        poly([(1, 1)], marker="+Q/2", q=1).expand(order)
+
+
 def test_json_round_trip():
     terms = ((GaussianRational(0, 2), GaussianRational(Fraction(1, 2), -1)),)
     for p in (ExpPolynomial("none", terms), ExpPolynomial("-Q/2", terms, -3)):

@@ -125,6 +125,14 @@ def test_odd_w_square_difference_rejected():
         bg_double(2, w_square=1)
 
 
+def test_a_w_square_that_is_not_an_int_is_named_as_such():
+    # a rational w^2 is refused for what it is, not for the parity it then fails
+    with pytest.raises(GluingError, match="^w_square must be an int, got 1/2$"):
+        bg_double(2, w_square="1/2")
+    with pytest.raises(GluingError, match="^w_square must be an int, got 3/2$"):
+        bg_double(2, w_square=Fraction(3, 2))
+
+
 # -- evaluation ------------------------------------------------------------------------
 
 
