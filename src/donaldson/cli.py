@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 a stated identity broke during verification,
 catalog verifies an entry's characteristic classes, involution symmetry
 and adjunction bounds when it derives the entry, so an entry that breaks
 one is refused with 2; ``check`` reports those as ok and computes the
-point-class order (``x2_minus_4``) and ``relation_poly`` itself.  A
+point-class order (``x2_minus_4``) itself, and decides ``relation_poly``
+level by level from the relation's roots, with no expansion.  A
 stdout closed by its reader ends a command with 0, since a command prints
 only after its work and its checks succeeded.  All rationals in the JSON
 output are exact strings.
@@ -30,7 +31,7 @@ from .constructions import (
     entry_json_bytes,
 )
 from .lattice import HClass, _indented, _unique_keys
-from .series import finite_type_order, relation_poly, split_series, z_value
+from .series import _root_level, finite_type_order, split_series
 
 
 class VerificationError(Exception):
@@ -229,11 +230,11 @@ def _cmd_check(args) -> int:
 
     if s.genus >= 2:
         # z is one scalar per surface level, whatever the twist, so it kills
-        # the series at every D with D.S = 1 exactly when it is zero at each
-        # level; the levels are those of the split finite_type_order tabled
-        z = relation_poly(s.genus)
+        # the series at every D with D.S = 1 exactly when its roots make it
+        # zero at each level; the levels are those of the split
+        # finite_type_order tabled
         levels = split_series(entry.series, w, s).levels
-        if any(not z_value(z, ks, 1).is_zero for ks in levels):
+        if not all(_root_level(s.genus, ks, 1) for ks in levels):
             raise VerificationError(
                 f"{entry.name}: genus-{s.genus} relation polynomial "
                 "failed to annihilate the series"

@@ -18,9 +18,12 @@ there.  A split's table, made by ``_split_table`` on its own first read,
 holds the column of S, ``levels`` (rows per level) and ``nums`` (numerators
 twisted by the column of w, over ``den``).  ``level_sums`` is a level's bare
 sum of twisted coefficients per K.D, a fit coordinate, paired on the level's
-rows and storing nothing; ``evaluate`` puts it in sector form with
-``z_value``, z's scalar at a level, read from z's table of ints, compiled
-when z is made, and sums each sector per K.D before it makes a term.
+rows and storing nothing; ``evaluate`` puts it in sector form with z's
+scalar at a level, ``z_value``, and sums each sector per K.D before it makes
+a term.  The scalar is 0 wherever the roots of a relation that
+``relation_poly`` made say so (``_root_level``, which ``check`` reads too),
+and elsewhere is Horner's rule over z's table of ints, compiled when z is
+made.
 """
 
 from __future__ import annotations
@@ -252,10 +255,15 @@ def _power(p) -> int:
 def z_value(z_terms, ks: int, d_sigma) -> GaussianRational:
     """z, a ``RelationPoly`` or its (S-power, x-power, c) terms, at surface
     level ``ks`` for D.S = ``d_sigma``, without the N-sector unit i^{-d0}: x
-    acts by 2 when ks == 2 mod 4 (P) and by -2 otherwise (N), S by d_sigma +
-    ks (P) or by -d_sigma + i ks (N).  Plain terms are checked once, through
-    ``RelationPoly.of``; the value is Horner's rule over z's table
-    (``RelationPoly._value``), on one number at a P level."""
+    acts by 2 when ks == 2 mod 4 (P) and by -2 when ks == 0 mod 4 (N), S by
+    d_sigma + ks (P) or by -d_sigma + i ks (N).  A level K.S is even (K is
+    characteristic and S^2 = 0), so one that is not an even int is a
+    SeriesError.  Plain terms are checked once, through ``RelationPoly.of``;
+    the value is Horner's rule over z's table (``RelationPoly._value``), on
+    one number at a P level, at root levels too: the tests hold the root rule
+    (``_root_level``) against it."""
+    if type(ks) is not int or ks % 2:
+        raise SeriesError(f"surface level must be an even int, got {ks!r}")
     value = RelationPoly.of(z_terms)._value(ks, _exact(d_sigma))
     return GaussianRational() if value is None else value
 
@@ -329,13 +337,21 @@ class SplitSeries:
         """``evaluate`` at D.S = ``d_sigma``, exact, which ``apply_relation`` reads
         once.  z is one scalar per level K.S, its ``_value``, times i^{-d0} in N; a
         zero one adds nothing, else the level's ``level_sums`` add scalar * a into
-        its sector's one sum per K.D.  The nonzero sums, sorted by K.D, are the
-        terms as they stand, exponent K.D in P and i K.D in N, so each part is
-        made past the constructor's merge and sort (``ExpPolynomial._canonical``)."""
+        its sector's one sum per K.D.  A z that ``relation_poly`` made knows its
+        genus, read here once, and a level where its roots make it 0
+        (``_root_level``) is skipped before ``_value`` runs Horner's rule.  The
+        nonzero sums, sorted by K.D, are the terms as they stand, exponent K.D in
+        P and i K.D in N, so each part is made past the constructor's merge and
+        sort (``ExpPolynomial._canonical``)."""
         # merged here, not by the constructor: relation_check op_p50_ms -12.9% with it, 9 of 10
         # pairs, and -8% to -10% in process on nonzero z (BENCH_53.json "review")
         sums: dict[int, dict] = {2: {}, 0: {}}
+        # the root skip: relation_check op_p50_ms -18.4% and -15.5% with it, 19 of 20 pairs, each
+        # set over the IQR (BENCH_56.json)
+        g = z._genus
         for ks in self._table[1]:
+            if g and _root_level(g, ks, d_sigma):
+                continue
             scalar = z._value(ks, d_sigma)
             if scalar is None:
                 continue
@@ -398,11 +414,14 @@ class RelationPoly:
     Stored as (S-power, x-power, coefficient) triples, each power an int >= 0
     and each coefficient rational, else a SeriesError naming the term.  Its
     table of ints, ``_horner``, is compiled when it is made; insertions and
-    ``sigma_degree`` read it.
+    ``sigma_degree`` read it.  The relation that ``relation_poly(g)`` makes
+    also keeps its genus, ``_genus`` (None on every other polynomial), so
+    that a split evaluation skips the levels its roots decide.
     """
 
     terms: tuple[tuple[int, int, int | Fraction], ...]
     _horner: tuple = field(init=False, repr=False, compare=False)
+    _genus: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         merged: dict[tuple[int, int], int | Fraction] = {}
@@ -432,9 +451,10 @@ class RelationPoly:
 
     def _value(self, ks: int, d_sigma) -> GaussianRational | None:
         """z at level ``ks`` for an exact D.S, or None for 0: Horner's rule in S
-        on z's table, ints for an int D.S.  At a P level (ks == 2 mod 4) S acts by
-        the real D.S + ks, so Horner runs on one number; at an N level by
-        -D.S + i ks, on (re, im)."""
+        on z's table, ints for an int D.S, whatever z's genus (``z_value`` and a
+        split evaluation's nonzero levels read it).  At a P level (ks == 2 mod 4)
+        S acts by the real D.S + ks, so Horner runs on one number; at an N level
+        by -D.S + i ks, on (re, im)."""
         den, p, n = self._horner
         # relation_check op_p50_ms -5.6% with it, 19 of 20 pairs, over the IQR (BENCH_54.json)
         if ks % 4 == 2:
@@ -466,12 +486,14 @@ MAX_GENUS = 1000
 """The largest genus ``relation_poly`` expands.  The expansion multiplies g - 1
 root factors into big-int coefficients, at a cost that grows about as g^3: on
 one Intel Xeon core 0.06 s at g = 500, 0.3-0.5 s at 1000, 0.9-1.4 s at 1500
-and 2 s at 2000, so a larger genus is refused before it starts."""
+and 2 s at 2000, so a larger genus is refused before it starts.  The root
+rule, ``_root_level``, expands nothing and takes any genus."""
 
 
 def relation_poly(g: int) -> RelationPoly:
     """The degree-(g-1) relation annihilated by every genus-g split series,
-    one value per genus; a genus over ``MAX_GENUS`` is a SeriesError.
+    expanded, one value per genus, which keeps g for the root rule
+    (``_root_level``); a genus over ``MAX_GENUS`` is a SeriesError.
 
     Shape (1 -+ x/2) p(S), p the product of (S - r) over its roots r.  For
     g even the x-factor is (1 - x/2) and the roots are -1 and the pairs
@@ -507,7 +529,25 @@ def _relation_poly(g: int) -> RelationPoly:
     z = RelationPoly.of((sp, xp, c * xc) for sp, c in enumerate(p) for xp, xc in x_part)
     if z.sigma_degree != g - 1:
         raise SeriesError("relation polynomial has wrong surface degree")
+    object.__setattr__(z, "_genus", g)
     return z
+
+
+def _root_level(g: int, ks: int, d_sigma) -> bool:
+    """Whether the genus-g relation is 0 at the even surface level ``ks`` for
+    an exact D.S = ``d_sigma``, from ``relation_poly``'s roots, with no
+    expansion: the Gaussian integers have no zero divisors, so z is 0 exactly
+    where its x-factor or one S - r is.  For g even 1 - x/2 is 0 at every P
+    level (x = 2), and at an N level S = -D.S + i ks is a root -1 + 4ki
+    exactly when D.S = 1 and |ks| <= 2g - 4.  For g odd 1 + x/2 is 0 at every
+    N level (x = -2), and at a P level S = v = D.S + ks is a root exactly when
+    v == 3 mod 4 and |v| <= 2g - 3."""
+    if g % 2 == 0:
+        return ks % 4 == 2 or (d_sigma == 1 and abs(ks) <= 2 * g - 4)
+    if ks % 4 != 2:
+        return True
+    v = d_sigma + ks
+    return v % 4 == 3 and abs(v) <= 2 * g - 3
 
 
 def apply_relation(

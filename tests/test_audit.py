@@ -37,7 +37,7 @@ fresh ``_split_table``.
 The cached paths make no new value on a repeated call: each value that
 ``parse_recipe``, ``_probes`` or ``_relation_poly`` hands out is compared at
 the end with a fresh rebuild from the call's own arguments (the entry's file
-bytes and the relation's table too), and ``RelationPoly.of`` must hand back
+bytes and the relation's table and genus too), and ``RelationPoly.of`` must hand back
 a ``RelationPoly`` it is given as it is.
 
 The scenario runs, through ``cli.run``, the commands of the benchmark's
@@ -100,8 +100,8 @@ PATHS = ("HClass", "Lattice", "DonaldsonSeries", "GluedSeries", "ExpPolynomial",
 SPLIT_PATHS = ("SplitSeries.evaluate", "apply_relation")
 
 # each cached path: its module, and what beyond == a fresh rebuild must match
-CACHED = {"parse_recipe": (constructions, "json_bytes"), "_probes": (series_mod, None),
-          "_relation_poly": (series_mod, "_horner")}
+CACHED = {"parse_recipe": (constructions, ("json_bytes",)), "_probes": (series_mod, ()),
+          "_relation_poly": (series_mod, ("_horner", "_genus"))}
 
 
 def commands(tmp):
@@ -278,7 +278,7 @@ class Audit:
                 self.check("split_series", same, f"stored split {key} is not its own")
         for name, rebuild, args, made in self.cached:
             fresh, extra = rebuild(*args), CACHED[name][1]
-            same = made == fresh and (extra is None or getattr(made, extra) == getattr(fresh, extra))
+            same = made == fresh and all(getattr(made, a) == getattr(fresh, a) for a in extra)
             self.check(name, same, f"cached {name}{args!r:.200} is not a fresh rebuild")
 
 

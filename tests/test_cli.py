@@ -31,7 +31,7 @@ from donaldson.exppoly import ExpPolynomial, ExpPolynomialError
 from donaldson.fit import FitError
 from donaldson.gluing import GluingError
 from donaldson.lattice import LatticeError
-from donaldson.series import RelationPoly, SeriesError, relation_poly
+from donaldson.series import SeriesError, relation_poly, split_series, z_value
 from test_pairing_table import record_columns, record_pairings
 
 
@@ -304,8 +304,8 @@ def test_check_splits_once_per_w(monkeypatch, capsys):
     classes = set(entry.series.rows)
     entry.series.classes()  # the row classes, whose single pairings are counted
     assert run(["check", "--entry", "bg:4"]) == 0
-    # one split of w, for finite_type_order; the relation check reads z's
-    # value at each surface level of that split's table, so it tables nothing
+    # one split of w, for finite_type_order; the relation check decides each
+    # surface level of that split's table from z's roots, so it tables nothing
     assert len(calls) == 1
     # the column of S was made once, when bg:4 was derived; the adjunction
     # check and the split read it.  Each basic class met S once, in a batch
@@ -344,8 +344,8 @@ def test_check_pairs_the_rows_with_the_surface_the_torus_and_one_probe(monkeypat
     [
         ("finite_type_order", lambda series, w, s: 2, "point-class order 2, expected 1"),
         (
-            "relation_poly",
-            lambda g: RelationPoly.of([(0, 0, 1)]),
+            "_root_level",
+            lambda g, ks, d_sigma: False,
             "genus-4 relation polynomial failed to annihilate the series",
         ),
     ],
@@ -360,7 +360,8 @@ def test_check_failure_exits_one_with_its_message(monkeypatch, capsys, name, fak
 
 def test_check_fails_when_a_level_value_is_nonzero(monkeypatch, capsys):
     # the genus-3 relation is nonzero at some surface level of B4
-    monkeypatch.setattr(cli, "relation_poly", lambda g: relation_poly(3))
+    rule = series_mod._root_level
+    monkeypatch.setattr(cli, "_root_level", lambda g, ks, d_sigma: rule(3, ks, d_sigma))
     assert run(["check", "--entry", "bg:4"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -370,27 +371,52 @@ def test_check_fails_when_a_level_value_is_nonzero(monkeypatch, capsys):
     )
 
 
+# catalog entries of surface genus 2..12 whose check reads a relation
+VERDICT_ENTRIES = (
+    [f"bg:{g}" for g in range(2, 13)]
+    + [f"cg:{g}" for g in range(2, 13)]
+    + [f"dia2:{gp}:{g}" for g in range(2, 9) for gp in range(1, g)]
+)
+
+
+@pytest.mark.parametrize("name", VERDICT_ENTRIES)
+def test_check_verdict_is_the_expanded_relation_at_each_level(monkeypatch, capsys, name):
+    # check decides z from its roots; its verdict for the relation of each
+    # genus 2..12, made to stand for the entry's own, is whether the expanded
+    # relation (z_value, Horner's rule) is 0 at each level of the entry's split
+    entry = catalog(name)
+    s = entry.surface()
+    levels = split_series(entry.series, entry.w_class(), s).levels
+    rule = series_mod._root_level
+    verdicts = {}
+    for g in range(2, 13):
+        monkeypatch.setattr(cli, "_root_level", lambda _, ks, d_sigma: rule(g, ks, d_sigma))
+        code = run(["check", "--entry", name])
+        capsys.readouterr()
+        verdicts[g] = all(z_value(relation_poly(g), ks, 1).is_zero for ks in levels)
+        assert code == (0 if verdicts[g] else 1), g
+    assert verdicts[s.genus]
+
+
 def test_check_unknown_entry(capsys):
     assert run(["check", "--entry", "nonsense"]) == 2
 
 
 @pytest.mark.parametrize(
     "recipe, g",
-    [("dia2:1:", series_mod.MAX_GENUS + 1), ("cg:", series_mod.MAX_GENUS + 1), ("dia2:1:", 100000)],
+    [
+        ("dia2:1:", series_mod.MAX_GENUS),
+        ("dia2:1:", series_mod.MAX_GENUS + 1),
+        ("cg:", series_mod.MAX_GENUS + 1),
+        ("dia2:1:", 100000),
+    ],
 )
-def test_check_refuses_a_genus_over_the_limit_at_once(capsys, recipe, g):
-    # the relation's expansion grows about as g^3 (dia2:1:100000 ran past
-    # 20 s), so a genus over MAX_GENUS is refused before it starts
+def test_check_decides_the_relation_of_a_huge_genus_at_once(capsys, recipe, g):
+    # check decides the relation from its roots and expands nothing, so a
+    # genus past relation_poly's own expansion limit costs what a small one does
     start = time.perf_counter()
-    assert run(["check", "--entry", f"{recipe}{g}"]) == 2
+    code, payload = run_json(capsys, ["check", "--entry", f"{recipe}{g}"])
     assert time.perf_counter() - start < 1
-    limit = series_mod.MAX_GENUS
-    message = f"error: relation polynomial genus {g} is over the limit of {limit}\n"
-    assert capsys.readouterr() == ("", message)
-
-
-def test_check_expands_the_relation_at_the_genus_limit(capsys):
-    code, payload = run_json(capsys, ["check", "--entry", f"dia2:1:{series_mod.MAX_GENUS}"])
     assert code == 0 and payload["checks"]["relation_poly"] == "ok"
 
 

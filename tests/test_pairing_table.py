@@ -794,6 +794,37 @@ def test_a_relation_that_vanishes_makes_no_gaussian_value(monkeypatch):
     assert made and not (p.is_zero and n.is_zero)
 
 
+def test_a_relation_decides_its_root_levels_without_horner(monkeypatch):
+    # at D.S = 1 every level of B5 is a root level of the genus-5 relation, so
+    # no probe runs Horner's rule (_value); at D.S = 2 only the N levels are,
+    # where 1 + x/2 is 0, and each P level runs it.  The same polynomial
+    # without its genus runs it at every level
+    entry = catalog("B5")
+    s = entry.surface()
+    z = relation_poly(s.genus)
+    calls = []
+    value = RelationPoly._value
+
+    def counting(self, ks, d_sigma):
+        calls.append(ks)
+        return value(self, ks, d_sigma)
+
+    monkeypatch.setattr(RelationPoly, "_value", counting)
+    probes = fresh_probes(entry)
+    for d in probes:
+        for w in twists(entry):
+            p, n = apply_relation(entry.series, w, s, z, d)
+            assert p.is_zero and n.is_zero
+    assert calls == []
+    split = split_series(entry.series, entry.w_class(), s)
+    p, n = split.evaluate(probes[0] + probes[0], z)
+    assert sorted(calls) == sorted(ks for ks in split.levels if ks % 4 == 2)
+    assert calls and not p.is_zero and n.is_zero
+    calls.clear()
+    p, n = split.evaluate(probes[0], RelationPoly(z.terms))
+    assert sorted(calls) == sorted(split.levels) and p.is_zero and n.is_zero
+
+
 def fresh_series(entry):
     """A new copy of the entry's series: catalog entries are shared, so an
     earlier test may already have split theirs."""

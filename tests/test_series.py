@@ -3,6 +3,7 @@ import dataclasses
 import json
 import pickle
 import re
+import time
 import warnings
 from fractions import Fraction
 
@@ -11,8 +12,9 @@ import pytest
 from donaldson.constructions import blow_up, catalog, catalog_names
 from donaldson.exppoly import ExpPolynomial
 from donaldson.gaussian import GaussianRational
-from donaldson.lattice import HClass, Lattice, LatticeError, LatticeMismatch
+from donaldson.lattice import HClass, Lattice, LatticeError, LatticeMismatch, MarkedSurface
 from donaldson.series import (
+    MAX_GENUS,
     DonaldsonSeries,
     RelationPoly,
     SeriesError,
@@ -30,8 +32,10 @@ from donaldson.series import (
     twisted,
     unsplit_series,
     z_value,
+    _root_level,
 )
 from test_pairing_table import split_rows
+from test_random_series import hyperbolic_plus_minus_ones
 
 
 def gr(re, im=0):
@@ -409,6 +413,73 @@ def test_relation_poly_is_one_value_per_genus():
             relation_poly(g)
     with pytest.raises(SeriesError, match="^relation polynomial needs genus >= 2$"):
         relation_poly(1)
+
+
+def test_relation_poly_refuses_a_genus_over_its_expansion_limit_at_once():
+    # the root rule takes any genus; the expansion stays bounded
+    start = time.perf_counter()
+    g = MAX_GENUS + 1
+    with pytest.raises(SeriesError, match=f"^relation polynomial genus {g} is over the limit of {MAX_GENUS}$"):
+        relation_poly(g)
+    assert time.perf_counter() - start < 1
+
+
+def test_relation_poly_keeps_its_genus_apart_from_its_value():
+    z = relation_poly(5)
+    plain = RelationPoly(z.terms)
+    assert z._genus == 5 and plain._genus is None
+    assert z == plain and hash(z) == hash(plain) and repr(z) == repr(plain)
+    assert RelationPoly.of(z) is z and pickle.loads(pickle.dumps(z))._genus == 5
+
+
+@pytest.mark.parametrize("ks", [2.5, True, "2", None, 3, Fraction(2)])
+def test_z_value_refuses_a_level_that_is_not_an_even_int(ks):
+    # K.S is even for a characteristic K and S^2 = 0: no class has such a level
+    message = f"^surface level must be an even int, got {re.escape(repr(ks))}$"
+    with pytest.raises(SeriesError, match=message):
+        z_value(relation_poly(3), ks, 1)
+
+
+# D.S at which the root rule is tested: 1, where the relation kills every
+# series, and values around it, integral and not
+D_SIGMAS = (1, 2, Fraction(1, 2), -1, 0, 3, Fraction(-3, 2), 5, -3, 7, Fraction(7, 2))
+
+
+def test_the_root_rule_is_where_horner_gives_zero():
+    # the rule reads only (g, level, D.S); z_value runs Horner's rule on the
+    # expanded polynomial, here one that carries no genus
+    for g in range(2, 41):
+        plain = RelationPoly(relation_poly(g).terms)
+        for ks in range(-(2 * g + 2), 2 * g + 3, 2):
+            for d_sigma in D_SIGMAS:
+                assert _root_level(g, ks, d_sigma) == z_value(plain, ks, d_sigma).is_zero, (g, ks, d_sigma)
+
+
+def every_level_series(g):
+    """On H + <-1> with S = e: one row (0, ks, 1) per even level ks in
+    [-(2g+2), 2g+2], each with its own coefficient, and the surface S of genus g."""
+    lat = hyperbolic_plus_minus_ones(1)
+    rows = [(HClass(lat, (0, ks, 1)), Fraction(ks + 2 * g + 3, 7)) for ks in range(-(2 * g + 2), 2 * g + 3, 2)]
+    return DonaldsonSeries.on(lat, rows), MarkedSurface(lat.cls("e"), g)
+
+
+def test_a_relation_that_knows_its_genus_evaluates_as_one_that_does_not():
+    # the root levels skipped change no value: apply_relation and evaluate
+    # equal the same calls on the polynomial without its genus, at a D whose
+    # K.D, the row's level, tells every row apart
+    for g in range(2, 41):
+        series, s = every_level_series(g)
+        lat = series.lattice
+        z = relation_poly(g)
+        plain = RelationPoly(z.terms)
+        w = lat.cls("f")
+        for d_sigma in D_SIGMAS:
+            d = HClass(lat, (1, d_sigma, 0))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # D.S != 1 withdraws the guarantee
+                made = apply_relation(series, w, s, z, d)
+                assert made == apply_relation(series, w, s, plain, d), (g, d_sigma)
+            assert split_series(series, w, s).evaluate(d, z) == made, (g, d_sigma)
 
 
 @pytest.mark.parametrize("g", range(2, 7))
